@@ -192,7 +192,6 @@ fn main() {
             workers: 2,
             max_batch: 2,
             cache: None,
-            sim_col_cost_us: 0,
             tracer: serve_tracer.clone(),
             initial_version: 1,
             ..ServiceConfig::default()

@@ -135,7 +135,6 @@ fn main() {
             admission: AdmissionPolicy::Block,
             default_deadline: Deadline::UNBOUNDED,
             cache: None,
-            sim_col_cost_us: 500,
             initial_version: 1,
             rollback_budget: 1,
             ..ServiceConfig::default()

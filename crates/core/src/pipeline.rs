@@ -40,25 +40,6 @@ impl<'a> Resources<'a> {
         ResourcesBuilder::default()
     }
 
-    #[deprecated(
-        note = "use `Resources::builder()`, which validates the bundle and \
-                reports `KgLinkError::MissingResource` instead of allowing \
-                inconsistent states"
-    )]
-    pub fn new(
-        graph: &'a (dyn GraphAccess + 'a),
-        backend: &'a (dyn KgBackend + 'a),
-        tokenizer: &'a Tokenizer,
-    ) -> Self {
-        Resources {
-            graph,
-            backend,
-            tokenizer,
-            pretrained_encoder: None,
-            tracer: Tracer::disabled(),
-        }
-    }
-
     pub fn with_pretrained(mut self, blob: &'a [u8]) -> Self {
         self.pretrained_encoder = Some(blob);
         self
@@ -241,10 +222,8 @@ impl AnnotateOutcome {
     }
 }
 
-/// One annotation request: the table plus per-call options. This is the
-/// single entry point every `annotate*` wrapper routes through, so
-/// degradation accounting and metrics are identical no matter how the call
-/// is spelled.
+/// One annotation request: the table plus per-call options, consumed by
+/// [`KgLink::annotate_request`], the single annotation entry point.
 ///
 /// ```ignore
 /// let outcome = kglink.annotate_request(&resources, req(&table).deadline(d).trace(&tracer));
@@ -413,9 +392,8 @@ impl KgLink {
     }
 
     /// The single annotation entry point: labels plus degradation
-    /// accounting, under the request's retrieval deadline and tracer. Every
-    /// `annotate*` wrapper routes through here, and this is what the
-    /// serving layer (`kglink-serve`) calls per request.
+    /// accounting, under the request's retrieval deadline and tracer. This
+    /// is what the serving layer (`kglink-serve`) calls per request.
     ///
     /// Stage spans: the whole call runs under an `annotate` span;
     /// preprocessing contributes `retrieval` / `filter` / `feature`, and
@@ -472,50 +450,6 @@ impl KgLink {
             failed_cells,
             rung: request.rung,
         }
-    }
-
-    /// Annotate one raw table: runs Part 1 and Part 2 end to end and
-    /// returns one label per column.
-    #[deprecated(note = "use `annotate_request(resources, req(table))`")]
-    pub fn annotate(&self, resources: &Resources<'_>, table: &Table) -> Vec<LabelId> {
-        self.annotate_request(resources, AnnotateRequest::new(table))
-            .labels
-    }
-
-    /// Annotate under a per-request retrieval budget: `deadline` tightens
-    /// the configured `retrieval_deadline_us` for every KG query this
-    /// annotation issues. Queries past the budget fail and degrade their
-    /// column to the no-linkage path — the output arity never changes.
-    #[deprecated(note = "use `annotate_request(resources, req(table).deadline(deadline))`")]
-    pub fn annotate_with_deadline(
-        &self,
-        resources: &Resources<'_>,
-        table: &Table,
-        deadline: Deadline,
-    ) -> Vec<LabelId> {
-        self.annotate_request(resources, AnnotateRequest::new(table).deadline(deadline))
-            .labels
-    }
-
-    /// Labels plus degradation accounting under a retrieval deadline.
-    #[deprecated(note = "use `annotate_request(resources, req(table).deadline(deadline))`")]
-    pub fn annotate_outcome(
-        &self,
-        resources: &Resources<'_>,
-        table: &Table,
-        deadline: Deadline,
-    ) -> AnnotateOutcome {
-        self.annotate_request(resources, AnnotateRequest::new(table).deadline(deadline))
-    }
-
-    /// Annotate one raw table, returning label names.
-    #[deprecated(
-        note = "use `annotate_request(resources, req(table))` and resolve names \
-                with `AnnotateOutcome::names`"
-    )]
-    pub fn annotate_names(&self, resources: &Resources<'_>, table: &Table) -> Vec<String> {
-        self.annotate_request(resources, AnnotateRequest::new(table))
-            .names(&self.labels)
     }
 
     /// Evaluate on preprocessed tables.
@@ -641,34 +575,6 @@ mod tests {
                 .build(),
             Err(KgLinkError::InvalidConfig { .. })
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_delegate_to_annotate_request() {
-        let world = SyntheticWorld::generate(&WorldConfig::tiny(81));
-        let bench = semtab_like(&world, &SemTabConfig::tiny(81));
-        let searcher = EntitySearcher::build(&world.graph);
-        let corpus = pretrain_corpus(&world, 2);
-        let vocab = build_vocab(corpus.iter().map(String::as_str), &[&bench.dataset], 6000);
-        let tokenizer = Tokenizer::new(vocab);
-        let resources = Resources::new(&world.graph, &searcher, &tokenizer);
-        let (kglink, _) = KgLink::fit(&resources, &bench.dataset, KgLinkConfig::fast_test());
-        let t = bench.dataset.tables_in(Split::Test).next().unwrap();
-        let canonical = kglink.annotate_request(&resources, req(t));
-        assert_eq!(kglink.annotate(&resources, t), canonical.labels);
-        assert_eq!(
-            kglink.annotate_with_deadline(&resources, t, Deadline::UNBOUNDED),
-            canonical.labels
-        );
-        assert_eq!(
-            kglink.annotate_outcome(&resources, t, Deadline::UNBOUNDED),
-            canonical
-        );
-        assert_eq!(
-            kglink.annotate_names(&resources, t),
-            canonical.names(&kglink.labels)
-        );
     }
 
     #[test]

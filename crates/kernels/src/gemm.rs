@@ -522,8 +522,14 @@ mod tests {
         assert_eq!(nt, nn2);
     }
 
+    /// `set_reference_mode` is process-global and tests run in parallel:
+    /// the test that toggles it and the test that counts fast-path scratch
+    /// allocations take this lock so neither sees the other's mode.
+    static MODE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn fast_equals_reference_bitwise_on_ragged_shapes() {
+        let _mode = MODE.lock().unwrap_or_else(|e| e.into_inner());
         let mut s = Scratch::new();
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
@@ -645,6 +651,7 @@ mod tests {
 
     #[test]
     fn repeated_calls_are_allocation_free_in_scratch_terms() {
+        let _mode = MODE.lock().unwrap_or_else(|e| e.into_inner());
         let a: Vec<f32> = (0..12 * 7).map(|i| i as f32 * 0.01).collect();
         let b: Vec<f32> = (0..7 * 9).map(|i| i as f32 * 0.02).collect();
         let mut s = Scratch::new();

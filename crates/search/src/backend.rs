@@ -3,20 +3,23 @@
 //! The paper's entity callback is a *remote* Elasticsearch deployment; at
 //! production scale that call can be slow, flaky, or down. [`KgBackend`]
 //! makes the failure surface explicit: every retrieval carries a
-//! [`Deadline`] and returns either a [`SearchOutcome`] (hits plus the
-//! simulated service latency) or a typed [`RetrievalError`]. The in-process
-//! [`EntitySearcher`](crate::EntitySearcher) implements the trait
-//! infallibly; the [`resilience`](crate::resilience) module layers fault
-//! injection and a retry/circuit-breaker decorator on top of any backend.
+//! [`Deadline`] and returns either a [`SearchOutcome`] or a typed
+//! [`RetrievalError`].
 //!
-//! Time is *simulated*: latencies are microsecond values threaded through
-//! return values, never real sleeps, so chaos tests and experiments stay
-//! fast and bit-for-bit deterministic.
+//! Two clocks meet at this trait, and each lives in one place. *Simulated*
+//! service time lives in [`resilience`](crate::resilience) only: the fault
+//! injector compares an injected latency with the deadline, and the
+//! resilient decorator advances a virtual clock by latencies, backoff and
+//! breaker cooldowns — nothing sleeps, so chaos tests stay fast and
+//! deterministic. [`SearchOutcome::latency_us`] carries that time; sources
+//! and cache hits report 0. *Real* time lives in the callers: `kglink-serve`
+//! subtracts a request's measured queue wait from its [`Deadline`] before
+//! annotating, so a deadline is simply a microsecond budget.
 
 use kglink_kg::EntityId;
 use std::fmt;
 
-/// Per-query wall-clock budget, in simulated microseconds.
+/// Per-query budget in microseconds (module docs: which clock spends it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Deadline {
     budget_us: u64,
@@ -54,7 +57,7 @@ impl Deadline {
 /// [`RetriesExhausted`]: RetrievalError::RetriesExhausted
 #[derive(Debug, Clone, PartialEq)]
 pub enum RetrievalError {
-    /// The simulated service time exceeded the caller's deadline.
+    /// The service time exceeded the caller's deadline.
     Timeout { needed_us: u64, budget_us: u64 },
     /// A transient backend fault (dropped connection, 5xx, shard hiccup).
     Transient,
@@ -117,12 +120,14 @@ pub struct SearchOutcome {
 
 /// A knowledge-graph entity-retrieval backend.
 ///
-/// Implementations: [`EntitySearcher`](crate::EntitySearcher) (in-process,
-/// infallible, zero latency), [`FaultyBackend`](crate::resilience::FaultyBackend)
-/// (deterministic fault injection), and
-/// [`ResilientBackend`](crate::resilience::ResilientBackend) (retry +
-/// circuit breaker). `kglink-core` consumes the trait object, so any stack
-/// of decorators threads through the whole pipeline.
+/// Sources: [`EntitySearcher`](crate::EntitySearcher) (in-memory) and
+/// `kglink-store`'s `DiskBackend`. Decorators:
+/// [`CachingBackend`](crate::CachingBackend),
+/// [`ResilientBackend`](crate::resilience::ResilientBackend), the chaos
+/// injectors [`FaultyBackend`](crate::resilience::FaultyBackend) and
+/// [`PanickingBackend`](crate::resilience::PanickingBackend), the `&B` /
+/// `Arc<B>` delegates, and `kglink-serve`'s rung-keyed view. `kglink-core`
+/// consumes the trait object, so any stack threads through the pipeline.
 pub trait KgBackend: Send + Sync {
     /// Retrieve up to `top_k` candidate entities for `query` within
     /// `deadline`.

@@ -269,6 +269,7 @@ pub fn normalize_mention(query: &str) -> String {
 }
 
 type CacheKey = (String, usize);
+type Shard = Mutex<Lru<CacheKey, CachedEntry>>;
 
 #[derive(Debug, Clone)]
 struct CachedEntry {
@@ -287,7 +288,7 @@ struct CachedEntry {
 #[derive(Debug)]
 pub struct CachingBackend<B> {
     inner: B,
-    shards: Vec<Mutex<Lru<CacheKey, CachedEntry>>>,
+    shards: Vec<Shard>,
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
@@ -323,7 +324,7 @@ impl<B: KgBackend> CachingBackend<B> {
         &self.inner
     }
 
-    fn shard_for(&self, key: &CacheKey) -> &Mutex<Lru<CacheKey, CachedEntry>> {
+    fn shard_for(&self, key: &CacheKey) -> &Shard {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() as usize) % self.shards.len()]
@@ -338,11 +339,21 @@ impl<B: KgBackend> CachingBackend<B> {
     /// as a normal hit or miss in [`stats`](Self::stats).
     pub fn lookup_cached(&self, query: &str, top_k: usize) -> Option<SearchOutcome> {
         let key = (normalize_mention(query), top_k);
-        let found = self
-            .shard_for(&key)
+        self.lookup_in(self.shard_for(&key), &key)
+    }
+
+    /// The one keyed lookup: clone the stored entry out under the shard
+    /// lock, then account the hit or miss with the lock released.
+    ///
+    /// Shard locks are never held across the inner backend call, so a
+    /// panicking backend cannot poison them mid-mutation; any poison came
+    /// from a panic elsewhere on a worker's stack, and the LRU is
+    /// consistent at every lock release. Recover instead of cascading.
+    fn lookup_in(&self, shard: &Shard, key: &CacheKey) -> Option<SearchOutcome> {
+        let found = shard
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
+            .get(key)
             .map(|entry| SearchOutcome {
                 hits: entry.hits.clone(),
                 latency_us: 0,
@@ -385,25 +396,9 @@ impl<B: KgBackend> KgBackend for CachingBackend<B> {
     ) -> Result<SearchOutcome, RetrievalError> {
         let key = (normalize_mention(query), top_k);
         let shard = self.shard_for(&key);
-        // Shard locks are never held across the inner backend call, so a
-        // panicking backend cannot poison them mid-mutation; any poison
-        // came from a panic elsewhere on a worker's stack, and the LRU is
-        // consistent at every lock release. Recover instead of cascading.
-        if let Some(entry) = shard
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.tracer.incr("cache.hit", 1);
-            return Ok(SearchOutcome {
-                hits: entry.hits.clone(),
-                latency_us: 0,
-                truncated: entry.truncated,
-            });
+        if let Some(hit) = self.lookup_in(shard, &key) {
+            return Ok(hit);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.tracer.incr("cache.miss", 1);
         // The shard lock is *not* held across the inner call: a slow or
         // faulty backend must not serialize unrelated lookups. Two workers
         // racing on the same fresh key both miss; the second insert is a

@@ -655,12 +655,13 @@ impl<B: KgBackend> ResilientBackend<B> {
         &self.config
     }
 
-    /// Acquire the state lock, recovering from poison. Unlike the other
-    /// decorators, this one *does* hold its lock across the inner backend
-    /// call, so a panicking inner backend genuinely poisons it. The state
-    /// is still re-validatable: the clock, counters, and breaker window
-    /// are all updated before or after the inner call, never left
-    /// half-written across it, so the recovered guard is consistent.
+    /// Acquire the state lock, recovering from poison. The lock is released
+    /// across the inner backend call (`search_entities` drops the guard
+    /// before it and re-acquires after), so a panicking inner backend
+    /// cannot poison it; poison can only come from a panic elsewhere on a
+    /// caller's stack. The clock, counters, and breaker window are each
+    /// updated whole under one acquisition, so a recovered guard is
+    /// consistent.
     fn lock_state(&self) -> MutexGuard<'_, ResilientState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }

@@ -4,16 +4,10 @@
 //! quality. The admission controller ([`crate::admission`]) spends
 //! requests — it rejects or sheds. [`BrownoutController`] spends quality
 //! first, walking the three-rung [`DegradationRung`] ladder per request:
-//!
-//! * **Rung 0 — full retrieval.** The normal metered backend stack.
-//! * **Rung 1 — cache-only retrieval.** [`CacheOnlyBackend`] serves
-//!   [`CachingBackend`] hits (bit-identical to the miss path that stored
-//!   them, zero simulated latency) and fails misses instantly, so those
-//!   columns degrade to the no-linkage path without touching the backend.
-//! * **Rung 2 — no linkage.** Every retrieval fails instantly
-//!   ([`ExpiredBackend`](crate::ExpiredBackend)); the pipeline serves the
-//!   paper's pure-PLM ablation path (Table IV), which is cheap and
-//!   deterministic.
+//! full retrieval → cache-only (stored hits; a miss degrades its column
+//! without touching the backend) → no linkage (the paper's pure-PLM
+//! ablation path, Table IV). The rungs are states of the one backend view
+//! in `retrieval.rs`, not backend types.
 //!
 //! Rung selection is hysteretic and asymmetric by design: *escalation is
 //! immediate* (one over-threshold sojourn observation is enough — by the
@@ -26,10 +20,9 @@
 
 use crate::error::ServiceError;
 use crate::queue::BoundedQueue;
-use crate::service::{Request, SharedBackend};
+use crate::service::Request;
 use kglink_core::DegradationRung;
 use kglink_obs::Tracer;
-use kglink_search::{CachingBackend, Deadline, KgBackend, RetrievalError, SearchOutcome};
 
 /// Tuning for a [`BrownoutController`].
 #[derive(Debug, Clone)]
@@ -132,33 +125,6 @@ impl BrownoutController {
             self.healthy_streak = 0;
         }
         self.rung
-    }
-}
-
-/// Rung-1 backend: [`CachingBackend`] hits only. A miss fails instantly
-/// with [`RetrievalError::Unavailable`] — by contract the column then
-/// degrades to the no-linkage path, so a stone-cold cache makes rung 1
-/// behave exactly like rung 2.
-pub struct CacheOnlyBackend<'a> {
-    cache: &'a CachingBackend<SharedBackend>,
-}
-
-impl<'a> CacheOnlyBackend<'a> {
-    pub fn new(cache: &'a CachingBackend<SharedBackend>) -> Self {
-        CacheOnlyBackend { cache }
-    }
-}
-
-impl KgBackend for CacheOnlyBackend<'_> {
-    fn search_entities(
-        &self,
-        query: &str,
-        top_k: usize,
-        _deadline: Deadline,
-    ) -> Result<SearchOutcome, RetrievalError> {
-        self.cache
-            .lookup_cached(query, top_k)
-            .ok_or(RetrievalError::Unavailable)
     }
 }
 

@@ -23,10 +23,8 @@
 //!   queue wait plus retrieval; requests that expire while queued complete
 //!   through the pipeline's graceful no-linkage degradation path with the
 //!   correct output arity.
-//! * **Metrics** — [`ServiceMetrics`] merges per-worker retrieval
-//!   snapshots ([`MetricsSnapshot::merge`](kglink_search::MetricsSnapshot))
-//!   with queue, latency, cache, and simulated busy-time accounting.
-//!
+//! * **Metrics** — [`ServiceMetrics`] folds queue, latency, cache and
+//!   [`RetrievalCounts`] into one snapshot; every time in it is wall-clock.
 //! * **Overload protection** — an optional
 //!   [`OverloadConfig`](service::OverloadConfig) wires in an AIMD
 //!   admission controller ([`admission::AimdLimit`]) that resizes the
@@ -45,18 +43,17 @@ pub mod admission;
 pub mod brownout;
 pub mod error;
 pub mod lifecycle;
-pub mod metered;
 pub mod metrics;
 pub mod queue;
+mod retrieval;
 pub mod service;
 mod worker;
 
 pub use admission::{AimdConfig, AimdLimit, AimdVerdict};
-pub use brownout::{BrownoutConfig, BrownoutController, CacheOnlyBackend};
+pub use brownout::{BrownoutConfig, BrownoutController};
 pub use error::ServiceError;
 pub use lifecycle::{ModelEpoch, SwapError, SwapPhase, SwapPlan, SwapReport, VersionStats};
-pub use metered::{ExpiredBackend, MeteredBackend};
-pub use metrics::ServiceMetrics;
+pub use metrics::{RetrievalCounts, ServiceMetrics};
 pub use queue::{AdmissionPolicy, BoundedQueue, PushError};
 pub use service::{
     Annotation, AnnotationService, OverloadConfig, ServiceConfig, SharedBackend, Ticket,

@@ -5,21 +5,33 @@
 //!
 //! 1. **Service counters** — submitted / completed / rejected / shed /
 //!    expired, queue depth, in-flight, and end-to-end latency percentiles.
-//! 2. **Retrieval counters** — per-worker [`MetricsSnapshot`]s merged with
-//!    [`MetricsSnapshot::merge`] into one aggregate view.
+//! 2. **Retrieval counters** — [`RetrievalCounts`] for the primary
+//!    annotations' full-retrieval lookups. Retries, breaker state and the
+//!    simulated service-latency ledger stay on the caller's
+//!    [`ResilientBackend::metrics`](kglink_search::ResilientBackend::metrics).
 //! 3. **Cache counters** — [`CacheStats`] from the shared
 //!    [`CachingBackend`](kglink_search::CachingBackend), when enabled.
 //!
-//! Because retrieval latency in this repo is *simulated* (microsecond
-//! values threaded through return values, never real sleeps), the snapshot
-//! reports two throughput figures: real wall-clock tables/s, and
-//! simulated tables/s derived from per-worker busy-time. The simulated
-//! makespan (max worker busy-time) is what scaling experiments assert on —
-//! it is deterministic and independent of host core count.
+//! Every time in the snapshot is real wall-clock time; the measured scaling
+//! figure is `serve.scaling_x` in `BENCHMARK.json`.
 
 use kglink_core::DegradationRung;
-use kglink_search::{CacheStats, MetricsSnapshot};
+use kglink_search::CacheStats;
 use std::fmt;
+
+/// Lookups the primary annotations issued at the full-retrieval rung.
+/// Shadow duplicates, swap probes and the degraded rungs are not counted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RetrievalCounts {
+    /// Lookups issued (cache hits included).
+    pub queries: u64,
+    /// Lookups that returned candidates.
+    pub successes: u64,
+    /// Lookups that returned a [`RetrievalError`](kglink_search::RetrievalError).
+    pub failures: u64,
+    /// Successful lookups whose hit list was truncated by the backend.
+    pub truncated: u64,
+}
 
 /// Point-in-time service snapshot; see the module docs for the layers.
 #[derive(Debug, Clone, Default)]
@@ -69,13 +81,10 @@ pub struct ServiceMetrics {
     /// Workers currently alive (spawned minus cleanly-exited minus dead
     /// beyond the restart budget).
     pub workers_alive: usize,
-    /// Simulated busy-time per worker, µs (retrieval latency + modeled
-    /// per-column annotation cost).
-    pub sim_busy_us: Vec<u64>,
     /// Real microseconds since the service started.
     pub uptime_us: u64,
-    /// Merged retrieval metrics across all workers.
-    pub retrieval: MetricsSnapshot,
+    /// Full-rung retrieval counters of the primary annotations.
+    pub retrieval: RetrievalCounts,
     /// Cache counters, if the retrieval cache is enabled.
     pub cache: Option<CacheStats>,
     /// Version id of the epoch currently serving traffic.
@@ -87,30 +96,12 @@ pub struct ServiceMetrics {
 }
 
 impl ServiceMetrics {
-    /// Simulated makespan: the busiest worker's simulated time. With a
-    /// fixed workload, halving this when doubling workers is what "2×
-    /// scaling" means here, independent of host parallelism.
-    pub fn sim_makespan_us(&self) -> u64 {
-        self.sim_busy_us.iter().copied().max().unwrap_or(0)
-    }
-
     /// Real wall-clock throughput in tables per second.
     pub fn throughput_per_s(&self) -> f64 {
         if self.uptime_us == 0 {
             0.0
         } else {
             self.completed as f64 / (self.uptime_us as f64 / 1e6)
-        }
-    }
-
-    /// Simulated throughput in tables per second: completed work divided
-    /// by the simulated makespan.
-    pub fn sim_throughput_per_s(&self) -> f64 {
-        let makespan = self.sim_makespan_us();
-        if makespan == 0 {
-            0.0
-        } else {
-            self.completed as f64 / (makespan as f64 / 1e6)
         }
     }
 
@@ -157,22 +148,14 @@ impl fmt::Display for ServiceMetrics {
             "model: version={} swaps={} rollbacks={}",
             self.model_version, self.swaps, self.rollbacks
         )?;
+        writeln!(f, "throughput: {:.1}/s", self.throughput_per_s())?;
         writeln!(
             f,
-            "throughput: real={:.1}/s sim={:.1}/s (makespan {}us over {} workers)",
-            self.throughput_per_s(),
-            self.sim_throughput_per_s(),
-            self.sim_makespan_us(),
-            self.sim_busy_us.len()
-        )?;
-        writeln!(
-            f,
-            "retrieval: queries={} ok={} failed={} p50={}us p99={}us",
+            "retrieval: queries={} ok={} failed={} truncated={}",
             self.retrieval.queries,
             self.retrieval.successes,
             self.retrieval.failures,
-            self.retrieval.latency_p50_us(),
-            self.retrieval.latency_p99_us()
+            self.retrieval.truncated
         )?;
         match &self.cache {
             Some(c) => write!(
@@ -195,23 +178,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn makespan_is_max_worker_busy_time() {
-        let m = ServiceMetrics {
-            completed: 10,
-            sim_busy_us: vec![4_000, 9_000, 1_000],
-            ..Default::default()
-        };
-        assert_eq!(m.sim_makespan_us(), 9_000);
-        let per_s = m.sim_throughput_per_s();
-        assert!((per_s - 10.0 / 0.009).abs() < 1e-6);
-    }
-
-    #[test]
     fn empty_metrics_do_not_divide_by_zero() {
         let m = ServiceMetrics::default();
-        assert_eq!(m.sim_makespan_us(), 0);
         assert_eq!(m.throughput_per_s(), 0.0);
-        assert_eq!(m.sim_throughput_per_s(), 0.0);
         assert_eq!(m.cache_hit_rate(), 0.0);
         // Display must render without panicking on the empty snapshot.
         assert!(m.to_string().contains("cache: disabled"));

@@ -8,11 +8,9 @@
 //!  submit() ──►                                ──► worker 1 ─┼─► reply
 //!  submit() ──►                                ──► worker N ─┘  channels
 //!                       │                            │
-//!                  backpressure                MeteredBackend
+//!                  backpressure              CachingBackend (shared LRU)
 //!                 (Reject/Block/                     │
-//!                   ShedOldest)              CachingBackend (shared LRU)
-//!                                                    │
-//!                                             user backend stack
+//!                   ShedOldest)               user backend stack
 //!                                        (searcher / resilient / faulty)
 //! ```
 //!
@@ -28,16 +26,16 @@ use crate::error::ServiceError;
 use crate::lifecycle::{
     Lifecycle, ModelEpoch, ShadowState, SwapError, SwapPhase, SwapPlan, SwapReport, VersionStats,
 };
-use crate::metered::MeteredBackend;
 use crate::metrics::ServiceMetrics;
 use crate::queue::{AdmissionPolicy, BoundedQueue, PushError};
+use crate::retrieval::Retrieval;
 use crate::worker::{self, WorkerContext, WorkerExit};
 use kglink_core::pipeline::req;
 use kglink_core::{DegradationRung, KgLink};
 use kglink_kg::GraphAccess;
 use kglink_nn::Tokenizer;
 use kglink_obs::{Histogram, Tracer};
-use kglink_search::{CacheConfig, CachingBackend, Deadline, KgBackend, MetricsSnapshot};
+use kglink_search::{CacheConfig, Deadline, KgBackend};
 use kglink_table::{LabelId, Table};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -89,10 +87,6 @@ pub struct ServiceConfig {
     pub default_deadline: Deadline,
     /// Shared retrieval LRU configuration; `None` disables caching.
     pub cache: Option<CacheConfig>,
-    /// Modeled PLM cost per column, simulated microseconds. Together with
-    /// simulated retrieval latency this yields the per-worker busy-time
-    /// that scaling experiments measure.
-    pub sim_col_cost_us: u64,
     /// Total worker respawns the supervisor may perform over the service's
     /// lifetime (pool-wide, not per worker). When every worker is dead and
     /// the budget is spent, queued and future requests fail with
@@ -127,7 +121,6 @@ impl Default for ServiceConfig {
             admission: AdmissionPolicy::Block,
             default_deadline: Deadline::UNBOUNDED,
             cache: Some(CacheConfig::default()),
-            sim_col_cost_us: 2_000,
             restart_budget: 3,
             tracer: Tracer::disabled(),
             overload: None,
@@ -209,8 +202,6 @@ pub(crate) struct Shared {
     /// budget is spent: the service can no longer make progress.
     pub failed: AtomicBool,
     pub latency: Mutex<Histogram>,
-    /// One slot per worker: simulated busy-time, µs.
-    pub sim_busy_us: Vec<AtomicU64>,
     /// Current degradation-ladder level (0..=2); written by whichever
     /// worker last consulted the brownout controller.
     pub rung: AtomicUsize,
@@ -237,7 +228,6 @@ impl Shared {
             workers_alive: AtomicUsize::new(workers),
             failed: AtomicBool::new(false),
             latency: Mutex::new(Histogram::new()),
-            sim_busy_us: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             rung: AtomicUsize::new(0),
             rung_served: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
             overload: overload.map(|o| {
@@ -250,60 +240,32 @@ impl Shared {
     }
 }
 
-/// Everything needed to (re)spawn a worker thread at a given pool index.
-/// The supervisor keeps one of these so a respawned worker is
-/// indistinguishable from the original (same shared state, same meter).
-struct Pool {
-    lifecycle: Arc<Lifecycle>,
-    /// The shared (cached) retrieval stack without any worker's meter;
-    /// shadow duplicates annotate through this.
-    backend: SharedBackend,
-    graph: Arc<dyn GraphAccess>,
-    tokenizer: Arc<Tokenizer>,
-    queue: Arc<BoundedQueue<Request>>,
-    shared: Arc<Shared>,
-    cache: Option<Arc<CachingBackend<SharedBackend>>>,
-    max_batch: usize,
-    sim_col_cost_us: u64,
-    tracer: Tracer,
-}
-
-impl Pool {
-    fn spawn(
-        &self,
-        idx: usize,
-        meter: Arc<MeteredBackend>,
-        exit_tx: mpsc::Sender<(usize, WorkerExit)>,
-    ) -> JoinHandle<()> {
-        let ctx = WorkerContext {
-            idx,
-            lifecycle: Arc::clone(&self.lifecycle),
-            backend: Arc::clone(&self.backend),
-            graph: Arc::clone(&self.graph),
-            tokenizer: Arc::clone(&self.tokenizer),
-            meter,
-            queue: Arc::clone(&self.queue),
-            shared: Arc::clone(&self.shared),
-            cache: self.cache.clone(),
-            max_batch: self.max_batch,
-            sim_col_cost_us: self.sim_col_cost_us,
-            tracer: self.tracer.clone(),
-        };
-        std::thread::Builder::new()
-            .name(format!("kglink-serve-{idx}"))
-            .spawn(move || {
-                // `worker::run` already isolates per-request panics; this
-                // outer net catches anything that unwinds out of the loop
-                // itself so the supervisor always learns how we died.
-                let exit = catch_unwind(AssertUnwindSafe(|| worker::run(ctx)))
-                    .unwrap_or(WorkerExit::Panicked);
-                let _ = exit_tx.send((idx, exit));
-            })
-            // kglink-lint: allow(panic-in-lib) — OS thread spawn fails only
-            // on process-level resource exhaustion at startup; there is no
-            // degraded mode to offer without a worker pool.
-            .expect("failed to spawn worker thread")
-    }
+/// Spawn (or respawn) the worker at pool index `idx` from the supervisor's
+/// template context, so a respawned worker is indistinguishable from the
+/// original (same shared state).
+fn spawn_worker(
+    pool: &WorkerContext,
+    idx: usize,
+    exit_tx: mpsc::Sender<(usize, WorkerExit)>,
+) -> JoinHandle<()> {
+    let ctx = WorkerContext {
+        idx,
+        ..pool.clone()
+    };
+    std::thread::Builder::new()
+        .name(format!("kglink-serve-{idx}"))
+        .spawn(move || {
+            // `worker::run` already isolates per-request panics; this
+            // outer net catches anything that unwinds out of the loop
+            // itself so the supervisor always learns how we died.
+            let exit = catch_unwind(AssertUnwindSafe(|| worker::run(ctx)))
+                .unwrap_or(WorkerExit::Panicked);
+            let _ = exit_tx.send((idx, exit));
+        })
+        // kglink-lint: allow(panic-in-lib) — OS thread spawn fails only
+        // on process-level resource exhaustion at startup; there is no
+        // degraded mode to offer without a worker pool.
+        .expect("failed to spawn worker thread")
 }
 
 /// Supervision loop: join each exiting worker, respawn panicked ones while
@@ -311,8 +273,7 @@ impl Pool {
 /// every worker is dead with the budget spent (failing all queued tickets
 /// with a typed error instead of stranding them).
 fn supervise(
-    pool: Pool,
-    meters: Vec<Arc<MeteredBackend>>,
+    pool: WorkerContext,
     restart_budget: usize,
     exit_tx: mpsc::Sender<(usize, WorkerExit)>,
     exit_rx: mpsc::Receiver<(usize, WorkerExit)>,
@@ -342,7 +303,7 @@ fn supervise(
                             ("budget", restart_budget.to_string()),
                         ],
                     );
-                    handles[idx] = Some(pool.spawn(idx, Arc::clone(&meters[idx]), exit_tx.clone()));
+                    handles[idx] = Some(spawn_worker(&pool, idx, exit_tx.clone()));
                 } else {
                     alive -= 1;
                     // Publish the count before failing leftovers: a caller
@@ -371,8 +332,7 @@ fn supervise(
 pub struct AnnotationService {
     queue: Arc<BoundedQueue<Request>>,
     shared: Arc<Shared>,
-    meters: Vec<Arc<MeteredBackend>>,
-    cache: Option<Arc<CachingBackend<SharedBackend>>>,
+    retrieval: Arc<Retrieval>,
     admission: AdmissionPolicy,
     default_deadline: Deadline,
     restart_budget: usize,
@@ -383,19 +343,18 @@ pub struct AnnotationService {
     supervisor: Option<JoinHandle<()>>,
     closed: bool,
     lifecycle: Arc<Lifecycle>,
-    // Retained for swap-time probe runs: the same graph/tokenizer/backend
-    // stack the workers annotate through.
+    // Retained for swap-time probe runs: the same graph/tokenizer the
+    // workers annotate through.
     graph: Arc<dyn GraphAccess>,
     tokenizer: Arc<Tokenizer>,
-    probe_backend: SharedBackend,
 }
 
 impl AnnotationService {
     /// Spawn the worker pool. The `backend` is the caller's retrieval
     /// stack (plain searcher, or `ResilientBackend`/`FaultyBackend`
     /// decorators); when `config.cache` is set the service interposes a
-    /// shared [`CachingBackend`] in front of it, and every worker meters
-    /// its own traffic through that shared stack.
+    /// shared [`CachingBackend`](kglink_search::CachingBackend) in front of
+    /// it. Every worker annotates through that one stack.
     pub fn new(
         model: Arc<KgLink>,
         graph: Arc<dyn GraphAccess>,
@@ -403,14 +362,7 @@ impl AnnotationService {
         tokenizer: Arc<Tokenizer>,
         config: ServiceConfig,
     ) -> Self {
-        let cache = config
-            .cache
-            .clone()
-            .map(|c| Arc::new(CachingBackend::new(backend.clone(), c).with_tracer(&config.tracer)));
-        let effective: SharedBackend = match &cache {
-            Some(c) => Arc::clone(c) as SharedBackend,
-            None => backend,
-        };
+        let retrieval = Arc::new(Retrieval::new(backend, config.cache.clone(), &config.tracer));
         let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
         let shared = Arc::new(Shared::new(config.workers, config.overload.as_ref()));
         if let Some(overload) = &shared.overload {
@@ -423,23 +375,19 @@ impl AnnotationService {
                 .limit();
             queue.set_limit(initial);
         }
-        let meters: Vec<Arc<MeteredBackend>> = (0..config.workers)
-            .map(|_| Arc::new(MeteredBackend::new(effective.clone())))
-            .collect();
         let lifecycle = Arc::new(Lifecycle::new(
             ModelEpoch::new(config.initial_version, model),
             config.rollback_budget,
         ));
-        let pool = Pool {
+        let pool = WorkerContext {
+            idx: 0,
             lifecycle: Arc::clone(&lifecycle),
-            backend: effective.clone(),
+            retrieval: Arc::clone(&retrieval),
             graph: Arc::clone(&graph),
             tokenizer: Arc::clone(&tokenizer),
             queue: Arc::clone(&queue),
             shared: Arc::clone(&shared),
-            cache: cache.clone(),
             max_batch: config.max_batch.max(1),
-            sim_col_cost_us: config.sim_col_cost_us,
             tracer: config.tracer.clone(),
         };
         // Admission-only mode (`workers == 0`) needs no worker threads and
@@ -449,19 +397,14 @@ impl AnnotationService {
             // at most one message per worker death, bounded by the restart
             // budget plus the pool size; can never grow under load.
             let (exit_tx, exit_rx) = mpsc::channel();
-            let handles: Vec<Option<JoinHandle<()>>> = meters
-                .iter()
-                .enumerate()
-                .map(|(idx, meter)| Some(pool.spawn(idx, Arc::clone(meter), exit_tx.clone())))
+            let handles: Vec<Option<JoinHandle<()>>> = (0..config.workers)
+                .map(|idx| Some(spawn_worker(&pool, idx, exit_tx.clone())))
                 .collect();
-            let sup_meters = meters.clone();
             let restart_budget = config.restart_budget;
             Some(
                 std::thread::Builder::new()
                     .name("kglink-serve-supervisor".to_string())
-                    .spawn(move || {
-                        supervise(pool, sup_meters, restart_budget, exit_tx, exit_rx, handles)
-                    })
+                    .spawn(move || supervise(pool, restart_budget, exit_tx, exit_rx, handles))
                     // kglink-lint: allow(panic-in-lib) — same startup-only
                     // resource-exhaustion case as the worker spawn above.
                     .expect("failed to spawn supervisor thread"),
@@ -472,8 +415,7 @@ impl AnnotationService {
         AnnotationService {
             queue,
             shared,
-            meters,
-            cache,
+            retrieval,
             admission: config.admission,
             default_deadline: config.default_deadline,
             restart_budget: config.restart_budget,
@@ -488,7 +430,6 @@ impl AnnotationService {
             lifecycle,
             graph,
             tokenizer,
-            probe_backend: effective,
         }
     }
 
@@ -566,11 +507,6 @@ impl AnnotationService {
 
     /// Point-in-time service snapshot; see [`ServiceMetrics`].
     pub fn metrics(&self) -> ServiceMetrics {
-        let retrieval = self
-            .meters
-            .iter()
-            .map(|m| m.snapshot())
-            .fold(MetricsSnapshot::default(), |acc, s| acc.merge(&s));
         let latency = self
             .shared
             .latency
@@ -600,15 +536,9 @@ impl AnnotationService {
             worker_panics: self.shared.worker_panics.load(Ordering::Relaxed),
             worker_restarts: self.shared.worker_restarts.load(Ordering::Relaxed),
             workers_alive: self.shared.workers_alive.load(Ordering::SeqCst),
-            sim_busy_us: self
-                .shared
-                .sim_busy_us
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
             uptime_us: self.started.elapsed().as_micros() as u64,
-            retrieval,
-            cache: self.cache.as_ref().map(|c| c.stats()),
+            retrieval: self.retrieval.counts(),
+            cache: self.retrieval.cache_stats(),
             model_version: self.lifecycle.current().version,
             swaps: self.lifecycle.swaps.load(Ordering::Relaxed),
             rollbacks: self.lifecycle.rollbacks.load(Ordering::Relaxed),
@@ -893,9 +823,10 @@ impl AnnotationService {
     /// cannot take the swap thread (or the service) down with it.
     fn probe_labels(&self, model: &KgLink, table: &Table) -> Result<Vec<LabelId>, ()> {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let backend = self.retrieval.at(DegradationRung::Full, false);
             let resources = kglink_core::pipeline::Resources::builder()
                 .graph(&self.graph)
-                .backend(self.probe_backend.as_ref())
+                .backend(&backend)
                 .tokenizer(&self.tokenizer)
                 .tracer(&self.tracer)
                 .build()

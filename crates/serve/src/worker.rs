@@ -1,15 +1,15 @@
 //! The worker loop: drain a micro-batch, annotate each request, reply.
 //!
-//! Every worker owns a [`MeteredBackend`] shard over the shared (cached)
-//! retrieval stack, so per-worker retrieval metrics accumulate without
-//! cross-worker contention and fold together later via
-//! [`MetricsSnapshot::merge`](kglink_search::MetricsSnapshot::merge).
+//! Every annotation reaches the KG through one view of the service's
+//! shared [`Retrieval`] stack, `retrieval.at(rung, counted)`; the rung is
+//! the only thing that differs between full, cache-only and no-linkage
+//! service.
 //!
 //! Deadline handling happens here: a request's [`Deadline`] budget is
 //! measured against its *real* queue wait. A request that exhausted its
-//! budget while queued is not dropped — it is annotated through
-//! [`ExpiredBackend`], so every retrieval fails instantly and the pipeline
-//! produces a pure-PLM, no-linkage annotation with the correct arity.
+//! budget while queued is not dropped — it is annotated at the no-linkage
+//! rung, so every retrieval fails instantly and the pipeline produces a
+//! pure-PLM annotation with the correct arity.
 //! A request with budget left passes only the *remaining* budget into
 //! [`KgLink::annotate_request`], which tightens every KG query it issues.
 //!
@@ -30,12 +30,6 @@
 //! request and then serves its micro-batches without heap allocation in
 //! the forward pass.
 //!
-//! Simulated busy-time accounting: each table charges the worker the
-//! simulated retrieval microseconds it consumed (read off the meter)
-//! plus `sim_col_cost_us` per column for the PLM forward pass. The max
-//! over workers is the simulated makespan that scaling experiments
-//! assert on — deterministic, and independent of host core count.
-//!
 //! Panic isolation: each request is annotated inside `catch_unwind`, with
 //! a completion-on-drop [`TicketGuard`] armed *before* any fallible work.
 //! Whatever path the worker takes out of a request — normal completion,
@@ -47,18 +41,18 @@
 //! with [`WorkerExit::Panicked`], letting the supervisor decide whether
 //! to respawn it.
 
-use crate::brownout::{self, CacheOnlyBackend};
+use crate::brownout;
 use crate::error::ServiceError;
 use crate::lifecycle::{Lifecycle, ModelEpoch, ShadowState};
-use crate::metered::{ExpiredBackend, MeteredBackend};
 use crate::queue::BoundedQueue;
-use crate::service::{Annotation, Request, Shared, SharedBackend};
+use crate::retrieval::Retrieval;
+use crate::service::{Annotation, Request, Shared};
 use kglink_core::pipeline::{req, AnnotateOutcome, Resources};
 use kglink_core::{DegradationRung, KgLink};
 use kglink_kg::GraphAccess;
 use kglink_nn::Tokenizer;
 use kglink_obs::Tracer;
-use kglink_search::{CachingBackend, Deadline};
+use kglink_search::Deadline;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -66,23 +60,18 @@ use std::sync::{mpsc, Arc, PoisonError};
 use std::time::Instant;
 
 /// Everything one worker thread needs, bundled for the spawn closure.
+#[derive(Clone)]
 pub(crate) struct WorkerContext {
     pub idx: usize,
     /// Epoch slot + comparison window; the worker clones both once per
     /// micro-batch, so a hot-swap lands between batches, never inside one.
     pub lifecycle: Arc<Lifecycle>,
-    /// The shared (cached) retrieval stack *without* this worker's meter:
-    /// shadow duplicates annotate through it so they never pollute the
-    /// primary's retrieval metrics or simulated busy-time.
-    pub backend: SharedBackend,
+    pub retrieval: Arc<Retrieval>,
     pub graph: Arc<dyn GraphAccess>,
     pub tokenizer: Arc<Tokenizer>,
-    pub meter: Arc<MeteredBackend>,
     pub queue: Arc<BoundedQueue<Request>>,
     pub shared: Arc<Shared>,
-    pub cache: Option<Arc<CachingBackend<SharedBackend>>>,
     pub max_batch: usize,
-    pub sim_col_cost_us: u64,
     pub tracer: Tracer,
 }
 
@@ -229,59 +218,40 @@ fn overload_control(ctx: &WorkerContext, sojourn_us: u64) -> DegradationRung {
 
 /// The serving path a request resolved to after deadline + overload
 /// control: the shadow duplicate replays exactly this, so primary and
-/// shadow differ *only* in which model annotates (and in metering).
+/// shadow differ *only* in which model annotates (and in counting).
 #[derive(Clone, Copy)]
 struct ServePath {
-    /// Deadline spent in the queue: pure no-linkage, no KG budget.
-    expired: bool,
-    /// Effective degradation rung (cache-less CacheOnly already folded
-    /// into NoLinkage).
+    /// Effective degradation rung: `NoLinkage` when the deadline was spent
+    /// in the queue, and a cache-less `CacheOnly` already folded into it.
     rung: DegradationRung,
-    /// KG budget left after queue wait; meaningless when `expired`.
+    /// KG budget left after queue wait; unbounded when there is no
+    /// deadline, or when it expired and no retrieval will consult it.
     remaining: Deadline,
 }
 
 /// Annotate one table with one model along a resolved [`ServePath`].
-/// `metered` selects the primary's per-worker metered stack for full
-/// retrieval; shadow runs pass `false` and use the shared un-metered
-/// stack so duplicate traffic never skews primary retrieval metrics or
-/// simulated busy-time.
+/// `counted` is true for the primary annotation; shadow duplicates pass
+/// `false` so they never skew the primary's retrieval counters.
 fn annotate_once(
     ctx: &WorkerContext,
     model: &KgLink,
     request: &Request,
     path: ServePath,
-    metered: bool,
+    counted: bool,
 ) -> AnnotateOutcome {
-    if path.expired {
-        // Out of budget: every retrieval fails instantly and the pipeline
-        // degrades to its no-linkage path. Arity is preserved; no panic.
-        let resources = worker_resources(ctx, &ExpiredBackend);
-        return model
-            .annotate_request(&resources, req(&request.table).rung(DegradationRung::NoLinkage));
-    }
     let spec = req(&request.table).deadline(path.remaining).rung(path.rung);
-    match (path.rung, ctx.cache.as_ref()) {
-        (DegradationRung::Full, _) if metered => {
-            let resources = worker_resources(ctx, ctx.meter.as_ref());
-            model.annotate_request(&resources, spec)
-        }
-        (DegradationRung::Full, _) => {
-            let resources = worker_resources(ctx, ctx.backend.as_ref());
-            model.annotate_request(&resources, spec)
-        }
-        (DegradationRung::CacheOnly, Some(cache)) => {
-            let cache_only = CacheOnlyBackend::new(cache);
-            let resources = worker_resources(ctx, &cache_only);
-            model.annotate_request(&resources, spec)
-        }
-        // `ServePath` folds a cache-less CacheOnly into NoLinkage, so
-        // this arm doubles as the NoLinkage path.
-        (_, _) => {
-            let resources = worker_resources(ctx, &ExpiredBackend);
-            model.annotate_request(&resources, spec)
-        }
-    }
+    let backend = ctx.retrieval.at(path.rung, counted);
+    let resources = Resources::builder()
+        .graph(&ctx.graph)
+        .backend(&backend)
+        .tokenizer(&ctx.tokenizer)
+        .tracer(&ctx.tracer)
+        .build()
+        // kglink-lint: allow(panic-in-lib) — structural: the service
+        // constructor validated these exact resources; a builder error here
+        // is a bug in this crate, not a runtime condition.
+        .expect("service resources validated at startup");
+    model.annotate_request(&resources, spec)
 }
 
 fn serve_request(
@@ -299,17 +269,12 @@ fn serve_request(
     let budget = request.deadline.budget_us();
     let expired = !request.deadline.is_unbounded() && wait_us >= budget;
     let path = ServePath {
-        expired,
-        // A cache-only rung without a cache has nothing to serve hits
-        // from: fold it into the no-linkage rung so the recorded rung
-        // matches what actually happened.
+        // Out of budget: every retrieval fails instantly and the pipeline
+        // degrades to its no-linkage path. Arity is preserved; no panic.
         rung: if expired {
             DegradationRung::NoLinkage
         } else {
-            match rung {
-                DegradationRung::CacheOnly if ctx.cache.is_none() => DegradationRung::NoLinkage,
-                other => other,
-            }
+            ctx.retrieval.effective_rung(rung)
         },
         remaining: if request.deadline.is_unbounded() || expired {
             Deadline::UNBOUNDED
@@ -318,15 +283,11 @@ fn serve_request(
         },
     };
 
-    let sim_before = ctx.meter.sim_latency_us();
     // kglink-lint: allow(nondeterminism) — annotate-only wall time feeding
     // the shadow-comparison latency histograms; labels never read it.
     let t0 = Instant::now();
     let outcome = annotate_once(ctx, &epoch.model, request, path, true);
     let primary_us = t0.elapsed().as_micros() as u64;
-    let sim_retrieval_us = ctx.meter.sim_latency_us() - sim_before;
-    let sim_cost_us = sim_retrieval_us + ctx.sim_col_cost_us * request.table.n_cols() as u64;
-    ctx.shared.sim_busy_us[ctx.idx].fetch_add(sim_cost_us, Ordering::Relaxed);
 
     if let Some(sh) = shadow {
         if request.id.is_multiple_of(sh.sample_every) {
@@ -408,25 +369,6 @@ fn run_shadow(
     // full, then reads the other counters — everything recorded for this
     // comparison must already be visible when the count ticks.
     sh.compared.fetch_add(1, Ordering::SeqCst);
-}
-
-/// The per-call resource bundle a worker annotates through. Infallible by
-/// construction: the service validated the graph/tokenizer at startup, so
-/// the builder can only fail on a bug in this crate.
-fn worker_resources<'a>(
-    ctx: &'a WorkerContext,
-    backend: &'a (dyn kglink_search::KgBackend + 'a),
-) -> Resources<'a> {
-    Resources::builder()
-        .graph(&ctx.graph)
-        .backend(backend)
-        .tokenizer(&ctx.tokenizer)
-        .tracer(&ctx.tracer)
-        .build()
-        // kglink-lint: allow(panic-in-lib) — structural: the service
-        // constructor validated these exact resources; a builder error here
-        // is a bug in this crate, not a runtime condition.
-        .expect("service resources validated at startup")
 }
 
 fn record_completion(ctx: &WorkerContext, annotation: &Annotation, total_us: u64) {

@@ -7,8 +7,10 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test -q =="
-cargo test -q
+echo "== cargo test -q --workspace =="
+# --workspace: the root manifest is also a package, so a bare `cargo test`
+# would run only the facade's tests and skip everything under crates/*.
+cargo test -q --workspace
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -33,6 +35,10 @@ KGLINK_FAST=1 cargo run --release -q -p kglink-bench --bin exp_bench -- --smoke
 
 echo "== exp_swap smoke (registry round-trip, hot swap under load, rollback) =="
 KGLINK_FAST=1 cargo run --release -q -p kglink-bench --bin exp_swap -- --smoke
+
+echo "== benchmark crate: tests + smoke run against the frozen serving surface =="
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --smoke
 
 echo "== kglink-lint self-test (fixture corpus meta-gate) =="
 # The linter must still *find* things before its clean workspace run means

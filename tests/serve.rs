@@ -17,7 +17,7 @@ use kglink::search::{
 };
 use kglink::serve::{
     AdmissionPolicy, AimdConfig, AnnotationService, BrownoutConfig, DegradationRung,
-    OverloadConfig, ServiceConfig, ServiceError, SharedBackend,
+    OverloadConfig, RetrievalCounts, ServiceConfig, ServiceError, SharedBackend,
 };
 use kglink::table::{LabelId, Table};
 use std::sync::{Arc, OnceLock};
@@ -81,7 +81,10 @@ fn fixture() -> &'static Fixture {
 }
 
 fn service(fx: &Fixture, config: ServiceConfig) -> AnnotationService {
-    let backend: SharedBackend = Arc::clone(&fx.searcher) as SharedBackend;
+    service_over(fx, Arc::clone(&fx.searcher) as SharedBackend, config)
+}
+
+fn service_over(fx: &Fixture, backend: SharedBackend, config: ServiceConfig) -> AnnotationService {
     AnnotationService::new(
         Arc::clone(&fx.model),
         Arc::clone(&fx.graph) as Arc<dyn GraphAccess>,
@@ -389,37 +392,63 @@ fn expired_deadline_degrades_gracefully_instead_of_panicking() {
 #[test]
 fn repeated_tables_hit_the_cache_and_metrics_reconcile() {
     let fx = fixture();
-    let svc = service(
-        fx,
-        ServiceConfig {
-            workers: 2,
-            max_batch: 2,
-            cache: Some(CacheConfig::default()),
-            ..ServiceConfig::default()
-        },
-    );
-    let workload: Vec<Table> = fx
-        .tables
-        .iter()
-        .chain(fx.tables.iter())
-        .cloned()
-        .collect();
-    let tickets = svc.submit_batch(workload.iter().cloned());
-    for ticket in tickets {
-        ticket.expect("admitted").wait().expect("completed");
-    }
+    let workload: Vec<Table> = fx.tables.iter().chain(&fx.tables).cloned().collect();
+    let run = |svc: &AnnotationService| -> Vec<Vec<LabelId>> {
+        svc.submit_batch(workload.iter().cloned())
+            .into_iter()
+            .map(|t| t.expect("admitted").wait().expect("completed").labels)
+            .collect()
+    };
+    let pinned = |rung| ServiceConfig {
+        workers: 2,
+        max_batch: 2,
+        cache: Some(CacheConfig::default()),
+        overload: Some(OverloadConfig {
+            brownout: BrownoutConfig::pinned(rung),
+            ..OverloadConfig::default()
+        }),
+        ..ServiceConfig::default()
+    };
+
+    // All-`Full` traffic over a flaky source: every counted lookup is one
+    // cache lookup, and every failed lookup is one failed cell.
+    let faults = FaultConfig {
+        transient_rate: 0.3,
+        ..FaultConfig::healthy(411)
+    };
+    let flaky = Arc::new(FaultyBackend::new(Arc::clone(&fx.searcher), faults));
+    let svc = service_over(fx, flaky, pinned(DegradationRung::Full));
+    run(&svc);
     let m = svc.metrics();
     assert_eq!(m.completed, workload.len() as u64);
     assert_eq!(m.queue_depth, 0);
-    assert_eq!(m.sim_busy_us.len(), 2);
     assert!(m.latency_p99_us >= m.latency_p50_us);
-    assert!(m.retrieval.queries > 0, "workers meter their retrievals");
+    assert!(m.retrieval.queries > 0, "workers count their retrievals");
     assert!(
         m.cache_hit_rate() > 0.0,
         "submitting every table twice must produce cache hits: {m}"
     );
     let cache = m.cache.expect("cache enabled");
     assert_eq!(cache.hits + cache.misses, cache.lookups());
+    assert!(m.failed_cells > 0, "{m}");
+    let counts = |queries, failures| RetrievalCounts {
+        queries,
+        successes: queries - failures,
+        failures,
+        truncated: 0,
+    };
+    assert_eq!(m.retrieval, counts(cache.lookups(), m.failed_cells));
+
+    // Pinned cache-only over a cold cache: nothing is counted or stored,
+    // every miss is one failed cell, and the labels are the no-linkage ones.
+    let cache_only = service(fx, pinned(DegradationRung::CacheOnly));
+    let cache_only_labels = run(&cache_only);
+    let m = cache_only.metrics();
+    let cache = m.cache.expect("cache enabled");
+    assert_eq!(m.retrieval, counts(0, 0));
+    assert!(m.failed_cells > 0);
+    assert_eq!((cache.hits, cache.misses, cache.insertions), (0, m.failed_cells, 0));
+    assert_eq!(cache_only_labels, run(&service(fx, pinned(DegradationRung::NoLinkage))));
 }
 
 #[test]
