@@ -2,8 +2,9 @@
 //!
 //! Not a paper table — this is the perf gate for `kglink-kernels`, the
 //! batched inference core every forward pass routes through. It measures
-//! four things and writes them to `BENCH_kernels.json` so later PRs have a
-//! compute trajectory to move:
+//! four things and writes them to `BENCH_kernels.json` (repo root on full
+//! runs, `target/smoke/` on `--smoke`) so later PRs have a compute
+//! trajectory to move:
 //!
 //! 1. **Parity gate.** The scalar path (the pre-kernel per-column
 //!    `Encoder::infer` loop driving the reference kernel — one serial dot
@@ -320,8 +321,8 @@ fn main() {
         fp99 = forward.p99(),
     );
     let out_path = if smoke {
-        std::fs::create_dir_all("results").expect("create results/");
-        std::path::PathBuf::from("results/BENCH_kernels.json")
+        std::fs::create_dir_all("target/smoke").expect("create target/smoke/");
+        std::path::PathBuf::from("target/smoke/BENCH_kernels.json")
     } else {
         std::path::PathBuf::from("BENCH_kernels.json")
     };

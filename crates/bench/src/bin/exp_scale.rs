@@ -23,7 +23,7 @@
 //!    in-memory 10M-entity world could not meet.
 //!
 //! Results land in `BENCH_scale.json` (repo root on full runs,
-//! `results/` on `--smoke`) so later PRs have a perf trajectory to move.
+//! `target/smoke/` on `--smoke`) so later PRs have a perf trajectory to move.
 //!
 //! Knobs: `KGLINK_SCALE_ENTITIES` overrides the world size,
 //! `KGLINK_SCALE_BUDGET_MB` the memory budget.
@@ -258,9 +258,13 @@ fn main() {
     let graph_hit_rate =
         gstats.hits as f64 / (gstats.hits + gstats.misses).max(1) as f64;
     let bstats = disk.backend.stats();
+    // A count, not a timing: it repeats exactly, and it is what stays flat
+    // as the world grows (a label is decided inside its rarest list).
+    let scored_per_query = bstats.scored_docs as f64 / bstats.queries.max(1) as f64;
     eprintln!(
         "[scale] part 4: {n_lookups} lookups ({:.0}/s), {n_queries} queries ({:.0}/s); \
-         graph cache hit rate {:.3}; block-max skipped {} docs / {} blocks",
+         graph cache hit rate {:.3}; {scored_per_query:.1} docs scored per query, \
+         bounds skipped {} postings / {} blocks",
         n_lookups as f64 / lookup_wall,
         n_queries as f64 / query_wall,
         graph_hit_rate,
@@ -396,6 +400,7 @@ fn main() {
          \"lookup_p50_ns\": {lp50},\n  \"lookup_p99_ns\": {lp99},\n  \
          \"query_p50_ns\": {qp50},\n  \"query_p99_ns\": {qp99},\n  \
          \"graph_cache_hit_rate\": {ghr:.4},\n  \
+         \"bm25_scored_docs_per_query\": {scored_per_query:.1},\n  \
          \"bm25_skipped_docs\": {skd},\n  \"bm25_skipped_blocks\": {skb},\n  \
          \"service_p50_us\": {sp50},\n  \"service_p99_us\": {sp99},\n  \
          \"vmhwm_mb\": {hwm},\n  \"budget_mb\": {budget_mb}\n}}\n",
@@ -411,8 +416,8 @@ fn main() {
         sp99 = metrics.latency_p99_us,
     );
     let out = if smoke {
-        std::fs::create_dir_all("results").expect("create results/");
-        PathBuf::from("results/BENCH_scale.json")
+        std::fs::create_dir_all("target/smoke").expect("create target/smoke/");
+        PathBuf::from("target/smoke/BENCH_scale.json")
     } else {
         PathBuf::from("BENCH_scale.json")
     };

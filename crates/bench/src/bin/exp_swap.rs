@@ -28,7 +28,7 @@
 //!    generous factor of the pre-swap warmup p99.
 //!
 //! Results land in `BENCH_swap.json` (repo root on full runs,
-//! `results/` on `--smoke`) so later PRs have a swap-latency and
+//! `target/smoke/` on `--smoke`) so later PRs have a swap-latency and
 //! shadow-overhead trajectory to move.
 
 use kglink_bench::{print_markdown, ExpEnv, Which};
@@ -439,8 +439,8 @@ fn main() {
         served_by.keys().collect::<Vec<_>>(),
     );
     let out = if smoke {
-        std::fs::create_dir_all("results").expect("create results/");
-        PathBuf::from("results/BENCH_swap.json")
+        std::fs::create_dir_all("target/smoke").expect("create target/smoke/");
+        PathBuf::from("target/smoke/BENCH_swap.json")
     } else {
         PathBuf::from("BENCH_swap.json")
     };

@@ -275,12 +275,18 @@ impl GraphAccess for DiskGraph {
     }
 }
 
-/// Accumulated block-max work counters across a backend's lifetime.
+/// [`QueryStats`] accumulated across a backend's lifetime. `scored_docs +
+/// skipped_docs` is the summed `df` of every term the queries opened.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BackendStats {
+    /// Queries answered without a store error.
     pub queries: u64,
+    /// Docs scored in full and offered to a top-k heap.
     pub scored_docs: u64,
+    /// Postings never scored: in a skipped block, in a list cut off before
+    /// its stage, or of a doc an earlier stage already handled.
     pub skipped_docs: u64,
+    /// Posting blocks never decoded as their stage's own.
     pub skipped_blocks: u64,
     /// Queries degraded to empty results by the `KgBackend` facade.
     pub errors: u64,

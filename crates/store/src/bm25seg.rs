@@ -31,18 +31,36 @@
 //! └───────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! **Why per-block max scores.** `max_score` is the largest BM25
-//! contribution any posting in the block can make (computable at build
-//! time: df, doc lengths, and corpus stats are all final). At query time
-//! the reader runs document-at-a-time over the term cursors and skips
-//! work the current top-k provably cannot lose to: a candidate whose
-//! summed block maxes fall below the heap threshold is dropped without
-//! scoring, and once a single live cursor remains, whole blocks are
-//! *skipped undecoded* via `payload_len`. Skipping is rank-safe, not
-//! approximate: f32 addition is monotone, and block maxes are computed by
-//! the very expression scoring uses, so `sum(actual) ≤ sum(max)` holds in
-//! f32, summed in the same query-term order. Strict `<` against the
-//! threshold leaves ties (which break by doc id) to the exact path.
+//! **Why per-block max scores: the staged traversal.** `max_score` is the
+//! largest BM25 contribution any posting in the block can make (computable
+//! at build time: df, doc lengths, and corpus stats are all final). A
+//! query reads each of its terms' block headers once into a block table
+//! and takes the term bound `ub = max(block max)`. Lists are then walked
+//! one per *stage*, rarest first. A doc met in stage `s` that an
+//! earlier-stage list contains was handled there; any other doc is scored
+//! in full — one `term_score` per list containing it, added to `0.0` in
+//! query-term order, its `tf` in the other lists found by seeking their
+//! block tables (binary search on `last`, decode at most that one block)
+//! — and offered to the top-k heap. Before a stage, if the heap is full
+//! and the most an unseen doc can score — `Σ max(ub, 0)` over the lists
+//! of stage ≥ `s`, summed in query-term order — is strictly below the
+//! k-th best, the query is finished; before a block, the same sum with
+//! the stage's own `ub` replaced by the block's max skips the block
+//! *undecoded* via `payload_len`. For `first second tag` that scores the
+//! few hundred docs of the tag list and never walks the two name lists.
+//!
+//! This is rank-safe and bit-identical, not approximate. Every doc that
+//! can enter the top-k is scored by the same expression in the same
+//! summation order as `InvertedIndex::search`. The heap order is total
+//! (`total_cmp`, then doc id), so the k survivors do not depend on the
+//! order docs arrive in. A doc outside the earlier lists only sums terms
+//! of stage ≥ `s`; block maxes are computed by the very expression
+//! scoring uses, absent terms count as `0.0`, and f32 addition is
+//! monotone, so its score cannot exceed the staged bound. Strict `<`
+//! leaves ties (which break by doc id) to exact scoring. Worst case:
+//! several long lists of equal bound never cut off, so every posting is
+//! visited once and each scored doc costs one seek per other list — the
+//! same order of work as a document-at-a-time walk of the union.
 //!
 //! **Why the builder spills.** `Bm25SegBuilder` accumulates postings in a
 //! `BTreeMap` and, past a posting budget, spills term-sorted runs to
@@ -534,14 +552,17 @@ fn read_uv_opt(r: &mut BufReader<File>) -> Result<Option<u64>, StoreError> {
 // Reader
 // ---------------------------------------------------------------------------
 
-/// Work counters for one query — proof that block-max skipping engages.
+/// Work counters for one query — proof that the staged bounds engage.
+/// Every posting of every opened list is met once as its stage's own, so
+/// `scored_docs + skipped_docs` is the summed `df` of the query's terms.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Candidates fully scored and offered to the heap.
+    /// Docs scored in full and offered to the heap.
     pub scored_docs: u64,
-    /// Candidates dropped by an upper-bound check without scoring.
+    /// Postings never scored: in a skipped block, in a list cut off before
+    /// its stage, or of a doc an earlier stage already handled.
     pub skipped_docs: u64,
-    /// Whole posting blocks skipped without decoding.
+    /// Blocks never decoded as their stage's own (skipped or cut off).
     pub skipped_blocks: u64,
 }
 
@@ -813,138 +834,87 @@ impl Bm25Segment {
         if terms.is_empty() || k == 0 {
             return Ok((Vec::new(), stats));
         }
-        // Cursors in query-term order: scoring sums per-candidate
-        // contributions in this order, matching the in-memory term loop.
-        let mut cursors: Vec<Cursor> = Vec::with_capacity(terms.len());
+        // Lists in query-term order: scores and bounds are summed in this
+        // order, matching the in-memory term loop.
+        let mut lists: Vec<List> = Vec::with_capacity(terms.len());
         for term in &terms {
             if let Some((ordinal, entry)) = self.lookup(term)? {
                 let bytes = self.postings(ordinal, &entry, cache)?;
                 let idf = Bm25Params::idf(self.n_docs, entry.df);
-                let mut c = Cursor::new(bytes, idf);
-                c.enter_next_block()?;
-                if !c.exhausted {
-                    cursors.push(c);
-                }
+                lists.push(List::open(bytes, idf, entry.df)?);
             }
         }
-        let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
-        loop {
-            let live = cursors.iter().filter(|c| !c.exhausted).count();
-            if live == 0 {
-                break;
+        // Stage s walks list order[s]: rarest first (stable, so ties keep
+        // query position); stage_of inverts the permutation.
+        let mut order: Vec<usize> = (0..lists.len()).collect();
+        order.sort_by_key(|&j| lists[j].df);
+        let mut stage_of = vec![0usize; lists.len()];
+        for (s, &j) in order.iter().enumerate() {
+            stage_of[j] = s;
+        }
+        let mut heap = BinaryHeap::with_capacity(k + 1);
+        // Can no doc enter the top-k whose lists all have stage >= s and
+        // whose posting in the stage's own list p scores at most `own`?
+        // Unseen terms count as 0.0 and f32 addition is monotone, so the
+        // sum — in scoring order — bounds every such doc's exact score;
+        // strict `<` against the k-th best leaves ties (which break by doc
+        // id) to exact scoring.
+        type Heap = BinaryHeap<HeapEntry>;
+        let hopeless = |heap: &Heap, lists: &[List], s: usize, p: usize, own: f32| {
+            if heap.len() < k {
+                return false;
             }
-            if live == 1 {
-                if let Some(c) = cursors.iter_mut().find(|c| !c.exhausted) {
-                    drain_single(c, self, k, &mut heap, &mut stats)?;
+            let mut ub = 0.0f32;
+            for (j, l) in lists.iter().enumerate().filter(|&(j, _)| stage_of[j] >= s) {
+                ub += if j == p { own } else { l.ub }.max(0.0);
+            }
+            heap.peek().is_some_and(|kth| ub < kth.score)
+        };
+        for (s, &p) in order.iter().enumerate() {
+            if hopeless(&heap, &lists, s, p, lists[p].ub) {
+                // Nothing outside the finished stages can enter the top-k.
+                for &j in &order[s..] {
+                    stats.skipped_docs += lists[j].df as u64;
+                    stats.skipped_blocks += lists[j].blocks.len() as u64;
                 }
                 break;
             }
-            // Candidate = smallest current doc across live cursors.
-            let d = cursors
-                .iter()
-                .filter(|c| !c.exhausted)
-                .map(|c| c.current_doc())
-                .min()
-                // kglink-lint: allow(panic-in-lib) — live > 0 just checked.
-                .expect("live cursor");
-            let threshold = (heap.len() == k).then(|| heap.peek().map(|e| e.score));
-            if let Some(Some(t)) = threshold {
-                // Upper bound: block maxes of the cursors at d, summed in
-                // the same order scoring would use. f32 addition is
-                // monotone, so sum(actual) ≤ sum(max); strict < means the
-                // candidate cannot enter the top-k (ties break exact).
-                let mut ub = 0.0f32;
-                for c in cursors.iter().filter(|c| !c.exhausted) {
-                    if c.current_doc() == d {
-                        ub += c.block_max;
-                    }
-                }
-                if ub < t {
-                    stats.skipped_docs += 1;
-                    for c in cursors.iter_mut().filter(|c| !c.exhausted) {
-                        if c.current_doc() == d {
-                            c.step()?;
-                        }
-                    }
+            for b in 0..lists[p].blocks.len() {
+                if hopeless(&heap, &lists, s, p, lists[p].blocks[b].max) {
+                    stats.skipped_blocks += 1;
+                    stats.skipped_docs += lists[p].blocks[b].count as u64;
                     continue;
                 }
-            }
-            let len = *self
-                .doc_lens
-                .get(d as usize)
-                .ok_or_else(|| StoreError::Corrupt(format!("posting names doc {d} outside the corpus")))?
-                as f32;
-            let mut score = 0.0f32;
-            for c in cursors.iter_mut().filter(|c| !c.exhausted) {
-                if c.current_doc() == d {
-                    score += self.params.term_score(c.idf, c.current_tf() as f32, len, self.avg);
-                }
-            }
-            stats.scored_docs += 1;
-            offer(&mut heap, k, d, score);
-            for c in cursors.iter_mut().filter(|c| !c.exhausted) {
-                if c.current_doc() == d {
-                    c.step()?;
+                lists[p].load(b)?;
+                for i in 0..lists[p].docs.len() {
+                    let (d, own_tf) = (lists[p].docs[i], lists[p].tfs[i]);
+                    let len = *self.doc_lens.get(d as usize).ok_or_else(|| {
+                        StoreError::Corrupt(format!("posting names doc {d} outside the corpus"))
+                    })? as f32;
+                    let mut score = 0.0f32;
+                    let mut fresh = true;
+                    for (j, l) in lists.iter_mut().enumerate() {
+                        let tf = if j == p { Some(own_tf) } else { l.seek(d)? };
+                        let Some(tf) = tf else { continue };
+                        if stage_of[j] < s {
+                            // Scored, or ruled out with its block, back then.
+                            fresh = false;
+                            break;
+                        }
+                        score += self.params.term_score(l.idf, tf as f32, len, self.avg);
+                    }
+                    if fresh {
+                        stats.scored_docs += 1;
+                        offer(&mut heap, k, d, score);
+                    } else {
+                        stats.skipped_docs += 1;
+                    }
                 }
             }
         }
         let mut hits: Vec<(u32, f32)> = heap.into_iter().map(|e| (e.doc, e.score)).collect();
         hits.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         Ok((hits, stats))
-    }
-}
-
-/// Score the lone remaining cursor's postings, skipping whole blocks whose
-/// max score cannot beat the current threshold.
-fn drain_single(
-    c: &mut Cursor,
-    seg: &Bm25Segment,
-    k: usize,
-    heap: &mut BinaryHeap<HeapEntry>,
-    stats: &mut QueryStats,
-) -> Result<(), StoreError> {
-    loop {
-        // Score out the currently decoded block.
-        while c.i < c.docs.len() {
-            if heap.len() == k {
-                // The threshold may have risen past this block's max since
-                // it was decoded; everything left in it is then unreachable.
-                let t = heap.peek().map(|e| e.score).unwrap_or(f32::NEG_INFINITY);
-                if c.block_max < t {
-                    stats.skipped_docs += (c.docs.len() - c.i) as u64;
-                    c.i = c.docs.len();
-                    break;
-                }
-            }
-            let d = c.docs[c.i];
-            let len = *seg
-                .doc_lens
-                .get(d as usize)
-                .ok_or_else(|| StoreError::Corrupt(format!("posting names doc {d} outside the corpus")))?
-                as f32;
-            let score = 0.0f32 + seg.params.term_score(c.idf, c.tfs[c.i] as f32, len, seg.avg);
-            stats.scored_docs += 1;
-            offer(heap, k, d, score);
-            c.i += 1;
-        }
-        // Pick the next block, skipping undecoded ones that cannot compete.
-        loop {
-            let Some(head) = c.peek_head()? else {
-                c.exhausted = true;
-                return Ok(());
-            };
-            if heap.len() == k {
-                let t = heap.peek().map(|e| e.score).unwrap_or(f32::NEG_INFINITY);
-                if head.max < t {
-                    stats.skipped_blocks += 1;
-                    stats.skipped_docs += head.count as u64;
-                    c.skip_block(&head);
-                    continue;
-                }
-            }
-            c.load_block(&head)?;
-            break;
-        }
     }
 }
 
@@ -983,6 +953,7 @@ impl Ord for HeapEntry {
     }
 }
 
+/// One block of a posting list, as its header describes it.
 #[derive(Debug)]
 struct BlockHead {
     count: usize,
@@ -993,93 +964,71 @@ struct BlockHead {
     payload_len: usize,
 }
 
-/// A decode cursor over one term's posting bytes.
-struct Cursor {
+/// One query term's posting list: the block table read from the headers,
+/// and at most one decoded block.
+struct List {
     bytes: Arc<Vec<u8>>,
-    /// Byte position of the next unread block header.
-    pos: usize,
     idf: f32,
-    /// Last doc id of the last consumed or skipped block.
-    prev_last: u32,
-    /// Decoded current block.
+    df: usize,
+    blocks: Vec<BlockHead>,
+    /// Largest block max: no posting of this list scores higher.
+    ub: f32,
+    /// Index of the block decoded into `docs`/`tfs`.
+    loaded: Option<usize>,
     docs: Vec<u32>,
     tfs: Vec<u32>,
-    i: usize,
-    block_max: f32,
-    exhausted: bool,
 }
 
-impl Cursor {
-    fn new(bytes: Arc<Vec<u8>>, idf: f32) -> Self {
-        Cursor {
+impl List {
+    /// Read every block header of a term's posting bytes; payloads stay
+    /// undecoded until a stage walks them or a seek lands in them.
+    fn open(bytes: Arc<Vec<u8>>, idf: f32, df: usize) -> Result<Self, StoreError> {
+        let mut blocks = Vec::with_capacity(df.div_ceil(MAX_BLOCK_POSTINGS));
+        let (mut pos, mut prev_last, mut ub) = (0usize, 0u32, f32::NEG_INFINITY);
+        while pos < bytes.len() {
+            let head = read_head(&bytes, pos, prev_last)?;
+            pos = head.payload_start + head.payload_len;
+            prev_last = head.last;
+            ub = ub.max(head.max);
+            blocks.push(head);
+        }
+        Ok(List {
             bytes,
-            pos: 0,
             idf,
-            prev_last: 0,
+            df,
+            blocks,
+            ub,
+            loaded: None,
             docs: Vec::new(),
             tfs: Vec::new(),
-            i: 0,
-            block_max: 0.0,
-            exhausted: false,
-        }
+        })
     }
 
-    fn current_doc(&self) -> u32 {
-        self.docs[self.i]
-    }
-
-    fn current_tf(&self) -> u32 {
-        self.tfs[self.i]
-    }
-
-    /// Decode the next block's header without touching its payload.
-    fn peek_head(&self) -> Result<Option<BlockHead>, StoreError> {
-        if self.pos >= self.bytes.len() {
+    /// Term frequency of `doc` in this list, decoding at most the one
+    /// block whose id range covers it.
+    fn seek(&mut self, doc: u32) -> Result<Option<u32>, StoreError> {
+        let b = self.blocks.partition_point(|h| h.last < doc);
+        if self.blocks.get(b).is_none_or(|h| doc < h.first) {
             return Ok(None);
         }
-        let bytes = &self.bytes[..];
-        let mut p = self.pos;
-        let count = get_count(bytes, &mut p, MAX_BLOCK_POSTINGS)?;
-        if count == 0 {
-            return Err(StoreError::Corrupt("empty posting block".into()));
+        self.load(b)?;
+        Ok(self.docs.binary_search(&doc).ok().map(|i| self.tfs[i]))
+    }
+
+    /// Decode block `b`'s payload, unless it is the one already held.
+    fn load(&mut self, b: usize) -> Result<(), StoreError> {
+        if self.loaded == Some(b) {
+            return Ok(());
         }
-        let delta = get_uv32(bytes, &mut p)?;
-        let span = get_uv32(bytes, &mut p)?;
-        let max_bytes = bytes.get(p..p + 4).ok_or(StoreError::Truncated)?;
-        let max = f32::from_le_bytes([max_bytes[0], max_bytes[1], max_bytes[2], max_bytes[3]]);
-        p += 4;
-        let remaining = bytes.len().saturating_sub(p);
-        let payload_len = get_count(bytes, &mut p, remaining)?;
-        let first = self
-            .prev_last
-            .checked_add(delta)
-            .ok_or_else(|| StoreError::Corrupt("doc id overflows u32".into()))?;
-        let last = first
-            .checked_add(span)
-            .ok_or_else(|| StoreError::Corrupt("doc id overflows u32".into()))?;
-        Ok(Some(BlockHead {
-            count,
-            first,
-            last,
-            max,
-            payload_start: p,
-            payload_len,
-        }))
-    }
-
-    /// Jump past an undecoded block.
-    fn skip_block(&mut self, head: &BlockHead) {
-        self.pos = head.payload_start + head.payload_len;
-        self.prev_last = head.last;
-    }
-
-    /// Decode a block's payload into the cursor.
-    fn load_block(&mut self, head: &BlockHead) -> Result<(), StoreError> {
+        self.loaded = None;
+        let head = &self.blocks[b];
         let end = head.payload_start + head.payload_len;
         let bytes = &self.bytes[..];
         let mut p = head.payload_start;
         self.docs.clear();
         self.tfs.clear();
+        self.docs.reserve(head.count);
+        self.tfs.reserve(head.count);
         self.docs.push(head.first);
         let mut prev = head.first;
         for _ in 1..head.count {
@@ -1104,31 +1053,38 @@ impl Cursor {
                 end as i64 - p as i64
             )));
         }
-        self.i = 0;
-        self.block_max = head.max;
-        self.pos = end;
-        self.prev_last = head.last;
+        self.loaded = Some(b);
         Ok(())
     }
+}
 
-    /// Advance one posting, entering the next block as needed.
-    fn step(&mut self) -> Result<(), StoreError> {
-        self.i += 1;
-        if self.i >= self.docs.len() {
-            self.enter_next_block()?;
-        }
-        Ok(())
+/// Decode the block header at `p` without touching its payload.
+fn read_head(bytes: &[u8], mut p: usize, prev_last: u32) -> Result<BlockHead, StoreError> {
+    let count = get_count(bytes, &mut p, MAX_BLOCK_POSTINGS)?;
+    if count == 0 {
+        return Err(StoreError::Corrupt("empty posting block".into()));
     }
-
-    fn enter_next_block(&mut self) -> Result<(), StoreError> {
-        match self.peek_head()? {
-            None => {
-                self.exhausted = true;
-                Ok(())
-            }
-            Some(head) => self.load_block(&head),
-        }
-    }
+    let delta = get_uv32(bytes, &mut p)?;
+    let span = get_uv32(bytes, &mut p)?;
+    let max_bytes = bytes.get(p..p + 4).ok_or(StoreError::Truncated)?;
+    let max = f32::from_le_bytes([max_bytes[0], max_bytes[1], max_bytes[2], max_bytes[3]]);
+    p += 4;
+    let remaining = bytes.len().saturating_sub(p);
+    let payload_len = get_count(bytes, &mut p, remaining)?;
+    let first = prev_last
+        .checked_add(delta)
+        .ok_or_else(|| StoreError::Corrupt("doc id overflows u32".into()))?;
+    let last = first
+        .checked_add(span)
+        .ok_or_else(|| StoreError::Corrupt("doc id overflows u32".into()))?;
+    Ok(BlockHead {
+        count,
+        first,
+        last,
+        max,
+        payload_start: p,
+        payload_len,
+    })
 }
 
 #[cfg(test)]
@@ -1136,10 +1092,14 @@ mod tests {
     use super::*;
     use kglink_search::InvertedIndex;
 
+    /// A fresh directory per call: tests run on parallel threads and
+    /// several build the same corpus with the same spill budget.
     fn tmpdir(tag: &str) -> PathBuf {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let d = std::env::temp_dir().join(format!(
-            "kglink-store-bm25-{tag}-{}",
-            std::process::id()
+            "kglink-store-bm25-{tag}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         ));
         std::fs::create_dir_all(&d).unwrap();
         d
@@ -1174,6 +1134,25 @@ mod tests {
         }
         b.finish().unwrap();
         (idx, Bm25Segment::open(&path).unwrap(), dir)
+    }
+
+    /// Disk hits equal memory hits in `(doc, score bits)`, and every
+    /// posting of every opened list is accounted for exactly once.
+    fn assert_same_hits(
+        idx: &InvertedIndex,
+        seg: &Bm25Segment,
+        cache: &BlockCache,
+        query: &str,
+        k: usize,
+    ) -> QueryStats {
+        let mem: Vec<(u32, u32)> =
+            idx.search(query, k).iter().map(|h| (h.doc, h.score.to_bits())).collect();
+        let (disk, stats) = seg.search_with_stats(query, k, cache).unwrap();
+        let disk: Vec<(u32, u32)> = disk.iter().map(|&(d, s)| (d, s.to_bits())).collect();
+        assert_eq!(mem, disk, "{query:?} k={k}");
+        let df: usize = tokenize_unique(query).iter().map(|t| idx.doc_freq(t)).sum();
+        assert_eq!(stats.scored_docs + stats.skipped_docs, df as u64, "{query:?} k={k}: {stats:?}");
+        stats
     }
 
     #[test]
@@ -1240,6 +1219,17 @@ mod tests {
             stats.scored_docs + stats.skipped_docs == 800,
             "every posting accounted for: {stats:?}"
         );
+        // The same accounting over several lists: each posting is met once
+        // as its stage's own, whether scored, skipped or cut off.
+        for query in ["common w0", "w199 common", "w150 w40 common w199", "w7 nosuch w3"] {
+            for k in [1, 3, 10, 801] {
+                assert_same_hits(&idx, &seg, &cache, query, k);
+            }
+        }
+        // Four long docs hold `w199`; once they are scored nothing in
+        // `common` alone can reach them, so that list is never walked.
+        let stats = assert_same_hits(&idx, &seg, &cache, "w199 common", 3);
+        assert_eq!((stats.scored_docs, stats.skipped_docs, stats.skipped_blocks), (4, 800, 7));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1297,6 +1287,182 @@ mod tests {
             }
         }
         assert!(saw_crc_error, "flipped posting byte never surfaced");
+        // The damaged list fails the whole query, wherever its term stands.
+        for q in ["peter steele rust album band city", "item7 city band album rust steele peter"] {
+            assert!(
+                matches!(seg.search(q, 5, &cache), Err(StoreError::CrcMismatch { .. })),
+                "{q}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Re-encode block `b` of a term's posting bytes with another `count`
+    /// and `span`, resizing the payload so the block keeps its length.
+    fn rewrite_head(posts: &mut [u8], b: usize, count: u64, span: u64) {
+        let (mut pos, mut prev_last) = (0, 0);
+        for _ in 0..b {
+            let h = read_head(posts, pos, prev_last).unwrap();
+            (pos, prev_last) = (h.payload_start + h.payload_len, h.last);
+        }
+        let h = read_head(posts, pos, prev_last).unwrap();
+        let end = h.payload_start + h.payload_len;
+        let mut head = Vec::new();
+        put_uv(&mut head, count);
+        put_uv(&mut head, u64::from(h.first - prev_last));
+        put_uv(&mut head, span);
+        head.extend_from_slice(&h.max.to_le_bytes());
+        // A full block's payload is 255 bytes give or take the few moved
+        // here: its length is a two-byte varint before and after.
+        let payload_len = end - pos - head.len() - 2;
+        put_uv(&mut head, payload_len as u64);
+        assert_eq!(pos + head.len() + payload_len, end);
+        posts[pos..pos + head.len()].copy_from_slice(&head);
+    }
+
+    /// Apply `edit` to `term`'s posting bytes and recompute every CRC above
+    /// them (term, dictionary, header): only structural checks are left to
+    /// catch the damage.
+    fn reseal(path: &Path, term: &str, edit: impl FnOnce(&mut [u8])) {
+        let seg = Bm25Segment::open(path).unwrap();
+        let (ordinal, e) = seg.lookup(term).unwrap().unwrap();
+        let mut file = std::fs::read(path).unwrap();
+        let at = HEADER_LEN + e.post_off as usize;
+        let posts = &mut file[at..at + e.post_len as usize];
+        edit(posts);
+        let post_crc = crc32(posts);
+        // entry: varint term_len, term, varint df, u64 off, u32 len, u32 crc
+        let mut prefix = Vec::new();
+        put_uv(&mut prefix, term.len() as u64);
+        put_uv(&mut prefix, e.df as u64);
+        let dict_off = le_u64(&file, 32).unwrap() as usize;
+        let dict_len = le_u64(&file, 40).unwrap() as usize;
+        let crc_at = dict_off
+            + seg.n_terms as usize * 4
+            + seg.dict_offsets[ordinal] as usize
+            + prefix.len()
+            + term.len()
+            + 12;
+        file[crc_at..crc_at + 4].copy_from_slice(&post_crc.to_le_bytes());
+        let dict_crc = crc32(&file[dict_off..dict_off + dict_len]);
+        file[48..52].copy_from_slice(&dict_crc.to_le_bytes());
+        let header_crc = crc32(&file[12..HEADER_LEN]);
+        file[8..12].copy_from_slice(&header_crc.to_le_bytes());
+        std::fs::write(path, &file).unwrap();
+    }
+
+    #[test]
+    fn bad_block_headers_behind_valid_crcs_fail_corrupt() {
+        // `common` spans five blocks; the four `rare` docs sit in its block
+        // 2, so "rare common" scores them and cuts `common` off: block 2 is
+        // only ever seeked into, never walked.
+        let docs: Vec<(u32, String)> = (0u32..600)
+            .map(|i| {
+                let rare = if (300..304).contains(&i) { " rare" } else { "" };
+                (i, format!("common filler{}{rare}", i % 7))
+            })
+            .collect();
+        let (idx, seg, dir) = build_both(&docs, usize::MAX);
+        let path = dir.join(BM25_FILE);
+        let orig = std::fs::read(&path).unwrap();
+        let cache = BlockCache::new(1 << 20, 1);
+        let stats = assert_same_hits(&idx, &seg, &cache, "rare common", 3);
+        assert_eq!((stats.scored_docs, stats.skipped_blocks), (4, 5));
+        // (count, span) for block 2, whose true values are (128, 127).
+        for (what, count, span) in [
+            ("count 0", 0, 127),
+            ("count 129", 129, 127),
+            ("first + span overflows u32", 128, u64::from(u32::MAX)),
+            ("span disagrees with the payload", 128, 128),
+        ] {
+            reseal(&path, "common", |posts| rewrite_head(posts, 2, count, span));
+            let seg = Bm25Segment::open(&path).expect("every CRC was recomputed");
+            for query in ["common", "rare common", "common rare filler3"] {
+                let cache = BlockCache::new(1 << 20, 1);
+                assert!(
+                    matches!(seg.search(query, 3, &cache), Err(StoreError::Corrupt(_))),
+                    "{what}: {query:?} gave {:?}",
+                    seg.search(query, 3, &cache)
+                );
+            }
+            // The other lists are untouched and still answer.
+            assert_same_hits(&idx, &seg, &cache, "rare filler3", 3);
+            std::fs::write(&path, &orig).unwrap();
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn mix(v: u64) -> u64 {
+        let z = v.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// The label shape of `kglink_datagen::generate_big_world` (which
+    /// depends on this crate, so it is restated): `first second tag` with
+    /// 576 consecutive ids per tag, a quarter of the docs with an
+    /// `initial second` alias, and sixteen `category b t` type labels
+    /// closing each block of 10 000, whose numbers collide with tags.
+    fn name_label(id: u32) -> (String, Option<String>) {
+        if id % 10_000 >= 9_984 {
+            return (format!("category {} {}", id / 10_000, id % 10_000 - 9_984), None);
+        }
+        let h = mix(u64::from(id));
+        // 24 first and 24 second names, each with its own initial.
+        let first = format!("{}ina", (b'a' + (h % 24) as u8) as char);
+        let second = format!("{}berg", (b'a' + ((h >> 8) % 24) as u8) as char);
+        let alias = (h & 0x3000 == 0).then(|| format!("{} {second}", &first[..1]));
+        (format!("{first} {second} {}", id / 576), alias)
+    }
+
+    #[test]
+    fn name_corpus_queries_are_exact_and_score_only_the_rarest_list() {
+        let mut docs = Vec::new();
+        for id in 0u32..30_000 {
+            let (label, alias) = name_label(id);
+            docs.push((id, label));
+            docs.extend(alias.map(|a| (id, a)));
+        }
+        let (idx, seg, dir) = build_both(&docs, usize::MAX);
+        let cache = BlockCache::new(8 << 20, 2);
+        // Every 499th id, plus one type label per block.
+        let sampled = (0u32..30_000).step_by(499).chain([9_990, 19_999, 29_984]);
+        for id in sampled {
+            let (label, _) = name_label(id);
+            let t: Vec<&str> = label.split(' ').collect();
+            let (first, second, tag) = (t[0], t[1], t[2]);
+            let mentions = [
+                // The five `cold_noisy` shapes of the benchmark…
+                format!("{}q {second} {tag}", &first[1..]),
+                format!("{tag} {second} {first} jr"),
+                format!("{first} {}x {tag}", &second[1..]),
+                format!("{} {second} {tag}", &first[..1]),
+                format!("zq{id} xv{id} {tag}"),
+                // …and mentions that lost their tag: two long lists of
+                // nearly equal bound, the traversal's worst case.
+                format!("{first} {second}"),
+                format!("{} {second}", &first[..1]),
+            ];
+            for k in [1, 3, 10, 60] {
+                assert_same_hits(&idx, &seg, &cache, &label, k);
+                for mention in &mentions {
+                    assert_same_hits(&idx, &seg, &cache, mention, k);
+                }
+            }
+            // The count gate: an exact label is decided inside its rarest
+            // list. Scoring more means the traversal has degraded into a
+            // walk of the union.
+            let rarest = t.iter().map(|term| idx.doc_freq(term)).min().unwrap();
+            let stats = assert_same_hits(&idx, &seg, &cache, &label, 10);
+            // A type label may walk one block more: "category 0 0" holds
+            // its number twice, and no bound rules out that block's max.
+            let slack = if first == "category" { MAX_BLOCK_POSTINGS } else { 0 };
+            assert!(
+                stats.scored_docs <= (rarest + slack) as u64,
+                "{label:?}: {stats:?} against a rarest list of {rarest}"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -93,10 +93,46 @@ pub fn skip_str(bytes: &[u8], pos: &mut usize) -> Result<(), StoreError> {
     Ok(())
 }
 
+/// IEEE 802.3 polynomial, reflected.
+const CRC_POLY: u32 = 0xedb8_8320;
+
+/// Slice-by-8 tables: `CRC_TABLES[0]` is the classic byte table, and
+/// `CRC_TABLES[k][b]` is the CRC state after byte `b` and `k` zero bytes,
+/// so eight input bytes fold into the state with eight independent loads.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
 /// Incremental CRC32 (IEEE 802.3, reflected) — the same polynomial and test
 /// vectors as `kglink_nn::checkpoint::crc32`, restated here in streaming
 /// form so segment writers can hash multi-megabyte sections as they go
-/// instead of buffering them.
+/// instead of buffering them. Every block-cache miss and every byte the
+/// world writer emits passes through [`Crc32::update`], so it is
+/// table-driven (eight bytes per step); the tables are 8 KiB.
 #[derive(Debug, Clone)]
 pub struct Crc32 {
     state: u32,
@@ -114,13 +150,23 @@ impl Crc32 {
     }
 
     pub fn update(&mut self, data: &[u8]) {
+        let t = &CRC_TABLES;
         let mut crc = self.state;
-        for &byte in data {
-            crc ^= byte as u32;
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-            }
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xff) as usize]
+                ^ t[6][((lo >> 8) & 0xff) as usize]
+                ^ t[5][((lo >> 16) & 0xff) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xff) as usize]
+                ^ t[2][((hi >> 8) & 0xff) as usize]
+                ^ t[1][((hi >> 16) & 0xff) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &byte in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xff) as usize];
         }
         self.state = crc;
     }
@@ -204,6 +250,19 @@ mod tests {
         assert_eq!(p1, p2);
     }
 
+    /// The bit-at-a-time loop the tables were derived from — kept as the
+    /// reference the table path is checked against.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc_matches_the_checkpoint_implementation() {
         // Standard IEEE test vector, same as checkpoint.rs pins.
@@ -214,6 +273,31 @@ mod tests {
         c.update(b"1234");
         c.update(b"56789");
         assert_eq!(c.finish(), 0xcbf4_3926);
+    }
+
+    #[test]
+    fn table_crc_equals_the_bitwise_reference_at_every_length_and_split() {
+        // splitmix64 bytes: every length 0..=4099 crosses the 8-byte stride
+        // at every alignment of head and tail.
+        let buf: Vec<u8> = (1..=4099u64)
+            .map(|i| {
+                let z = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                ((z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb) >> 56) as u8
+            })
+            .collect();
+        for len in 0..=buf.len() {
+            let want = crc32_bitwise(&buf[..len]);
+            assert_eq!(crc32(&buf[..len]), want, "one-shot, len {len}");
+            // Streaming over an arbitrary three-way split equals one-shot.
+            let a = len * 3 / 7;
+            let b = a + (len - a) * 5 / 11;
+            let mut c = Crc32::new();
+            c.update(&buf[..a]);
+            c.update(&buf[a..b]);
+            c.update(&buf[b..len]);
+            assert_eq!(c.finish(), want, "split {a}/{b}, len {len}");
+        }
     }
 
     #[test]

@@ -121,3 +121,53 @@ proptest! {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Queries of one to four tokens over posting lists that span several
+    /// blocks: the staged traversal (rarest list first, seeks into the
+    /// others, bounds that cut lists off) must return what scoring every
+    /// document returns, bit for bit, at every `k`.
+    #[test]
+    fn multi_term_queries_over_multi_block_lists_are_bit_identical(
+        // Twelve possible tokens over 172+ labels: every token's list is
+        // long, and three labels in four also carry `a`, so the commonest
+        // list always exceeds the 128 postings of one block.
+        labels in proptest::collection::vec(
+            (proptest::collection::vec("[a-c]{1,2}", 1..4), "[a-c]{0,2}"),
+            172..300,
+        ),
+        queries in proptest::collection::vec(
+            proptest::collection::vec("[a-c]{1,2}", 1..5),
+            1..8,
+        ),
+    ) {
+        let mut b = KgBuilder::new();
+        let ty = b.add_type("zz", None);
+        for (i, (tokens, alias)) in labels.iter().enumerate() {
+            let common = if i % 4 == 3 { "" } else { "a " };
+            let mut e = Entity::new(format!("{common}{}", tokens.join(" ")), NeSchema::Other);
+            if !alias.is_empty() {
+                e = e.with_alias(alias.clone());
+            }
+            b.add_instance(e, ty);
+        }
+        let g = b.build();
+        let dir = casedir();
+        write_graph(&dir, &g, WorldWriterConfig::default()).unwrap();
+        let world = DiskWorld::open(&dir).unwrap();
+        let mem = EntitySearcher::build(&g);
+        prop_assert!(mem.index().doc_freq("a") > 128);
+        for tokens in &queries {
+            let q = tokens.join(" ");
+            for k in [1usize, 3, 10, g.len() + 1] {
+                let m: Vec<_> = mem.link_mention(&q, k).iter().map(|h| (h.0, h.1.to_bits())).collect();
+                let d: Vec<_> = world.backend.try_search(&q, k).unwrap().iter().map(|h| (h.0, h.1.to_bits())).collect();
+                prop_assert_eq!(m, d, "query {:?} k {}", q, k);
+            }
+        }
+        prop_assert_eq!(world.backend.error_count(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

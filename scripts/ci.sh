@@ -4,6 +4,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The gate must leave the tree as it found it: smokes write under target/,
+# and nothing may rewrite a tracked file (benchmark/Cargo.lock included).
+tree_at_entry="$(git status --porcelain)"
+
 echo "== cargo build --release =="
 cargo build --release
 
@@ -75,6 +79,13 @@ if [[ "${KGLINK_TSAN:-0}" == "1" ]]; then
     fi
 else
     echo "== ThreadSanitizer: off (set KGLINK_TSAN=1 to enable) =="
+fi
+
+echo "== git status --porcelain unchanged =="
+if [[ "$(git status --porcelain)" != "$tree_at_entry" ]]; then
+    echo "FAIL: the gate changed the working tree:"
+    diff <(echo "$tree_at_entry") <(git status --porcelain) || true
+    exit 1
 fi
 
 echo "CI OK"
