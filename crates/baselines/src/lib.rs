@@ -18,6 +18,7 @@
 //! All models implement [`CtaModel`], the harness-facing trait.
 
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 pub mod doduo;
 pub mod env;

@@ -24,15 +24,14 @@
 //!    `layer_norm_rows`, and `bias_gelu_rows` at encoder-shaped operands,
 //!    using nominal flop counts (noted in the JSON field names' comments).
 //!
-//! It also runs a short traced annotation pass and reports the nested
-//! `nn.forward` stage (the batched encoder time inside `classify`), the
-//! span `exp_obs` asserts on.
+//! Per-column and `nn.forward` latencies are not reported here: this loop is
+//! an in-memory world; `nn.forward_us` in `BENCHMARK.json` measures them on
+//! the disk world.
 //!
 //! `--smoke` shrinks the workload; combine with `KGLINK_FAST=1` for the CI
 //! gate (parity + the speedup floor).
 
 use kglink_bench::{print_markdown, ExpEnv, Which};
-use kglink_core::pipeline::req;
 use kglink_core::preprocess::Preprocessor;
 use kglink_core::train::{self, prepare_tables, FitOptions, PreparedTable};
 use kglink_core::{KgLink, KgLinkConfig, KgLinkModel};
@@ -40,7 +39,6 @@ use kglink_nn::kernels::{
     self, bias_gelu_rows, gemm, layer_norm_rows, set_reference_mode, softmax_rows, Mat, MatMut,
     Scratch, Trans,
 };
-use kglink_obs::{Histogram, Tracer};
 use kglink_table::{LabelId, Split};
 use std::time::Instant;
 
@@ -119,7 +117,7 @@ fn main() {
 
     // Prepare the classification workload once: Part 1 + serialization are
     // identical on both paths, so they stay out of the timed region.
-    let pre = Preprocessor::new(&env.world.graph, &env.searcher, model.config.clone());
+    let pre = Preprocessor::new(&env.graph, &*env.searcher, model.config.clone());
     let tables: Vec<_> = dataset
         .tables_in(Split::Test)
         .take(if smoke { 10 } else { usize::MAX })
@@ -165,26 +163,17 @@ fn main() {
     let scalar_tables_per_s = (prep.len() as u64 * scalar_iters) as f64 / scalar_s;
     let scalar_cols_per_s = (n_cols as u64 * scalar_iters) as f64 / scalar_s;
 
-    let mut col_us = Histogram::new();
     let (fast_s, fast_iters) = time_at_least(min_ms, || {
         for pt in &prep {
-            let t = Instant::now();
             std::hint::black_box(train::predict_table(&model.model, &model.config, pt));
-            let us = t.elapsed().as_nanos() as u64 / 1000;
-            // Per-column annotate latency: a chunk's cost spread over its
-            // columns (classification is one batched call per chunk).
-            let cols = pt.labels.len().max(1) as u64;
-            col_us.record_n(us / cols, cols);
         }
     });
     let fast_tables_per_s = (prep.len() as u64 * fast_iters) as f64 / fast_s;
     let fast_cols_per_s = (n_cols as u64 * fast_iters) as f64 / fast_s;
     let speedup = fast_cols_per_s / scalar_cols_per_s.max(1e-9);
-    let col_p50 = col_us.p50();
-    let col_p99 = col_us.p99();
     eprintln!(
         "[bench] scalar {scalar_cols_per_s:.0} cols/s, fast {fast_cols_per_s:.0} cols/s \
-         → speedup {speedup:.2}×; per-column p50 {col_p50}us p99 {col_p99}us"
+         → speedup {speedup:.2}×"
     );
 
     // --- 3. Train steps/sec (subtractive) ------------------------------------
@@ -262,23 +251,6 @@ fn main() {
          layer_norm {layer_norm_gflops:.2}, bias_gelu {bias_gelu_gflops:.2}"
     );
 
-    // --- nn.forward stage via a traced annotation pass ----------------------
-    let tracer = Tracer::enabled();
-    let traced = env.resources().with_tracer(&tracer);
-    for t in tables.iter().take(if smoke { 4 } else { 32 }) {
-        model.annotate_request(&traced, req(t));
-    }
-    let stages = tracer.stages();
-    let forward = stages
-        .get("nn.forward")
-        .expect("traced annotate must record the nn.forward stage");
-    eprintln!(
-        "[bench] nn.forward: {} spans, p50 {}us p99 {}us",
-        forward.count(),
-        forward.p50(),
-        forward.p99()
-    );
-
     // --- Report + JSON -------------------------------------------------------
     let floor = if smoke { SPEEDUP_FLOOR_SMOKE } else { SPEEDUP_FLOOR_FULL };
     print_markdown(
@@ -288,15 +260,11 @@ fn main() {
             vec!["tables/s".into(), format!("{scalar_tables_per_s:.1}"), format!("{fast_tables_per_s:.1}")],
             vec!["columns/s".into(), format!("{scalar_cols_per_s:.1}"), format!("{fast_cols_per_s:.1}")],
             vec!["speedup ×".into(), "1.00".into(), format!("{speedup:.2}")],
-            vec!["per-column p50 µs".into(), "—".into(), col_p50.to_string()],
-            vec!["per-column p99 µs".into(), "—".into(), col_p99.to_string()],
             vec!["train steps/s".into(), "—".into(), format!("{train_steps_per_s:.2}")],
             vec!["gemm GFLOP/s".into(), "—".into(), format!("{gemm_gflops:.2}")],
             vec!["softmax GFLOP/s".into(), "—".into(), format!("{softmax_gflops:.2}")],
             vec!["layer_norm GFLOP/s".into(), "—".into(), format!("{layer_norm_gflops:.2}")],
             vec!["bias_gelu GFLOP/s".into(), "—".into(), format!("{bias_gelu_gflops:.2}")],
-            vec!["nn.forward p50 µs".into(), "—".into(), forward.p50().to_string()],
-            vec!["nn.forward p99 µs".into(), "—".into(), forward.p99().to_string()],
         ],
     );
 
@@ -308,17 +276,13 @@ fn main() {
          \"scalar_cols_per_s\": {scalar_cols_per_s:.2},\n  \
          \"fast_cols_per_s\": {fast_cols_per_s:.2},\n  \
          \"speedup\": {speedup:.3},\n  \"speedup_floor\": {floor:.1},\n  \
-         \"annotate_col_p50_us\": {col_p50},\n  \"annotate_col_p99_us\": {col_p99},\n  \
          \"train_steps_per_s\": {train_steps_per_s:.3},\n  \
          \"gemm_gflops\": {gemm_gflops:.3},\n  \"softmax_gflops\": {softmax_gflops:.3},\n  \
          \"layer_norm_gflops\": {layer_norm_gflops:.3},\n  \
-         \"bias_gelu_gflops\": {bias_gelu_gflops:.3},\n  \
-         \"nn_forward_p50_us\": {fp50},\n  \"nn_forward_p99_us\": {fp99}\n}}\n",
+         \"bias_gelu_gflops\": {bias_gelu_gflops:.3}\n}}\n",
         mode = if smoke { "smoke" } else { "full" },
         tables = prep.len(),
         cols = n_cols,
-        fp50 = forward.p50(),
-        fp99 = forward.p99(),
     );
     let out_path = if smoke {
         std::fs::create_dir_all("target/smoke").expect("create target/smoke/");

@@ -35,7 +35,7 @@ fn main() {
     let mut wf1_curve = Vec::new();
     for (i, &rate) in rates.iter().enumerate() {
         let faulty = FaultyBackend::new(
-            &env.searcher,
+            &*env.searcher,
             FaultConfig::with_fault_rate(env.seed ^ (0x70 + i as u64), rate),
         );
         let resilient = ResilientBackend::new(&faulty, ResilienceConfig::default());
@@ -46,7 +46,7 @@ fn main() {
         // Degradation accounting: re-preprocess the test split through the
         // same backend; the decorator's counters are cumulative over the
         // whole run (fit + evaluate + this pass).
-        let pre = Preprocessor::new(&env.world.graph, &resilient, base.clone());
+        let pre = Preprocessor::new(&env.graph, &resilient, base.clone());
         let processed: Vec<_> = dataset
             .tables_in(Split::Test)
             .flat_map(|t| pre.process(t))

@@ -27,7 +27,7 @@ use kglink_nn::checkpoint::save_train_state;
 use kglink_nn::layers::param::HasParams;
 use kglink_search::PanickingBackend;
 use kglink_serve::{
-    AdmissionPolicy, AnnotationService, ServiceConfig, ServiceError, SharedBackend,
+    AdmissionPolicy, ServiceConfig, ServiceError, SharedBackend,
 };
 use kglink_table::{Split, Table};
 use std::path::PathBuf;
@@ -66,15 +66,12 @@ fn main() {
     let env = ExpEnv::load();
     let which = Which::SemTab;
     let dataset = &env.bench(which).dataset;
-    let mut config = env.kglink_config(which);
+    let mut config = env.smoke_config(which, smoke);
     // Early stopping makes the step count depend on the validation curve;
     // pin the epoch budget so every scenario replays the same schedule,
     // and shrink batches so checkpoints land between several steps/epoch.
     config.patience = 0;
     config.batch_size = 8;
-    if smoke {
-        config.epochs = config.epochs.min(2);
-    }
     let resources = env.resources();
     let mut rows: Vec<Vec<String>> = Vec::new();
 
@@ -236,9 +233,6 @@ fn main() {
         }
     }));
     let model = Arc::new(baseline);
-    let graph: Arc<dyn kglink_kg::GraphAccess> = Arc::new(env.world.graph.clone());
-    let tokenizer = Arc::new(env.tokenizer.clone());
-    let searcher = Arc::new(kglink_search::EntitySearcher::build(&env.world.graph));
     let tables: Vec<Table> = dataset
         .tables_in(Split::Test)
         .take(if smoke { 8 } else { 40 })
@@ -246,12 +240,10 @@ fn main() {
         .collect();
 
     let budget = 32usize;
-    let backend = Arc::new(PanickingBackend::new(Arc::clone(&searcher), 7));
-    let mut svc = AnnotationService::new(
+    let backend = Arc::new(PanickingBackend::new(Arc::clone(&env.searcher), 7));
+    let mut svc = env.service(
         Arc::clone(&model),
-        Arc::clone(&graph),
-        Arc::clone(&backend) as SharedBackend,
-        Arc::clone(&tokenizer),
+        backend as SharedBackend,
         ServiceConfig {
             workers: 2,
             max_batch: 2,
@@ -303,12 +295,10 @@ fn main() {
 
     // Zero budget: the pool dies on the first panic and everything fails
     // typed — queued requests and future submissions alike.
-    let dead_backend = Arc::new(PanickingBackend::new(Arc::clone(&searcher), 1));
-    let dead = AnnotationService::new(
-        Arc::clone(&model),
-        graph,
+    let dead_backend = Arc::new(PanickingBackend::new(Arc::clone(&env.searcher), 1));
+    let dead = env.service(
+        model,
         dead_backend as SharedBackend,
-        tokenizer,
         ServiceConfig {
             workers: 1,
             max_batch: 1,

@@ -29,8 +29,7 @@
 use kglink_bench::{print_markdown, run_kglink, ExpEnv, Which};
 use kglink_core::req;
 use kglink_obs::{EventKind, JsonlSink, Tracer};
-use kglink_search::EntitySearcher;
-use kglink_serve::{AnnotationService, ServiceConfig, SwapPlan};
+use kglink_serve::{ServiceConfig, SwapPlan};
 use kglink_table::Split;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -180,14 +179,9 @@ fn main() {
     // each shadow comparison was logged from inside an open request span.
     let serve_tracer = Tracer::enabled();
     let model = Arc::new(model);
-    let graph: Arc<dyn kglink_kg::GraphAccess> = Arc::new(env.world.graph.clone());
-    let backend: kglink_serve::SharedBackend =
-        Arc::new(EntitySearcher::build(&env.world.graph));
-    let mut service = AnnotationService::new(
+    let mut service = env.service(
         Arc::clone(&model),
-        graph,
-        backend,
-        Arc::new(env.tokenizer.clone()),
+        env.backend(),
         ServiceConfig {
             workers: 2,
             max_batch: 2,

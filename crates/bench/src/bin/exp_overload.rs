@@ -28,15 +28,15 @@
 //! workload and the simulated horizon but keeps every assertion.
 
 use kglink_bench::{print_markdown, ExpEnv, Which};
-use kglink_core::{req, KgLink};
+use kglink_core::req;
 use kglink_obs::{Histogram, JsonlSink, Tracer};
 use kglink_search::{
-    BreakerConfig, CacheConfig, Deadline, EntitySearcher, FaultConfig, FaultyBackend, KgBackend,
+    BreakerConfig, CacheConfig, Deadline, FaultConfig, FaultyBackend, KgBackend,
     ResilienceConfig, ResilientBackend, RetryBudgetConfig,
 };
 use kglink_serve::{
-    AimdConfig, AimdLimit, AnnotationService, BrownoutConfig, BrownoutController, DegradationRung,
-    OverloadConfig, ServiceConfig, SharedBackend,
+    AimdConfig, AimdLimit, BrownoutConfig, BrownoutController, DegradationRung,
+    OverloadConfig, ServiceConfig,
 };
 use kglink_table::{LabelId, Split, Table};
 use std::collections::VecDeque;
@@ -196,20 +196,16 @@ fn main() {
     // -----------------------------------------------------------------
     // Part 1: degraded rungs are bit-identical to their baselines.
     // -----------------------------------------------------------------
-    let mut config = env.kglink_config(Which::SemTab);
-    if smoke {
-        config.epochs = config.epochs.min(2);
-    }
     let dataset = &env.bench(Which::SemTab).dataset;
     eprintln!("[overload] training KGLink for the degraded-identity check…");
-    let (model, _report) = KgLink::fit(&env.resources(), dataset, config);
+    let model = env.fit_smoke(&env.resources(), Which::SemTab, smoke);
     let tables: Vec<Table> = dataset
         .tables_in(Split::Test)
         .take(if smoke { 4 } else { 16 })
         .cloned()
         .collect();
     // The no-linkage baseline: annotate through an always-failing backend.
-    let dead = FaultyBackend::new(&env.searcher, FaultConfig::with_fault_rate(env.seed, 1.0));
+    let dead = FaultyBackend::new(&*env.searcher, FaultConfig::with_fault_rate(env.seed, 1.0));
     let dead_resources = env.resources_with(&dead);
     let baseline: Vec<Vec<LabelId>> = tables
         .iter()
@@ -217,15 +213,10 @@ fn main() {
         .collect();
 
     let model = Arc::new(model);
-    let graph: Arc<dyn kglink_kg::GraphAccess> = Arc::new(env.world.graph.clone());
-    let tokenizer = Arc::new(env.tokenizer.clone());
-    let searcher = Arc::new(EntitySearcher::build(&env.world.graph));
     let pinned_service = |rung: DegradationRung, cache: Option<CacheConfig>| {
-        AnnotationService::new(
+        env.service(
             Arc::clone(&model),
-            Arc::clone(&graph),
-            Arc::clone(&searcher) as SharedBackend,
-            Arc::clone(&tokenizer),
+            env.backend(),
             ServiceConfig {
                 workers: 2,
                 cache,
@@ -410,7 +401,7 @@ fn main() {
     let queries = if smoke { 40u64 } else { 200 };
     let run_burst = |retry_budget: Option<RetryBudgetConfig>| {
         let faulty = FaultyBackend::new(
-            &env.searcher,
+            &*env.searcher,
             // A long outage starting almost immediately: every call during
             // the burst fails with a retryable error.
             FaultConfig::healthy(env.seed ^ 0x51).with_outage(2, u64::MAX),

@@ -20,9 +20,8 @@
 //! need the full grid); it keeps the bit-identity and cache-hit checks.
 
 use kglink_bench::{print_markdown, ExpEnv, Which};
-use kglink_core::KgLink;
-use kglink_search::{CacheConfig, CachingBackend, Deadline, EntitySearcher};
-use kglink_serve::{AdmissionPolicy, AnnotationService, ServiceConfig, SharedBackend};
+use kglink_search::{CacheConfig, CachingBackend, Deadline};
+use kglink_serve::{AdmissionPolicy, ServiceConfig};
 use kglink_table::{LabelId, Split, Table};
 use std::sync::Arc;
 use std::time::Instant;
@@ -45,16 +44,12 @@ fn main() {
     // Train KGLink on VizNet through the shared retrieval cache: Part-1
     // preprocessing re-queries the same mentions across epochs' splits, so
     // the training pass itself is the first cache consumer.
-    let train_cache = CachingBackend::new(&env.searcher, CacheConfig::default());
+    let train_cache = CachingBackend::new(&*env.searcher, CacheConfig::default());
     let resources = env.resources_with(&train_cache);
-    let mut config = env.kglink_config(Which::VizNet);
-    if smoke {
-        config.epochs = config.epochs.min(2);
-    }
     let dataset = &env.bench(Which::VizNet).dataset;
     eprintln!("[serve] training KGLink through CachingBackend…");
     let t0 = Instant::now();
-    let (model, _report) = KgLink::fit(&resources, dataset, config);
+    let model = env.fit_smoke(&resources, Which::VizNet, smoke);
     let train_stats = train_cache.stats();
     eprintln!(
         "[serve] trained in {:.1}s; training cache: {} lookups, hit rate {:.3}",
@@ -93,24 +88,16 @@ fn main() {
         seq_wall_s
     );
 
-    // Shared service resources.
     let model = Arc::new(model);
-    let graph: Arc<dyn kglink_kg::GraphAccess> = Arc::new(env.world.graph.clone());
-    let tokenizer = Arc::new(env.tokenizer.clone());
-    let searcher = Arc::new(EntitySearcher::build(&env.world.graph));
-
     let worker_grid: &[usize] = if smoke { &[1] } else { &[1, 2, 4, 8] };
     let cache_grid: &[bool] = if smoke { &[true] } else { &[false, true] };
     let mut cells: Vec<Cell> = Vec::new();
 
     for &cache_on in cache_grid {
         for &workers in worker_grid {
-            let backend = Arc::clone(&searcher) as SharedBackend;
-            let mut service = AnnotationService::new(
+            let mut service = env.service(
                 Arc::clone(&model),
-                Arc::clone(&graph),
-                backend,
-                Arc::clone(&tokenizer),
+                env.backend(),
                 ServiceConfig {
                     workers,
                     queue_capacity: 64,

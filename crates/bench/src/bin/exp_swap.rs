@@ -35,9 +35,9 @@ use kglink_bench::{print_markdown, ExpEnv, Which};
 use kglink_core::{KgLink, KgLinkModel};
 use kglink_nn::layers::param::HasParams;
 use kglink_registry::{ModelRegistry, RegistryError};
-use kglink_search::{Deadline, EntitySearcher};
+use kglink_search::Deadline;
 use kglink_serve::{
-    AdmissionPolicy, Annotation, AnnotationService, ServiceConfig, SharedBackend, SwapError,
+    AdmissionPolicy, Annotation, ServiceConfig, SwapError,
     SwapPhase, SwapPlan, SwapReport,
 };
 use kglink_table::{LabelId, Split, Table};
@@ -58,10 +58,7 @@ fn main() {
     let dataset = &env.bench(Which::VizNet).dataset;
 
     // ---- two model generations: baseline and retrained ----
-    let mut config_a = env.kglink_config(Which::VizNet);
-    if smoke {
-        config_a.epochs = config_a.epochs.min(2);
-    }
+    let config_a = env.smoke_config(Which::VizNet, smoke);
     let mut config_b = config_a.clone();
     config_b.seed ^= 0x5eed; // retrained generation: same data, new init
     eprintln!("[swap] training baseline + retrained generations…");
@@ -120,14 +117,9 @@ fn main() {
     .collect();
 
     // ---- the service, started on the registry's v1 ----
-    let graph: Arc<dyn kglink_kg::GraphAccess> = Arc::new(env.world.graph.clone());
-    let tokenizer = Arc::new(env.tokenizer.clone());
-    let backend: SharedBackend = Arc::new(EntitySearcher::build(&env.world.graph));
-    let mut service = AnnotationService::new(
+    let mut service = env.service(
         Arc::clone(&model_a),
-        graph,
-        backend,
-        tokenizer,
+        env.backend(),
         ServiceConfig {
             workers: if smoke { 2 } else { 4 },
             queue_capacity: 64,

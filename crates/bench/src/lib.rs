@@ -11,6 +11,7 @@
 //! * `KGLINK_SEED=<n>` — change the global seed (default 7).
 
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 use kglink_baselines::doduo::Doduo;
 use kglink_baselines::hnn::Hnn;
@@ -25,11 +26,13 @@ use kglink_baselines::{BenchEnv, CtaModel};
 use kglink_core::pipeline::{build_vocab, KgLink, Resources};
 use kglink_core::{KgLinkConfig, TrainReport};
 use kglink_datagen::{pretrain_corpus, semtab_like, viznet_like, GeneratedBenchmark, SemTabConfig, VizNetConfig};
-use kglink_kg::{SyntheticWorld, WorldConfig};
+use kglink_kg::{GraphAccess, KnowledgeGraph, SyntheticWorld, WorldConfig};
 use kglink_nn::serialize::save_params;
 use kglink_nn::{Encoder, EncoderConfig, MlmPretrainConfig, MlmPretrainer, Tokenizer};
 use kglink_search::{EntitySearcher, KgBackend};
+use kglink_serve::{AnnotationService, ServiceConfig, SharedBackend};
 use kglink_table::{Dataset, EvalSummary, LabelId, Split, Table};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Which benchmark dataset an experiment runs on.
@@ -48,13 +51,15 @@ impl Which {
     }
 }
 
-/// The shared experiment environment.
+/// The shared experiment environment. Graph, searcher and tokenizer are
+/// `Arc`s so the serving harnesses hand the *same* instances to
+/// [`ExpEnv::service`] that the offline references borrow.
 pub struct ExpEnv {
-    pub world: SyntheticWorld,
+    pub graph: Arc<KnowledgeGraph>,
     pub semtab: GeneratedBenchmark,
     pub viznet: GeneratedBenchmark,
-    pub searcher: EntitySearcher,
-    pub tokenizer: Tokenizer,
+    pub searcher: Arc<EntitySearcher>,
+    pub tokenizer: Arc<Tokenizer>,
     pub pretrained: Vec<u8>,
     pub fast: bool,
     pub seed: u64,
@@ -105,7 +110,7 @@ impl ExpEnv {
             viznet.dataset.labels.len(),
         );
         eprintln!("[setup] building BM25 index over {} entities…", world.graph.len());
-        let searcher = EntitySearcher::build(&world.graph);
+        let searcher = Arc::new(EntitySearcher::build(&world.graph));
         let corpus = pretrain_corpus(&world, seed ^ 0x53);
         // The cap matters: rare entity tokens fall out of the vocabulary and
         // surface as [UNK], so models must generalize from context and KG
@@ -117,10 +122,10 @@ impl ExpEnv {
             if fast { 1500 } else { 2600 },
         );
         eprintln!("[setup] vocabulary: {} tokens", vocab.len());
-        let tokenizer = Tokenizer::new(vocab);
+        let tokenizer = Arc::new(Tokenizer::new(vocab));
         let pretrained = Self::pretrain_encoder(&tokenizer, &corpus, seed, fast);
         ExpEnv {
-            world,
+            graph: Arc::new(world.graph),
             semtab,
             viznet,
             searcher,
@@ -180,14 +185,14 @@ impl ExpEnv {
 
     /// KGLink resources view over the healthy in-process searcher.
     pub fn resources(&self) -> Resources<'_> {
-        self.resources_with(&self.searcher)
+        self.resources_with(&*self.searcher)
     }
 
     /// KGLink resources view over an arbitrary retrieval backend (fault
     /// injection, resilient decorators, …).
     pub fn resources_with<'a>(&'a self, backend: &'a (dyn KgBackend + 'a)) -> Resources<'a> {
         Resources::builder()
-            .graph(&self.world.graph)
+            .graph(&*self.graph)
             .backend(backend)
             .tokenizer(&self.tokenizer)
             .pretrained(&self.pretrained)
@@ -224,6 +229,34 @@ impl ExpEnv {
             },
             ..KgLinkConfig::default()
         }
+    }
+
+    /// [`kglink_config`](Self::kglink_config) for the serving harnesses,
+    /// where accuracy is not the point: `smoke` caps training at two epochs.
+    pub fn smoke_config(&self, which: Which, smoke: bool) -> KgLinkConfig {
+        let mut config = self.kglink_config(which);
+        if smoke {
+            config.epochs = config.epochs.min(2);
+        }
+        config
+    }
+
+    /// Fit KGLink on `which` over `resources` with [`smoke_config`](Self::smoke_config).
+    pub fn fit_smoke(&self, resources: &Resources<'_>, which: Which, smoke: bool) -> KgLink {
+        KgLink::fit(resources, &self.bench(which).dataset, self.smoke_config(which, smoke)).0
+    }
+
+    /// The in-process searcher as a service backend (the same instance the
+    /// offline references query, not a second index).
+    pub fn backend(&self) -> SharedBackend {
+        Arc::clone(&self.searcher) as SharedBackend
+    }
+
+    /// An [`AnnotationService`] over the shared graph and tokenizer; callers
+    /// spell out only the [`ServiceConfig`] fields their experiment varies.
+    pub fn service(&self, model: Arc<KgLink>, backend: SharedBackend, config: ServiceConfig) -> AnnotationService {
+        let graph = Arc::clone(&self.graph) as Arc<dyn GraphAccess>;
+        AnnotationService::new(model, graph, backend, Arc::clone(&self.tokenizer), config)
     }
 
     /// Matching settings for the PLM baselines.

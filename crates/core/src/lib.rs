@@ -34,6 +34,7 @@
 //! The user-facing entry point is [`pipeline::KgLink`].
 
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 pub mod candidates;
 pub mod config;

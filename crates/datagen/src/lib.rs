@@ -23,6 +23,7 @@
 //! to make MTab work").
 
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 pub mod bigworld;
 pub mod common;

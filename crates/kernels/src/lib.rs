@@ -28,6 +28,7 @@
 //! produce). Tests assert exact `==` on finite data.
 
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 #![cfg_attr(feature = "simd", feature(portable_simd))]
 
 mod fused;

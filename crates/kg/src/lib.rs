@@ -20,6 +20,7 @@
 //! hot path.
 
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 pub mod access;
 pub mod builder;

@@ -1,4 +1,4 @@
-//! Phase-1 call graph: extract call sites from function bodies and resolve
+//! The call graph: extract call sites from function bodies and resolve
 //! them to workspace functions.
 //!
 //! Resolution is *name-based with type narrowing*, not full type inference

@@ -71,10 +71,6 @@ pub struct Report {
     /// Suppression audit: per-rule counts of silenced findings, sorted by
     /// rule id. Deterministic, so it is safe to persist in `lint.jsonl`.
     pub suppressed_by_rule: Vec<(String, usize)>,
-    /// Wall-clock per rule, in microseconds, in execution order. Timing is
-    /// inherently nondeterministic, so it is printed to stdout only — it
-    /// must never reach `lint.jsonl`, which CI diffs byte-for-byte.
-    pub timings: Vec<(String, u128)>,
 }
 
 impl Report {

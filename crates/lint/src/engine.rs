@@ -1,9 +1,10 @@
-//! Orchestration: walk the workspace, run every rule on every file, apply
-//! `allow(...)` suppressions, and run the suppression-hygiene meta-checks.
+//! Orchestration: walk the workspace, build the workspace model, run every
+//! rule over it, apply `allow(...)` suppressions, and run the
+//! suppression-hygiene meta-checks.
 
 use crate::diag::{Finding, Report};
-use crate::rules::{all_rules, graph_rules, META_RULES};
-use crate::source::{Scope, SourceFile};
+use crate::rules::{all_rules, META_RULES};
+use crate::source::SourceFile;
 use crate::workspace::Workspace;
 use std::collections::BTreeMap;
 use std::fs;
@@ -61,7 +62,7 @@ pub fn workspace_files(root: &Path) -> Vec<PathBuf> {
 }
 
 /// An input to a lint run: a path for scoping/reporting plus its contents.
-/// `virtual_path` lets fixtures pretend to live anywhere in the tree.
+/// Fixtures pass a virtual path to pretend to live anywhere in the tree.
 pub struct Input {
     pub path: String,
     pub text: String,
@@ -69,7 +70,7 @@ pub struct Input {
 
 /// Read real files into [`Input`]s, with repo-relative forward-slash paths.
 /// Unreadable files become findings rather than aborting the run.
-pub fn load_inputs(root: &Path, files: &[PathBuf], errors: &mut Vec<Finding>) -> Vec<Input> {
+fn load_inputs(root: &Path, files: &[PathBuf], errors: &mut Vec<Finding>) -> Vec<Input> {
     let mut inputs = Vec::new();
     for file in files {
         let rel = file
@@ -98,57 +99,26 @@ pub fn load_inputs(root: &Path, files: &[PathBuf], errors: &mut Vec<Finding>) ->
     inputs
 }
 
-/// Wall-clock source for per-rule timing. Timing output goes to stdout
-/// only, never into `lint.jsonl`, so the determinism the `nondeterminism`
-/// rule guards is preserved.
-fn rule_clock() -> std::time::Instant {
-    // kglink-lint: allow(nondeterminism) — times rule execution for stdout reporting only; never serialized into findings or lint.jsonl
-    std::time::Instant::now()
-}
-
-/// Run the full rule set — per-file rules, then the interprocedural graph
-/// rules over the phase-1 workspace model — and apply suppressions.
-pub fn lint_inputs(inputs: Vec<Input>, force_scope: Option<Scope>) -> Report {
-    let mut rules = all_rules();
-    let graph = graph_rules();
+/// Build the workspace model (items, call graph, summaries propagated to
+/// fixpoint), run the rule set over it, and apply suppressions.
+pub fn lint_inputs(inputs: Vec<Input>) -> Report {
+    let rules = all_rules();
     let known_rule_ids: Vec<&'static str> = rules
         .iter()
         .map(|r| r.id())
-        .chain(graph.iter().map(|r| r.id()))
         .chain(META_RULES.iter().map(|(id, _)| *id))
         .collect();
 
-    let mut files: Vec<SourceFile> = Vec::new();
-    for input in inputs {
-        let mut f = SourceFile::new(input.path, input.text);
-        if let Some(s) = force_scope {
-            f.scope = s;
-        }
-        files.push(f);
-    }
-
-    let mut timings: Vec<(String, u128)> = Vec::new();
+    let ws = Workspace::build(
+        inputs
+            .into_iter()
+            .map(|input| SourceFile::new(input.path, input.text))
+            .collect(),
+    );
     let mut raw: Vec<Finding> = Vec::new();
-    // Phase 2a: per-file rules, timed rule-by-rule across the whole input
-    // set (findings are re-sorted later, so iteration order is cosmetic).
-    for rule in rules.iter_mut() {
-        let t0 = rule_clock();
-        for f in &files {
-            rule.check_file(f, &mut raw);
-        }
-        rule.finish(&mut raw);
-        timings.push((rule.id().to_string(), t0.elapsed().as_micros()));
-    }
-
-    // Phase 1: parse items, resolve the call graph, compute and propagate
-    // summaries. Phase 2b: interprocedural rules over the workspace model.
-    let t0 = rule_clock();
-    let ws = Workspace::build(files);
-    timings.push(("(workspace-build)".to_string(), t0.elapsed().as_micros()));
-    for rule in &graph {
-        let t0 = rule_clock();
+    // Findings are re-sorted later, so rule order is cosmetic.
+    for rule in &rules {
         rule.check(&ws, &mut raw);
-        timings.push((rule.id().to_string(), t0.elapsed().as_micros()));
     }
     let files = &ws.files;
 
@@ -156,7 +126,6 @@ pub fn lint_inputs(inputs: Vec<Input>, force_scope: Option<Scope>) -> Report {
     // rule whose target line matches the finding's line in the same file.
     let mut report = Report {
         files_scanned: files.len(),
-        timings,
         ..Report::default()
     };
     let mut by_rule: BTreeMap<&'static str, usize> = BTreeMap::new();
@@ -223,11 +192,11 @@ pub fn lint_inputs(inputs: Vec<Input>, force_scope: Option<Scope>) -> Report {
     report
 }
 
-/// Lint a set of real files.
+/// Lint a set of real files (the CLI's and the determinism test's entry).
 pub fn lint_files(root: &Path, files: &[PathBuf]) -> Report {
     let mut errors = Vec::new();
     let inputs = load_inputs(root, files, &mut errors);
-    let mut report = lint_inputs(inputs, None);
+    let mut report = lint_inputs(inputs);
     report.findings.extend(errors);
     report.sort();
     report
@@ -238,13 +207,10 @@ mod tests {
     use super::*;
 
     fn lint_one(path: &str, src: &str) -> Report {
-        lint_inputs(
-            vec![Input {
-                path: path.into(),
-                text: src.into(),
-            }],
-            None,
-        )
+        lint_inputs(vec![Input {
+            path: path.into(),
+            text: src.into(),
+        }])
     }
 
     #[test]
@@ -283,16 +249,5 @@ fn f() {
         let rules: Vec<&str> = r.findings.iter().map(|f| f.rule).collect();
         assert!(rules.contains(&"allow-unused"));
         assert!(rules.contains(&"allow-unknown-rule"));
-    }
-
-    #[test]
-    fn force_scope_overrides_path_classification() {
-        let inputs = vec![Input {
-            path: "crates/lint/tests/corpus/x.rsfix".into(),
-            text: "fn f() { x.unwrap(); }\n".into(),
-        }];
-        let r = lint_inputs(inputs, Some(Scope::Lib));
-        assert_eq!(r.findings.len(), 1);
-        assert_eq!(r.findings[0].rule, "panic-in-lib");
     }
 }

@@ -6,19 +6,18 @@
 //! ordinary `//@` comments:
 //!
 //! ```text
-//! //@ path: crates/kg/src/io.rs        — virtual path used for scoping
+//! //@ file: crates/kg/src/io.rs        — virtual path used for scoping
 //! //@ expect: panic-in-lib @ 7          — a finding this file must produce
 //! //@ suppressed: 2                     — exact count of suppressed findings
 //! ```
 //!
-//! A fixture may bundle **several virtual files** — the shape the
-//! interprocedural rules need, since their findings only exist once a call
-//! graph spans files. Each `//@ file: <virtual-path>` directive starts a new
-//! section running to the next `//@ file:` or end of fixture; the directive
-//! line itself is line 1 of that section. `//@ expect:` lines bind to the
-//! section that contains them, with section-relative line numbers, and
-//! `//@ suppressed:` stays a bundle-wide total. Single-file fixtures keep
-//! the original `//@ path:` form unchanged.
+//! A fixture may bundle **several virtual files** — the shape call-chain
+//! findings need, since they only exist once a call graph spans files. Each
+//! `//@ file: <virtual-path>` directive starts a new section running to the
+//! next `//@ file:` or end of fixture; the directive line itself is line 1
+//! of that section. `//@ expect:` lines bind to the section that contains
+//! them, with section-relative line numbers, and `//@ suppressed:` is a
+//! bundle-wide total.
 //!
 //! [`run_corpus`] lints every fixture (all of a bundle's sections in one
 //! engine run, so calls resolve across them) against its declared
@@ -40,7 +39,7 @@ pub struct Expectation {
     pub rule: String,
     /// Virtual path of the section the directive sits in.
     pub path: String,
-    /// Line number relative to the section (absolute for `//@ path:` files).
+    /// Line number relative to the section.
     pub line: u32,
 }
 
@@ -61,7 +60,6 @@ pub struct Fixture {
 /// comments, so they are invisible to the rules themselves.
 pub fn parse_fixture(real_path: &Path, text: String) -> Result<Fixture, String> {
     let lines: Vec<&str> = text.lines().collect();
-    let mut primary: Option<String> = None;
     // (starting line index, virtual path) of each `//@ file:` section.
     let mut bounds: Vec<(usize, String)> = Vec::new();
     // (line index of the directive, rule, declared line).
@@ -72,9 +70,7 @@ pub fn parse_fixture(real_path: &Path, text: String) -> Result<Fixture, String> 
             continue;
         };
         let rest = rest.trim();
-        if let Some(p) = rest.strip_prefix("path:") {
-            primary = Some(p.trim().to_string());
-        } else if let Some(p) = rest.strip_prefix("file:") {
+        if let Some(p) = rest.strip_prefix("file:") {
             bounds.push((idx, p.trim().to_string()));
         } else if let Some(e) = rest.strip_prefix("expect:") {
             let Some((rule, at)) = e.split_once('@') else {
@@ -110,18 +106,10 @@ pub fn parse_fixture(real_path: &Path, text: String) -> Result<Fixture, String> 
     }
 
     // Materialize sections as (path, start, end) half-open line ranges.
-    let first_bound = bounds.first().map_or(lines.len(), |(i, _)| *i);
-    let mut sections: Vec<(String, usize, usize)> = Vec::new();
-    match primary {
-        Some(p) => sections.push((p, 0, first_bound)),
-        None if bounds.is_empty() => {
-            return Err(format!(
-                "{}: missing `//@ path:` or `//@ file:` directive",
-                real_path.display()
-            ));
-        }
-        None => {}
+    if bounds.is_empty() {
+        return Err(format!("{}: missing `//@ file:` directive", real_path.display()));
     }
+    let mut sections: Vec<(String, usize, usize)> = Vec::new();
     for (bi, (start, p)) in bounds.iter().enumerate() {
         let end = bounds.get(bi + 1).map_or(lines.len(), |(i, _)| *i);
         sections.push((p.clone(), *start, end));
@@ -131,7 +119,7 @@ pub fn parse_fixture(real_path: &Path, text: String) -> Result<Fixture, String> 
     for (idx, rule, line_no) in raw_expect {
         let Some((path, _, _)) = sections.iter().find(|(_, s, e)| *s <= idx && idx < *e) else {
             return Err(format!(
-                "{}:{}: expect directive outside any `//@ path:`/`//@ file:` section",
+                "{}:{}: expect directive outside any `//@ file:` section",
                 real_path.display(),
                 idx + 1
             ));
@@ -251,7 +239,6 @@ fn check_fixture(fixture: &Fixture, mismatches: &mut Vec<String>) {
                 text: text.clone(),
             })
             .collect(),
-        None,
     );
     let mut got: Vec<Expectation> = report
         .findings
@@ -296,7 +283,7 @@ mod tests {
 
     #[test]
     fn parses_directives() {
-        let text = "//@ path: crates/x/src/a.rs\n//@ expect: panic-in-lib @ 4\n//@ suppressed: 1\nfn f() {}\n";
+        let text = "//@ file: crates/x/src/a.rs\n//@ expect: panic-in-lib @ 4\n//@ suppressed: 1\nfn f() {}\n";
         let f = parse_fixture(Path::new("a.rsfix"), text.into()).expect("parses");
         assert_eq!(f.files.len(), 1);
         assert_eq!(f.files[0].0, "crates/x/src/a.rs");
@@ -345,8 +332,8 @@ fn g() {}
     #[test]
     fn rejects_missing_path_and_bad_directives() {
         assert!(parse_fixture(Path::new("a.rsfix"), "fn f() {}\n".into()).is_err());
-        assert!(parse_fixture(Path::new("a.rsfix"), "//@ path: x\n//@ expect: r\n".into()).is_err());
-        assert!(parse_fixture(Path::new("a.rsfix"), "//@ path: x\n//@ bogus: y\n".into()).is_err());
+        assert!(parse_fixture(Path::new("a.rsfix"), "//@ file: x\n//@ expect: r\n".into()).is_err());
+        assert!(parse_fixture(Path::new("a.rsfix"), "//@ file: x\n//@ bogus: y\n".into()).is_err());
         // An expect with no enclosing section is a directive error, not a
         // silent mis-binding.
         assert!(parse_fixture(

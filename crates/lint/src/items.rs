@@ -1,4 +1,4 @@
-//! Phase-1 item model: a lightweight, total parse of one file into the
+//! The item model: a lightweight, total parse of one file into the
 //! items the interprocedural engine needs — functions (with signatures,
 //! bodies, and enclosing `impl` types), inline modules, and `use` aliases.
 //!

@@ -12,11 +12,12 @@
 //! aware token tiler — exact enough for invariant linting, property-tested
 //! to never panic and to round-trip arbitrary input.
 //!
-//! The engine is two-phase (DESIGN.md §11): phase 1 parses every file into
-//! a lightweight item model, resolves calls into a workspace call graph,
-//! and computes per-function summaries propagated to fixpoint; phase 2 runs
-//! per-file rules over token streams and interprocedural rules over the
-//! assembled [`workspace::Workspace`].
+//! There is one engine (DESIGN.md §11): every file is parsed into a
+//! lightweight item model, calls are resolved into a workspace call graph,
+//! per-function summaries are computed by one token scanner and propagated
+//! to fixpoint, and every rule then runs once over the assembled
+//! [`workspace::Workspace`] — a direct finding is the zero-length chain of
+//! the fact propagation carries.
 //!
 //! Architecture:
 //!
@@ -24,21 +25,23 @@
 //! - [`source`] — per-file context: path scoping (lib/bin/test/bench/example),
 //!   inline `#[cfg(test)]` regions, `// kglink-lint: allow(<rule>)`
 //!   suppressions.
-//! - [`items`] — phase-1 item model: fns with signatures/bodies, `impl`
+//! - [`items`] — the item model: fns with signatures/bodies, `impl`
 //!   types, inline modules, `use` aliases; total, span-tiling parse.
 //! - [`callgraph`] — call-site extraction and name-based resolution with
 //!   type narrowing.
-//! - [`summary`] — per-fn facts (lock holds, panic/alloc/blocking sites,
-//!   `Deadline` discipline) and their fixpoint propagation.
-//! - [`workspace`] — the assembled phase-1 product handed to graph rules.
-//! - [`rules`] — per-file rules behind [`rules::Rule`] and interprocedural
-//!   rules behind [`rules::GraphRule`]; see DESIGN.md §11 for the catalog.
-//! - [`engine`] — workspace walk, rule dispatch, per-rule timing,
-//!   suppression application, and suppression-hygiene meta-checks
+//! - [`summary`] — the one scanner for per-fn facts (lock holds,
+//!   panic/alloc/poison/blocking sites, `Deadline` discipline) and their
+//!   fixpoint propagation.
+//! - [`workspace`] — the assembled model handed to every rule.
+//! - [`rules`] — the rule set behind the one [`rules::Rule`] trait; see
+//!   DESIGN.md §11 for the catalog.
+//! - [`engine`] — workspace walk, rule dispatch, suppression application,
+//!   and suppression-hygiene meta-checks
 //!   (`allow-unused`, `allow-unknown-rule`, `allow-missing-justification`).
 //! - [`diag`] — findings, human `file:line` rendering, JSONL export.
 
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 pub mod callgraph;
 pub mod diag;

@@ -3,7 +3,7 @@
 //! ```text
 //! kglink-lint --workspace --deny-all            # lint the whole workspace, fail on findings
 //! kglink-lint --workspace --json                # ... and export results/lint.jsonl
-//! kglink-lint --deny-all crates/lint/tests/corpus   # lint explicit paths (.rs + .rsfix)
+//! kglink-lint --deny-all crates/serve/src       # lint explicit .rs files / directories
 //! kglink-lint --self-test                       # fixture corpus meta-gate
 //! kglink-lint --list-rules                      # rule catalog
 //! ```
@@ -12,73 +12,44 @@
 //! self-test), 2 usage/environment errors. Without `--deny-all` the run is
 //! advisory: findings are printed but the exit code stays 0.
 
-use kglink_lint::engine::{find_workspace_root, lint_inputs, load_inputs, workspace_files, Input};
-use kglink_lint::fixtures::{self, parse_fixture};
-use kglink_lint::rules::{all_rules, graph_rules, META_RULES};
+use kglink_lint::engine::{find_workspace_root, lint_files, workspace_files};
+use kglink_lint::fixtures;
+use kglink_lint::rules::{all_rules, META_RULES};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-usage: kglink-lint [--workspace] [--deny-all] [--json] [--json-path <file>]
-                   [--quiet] [--list-rules] [--self-test [<corpus-dir>]] [PATH...]
+usage: kglink-lint [--workspace] [--deny-all] [--json] [--list-rules] [--self-test] [PATH...]
 
   --workspace    lint every .rs file in the enclosing cargo workspace
   --deny-all     exit 1 if any finding survives suppression (CI mode)
   --json         export findings as JSONL to results/lint.jsonl
-  --json-path    override the JSONL output path (implies --json)
-  --quiet        suppress per-finding lines; print the summary only
   --list-rules   print the rule catalog (ids + one-line descriptions)
   --self-test    lint the fixture corpus against its //@ expect directives;
                  fails if any rule went blind or grew a false positive
-  PATH...        extra files or directories to lint (.rs, plus .rsfix
-                 fixtures scoped by their //@ path / //@ file directives)";
+  PATH...        extra .rs files or directories to lint";
 
+#[derive(Default)]
 struct Opts {
     workspace: bool,
     deny_all: bool,
-    json: Option<PathBuf>,
-    quiet: bool,
+    json: bool,
     list_rules: bool,
     self_test: bool,
-    corpus_dir: Option<PathBuf>,
     paths: Vec<PathBuf>,
 }
 
 fn parse_args(args: &[String]) -> Result<Opts, String> {
-    let mut o = Opts {
-        workspace: false,
-        deny_all: false,
-        json: None,
-        quiet: false,
-        list_rules: false,
-        self_test: false,
-        corpus_dir: None,
-        paths: Vec::new(),
-    };
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
+    let mut o = Opts::default();
+    for a in args {
         match a.as_str() {
             "--workspace" => o.workspace = true,
             "--deny-all" => o.deny_all = true,
-            "--json" => {
-                o.json.get_or_insert_with(|| PathBuf::from("results/lint.jsonl"));
-            }
-            "--json-path" => {
-                let p = it.next().ok_or("--json-path needs a file argument")?;
-                o.json = Some(PathBuf::from(p));
-            }
-            "--quiet" | "-q" => o.quiet = true,
+            "--json" => o.json = true,
             "--list-rules" => o.list_rules = true,
-            "--self-test" => {
-                o.self_test = true;
-                if let Some(next) = it.peek() {
-                    if !next.starts_with('-') {
-                        o.corpus_dir = Some(PathBuf::from(it.next().map(String::as_str).unwrap_or("")));
-                    }
-                }
-            }
+            "--self-test" => o.self_test = true,
             "--help" | "-h" => return Err(String::new()),
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag `{other}`"));
@@ -107,9 +78,6 @@ fn main() -> ExitCode {
         for rule in all_rules() {
             println!("{:28} {}", rule.id(), rule.describe());
         }
-        for rule in graph_rules() {
-            println!("{:28} {}", rule.id(), rule.describe());
-        }
         for (id, desc) in META_RULES {
             println!("{id:28} {desc}");
         }
@@ -132,10 +100,7 @@ fn main() -> ExitCode {
     };
 
     if opts.self_test {
-        let dir = opts
-            .corpus_dir
-            .unwrap_or_else(|| root.join("crates/lint/tests/corpus"));
-        let outcome = fixtures::run_corpus(&dir);
+        let outcome = fixtures::run_corpus(&root.join("crates/lint/tests/corpus"));
         for m in &outcome.mismatches {
             eprintln!("self-test: {m}");
         }
@@ -153,65 +118,28 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    // Assemble inputs: the workspace walk (.rs only), then explicit paths,
-    // where .rsfix fixtures are loaded under their declared virtual path.
-    let mut errors = Vec::new();
-    let mut inputs: Vec<Input> = Vec::new();
+    // The workspace walk, then explicit paths (a directory means every .rs
+    // file under it).
+    let mut files: Vec<PathBuf> = Vec::new();
     if opts.workspace {
-        let files = workspace_files(&root);
-        inputs.extend(load_inputs(&root, &files, &mut errors));
+        files.extend(workspace_files(&root));
     }
     for p in &opts.paths {
         let abs = if p.is_absolute() { p.clone() } else { cwd.join(p) };
-        let mut files: Vec<PathBuf> = Vec::new();
-        if abs.is_dir() {
-            files.extend(workspace_files(&abs));
-            files.extend(fixtures::corpus_files(&abs));
-        } else {
-            files.push(abs.clone());
-        }
-        if files.is_empty() {
+        let found = if abs.is_dir() { workspace_files(&abs) } else { vec![abs] };
+        if found.is_empty() {
             eprintln!("kglink-lint: no lintable files under {}", p.display());
         }
-        for f in files {
-            if f.extension().is_some_and(|e| e == "rsfix") {
-                match fs::read_to_string(&f).map_err(|e| e.to_string()).and_then(|text| {
-                    parse_fixture(&f, text).map_err(|e| e.to_string())
-                }) {
-                    Ok(fixture) => inputs.extend(
-                        fixture
-                            .files
-                            .into_iter()
-                            .map(|(path, text)| Input { path, text }),
-                    ),
-                    Err(e) => {
-                        eprintln!("kglink-lint: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            } else {
-                inputs.extend(load_inputs(&root, &[f], &mut errors));
-            }
-        }
+        files.extend(found);
     }
 
-    let mut report = lint_inputs(inputs, None);
-    report.findings.extend(errors);
-    report.sort();
-
-    if !opts.quiet {
-        for f in &report.findings {
-            println!("{}", f.render());
-        }
+    let report = lint_files(&root, &files);
+    for f in &report.findings {
+        println!("{}", f.render());
     }
     println!("kglink-lint: {}", report.summary());
 
-    if let Some(json_path) = &opts.json {
-        // Per-rule timing is stdout-only: lint.jsonl must stay byte-identical
-        // across runs (see the determinism test), and wall-clock is not.
-        for (rule, micros) in &report.timings {
-            println!("kglink-lint: timing {rule:28} {micros:>8} µs");
-        }
+    if opts.json {
         if !report.suppressed_by_rule.is_empty() {
             let audit: Vec<String> = report
                 .suppressed_by_rule
@@ -220,11 +148,7 @@ fn main() -> ExitCode {
                 .collect();
             println!("kglink-lint: suppression audit: {}", audit.join(", "));
         }
-        let json_path = if json_path.is_absolute() {
-            json_path.clone()
-        } else {
-            root.join(json_path)
-        };
+        let json_path = root.join("results/lint.jsonl");
         if let Err(e) = write_jsonl(&json_path, &report) {
             eprintln!("kglink-lint: cannot write {}: {e}", json_path.display());
             return ExitCode::from(2);
@@ -240,8 +164,8 @@ fn main() -> ExitCode {
 }
 
 /// Findings as JSONL (stable rule ids in each record), closed by one
-/// deterministic suppression-audit record. No timings: the file is diffed
-/// byte-for-byte across runs.
+/// deterministic suppression-audit record: the file is diffed byte-for-byte
+/// across runs.
 fn write_jsonl(path: &Path, report: &kglink_lint::Report) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;

@@ -15,7 +15,7 @@
 //! the lock is released while parked — so the wait's own lock never counts
 //! as held. A wait while holding a *second* lock is still flagged.
 
-use super::GraphRule;
+use super::Rule;
 use crate::diag::Finding;
 use crate::source::{Scope, SourceFile};
 use crate::workspace::Workspace;
@@ -29,7 +29,7 @@ fn in_scope(f: &SourceFile) -> bool {
     f.scope == Scope::Lib && CRATE_ALLOWLIST.iter().any(|p| f.path.starts_with(p))
 }
 
-impl GraphRule for BlockingUnderLock {
+impl Rule for BlockingUnderLock {
     fn id(&self) -> &'static str {
         "blocking-under-lock"
     }

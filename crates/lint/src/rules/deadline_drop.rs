@@ -11,7 +11,7 @@
 //! backend call runs unbounded (or on a deadline it invented), and the
 //! caller's budget math is fiction.
 //!
-//! The check is name-based on the phase-1 summaries: the parameter's type
+//! The check is name-based on the per-fn summaries: the parameter's type
 //! text must contain `Deadline`, and "forwarded" means the parameter name
 //! appears anywhere in the function's own body (passing it on, checking
 //! `remaining()`, or rebudgeting from it all count). Findings anchor at the
@@ -19,14 +19,14 @@
 //! Bodiless trait signatures are exempt — the obligation is the
 //! implementor's.
 
-use super::GraphRule;
+use super::Rule;
 use crate::diag::Finding;
 use crate::source::Scope;
 use crate::workspace::Workspace;
 
 pub struct DeadlineDrop;
 
-impl GraphRule for DeadlineDrop {
+impl Rule for DeadlineDrop {
     fn id(&self) -> &'static str {
         "deadline-drop"
     }

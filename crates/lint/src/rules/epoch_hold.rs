@@ -13,9 +13,17 @@
 //! outlives its own statement *and* whose hold region reaches a blocking
 //! operation, a call into (transitively) blocking code, or a micro-batch
 //! boundary function.
+//!
+//! The slot has a second half: what it *holds* is immutable. Serving code
+//! must never reach into a published `ModelEpoch` and mutate weights in
+//! place (`Arc::get_mut` / `Arc::make_mut` in a statement naming an epoch) —
+//! a worker mid-batch would observe a torn model, which is exactly what the
+//! epoch handle exists to prevent. The only way weights change is a whole
+//! new epoch through `swap_model`.
 
-use super::GraphRule;
+use super::Rule;
 use crate::diag::Finding;
+use crate::lexer::TokKind;
 use crate::rules::stmt_range;
 use crate::source::Scope;
 use crate::workspace::Workspace;
@@ -25,19 +33,52 @@ pub struct EpochHold;
 /// Functions that constitute a micro-batch boundary on the serve path.
 const BOUNDARY_FNS: &[&str] = &["pop_batch", "serve_request", "annotate_request", "annotate"];
 
-impl GraphRule for EpochHold {
+impl Rule for EpochHold {
     fn id(&self) -> &'static str {
         "epoch-hold"
     }
 
     fn describe(&self) -> &'static str {
-        "the lifecycle epoch mutex must not be held across a micro-batch boundary in serve lib code"
+        "in serve lib code the epoch mutex is never held across a micro-batch boundary and a live epoch is never mutated in place"
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
+        let serve_lib = |f: &&crate::source::SourceFile| {
+            f.scope == Scope::Lib && f.path.starts_with("crates/serve/")
+        };
+        for f in ws.files.iter().filter(serve_lib) {
+            for i in 0..f.code.len() {
+                let mutates = f.code_text(i) == "Arc"
+                    && f.code_text(i + 1) == ":"
+                    && f.code_text(i + 2) == ":"
+                    && matches!(f.code_text(i + 3), "get_mut" | "make_mut")
+                    && !f.code_in_test(i);
+                if !mutates {
+                    continue;
+                }
+                let (s, e) = stmt_range(f, i);
+                let names_epoch = (s..e).any(|j| {
+                    f.code_kind(j) == Some(TokKind::Ident)
+                        && f.code_text(j).to_ascii_lowercase().contains("epoch")
+                });
+                if names_epoch {
+                    out.push(Finding::new(
+                        self.id(),
+                        &f.path,
+                        f.code_line(i),
+                        format!(
+                            "`Arc::{}` on a live ModelEpoch: published epochs are \
+                             immutable — a worker mid-batch would observe a torn model; \
+                             install a new epoch via swap_model instead",
+                            f.code_text(i + 3)
+                        ),
+                    ));
+                }
+            }
+        }
         for (i, (file_ix, item)) in ws.fns.iter().enumerate() {
             let f = &ws.files[*file_ix];
-            if f.scope != Scope::Lib || !f.path.starts_with("crates/serve/") || item.in_test {
+            if !serve_lib(&f) || item.in_test {
                 continue;
             }
             for lk in &ws.locals[i].locks {
@@ -161,6 +202,21 @@ impl Worker {
         let hits = run(vec![("crates/serve/src/worker.rs", src)]);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert!(hits[0].2.contains("`refill`"), "{}", hits[0].2);
+    }
+
+    #[test]
+    fn in_place_mutation_of_a_live_epoch_is_flagged_in_serve_lib_only() {
+        let src = "\
+fn hot_patch(epoch: &mut Arc<ModelEpoch>, x: &mut Arc<Vec<u8>>) {
+    let m = Arc::get_mut(epoch).unwrap();
+    let n = Arc::make_mut(&mut current_epoch);
+    Arc::get_mut(x);
+}
+";
+        let lines = |path| run(vec![(path, src)]).into_iter().map(|(_, l, _)| l).collect::<Vec<_>>();
+        assert_eq!(lines("crates/serve/src/worker.rs"), vec![2, 3]);
+        // The registry and the core pipeline never hold an epoch.
+        assert!(lines("crates/core/src/pipeline.rs").is_empty());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! `hot-path-alloc`: kernel and layer forward/backward bodies must not
-//! allocate — now including through the helpers they call.
+//! allocate — including through the helpers they call.
 //!
 //! The kernel layer's whole contract is that steady-state inference
 //! performs zero heap allocations: every buffer comes from a preallocated
@@ -7,12 +7,14 @@
 //! test in `crates/nn/tests/alloc.rs` enforces the end-to-end guarantee.
 //! That test only covers the paths it drives, though — a `vec![0.0; n]`
 //! added to a rarely-taken branch regresses the per-call allocation count
-//! without failing it. This rule is the static backstop, in two layers:
+//! without failing it. This rule is the static backstop. The allocation
+//! idioms (`Vec::new()`, `vec![`, `.to_vec()`, `.clone()`) are recognised by
+//! `summary::scan`; a finding is a witness chain from a hot body to one:
 //!
-//! 1. **Direct sites** — the original scan, unchanged: the allocation
-//!    idioms (`Vec::new()`, `vec![`, `.to_vec()`, `.clone()`) inside any
-//!    `fn forward`/`fn backward` body in the kernel crate
-//!    (`crates/kernels/`) and the layer zoo (`crates/nn/src/layers/`).
+//! 1. **Zero-length chains** — an allocation site inside a
+//!    `fn forward`/`fn backward` body (fns nested in that body included) in
+//!    the kernel crate (`crates/kernels/`) and the layer zoo
+//!    (`crates/nn/src/layers/`), reported at the site.
 //! 2. **Reach through helpers** — a forward/backward body calling (through
 //!    any resolved chain) a function in those same hot-path crates whose
 //!    body allocates. The helper itself is legal (`hot-path-alloc` only
@@ -31,9 +33,9 @@
 //!
 //! [`Scratch`]: ../../../kernels/src/scratch.rs
 
-use super::GraphRule;
+use super::Rule;
 use crate::diag::Finding;
-use crate::lexer::TokKind;
+use crate::items::FnItem;
 use crate::source::{Scope, SourceFile};
 use crate::workspace::Workspace;
 use std::collections::BTreeSet;
@@ -44,10 +46,18 @@ pub struct HotPathAlloc;
 /// of the workspace allocates freely.
 const PATH_SCOPE: &[&str] = &["crates/kernels/", "crates/nn/src/layers/"];
 
-/// Function names whose bodies the rule scans.
+/// Function names whose bodies the rule polices.
 const HOT_FNS: &[&str] = &["forward", "backward"];
 
-impl GraphRule for HotPathAlloc {
+fn in_scope(f: &SourceFile) -> bool {
+    f.scope == Scope::Lib && PATH_SCOPE.iter().any(|p| f.path.starts_with(p))
+}
+
+fn is_hot(f: &SourceFile, item: &FnItem) -> bool {
+    in_scope(f) && !item.in_test && HOT_FNS.contains(&item.name.as_str())
+}
+
+impl Rule for HotPathAlloc {
     fn id(&self) -> &'static str {
         "hot-path-alloc"
     }
@@ -57,17 +67,37 @@ impl GraphRule for HotPathAlloc {
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        for f in &ws.files {
-            check_direct(self.id(), f, out);
+        // Own sites. Fns are listed in source order, a parent before the fns
+        // nested in its body, so "inside the current hot body" is one
+        // comparison against where that body closes.
+        let mut hot_until: Option<(usize, usize)> = None;
+        for (i, (file_ix, item)) in ws.fns.iter().enumerate() {
+            let f = &ws.files[*file_ix];
+            if !hot_until.is_some_and(|(hf, close)| hf == *file_ix && item.decl_ix < close) {
+                hot_until = item.body.filter(|_| is_hot(f, item)).map(|(_, close)| (*file_ix, close));
+            }
+            if hot_until.is_none() {
+                continue;
+            }
+            for site in &ws.locals[i].alloc_sites {
+                out.push(Finding::new(
+                    self.id(),
+                    &f.path,
+                    site.line,
+                    format!(
+                        "{} in a hot-path forward/backward body: take the buffer \
+                         from the scratch arena (`kernels::with_thread_scratch`) or hoist \
+                         it out of the call; if the allocation is a training cache that \
+                         must own its data, justify it with an allow comment",
+                        site.what
+                    ),
+                ));
+            }
         }
         let mut seen: BTreeSet<(usize, u32, String)> = BTreeSet::new();
         for (i, (file_ix, item)) in ws.fns.iter().enumerate() {
             let f = &ws.files[*file_ix];
-            if f.scope != Scope::Lib
-                || item.in_test
-                || !HOT_FNS.contains(&item.name.as_str())
-                || !PATH_SCOPE.iter().any(|p| f.path.starts_with(p))
-            {
+            if !is_hot(f, item) {
                 continue;
             }
             for call in &ws.calls[i] {
@@ -79,14 +109,12 @@ impl GraphRule for HotPathAlloc {
                         continue;
                     };
                     let wf = &ws.files[w.site.file];
-                    if wf.scope != Scope::Lib
-                        || !PATH_SCOPE.iter().any(|p| wf.path.starts_with(p))
-                    {
+                    if !in_scope(wf) {
                         continue; // out-of-scope code allocates freely
                     }
                     // The fn owning the witness site is the last hop of the
                     // chain (or the callee itself); if that is a hot body in
-                    // scope, the direct layer already anchors the site.
+                    // scope, the site is already reported where it stands.
                     let owner = w
                         .via
                         .last()
@@ -119,138 +147,6 @@ impl GraphRule for HotPathAlloc {
             }
         }
     }
-}
-
-/// The original per-file scan, verbatim.
-fn check_direct(id: &'static str, f: &SourceFile, out: &mut Vec<Finding>) {
-    if f.scope != Scope::Lib || !PATH_SCOPE.iter().any(|p| f.path.starts_with(p)) {
-        return;
-    }
-    let n = f.code.len();
-    let mut i = 0usize;
-    while i < n {
-        let is_hot_fn = f.code_text(i) == "fn"
-            && f.code_kind(i + 1) == Some(TokKind::Ident)
-            && HOT_FNS.contains(&f.code_text(i + 1))
-            && !f.code_in_test(i);
-        if !is_hot_fn {
-            i += 1;
-            continue;
-        }
-        let Some((body_start, body_end)) = fn_body(f, i + 2) else {
-            // Trait signature (`fn forward(...);`) or unbalanced file:
-            // nothing to scan.
-            i += 2;
-            continue;
-        };
-        check_body(id, f, body_start, body_end, out);
-        i = body_end;
-    }
-}
-
-fn check_body(id: &'static str, f: &SourceFile, start: usize, end: usize, out: &mut Vec<Finding>) {
-    for i in start..end {
-        if f.code_in_test(i) {
-            continue;
-        }
-        let (pattern, at) = match f.code_text(i) {
-            // `Vec::new(` — `::` lexes as two `:` tokens.
-            "Vec"
-                if f.code_text(i + 1) == ":"
-                    && f.code_text(i + 2) == ":"
-                    && f.code_text(i + 3) == "new"
-                    && f.code_text(i + 4) == "(" =>
-            {
-                ("Vec::new()", i)
-            }
-            "vec" if f.code_text(i + 1) == "!" => ("vec![...]", i),
-            "to_vec" if i > 0 && f.code_text(i - 1) == "." && f.code_text(i + 1) == "(" => {
-                (".to_vec()", i)
-            }
-            "clone"
-                if i > 0
-                    && f.code_text(i - 1) == "."
-                    && f.code_text(i + 1) == "("
-                    && f.code_text(i + 2) == ")" =>
-            {
-                (".clone()", i)
-            }
-            _ => continue,
-        };
-        out.push(Finding::new(
-            id,
-            &f.path,
-            f.code_line(at),
-            format!(
-                "`{pattern}` in a hot-path forward/backward body: take the buffer \
-                 from the scratch arena (`kernels::with_thread_scratch`) or hoist \
-                 it out of the call; if the allocation is a training cache that \
-                 must own its data, justify it with an allow comment"
-            ),
-        ));
-    }
-}
-
-/// Code-token range `(start, end)` of the body of the fn whose name sits
-/// just before `from`: skip to the parameter list's `(`, match it, then
-/// match the first following `{`. Returns `None` for bodiless signatures.
-fn fn_body(f: &SourceFile, from: usize) -> Option<(usize, usize)> {
-    let n = f.code.len();
-    let mut i = from;
-    while i < n && f.code_text(i) != "(" {
-        if f.code_text(i) == ";" || f.code_text(i) == "{" {
-            return None; // malformed or bodiless before params
-        }
-        i += 1;
-    }
-    let mut depth = 0i32;
-    while i < n {
-        match f.code_text(i) {
-            "(" => depth += 1,
-            ")" => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    i += 1;
-    // Return type (may itself contain parens, e.g. `-> (Tensor, Cache)`),
-    // then the body brace — or a `;` for a trait signature.
-    let mut depth = 0i32;
-    while i < n {
-        match f.code_text(i) {
-            "(" => depth += 1,
-            ")" => depth -= 1,
-            ";" if depth == 0 => return None,
-            "{" if depth == 0 => break,
-            _ => {}
-        }
-        i += 1;
-    }
-    if i >= n {
-        return None;
-    }
-    let body_start = i + 1;
-    let mut braces = 0i32;
-    while i < n {
-        match f.code_text(i) {
-            "{" => braces += 1,
-            "}" => {
-                braces -= 1;
-                if braces == 0 {
-                    return Some((body_start, i));
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    // Unbalanced file: scan to the end rather than missing findings.
-    Some((body_start, n))
 }
 
 #[cfg(test)]
@@ -312,6 +208,17 @@ fn helper() { let v = Vec::new(); }
         assert!(run("crates/nn/src/layers/linear.rs", inline).is_empty());
         let sig = "trait Layer { fn forward(&self, x: &Tensor) -> Tensor; }\n";
         assert!(run("crates/nn/src/layers/linear.rs", sig).is_empty());
+    }
+
+    #[test]
+    fn fn_nested_in_a_hot_body_is_part_of_it() {
+        let src = "\
+fn forward(&self) {
+    fn pad(n: usize) -> Vec<f32> { vec![0.0; n] }
+}
+fn pad_cold(n: usize) -> Vec<f32> { vec![0.0; n] }
+";
+        assert_eq!(run("crates/nn/src/layers/linear.rs", src), vec![2]);
     }
 
     #[test]

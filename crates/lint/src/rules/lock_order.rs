@@ -1,10 +1,10 @@
 //! `lock-order`: deadlock-freedom and poison-audit hygiene in the
-//! concurrent crates (`crates/serve`, `crates/search`) — now interprocedural.
+//! concurrent crates (`crates/serve`, `crates/search`).
 //!
 //! Three checks:
 //!
 //! 1. **Pairwise acquisition order, across calls.** Every function's
-//!    acquisition sequence comes from its phase-1 summary (lock receivers
+//!    acquisition sequence comes from its local summary (lock receivers
 //!    qualified by `impl` type, so `self.state` in two `BoundedQueue`
 //!    methods is one lock), recording all ordered pairs. On top of that,
 //!    every call made *while a guard is held* (the summary's hold region
@@ -23,9 +23,9 @@
 //!    after arguing each guarded structure is re-validatable. A bare
 //!    `.lock().unwrap()` / `.read().expect(...)` bypasses that audit and
 //!    re-introduces poison cascades; it is flagged here (on top of
-//!    `panic-in-lib`) even in binaries.
+//!    `panic-in-lib`) even in binaries and outside fn bodies.
 
-use super::GraphRule;
+use super::Rule;
 use crate::diag::Finding;
 use crate::source::SourceFile;
 use crate::workspace::Workspace;
@@ -43,9 +43,7 @@ struct Witness {
 /// Crates whose locking discipline this rule audits.
 const CRATE_ALLOWLIST: &[&str] = &["crates/serve/", "crates/search/"];
 
-const ACQUIRE_METHODS: &[&str] = &["lock", "read", "write"];
-
-impl GraphRule for LockOrder {
+impl Rule for LockOrder {
     fn id(&self) -> &'static str {
         "lock-order"
     }
@@ -55,9 +53,27 @@ impl GraphRule for LockOrder {
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        for f in &ws.files {
-            if in_scope(f) {
-                poison_audit(self.id(), f, out);
+        // Poison audit: every non-test token of the audited crates, any
+        // scope, in a fn or between fns.
+        for (file_ix, summary) in ws.summaries() {
+            let f = &ws.files[file_ix];
+            if !in_scope(f) {
+                continue;
+            }
+            for site in &summary.poison_sites {
+                out.push(Finding::new(
+                    self.id(),
+                    &f.path,
+                    site.line,
+                    format!(
+                        "{} bypasses the PoisonError::into_inner audit: a \
+                         panicked sibling poisons this lock and the panic \
+                         cascades; recover with \
+                         `unwrap_or_else(PoisonError::into_inner)` after checking \
+                         the guarded state is re-validatable",
+                        site.what,
+                    ),
+                ));
             }
         }
         // (first, second) → earliest witness establishing that order.
@@ -69,7 +85,7 @@ impl GraphRule for LockOrder {
                 continue;
             }
             let locks = &ws.locals[i].locks;
-            // Local ordered pairs, as the per-file engine recorded them.
+            // Local ordered pairs.
             let mut ordered: Vec<&str> = Vec::new();
             for lk in locks {
                 if ordered.contains(&lk.name.as_str()) {
@@ -165,42 +181,6 @@ fn in_scope(f: &SourceFile) -> bool {
     CRATE_ALLOWLIST.iter().any(|p| f.path.starts_with(p))
 }
 
-/// Flag `.lock().unwrap()` / `.read().expect(...)` at any non-test token —
-/// the textual check the per-file engine ran, unchanged.
-fn poison_audit(id: &'static str, f: &SourceFile, out: &mut Vec<Finding>) {
-    for j in 0..f.code.len() {
-        let m = f.code_text(j);
-        if !ACQUIRE_METHODS.contains(&m)
-            || j == 0
-            || f.code_text(j - 1) != "."
-            || f.code_text(j + 1) != "("
-            || f.code_text(j + 2) != ")"
-            || f.code_in_test(j)
-        {
-            continue;
-        }
-        if f.code_text(j + 3) == "."
-            && matches!(f.code_text(j + 4), "unwrap" | "expect")
-            && f.code_text(j + 5) == "("
-        {
-            out.push(Finding::new(
-                id,
-                &f.path,
-                f.code_line(j + 4),
-                format!(
-                    "`.{m}().{}(...)` bypasses the PoisonError::into_inner \
-                     audit: a panicked sibling poisons this lock and the \
-                     {} cascades; recover with \
-                     `unwrap_or_else(PoisonError::into_inner)` after checking \
-                     the guarded state is re-validatable",
-                    f.code_text(j + 4),
-                    f.code_text(j + 4),
-                ),
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,8 +249,8 @@ fn f(&self) {
 
     #[test]
     fn abba_through_a_call_chain_is_flagged() {
-        // f holds A and calls g; g locks B. h locks B then A. The per-file
-        // engine saw no pair in f at all — this is the cross-function case.
+        // f holds A and calls g; g locks B. h locks B then A. No pair is
+        // visible inside f alone — this is the cross-function case.
         let src = "\
 impl S {
     fn f(&self) {

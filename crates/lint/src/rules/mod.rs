@@ -6,77 +6,51 @@
 //! offending pattern. See DESIGN.md §11 for the catalog and the policy on
 //! adding rules.
 
+mod atomic_write;
 mod blocking_under_lock;
-mod checkpoint_atomicity;
 mod deadline_drop;
 mod epoch_hold;
 mod hot_path_alloc;
 mod lock_order;
-mod model_publish_atomicity;
 mod nondeterminism;
 mod panic_in_lib;
-mod segment_atomicity;
 mod single_percentile;
 mod unbounded_channel;
-mod unsafe_safety;
 
+pub use atomic_write::AtomicWrite;
 pub use blocking_under_lock::BlockingUnderLock;
-pub use checkpoint_atomicity::CheckpointAtomicity;
 pub use deadline_drop::DeadlineDrop;
 pub use epoch_hold::EpochHold;
 pub use hot_path_alloc::HotPathAlloc;
 pub use lock_order::LockOrder;
-pub use model_publish_atomicity::ModelPublishAtomicity;
 pub use nondeterminism::Nondeterminism;
 pub use panic_in_lib::PanicInLib;
-pub use segment_atomicity::SegmentAtomicity;
 pub use single_percentile::SinglePercentile;
 pub use unbounded_channel::UnboundedChannel;
-pub use unsafe_safety::UnsafeSafety;
 
 use crate::diag::Finding;
 use crate::source::SourceFile;
 use crate::workspace::Workspace;
 
-/// A per-file lint rule. `check_file` is called once per file; `finish`
-/// once after all files.
+/// A lint rule: runs once over the assembled [`Workspace`]. Token rules
+/// iterate `ws.files`; rules about panics, allocations, locks and blocking
+/// read the per-fn summaries (`ws.locals`, `ws.gaps`) for their own sites
+/// and the propagated ones (`ws.props`) for sites reached through calls —
+/// a direct finding is the zero-length chain of the fact propagation uses.
 pub trait Rule {
     fn id(&self) -> &'static str;
     /// One-line description for `--list-rules`.
     fn describe(&self) -> &'static str;
-    fn check_file(&mut self, file: &SourceFile, out: &mut Vec<Finding>);
-    fn finish(&mut self, _out: &mut Vec<Finding>) {}
-}
-
-/// An interprocedural rule: runs once over the assembled phase-1
-/// [`Workspace`] (item model, call graph, fixpoint-propagated summaries).
-///
-/// Ported rules (`lock-order`, `panic-in-lib`, `hot-path-alloc`) keep their
-/// original direct token scans verbatim — everything the per-file engine
-/// found stays findable, and allow-comment accounting at direct sites is
-/// unchanged — and add call-graph reasoning on top.
-pub trait GraphRule {
-    fn id(&self) -> &'static str;
-    fn describe(&self) -> &'static str;
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>);
 }
 
-/// The per-file rule set, fresh state per lint run.
+/// The rule set.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(Nondeterminism),
-        Box::new(CheckpointAtomicity),
-        Box::new(SegmentAtomicity),
-        Box::new(ModelPublishAtomicity),
+        Box::new(AtomicWrite),
         Box::new(SinglePercentile),
         Box::new(UnboundedChannel),
-        Box::new(UnsafeSafety),
-    ]
-}
-
-/// The interprocedural rule set.
-pub fn graph_rules() -> Vec<Box<dyn GraphRule>> {
-    vec![
         Box::new(PanicInLib),
         Box::new(LockOrder),
         Box::new(HotPathAlloc),

@@ -18,6 +18,7 @@ use super::{is_lib_code, range_has, stmt_range, Rule};
 use crate::diag::Finding;
 use crate::lexer::TokKind;
 use crate::source::SourceFile;
+use crate::workspace::Workspace;
 use std::collections::BTreeSet;
 
 pub struct Nondeterminism;
@@ -60,49 +61,49 @@ impl Rule for Nondeterminism {
         "no wall-clock reads or HashMap-iteration-order dependence in library code"
     }
 
-    fn check_file(&mut self, f: &SourceFile, out: &mut Vec<Finding>) {
-        if PATH_ALLOWLIST.iter().any(|p| f.path.starts_with(p)) {
-            return;
-        }
-        let maps = known_maps(f);
-        for i in 0..f.code.len() {
-            if f.code_kind(i) != Some(TokKind::Ident) || !is_lib_code(f, i) {
-                continue;
-            }
-            let t = f.code_text(i);
-            // Instant::now / SystemTime::now
-            if (t == "Instant" || t == "SystemTime")
-                && f.code_text(i + 1) == ":"
-                && f.code_text(i + 2) == ":"
-                && f.code_text(i + 3) == "now"
-            {
-                out.push(Finding::new(
-                    self.id(),
-                    &f.path,
-                    f.code_line(i),
-                    format!(
-                        "`{t}::now()` in library code: wall-clock reads break resume/serve \
-                         bit-identity; take time as an input or move it behind kglink-obs"
-                    ),
-                ));
-                continue;
-            }
-            // for .. in <map>
-            if t == "for" {
-                if let Some((name, line)) = for_loop_over(f, i, &maps) {
-                    out.push(map_iter_finding(self.id(), f, line, &name));
+    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
+        let audited = |f: &&SourceFile| !PATH_ALLOWLIST.iter().any(|p| f.path.starts_with(p));
+        for f in ws.files.iter().filter(audited) {
+            let maps = known_maps(f);
+            for i in 0..f.code.len() {
+                if f.code_kind(i) != Some(TokKind::Ident) || !is_lib_code(f, i) {
+                    continue;
                 }
-                continue;
-            }
-            // <map>.iter() / .keys() / ...
-            if maps.contains(t)
-                && f.code_text(i + 1) == "."
-                && ITER_METHODS.contains(&f.code_text(i + 2))
-                && f.code_text(i + 3) == "("
-            {
-                let (s, e) = stmt_range(f, i);
-                if !range_has(f, s, e, |w| SORT_EVIDENCE.contains(&w)) {
-                    out.push(map_iter_finding(self.id(), f, f.code_line(i), t));
+                let t = f.code_text(i);
+                // Instant::now / SystemTime::now
+                if (t == "Instant" || t == "SystemTime")
+                    && f.code_text(i + 1) == ":"
+                    && f.code_text(i + 2) == ":"
+                    && f.code_text(i + 3) == "now"
+                {
+                    out.push(Finding::new(
+                        self.id(),
+                        &f.path,
+                        f.code_line(i),
+                        format!(
+                            "`{t}::now()` in library code: wall-clock reads break resume/serve \
+                             bit-identity; take time as an input or move it behind kglink-obs"
+                        ),
+                    ));
+                    continue;
+                }
+                // for .. in <map>
+                if t == "for" {
+                    if let Some((name, line)) = for_loop_over(f, i, &maps) {
+                        out.push(map_iter_finding(self.id(), f, line, &name));
+                    }
+                    continue;
+                }
+                // <map>.iter() / .keys() / ...
+                if maps.contains(t)
+                    && f.code_text(i + 1) == "."
+                    && ITER_METHODS.contains(&f.code_text(i + 2))
+                    && f.code_text(i + 3) == "("
+                {
+                    let (s, e) = stmt_range(f, i);
+                    if !range_has(f, s, e, |w| SORT_EVIDENCE.contains(&w)) {
+                        out.push(map_iter_finding(self.id(), f, f.code_line(i), t));
+                    }
                 }
             }
         }
@@ -200,9 +201,9 @@ mod tests {
     use super::*;
 
     fn run(path: &str, src: &str) -> Vec<u32> {
-        let f = SourceFile::new(path.into(), src.into());
+        let ws = Workspace::from_sources(vec![(path, src)]);
         let mut out = Vec::new();
-        Nondeterminism.check_file(&f, &mut out);
+        Nondeterminism.check(&ws, &mut out);
         out.into_iter().map(|x| x.line).collect()
     }
 

@@ -1,4 +1,4 @@
-//! `panic-in-lib`: no panic paths in library crates — now interprocedural.
+//! `panic-in-lib`: no panic paths in library crates.
 //!
 //! The PR-1 bug class: a `.unwrap()` on a data-dependent value deep in the
 //! retrieval or training pipeline turns one malformed table into a crashed
@@ -7,33 +7,29 @@
 //! holds>` comment, or genuinely test-scoped code (`tests/`, `benches/`,
 //! `examples/`, binaries, and inline `#[cfg(test)]` modules are exempt).
 //!
-//! Two layers:
+//! A finding is a witness chain to a panic site (`summary::scan` records
+//! them; nothing here matches tokens):
 //!
-//! 1. **Direct sites** — the original per-file scan, unchanged: panic
-//!    macros and `.unwrap()`/`.expect()` at any lib-scope token.
+//! 1. **Zero-length chains** — every panic macro and `.unwrap()`/`.expect()`
+//!    at a lib-scope token, inside a fn or in the gaps between fns
+//!    (`const`/`static` initialisers), reported at the site.
 //! 2. **Cross-scope reach** — a lib function calling (through any resolved
-//!    chain) a function whose panic site lives *outside* lib scope, where
-//!    the direct scan cannot see it. Sites inside lib scope are not
-//!    re-reported through calls: the direct layer already anchors them, and
-//!    one finding per site keeps allow-comments one-per-site too. A panic
-//!    site excused by a justified allow does not propagate — the vouched
-//!    invariant covers callers as well.
+//!    chain) a function whose panic site lives *outside* lib scope, reported
+//!    at the call. Sites inside lib scope are not re-reported through calls:
+//!    layer 1 already anchors them, and one finding per site keeps
+//!    allow-comments one-per-site too. A panic site excused by a justified
+//!    allow does not propagate — the vouched invariant covers callers as
+//!    well.
 
-use super::GraphRule;
+use super::Rule;
 use crate::diag::Finding;
-use crate::lexer::TokKind;
-use crate::source::{Scope, SourceFile};
+use crate::source::Scope;
 use crate::workspace::Workspace;
 use std::collections::BTreeSet;
 
 pub struct PanicInLib;
 
-/// Macros that abort: `name!(...)`.
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-/// Panicking combinators: `.name(...)`.
-const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
-
-impl GraphRule for PanicInLib {
+impl Rule for PanicInLib {
     fn id(&self) -> &'static str {
         "panic-in-lib"
     }
@@ -43,12 +39,28 @@ impl GraphRule for PanicInLib {
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        for f in &ws.files {
-            check_direct(self.id(), f, out);
+        for (file_ix, summary) in ws.summaries() {
+            let f = &ws.files[file_ix];
+            if f.scope != Scope::Lib {
+                continue;
+            }
+            for site in &summary.panic_sites {
+                let advice = if site.what.ends_with("!`") {
+                    "return a typed error instead"
+                } else {
+                    "propagate the error (`?`) or handle it; if the invariant is \
+                     structural, justify with an allow-comment"
+                };
+                out.push(Finding::new(
+                    self.id(),
+                    &f.path,
+                    site.line,
+                    format!("{} in library code: {advice}", site.what),
+                ));
+            }
         }
-        // Interprocedural: lib fn → (chain) → panic site the direct scan
-        // cannot anchor (non-lib scope). One finding per (caller line,
-        // callee) even when several callees resolve.
+        // Lib fn → (chain) → panic site outside lib scope. One finding per
+        // (caller line, callee) even when several callees resolve.
         let mut seen: BTreeSet<(usize, u32, String)> = BTreeSet::new();
         for (i, (file_ix, item)) in ws.fns.iter().enumerate() {
             let f = &ws.files[*file_ix];
@@ -61,7 +73,7 @@ impl GraphRule for PanicInLib {
                         continue;
                     };
                     if ws.files[w.site.file].scope == Scope::Lib {
-                        continue; // direct layer owns lib-scope sites
+                        continue; // anchored at the site itself
                     }
                     if !seen.insert((*file_ix, call.site.line, call.site.name.clone())) {
                         continue;
@@ -72,7 +84,7 @@ impl GraphRule for PanicInLib {
                         call.site.line,
                         format!(
                             "calls `{}` which can panic at {}:{} ({}){} — the site is \
-                             outside lib scope so the direct scan cannot flag it; \
+                             outside lib scope so it is not flagged where it stands; \
                              return a typed error from the helper or isolate the call",
                             call.site.name,
                             ws.files[w.site.file].path,
@@ -83,39 +95,6 @@ impl GraphRule for PanicInLib {
                     ));
                 }
             }
-        }
-    }
-}
-
-/// The original per-file scan, verbatim.
-fn check_direct(id: &'static str, f: &SourceFile, out: &mut Vec<Finding>) {
-    for i in 0..f.code.len() {
-        if f.code_kind(i) != Some(TokKind::Ident) || !super::is_lib_code(f, i) {
-            continue;
-        }
-        let t = f.code_text(i);
-        if PANIC_MACROS.contains(&t) && f.code_text(i + 1) == "!" {
-            out.push(Finding::new(
-                id,
-                &f.path,
-                f.code_line(i),
-                format!("`{t}!` in library code: return a typed error instead"),
-            ));
-        } else if PANIC_METHODS.contains(&t)
-            && f.code_text(i.wrapping_sub(1)) == "."
-            && i > 0
-            && f.code_text(i + 1) == "("
-        {
-            out.push(Finding::new(
-                id,
-                &f.path,
-                f.code_line(i),
-                format!(
-                    "`.{t}(...)` in library code: propagate the error (`?`) or \
-                     handle it; if the invariant is structural, justify with an \
-                     allow-comment"
-                ),
-            ));
         }
     }
 }
@@ -166,6 +145,13 @@ mod tests {
     fn cfg_test_modules_inside_lib_files_are_exempt() {
         let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n fn t() { x.unwrap(); }\n}\n";
         assert!(run_one("crates/kg/src/io.rs", src).is_empty());
+    }
+
+    #[test]
+    fn const_initialisers_outside_any_fn_are_seen() {
+        let src = "const LIMIT: u32 = parse(\"7\").unwrap();\nstatic S: u8 = unreachable!();\nfn f() {}\n";
+        let hits = run_one("crates/kg/src/io.rs", src);
+        assert_eq!(hits.iter().map(|(l, _)| *l).collect::<Vec<_>>(), vec![1, 2]);
     }
 
     #[test]

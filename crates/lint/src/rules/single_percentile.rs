@@ -11,6 +11,7 @@ use super::Rule;
 use crate::diag::Finding;
 use crate::lexer::TokKind;
 use crate::source::SourceFile;
+use crate::workspace::Workspace;
 
 pub struct SinglePercentile;
 
@@ -23,32 +24,34 @@ impl Rule for SinglePercentile {
         "no percentile/quantile implementations outside kglink_obs::Histogram"
     }
 
-    fn check_file(&mut self, f: &SourceFile, out: &mut Vec<Finding>) {
-        // All scopes on purpose: the old gate scanned tests and examples too.
-        for i in 0..f.code.len() {
-            if f.code_text(i) != "fn" || f.code_kind(i + 1) != Some(TokKind::Ident) {
-                continue;
-            }
-            // `#[test]` functions merely *exercise* the canonical quantile —
-            // their names mention it, they don't reimplement it. Test-module
-            // *helpers* (a `fn reference_quantile` reference implementation)
-            // carry no `#[test]` attribute and are still flagged.
-            if is_test_fn(f, i) {
-                continue;
-            }
-            let name = f.code_text(i + 1);
-            let lower = name.to_ascii_lowercase();
-            if lower.contains("percentile") || lower.contains("quantile") {
-                out.push(Finding::new(
-                    self.id(),
-                    &f.path,
-                    f.code_line(i + 1),
-                    format!(
-                        "`fn {name}`: percentile/quantile math belongs to \
-                         kglink_obs::Histogram; a second implementation reintroduces \
-                         cross-layer drift"
-                    ),
-                ));
+    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
+        for f in &ws.files {
+            // All scopes on purpose: the old gate scanned tests and examples too.
+            for i in 0..f.code.len() {
+                if f.code_text(i) != "fn" || f.code_kind(i + 1) != Some(TokKind::Ident) {
+                    continue;
+                }
+                // `#[test]` functions merely *exercise* the canonical quantile —
+                // their names mention it, they don't reimplement it. Test-module
+                // *helpers* (a `fn reference_quantile` reference implementation)
+                // carry no `#[test]` attribute and are still flagged.
+                if is_test_fn(f, i) {
+                    continue;
+                }
+                let name = f.code_text(i + 1);
+                let lower = name.to_ascii_lowercase();
+                if lower.contains("percentile") || lower.contains("quantile") {
+                    out.push(Finding::new(
+                        self.id(),
+                        &f.path,
+                        f.code_line(i + 1),
+                        format!(
+                            "`fn {name}`: percentile/quantile math belongs to \
+                             kglink_obs::Histogram; a second implementation reintroduces \
+                             cross-layer drift"
+                        ),
+                    ));
+                }
             }
         }
     }
@@ -85,9 +88,9 @@ mod tests {
     use super::*;
 
     fn run(path: &str, src: &str) -> Vec<u32> {
-        let f = SourceFile::new(path.into(), src.into());
+        let ws = Workspace::from_sources(vec![(path, src)]);
         let mut out = Vec::new();
-        SinglePercentile.check_file(&f, &mut out);
+        SinglePercentile.check(&ws, &mut out);
         out.into_iter().map(|x| x.line).collect()
     }
 

@@ -20,7 +20,8 @@
 use super::Rule;
 use crate::diag::Finding;
 use crate::lexer::TokKind;
-use crate::source::SourceFile;
+use crate::source::{Scope, SourceFile};
+use crate::workspace::Workspace;
 
 pub struct UnboundedChannel;
 
@@ -37,36 +38,36 @@ impl Rule for UnboundedChannel {
         "serving-path crates queue work only through bounded queues, never mpsc::channel()"
     }
 
-    fn check_file(&mut self, f: &SourceFile, out: &mut Vec<Finding>) {
-        if f.scope != crate::source::Scope::Lib
-            || !CRATE_ALLOWLIST.iter().any(|p| f.path.starts_with(p))
-        {
-            return;
-        }
-        for i in 0..f.code.len() {
-            if f.code_kind(i) != Some(TokKind::Ident) || f.code_in_test(i) {
-                continue;
-            }
-            // `mpsc::channel(` — `::` lexes as two `:` tokens. Plain
-            // `channel()` after `use mpsc::channel` would dodge this, but
-            // the codebase convention is module-qualified calls and the
-            // fixture pins it.
-            let is_unbounded = f.code_text(i) == "mpsc"
-                && f.code_text(i + 1) == ":"
-                && f.code_text(i + 2) == ":"
-                && f.code_text(i + 3) == "channel"
-                && f.code_text(i + 4) == "(";
-            if is_unbounded {
-                out.push(Finding::new(
-                    self.id(),
-                    &f.path,
-                    f.code_line(i),
-                    "unbounded `mpsc::channel()` on a serving path: a hidden queue that \
-                     voids admission control under overload; use `BoundedQueue`, \
-                     `mpsc::sync_channel`, or justify why this channel is bounded by \
-                     construction"
-                        .to_string(),
-                ));
+    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
+        let serving_lib = |f: &&SourceFile| {
+            f.scope == Scope::Lib && CRATE_ALLOWLIST.iter().any(|p| f.path.starts_with(p))
+        };
+        for f in ws.files.iter().filter(serving_lib) {
+            for i in 0..f.code.len() {
+                if f.code_kind(i) != Some(TokKind::Ident) || f.code_in_test(i) {
+                    continue;
+                }
+                // `mpsc::channel(` — `::` lexes as two `:` tokens. Plain
+                // `channel()` after `use mpsc::channel` would dodge this, but
+                // the codebase convention is module-qualified calls and the
+                // fixture pins it.
+                let is_unbounded = f.code_text(i) == "mpsc"
+                    && f.code_text(i + 1) == ":"
+                    && f.code_text(i + 2) == ":"
+                    && f.code_text(i + 3) == "channel"
+                    && f.code_text(i + 4) == "(";
+                if is_unbounded {
+                    out.push(Finding::new(
+                        self.id(),
+                        &f.path,
+                        f.code_line(i),
+                        "unbounded `mpsc::channel()` on a serving path: a hidden queue that \
+                         voids admission control under overload; use `BoundedQueue`, \
+                         `mpsc::sync_channel`, or justify why this channel is bounded by \
+                         construction"
+                            .to_string(),
+                    ));
+                }
             }
         }
     }
@@ -77,9 +78,9 @@ mod tests {
     use super::*;
 
     fn run(path: &str, src: &str) -> Vec<u32> {
-        let f = SourceFile::new(path.into(), src.into());
+        let ws = Workspace::from_sources(vec![(path, src)]);
         let mut out = Vec::new();
-        UnboundedChannel.check_file(&f, &mut out);
+        UnboundedChannel.check(&ws, &mut out);
         out.into_iter().map(|x| x.line).collect()
     }
 

@@ -1,7 +1,11 @@
-//! Phase-1 per-function summaries and their fixpoint propagation.
+//! Per-function summaries and their fixpoint propagation.
 //!
-//! For every workspace function the engine computes a [`LocalSummary`] —
-//! the facts visible in its own body:
+//! [`scan`] is the one place that knows what a panic site, an allocation
+//! idiom, a lock acquisition, a bare `.lock().unwrap()` or a blocking call
+//! looks like: rules never match those tokens themselves, they read the
+//! facts recorded here. For every workspace function — and for the tokens
+//! outside every fn body, the *gaps* where `const`/`static` initialisers and
+//! macro bodies live — the engine computes a [`LocalSummary`]:
 //!
 //! - **Lock acquisitions with hold regions.** A let-bound guard is held to
 //!   the end of its enclosing block (or an explicit `drop(name)`); a guard
@@ -12,9 +16,12 @@
 //!   lock — that is how `let state = self.lock_state();` is seen.
 //! - **Panic sites** (`unwrap`/`expect`/panic-family macros) and
 //!   **allocation sites** (`Vec::new()`, `vec![..]`, `.to_vec()`,
-//!   `.clone()`), excluding test code and sites excused by a justified
-//!   allow-comment (consulting the allow marks it used, so a vouched-for
-//!   site neither propagates nor trips `allow-unused`).
+//!   `.clone()`), excluding inline `#[cfg(test)]` code. A site under a
+//!   justified allow-comment is recorded with its `excused` bit set
+//!   (consulting the allow marks it used): rules still report it, so the
+//!   suppression pass counts it, but it does not seed propagation — the
+//!   vouched invariant covers callers as well.
+//! - **Poison-audit bypasses**: `.lock().unwrap()` / `.read().expect(..)`.
 //! - **Blocking sites**: `Condvar` waits (with the guard binding they
 //!   consume — waiting *releases* that one lock), channel `recv`s, thread
 //!   joins/sleeps, file I/O, and `KgBackend` retrieval calls.
@@ -47,8 +54,18 @@ pub struct Site {
     /// Index into the workspace file list.
     pub file: usize,
     pub line: u32,
-    /// Short human description of the site (`\`.unwrap()\``, `Condvar wait`).
+    /// Short human description of the site (`\`.unwrap(...)\``, `Condvar wait`).
     pub what: String,
+    /// A justified allow-comment vouches for this panic/alloc site.
+    pub excused: bool,
+}
+
+impl Site {
+    /// A site no allow-comment can vouch for (only panic and allocation
+    /// sites are excusable).
+    fn plain(file: usize, line: u32, what: String) -> Site {
+        Site { file, line, what, excused: false }
+    }
 }
 
 /// A fact plus the call chain from the summarized fn down to its origin.
@@ -101,6 +118,8 @@ pub struct BlockingSite {
 pub struct LocalSummary {
     pub panic_sites: Vec<Site>,
     pub alloc_sites: Vec<Site>,
+    /// `.lock().unwrap()`-shaped acquisitions that skip poison recovery.
+    pub poison_sites: Vec<Site>,
     pub blocking: Vec<BlockingSite>,
     pub backend_calls: Vec<Site>,
     pub locks: Vec<LockAcquire>,
@@ -171,9 +190,7 @@ fn excused(f: &SourceFile, line: u32, rule: &str) -> bool {
 }
 
 /// Compute the local summary of one fn. `owned` is its body minus nested
-/// fns; `calls` are its resolved call sites (used for guard-returning
-/// helpers); `fns`/`locals` give access to callee facts already computed
-/// in the first pass (guard returns only — everything else is two-phase).
+/// fns, so every token is summarised by exactly one fn.
 pub fn local_summary(
     f: &SourceFile,
     file_ix: usize,
@@ -181,10 +198,7 @@ pub fn local_summary(
     owned: &[(usize, usize)],
     depths: &[u32],
 ) -> LocalSummary {
-    let mut s = LocalSummary::default();
-    for &(start, end) in owned {
-        scan_range(f, file_ix, item, start, end, depths, &mut s);
-    }
+    let mut s = scan(f, file_ix, item.self_ty.as_deref(), owned, depths);
     if GUARD_TYPES.iter().any(|g| item.ret_ty.contains(g)) {
         s.returns_guard = s.locks.first().map(|l| l.name.clone());
     }
@@ -202,10 +216,27 @@ pub fn local_summary(
     s
 }
 
+/// The one token scanner: every site-shaped fact in the code-token `ranges`
+/// of `f` (a fn's owned ranges, or a file's gaps between fns). `self_ty`
+/// qualifies `self.`-rooted lock receivers.
+pub fn scan(
+    f: &SourceFile,
+    file_ix: usize,
+    self_ty: Option<&str>,
+    ranges: &[(usize, usize)],
+    depths: &[u32],
+) -> LocalSummary {
+    let mut s = LocalSummary::default();
+    for &(start, end) in ranges {
+        scan_range(f, file_ix, self_ty, start, end, depths, &mut s);
+    }
+    s
+}
+
 fn scan_range(
     f: &SourceFile,
     file_ix: usize,
-    item: &FnItem,
+    self_ty: Option<&str>,
     start: usize,
     end: usize,
     depths: &[u32],
@@ -213,36 +244,31 @@ fn scan_range(
 ) {
     let end = end.min(f.code.len());
     for i in start..end {
-        if f.code_kind(i) != Some(TokKind::Ident) {
+        if f.code_kind(i) != Some(TokKind::Ident) || f.code_in_test(i) {
             continue;
         }
         let t = f.code_text(i);
         let line = f.code_line(i);
+        let site = |what: String, rule: &str| Site {
+            file: file_ix,
+            line,
+            excused: excused(f, line, rule),
+            what,
+        };
         // Panic sites.
         if PANIC_MACROS.contains(&t) && f.code_text(i + 1) == "!" {
-            if !excused(f, line, "panic-in-lib") {
-                s.panic_sites.push(Site {
-                    file: file_ix,
-                    line,
-                    what: format!("`{t}!`"),
-                });
-            }
+            s.panic_sites.push(site(format!("`{t}!`"), "panic-in-lib"));
             continue;
         }
         let after_dot = i > 0 && f.code_text(i - 1) == ".";
         let called = f.code_text(i + 1) == "(";
         if after_dot && called && PANIC_METHODS.contains(&t) {
-            if !excused(f, line, "panic-in-lib") {
-                s.panic_sites.push(Site {
-                    file: file_ix,
-                    line,
-                    what: format!("`.{t}(..)`"),
-                });
-            }
+            s.panic_sites.push(site(format!("`.{t}(...)`"), "panic-in-lib"));
             continue;
         }
         // Allocation sites (the hot-path idioms).
         let alloc = match t {
+            // `Vec::new(` — `::` lexes as two `:` tokens.
             "Vec"
                 if f.code_text(i + 1) == ":"
                     && f.code_text(i + 2) == ":"
@@ -251,19 +277,13 @@ fn scan_range(
             {
                 Some("`Vec::new()`")
             }
-            "vec" if f.code_text(i + 1) == "!" => Some("`vec![..]`"),
+            "vec" if f.code_text(i + 1) == "!" => Some("`vec![...]`"),
             "to_vec" if after_dot && called => Some("`.to_vec()`"),
             "clone" if after_dot && called && f.code_text(i + 2) == ")" => Some("`.clone()`"),
             _ => None,
         };
         if let Some(what) = alloc {
-            if !excused(f, line, "hot-path-alloc") {
-                s.alloc_sites.push(Site {
-                    file: file_ix,
-                    line,
-                    what: what.to_string(),
-                });
-            }
+            s.alloc_sites.push(site(what.to_string(), "hot-path-alloc"));
             continue;
         }
         // Direct lock acquisitions: `.lock()` / `.read()` / `.write()`.
@@ -272,8 +292,18 @@ fn scan_range(
             && ACQUIRE_METHODS.contains(&t)
             && f.code_text(i + 2) == ")"
         {
+            // Bare `.lock().unwrap()`: the guard is taken without the
+            // `PoisonError::into_inner` recovery the audited locks use.
+            let bypass = f.code_text(i + 4);
+            if f.code_text(i + 3) == "."
+                && PANIC_METHODS.contains(&bypass)
+                && f.code_text(i + 5) == "("
+            {
+                let what = format!("`.{t}().{bypass}(...)`");
+                s.poison_sites.push(Site::plain(file_ix, f.code_line(i + 4), what));
+            }
             if let Some(recv) = crate::callgraph::receiver_path(f, i - 1) {
-                let name = qualify_lock(&recv, item.self_ty.as_deref());
+                let name = qualify_lock(&recv, self_ty);
                 let (binding, hold) = hold_region(f, i, depths);
                 s.locks.push(LockAcquire {
                     name,
@@ -317,11 +347,7 @@ fn scan_range(
                 continue;
             }
             if BACKEND_METHODS.contains(&t) {
-                s.backend_calls.push(Site {
-                    file: file_ix,
-                    line,
-                    what: format!("`KgBackend::{t}`"),
-                });
+                s.backend_calls.push(Site::plain(file_ix, line, format!("`KgBackend::{t}`")));
                 s.blocking.push(BlockingSite {
                     ix: i,
                     line,
@@ -483,17 +509,13 @@ pub fn propagate(fns_len: usize, calls: &[Vec<ResolvedCall>], locals: &[LocalSum
         .map(|i| {
             let l = &locals[i];
             Propagated {
-                may_panic: l.panic_sites.first().map(own_witness),
-                may_alloc: l.alloc_sites.first().map(own_witness),
+                may_panic: l.panic_sites.iter().find(|s| !s.excused).map(own_witness),
+                may_alloc: l.alloc_sites.iter().find(|s| !s.excused).map(own_witness),
                 may_block: l
                     .blocking
                     .first()
                     .map(|b| Witness {
-                        site: Site {
-                            file: usize::MAX,
-                            line: b.line,
-                            what: b.what.clone(),
-                        },
+                        site: Site::plain(usize::MAX, b.line, b.what.clone()),
                         via: Vec::new(),
                     }),
                 reaches_backend: l.backend_calls.first().map(own_witness),
@@ -505,11 +527,7 @@ pub fn propagate(fns_len: usize, calls: &[Vec<ResolvedCall>], locals: &[LocalSum
                         (
                             lk.name.clone(),
                             Witness {
-                                site: Site {
-                                    file: usize::MAX,
-                                    line: lk.line,
-                                    what: format!("acquires `{}`", lk.name),
-                                },
+                                site: Site::plain(usize::MAX, lk.line, format!("acquires `{}`", lk.name)),
                                 via: Vec::new(),
                             },
                         )
@@ -527,7 +545,7 @@ pub fn propagate(fns_len: usize, calls: &[Vec<ResolvedCall>], locals: &[LocalSum
         let mut changed = false;
         for caller in 0..fns_len {
             for rc in &calls[caller] {
-                let (site_line, name_of) = (rc.site.line, rc.site.name.clone());
+                let name_of = rc.site.name.clone();
                 for &callee in &rc.callees {
                     if callee == caller {
                         continue;
@@ -547,7 +565,7 @@ pub fn propagate(fns_len: usize, calls: &[Vec<ResolvedCall>], locals: &[LocalSum
                             break;
                         }
                         if !p.acquires.contains_key(lock) {
-                            p.acquires.insert(lock.clone(), extend(w, &name_of, site_line));
+                            p.acquires.insert(lock.clone(), extend(w, &name_of));
                             changed = true;
                         }
                     }
@@ -573,11 +591,11 @@ fn merge(slot: &mut Option<Witness>, from: &Option<Witness>, callee_name: &str) 
         return false;
     }
     let Some(w) = from else { return false };
-    *slot = Some(extend(w, callee_name, w.site.line));
+    *slot = Some(extend(w, callee_name));
     true
 }
 
-fn extend(w: &Witness, callee_name: &str, _line: u32) -> Witness {
+fn extend(w: &Witness, callee_name: &str) -> Witness {
     let mut via = Vec::with_capacity(w.via.len() + 1);
     via.push(callee_name.to_string());
     via.extend(w.via.iter().take(VIA_CAP.saturating_sub(1)).cloned());
@@ -651,7 +669,7 @@ fn pop(&self) {
     }
 
     #[test]
-    fn excused_sites_do_not_seed_summaries() {
+    fn excused_sites_are_recorded_but_do_not_seed_propagation() {
         let src = "\
 fn f(&self) {
     // kglink-lint: allow(panic-in-lib) — invariant argued at construction
@@ -660,9 +678,11 @@ fn f(&self) {
 }
 ";
         let (f, _, sums) = summarize(src);
-        assert_eq!(sums[0].panic_sites.len(), 1);
-        assert_eq!(sums[0].panic_sites[0].line, 4);
+        let sites: Vec<(u32, bool)> = sums[0].panic_sites.iter().map(|s| (s.line, s.excused)).collect();
+        assert_eq!(sites, vec![(3, true), (4, false)]);
         assert!(f.suppressions[0].used.get());
+        let props = propagate(1, &[Vec::new()], &sums);
+        assert_eq!(props[0].may_panic.as_ref().map(|w| w.site.line), Some(4));
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! The phase-1 product: every file's item model, the resolved call graph,
-//! and per-function summaries (local + fixpoint-propagated), assembled once
-//! per lint run and handed to every interprocedural rule.
+//! The model every rule runs over: every file's tokens and item model, the
+//! resolved call graph, and per-function summaries (local +
+//! fixpoint-propagated), assembled once per lint run.
 
 use crate::callgraph::{extract_calls, ResolvedCall, Resolver};
 use crate::items::{brace_depths, parse_items, FnItem};
 use crate::source::SourceFile;
-use crate::summary::{local_summary, propagate, wire_guard_returns, LocalSummary, Propagated};
+use crate::summary::{local_summary, propagate, scan, wire_guard_returns, LocalSummary, Propagated};
 use std::collections::BTreeMap;
 
 /// Workspace-wide analysis state. All `Vec`s indexed by *fn index* are
@@ -23,6 +23,10 @@ pub struct Workspace {
     pub calls: Vec<Vec<ResolvedCall>>,
     /// Per-fn local summaries.
     pub locals: Vec<LocalSummary>,
+    /// Per-*file* summaries of the tokens no fn owns (signatures,
+    /// `const`/`static` initialisers, macro bodies): sites only — a gap
+    /// makes no calls and is nobody's callee.
+    pub gaps: Vec<LocalSummary>,
     /// Per-fn propagated (transitive) summaries.
     pub props: Vec<Propagated>,
     /// Per-file brace-depth arrays (see [`brace_depths`]).
@@ -72,6 +76,19 @@ impl Workspace {
             .collect();
         wire_guard_returns(&files, &fns, &calls, &mut locals);
         let props = propagate(fns.len(), &calls, &locals);
+        let mut taken: Vec<Vec<(usize, usize)>> = vec![Vec::new(); files.len()];
+        for (i, (file_ix, _)) in fns.iter().enumerate() {
+            taken[*file_ix].extend(&owned[i]);
+        }
+        let gaps: Vec<LocalSummary> = files
+            .iter()
+            .enumerate()
+            .map(|(file_ix, f)| {
+                taken[file_ix].sort_unstable();
+                let free = complement(&taken[file_ix], 0, f.code.len());
+                scan(f, file_ix, None, &free, &depths[file_ix])
+            })
+            .collect();
         Workspace {
             files,
             fns,
@@ -79,6 +96,7 @@ impl Workspace {
             owned,
             calls,
             locals,
+            gaps,
             props,
             depths,
         }
@@ -94,17 +112,11 @@ impl Workspace {
         )
     }
 
-    /// The file owning fn `i`.
-    pub fn file_of(&self, i: usize) -> &SourceFile {
-        &self.files[self.fns[i].0]
-    }
-
-    /// Index of the fn in `file_ix` whose owned ranges contain code token
-    /// `ix`, if any.
-    pub fn fn_at(&self, file_ix: usize, ix: usize) -> Option<usize> {
-        (0..self.fns.len()).find(|&i| {
-            self.fns[i].0 == file_ix && self.owned[i].iter().any(|&(s, e)| s <= ix && ix < e)
-        })
+    /// Every local summary with its file index — fns, then gaps — so a rule
+    /// about sites covers each code token of a file exactly once.
+    pub fn summaries(&self) -> impl Iterator<Item = (usize, &LocalSummary)> {
+        let own = self.fns.iter().zip(&self.locals).map(|((file_ix, _), l)| (*file_ix, l));
+        own.chain(self.gaps.iter().enumerate())
     }
 }
 
@@ -118,23 +130,28 @@ fn owned_ranges(fns: &[(usize, FnItem)], i: usize) -> Vec<(usize, usize)> {
     // brace (or just the keyword pair for bodiless signatures).
     let mut holes: Vec<(usize, usize)> = fns
         .iter()
-        .filter(|(fi, it)| fi == file_ix && it.decl_ix > s && it.decl_ix < e)
+        .filter(|(fi, it)| fi == file_ix && it.decl_ix >= s && it.decl_ix < e)
         .map(|(_, it)| {
             let end = it.body.map(|(_, close)| close + 1).unwrap_or(it.decl_ix + 2);
             (it.decl_ix, end.min(e))
         })
         .collect();
     holes.sort_unstable();
+    complement(&holes, s, e)
+}
+
+/// The parts of `[start, end)` not covered by the sorted ranges `taken`.
+fn complement(taken: &[(usize, usize)], start: usize, end: usize) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
-    let mut pos = s;
-    for (hs, he) in holes {
-        if hs > pos {
-            out.push((pos, hs));
+    let mut pos = start;
+    for &(ts, te) in taken {
+        if ts > pos {
+            out.push((pos, ts));
         }
-        pos = pos.max(he);
+        pos = pos.max(te);
     }
-    if pos < e {
-        out.push((pos, e));
+    if pos < end {
+        out.push((pos, end));
     }
     out
 }
@@ -147,9 +164,12 @@ mod tests {
     fn nested_fn_tokens_belong_to_the_nested_fn_only() {
         let ws = Workspace::from_sources(vec![(
             "crates/x/src/a.rs",
-            "fn outer() {\n    before();\n    fn inner() { x.unwrap(); }\n    after();\n}\n",
+            "fn outer() {\n    before();\n    fn inner() { x.unwrap(); }\n    after();\n}\n\
+             fn first() {\n    fn leading() { y.unwrap(); }\n}\n",
         )]);
-        assert_eq!(ws.fns.len(), 2);
+        assert_eq!(ws.fns.len(), 4);
+        // A nested fn that opens the body is still a hole in its parent.
+        assert!(ws.locals[2].panic_sites.is_empty() && ws.owned[2].is_empty());
         // outer sees its own calls but not inner's unwrap.
         assert!(ws.locals[0].panic_sites.is_empty());
         assert_eq!(ws.locals[1].panic_sites.len(), 1);

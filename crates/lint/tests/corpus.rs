@@ -5,7 +5,7 @@
 //! test and the CI meta-gate both fail.
 
 use kglink_lint::fixtures::{corpus_files, parse_fixture, run_corpus};
-use kglink_lint::rules::{all_rules, graph_rules, META_RULES};
+use kglink_lint::rules::{all_rules, META_RULES};
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
@@ -40,7 +40,6 @@ fn every_rule_has_corpus_coverage() {
     let mut missing: Vec<&str> = all_rules()
         .iter()
         .map(|r| r.id())
-        .chain(graph_rules().iter().map(|r| r.id()))
         .chain(META_RULES.iter().map(|(id, _)| *id))
         .filter(|id| !covered.contains(*id))
         .collect();

@@ -1,7 +1,7 @@
 //! Property tests for the item parser's two total-function guarantees: it
 //! never panics on arbitrary input, and [`tile`]'s item/gap segments
 //! partition the file byte-exactly. Mirrors `lexer_prop.rs` one layer up:
-//! the phase-1 model must be as unkillable as the lexer it sits on, because
+//! the workspace model must be as unkillable as the lexer it sits on, because
 //! the workspace walk feeds it every file verbatim — including malformed,
 //! half-edited, or non-UTF-8 ones.
 
@@ -64,7 +64,7 @@ proptest! {
         a in "[a-z{}();.:&= \n]{0,200}",
         b in "[a-z{}();.:&= \n]{0,200}",
     ) {
-        // The whole phase-1 pipeline — items, call graph, summaries,
+        // The whole model pipeline — items, call graph, summaries,
         // fixpoint — must absorb garbage without panicking.
         let ws = Workspace::from_sources(vec![
             ("crates/serve/src/a.rs", a.as_str()),

@@ -25,6 +25,7 @@
 //! * Everything is deterministic under a seed.
 
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 pub mod checkpoint;
 pub mod encoder;

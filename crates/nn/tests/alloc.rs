@@ -10,6 +10,12 @@
 //!
 //! The test lives alone in its own integration-test binary on purpose —
 //! any concurrently running test would allocate and poison the counter.
+//!
+//! It also holds the workspace's only `unsafe` (every lib root carries
+//! `#![forbid(unsafe_code)]`), so the `// SAFETY:` discipline is a compile
+//! error here under `clippy -D warnings` rather than a lint rule.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use kglink_nn::{Encoder, EncoderConfig, EncoderScratch};
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -43,6 +43,7 @@
 //! `degrade.column`.
 
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 pub mod hist;
 pub mod jsonl;

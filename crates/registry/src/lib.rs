@@ -19,6 +19,7 @@
 //!   reject non-finite weights before the model is handed out.
 
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 mod codec;
 mod error;

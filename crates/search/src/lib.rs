@@ -22,6 +22,7 @@
 //! training-time preprocessing stack over any of the above.
 
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 pub mod backend;
 pub mod bm25;

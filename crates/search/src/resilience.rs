@@ -569,28 +569,6 @@ impl MetricsSnapshot {
     pub fn latency_p99_us(&self) -> u64 {
         self.latency.p99()
     }
-
-    /// Combine two snapshots (e.g. one per worker shard of a service) into
-    /// an aggregate: counters add, and the latency histograms merge
-    /// bucket-by-bucket, so aggregate percentiles are computed over the
-    /// union of samples instead of being approximated from two summaries.
-    ///
-    /// `merge` is commutative and associative, and
-    /// `MetricsSnapshot::default()` is its identity, so shard order never
-    /// changes the aggregate.
-    pub fn merge(&self, other: &Self) -> Self {
-        MetricsSnapshot {
-            queries: self.queries + other.queries,
-            successes: self.successes + other.successes,
-            failures: self.failures + other.failures,
-            breaker_rejections: self.breaker_rejections + other.breaker_rejections,
-            retries: self.retries + other.retries,
-            retry_budget_denied: self.retry_budget_denied + other.retry_budget_denied,
-            breaker_trips: self.breaker_trips + other.breaker_trips,
-            truncated: self.truncated + other.truncated,
-            latency: self.latency.merge(&other.latency),
-        }
-    }
 }
 
 /// Stable lower-case names for [`BreakerState`], used in trace events.
@@ -1014,54 +992,6 @@ mod tests {
             metrics.breaker_rejections > 0,
             "open breaker must reject instead of hammering the backend"
         );
-    }
-
-    #[test]
-    fn metrics_merge_is_commutative_with_default_identity() {
-        let hist_of = |values: &[u64]| {
-            let mut h = Histogram::new();
-            for &v in values {
-                h.record(v);
-            }
-            h
-        };
-        let a = MetricsSnapshot {
-            queries: 10,
-            successes: 8,
-            failures: 2,
-            breaker_rejections: 1,
-            retries: 3,
-            retry_budget_denied: 2,
-            breaker_trips: 1,
-            truncated: 2,
-            latency: hist_of(&[400, 410, 450, 500, 520, 600, 4_000, 9_000]),
-        };
-        let b = MetricsSnapshot {
-            queries: 5,
-            successes: 5,
-            failures: 0,
-            breaker_rejections: 0,
-            retries: 1,
-            retry_budget_denied: 1,
-            breaker_trips: 0,
-            truncated: 0,
-            latency: hist_of(&[700, 710, 800, 900, 1_200]),
-        };
-        assert_eq!(a.merge(&b), b.merge(&a), "merge must be commutative");
-        let merged = a.merge(&b);
-        assert_eq!(merged.queries, 15);
-        assert_eq!(merged.successes, 13);
-        assert_eq!(merged.retries, 4);
-        assert_eq!(merged.retry_budget_denied, 3);
-        // The merged histogram holds the union of samples, so aggregate
-        // percentiles come from real data, not a pessimistic max.
-        assert_eq!(merged.latency.count(), 13);
-        assert_eq!(merged.latency.max(), 9_000);
-        let union = hist_of(&[
-            400, 410, 450, 500, 520, 600, 4_000, 9_000, 700, 710, 800, 900, 1_200,
-        ]);
-        assert_eq!(merged.latency, union, "merge == recording the union");
-        assert_eq!(a.merge(&MetricsSnapshot::default()), a, "default is identity");
     }
 
     #[test]

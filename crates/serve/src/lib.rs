@@ -38,6 +38,7 @@
 //! cache only ever replays identical retrieval outcomes.
 
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 pub mod admission;
 pub mod brownout;

@@ -32,6 +32,7 @@
 //! for tools that want them.
 
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 pub mod atomic;
 pub mod backend;

@@ -15,6 +15,7 @@
 //!   evaluation metrics of every table in the paper.
 
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 pub mod cell;
 pub mod csv;

@@ -19,6 +19,20 @@ cargo test -q --workspace
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== kglink-lint self-test (fixture corpus meta-gate) =="
+# The linter must still *find* things before its clean workspace run means
+# anything: every rule's fixtures must fire exactly as declared. A rule
+# that silently went blind fails here, not in production. Both lint stages
+# take about a second, so they run before the minutes of smokes below.
+cargo run --release -q -p kglink-lint -- --self-test
+
+echo "== kglink-lint --workspace --deny-all =="
+# Workspace invariant gate: every rule `kglink-lint --list-rules` prints
+# (catalog and evidence in DESIGN.md §11), over the workspace call graph,
+# with every suppression audited. Findings are exported to
+# results/lint.jsonl.
+cargo run --release -q -p kglink-lint -- --workspace --deny-all --json
+
 echo "== exp_serve smoke (serving-layer identity + cache gate) =="
 KGLINK_FAST=1 cargo run --release -q -p kglink-bench --bin exp_serve -- --smoke
 
@@ -44,24 +58,8 @@ echo "== benchmark crate: tests + smoke run against the frozen serving surface =
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --smoke
 
-echo "== kglink-lint self-test (fixture corpus meta-gate) =="
-# The linter must still *find* things before its clean workspace run means
-# anything: every rule's fixtures must fire exactly as declared. A rule
-# that silently went blind fails here, not in production.
-cargo run --release -q -p kglink-lint -- --self-test
-
-echo "== kglink-lint --workspace --deny-all =="
-# Workspace invariant gate: panic-freedom, determinism, atomic checkpoint
-# writes, single-source percentile math, lock order, unsafe hygiene, plus
-# the interprocedural rules (blocking-under-lock, deadline-drop,
-# epoch-hold) over the workspace call graph. This replaces the old
-# atomic-checkpoint-write and single-percentile grep gates (same
-# invariants, now rename-robust and suppression-audited — see DESIGN.md
-# §11). Findings are exported to results/lint.jsonl.
-cargo run --release -q -p kglink-lint -- --workspace --deny-all --json
-
 # Opt-in ThreadSanitizer stage: dynamic cross-check of the same lock/wait
-# discipline the interprocedural lint rules reason about statically. TSan
+# discipline the lint rules reason about statically. TSan
 # needs nightly (-Zsanitizer + -Zbuild-std), so the stage is gated on
 # KGLINK_TSAN=1 and skipped with a visible notice when nightly (or its
 # rust-src component) is unavailable — it must never silently pass.

@@ -1,5 +1,6 @@
 //! Facade crate: re-exports the whole KGLink workspace under one name.
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 pub use kglink_baselines as baselines;
 pub use kglink_core as core;
