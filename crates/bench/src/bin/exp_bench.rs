@@ -2,7 +2,7 @@
 //!
 //! Not a paper table — this is the perf gate for `kglink-kernels`, the
 //! batched inference core every forward pass routes through. It measures
-//! four things and writes them to `BENCH_kernels.json` (repo root on full
+//! five things and writes them to `BENCH_kernels.json` (repo root on full
 //! runs, `target/smoke/` on `--smoke`) so later PRs have a compute
 //! trajectory to move:
 //!
@@ -23,6 +23,15 @@
 //! 4. **Per-kernel GFLOP/s.** Micro-benchmarks of `gemm`, `softmax_rows`,
 //!    `layer_norm_rows`, and `bias_gelu_rows` at encoder-shaped operands,
 //!    using nominal flop counts (noted in the JSON field names' comments).
+//!    The in-place kernels run on buffers refilled from a pristine copy
+//!    outside the timed region, so every call sees the data the model
+//!    feeds it rather than the fixed point of its own output.
+//! 5. **Forward split.** One hot benchmark table's two packed forwards
+//!    ([`HOT_TABLE`]) through the trained encoder (`forward_us`), and the
+//!    same kernel calls at the same shapes timed family by family
+//!    (`forward_split_us`: dense / QKᵀ / S·V / softmax / layer-norm /
+//!    bias+GELU; `other` is what the families do not cover — embedding
+//!    gather, bias and residual adds, row gather/scatter).
 //!
 //! Per-column and `nn.forward` latencies are not reported here: this loop is
 //! an in-memory world; `nn.forward_us` in `BENCHMARK.json` measures them on
@@ -35,12 +44,13 @@ use kglink_bench::{print_markdown, ExpEnv, Which};
 use kglink_core::preprocess::Preprocessor;
 use kglink_core::train::{self, prepare_tables, FitOptions, PreparedTable};
 use kglink_core::{KgLink, KgLinkConfig, KgLinkModel};
+use kglink_nn::encoder::{Encoder, EncoderScratch};
 use kglink_nn::kernels::{
-    self, bias_gelu_rows, gemm, layer_norm_rows, set_reference_mode, softmax_rows, Mat, MatMut,
-    Scratch, Trans,
+    bias_gelu_rows, gemm, layer_norm_rows, scaled_softmax_rows, set_reference_mode, softmax_rows,
+    Mat, MatMut, Scratch, Trans,
 };
 use kglink_table::{LabelId, Split};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Minimum fast-over-scalar throughput ratio. The full run must clear the
 /// tentpole target; smoke runs keep a safety margin against tiny-workload
@@ -99,6 +109,215 @@ fn time_at_least(min_ms: u64, mut f: impl FnMut()) -> (f64, u64) {
         if t0.elapsed().as_millis() as u64 >= min_ms {
             return (t0.elapsed().as_secs_f64(), iters);
         }
+    }
+}
+
+/// Seconds per call of an in-place kernel over `pristine`, timed on a ring
+/// of buffers (small enough to stay in L2, as the model's activations do)
+/// refilled from it outside the timed region.
+fn time_fresh(min_ms: u64, pristine: &[f32], mut f: impl FnMut(&mut [f32])) -> f64 {
+    let mut ring = vec![pristine.to_vec(); 8];
+    let (t0, mut busy, mut calls) = (Instant::now(), Duration::ZERO, 0u64);
+    while (t0.elapsed().as_millis() as u64) < min_ms {
+        for buf in &mut ring {
+            buf.copy_from_slice(pristine);
+        }
+        let t = Instant::now();
+        for buf in &mut ring {
+            f(buf);
+        }
+        busy += t.elapsed();
+        calls += ring.len() as u64;
+    }
+    busy.as_secs_f64() / calls as f64
+}
+
+/// Deterministic activations in [-2, 2): what layer-normed hidden states
+/// and pre-activation FFN rows look like.
+fn fill(len: usize, salt: usize) -> Vec<f32> {
+    (0..len)
+        .map(|i| ((i * 37 + salt * 101 + 11) % 4001) as f32 / 1000.0 - 2.0)
+        .collect()
+}
+
+/// The two packed forwards of one `hot_mixed` benchmark table (10 columns,
+/// split at `max_columns = 8`): segment lengths (serialised chunk first,
+/// then one feature sequence per linked column) and how many CLS rows of
+/// the chunk the classifier reads; it reads row 0 of every feature segment.
+const HOT_TABLE: [(&[usize], usize); 2] = [(&[152, 18, 18, 18, 18], 8), (&[38], 2)];
+
+/// Token ids and `needed` rows of one [`HOT_TABLE`] forward.
+fn hot_forward(enc: &Encoder, lens: &[usize], cls_rows: usize) -> (Vec<Vec<u32>>, Vec<(usize, usize)>) {
+    let vocab = enc.config.vocab_size;
+    let seqs = lens
+        .iter()
+        .enumerate()
+        .map(|(s, &l)| (0..l).map(|i| ((i * 31 + s * 7 + 5) % vocab) as u32).collect())
+        .collect();
+    let mut needed: Vec<(usize, usize)> = (0..cls_rows).map(|c| (0, c * (lens[0] / cls_rows))).collect();
+    needed.extend((1..lens.len()).map(|s| (s, 0)));
+    (seqs, needed)
+}
+
+/// Microseconds of one [`HOT_TABLE`] forward pair: the real forwards, then
+/// per kernel family.
+#[derive(Debug)]
+struct ForwardSplit {
+    forward: f64,
+    dense: f64,
+    qk: f64,
+    sv: f64,
+    softmax: f64,
+    layer_norm: f64,
+    bias_gelu: f64,
+}
+
+impl ForwardSplit {
+    /// What the families do not cover.
+    fn other(&self) -> f64 {
+        self.forward
+            - (self.dense + self.qk + self.sv + self.softmax + self.layer_norm + self.bias_gelu)
+    }
+}
+
+fn timed(f: impl FnOnce()) -> Duration {
+    let t = Instant::now();
+    f();
+    t.elapsed()
+}
+
+/// Time the [`HOT_TABLE`] forwards through `enc`, and, family by family,
+/// the kernel calls `Encoder::infer_batch_rows` makes for them: every block
+/// but the last runs all `total` rows; the last projects K/V for all rows
+/// and everything else for the needed rows only, attention per segment per
+/// head over strided head views. One round runs the real forwards once and
+/// each family once, so a drift in machine speed hits all seven alike; the
+/// in-place families get buffers refilled outside their timed pass.
+fn forward_split(enc: &Encoder, min_ms: u64) -> ForwardSplit {
+    let cfg = enc.config;
+    let (d, d_ff, heads) = (cfg.d_model, cfg.d_ff, cfg.n_heads);
+    let dh = d / heads;
+    let scale = 1.0 / (dh as f32).sqrt();
+    let forwards: Vec<_> = HOT_TABLE.iter().map(|&(lens, cls)| hot_forward(enc, lens, cls)).collect();
+    // (rows, k, n) dense GEMMs; (query rows, segment length) attention
+    // products, one per head; row counts of the row-wise kernels.
+    let mut dense: Vec<(usize, usize, usize)> = Vec::new();
+    let mut attn: Vec<(usize, usize)> = Vec::new();
+    let mut ln_rows: Vec<usize> = Vec::new();
+    let mut gelu_rows: Vec<usize> = Vec::new();
+    for (lens, cls_rows) in HOT_TABLE {
+        let total: usize = lens.iter().sum();
+        let mut block = |rows: usize, queries: &[usize]| {
+            dense.extend([(total, d, d), (total, d, d), (rows, d, d), (rows, d, d)]);
+            dense.extend([(rows, d, d_ff), (rows, d_ff, d)]);
+            attn.extend(queries.iter().zip(lens).map(|(&q, &l)| (q, l)));
+            ln_rows.extend([rows, rows]);
+            gelu_rows.push(rows);
+        };
+        for _ in 1..cfg.n_layers {
+            block(total, lens);
+        }
+        let queries: Vec<usize> = (0..lens.len()).map(|s| if s == 0 { cls_rows } else { 1 }).collect();
+        block(queries.iter().sum(), &queries);
+        ln_rows.push(total); // embedding layer norm
+    }
+
+    let max_rows = HOT_TABLE.iter().map(|(lens, _)| lens.iter().sum()).max().unwrap_or(0);
+    let a = fill(max_rows * d_ff.max(d), 1);
+    let w = fill(d_ff * d_ff.max(d), 2);
+    let v = fill(max_rows * d, 3);
+    let scores = fill(max_rows * max_rows, 4);
+    let gamma = fill(d, 5);
+    let bias = fill(d_ff, 6);
+    let mut out = vec![0.0f32; max_rows * max_rows.max(d_ff)];
+    // One buffer per in-place call, refilled from `scores` / `a` each round.
+    let mut sm_bufs: Vec<Vec<f32>> = attn
+        .iter()
+        .flat_map(|&(q, l)| vec![vec![0.0; q * l]; heads])
+        .collect();
+    let mut ln_bufs: Vec<Vec<f32>> = ln_rows.iter().map(|&r| vec![0.0; r * d]).collect();
+    let mut gelu_bufs: Vec<Vec<f32>> = gelu_rows.iter().map(|&r| vec![0.0; r * d_ff]).collect();
+    let refill = |bufs: &mut [Vec<f32>], from: &[f32]| {
+        for buf in bufs {
+            let n = buf.len();
+            buf.copy_from_slice(&from[..n]);
+        }
+    };
+    let mut scratch = Scratch::new();
+    let mut es = EncoderScratch::new();
+    let (t0, mut rounds, mut busy) = (Instant::now(), 0u32, [Duration::ZERO; 7]);
+    while (t0.elapsed().as_millis() as u64) < min_ms {
+        busy[0] += timed(|| {
+            for (seqs, needed) in &forwards {
+                let refs: Vec<&[u32]> = seqs.iter().map(Vec::as_slice).collect();
+                std::hint::black_box(enc.infer_batch_rows(&refs, needed, &mut es).packed());
+            }
+        });
+        busy[1] += timed(|| {
+            for &(m, k, n) in &dense {
+                gemm(Mat::new(&a, m, k), Mat::new(&w, k, n), Trans::No, Trans::No, &mut MatMut::new(&mut out, m, n), &mut scratch);
+            }
+        });
+        busy[2] += timed(|| {
+            for &(q, l) in &attn {
+                for h in 0..heads {
+                    gemm(
+                        Mat::with_stride(&a[h * dh..], q, dh, d),
+                        Mat::with_stride(&v[h * dh..], l, dh, d),
+                        Trans::No,
+                        Trans::Yes,
+                        &mut MatMut::new(&mut out, q, l),
+                        &mut scratch,
+                    );
+                }
+            }
+        });
+        busy[3] += timed(|| {
+            for &(q, l) in &attn {
+                for h in 0..heads {
+                    gemm(
+                        Mat::new(&scores, q, l),
+                        Mat::with_stride(&v[h * dh..], l, dh, d),
+                        Trans::No,
+                        Trans::No,
+                        &mut MatMut::with_stride(&mut out[h * dh..], q, dh, d),
+                        &mut scratch,
+                    );
+                }
+            }
+        });
+        refill(&mut sm_bufs, &scores);
+        busy[4] += timed(|| {
+            for (buf, &(_, l)) in sm_bufs.chunks_mut(heads).zip(&attn) {
+                for x in buf {
+                    scaled_softmax_rows(x, l, scale);
+                }
+            }
+        });
+        refill(&mut ln_bufs, &a);
+        busy[5] += timed(|| {
+            for x in &mut ln_bufs {
+                layer_norm_rows(x, &gamma, &bias[..d]);
+            }
+        });
+        refill(&mut gelu_bufs, &a);
+        busy[6] += timed(|| {
+            for x in &mut gelu_bufs {
+                bias_gelu_rows(x, &bias);
+            }
+        });
+        rounds += 1;
+    }
+    let [forward, dense, qk, sv, softmax, layer_norm, bias_gelu] =
+        busy.map(|b| b.as_secs_f64() * 1e6 / f64::from(rounds));
+    ForwardSplit {
+        forward,
+        dense,
+        qk,
+        sv,
+        softmax,
+        layer_norm,
+        bias_gelu,
     }
 }
 
@@ -228,28 +447,25 @@ fn main() {
     // 2·m·n·k flops per GEMM.
     let gemm_gflops = (2 * m * n * k) as f64 * gemm_iters as f64 / gemm_s / 1e9;
 
-    let mut act: Vec<f32> = (0..m * n).map(|i| (i % 23) as f32 * 0.1 - 1.1).collect();
+    let act = fill(m * n, 0);
     let gamma = vec![1.0f32; n];
     let beta = vec![0.0f32; n];
     // Nominal flops/element: softmax 5 (max, sub, exp, sum, div),
     // layer-norm 7 (two reduction passes + normalize + affine),
     // bias-GELU 11 (add + tanh-GELU polynomial).
-    let (sm_s, sm_iters) = time_at_least(micro_ms, || softmax_rows(&mut act, n));
-    let softmax_gflops = (5 * m * n) as f64 * sm_iters as f64 / sm_s / 1e9;
-    let (ln_s, ln_iters) = time_at_least(micro_ms, || layer_norm_rows(&mut act, &gamma, &beta));
-    let layer_norm_gflops = (7 * m * n) as f64 * ln_iters as f64 / ln_s / 1e9;
-    let (bg_s, bg_iters) = time_at_least(micro_ms, || bias_gelu_rows(&mut act, &beta));
-    let bias_gelu_gflops = (11 * m * n) as f64 * bg_iters as f64 / bg_s / 1e9;
-    // The activation buffer saturates under repeated in-place kernels;
-    // that's fine — these are throughput measurements, not accuracy ones.
-    kernels::with_thread_scratch(|s| {
-        let v = s.take(1);
-        s.give(v);
-    });
+    let gflops = |flops_per_elem: usize, s_per_call: f64| (flops_per_elem * m * n) as f64 / s_per_call / 1e9;
+    let softmax_gflops = gflops(5, time_fresh(micro_ms, &act, |x| softmax_rows(x, n)));
+    let layer_norm_gflops = gflops(7, time_fresh(micro_ms, &act, |x| layer_norm_rows(x, &gamma, &beta)));
+    let bias_gelu_gflops = gflops(11, time_fresh(micro_ms, &act, |x| bias_gelu_rows(x, &beta)));
     eprintln!(
         "[bench] kernels: gemm {gemm_gflops:.2} GFLOP/s, softmax {softmax_gflops:.2}, \
          layer_norm {layer_norm_gflops:.2}, bias_gelu {bias_gelu_gflops:.2}"
     );
+
+    // --- 5. Forward split of one hot benchmark table ------------------------
+    let split = forward_split(&model.model.encoder, 2 * micro_ms);
+    let (forward_us, other_us) = (split.forward, split.other());
+    eprintln!("[bench] hot-table forward: {split:.0?}, other {other_us:.0} µs");
 
     // --- Report + JSON -------------------------------------------------------
     let floor = if smoke { SPEEDUP_FLOOR_SMOKE } else { SPEEDUP_FLOOR_FULL };
@@ -265,6 +481,7 @@ fn main() {
             vec!["softmax GFLOP/s".into(), "—".into(), format!("{softmax_gflops:.2}")],
             vec!["layer_norm GFLOP/s".into(), "—".into(), format!("{layer_norm_gflops:.2}")],
             vec!["bias_gelu GFLOP/s".into(), "—".into(), format!("{bias_gelu_gflops:.2}")],
+            vec!["hot-table forward µs".into(), "—".into(), format!("{forward_us:.0}")],
         ],
     );
 
@@ -279,7 +496,17 @@ fn main() {
          \"train_steps_per_s\": {train_steps_per_s:.3},\n  \
          \"gemm_gflops\": {gemm_gflops:.3},\n  \"softmax_gflops\": {softmax_gflops:.3},\n  \
          \"layer_norm_gflops\": {layer_norm_gflops:.3},\n  \
-         \"bias_gelu_gflops\": {bias_gelu_gflops:.3}\n}}\n",
+         \"bias_gelu_gflops\": {bias_gelu_gflops:.3},\n  \
+         \"forward_us\": {forward_us:.1},\n  \
+         \"forward_split_us\": {{\"dense\": {:.1}, \"qk\": {:.1}, \"sv\": {:.1}, \
+         \"softmax\": {:.1}, \"layer_norm\": {:.1}, \"bias_gelu\": {:.1}, \
+         \"other\": {other_us:.1}}}\n}}\n",
+        split.dense,
+        split.qk,
+        split.sv,
+        split.softmax,
+        split.layer_norm,
+        split.bias_gelu,
         mode = if smoke { "smoke" } else { "full" },
         tables = prep.len(),
         cols = n_cols,

@@ -76,13 +76,16 @@ pub fn prune_and_filter(
 ) -> FilteredTable {
     let n_rows = table.n_rows();
     let n_cols = table.n_cols();
-    let mut one_hop_cache: HashMap<EntityId, Vec<EntityId>> = HashMap::new();
-    let mut hop = |e: EntityId| -> Vec<EntityId> {
-        one_hop_cache
-            .entry(e)
-            .or_insert_with(|| graph.one_hop(e))
-            .clone()
-    };
+    // One graph read per distinct candidate of the chunk, asked in first-use
+    // order (row, column, rank); the rows below only borrow the answers.
+    let mut one_hop: HashMap<EntityId, Vec<EntityId>> = HashMap::new();
+    for r in 0..n_rows {
+        for c in 0..n_cols {
+            for &(e, _) in &linked.cell(r, c).candidates {
+                one_hop.entry(e).or_insert_with(|| graph.one_hop(e));
+            }
+        }
+    }
 
     // Prune every cell row by row.
     let mut pruned: Vec<Vec<PrunedCell>> = vec![vec![PrunedCell::default(); n_rows]; n_cols];
@@ -92,8 +95,8 @@ pub fn prune_and_filter(
         let neighbor_counts: Vec<HashMap<EntityId, u32>> = (0..n_cols)
             .map(|c| {
                 let mut counts: HashMap<EntityId, u32> = HashMap::new();
-                for &(e, _) in &linked.cell(r, c).candidates {
-                    for n in hop(e) {
+                for (e, _) in &linked.cell(r, c).candidates {
+                    for &n in &one_hop[e] {
                         *counts.entry(n).or_insert(0) += 1;
                     }
                 }

@@ -7,30 +7,23 @@
 //! legacy code (e.g. `t = v * scale` then `exp(t - max)`), so results are
 //! bit-identical to computing the steps separately.
 
+use crate::math::{exp, tanh};
+
 /// Layer-norm variance epsilon (matches the original `kglink-nn` value).
 pub const LAYER_NORM_EPS: f32 = 1e-5;
 
 /// Numerically stable in-place row-wise softmax.
 pub fn softmax_rows(x: &mut [f32], cols: usize) {
-    assert!(cols > 0 && x.len().is_multiple_of(cols), "softmax_rows shape");
-    for row in x.chunks_exact_mut(cols) {
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        let inv = 1.0 / sum.max(f32::MIN_POSITIVE);
-        for v in row.iter_mut() {
-            *v *= inv;
-        }
-    }
+    // `v * 1.0` is `v` bit for bit, so this is the unscaled softmax.
+    scaled_softmax_rows(x, cols, 1.0);
 }
 
 /// In-place row-wise `softmax(x * scale)` — the attention `1/√d_h` scale
 /// folded into the softmax pass. `v * scale` is recomputed with the same
 /// multiply in both the max scan and the exp pass, so the result is
-/// bit-identical to scaling first and then calling [`softmax_rows`].
+/// bit-identical to scaling first and then calling [`softmax_rows`]. The
+/// `exp` pass is element-wise and vectorises; the row sum after it stays
+/// one sequential chain, ascending from 0.0.
 pub fn scaled_softmax_rows(x: &mut [f32], cols: usize, scale: f32) {
     assert!(cols > 0 && x.len().is_multiple_of(cols), "scaled_softmax_rows shape");
     for row in x.chunks_exact_mut(cols) {
@@ -38,10 +31,12 @@ pub fn scaled_softmax_rows(x: &mut [f32], cols: usize, scale: f32) {
             .iter()
             .map(|&v| v * scale)
             .fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
         for v in row.iter_mut() {
-            *v = (*v * scale - max).exp();
-            sum += *v;
+            *v = exp(*v * scale - max);
+        }
+        let mut sum = 0.0f32;
+        for &v in row.iter() {
+            sum += v;
         }
         let inv = 1.0 / sum.max(f32::MIN_POSITIVE);
         for v in row.iter_mut() {
@@ -52,12 +47,9 @@ pub fn scaled_softmax_rows(x: &mut [f32], cols: usize, scale: f32) {
 
 /// Softmax of a single slice, out of place.
 pub fn softmax(x: &[f32]) -> Vec<f32> {
-    let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut out: Vec<f32> = x.iter().map(|&v| (v - max).exp()).collect();
-    let sum: f32 = out.iter().sum();
-    let inv = 1.0 / sum.max(f32::MIN_POSITIVE);
-    for v in &mut out {
-        *v *= inv;
+    let mut out = x.to_vec();
+    if !out.is_empty() {
+        softmax_rows(&mut out, x.len());
     }
     out
 }
@@ -65,7 +57,11 @@ pub fn softmax(x: &[f32]) -> Vec<f32> {
 /// Log-softmax of a single slice.
 pub fn log_softmax(x: &[f32]) -> Vec<f32> {
     let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let log_sum: f32 = x.iter().map(|&v| (v - max).exp()).sum::<f32>().ln() + max;
+    let mut sum = 0.0f32;
+    for &v in x {
+        sum += exp(v - max);
+    }
+    let log_sum = sum.ln() + max;
     x.iter().map(|&v| v - log_sum).collect()
 }
 
@@ -160,7 +156,7 @@ pub fn bias_gelu_rows(x: &mut [f32], bias: &[f32]) {
 #[inline]
 pub fn gelu(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
+    0.5 * x * (1.0 + tanh(C * (x + 0.044_715 * x * x * x)))
 }
 
 /// Derivative of [`gelu`].
@@ -169,7 +165,7 @@ pub fn gelu_grad(x: f32) -> f32 {
     const C: f32 = 0.797_884_6;
     let x3 = x * x * x;
     let inner = C * (x + 0.044_715 * x3);
-    let t = inner.tanh();
+    let t = tanh(inner);
     let sech2 = 1.0 - t * t;
     0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044_715 * x * x)
 }

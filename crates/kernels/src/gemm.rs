@@ -276,6 +276,9 @@ impl Panel<'_> {
 const MR: usize = 4;
 /// Columns per register block (one 8 × f32 vector).
 const NR: usize = 8;
+/// The one ragged width worth its own kernel: `d_head = 12` leaves a
+/// 4-column tail on every S·V product.
+const HALF_NR: usize = 4;
 
 fn block_loop(
     ap: Panel<'_>,
@@ -292,10 +295,12 @@ fn block_loop(
         let mut j0 = 0;
         while j0 < n {
             let nr = NR.min(n - j0);
-            if mr == MR && nr == NR {
-                kernel_full(ap, bp, i0, j0, k, out, acc_mode);
-            } else {
-                kernel_edge(ap, bp, i0, j0, mr, nr, k, out, acc_mode);
+            match (mr, nr) {
+                #[cfg(feature = "simd")]
+                (MR, NR) => kernel_full(ap, bp, i0, j0, k, out, acc_mode),
+                (_, NR) => kernel_tile::<NR>(ap, bp, i0, j0, mr, k, out, acc_mode),
+                (_, HALF_NR) => kernel_tile::<HALF_NR>(ap, bp, i0, j0, mr, k, out, acc_mode),
+                _ => kernel_edge(ap, bp, i0, j0, mr, nr, k, out, acc_mode),
             }
             j0 += NR;
         }
@@ -303,9 +308,10 @@ fn block_loop(
     }
 }
 
-/// The 4×8 micro-kernel: 4 broadcast lanes × one 8-wide f32 vector,
-/// manually unrolled so stable rustc auto-vectorizes the `NR`-wide inner
-/// loops (`std::simd` variant below under the `simd` feature).
+/// The 4×8 micro-kernel on `std::simd` (nightly, `simd` feature); the
+/// stable build runs full tiles through [`kernel_tile`] like every other
+/// fixed-width tile, and both are bit-identical.
+#[cfg(feature = "simd")]
 #[inline]
 fn kernel_full(
     ap: Panel<'_>,
@@ -316,50 +322,26 @@ fn kernel_full(
     out: &mut MatMut<'_>,
     acc_mode: bool,
 ) {
+    use std::simd::f32x8;
     let a0 = ap.row(i0, k);
     let a1 = ap.row(i0 + 1, k);
     let a2 = ap.row(i0 + 2, k);
     let a3 = ap.row(i0 + 3, k);
-
-    #[cfg(not(feature = "simd"))]
-    let acc = {
-        let mut acc = [[0.0f32; NR]; MR];
-        for kk in 0..k {
-            let brow = bp.row(kk, j0 + NR);
-            // kglink-lint: allow(panic-in-lib) — structural: the slice is
-            // exactly NR long by construction, so try_into cannot fail.
-            let b: &[f32; NR] = brow[j0..j0 + NR].try_into().unwrap();
-            let av = [a0[kk], a1[kk], a2[kk], a3[kk]];
-            for r in 0..MR {
-                for c in 0..NR {
-                    acc[r][c] += av[r] * b[c];
-                }
-            }
-        }
-        acc
-    };
-
-    #[cfg(feature = "simd")]
-    let acc = {
-        use std::simd::f32x8;
-        let mut accv = [f32x8::splat(0.0); MR];
-        for kk in 0..k {
-            let brow = bp.row(kk, j0 + NR);
-            let b = f32x8::from_slice(&brow[j0..j0 + NR]);
-            let av = [a0[kk], a1[kk], a2[kk], a3[kk]];
-            for r in 0..MR {
-                // Separate mul and add (no fused contraction): bit-identical
-                // to the scalar path.
-                accv[r] += f32x8::splat(av[r]) * b;
-            }
-        }
-        let mut acc = [[0.0f32; NR]; MR];
+    let mut accv = [f32x8::splat(0.0); MR];
+    for kk in 0..k {
+        let brow = bp.row(kk, j0 + NR);
+        let b = f32x8::from_slice(&brow[j0..j0 + NR]);
+        let av = [a0[kk], a1[kk], a2[kk], a3[kk]];
         for r in 0..MR {
-            accv[r].copy_to_slice(&mut acc[r]);
+            // Separate mul and add (no fused contraction): bit-identical
+            // to the scalar path.
+            accv[r] += f32x8::splat(av[r]) * b;
         }
-        acc
-    };
-
+    }
+    let mut acc = [[0.0f32; NR]; MR];
+    for r in 0..MR {
+        accv[r].copy_to_slice(&mut acc[r]);
+    }
     for (r, acc_row) in acc.iter().enumerate() {
         let orow = &mut out.row_mut(i0 + r)[j0..j0 + NR];
         if acc_mode {
@@ -372,8 +354,47 @@ fn kernel_full(
     }
 }
 
-/// Ragged-tail kernel: an `mr × nr` block (`mr ≤ 4`, `nr ≤ 8`) with the
-/// same sequential-`k` accumulation.
+/// The fixed-width micro-kernel: an `mr × W` block (`mr ≤ 4`) held in
+/// registers — `W` f32 lanes per row, four rows — streaming over `k` once.
+/// All `MR` accumulator rows are computed (rows past `mr` re-read the last
+/// valid row and are never written back), so both inner loops have
+/// constant bounds and stable rustc auto-vectorizes them.
+#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
+fn kernel_tile<const W: usize>(
+    ap: Panel<'_>,
+    bp: Panel<'_>,
+    i0: usize,
+    j0: usize,
+    mr: usize,
+    k: usize,
+    out: &mut MatMut<'_>,
+    acc_mode: bool,
+) {
+    let a_rows: [&[f32]; MR] = std::array::from_fn(|r| ap.row(i0 + r.min(mr - 1), k));
+    let mut acc = [[0.0f32; W]; MR];
+    for kk in 0..k {
+        let b = &bp.row(kk, j0 + W)[j0..];
+        let av: [f32; MR] = std::array::from_fn(|r| a_rows[r][kk]);
+        for r in 0..MR {
+            for c in 0..W {
+                acc[r][c] += av[r] * b[c];
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate().take(mr) {
+        let orow = &mut out.row_mut(i0 + r)[j0..j0 + W];
+        if acc_mode {
+            for c in 0..W {
+                orow[c] += acc_row[c];
+            }
+        } else {
+            orow.copy_from_slice(acc_row);
+        }
+    }
+}
+
+/// Ragged-tail kernel for every other width: an `mr × nr` block (`mr ≤ 4`,
+/// `nr < 8`) with the same sequential-`k` accumulation.
 #[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
 fn kernel_edge(
     ap: Panel<'_>,

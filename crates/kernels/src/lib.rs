@@ -11,6 +11,8 @@
 //! * fused row-wise kernels — [`scaled_softmax_rows`] (the attention
 //!   `1/√d_h` scale folded into the softmax), [`layer_norm_rows`], and
 //!   [`bias_gelu_rows`] (bias add + GELU in one pass);
+//! * [`exp`] / [`tanh`] — the crate's own definitions (no libm), which the
+//!   softmax and GELU kernels above are built on;
 //! * [`Scratch`] — a per-thread pool of recycled `f32` buffers so the
 //!   steady-state inference path performs zero heap allocations.
 //!
@@ -26,6 +28,11 @@
 //! skipped `a[i][k] == 0.0` terms, so outputs can differ in the *sign of an
 //! exact zero* (and for non-finite operands, which trained networks never
 //! produce). Tests assert exact `==` on finite data.
+//!
+//! The element-wise kernels need no reference twin: [`exp`] and [`tanh`]
+//! are fixed straight-line `f32` op sequences, so a vector lane and a
+//! scalar loop compute the same bits, and every row sum stays one
+//! sequential chain ascending from 0.0.
 
 #![deny(deprecated)]
 #![forbid(unsafe_code)]
@@ -33,6 +40,7 @@
 
 mod fused;
 mod gemm;
+mod math;
 mod scratch;
 
 pub use fused::{
@@ -41,4 +49,5 @@ pub use fused::{
     LAYER_NORM_EPS,
 };
 pub use gemm::{gemm, gemm_acc, reference_mode, set_reference_mode, Mat, MatMut, Trans};
+pub use math::{exp, tanh};
 pub use scratch::{with_thread_scratch, Scratch};

@@ -12,7 +12,7 @@
 //! import from here rather than depending on `kglink-kernels` directly.
 
 pub use kglink_kernels::{
-    add_bias_rows, bias_gelu_rows, gelu, gelu_grad, gemm, gemm_acc, layer_norm_rows,
+    add_bias_rows, bias_gelu_rows, exp, gelu, gelu_grad, gemm, gemm_acc, layer_norm_rows,
     layer_norm_rows_cached, log_softmax, mean, reference_mode, scaled_softmax_rows,
     set_reference_mode, softmax, softmax_backward_rows, softmax_rows, with_thread_scratch,
     Mat, MatMut, Scratch, Trans, LAYER_NORM_EPS,

@@ -1,7 +1,7 @@
 //! Loss functions: cross-entropy, DMLM distillation, uncertainty weighting.
 
 use crate::layers::param::{HasParams, Param};
-use crate::kernels::{log_softmax, softmax};
+use crate::kernels::{exp, log_softmax, softmax};
 use crate::tensor::Tensor;
 
 /// Cross-entropy of a single logit row against a target class (paper
@@ -10,7 +10,7 @@ pub fn cross_entropy(logits: &[f32], target: usize) -> (f32, Vec<f32>) {
     assert!(target < logits.len(), "target out of range");
     let lp = log_softmax(logits);
     let loss = -lp[target];
-    let mut grad: Vec<f32> = lp.iter().map(|&l| l.exp()).collect();
+    let mut grad: Vec<f32> = lp.iter().map(|&l| exp(l)).collect();
     grad[target] -= 1.0;
     (loss, grad)
 }
@@ -44,7 +44,7 @@ pub fn dmlm_loss(student_logits: &[f32], teacher_logits: &[f32], temperature: f3
     let grad: Vec<f32> = log_p_student
         .iter()
         .zip(&p_teacher)
-        .map(|(ls, t)| (ls.exp() - t) * inv_t)
+        .map(|(&ls, t)| (exp(ls) - t) * inv_t)
         .collect();
     (loss, grad)
 }
@@ -109,7 +109,7 @@ impl UncertaintyWeights {
             Task::Dmlm => self.s0.value.data()[0],
             Task::Classify => self.s1.value.data()[0],
         };
-        0.5 * (-s).exp()
+        0.5 * exp(-s)
     }
 
     /// Combined loss value and gradient accumulation on `s0`/`s1` given the
@@ -117,8 +117,8 @@ impl UncertaintyWeights {
     /// optimizer update.
     pub fn combine(&mut self, loss_dmlm: f32, loss_ce: f32) -> f32 {
         let (s0, s1) = self.log_sigmas();
-        let w0 = 0.5 * (-s0).exp();
-        let w1 = 0.5 * (-s1).exp();
+        let w0 = 0.5 * exp(-s0);
+        let w1 = 0.5 * exp(-s1);
         let total = w0 * loss_dmlm + w1 * loss_ce + 0.5 * (s0 + s1);
         // dL/ds_i = -½ e^{-s_i} L_i + ½
         self.s0.grad.data_mut()[0] += -w0 * loss_dmlm + 0.5;

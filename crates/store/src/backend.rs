@@ -22,11 +22,11 @@ use crate::bm25seg::{Bm25Segment, QueryStats, BM25_FILE};
 use crate::error::StoreError;
 use crate::manifest::Manifest;
 use crate::segment::{shard_file_name, EntityRecord, Segment};
-use kglink_kg::{Entity, EntityId, GraphAccess, NeSchema, PredicateId};
+use kglink_kg::{Edge, Entity, EntityId, GraphAccess, NeSchema, PredicateId};
 use kglink_search::backend::{Deadline, KgBackend, RetrievalError, SearchOutcome};
-use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Default block-cache budget for a [`DiskGraph`]: enough for a hot
 /// working set, far below any interesting world size.
@@ -34,17 +34,30 @@ pub const DEFAULT_GRAPH_CACHE_BYTES: usize = 64 << 20;
 /// Default posting-cache budget for a [`DiskBackend`].
 pub const DEFAULT_BM25_CACHE_BYTES: usize = 64 << 20;
 
+/// The neighbourhood tier's share of a [`DiskGraph`]'s cache budget is
+/// `1 / HOP_TIER_SHARE`. A quarter: a list and its bookkeeping cost ≈ 150
+/// bytes against a 12.5 KB block, so ¼ of the bytes holds 25× more
+/// *entities* than the other ¾ holds blocks, while uniform record reads —
+/// which only blocks serve — lose a quarter of their reach, not half.
+const HOP_TIER_SHARE: usize = 4;
+
 /// A sharded, disk-backed knowledge graph.
 ///
 /// Entity id `i` lives in shard `i / per_shard` at local offset
 /// `i % per_shard`; each lookup touches one cached block. Resident memory
-/// is the manifest, the per-shard block indexes, and the block cache —
-/// independent of world size.
+/// is the manifest, the per-shard block indexes, and two caches under one
+/// byte budget — independent of world size. `blocks` holds verified data
+/// blocks and serves every read; `hops` sits in front of it for
+/// [`DiskGraph::try_one_hop`] only and holds *results* — the candidate
+/// filter asks for the neighbourhood of every candidate of every cell, the
+/// same entities table after table, and a 256-record block is the wrong
+/// unit to keep one ≈ 24-byte answer resident.
 #[derive(Debug)]
 pub struct DiskGraph {
     manifest: Manifest,
     shards: Vec<Segment>,
-    cache: BlockCache,
+    blocks: BlockCache,
+    hops: BlockCache<EntityId>,
     errors: AtomicU64,
 }
 
@@ -54,7 +67,8 @@ impl DiskGraph {
         Self::open_with_cache(dir, DEFAULT_GRAPH_CACHE_BYTES)
     }
 
-    /// Open a world directory, bounding the block cache to `cache_bytes`.
+    /// Open a world directory, bounding cached data to `cache_bytes`: a
+    /// quarter for one-hop results, the rest for blocks.
     pub fn open_with_cache(dir: &Path, cache_bytes: usize) -> Result<Self, StoreError> {
         let manifest = Manifest::read(dir)?;
         let mut shards = Vec::with_capacity(manifest.n_shards as usize);
@@ -83,10 +97,12 @@ impl DiskGraph {
             }
             shards.push(seg);
         }
+        let hop_bytes = cache_bytes / HOP_TIER_SHARE;
         Ok(DiskGraph {
             manifest,
             shards,
-            cache: BlockCache::new(cache_bytes, 8),
+            blocks: BlockCache::new(cache_bytes - hop_bytes, 8),
+            hops: BlockCache::new(hop_bytes, 8),
             errors: AtomicU64::new(0),
         })
     }
@@ -101,9 +117,17 @@ impl DiskGraph {
         self.errors.load(Ordering::Relaxed)
     }
 
-    /// Block-cache counters.
+    /// Counters over both tiers: `hits` are reads answered from memory by
+    /// either, `misses` reads that went to disk, evictions and resident
+    /// bytes are summed (`resident_bytes <= cache_bytes`).
     pub fn cache_stats(&self) -> BlockCacheStats {
-        self.cache.stats()
+        let (blocks, hops) = (self.blocks.stats(), self.hops.stats());
+        BlockCacheStats {
+            hits: blocks.hits + hops.hits,
+            misses: blocks.misses,
+            evictions: blocks.evictions + hops.evictions,
+            resident_bytes: blocks.resident_bytes + hops.resident_bytes,
+        }
     }
 
     fn locate(&self, id: EntityId) -> Result<(&Segment, u32), StoreError> {
@@ -122,37 +146,56 @@ impl DiskGraph {
     /// Full record — entity plus both adjacency directions.
     pub fn try_record(&self, id: EntityId) -> Result<EntityRecord, StoreError> {
         let (seg, local) = self.locate(id)?;
-        seg.read_record(local, &self.cache)
+        seg.read_record(local, &self.blocks)
     }
 
     /// Entity fields without the edge lists.
     pub fn try_entity(&self, id: EntityId) -> Result<Entity, StoreError> {
         let (seg, local) = self.locate(id)?;
-        seg.read_entity(local, &self.cache)
+        seg.read_entity(local, &self.blocks)
     }
 
     /// Label only.
     pub fn try_label(&self, id: EntityId) -> Result<String, StoreError> {
         let (seg, local) = self.locate(id)?;
-        seg.read_label(local, &self.cache)
+        seg.read_label(local, &self.blocks)
     }
 
     /// `(schema, is_type)` only.
     pub fn try_schema(&self, id: EntityId) -> Result<(NeSchema, bool), StoreError> {
         let (seg, local) = self.locate(id)?;
-        seg.read_schema(local, &self.cache)
+        seg.read_schema(local, &self.blocks)
+    }
+
+    /// Both edge lists of `id`, `visit(outgoing, edge)` in stored order.
+    fn try_edges(
+        &self,
+        id: EntityId,
+        visit: impl FnMut(bool, Edge),
+    ) -> Result<(), StoreError> {
+        let (seg, local) = self.locate(id)?;
+        seg.read_edges(local, &self.blocks, visit)
     }
 
     /// One-hop neighborhood, replicating `KnowledgeGraph::one_hop`
-    /// (either direction, deduplicated, sorted, self removed).
+    /// (either direction, deduplicated, sorted, self removed). Answers are
+    /// memoised per entity in the neighbourhood tier: only `Ok` ones, so a
+    /// failing read fails — and is counted — every time it is asked, and
+    /// not lists above ⅛ of a tier shard, so one hub cannot flush it.
     pub fn try_one_hop(&self, id: EntityId) -> Result<Vec<EntityId>, StoreError> {
-        let rec = self.try_record(id)?;
-        let mut set: BTreeSet<EntityId> = BTreeSet::new();
-        for e in rec.outgoing.iter().chain(rec.incoming.iter()) {
-            set.insert(e.target);
+        let key = (0, id.0);
+        if let Some(hop) = self.hops.get(key) {
+            return Ok(hop.to_vec());
         }
-        set.remove(&id);
-        Ok(set.into_iter().collect())
+        let mut hop = Vec::new();
+        self.try_edges(id, |_, e| hop.push(e.target))?;
+        hop.sort_unstable();
+        hop.dedup();
+        hop.retain(|&t| t != id);
+        if std::mem::size_of_val(&hop[..]) <= self.hops.shard_budget() / 8 {
+            self.hops.insert(key, Arc::new(hop.clone()));
+        }
+        Ok(hop)
     }
 
     /// One-hop neighborhood with predicates, replicating
@@ -162,14 +205,12 @@ impl DiskGraph {
         &self,
         id: EntityId,
     ) -> Result<Vec<(PredicateId, EntityId)>, StoreError> {
-        let rec = self.try_record(id)?;
-        let mut pairs: Vec<(PredicateId, EntityId)> = rec
-            .outgoing
-            .iter()
-            .chain(rec.incoming.iter())
-            .map(|e| (e.predicate, e.target))
-            .filter(|&(_, t)| t != id)
-            .collect();
+        let mut pairs = Vec::new();
+        self.try_edges(id, |_, e| {
+            if e.target != id {
+                pairs.push((e.predicate, e.target));
+            }
+        })?;
         for &(p, _) in &pairs {
             if usize::from(p.0) >= self.manifest.predicates.len() {
                 return Err(StoreError::Corrupt(format!(
@@ -194,13 +235,13 @@ impl DiskGraph {
         let Some(p) = predicate else {
             return Ok(Vec::new());
         };
-        let rec = self.try_record(id)?;
-        Ok(rec
-            .outgoing
-            .iter()
-            .filter(|e| e.predicate == p)
-            .map(|e| e.target)
-            .collect())
+        let mut targets = Vec::new();
+        self.try_edges(id, |outgoing, e| {
+            if outgoing && e.predicate == p {
+                targets.push(e.target);
+            }
+        })?;
+        Ok(targets)
     }
 
     /// Targets of `instance of` edges, in insertion order.

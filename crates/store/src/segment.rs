@@ -46,7 +46,7 @@ use crate::atomic::AtomicFile;
 use crate::blockcache::BlockCache;
 use crate::error::StoreError;
 use crate::varint::{
-    crc32, get_count, get_str, get_uv32, put_str, put_uv, skip_str,
+    borrow_str, crc32, get_count, get_str, get_uv32, put_str, put_uv, skip_str,
 };
 use kglink_kg::{Edge, Entity, EntityId, NeSchema, PredicateId};
 use std::fs::File;
@@ -138,22 +138,46 @@ fn get_u8(bytes: &[u8], pos: &mut usize) -> Result<u8, StoreError> {
     Ok(b)
 }
 
+/// Length of the edge list at `*pos`. Each edge costs ≥ 2 bytes, so the
+/// remaining byte count bounds it — a corrupt count cannot drive an
+/// allocation or a walk.
+fn edge_count(bytes: &[u8], pos: &mut usize) -> Result<usize, StoreError> {
+    get_count(bytes, pos, bytes.len().saturating_sub(*pos))
+}
+
+fn get_edge(bytes: &[u8], pos: &mut usize) -> Result<Edge, StoreError> {
+    let pred = get_uv32(bytes, pos)?;
+    let pred = u16::try_from(pred)
+        .map_err(|_| StoreError::Corrupt(format!("predicate id {pred} overflows u16")))?;
+    let target = get_uv32(bytes, pos)?;
+    Ok(Edge {
+        predicate: PredicateId(pred),
+        target: EntityId(target),
+    })
+}
+
 fn decode_edges(bytes: &[u8], pos: &mut usize) -> Result<Vec<Edge>, StoreError> {
-    // Each edge costs ≥ 2 bytes, so the remaining byte count bounds the
-    // edge count — a corrupt count cannot drive the allocation.
-    let n = get_count(bytes, pos, bytes.len().saturating_sub(*pos))?;
+    let n = edge_count(bytes, pos)?;
     let mut edges = Vec::with_capacity(n);
     for _ in 0..n {
-        let pred = get_uv32(bytes, pos)?;
-        let pred = u16::try_from(pred)
-            .map_err(|_| StoreError::Corrupt(format!("predicate id {pred} overflows u16")))?;
-        let target = get_uv32(bytes, pos)?;
-        edges.push(Edge {
-            predicate: PredicateId(pred),
-            target: EntityId(target),
-        });
+        edges.push(get_edge(bytes, pos)?);
     }
     Ok(edges)
+}
+
+/// `(schema, is_type)` as [`decode_record`] reads them: both bytes checked.
+fn decode_flags(bytes: &[u8], pos: &mut usize) -> Result<(NeSchema, bool), StoreError> {
+    let schema = schema_from_tag(get_u8(bytes, pos)?)?;
+    let is_type = match get_u8(bytes, pos)? {
+        0 => false,
+        1 => true,
+        other => {
+            return Err(StoreError::Corrupt(format!(
+                "is_type flag must be 0 or 1, found {other}"
+            )))
+        }
+    };
+    Ok((schema, is_type))
 }
 
 /// Decode a full record payload.
@@ -166,16 +190,7 @@ pub(crate) fn decode_record(bytes: &[u8]) -> Result<EntityRecord, StoreError> {
         aliases.push(get_str(bytes, &mut pos)?);
     }
     let description = get_str(bytes, &mut pos)?;
-    let schema = schema_from_tag(get_u8(bytes, &mut pos)?)?;
-    let is_type = match get_u8(bytes, &mut pos)? {
-        0 => false,
-        1 => true,
-        other => {
-            return Err(StoreError::Corrupt(format!(
-                "is_type flag must be 0 or 1, found {other}"
-            )))
-        }
-    };
+    let (schema, is_type) = decode_flags(bytes, &mut pos)?;
     let outgoing = decode_edges(bytes, &mut pos)?;
     let incoming = decode_edges(bytes, &mut pos)?;
     Ok(EntityRecord {
@@ -189,6 +204,30 @@ pub(crate) fn decode_record(bytes: &[u8]) -> Result<EntityRecord, StoreError> {
         outgoing,
         incoming,
     })
+}
+
+/// The edge lists of a record, `visit(outgoing, edge)` in stored order,
+/// without materialising the entity: every check [`decode_record`] makes on
+/// the fields in front of them is made (bounds, UTF-8, schema tag, `is_type`
+/// flag — same typed errors), nothing is allocated for them. On `Err`,
+/// `visit` may already have seen a prefix of the edges.
+pub(crate) fn decode_edge_lists(
+    bytes: &[u8],
+    mut visit: impl FnMut(bool, Edge),
+) -> Result<(), StoreError> {
+    let mut pos = 0;
+    borrow_str(bytes, &mut pos)?;
+    for _ in 0..get_count(bytes, &mut pos, bytes.len())? {
+        borrow_str(bytes, &mut pos)?;
+    }
+    borrow_str(bytes, &mut pos)?;
+    decode_flags(bytes, &mut pos)?;
+    for outgoing in [true, false] {
+        for _ in 0..edge_count(bytes, &mut pos)? {
+            visit(outgoing, get_edge(bytes, &mut pos)?);
+        }
+    }
+    Ok(())
 }
 
 /// Decode only the label — the hottest partial read.
@@ -537,6 +576,17 @@ impl Segment {
         self.with_record(local, cache, decode_record)
     }
 
+    /// Both edge lists of local record `local`, `visit(outgoing, edge)` in
+    /// stored order, the entity fields checked but not materialised.
+    pub fn read_edges(
+        &self,
+        local: u32,
+        cache: &BlockCache,
+        visit: impl FnMut(bool, Edge),
+    ) -> Result<(), StoreError> {
+        self.with_record(local, cache, |bytes| decode_edge_lists(bytes, visit))
+    }
+
     /// Entity fields only, edge lists untouched.
     pub fn read_entity(&self, local: u32, cache: &BlockCache) -> Result<Entity, StoreError> {
         self.with_record(local, cache, decode_entity)
@@ -702,6 +752,39 @@ mod tests {
             Err(StoreError::CrcMismatch { .. })
         ));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn edge_list_decode_checks_what_record_decode_checks() {
+        // Every one-byte corruption and every truncation of a record: the
+        // edge-only decoder returns the edges the full decoder returns, or
+        // fails with the very same error.
+        let (e, out, inc) = sample_entity(300);
+        let mut good = Vec::new();
+        encode_record(&e, &out, &inc, &mut good);
+        let mut cases: Vec<Vec<u8>> = (0..=good.len()).map(|n| good[..n].to_vec()).collect();
+        for at in 0..good.len() {
+            for flip in [0x01, 0x80, 0xff] {
+                let mut bad = good.clone();
+                bad[at] ^= flip;
+                cases.push(bad);
+            }
+        }
+        let mut failures = 0;
+        for bytes in &cases {
+            let full = decode_record(bytes).map(|r| (r.outgoing, r.incoming));
+            let mut lists = (Vec::new(), Vec::new());
+            let walked = decode_edge_lists(bytes, |outgoing, edge| {
+                if outgoing {
+                    lists.0.push(edge);
+                } else {
+                    lists.1.push(edge);
+                }
+            });
+            assert_eq!(walked.map(|()| lists), full, "bytes {bytes:?}");
+            failures += usize::from(full.is_err());
+        }
+        assert!(failures > good.len(), "the corpus exercises the error paths");
     }
 
     #[test]

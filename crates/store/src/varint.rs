@@ -70,14 +70,19 @@ pub fn put_str(buf: &mut Vec<u8>, s: &str) {
 
 /// Decode a length-prefixed UTF-8 string.
 pub fn get_str(bytes: &[u8], pos: &mut usize) -> Result<String, StoreError> {
+    borrow_str(bytes, pos).map(str::to_string)
+}
+
+/// [`get_str`] without the allocation: the same bounds and UTF-8 checks,
+/// the string borrowed from `bytes`.
+pub fn borrow_str<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<&'a str, StoreError> {
     let len = get_count(bytes, pos, bytes.len())?;
     let end = pos
         .checked_add(len)
         .filter(|&e| e <= bytes.len())
         .ok_or(StoreError::Truncated)?;
     let s = std::str::from_utf8(&bytes[*pos..end])
-        .map_err(|_| StoreError::Corrupt("string is not UTF-8".into()))?
-        .to_string();
+        .map_err(|_| StoreError::Corrupt("string is not UTF-8".into()))?;
     *pos = end;
     Ok(s)
 }

@@ -194,3 +194,65 @@ fn bm25_posting_bitflip_fails_typed_and_facade_degrades() {
     assert_eq!(backend.error_count(), 1);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn neighbourhood_tier_remembers_answers_never_failures() {
+    // 600 musicians under one type: shard 0 holds ids 0..512 in two full
+    // 256-record blocks, shard 1 the rest. With a 32 KiB budget no block
+    // fits a block-tier shard (3 KiB), so every block read goes to disk,
+    // while one-neighbour lists do fit the neighbourhood tier.
+    let dir = std::env::temp_dir().join(format!(
+        "kglink-store-corruption-hop-tier-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut b = KgBuilder::new();
+    let musician = b.add_type("Musician", None);
+    for i in 0..600 {
+        b.add_instance(Entity::new(format!("peter steele {i}"), NeSchema::Person), musician);
+    }
+    let cfg = WorldWriterConfig {
+        per_shard: 512,
+        ..WorldWriterConfig::default()
+    };
+    write_graph(&dir, &b.build(), cfg).unwrap();
+    let g = DiskGraph::open_with_cache(&dir, 32 << 10).unwrap();
+    let id = kglink_kg::EntityId;
+
+    // Memoise entity 300's neighbourhood, then damage the block it came
+    // from: the second data block of shard 0 ends where the 40-byte block
+    // index begins.
+    assert_eq!(g.try_one_hop(id(300)).unwrap(), vec![musician]);
+    corrupt(&dir.join(shard_file_name(0)), |b| {
+        let at = b.len() - 40 - 10;
+        b[at] ^= 0x40;
+    });
+
+    // A neighbour in the damaged block fails typed on every attempt, each
+    // attempt goes back to disk, and the facade counts every one.
+    for attempt in 1..=3 {
+        let misses = g.cache_stats().misses;
+        assert!(matches!(
+            g.try_one_hop(id(301)),
+            Err(StoreError::CrcMismatch { .. })
+        ));
+        assert_eq!(g.cache_stats().misses, misses + 1, "attempt {attempt} re-read the block");
+        assert!(g.one_hop(id(301)).is_empty());
+        assert_eq!(g.error_count(), attempt);
+    }
+    // The list memoised before the damage still answers, from memory…
+    let before = g.cache_stats();
+    assert_eq!(g.try_one_hop(id(300)).unwrap(), vec![musician]);
+    let after = g.cache_stats();
+    assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses));
+    // …every other read of that block fails, and the undamaged block of
+    // the same shard and the sibling shard keep answering.
+    assert!(matches!(
+        g.try_label(id(300)),
+        Err(StoreError::CrcMismatch { .. })
+    ));
+    assert_eq!(g.try_one_hop(id(5)).unwrap(), vec![musician]);
+    assert_eq!(g.try_one_hop(id(550)).unwrap(), vec![musician]);
+    assert_eq!(g.error_count(), 3);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

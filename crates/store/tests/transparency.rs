@@ -5,9 +5,11 @@
 //! must agree with [`KnowledgeGraph`], and [`DiskBackend`] retrieval must
 //! be **bit-identical** (`f32::to_bits` on every score) to
 //! [`EntitySearcher`] — same hits, same order, same floats. Worlds are
-//! written with tiny shards so the multi-shard paths are always exercised.
+//! written with tiny shards so the multi-shard paths are always exercised,
+//! and read twice: through the default caches, and through caches so small
+//! that the block tier and the neighbourhood tier both evict constantly.
 
-use kglink_kg::{Entity, GraphAccess, KgBuilder, NeSchema};
+use kglink_kg::{Entity, EntityId, GraphAccess, KgBuilder, NeSchema};
 use kglink_search::EntitySearcher;
 use kglink_store::{write_graph, DiskWorld, WorldWriterConfig};
 use proptest::prelude::*;
@@ -33,6 +35,11 @@ const SCHEMAS: [NeSchema; 4] = [
     NeSchema::Other,
 ];
 const EXTRA_PREDS: [&str; 2] = ["performer", "country"];
+
+/// A cache budget under which each of the eight shards of either graph
+/// tier holds one or two entries of these worlds, so nearly every read
+/// evicts; the BM25 cache gets the same.
+const TINY_CACHE: usize = 8 << 10;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -73,51 +80,61 @@ proptest! {
         let cfg = WorldWriterConfig { per_shard, ..WorldWriterConfig::default() };
         let manifest = write_graph(&dir, &g, cfg).unwrap();
         prop_assert_eq!(manifest.n_entities, g.len() as u64);
-        let world = DiskWorld::open(&dir).unwrap();
-
-        prop_assert_eq!(world.graph.entity_count(), g.len());
-        for (id, entity) in g.entities() {
-            let got = world.graph.entity(id);
-            prop_assert_eq!(&got.label, &entity.label);
-            prop_assert_eq!(&got.aliases, &entity.aliases);
-            prop_assert_eq!(&got.description, &entity.description);
-            prop_assert_eq!(got.schema, entity.schema);
-            prop_assert_eq!(got.is_type, entity.is_type);
-            prop_assert_eq!(world.graph.label(id), g.label(id));
-            prop_assert_eq!(world.graph.schema_of(id), g.schema_of(id));
-            prop_assert_eq!(world.graph.one_hop(id), g.one_hop(id));
-            prop_assert_eq!(
-                world.graph.one_hop_with_predicates(id),
-                g.one_hop_with_predicates(id)
-            );
-            prop_assert_eq!(world.graph.types_of(id), g.types_of(id));
-            prop_assert_eq!(world.graph.superclasses_of(id), g.superclasses_of(id));
-        }
-        for i in 0..g.predicate_count() {
-            let p = kglink_kg::PredicateId(i as u16);
-            prop_assert_eq!(world.graph.predicate_name(p), g.predicate_name(p));
-        }
-
         let mem = EntitySearcher::build(&g);
-        for q in queries.iter().map(String::as_str).chain(["zzz", ""]) {
-            for k in [1usize, 3, 10] {
-                let m = mem.link_mention(q, k);
-                let d = world.backend.try_search(q, k).unwrap();
-                prop_assert_eq!(m.len(), d.len(), "query {:?} k {}", q, k);
-                for (a, b) in m.iter().zip(&d) {
-                    prop_assert_eq!(a.0, b.0, "query {:?} k {}", q, k);
-                    prop_assert_eq!(
-                        a.1.to_bits(),
-                        b.1.to_bits(),
-                        "query {:?} k {}",
-                        q,
-                        k
-                    );
+        for world in [
+            DiskWorld::open(&dir).unwrap(),
+            DiskWorld::open_with_caches(&dir, TINY_CACHE, TINY_CACHE).unwrap(),
+        ] {
+            prop_assert_eq!(world.graph.entity_count(), g.len());
+            for (id, entity) in g.entities() {
+                let got = world.graph.entity(id);
+                prop_assert_eq!(&got.label, &entity.label);
+                prop_assert_eq!(&got.aliases, &entity.aliases);
+                prop_assert_eq!(&got.description, &entity.description);
+                prop_assert_eq!(got.schema, entity.schema);
+                prop_assert_eq!(got.is_type, entity.is_type);
+                prop_assert_eq!(world.graph.label(id), g.label(id));
+                prop_assert_eq!(world.graph.schema_of(id), g.schema_of(id));
+                prop_assert_eq!(world.graph.one_hop(id), g.one_hop(id));
+                prop_assert_eq!(
+                    world.graph.one_hop_with_predicates(id),
+                    g.one_hop_with_predicates(id)
+                );
+                prop_assert_eq!(world.graph.types_of(id), g.types_of(id));
+                prop_assert_eq!(world.graph.superclasses_of(id), g.superclasses_of(id));
+            }
+            for i in 0..g.predicate_count() {
+                let p = kglink_kg::PredicateId(i as u16);
+                prop_assert_eq!(world.graph.predicate_name(p), g.predicate_name(p));
+            }
+
+            for q in queries.iter().map(String::as_str).chain(["zzz", ""]) {
+                for k in [1usize, 3, 10] {
+                    let m = mem.link_mention(q, k);
+                    let d = world.backend.try_search(q, k).unwrap();
+                    prop_assert_eq!(m.len(), d.len(), "query {:?} k {}", q, k);
+                    for (a, b) in m.iter().zip(&d) {
+                        prop_assert_eq!(a.0, b.0, "query {:?} k {}", q, k);
+                        prop_assert_eq!(
+                            a.1.to_bits(),
+                            b.1.to_bits(),
+                            "query {:?} k {}",
+                            q,
+                            k
+                        );
+                    }
                 }
             }
+            prop_assert_eq!(world.graph.error_count(), 0);
+            prop_assert_eq!(world.backend.error_count(), 0);
+            // A second read is answered by whichever tier kept the first
+            // one, or by neither: the answer is the same.
+            for (id, _) in g.entities() {
+                prop_assert_eq!(world.graph.one_hop(id), g.one_hop(id));
+                prop_assert_eq!(world.graph.label(id), g.label(id));
+            }
+            prop_assert_eq!(world.graph.error_count(), 0);
         }
-        prop_assert_eq!(world.graph.error_count(), 0);
-        prop_assert_eq!(world.backend.error_count(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -156,18 +173,73 @@ proptest! {
         let g = b.build();
         let dir = casedir();
         write_graph(&dir, &g, WorldWriterConfig::default()).unwrap();
-        let world = DiskWorld::open(&dir).unwrap();
         let mem = EntitySearcher::build(&g);
         prop_assert!(mem.index().doc_freq("a") > 128);
-        for tokens in &queries {
-            let q = tokens.join(" ");
-            for k in [1usize, 3, 10, g.len() + 1] {
-                let m: Vec<_> = mem.link_mention(&q, k).iter().map(|h| (h.0, h.1.to_bits())).collect();
-                let d: Vec<_> = world.backend.try_search(&q, k).unwrap().iter().map(|h| (h.0, h.1.to_bits())).collect();
-                prop_assert_eq!(m, d, "query {:?} k {}", q, k);
+        for world in [
+            DiskWorld::open(&dir).unwrap(),
+            DiskWorld::open_with_caches(&dir, TINY_CACHE, TINY_CACHE).unwrap(),
+        ] {
+            for tokens in &queries {
+                let q = tokens.join(" ");
+                for k in [1usize, 3, 10, g.len() + 1] {
+                    let m: Vec<_> = mem.link_mention(&q, k).iter().map(|h| (h.0, h.1.to_bits())).collect();
+                    let d: Vec<_> = world.backend.try_search(&q, k).unwrap().iter().map(|h| (h.0, h.1.to_bits())).collect();
+                    prop_assert_eq!(m, d, "query {:?} k {}", q, k);
+                }
             }
+            prop_assert_eq!(world.backend.error_count(), 0);
         }
-        prop_assert_eq!(world.backend.error_count(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// 100 000 mixed reads — every read kind, pseudo-random ids, one hub whose
+/// neighbour list is larger than the whole tier — never put the graph's two
+/// tiers over the one budget they share, and never change an answer.
+#[test]
+fn cache_budget_holds_under_mixed_reads_with_a_hub() {
+    let mut b = KgBuilder::new();
+    let hub = b.add_type("hub", None);
+    let n = 20_000u32;
+    for i in 0..n {
+        b.add_instance(Entity::new(format!("e{i}"), NeSchema::Other), hub);
+    }
+    let mut g = b.build();
+    let pred = g.intern_predicate(EXTRA_PREDS[0]);
+    for i in 1..n {
+        g.add_edge(EntityId(i), pred, EntityId(i % 97 + 1));
+    }
+    let dir = casedir();
+    let cfg = WorldWriterConfig { per_shard: 6000, ..WorldWriterConfig::default() };
+    write_graph(&dir, &g, cfg).unwrap();
+    let cache_bytes = 256 << 10;
+    let world = DiskWorld::open_with_caches(&dir, cache_bytes, cache_bytes).unwrap();
+    assert!(g.one_hop(hub).len() * 4 > cache_bytes / 4, "the hub outweighs the tier");
+
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    for i in 0..100_000u32 {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        // Half the reads go to a hot set of 64 entities, so lists are reused.
+        let pick = (state >> 33) as u32;
+        let id = EntityId(if pick & 1 == 0 { pick / 2 % 64 } else { pick / 2 % (n + 1) });
+        let id = if i.is_multiple_of(1000) { hub } else { id };
+        match i % 4 {
+            0 | 1 => assert_eq!(world.graph.one_hop(id), g.one_hop(id)),
+            2 => assert_eq!(world.graph.label(id), g.label(id)),
+            _ => assert_eq!(
+                world.graph.one_hop_with_predicates(id),
+                g.one_hop_with_predicates(id)
+            ),
+        }
+        if i.is_multiple_of(500) {
+            let s = world.graph.cache_stats();
+            assert!(s.resident_bytes <= cache_bytes, "read {i}: {s:?}");
+        }
+    }
+    let s = world.graph.cache_stats();
+    assert!(s.resident_bytes <= cache_bytes, "{s:?}");
+    assert!(s.resident_bytes > cache_bytes / 2, "both tiers are in use: {s:?}");
+    assert!(s.evictions > 0 && s.hits > 0 && s.misses > 0, "{s:?}");
+    assert_eq!(world.graph.error_count(), 0);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -11,6 +11,12 @@ tree_at_entry="$(git status --porcelain)"
 echo "== cargo build --release =="
 cargo build --release
 
+echo "== benchmark builds against the library (frozen API surface) =="
+# benchmark/ is frozen and calls the library's public API by today's
+# signatures; a break must fail here, not after every smoke below. Its
+# tests and smoke run stay at the end.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== cargo test -q --workspace =="
 # --workspace: the root manifest is also a package, so a bare `cargo test`
 # would run only the facade's tests and skip everything under crates/*.
