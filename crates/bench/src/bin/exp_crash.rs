@@ -246,7 +246,6 @@ fn main() {
         backend as SharedBackend,
         ServiceConfig {
             workers: 2,
-            max_batch: 2,
             cache: None, // every retrieval reaches the panicking backend
             admission: AdmissionPolicy::Block,
             restart_budget: budget,
@@ -301,7 +300,6 @@ fn main() {
         dead_backend as SharedBackend,
         ServiceConfig {
             workers: 1,
-            max_batch: 1,
             cache: None,
             admission: AdmissionPolicy::Block,
             restart_budget: 0,

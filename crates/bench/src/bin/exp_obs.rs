@@ -184,7 +184,6 @@ fn main() {
         env.backend(),
         ServiceConfig {
             workers: 2,
-            max_batch: 2,
             cache: None,
             tracer: serve_tracer.clone(),
             initial_version: 1,

@@ -316,7 +316,6 @@ fn main() {
         ServiceConfig {
             workers: 2,
             queue_capacity: 64,
-            max_batch: 2,
             admission: AdmissionPolicy::Block,
             cache: Some(Default::default()),
             ..ServiceConfig::default()

@@ -101,7 +101,6 @@ fn main() {
                 ServiceConfig {
                     workers,
                     queue_capacity: 64,
-                    max_batch: 2,
                     admission: AdmissionPolicy::Block,
                     default_deadline: Deadline::UNBOUNDED,
                     cache: cache_on.then(CacheConfig::default),

@@ -2,8 +2,10 @@
 //!
 //! Publishes two trained model generations ("baseline" and "retrained")
 //! through the versioned [`ModelRegistry`], then drives an open-loop
-//! request stream against an [`AnnotationService`] while hot-swapping
-//! between them, and checks the lifecycle contract end-to-end:
+//! request stream against an
+//! [`AnnotationService`](kglink_serve::AnnotationService) while
+//! hot-swapping between them, and checks the lifecycle contract
+//! end-to-end:
 //!
 //! 1. **Zero dropped / torn tickets** — across ≥3 live swaps under load,
 //!    every submitted request completes successfully, and every
@@ -123,7 +125,6 @@ fn main() {
         ServiceConfig {
             workers: if smoke { 2 } else { 4 },
             queue_capacity: 64,
-            max_batch: 2,
             admission: AdmissionPolicy::Block,
             default_deadline: Deadline::UNBOUNDED,
             cache: None,

@@ -1,8 +1,7 @@
 //! Numeric kernels for the KGLink encoder.
 //!
-//! This crate is the single home for the tensor math that used to live
-//! scattered across `kglink-nn` (`Tensor::matmul` / `matmul_tn` /
-//! `matmul_nt` and the free functions of `ops.rs`). It exposes:
+//! This crate is the single home for the encoder's tensor math; `kglink-nn`
+//! keeps no matrix product of its own. It exposes:
 //!
 //! * [`gemm`] / [`gemm_acc`] — one matrix-multiply entry point with
 //!   transpose flags, operating on strided [`Mat`] / [`MatMut`] views so

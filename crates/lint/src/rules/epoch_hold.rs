@@ -1,23 +1,22 @@
 //! `epoch-hold`: the lifecycle epoch mutex is a slot, not a region.
 //!
 //! The zero-downtime swap design (DESIGN.md §15) hinges on the epoch lock
-//! being held only long enough to clone or replace the `Arc<ModelEpoch>`
-//! inside: workers take one clone per micro-batch and serve from it
-//! lock-free, and `promote` swaps the slot *between* micro-batches. If any
-//! serve-path code holds the epoch guard across a micro-batch boundary —
-//! pulling the next batch, serving a request, or anything that blocks —
-//! a promotion stalls behind live traffic and the "swap between
-//! micro-batches" guarantee silently becomes "swap when the slowest
-//! request finishes". This rule flags any acquisition of an epoch lock
-//! (receiver containing `epoch`) in `crates/serve` lib code whose guard
-//! outlives its own statement *and* whose hold region reaches a blocking
-//! operation, a call into (transitively) blocking code, or a micro-batch
-//! boundary function.
+//! being held only long enough to clone or replace what the slot holds:
+//! workers clone it once per request and serve from the clone lock-free,
+//! and `promote` stores into the slot *between* requests. If any
+//! serve-path code holds the epoch guard across a request boundary —
+//! taking the next request, serving one, or anything that blocks — a
+//! promotion stalls behind live traffic and the "swap between requests"
+//! guarantee silently becomes "swap when the slowest request finishes".
+//! This rule flags any acquisition of an epoch lock (receiver containing
+//! `epoch`) in `crates/serve` lib code whose guard outlives its own
+//! statement *and* whose hold region reaches a blocking operation, a call
+//! into (transitively) blocking code, or a request boundary function.
 //!
 //! The slot has a second half: what it *holds* is immutable. Serving code
 //! must never reach into a published `ModelEpoch` and mutate weights in
 //! place (`Arc::get_mut` / `Arc::make_mut` in a statement naming an epoch) —
-//! a worker mid-batch would observe a torn model, which is exactly what the
+//! a worker mid-request would observe a torn model, which is exactly what the
 //! epoch handle exists to prevent. The only way weights change is a whole
 //! new epoch through `swap_model`.
 
@@ -30,8 +29,8 @@ use crate::workspace::Workspace;
 
 pub struct EpochHold;
 
-/// Functions that constitute a micro-batch boundary on the serve path.
-const BOUNDARY_FNS: &[&str] = &["pop_batch", "serve_request", "annotate_request", "annotate"];
+/// Functions that constitute a request boundary on the serve path.
+const BOUNDARY_FNS: &[&str] = &["pop", "serve_request", "annotate_request", "annotate"];
 
 impl Rule for EpochHold {
     fn id(&self) -> &'static str {
@@ -39,7 +38,7 @@ impl Rule for EpochHold {
     }
 
     fn describe(&self) -> &'static str {
-        "in serve lib code the epoch mutex is never held across a micro-batch boundary and a live epoch is never mutated in place"
+        "in serve lib code the epoch mutex is never held across a request boundary and a live epoch is never mutated in place"
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
@@ -68,7 +67,7 @@ impl Rule for EpochHold {
                         f.code_line(i),
                         format!(
                             "`Arc::{}` on a live ModelEpoch: published epochs are \
-                             immutable — a worker mid-batch would observe a torn model; \
+                             immutable — a worker mid-request would observe a torn model; \
                              install a new epoch via swap_model instead",
                             f.code_text(i + 3)
                         ),
@@ -106,7 +105,7 @@ impl Rule for EpochHold {
     }
 }
 
-/// First micro-batch-boundary reason inside code range `[from, to)` of fn
+/// First request-boundary reason inside code range `[from, to)` of fn
 /// `i`: a direct blocking site, a boundary-named call, or a call into a
 /// (transitively) blocking callee.
 fn reaches_boundary(ws: &Workspace, i: usize, from: usize, to: usize) -> Option<String> {
@@ -120,7 +119,7 @@ fn reaches_boundary(ws: &Workspace, i: usize, from: usize, to: usize) -> Option<
             continue;
         }
         if BOUNDARY_FNS.contains(&call.site.name.as_str()) {
-            return Some(format!("the micro-batch boundary `{}`", call.site.name));
+            return Some(format!("the request boundary `{}`", call.site.name));
         }
         for &callee in &call.callees {
             if callee == i {
@@ -169,20 +168,24 @@ impl Lifecycle {
     }
 
     #[test]
-    fn epoch_guard_held_across_pop_batch_is_flagged() {
+    fn epoch_guard_held_across_pop_is_flagged() {
         let src = "\
 impl Worker {
     fn turn(&self, queue: &BoundedQueue<Req>) {
         let epoch = self.lifecycle.epoch.lock().unwrap_or_else(PoisonError::into_inner);
-        let batch = queue.pop_batch(8);
-        serve(&epoch, batch);
+        let request = queue.pop();
+        serve(&epoch, request);
     }
 }
 ";
         let hits = run(vec![("crates/serve/src/worker.rs", src)]);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].1, 3);
-        assert!(hits[0].2.contains("pop_batch"), "{}", hits[0].2);
+        assert!(
+            hits[0].2.contains("request boundary `pop`"),
+            "{}",
+            hits[0].2
+        );
     }
 
     #[test]
@@ -227,7 +230,7 @@ impl Worker {
         let epoch = self.lifecycle.epoch.lock().unwrap_or_else(PoisonError::into_inner);
         let current = Arc::clone(&epoch);
         drop(epoch);
-        let batch = queue.pop_batch(8);
+        let request = queue.pop();
     }
 }
 ";
@@ -236,7 +239,7 @@ impl Worker {
 impl Worker {
     fn turn(&self, queue: &BoundedQueue<Req>) {
         let stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
-        let batch = queue.pop_batch(8);
+        let request = queue.pop();
     }
 }
 ";

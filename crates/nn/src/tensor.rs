@@ -3,12 +3,12 @@
 //! Everything the transformer needs is expressible with (seq_len × dim)
 //! matrices, so this stays deliberately 2-D. All matrix products go
 //! through the blocked register-tiled [`kglink_kernels::gemm`] entry
-//! point; transposed products are expressed with [`Trans`] flags at the
-//! call site (`gemm(x, w, Trans::Yes, Trans::No, ...)`) instead of the
-//! former `matmul_tn`/`matmul_nt` method variants. [`Tensor::matmul`]
-//! survives as a thin delegating convenience for the NN case.
+//! point; transposed products are expressed with
+//! [`Trans`](kglink_kernels::Trans) flags at the call site
+//! (`gemm(x, w, Trans::Yes, Trans::No, ...)`); `Tensor` itself has no
+//! product method.
 
-use kglink_kernels::{self as kernels, Mat, MatMut, Trans};
+use kglink_kernels::{Mat, MatMut};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -139,26 +139,6 @@ impl Tensor {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// Matrix product `self × other` (delegates to [`kernels::gemm`]).
-    ///
-    /// # Panics
-    /// Panics on inner-dimension mismatch.
-    pub fn matmul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let mut out = Tensor::zeros(self.rows, other.cols);
-        kernels::with_thread_scratch(|s| {
-            kernels::gemm(
-                self.as_mat(),
-                other.as_mat(),
-                Trans::No,
-                Trans::No,
-                &mut out.as_mat_mut(),
-                s,
-            );
-        });
-        out
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> Tensor {
         let mut out = Tensor::zeros(self.cols, self.rows);
@@ -251,17 +231,29 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kglink_kernels::{self as kernels, Trans};
     use rand::SeedableRng;
 
     fn t(rows: usize, cols: usize, vals: &[f32]) -> Tensor {
         Tensor::from_vec(rows, cols, vals.to_vec())
     }
 
+    /// `op(a) × op(b)` through the one GEMM entry point.
+    fn gemm(a: &Tensor, b: &Tensor, ta: Trans, tb: Trans) -> Tensor {
+        let rows = if ta == Trans::Yes { a.cols() } else { a.rows() };
+        let cols = if tb == Trans::Yes { b.rows() } else { b.cols() };
+        let mut out = Tensor::zeros(rows, cols);
+        kernels::with_thread_scratch(|s| {
+            kernels::gemm(a.as_mat(), b.as_mat(), ta, tb, &mut out.as_mat_mut(), s);
+        });
+        out
+    }
+
     #[test]
-    fn matmul_hand_example() {
+    fn gemm_hand_example() {
         let a = t(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = t(3, 2, &[7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let c = a.matmul(&b);
+        let c = gemm(&a, &b, Trans::No, Trans::No);
         assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
@@ -270,18 +262,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let a = Tensor::xavier(4, 3, &mut rng);
         let b = Tensor::xavier(4, 5, &mut rng);
-        let mut tn = Tensor::zeros(3, 5);
-        kernels::with_thread_scratch(|s| {
-            kernels::gemm(a.as_mat(), b.as_mat(), Trans::Yes, Trans::No, &mut tn.as_mat_mut(), s);
-        });
-        let slow = a.transpose().matmul(&b);
+        let tn = gemm(&a, &b, Trans::Yes, Trans::No);
+        let slow = gemm(&a.transpose(), &b, Trans::No, Trans::No);
         assert_eq!(tn, slow, "packing is pure data movement: bit-identical");
         let c = Tensor::xavier(5, 3, &mut rng);
-        let mut nt = Tensor::zeros(4, 5);
-        kernels::with_thread_scratch(|s| {
-            kernels::gemm(a.as_mat(), c.as_mat(), Trans::No, Trans::Yes, &mut nt.as_mat_mut(), s);
-        });
-        let slow = a.matmul(&c.transpose());
+        let nt = gemm(&a, &c, Trans::No, Trans::Yes);
+        let slow = gemm(&a, &c.transpose(), Trans::No, Trans::No);
         assert_eq!(nt, slow);
     }
 
@@ -337,14 +323,6 @@ mod tests {
         let var: f32 = w.data().iter().map(|v| (v - mean).powi(2)).sum::<f32>() / w.numel() as f32;
         assert!(mean.abs() < 0.001, "mean {mean}");
         assert!((var.sqrt() - 0.02).abs() < 0.002, "std {}", var.sqrt());
-    }
-
-    #[test]
-    #[should_panic(expected = "matmul shape mismatch")]
-    fn matmul_shape_mismatch_panics() {
-        let a = Tensor::zeros(2, 3);
-        let b = Tensor::zeros(2, 3);
-        let _ = a.matmul(&b);
     }
 
     #[test]

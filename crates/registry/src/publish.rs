@@ -7,7 +7,7 @@
 //! at any point leaves either the old artifact or the new one — never a
 //! torn file — and a leftover `.tmp` is deleted on the next publish.
 //!
-//! The `model-publish-atomicity` lint rule flags any other
+//! The `atomic-write` lint rule flags any other
 //! `fs::write`/`File::create` that mentions registry artifacts; this
 //! module keeps the marker names out of its create statement so the
 //! sanctioned writer itself stays clean (the same structure

@@ -26,8 +26,8 @@ struct Posting {
 /// An inverted index over tokenized documents, ranked with Okapi BM25.
 ///
 /// Built once, then queried concurrently (all query methods take `&self`).
-/// Documents are added through [`IndexBuilder`]-style `add_document` calls
-/// followed by [`InvertedIndex::finish`]; `finish` freezes corpus statistics.
+/// Documents are added with [`InvertedIndex::add_document`] followed by
+/// [`InvertedIndex::finish`]; `finish` freezes corpus statistics.
 #[derive(Debug, Default)]
 pub struct InvertedIndex {
     postings: HashMap<String, Vec<Posting>>,

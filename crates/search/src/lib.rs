@@ -4,7 +4,7 @@
 //! scores as *linking scores* between table cell mentions and KG entities
 //! (paper Eq. 1–2). This crate is the drop-in substrate:
 //!
-//! * [`tokenize`] — the analyzer (lowercasing, alphanumeric word splitting);
+//! * [`tokenize()`] — the analyzer (lowercasing, alphanumeric word splitting);
 //! * [`InvertedIndex`] — term → postings with term frequencies, document
 //!   lengths, and corpus statistics;
 //! * [`Bm25Params`] / scoring — Okapi BM25 exactly as in the paper, with the

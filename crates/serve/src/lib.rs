@@ -7,9 +7,8 @@
 //! Everything is std-only (`std::thread`, `mpsc`, `Mutex`/`Condvar`) and
 //! deterministic where it matters:
 //!
-//! * **Sharded worker pool** — N threads drain micro-batches of up to
-//!   `max_batch` tables per wakeup from one bounded MPMC queue
-//!   ([`queue::BoundedQueue`]).
+//! * **Sharded worker pool** — N threads each take one table per wake-up
+//!   from one bounded MPMC queue ([`queue::BoundedQueue`]).
 //! * **Retrieval cache** — a shared
 //!   [`CachingBackend`](kglink_search::CachingBackend) (sharded LRU keyed
 //!   by normalized mention text) sits in front of the caller's backend
@@ -25,9 +24,8 @@
 //!   correct output arity.
 //! * **Metrics** — [`ServiceMetrics`] folds queue, latency, cache and
 //!   [`RetrievalCounts`] into one snapshot; every time in it is wall-clock.
-//! * **Overload protection** — an optional
-//!   [`OverloadConfig`](service::OverloadConfig) wires in an AIMD
-//!   admission controller ([`admission::AimdLimit`]) that resizes the
+//! * **Overload protection** — an optional [`OverloadConfig`] wires in an
+//!   AIMD admission controller ([`admission::AimdLimit`]) that resizes the
 //!   queue's dynamic limit from queue-sojourn congestion signals, and a
 //!   hysteretic [`brownout::BrownoutController`] that walks requests down
 //!   the three-rung degradation ladder (full retrieval → cache-only →

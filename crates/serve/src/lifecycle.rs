@@ -1,13 +1,15 @@
 //! Model lifecycle: versioned epochs, shadow evaluation, swap state.
 //!
-//! The serving layer never holds a bare model: it holds the current
-//! [`ModelEpoch`] behind a mutex-guarded `Arc` slot (the std-only stand-in
-//! for an `ArcSwap`). Workers clone the slot **once per micro-batch**, so
-//! a promote is an atomic pointer bump between batches: every request is
-//! served end-to-end by exactly one epoch, and nobody ever observes a
-//! torn model. In-place mutation of a live epoch is a lint error
-//! (`model-publish-atomicity`); the only way weights change is a whole
-//! new epoch through [`AnnotationService::swap_model`].
+//! The serving layer never holds a bare model. It holds one mutex-guarded
+//! slot (the std-only stand-in for an `ArcSwap`) with the serving
+//! [`ModelEpoch`] and, while a swap is in its shadow or watch phase, the
+//! comparison window over another epoch. A worker reads the slot **once
+//! per request**, in one statement, so a promote lands between requests:
+//! every request is served end-to-end by exactly one epoch, nobody ever
+//! observes a torn model, and no request is compared in a window over the
+//! epoch serving it. In-place mutation of a live epoch is a lint error
+//! (`epoch-hold`); the only way weights change is a whole new epoch
+//! through [`AnnotationService::swap_model`].
 //!
 //! A swap walks a four-phase state machine (DESIGN.md §15):
 //!
@@ -24,7 +26,8 @@
 //! - **shadow**: a sampled fraction of live traffic is *duplicated*
 //!   against the candidate inside the worker (no user-visible output);
 //!   label flips and per-version latency feed the verdict.
-//! - **promote**: the epoch slot is swapped between micro-batches.
+//! - **promote**: one store puts the candidate in the slot together with
+//!   the watch window over the prior epoch.
 //! - **watch**: the divergence guard keeps sampling live traffic against
 //!   the *prior* epoch; a label-flip rate or p99 inflation past the gate
 //!   triggers an automatic rollback (`model.rollback` tracer event),
@@ -126,11 +129,19 @@ pub struct VersionStats {
     pub latency: Histogram,
 }
 
-/// Shared lifecycle state: the epoch slot, the optional comparison window,
-/// and the swap/rollback accounting `metrics()` publishes.
+/// What a worker serves one request with: the serving epoch and, during a
+/// swap's shadow or watch phase, the window comparing it against another
+/// epoch. Both live in one slot and change in one store.
+#[derive(Clone)]
+pub(crate) struct Serving {
+    pub epoch: Arc<ModelEpoch>,
+    pub window: Option<Arc<ShadowState>>,
+}
+
+/// Shared lifecycle state: the serving slot and the swap/rollback
+/// accounting `metrics()` publishes.
 pub(crate) struct Lifecycle {
-    epoch: Mutex<Arc<ModelEpoch>>,
-    shadow: Mutex<Option<Arc<ShadowState>>>,
+    epoch: Mutex<Serving>,
     pub swaps: AtomicU64,
     pub rollbacks: AtomicU64,
     /// Rollbacks remaining before the lifecycle fails closed.
@@ -145,8 +156,10 @@ pub(crate) struct Lifecycle {
 impl Lifecycle {
     pub(crate) fn new(initial: ModelEpoch, rollback_budget: usize) -> Self {
         Lifecycle {
-            epoch: Mutex::new(Arc::new(initial)),
-            shadow: Mutex::new(None),
+            epoch: Mutex::new(Serving {
+                epoch: Arc::new(initial),
+                window: None,
+            }),
             swaps: AtomicU64::new(0),
             rollbacks: AtomicU64::new(0),
             rollback_budget_left: AtomicUsize::new(rollback_budget),
@@ -156,28 +169,38 @@ impl Lifecycle {
         }
     }
 
-    /// The serving epoch, cloned out of the slot. Workers call this once
-    /// per micro-batch; the swap path calls [`install`](Self::install).
-    pub(crate) fn current(&self) -> Arc<ModelEpoch> {
-        Arc::clone(&self.epoch.lock().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// Atomically replace the serving epoch; returns the one displaced.
-    pub(crate) fn install(&self, next: Arc<ModelEpoch>) -> Arc<ModelEpoch> {
-        let mut slot = self.epoch.lock().unwrap_or_else(PoisonError::into_inner);
-        std::mem::replace(&mut *slot, next)
-    }
-
-    /// The active comparison window, if a swap is in shadow/watch phase.
-    pub(crate) fn shadow_snapshot(&self) -> Option<Arc<ShadowState>> {
-        self.shadow
+    /// The slot, cloned out in one statement. Workers call this once per
+    /// request.
+    pub(crate) fn serving(&self) -> Serving {
+        self.epoch
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone()
     }
 
-    pub(crate) fn set_shadow(&self, state: Option<Arc<ShadowState>>) {
-        *self.shadow.lock().unwrap_or_else(PoisonError::into_inner) = state;
+    /// The serving epoch alone.
+    pub(crate) fn current(&self) -> Arc<ModelEpoch> {
+        self.serving().epoch
+    }
+
+    /// Replace the serving epoch and its window in one store; returns the
+    /// epoch displaced. Promote (with or without a watch window) and
+    /// rollback go through here.
+    pub(crate) fn install(
+        &self,
+        epoch: Arc<ModelEpoch>,
+        window: Option<Arc<ShadowState>>,
+    ) -> Arc<ModelEpoch> {
+        let mut slot = self.epoch.lock().unwrap_or_else(PoisonError::into_inner);
+        std::mem::replace(&mut *slot, Serving { epoch, window }).epoch
+    }
+
+    /// Open or clear the comparison window; the serving epoch stays.
+    pub(crate) fn set_window(&self, window: Option<Arc<ShadowState>>) {
+        self.epoch
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .window = window;
     }
 
     /// Record one completion against the epoch that served it.
@@ -333,4 +356,67 @@ pub struct SwapReport {
     pub watch_flips: u64,
     /// Real microseconds the epoch bump itself took (promote phase).
     pub promote_us: u64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kglink_core::{KgLinkConfig, KgLinkModel};
+    use kglink_table::LabelVocab;
+
+    /// Two separate slots let a worker read the prior epoch before a
+    /// promote and the watch window after it, then compare the prior epoch
+    /// against itself. One slot pairs every window with the epoch it was
+    /// stored with.
+    #[test]
+    fn no_read_pairs_a_window_with_the_serving_epoch() {
+        let config = KgLinkConfig::fast_test();
+        let mut labels = LabelVocab::new();
+        labels.intern("person");
+        let model = Arc::new(KgLink {
+            model: KgLinkModel::new(&config, 16, labels.len()),
+            config,
+            labels,
+        });
+        let lifecycle = Lifecycle::new(ModelEpoch::new(1, Arc::clone(&model)), 0);
+        let prior = lifecycle.current();
+        let candidate = Arc::new(ModelEpoch::new(2, model));
+        let shadow = Arc::new(ShadowState::new(Arc::clone(&candidate), 1));
+        let watch = Arc::new(ShadowState::new(Arc::clone(&prior), 1));
+        let done = AtomicBool::new(false);
+        let windows_seen = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                while !done.load(Ordering::SeqCst) {
+                    let Serving { epoch, window } = lifecycle.serving();
+                    if let Some(window) = window {
+                        assert!(
+                            !Arc::ptr_eq(&window.epoch, &epoch),
+                            "a window over the serving epoch v{}",
+                            epoch.version
+                        );
+                        windows_seen.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+            let mut cycles = 0u32;
+            while !reader.is_finished()
+                && (cycles < 10_000 || windows_seen.load(Ordering::Relaxed) == 0)
+            {
+                // Shadow start and clear, promote with watch, clear, rollback.
+                lifecycle.set_window(Some(Arc::clone(&shadow)));
+                lifecycle.set_window(None);
+                let displaced = lifecycle.install(Arc::clone(&candidate), Some(Arc::clone(&watch)));
+                assert!(Arc::ptr_eq(&displaced, &prior));
+                lifecycle.set_window(None);
+                lifecycle.install(Arc::clone(&prior), None);
+                cycles += 1;
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        assert!(
+            windows_seen.load(Ordering::Relaxed) > 0,
+            "the reader never saw a window"
+        );
+    }
 }

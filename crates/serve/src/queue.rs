@@ -12,9 +12,10 @@
 //!   evict the oldest queued one, which is the request most likely to have
 //!   already blown its deadline (freshness-first).
 //!
-//! Workers drain with [`BoundedQueue::pop_batch`], which removes up to
-//! `max_batch` items per wakeup — the micro-batching lever: one lock
-//! acquisition and one worker wakeup amortized over several tables.
+//! Workers take one item per wake-up with [`BoundedQueue::pop`]. The queue
+//! keeps no ledger of its own: the service counts submissions and sheds
+//! from what `push` and [`trim_to_limit`](BoundedQueue::trim_to_limit)
+//! return.
 //!
 //! Poisoning: a worker that panics *while annotating* never holds the
 //! queue lock (all critical sections here are pure `VecDeque` + counter
@@ -51,10 +52,6 @@ pub enum PushError {
 struct QueueState<T> {
     items: VecDeque<T>,
     closed: bool,
-    /// Total items ever admitted (including later-shed ones).
-    admitted: u64,
-    /// Total items evicted under `ShedOldest`.
-    shed: u64,
 }
 
 /// Fixed-capacity MPMC queue; see the module docs for the policy semantics.
@@ -78,18 +75,12 @@ impl<T> BoundedQueue<T> {
             state: Mutex::new(QueueState {
                 items: VecDeque::with_capacity(capacity),
                 closed: false,
-                admitted: 0,
-                shed: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity,
             limit: AtomicUsize::new(capacity),
         }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// The current effective admission limit (`<= capacity`).
@@ -113,22 +104,12 @@ impl<T> BoundedQueue<T> {
 
     /// Evict oldest-first until the depth is within the current limit,
     /// returning the victims (in eviction order) for the caller to fail
-    /// explicitly. Each victim counts toward the `shed` counter, exactly
-    /// like a `ShedOldest` eviction.
+    /// explicitly, exactly like a `ShedOldest` eviction.
     pub fn trim_to_limit(&self) -> Vec<T> {
         let limit = self.limit();
         let mut state = self.lock_state();
-        let mut victims = Vec::new();
-        while state.items.len() > limit {
-            match state.items.pop_front() {
-                Some(victim) => {
-                    state.shed += 1;
-                    victims.push(victim);
-                }
-                None => break,
-            }
-        }
-        victims
+        let excess = state.items.len().saturating_sub(limit);
+        state.items.drain(..excess).collect()
     }
 
     /// Acquire the state lock, recovering from poison (see module docs:
@@ -145,12 +126,6 @@ impl<T> BoundedQueue<T> {
     /// Whether [`close`](Self::close) has been called.
     pub fn is_closed(&self) -> bool {
         self.lock_state().closed
-    }
-
-    /// (admitted, shed) lifetime counters.
-    pub fn counters(&self) -> (u64, u64) {
-        let s = self.lock_state();
-        (s.admitted, s.shed)
     }
 
     /// Enqueue `item` under `policy`. `Ok(None)` means plainly enqueued;
@@ -184,26 +159,19 @@ impl<T> BoundedQueue<T> {
                         return Err(PushError::Closed);
                     }
                 }
-                AdmissionPolicy::ShedOldest => {
-                    victim = state.items.pop_front();
-                    if victim.is_some() {
-                        state.shed += 1;
-                    }
-                }
+                AdmissionPolicy::ShedOldest => victim = state.items.pop_front(),
             }
         }
         state.items.push_back(item);
-        state.admitted += 1;
         drop(state);
         self.not_empty.notify_one();
         Ok(victim)
     }
 
-    /// Block until at least one item is available (or the queue closes),
-    /// then drain up to `max_batch` items. An empty Vec means the queue is
-    /// closed *and* fully drained — the worker's signal to exit.
-    pub fn pop_batch(&self, max_batch: usize) -> Vec<T> {
-        let max_batch = max_batch.max(1);
+    /// Block until an item is available (or the queue closes), then take
+    /// the oldest one. `None` means the queue is closed *and* drained —
+    /// the worker's signal to exit.
+    pub fn pop(&self) -> Option<T> {
         let mut state = self.lock_state();
         while state.items.is_empty() && !state.closed {
             state = self
@@ -211,39 +179,13 @@ impl<T> BoundedQueue<T> {
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        let take = state.items.len().min(max_batch);
-        let batch: Vec<T> = state.items.drain(..take).collect();
+        let item = state.items.pop_front();
         drop(state);
-        if !batch.is_empty() {
-            // Freed capacity: wake blocked producers; more items may remain
-            // for sibling workers.
+        if item.is_some() {
+            // Freed a slot: wake the producers parked on a full queue.
             self.not_full.notify_all();
-            self.not_empty.notify_one();
         }
-        batch
-    }
-
-    /// Put already-admitted items back at the *front* of the queue in
-    /// order (index 0 becomes the next item popped). Used by the worker
-    /// panic path: the rest of a micro-batch goes back for a sibling (or
-    /// the respawned worker) to pick up, ahead of newer arrivals.
-    /// Capacity is intentionally not enforced — these items already passed
-    /// admission once. Returns the items unchanged if the queue closed in
-    /// the meantime, so the caller can fail them explicitly.
-    pub fn requeue_front(&self, items: Vec<T>) -> Result<(), Vec<T>> {
-        if items.is_empty() {
-            return Ok(());
-        }
-        let mut state = self.lock_state();
-        if state.closed {
-            return Err(items);
-        }
-        for item in items.into_iter().rev() {
-            state.items.push_front(item);
-        }
-        drop(state);
-        self.not_empty.notify_all();
-        Ok(())
+        item
     }
 
     /// Close the queue and return everything still queued, so the caller
@@ -264,6 +206,11 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Pop everything queued right now, oldest first, without parking.
+    fn drain<T>(q: &BoundedQueue<T>) -> Vec<T> {
+        (0..q.depth()).filter_map(|_| q.pop()).collect()
+    }
+
     #[test]
     fn reject_policy_returns_typed_overflow() {
         let q = BoundedQueue::new(2);
@@ -282,39 +229,22 @@ mod tests {
     #[test]
     fn shed_oldest_evicts_in_fifo_order() {
         let q = BoundedQueue::new(2);
-        q.push(1, AdmissionPolicy::ShedOldest).unwrap();
-        q.push(2, AdmissionPolicy::ShedOldest).unwrap();
+        assert_eq!(q.push(1, AdmissionPolicy::ShedOldest), Ok(None));
+        assert_eq!(q.push(2, AdmissionPolicy::ShedOldest), Ok(None));
         assert_eq!(q.push(3, AdmissionPolicy::ShedOldest), Ok(Some(1)));
         assert_eq!(q.push(4, AdmissionPolicy::ShedOldest), Ok(Some(2)));
-        assert_eq!(q.pop_batch(8), vec![3, 4]);
-        assert_eq!(q.counters(), (4, 2));
+        assert_eq!(drain(&q), vec![3, 4]);
     }
 
     #[test]
-    fn pop_batch_respects_max_batch_and_fifo() {
+    fn pop_takes_one_item_in_fifo_order() {
         let q = BoundedQueue::new(8);
         for i in 0..5 {
             q.push(i, AdmissionPolicy::Reject).unwrap();
         }
-        assert_eq!(q.pop_batch(3), vec![0, 1, 2]);
-        assert_eq!(q.pop_batch(3), vec![3, 4]);
-    }
-
-    #[test]
-    fn requeue_front_restores_fifo_order_ahead_of_queued_items() {
-        let q = BoundedQueue::new(2);
-        q.push(10, AdmissionPolicy::Reject).unwrap();
-        q.push(11, AdmissionPolicy::Reject).unwrap();
-        // Requeue past capacity: already-admitted items are never dropped.
-        q.requeue_front(vec![1, 2, 3]).unwrap();
-        assert_eq!(q.depth(), 5);
-        assert_eq!(q.pop_batch(8), vec![1, 2, 3, 10, 11]);
-        // After close, requeue hands the items back for explicit failure.
-        assert!(!q.is_closed());
-        q.close();
-        assert!(q.is_closed());
-        assert_eq!(q.requeue_front(vec![7, 8]), Err(vec![7, 8]));
-        assert_eq!(q.requeue_front(Vec::<i32>::new()), Ok(()));
+        assert_eq!(q.pop(), Some(0));
+        assert_eq!(q.depth(), 4, "one item per pop");
+        assert_eq!(drain(&q), vec![1, 2, 3, 4]);
     }
 
     #[test]
@@ -339,7 +269,7 @@ mod tests {
     }
 
     #[test]
-    fn trim_to_limit_evicts_oldest_and_counts_shed() {
+    fn trim_to_limit_evicts_oldest_first() {
         let q = BoundedQueue::new(8);
         for i in 0..6 {
             q.push(i, AdmissionPolicy::Reject).unwrap();
@@ -347,9 +277,8 @@ mod tests {
         assert!(q.trim_to_limit().is_empty(), "within limit: no victims");
         q.set_limit(2);
         assert_eq!(q.trim_to_limit(), vec![0, 1, 2, 3]);
-        assert_eq!(q.depth(), 2);
-        assert_eq!(q.counters(), (6, 4));
-        assert_eq!(q.pop_batch(8), vec![4, 5]);
+        assert!(q.trim_to_limit().is_empty(), "already within the new limit");
+        assert_eq!(drain(&q), vec![4, 5]);
     }
 
     #[test]
@@ -385,36 +314,39 @@ mod tests {
         // Every operation still works on the recovered state.
         assert_eq!(q.depth(), 1);
         q.push(2, AdmissionPolicy::Reject).unwrap();
-        assert_eq!(q.pop_batch(8), vec![1, 2]);
+        assert_eq!(drain(&q), vec![1, 2]);
         assert!(q.close().is_empty());
     }
 
     #[test]
-    fn close_drains_and_unblocks() {
+    fn close_drains_and_wakes_a_parked_popper_with_none() {
         let q = Arc::new(BoundedQueue::new(4));
         q.push("a", AdmissionPolicy::Reject).unwrap();
         q.push("b", AdmissionPolicy::Reject).unwrap();
+        let drained = Arc::new(std::sync::Barrier::new(2));
         let waiter = {
             let q = Arc::clone(&q);
+            let drained = Arc::clone(&drained);
             std::thread::spawn(move || {
-                // Drain the two queued items, then block until close.
-                let first = q.pop_batch(8);
-                let second = q.pop_batch(8);
-                (first, second)
+                let taken = (q.pop(), q.pop());
+                drained.wait();
+                (taken, q.pop())
             })
         };
-        // Give the waiter a chance to drain and park; close() must wake it.
+        // The two items are gone; give the waiter a chance to park on the
+        // third pop. Parked or not, close() must answer it with `None`.
+        drained.wait();
         std::thread::sleep(std::time::Duration::from_millis(10));
+        assert!(!q.is_closed());
         let leftovers = q.close();
-        let (first, second) = waiter.join().unwrap();
-        assert_eq!(first, vec!["a", "b"]);
-        assert!(second.is_empty(), "closed queue returns an empty batch");
+        assert!(q.is_closed());
+        assert_eq!(waiter.join().unwrap(), ((Some("a"), Some("b")), None));
         assert!(leftovers.is_empty());
         assert_eq!(q.push("c", AdmissionPolicy::Block), Err(PushError::Closed));
     }
 
     #[test]
-    fn block_policy_waits_for_capacity() {
+    fn block_policy_producer_is_released_by_one_pop() {
         let q = Arc::new(BoundedQueue::new(1));
         q.push(1, AdmissionPolicy::Block).unwrap();
         let producer = {
@@ -422,9 +354,9 @@ mod tests {
             std::thread::spawn(move || q.push(2, AdmissionPolicy::Block))
         };
         std::thread::sleep(std::time::Duration::from_millis(10));
-        // Producer is parked on the full queue; draining must release it.
-        assert_eq!(q.pop_batch(1), vec![1]);
+        // Producer is parked on the full queue; one pop must release it.
+        assert_eq!(q.pop(), Some(1));
         assert_eq!(producer.join().unwrap(), Ok(None));
-        assert_eq!(q.pop_batch(1), vec![2]);
+        assert_eq!(q.pop(), Some(2));
     }
 }

@@ -15,9 +15,10 @@
 //! ```
 //!
 //! Determinism: annotation is a pure function of (model, resources, table).
-//! The cache only ever serves bit-identical [`SearchOutcome`]s (keyed by
-//! normalized mention + `top_k` over a deterministic backend), so results
-//! are independent of worker count and scheduling — the serve tests and
+//! The cache only ever serves bit-identical
+//! [`SearchOutcome`](kglink_search::SearchOutcome)s (keyed by normalized
+//! mention + `top_k` over a deterministic backend), so results are
+//! independent of worker count and scheduling — the serve tests and
 //! `exp_serve` assert bit-identity between 1-worker and N-worker runs.
 
 use crate::admission::{AimdConfig, AimdLimit};
@@ -78,8 +79,6 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Bounded queue capacity; beyond it the admission policy applies.
     pub queue_capacity: usize,
-    /// Max tables a worker drains per wakeup (micro-batch size).
-    pub max_batch: usize,
     /// What to do with new requests when the queue is full.
     pub admission: AdmissionPolicy,
     /// Deadline applied by [`AnnotationService::submit`] when the caller
@@ -117,7 +116,6 @@ impl Default for ServiceConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             queue_capacity: 64,
-            max_batch: 4,
             admission: AdmissionPolicy::Block,
             default_deadline: Deadline::UNBOUNDED,
             cache: Some(CacheConfig::default()),
@@ -387,7 +385,6 @@ impl AnnotationService {
             tokenizer: Arc::clone(&tokenizer),
             queue: Arc::clone(&queue),
             shared: Arc::clone(&shared),
-            max_batch: config.max_batch.max(1),
             tracer: config.tracer.clone(),
         };
         // Admission-only mode (`workers == 0`) needs no worker threads and
@@ -702,9 +699,9 @@ impl AnnotationService {
                 Arc::clone(&cand_epoch),
                 plan.shadow_sample_every,
             ));
-            self.lifecycle.set_shadow(Some(Arc::clone(&st)));
+            self.lifecycle.set_window(Some(Arc::clone(&st)));
             self.await_comparisons(&st, plan.shadow_min_requests, plan.phase_timeout);
-            self.lifecycle.set_shadow(None);
+            self.lifecycle.set_window(None);
             report.shadow_compared = st.compared.load(Ordering::SeqCst);
             report.shadow_flips = st.flips.load(Ordering::SeqCst);
             report.shadow_p99_us = st.shadow_p99();
@@ -741,11 +738,20 @@ impl AnnotationService {
             }
         }
 
-        // ---- promote: atomic epoch bump between micro-batches ----
+        // ---- promote: the candidate and the watch window over the prior
+        // epoch land in one store, between requests ----
+        let watch = (plan.watch_min_requests > 0).then(|| {
+            Arc::new(ShadowState::new(
+                Arc::clone(&active),
+                plan.watch_sample_every,
+            ))
+        });
         // kglink-lint: allow(nondeterminism) — measures how long the epoch
         // bump itself takes for the swap report; no annotation reads it.
         let t_promote = Instant::now();
-        let prior = self.lifecycle.install(Arc::clone(&cand_epoch));
+        let prior = self
+            .lifecycle
+            .install(Arc::clone(&cand_epoch), watch.clone());
         report.promote_us = t_promote.elapsed().as_micros() as u64;
         self.lifecycle.swaps.fetch_add(1, Ordering::SeqCst);
         self.tracer.incr("model.promote", 1);
@@ -759,14 +765,9 @@ impl AnnotationService {
         );
 
         // ---- watch: divergence guard with automatic rollback ----
-        if plan.watch_min_requests > 0 {
-            let st = Arc::new(ShadowState::new(
-                Arc::clone(&prior),
-                plan.watch_sample_every,
-            ));
-            self.lifecycle.set_shadow(Some(Arc::clone(&st)));
+        if let Some(st) = watch {
             self.await_comparisons(&st, plan.watch_min_requests, plan.phase_timeout);
-            self.lifecycle.set_shadow(None);
+            self.lifecycle.set_window(None);
             report.watch_compared = st.compared.load(Ordering::SeqCst);
             report.watch_flips = st.flips.load(Ordering::SeqCst);
             let flip_rate = st.flip_rate();
@@ -793,7 +794,7 @@ impl AnnotationService {
                 ));
             }
             if let Some(reason) = trip {
-                self.lifecycle.install(prior);
+                self.lifecycle.install(prior, None);
                 self.lifecycle.rollbacks.fetch_add(1, Ordering::SeqCst);
                 let left = self
                     .lifecycle
@@ -883,7 +884,7 @@ struct SwapGuard<'a> {
 
 impl Drop for SwapGuard<'_> {
     fn drop(&mut self) {
-        self.lifecycle.set_shadow(None);
+        self.lifecycle.set_window(None);
         self.lifecycle
             .swap_in_progress
             .store(false, Ordering::SeqCst);

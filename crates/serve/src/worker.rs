@@ -1,4 +1,4 @@
-//! The worker loop: drain a micro-batch, annotate each request, reply.
+//! The worker loop: take one request, annotate it, reply.
 //!
 //! Every annotation reaches the KG through one view of the service's
 //! shared [`Retrieval`] stack, `retrieval.at(rung, counted)`; the rung is
@@ -27,8 +27,7 @@
 //! table and all eligible feature sequences in a single batched encoder
 //! call (`kglink_nn::Encoder::infer_batch`). The encoder's scratch arenas
 //! are thread-local, so each worker warms its own pool on the first
-//! request and then serves its micro-batches without heap allocation in
-//! the forward pass.
+//! request and then serves without heap allocation in the forward pass.
 //!
 //! Panic isolation: each request is annotated inside `catch_unwind`, with
 //! a completion-on-drop [`TicketGuard`] armed *before* any fallible work.
@@ -36,14 +35,14 @@
 //! panic in the pipeline, panic in the backend stack — the ticket is
 //! completed exactly once: either with the annotation, or with a typed
 //! [`ServiceError::WorkerPanicked`]. A blocked `wait()` can therefore
-//! never hang on a crashed worker. After a panic the worker requeues the
-//! unserved remainder of its micro-batch at the queue front and exits
-//! with [`WorkerExit::Panicked`], letting the supervisor decide whether
-//! to respawn it.
+//! never hang on a crashed worker. A worker holds only the request it is
+//! serving, so after a panic it exits with [`WorkerExit::Panicked`] and
+//! leaves the queue untouched; the supervisor decides whether to respawn
+//! it.
 
 use crate::brownout;
 use crate::error::ServiceError;
-use crate::lifecycle::{Lifecycle, ModelEpoch, ShadowState};
+use crate::lifecycle::{Lifecycle, Serving, ShadowState};
 use crate::queue::BoundedQueue;
 use crate::retrieval::Retrieval;
 use crate::service::{Annotation, Request, Shared};
@@ -53,7 +52,6 @@ use kglink_kg::GraphAccess;
 use kglink_nn::Tokenizer;
 use kglink_obs::Tracer;
 use kglink_search::Deadline;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, PoisonError};
@@ -63,15 +61,14 @@ use std::time::Instant;
 #[derive(Clone)]
 pub(crate) struct WorkerContext {
     pub idx: usize,
-    /// Epoch slot + comparison window; the worker clones both once per
-    /// micro-batch, so a hot-swap lands between batches, never inside one.
+    /// The serving slot; the worker reads it once per request, so a
+    /// hot-swap lands between requests, never inside one.
     pub lifecycle: Arc<Lifecycle>,
     pub retrieval: Arc<Retrieval>,
     pub graph: Arc<dyn GraphAccess>,
     pub tokenizer: Arc<Tokenizer>,
     pub queue: Arc<BoundedQueue<Request>>,
     pub shared: Arc<Shared>,
-    pub max_batch: usize,
     pub tracer: Tracer,
 }
 
@@ -81,7 +78,7 @@ pub(crate) struct WorkerContext {
 pub(crate) enum WorkerExit {
     /// The queue closed and drained: clean shutdown.
     Drained,
-    /// A request panicked; the rest of the batch was requeued.
+    /// A request panicked; its ticket was failed with a typed error.
     Panicked,
 }
 
@@ -115,59 +112,42 @@ impl Drop for TicketGuard {
 }
 
 pub(crate) fn run(ctx: WorkerContext) -> WorkerExit {
-    loop {
-        let mut batch: VecDeque<Request> = ctx.queue.pop_batch(ctx.max_batch).into();
-        if batch.is_empty() {
-            // Closed and drained: exit.
-            return WorkerExit::Drained;
-        }
-        // One epoch (and one comparison window) per micro-batch: a promote
-        // that lands mid-batch takes effect at the *next* batch, so every
-        // request in this one is served end-to-end by `epoch` and nobody
-        // ever observes a torn model.
-        let epoch = ctx.lifecycle.current();
-        let shadow = ctx.lifecycle.shadow_snapshot();
-        while let Some(request) = batch.pop_front() {
-            ctx.shared.in_flight.fetch_add(1, Ordering::SeqCst);
-            let guard = TicketGuard::arm(request.reply.clone());
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let annotation = serve_request(&ctx, &request, &epoch, shadow.as_ref());
-                let total_us = request.enqueued.elapsed().as_micros() as u64;
-                record_completion(&ctx, &annotation, total_us);
-                annotation
-            }));
-            ctx.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-            match outcome {
-                Ok(annotation) => {
-                    guard.complete();
-                    let _ = request.reply.send(Ok(annotation));
-                }
-                Err(_panic) => {
-                    // Account for the panic *before* completing the ticket:
-                    // a waiter unblocked by the guard's error must observe
-                    // counters that already include this panic.
-                    ctx.shared.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    ctx.tracer.incr("worker.panic", 1);
-                    ctx.tracer.event_with(
-                        "worker.panic",
-                        vec![("worker", ctx.idx.to_string())],
-                    );
-                    // Dropping the guard completes the panicked ticket with
-                    // the typed error.
-                    drop(guard);
-                    // Hand the unserved remainder back for a sibling or the
-                    // respawned worker; if the queue closed underneath us,
-                    // fail those requests explicitly instead of leaking.
-                    if let Err(orphans) = ctx.queue.requeue_front(batch.into()) {
-                        for r in orphans {
-                            let _ = r.reply.send(Err(ServiceError::Closed));
-                        }
-                    }
-                    return WorkerExit::Panicked;
-                }
+    while let Some(request) = ctx.queue.pop() {
+        // One slot read per request: the epoch and the comparison window
+        // were stored together, so a promote lands between requests and
+        // this request is served end-to-end by `serving.epoch`.
+        let serving = ctx.lifecycle.serving();
+        ctx.shared.in_flight.fetch_add(1, Ordering::SeqCst);
+        let guard = TicketGuard::arm(request.reply.clone());
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let annotation = serve_request(&ctx, &request, &serving);
+            let total_us = request.enqueued.elapsed().as_micros() as u64;
+            record_completion(&ctx, &annotation, total_us);
+            annotation
+        }));
+        ctx.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+        match outcome {
+            Ok(annotation) => {
+                guard.complete();
+                let _ = request.reply.send(Ok(annotation));
+            }
+            Err(_panic) => {
+                // Account for the panic *before* completing the ticket:
+                // a waiter unblocked by the guard's error must observe
+                // counters that already include this panic.
+                ctx.shared.worker_panics.fetch_add(1, Ordering::Relaxed);
+                ctx.tracer.incr("worker.panic", 1);
+                ctx.tracer
+                    .event_with("worker.panic", vec![("worker", ctx.idx.to_string())]);
+                // Dropping the guard completes the panicked ticket with
+                // the typed error.
+                drop(guard);
+                return WorkerExit::Panicked;
             }
         }
     }
+    // Closed and drained.
+    WorkerExit::Drained
 }
 
 /// Feed one queue-sojourn observation to the overload controllers (when
@@ -254,12 +234,7 @@ fn annotate_once(
     model.annotate_request(&resources, spec)
 }
 
-fn serve_request(
-    ctx: &WorkerContext,
-    request: &Request,
-    epoch: &Arc<ModelEpoch>,
-    shadow: Option<&Arc<ShadowState>>,
-) -> Annotation {
+fn serve_request(ctx: &WorkerContext, request: &Request, serving: &Serving) -> Annotation {
     let wait_us = request.enqueued.elapsed().as_micros() as u64;
     // Queue wait is dead time before service starts, so it is a stage
     // timer, not a span: `serve.request` below covers service time only.
@@ -286,10 +261,10 @@ fn serve_request(
     // kglink-lint: allow(nondeterminism) — annotate-only wall time feeding
     // the shadow-comparison latency histograms; labels never read it.
     let t0 = Instant::now();
-    let outcome = annotate_once(ctx, &epoch.model, request, path, true);
+    let outcome = annotate_once(ctx, &serving.epoch.model, request, path, true);
     let primary_us = t0.elapsed().as_micros() as u64;
 
-    if let Some(sh) = shadow {
+    if let Some(sh) = &serving.window {
         if request.id.is_multiple_of(sh.sample_every) {
             run_shadow(ctx, sh, request, path, &outcome, primary_us);
         }
@@ -302,7 +277,7 @@ fn serve_request(
         queue_us: wait_us,
         expired,
         rung: path.rung,
-        model_version: epoch.version,
+        model_version: serving.epoch.version,
     }
 }
 

@@ -5,7 +5,7 @@
 //! are fsync'd, and only then renamed over the destination. On POSIX a
 //! rename within one directory is atomic, so a crash at any point leaves
 //! either the previous complete segment or the new complete segment, never
-//! a torn hybrid. The `segment-atomicity` lint rule keeps every other
+//! a torn hybrid. The `atomic-write` lint rule keeps every other
 //! `fs::write`/`File::create` of segment data out of the workspace.
 //!
 //! Two shapes:

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate: release build, full test suite, strict clippy.
+# Tier-1 verification gate: release build, full test suite, strict clippy
+# and rustdoc.
 # Run from the repository root. Any failure fails the script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -24,6 +25,10 @@ cargo test -q --workspace
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc --workspace --no-deps (rustdoc warnings denied) =="
+# A renamed or deleted item must not leave a dead intra-doc link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== kglink-lint self-test (fixture corpus meta-gate) =="
 # The linter must still *find* things before its clean workspace run means

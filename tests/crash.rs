@@ -346,7 +346,6 @@ fn panicking_backend_leaves_zero_hung_tickets_and_bounded_restarts() {
         5,
         ServiceConfig {
             workers: 2,
-            max_batch: 2,
             cache: None, // every retrieval reaches the panicking backend
             admission: AdmissionPolicy::Block,
             restart_budget: budget,
@@ -399,7 +398,6 @@ fn restart_budget_exhaustion_fails_queued_and_future_requests_typed() {
         1, // every retrieval panics: the pool can never make progress
         ServiceConfig {
             workers: 1,
-            max_batch: 1,
             cache: None,
             admission: AdmissionPolicy::Block,
             restart_budget: 0,
@@ -448,7 +446,6 @@ fn supervisor_respawns_within_budget_and_keeps_serving() {
         4,
         ServiceConfig {
             workers: 1, // every panic kills the whole pool until respawn
-            max_batch: 1,
             cache: None,
             admission: AdmissionPolicy::Block,
             restart_budget: 64,

@@ -3,7 +3,7 @@
 use kglink::core::config::RowFilter;
 use kglink::core::filter::prune_and_filter;
 use kglink::core::linking::LinkedTable;
-use kglink::nn::kernels::{gelu, gelu_grad, softmax};
+use kglink::nn::kernels::{gelu, gelu_grad, gemm, softmax, with_thread_scratch, Trans};
 use kglink::nn::{cross_entropy, dmlm_loss, Tensor};
 use kglink::search::{tokenize, Bm25Params, InvertedIndex};
 use kglink::table::{CellValue, EvalSummary, LabelId, Table, TableId};
@@ -107,8 +107,15 @@ proptest! {
         let a = Tensor::from_vec(2, 3, a);
         let b = Tensor::from_vec(3, 2, b);
         let c = Tensor::from_vec(3, 2, c);
-        let left = a.matmul(&b.add(&c));
-        let right = a.matmul(&b).add(&a.matmul(&c));
+        let matmul = |x: &Tensor, y: &Tensor| {
+            let mut out = Tensor::zeros(x.rows(), y.cols());
+            with_thread_scratch(|s| {
+                gemm(x.as_mat(), y.as_mat(), Trans::No, Trans::No, &mut out.as_mat_mut(), s)
+            });
+            out
+        };
+        let left = matmul(&a, &b.add(&c));
+        let right = matmul(&a, &b).add(&matmul(&a, &c));
         for (x, y) in left.data().iter().zip(right.data()) {
             prop_assert!((x - y).abs() < 1e-3);
         }

@@ -108,7 +108,6 @@ fn worker_pools_are_bit_identical_to_single_threaded_annotation() {
             fx,
             ServiceConfig {
                 workers,
-                max_batch: 2,
                 cache: Some(CacheConfig::default()),
                 ..ServiceConfig::default()
             },
@@ -401,7 +400,6 @@ fn repeated_tables_hit_the_cache_and_metrics_reconcile() {
     };
     let pinned = |rung| ServiceConfig {
         workers: 2,
-        max_batch: 2,
         cache: Some(CacheConfig::default()),
         overload: Some(OverloadConfig {
             brownout: BrownoutConfig::pinned(rung),
@@ -507,7 +505,6 @@ fn hot_swap_is_atomic_and_bit_identical() {
         fx,
         ServiceConfig {
             workers: 2,
-            max_batch: 2,
             cache: None,
             initial_version: 7,
             ..ServiceConfig::default()
