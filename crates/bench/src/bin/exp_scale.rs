@@ -15,6 +15,8 @@
 //!    throughput is the first headline number.
 //! 4. **Read path** — random entity lookups and mention queries through
 //!    the bounded block caches; p50/p99 latencies are the second headline.
+//!    A second pass over 5 000 ids' one-hop lists must be served by the
+//!    neighbourhood tier alone.
 //! 5. **Serving** — an `AnnotationService` runs end-to-end over
 //!    `Arc<DiskGraph>` + `ResilientBackend<DiskBackend>` (+ the service's
 //!    own `CachingBackend`), i.e. the production stack with only the
@@ -38,6 +40,7 @@ use kglink_store::{
     write_graph, DiskBackend, DiskWorld, StoreError, WorldWriterConfig, MANIFEST_FILE,
 };
 use kglink_table::{CellValue, LabelId, Table, TableId};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -295,6 +298,34 @@ fn main() {
         bstats.skipped_blocks - blocks_before
     );
 
+    // Part 4c: 5 000 distinct ids' one-hop lists fit the graph's 8 MB
+    // neighbourhood tier many times over, so a second pass over them is
+    // answered by the tier alone — no tier miss, no block read.
+    let n_hot = 5_000.min(total as usize);
+    let mut hot = BTreeSet::new();
+    let mut i = 0;
+    while hot.len() < n_hot {
+        hot.insert(EntityId((splitmix(seed ^ 0x40b, i) % total) as u32));
+        i += 1;
+    }
+    for &id in &hot {
+        disk.graph.try_one_hop(id).expect("one_hop");
+    }
+    let (tier, loads) = (disk.graph.hop_tier_stats(), disk.graph.cache_stats().misses);
+    for &id in &hot {
+        disk.graph.try_one_hop(id).expect("one_hop");
+    }
+    let tier_misses = disk.graph.hop_tier_stats().misses - tier.misses;
+    let block_loads = disk.graph.cache_stats().misses - loads;
+    assert!(
+        tier_misses == 0 && block_loads == 0,
+        "a second pass over {n_hot} one-hop lists missed the neighbourhood tier \
+         {tier_misses} times and ran the block loader {block_loads} times"
+    );
+    eprintln!(
+        "[scale] part 4c OK: second pass over {n_hot} one-hop lists served by the tier alone"
+    );
+
     // Part 5: the production serving stack over the disk world. The model
     // is trained on the small benchmark (accuracy is not the point here);
     // the service's graph + retrieval seams both point at the 10M world.
@@ -362,6 +393,8 @@ fn main() {
     eprintln!("[scale] part 5 OK: {n_tables} tables annotated");
 
     // Part 6: memory ceiling.
+    let tier = disk.graph.hop_tier_stats();
+    let tier_hit_rate = tier.hits as f64 / (tier.hits + tier.misses).max(1) as f64;
     let hwm = vm_hwm_mb();
     eprintln!("[scale] part 6: VmHWM {hwm} MB (budget {budget_mb} MB)");
     assert!(
@@ -383,6 +416,7 @@ fn main() {
             vec!["query p50 µs".into(), format!("{:.1}", query_ns.p50() as f64 / 1e3)],
             vec!["query p99 µs".into(), format!("{:.1}", query_ns.p99() as f64 / 1e3)],
             vec!["graph cache hit rate".into(), format!("{graph_hit_rate:.3}")],
+            vec!["hop tier hit rate".into(), format!("{tier_hit_rate:.3}")],
             vec!["VmHWM MB".into(), hwm.to_string()],
         ],
     );

@@ -2,9 +2,8 @@
 
 use crate::config::RowFilter;
 use crate::linking::LinkedTable;
-use kglink_kg::{EntityId, GraphAccess};
+use kglink_kg::{EntityId, GraphAccess, IdMap};
 use kglink_table::Table;
-use std::collections::HashMap;
 
 /// A candidate entity that survived pruning.
 #[derive(Debug, Clone, Copy)]
@@ -78,7 +77,8 @@ pub fn prune_and_filter(
     let n_cols = table.n_cols();
     // One graph read per distinct candidate of the chunk, asked in first-use
     // order (row, column, rank); the rows below only borrow the answers.
-    let mut one_hop: HashMap<EntityId, Vec<EntityId>> = HashMap::new();
+    // Both maps are probed by id, never iterated.
+    let mut one_hop: IdMap<Vec<EntityId>> = IdMap::default();
     for r in 0..n_rows {
         for c in 0..n_cols {
             for &(e, _) in &linked.cell(r, c).candidates {
@@ -90,19 +90,18 @@ pub fn prune_and_filter(
     // Prune every cell row by row.
     let mut pruned: Vec<Vec<PrunedCell>> = vec![vec![PrunedCell::default(); n_rows]; n_cols];
     let mut row_scores = vec![0.0f32; n_rows];
+    // Per column: multiset of one-hop neighbors of all candidates of the
+    // current row; the maps keep their capacity from row to row.
+    let mut neighbor_counts: Vec<IdMap<u32>> = vec![IdMap::default(); n_cols];
     for r in 0..n_rows {
-        // Per column: multiset of one-hop neighbors of all candidates.
-        let neighbor_counts: Vec<HashMap<EntityId, u32>> = (0..n_cols)
-            .map(|c| {
-                let mut counts: HashMap<EntityId, u32> = HashMap::new();
-                for (e, _) in &linked.cell(r, c).candidates {
-                    for &n in &one_hop[e] {
-                        *counts.entry(n).or_insert(0) += 1;
-                    }
+        for (c, counts) in neighbor_counts.iter_mut().enumerate() {
+            counts.clear();
+            for (e, _) in &linked.cell(r, c).candidates {
+                for &n in &one_hop[e] {
+                    *counts.entry(n).or_insert(0) += 1;
                 }
-                counts
-            })
-            .collect();
+            }
+        }
         for (c1, pruned_col) in pruned.iter_mut().enumerate() {
             let link = linked.cell(r, c1);
             if link.candidates.is_empty() {

@@ -26,6 +26,7 @@ pub mod access;
 pub mod builder;
 pub mod entity;
 pub mod graph;
+pub mod idhash;
 pub mod io;
 pub mod ontology;
 pub mod stats;
@@ -35,6 +36,7 @@ pub use access::GraphAccess;
 pub use builder::KgBuilder;
 pub use entity::{Entity, EntityId, NeSchema, PredicateId};
 pub use graph::{Edge, KnowledgeGraph};
+pub use idhash::{IdHasher, IdMap};
 pub use ontology::TypeHierarchy;
 pub use stats::KgStats;
 pub use synthetic::{SyntheticWorld, WorldConfig};

@@ -20,13 +20,13 @@
 use crate::blockcache::{BlockCache, BlockCacheStats};
 use crate::bm25seg::{Bm25Segment, QueryStats, BM25_FILE};
 use crate::error::StoreError;
+use crate::hoptier::HopTier;
 use crate::manifest::Manifest;
 use crate::segment::{shard_file_name, EntityRecord, Segment};
 use kglink_kg::{Edge, Entity, EntityId, GraphAccess, NeSchema, PredicateId};
 use kglink_search::backend::{Deadline, KgBackend, RetrievalError, SearchOutcome};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Default block-cache budget for a [`DiskGraph`]: enough for a hot
 /// working set, far below any interesting world size.
@@ -35,10 +35,11 @@ pub const DEFAULT_GRAPH_CACHE_BYTES: usize = 64 << 20;
 pub const DEFAULT_BM25_CACHE_BYTES: usize = 64 << 20;
 
 /// The neighbourhood tier's share of a [`DiskGraph`]'s cache budget is
-/// `1 / HOP_TIER_SHARE`. A quarter: a list and its bookkeeping cost ≈ 150
-/// bytes against a 12.5 KB block, so ¼ of the bytes holds 25× more
-/// *entities* than the other ¾ holds blocks, while uniform record reads —
-/// which only blocks serve — lose a quarter of their reach, not half.
+/// `1 / HOP_TIER_SHARE`. A quarter: a generation of the tier holds a list
+/// in ≈ 37 bytes (128 KiB over 3 584 lists) against a 12.5 KB block, so ¼
+/// of the bytes holds 57× more *entities* than the other ¾ holds blocks,
+/// while uniform record reads — which only blocks serve — lose a quarter of
+/// their reach, not half.
 const HOP_TIER_SHARE: usize = 4;
 
 /// A sharded, disk-backed knowledge graph.
@@ -51,13 +52,13 @@ const HOP_TIER_SHARE: usize = 4;
 /// [`DiskGraph::try_one_hop`] only and holds *results* — the candidate
 /// filter asks for the neighbourhood of every candidate of every cell, the
 /// same entities table after table, and a 256-record block is the wrong
-/// unit to keep one ≈ 24-byte answer resident.
+/// unit to keep one ≈ 12-byte answer resident.
 #[derive(Debug)]
 pub struct DiskGraph {
     manifest: Manifest,
     shards: Vec<Segment>,
     blocks: BlockCache,
-    hops: BlockCache<EntityId>,
+    hops: HopTier,
     errors: AtomicU64,
 }
 
@@ -102,7 +103,7 @@ impl DiskGraph {
             manifest,
             shards,
             blocks: BlockCache::new(cache_bytes - hop_bytes, 8),
-            hops: BlockCache::new(hop_bytes, 8),
+            hops: HopTier::new(hop_bytes),
             errors: AtomicU64::new(0),
         })
     }
@@ -128,6 +129,14 @@ impl DiskGraph {
             evictions: blocks.evictions + hops.evictions,
             resident_bytes: blocks.resident_bytes + hops.resident_bytes,
         }
+    }
+
+    /// Counters of the neighbourhood tier alone: `hits` and `misses` are
+    /// [`DiskGraph::try_one_hop`] calls it answered and did not, evictions
+    /// are lists dropped by generation flips, `resident_bytes` its
+    /// allocation.
+    pub fn hop_tier_stats(&self) -> BlockCacheStats {
+        self.hops.stats()
     }
 
     fn locate(&self, id: EntityId) -> Result<(&Segment, u32), StoreError> {
@@ -183,18 +192,15 @@ impl DiskGraph {
     /// failing read fails — and is counted — every time it is asked, and
     /// not lists above ⅛ of a tier shard, so one hub cannot flush it.
     pub fn try_one_hop(&self, id: EntityId) -> Result<Vec<EntityId>, StoreError> {
-        let key = (0, id.0);
-        if let Some(hop) = self.hops.get(key) {
-            return Ok(hop.to_vec());
+        if let Some(hop) = self.hops.get(id) {
+            return Ok(hop);
         }
         let mut hop = Vec::new();
         self.try_edges(id, |_, e| hop.push(e.target))?;
         hop.sort_unstable();
         hop.dedup();
         hop.retain(|&t| t != id);
-        if std::mem::size_of_val(&hop[..]) <= self.hops.shard_budget() / 8 {
-            self.hops.insert(key, Arc::new(hop.clone()));
-        }
+        self.hops.insert(id, &hop);
         Ok(hop)
     }
 

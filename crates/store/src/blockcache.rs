@@ -7,15 +7,13 @@
 //! bounds **bytes, not entries** — a single giant posting list must not be
 //! able to mean "128 MiB cached" just because the entry count allows it.
 //! Every entry is charged its payload **plus** [`ENTRY_OVERHEAD_BYTES`], so
-//! the budget also holds when the values are small: `DiskGraph` keeps
-//! ≈ 24-byte neighbour lists in a second instance of this cache, where the
-//! bookkeeping outweighs the payload six to one.
+//! the budget also holds when the values are small.
 //!
 //! Keys are `(file, block)` ordinal pairs assigned by the owner (shard
 //! index + block index for entity segments; a reserved file id + term
-//! ordinal for posting lists; `(0, entity id)` for neighbour lists). Values
-//! are `Arc<Vec<T>>` so a hit hands out a cheap clone and eviction cannot
-//! invalidate data a reader is still decoding.
+//! ordinal for posting lists). Values are `Arc<Vec<u8>>` so a hit hands out
+//! a cheap clone and eviction cannot invalidate data a reader is still
+//! decoding.
 //!
 //! The lock is never held across a disk read: `get_or_try_load` drops the
 //! shard lock, runs the loader, then re-locks to insert. Two threads may
@@ -35,13 +33,12 @@ pub type BlockKey = (u32, u32);
 /// the LRU slab node (32 B, in a doubling `Vec`), its map slot (17 B a
 /// bucket, 19–39 B an entry at the map's load factors), the `Arc<Vec<_>>`
 /// allocation (40 B + header) and the payload allocation's header and
-/// rounding — 107 to 174 B by growth phase, 135 B measured on glibc for
-/// 24-byte lists in a 2 MiB cache. A fixed figure above that.
+/// rounding — 107 to 174 B by growth phase. A fixed figure in that range.
 pub const ENTRY_OVERHEAD_BYTES: usize = 144;
 
 #[derive(Debug)]
-struct Shard<T> {
-    lru: Lru<BlockKey, Arc<Vec<T>>>,
+struct Shard {
+    lru: Lru<BlockKey, Arc<Vec<u8>>>,
     /// Bytes this shard's entries are charged for.
     bytes: usize,
 }
@@ -60,11 +57,10 @@ pub struct BlockCacheStats {
     pub resident_bytes: usize,
 }
 
-/// A sharded, byte-budgeted LRU over immutable decoded values: blocks of
-/// bytes by default, or lists of any fixed-size `T`.
+/// A sharded, byte-budgeted LRU over immutable blocks of bytes.
 #[derive(Debug)]
-pub struct BlockCache<T = u8> {
-    shards: Vec<Mutex<Shard<T>>>,
+pub struct BlockCache {
+    shards: Vec<Mutex<Shard>>,
     /// Per-shard byte budget (total budget / shard count).
     shard_budget: usize,
     hits: AtomicU64,
@@ -72,11 +68,11 @@ pub struct BlockCache<T = u8> {
     evictions: AtomicU64,
 }
 
-fn charge<T>(value: &[T]) -> usize {
-    ENTRY_OVERHEAD_BYTES + std::mem::size_of_val(value)
+fn charge(value: &[u8]) -> usize {
+    ENTRY_OVERHEAD_BYTES + value.len()
 }
 
-impl<T> BlockCache<T> {
+impl BlockCache {
     /// A cache charged at most `budget_bytes` across `shards` independently
     /// locked shards. An entry that alone exceeds a shard's budget is
     /// served but never kept, so `resident_bytes <= budget_bytes` always.
@@ -102,12 +98,7 @@ impl<T> BlockCache<T> {
         }
     }
 
-    /// Byte budget of one shard.
-    pub fn shard_budget(&self) -> usize {
-        self.shard_budget
-    }
-
-    fn shard(&self, key: BlockKey) -> MutexGuard<'_, Shard<T>> {
+    fn shard(&self, key: BlockKey) -> MutexGuard<'_, Shard> {
         // Cheap deterministic spread; keys are small dense ordinals, so a
         // multiplicative mix avoids putting all of one file in one shard.
         let h = (key.0 as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (key.1 as u64);
@@ -117,7 +108,7 @@ impl<T> BlockCache<T> {
     }
 
     /// The value cached for `key`, counted as a hit; `None` counts nothing.
-    pub fn get(&self, key: BlockKey) -> Option<Arc<Vec<T>>> {
+    pub fn get(&self, key: BlockKey) -> Option<Arc<Vec<u8>>> {
         let value = self.shard(key).lru.get(&key).map(Arc::clone)?;
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(value)
@@ -125,7 +116,7 @@ impl<T> BlockCache<T> {
 
     /// Cache `value` under `key`, evicting least-recent entries until the
     /// shard is back under its budget.
-    pub fn insert(&self, key: BlockKey, value: Arc<Vec<T>>) {
+    pub fn insert(&self, key: BlockKey, value: Arc<Vec<u8>>) {
         if charge(&value) > self.shard_budget {
             return;
         }
@@ -153,9 +144,9 @@ impl<T> BlockCache<T> {
 
     /// Fetch the value for `key`, running `load` on a miss. The shard lock
     /// is not held while `load` runs, and a failed load caches nothing.
-    pub fn get_or_try_load<F>(&self, key: BlockKey, load: F) -> Result<Arc<Vec<T>>, StoreError>
+    pub fn get_or_try_load<F>(&self, key: BlockKey, load: F) -> Result<Arc<Vec<u8>>, StoreError>
     where
-        F: FnOnce() -> Result<Vec<T>, StoreError>,
+        F: FnOnce() -> Result<Vec<u8>, StoreError>,
     {
         if let Some(value) = self.get(key) {
             return Ok(value);
@@ -240,12 +231,13 @@ mod tests {
 
     #[test]
     fn small_values_are_bounded_by_bytes_not_by_an_entry_cap() {
-        // 24-byte lists: the overhead is most of each entry's charge, and
-        // the cache must hold budget / charge of them, no fewer, no more.
+        // 24-byte values, e.g. short posting lists: the overhead is most
+        // of each entry's charge, and the cache must hold budget / charge
+        // of them, no fewer, no more.
         let per_entry = ENTRY_OVERHEAD_BYTES + 24;
-        let cache: BlockCache<u32> = BlockCache::new(1000 * per_entry, 1);
+        let cache = BlockCache::new(1000 * per_entry, 1);
         for i in 0..3000 {
-            cache.insert((0, i), Arc::new(vec![i; 6]));
+            cache.insert((0, i), Arc::new(vec![i as u8; 24]));
         }
         let s = cache.stats();
         assert_eq!(s.resident_bytes, 1000 * per_entry);

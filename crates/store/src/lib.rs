@@ -10,7 +10,7 @@
 //!   sharding by entity id, length-prefixed records in CRC'd blocks, a
 //!   binary-searchable block index in the file tail. [`DiskGraph`]
 //!   implements [`kglink_kg::GraphAccess`] over them through a bounded
-//!   [`BlockCache`].
+//!   [`BlockCache`], with a tier of one-hop answers in front.
 //! - **BM25 segment** (`index.kgbm`, [`bm25seg`]): delta-varint
 //!   compressed postings with per-block max-score metadata for rank-safe
 //!   block-max top-k skipping, built in bounded memory via spill-and-merge
@@ -39,6 +39,7 @@ pub mod backend;
 pub mod blockcache;
 pub mod bm25seg;
 pub mod error;
+mod hoptier;
 pub mod manifest;
 pub mod segment;
 pub mod varint;

@@ -200,7 +200,7 @@ fn neighbourhood_tier_remembers_answers_never_failures() {
     // 600 musicians under one type: shard 0 holds ids 0..512 in two full
     // 256-record blocks, shard 1 the rest. With a 32 KiB budget no block
     // fits a block-tier shard (3 KiB), so every block read goes to disk,
-    // while one-neighbour lists do fit the neighbourhood tier.
+    // while each 512-byte neighbourhood-tier generation holds 14 lists.
     let dir = std::env::temp_dir().join(format!(
         "kglink-store-corruption-hop-tier-{}",
         std::process::id()

@@ -7,11 +7,12 @@
 //! [`EntitySearcher`] — same hits, same order, same floats. Worlds are
 //! written with tiny shards so the multi-shard paths are always exercised,
 //! and read twice: through the default caches, and through caches so small
-//! that the block tier and the neighbourhood tier both evict constantly.
+//! that the block tier evicts and the neighbourhood tier flips generations
+//! constantly.
 
 use kglink_kg::{Entity, EntityId, GraphAccess, KgBuilder, NeSchema};
 use kglink_search::EntitySearcher;
-use kglink_store::{write_graph, DiskWorld, WorldWriterConfig};
+use kglink_store::{write_graph, DiskGraph, DiskWorld, WorldWriterConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,9 +37,10 @@ const SCHEMAS: [NeSchema; 4] = [
 ];
 const EXTRA_PREDS: [&str; 2] = ["performer", "country"];
 
-/// A cache budget under which each of the eight shards of either graph
-/// tier holds one or two entries of these worlds, so nearly every read
-/// evicts; the BM25 cache gets the same.
+/// A cache budget under which each of the eight block-tier shards holds one
+/// or two blocks of these worlds and each neighbourhood-tier generation
+/// (128 B: a 4-slot index, a 20-id arena) holds three lists, so nearly
+/// every read evicts or flips; the BM25 cache gets the same.
 const TINY_CACHE: usize = 8 << 10;
 
 proptest! {
@@ -241,5 +243,53 @@ fn cache_budget_holds_under_mixed_reads_with_a_hub() {
     assert!(s.resident_bytes > cache_bytes / 2, "both tiers are in use: {s:?}");
     assert!(s.evictions > 0 && s.hits > 0 && s.misses > 0, "{s:?}");
     assert_eq!(world.graph.error_count(), 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The hot set the candidate filter re-reads fits the neighbourhood tier:
+/// 20 000 entities of three neighbours each, through an 8 MiB graph cache
+/// (a 2 MiB tier), are read twice, and the second pass runs the block
+/// loader zero times. Each record carries a 400-byte description, so the
+/// world (≈ 9 MB of blocks) outgrows the 6 MiB block tier and blocks alone
+/// cannot serve that pass.
+#[test]
+fn hot_set_that_fits_is_served_from_memory() {
+    let mut b = KgBuilder::new();
+    let ty = b.add_type("hot", None);
+    let n = 20_000usize;
+    let ids: Vec<EntityId> = (0..n)
+        .map(|i| {
+            let e = Entity::new(format!("e{i}"), NeSchema::Other)
+                .with_description(format!("{i:0>400}"));
+            b.add_instance(e, ty)
+        })
+        .collect();
+    let mut g = b.build();
+    // A ring: each entity's neighbours are its type and both ring sides.
+    let pred = g.intern_predicate(EXTRA_PREDS[0]);
+    for (i, &id) in ids.iter().enumerate() {
+        g.add_edge(id, pred, ids[(i + 1) % n]);
+    }
+    let dir = casedir();
+    write_graph(&dir, &g, WorldWriterConfig::default()).unwrap();
+    let graph = DiskGraph::open_with_cache(&dir, 8 << 20).unwrap();
+
+    for &id in &ids {
+        assert_eq!(graph.one_hop(id), g.one_hop(id));
+        assert_eq!(g.one_hop(id).len(), 3);
+    }
+    let (loads, tier) = (graph.cache_stats().misses, graph.hop_tier_stats());
+    for &id in &ids {
+        assert_eq!(graph.one_hop(id), g.one_hop(id));
+    }
+    assert_eq!(
+        graph.cache_stats().misses,
+        loads,
+        "the second pass ran the block loader"
+    );
+    let s = graph.hop_tier_stats();
+    assert_eq!((s.hits - tier.hits, s.misses - tier.misses), (n as u64, 0));
+    assert!(graph.cache_stats().resident_bytes <= 8 << 20);
+    assert_eq!(graph.error_count(), 0);
     std::fs::remove_dir_all(&dir).unwrap();
 }
