@@ -26,12 +26,16 @@
 //!    The in-place kernels run on buffers refilled from a pristine copy
 //!    outside the timed region, so every call sees the data the model
 //!    feeds it rather than the fixed point of its own output.
-//! 5. **Forward split.** One hot benchmark table's two packed forwards
-//!    ([`HOT_TABLE`]) through the trained encoder (`forward_us`), and the
+//! 5. **Forward split.** The one packed forward the service runs for a
+//!    hot benchmark table once its feature rows are in the epoch's memo
+//!    ([`HOT_CHUNKS`]) through the trained encoder (`forward_us`), and the
 //!    same kernel calls at the same shapes timed family by family
 //!    (`forward_split_us`: dense / QKᵀ / S·V / softmax / layer-norm /
 //!    bias+GELU; `other` is what the families do not cover — embedding
 //!    gather, bias and residual adds, row gather/scatter).
+//!    `forward_cold_us` is the same table's forward with the memo cold,
+//!    i.e. with its [`HOT_FEATURES`] encoded too; cold minus warm is the
+//!    memo's saving at kernel level.
 //!
 //! Per-column and `nn.forward` latencies are not reported here: this loop is
 //! an in-memory world; `nn.forward_us` in `BENCHMARK.json` measures them on
@@ -140,30 +144,56 @@ fn fill(len: usize, salt: usize) -> Vec<f32> {
         .collect()
 }
 
-/// The two packed forwards of one `hot_mixed` benchmark table (10 columns,
-/// split at `max_columns = 8`): segment lengths (serialised chunk first,
-/// then one feature sequence per linked column) and how many CLS rows of
-/// the chunk the classifier reads; it reads row 0 of every feature segment.
-const HOT_TABLE: [(&[usize], usize); 2] = [(&[152, 18, 18, 18, 18], 8), (&[38], 2)];
+/// The serialised chunks of one `hot_mixed` benchmark table (10 columns,
+/// split at `max_columns = 8`): each chunk's length and how many of its
+/// CLS rows the classifier reads. A request encodes all chunks in one
+/// forward.
+const HOT_CHUNKS: [(usize, usize); 2] = [(152, 8), (38, 2)];
 
-/// Token ids and `needed` rows of one [`HOT_TABLE`] forward.
-fn hot_forward(enc: &Encoder, lens: &[usize], cls_rows: usize) -> (Vec<Vec<u32>>, Vec<(usize, usize)>) {
-    let vocab = enc.config.vocab_size;
-    let seqs = lens
-        .iter()
-        .enumerate()
-        .map(|(s, &l)| (0..l).map(|i| ((i * 31 + s * 7 + 5) % vocab) as u32).collect())
-        .collect();
-    let mut needed: Vec<(usize, usize)> = (0..cls_rows).map(|c| (0, c * (lens[0] / cls_rows))).collect();
-    needed.extend((1..lens.len()).map(|s| (s, 0)));
-    (seqs, needed)
+/// The same table's feature sequences, one per linked column: encoded
+/// after the chunks only when the memo has not seen them (the classifier
+/// reads row 0 of each).
+const HOT_FEATURES: [usize; 4] = [18; 4];
+
+/// One forward of the hot table: token ids, `needed` rows, and per segment
+/// its length and how many rows the last block computes.
+struct HotForward {
+    seqs: Vec<Vec<u32>>,
+    needed: Vec<(usize, usize)>,
+    lens: Vec<usize>,
+    queries: Vec<usize>,
 }
 
-/// Microseconds of one [`HOT_TABLE`] forward pair: the real forwards, then
-/// per kernel family.
+/// The hot table's forward, with `features` encoded after its chunks.
+fn hot_forward(enc: &Encoder, features: &[usize]) -> HotForward {
+    let vocab = enc.config.vocab_size;
+    let segments: Vec<(usize, usize)> =
+        HOT_CHUNKS.iter().copied().chain(features.iter().map(|&len| (len, 1))).collect();
+    let seqs = segments
+        .iter()
+        .enumerate()
+        .map(|(s, &(l, _))| (0..l).map(|i| ((i * 31 + s * 7 + 5) % vocab) as u32).collect())
+        .collect();
+    let needed = segments
+        .iter()
+        .enumerate()
+        .flat_map(|(s, &(l, rows))| (0..rows).map(move |c| (s, c * (l / rows))))
+        .collect();
+    let (lens, queries) = segments.into_iter().unzip();
+    HotForward {
+        seqs,
+        needed,
+        lens,
+        queries,
+    }
+}
+
+/// Microseconds of the hot table's memo-warm forward, then of the same
+/// kernel calls per family, and of its memo-cold forward.
 #[derive(Debug)]
 struct ForwardSplit {
     forward: f64,
+    forward_cold: f64,
     dense: f64,
     qk: f64,
     sv: f64,
@@ -186,50 +216,48 @@ fn timed(f: impl FnOnce()) -> Duration {
     t.elapsed()
 }
 
-/// Time the [`HOT_TABLE`] forwards through `enc`, and, family by family,
-/// the kernel calls `Encoder::infer_batch_rows` makes for them: every block
-/// but the last runs all `total` rows; the last projects K/V for all rows
-/// and everything else for the needed rows only, attention per segment per
-/// head over strided head views. One round runs the real forwards once and
-/// each family once, so a drift in machine speed hits all seven alike; the
-/// in-place families get buffers refilled outside their timed pass.
+/// Time the hot table's memo-warm forward through `enc`, and, family by
+/// family, the kernel calls `Encoder::infer_batch_rows` makes for it: every
+/// block but the last runs all `total` rows; the last projects K/V for all
+/// rows and everything else for the needed rows only, attention per segment
+/// per head over strided head views. One round runs the real forward, each
+/// family and the memo-cold forward once, so a drift in machine speed hits
+/// all eight alike; the in-place families get buffers refilled outside
+/// their timed pass.
 fn forward_split(enc: &Encoder, min_ms: u64) -> ForwardSplit {
     let cfg = enc.config;
     let (d, d_ff, heads) = (cfg.d_model, cfg.d_ff, cfg.n_heads);
     let dh = d / heads;
     let scale = 1.0 / (dh as f32).sqrt();
-    let forwards: Vec<_> = HOT_TABLE.iter().map(|&(lens, cls)| hot_forward(enc, lens, cls)).collect();
+    let warm = hot_forward(enc, &[]);
+    let cold = hot_forward(enc, &HOT_FEATURES);
     // (rows, k, n) dense GEMMs; (query rows, segment length) attention
     // products, one per head; row counts of the row-wise kernels.
     let mut dense: Vec<(usize, usize, usize)> = Vec::new();
     let mut attn: Vec<(usize, usize)> = Vec::new();
     let mut ln_rows: Vec<usize> = Vec::new();
     let mut gelu_rows: Vec<usize> = Vec::new();
-    for (lens, cls_rows) in HOT_TABLE {
-        let total: usize = lens.iter().sum();
-        let mut block = |rows: usize, queries: &[usize]| {
-            dense.extend([(total, d, d), (total, d, d), (rows, d, d), (rows, d, d)]);
-            dense.extend([(rows, d, d_ff), (rows, d_ff, d)]);
-            attn.extend(queries.iter().zip(lens).map(|(&q, &l)| (q, l)));
-            ln_rows.extend([rows, rows]);
-            gelu_rows.push(rows);
-        };
-        for _ in 1..cfg.n_layers {
-            block(total, lens);
-        }
-        let queries: Vec<usize> = (0..lens.len()).map(|s| if s == 0 { cls_rows } else { 1 }).collect();
-        block(queries.iter().sum(), &queries);
-        ln_rows.push(total); // embedding layer norm
+    let total: usize = warm.lens.iter().sum();
+    let mut block = |rows: usize, queries: &[usize]| {
+        dense.extend([(total, d, d), (total, d, d), (rows, d, d), (rows, d, d)]);
+        dense.extend([(rows, d, d_ff), (rows, d_ff, d)]);
+        attn.extend(queries.iter().zip(&warm.lens).map(|(&q, &l)| (q, l)));
+        ln_rows.extend([rows, rows]);
+        gelu_rows.push(rows);
+    };
+    for _ in 1..cfg.n_layers {
+        block(total, &warm.lens);
     }
+    block(warm.queries.iter().sum(), &warm.queries);
+    ln_rows.push(total); // embedding layer norm
 
-    let max_rows = HOT_TABLE.iter().map(|(lens, _)| lens.iter().sum()).max().unwrap_or(0);
-    let a = fill(max_rows * d_ff.max(d), 1);
+    let a = fill(total * d_ff.max(d), 1);
     let w = fill(d_ff * d_ff.max(d), 2);
-    let v = fill(max_rows * d, 3);
-    let scores = fill(max_rows * max_rows, 4);
+    let v = fill(total * d, 3);
+    let scores = fill(total * total, 4);
     let gamma = fill(d, 5);
     let bias = fill(d_ff, 6);
-    let mut out = vec![0.0f32; max_rows * max_rows.max(d_ff)];
+    let mut out = vec![0.0f32; total * total.max(d_ff)];
     // One buffer per in-place call, refilled from `scores` / `a` each round.
     let mut sm_bufs: Vec<Vec<f32>> = attn
         .iter()
@@ -245,14 +273,15 @@ fn forward_split(enc: &Encoder, min_ms: u64) -> ForwardSplit {
     };
     let mut scratch = Scratch::new();
     let mut es = EncoderScratch::new();
-    let (t0, mut rounds, mut busy) = (Instant::now(), 0u32, [Duration::ZERO; 7]);
+    let mut forward = |hot: &HotForward| {
+        let refs: Vec<&[u32]> = hot.seqs.iter().map(Vec::as_slice).collect();
+        timed(|| {
+            std::hint::black_box(enc.infer_batch_rows(&refs, &hot.needed, &mut es).packed());
+        })
+    };
+    let (t0, mut rounds, mut busy) = (Instant::now(), 0u32, [Duration::ZERO; 8]);
     while (t0.elapsed().as_millis() as u64) < min_ms {
-        busy[0] += timed(|| {
-            for (seqs, needed) in &forwards {
-                let refs: Vec<&[u32]> = seqs.iter().map(Vec::as_slice).collect();
-                std::hint::black_box(enc.infer_batch_rows(&refs, needed, &mut es).packed());
-            }
-        });
+        busy[0] += forward(&warm);
         busy[1] += timed(|| {
             for &(m, k, n) in &dense {
                 gemm(Mat::new(&a, m, k), Mat::new(&w, k, n), Trans::No, Trans::No, &mut MatMut::new(&mut out, m, n), &mut scratch);
@@ -306,12 +335,14 @@ fn forward_split(enc: &Encoder, min_ms: u64) -> ForwardSplit {
                 bias_gelu_rows(x, &bias);
             }
         });
+        busy[7] += forward(&cold);
         rounds += 1;
     }
-    let [forward, dense, qk, sv, softmax, layer_norm, bias_gelu] =
+    let [forward, dense, qk, sv, softmax, layer_norm, bias_gelu, forward_cold] =
         busy.map(|b| b.as_secs_f64() * 1e6 / f64::from(rounds));
     ForwardSplit {
         forward,
+        forward_cold,
         dense,
         qk,
         sv,
@@ -464,7 +495,7 @@ fn main() {
 
     // --- 5. Forward split of one hot benchmark table ------------------------
     let split = forward_split(&model.model.encoder, 2 * micro_ms);
-    let (forward_us, other_us) = (split.forward, split.other());
+    let (forward_us, forward_cold_us, other_us) = (split.forward, split.forward_cold, split.other());
     eprintln!("[bench] hot-table forward: {split:.0?}, other {other_us:.0} µs");
 
     // --- Report + JSON -------------------------------------------------------
@@ -481,7 +512,8 @@ fn main() {
             vec!["softmax GFLOP/s".into(), "—".into(), format!("{softmax_gflops:.2}")],
             vec!["layer_norm GFLOP/s".into(), "—".into(), format!("{layer_norm_gflops:.2}")],
             vec!["bias_gelu GFLOP/s".into(), "—".into(), format!("{bias_gelu_gflops:.2}")],
-            vec!["hot-table forward µs".into(), "—".into(), format!("{forward_us:.0}")],
+            vec!["hot-table forward µs (memo warm)".into(), "—".into(), format!("{forward_us:.0}")],
+            vec!["hot-table forward µs (memo cold)".into(), "—".into(), format!("{forward_cold_us:.0}")],
         ],
     );
 
@@ -497,7 +529,7 @@ fn main() {
          \"gemm_gflops\": {gemm_gflops:.3},\n  \"softmax_gflops\": {softmax_gflops:.3},\n  \
          \"layer_norm_gflops\": {layer_norm_gflops:.3},\n  \
          \"bias_gelu_gflops\": {bias_gelu_gflops:.3},\n  \
-         \"forward_us\": {forward_us:.1},\n  \
+         \"forward_us\": {forward_us:.1},\n  \"forward_cold_us\": {forward_cold_us:.1},\n  \
          \"forward_split_us\": {{\"dense\": {:.1}, \"qk\": {:.1}, \"sv\": {:.1}, \
          \"softmax\": {:.1}, \"layer_norm\": {:.1}, \"bias_gelu\": {:.1}, \
          \"other\": {other_us:.1}}}\n}}\n",

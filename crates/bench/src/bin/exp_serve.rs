@@ -11,13 +11,17 @@
 //!    scaling figure is `serve.scaling_x` in `BENCHMARK.json`.
 //! 3. **Caching pays** — with the shared retrieval LRU on, the repeated
 //!    workload hits the cache (hit rate > 0).
+//! 4. **The feature memo pays** — the workload's second pass finds feature
+//!    rows the first pass encoded in the serving epoch's memo (hit share
+//!    > 0), and contract 1's bit-identity still holds with the memo on.
 //!
 //! The model itself is trained *through* a `CachingBackend` over the
 //! searcher, demonstrating that training-time preprocessing reuses the
 //! same cache layer the service uses (and measuring its hit rate).
 //!
 //! `--smoke` shrinks the workload and skips the scaling assertions (they
-//! need the full grid); it keeps the bit-identity and cache-hit checks.
+//! need the full grid); it keeps the bit-identity, cache-hit and memo
+//! checks.
 
 use kglink_bench::{print_markdown, ExpEnv, Which};
 use kglink_search::{CacheConfig, CachingBackend, Deadline};
@@ -34,6 +38,7 @@ struct Cell {
     p50_us: u64,
     p99_us: u64,
     hit_rate: f64,
+    memo_hit_share: f64,
     degraded: u64,
 }
 
@@ -135,6 +140,12 @@ fn main() {
                     "repeated workload must hit the cache (workers={workers})"
                 );
             }
+            assert!(
+                m.feature_memo.hit_share() > 0.0,
+                "the repeated workload must find its feature rows in the memo \
+                 (workers={workers} cache={cache_on}): {:?}",
+                m.feature_memo
+            );
             cells.push(Cell {
                 workers,
                 cache: cache_on,
@@ -143,11 +154,14 @@ fn main() {
                 p50_us: m.latency_p50_us,
                 p99_us: m.latency_p99_us,
                 hit_rate: m.cache_hit_rate(),
+                memo_hit_share: m.feature_memo.hit_share(),
                 degraded: m.degraded_columns,
             });
             eprintln!(
-                "[serve] workers={workers} cache={cache_on}: wall {wall_s:.2}s, hit rate {:.3}",
-                m.cache_hit_rate()
+                "[serve] workers={workers} cache={cache_on}: wall {wall_s:.2}s, hit rate {:.3}, \
+                 memo hit share {:.3}",
+                m.cache_hit_rate(),
+                m.feature_memo.hit_share()
             );
             service.shutdown();
         }
@@ -164,6 +178,7 @@ fn main() {
                 format!("{}", c.p50_us),
                 format!("{}", c.p99_us),
                 format!("{:.3}", c.hit_rate),
+                format!("{:.3}", c.memo_hit_share),
                 c.degraded.to_string(),
             ]
         })
@@ -183,6 +198,7 @@ fn main() {
             "p50 us",
             "p99 us",
             "hit rate",
+            "memo hit share",
             "degraded cols",
         ],
         &rows,

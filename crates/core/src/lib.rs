@@ -31,7 +31,9 @@
 //! 3. *Adaptive combined loss* — classification cross-entropy (Eq. 16) and
 //!    the DMLM loss are merged with trainable uncertainty weights (Eq. 17).
 //!
-//! The user-facing entry point is [`pipeline::KgLink`].
+//! The user-facing entry point is [`pipeline::KgLink`]. A
+//! [`memo::FeatureMemo`] passed with a request lets feature sequences the
+//! same weights have already encoded skip the encoder.
 
 #![deny(deprecated)]
 #![forbid(unsafe_code)]
@@ -42,6 +44,7 @@ pub mod error;
 pub mod feature;
 pub mod filter;
 pub mod linking;
+pub mod memo;
 pub mod model;
 pub mod pipeline;
 pub mod preprocess;
@@ -52,6 +55,7 @@ pub mod train;
 pub use config::{KgLinkConfig, RowFilter};
 pub use error::KgLinkError;
 pub use linking::{CellLink, LinkedTable};
+pub use memo::{FeatureMemo, FeatureMemoStats};
 pub use model::KgLinkModel;
 pub use pipeline::{
     req, AnnotateOutcome, AnnotateRequest, DegradationRung, FitOptions, GuardPolicy, KgLink,

@@ -2,6 +2,7 @@
 
 use crate::config::KgLinkConfig;
 use crate::error::KgLinkError;
+use crate::memo::FeatureMemo;
 use crate::model::KgLinkModel;
 use crate::preprocess::{Preprocessor, ProcessedTable};
 use crate::train::{self, prepare_tables};
@@ -234,6 +235,7 @@ pub struct AnnotateRequest<'r> {
     deadline: Deadline,
     tracer: Option<&'r Tracer>,
     rung: DegradationRung,
+    feature_memo: Option<&'r FeatureMemo>,
 }
 
 /// Shorthand constructor for an [`AnnotateRequest`].
@@ -249,6 +251,7 @@ impl<'r> AnnotateRequest<'r> {
             deadline: Deadline::UNBOUNDED,
             tracer: None,
             rung: DegradationRung::Full,
+            feature_memo: None,
         }
     }
 
@@ -272,6 +275,15 @@ impl<'r> AnnotateRequest<'r> {
     /// the choice onto the [`AnnotateOutcome`] for accounting.
     pub fn rung(mut self, rung: DegradationRung) -> Self {
         self.rung = rung;
+        self
+    }
+
+    /// Look feature rows up in `memo` before encoding them, and remember
+    /// the ones encoded. The memo must only ever have served this model's
+    /// weights (the serving layer keeps one per model epoch). Without it
+    /// every feature row is encoded.
+    pub fn feature_memo(mut self, memo: &'r FeatureMemo) -> Self {
+        self.feature_memo = Some(memo);
         self
     }
 
@@ -396,10 +408,11 @@ impl KgLink {
     /// is what the serving layer (`kglink-serve`) calls per request.
     ///
     /// Stage spans: the whole call runs under an `annotate` span;
-    /// preprocessing contributes `retrieval` / `filter` / `feature`, and
-    /// Part 2 contributes `encode` (serialization + tokenization) and
-    /// `classify` (the forward pass) per chunk; the batched encoder time
-    /// inside `classify` is broken out as a nested `nn.forward` span.
+    /// preprocessing contributes `retrieval` / `filter` / `feature` per
+    /// chunk, and Part 2 contributes `encode` (serialization +
+    /// tokenization) and `classify` once per request: every chunk goes
+    /// through one forward ([`train::predict_chunks`]), broken out as a
+    /// nested `nn.forward` span.
     pub fn annotate_request(
         &self,
         resources: &Resources<'_>,
@@ -417,30 +430,17 @@ impl KgLink {
             .min(request.deadline.budget_us());
         let pre = Preprocessor::new(resources.graph, resources.backend, config.clone())
             .with_tracer(&tracer);
-        let mut labels = Vec::with_capacity(table.n_cols());
-        let mut degraded_columns = 0;
-        let mut failed_cells = 0;
-        for pt in pre.process(table) {
-            degraded_columns += pt.degraded_columns();
-            failed_cells += pt.failed_cells;
-            let prep = {
-                let _encode = tracer.span("encode");
-                prepare_tables(
-                    std::slice::from_ref(&pt),
-                    resources.tokenizer,
-                    &self.labels,
-                    &config,
-                    false,
-                )
-            };
+        let processed = pre.process(table);
+        let degraded_columns = processed.iter().map(ProcessedTable::degraded_columns).sum();
+        let failed_cells = processed.iter().map(|pt| pt.failed_cells).sum();
+        let prepared = {
+            let _encode = tracer.span("encode");
+            prepare_tables(&processed, resources.tokenizer, &self.labels, &config, false)
+        };
+        let mut labels = {
             let _classify = tracer.span("classify");
-            labels.extend(train::predict_table_traced(
-                &self.model,
-                &config,
-                &prep[0],
-                &tracer,
-            ));
-        }
+            train::predict_chunks(&self.model, &config, &prepared, request.feature_memo, &tracer)
+        };
         // Degenerate or skipped chunks must not change the output arity:
         // pad with the first label as a deterministic fallback.
         labels.resize(table.n_cols(), LabelId(0));
@@ -500,6 +500,7 @@ impl KgLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memo::FeatureMemoStats;
     use kglink_datagen::{pretrain_corpus, semtab_like, SemTabConfig};
     use kglink_kg::{SyntheticWorld, WorldConfig};
     use kglink_search::EntitySearcher;
@@ -626,6 +627,67 @@ mod tests {
             kglink.annotate_request(&slow_resources, req(t).deadline(Deadline::from_us(0))),
             "degraded annotation is deterministic"
         );
+    }
+
+    /// A 20-column table is three chunks at `max_columns = 8`, and one
+    /// forward serves all of them: cold and warm through a memo, its labels
+    /// are the per-chunk `predict_table` labels one after another. Without
+    /// feature vectors the memo is never consulted.
+    #[test]
+    fn one_forward_per_request_matches_per_chunk_prediction() {
+        use kglink_table::TableId;
+
+        let world = SyntheticWorld::generate(&WorldConfig::tiny(81));
+        let bench = semtab_like(&world, &SemTabConfig::tiny(81));
+        let searcher = EntitySearcher::build(&world.graph);
+        let corpus = pretrain_corpus(&world, 2);
+        let vocab = build_vocab(corpus.iter().map(String::as_str), &[&bench.dataset], 6000);
+        let tokenizer = Tokenizer::new(vocab);
+        let resources = Resources::builder()
+            .graph(&world.graph)
+            .backend(&searcher)
+            .tokenizer(&tokenizer)
+            .build()
+            .expect("complete resource bundle");
+        let (mut kglink, _) = KgLink::fit(&resources, &bench.dataset, KgLinkConfig::fast_test());
+        let (columns, labels): (Vec<_>, Vec<_>) = bench
+            .dataset
+            .tables
+            .iter()
+            .flat_map(|t| t.columns.iter().cloned().zip(t.labels.iter().copied()))
+            .take(20)
+            .unzip();
+        let table = Table::new(TableId(9_999), Vec::new(), columns, labels);
+        assert_eq!(table.n_cols(), 20);
+
+        let per_chunk = |kglink: &KgLink| -> Vec<LabelId> {
+            let pre = Preprocessor::new(&world.graph, &searcher, kglink.config.clone());
+            let processed = pre.process(&table);
+            assert_eq!(processed.len(), 3);
+            kglink
+                .predict_processed(&resources, &processed)
+                .into_iter()
+                .flatten()
+                .collect()
+        };
+        let expected = per_chunk(&kglink);
+        let memo = FeatureMemo::new();
+        let cold = kglink.annotate_request(&resources, req(&table).feature_memo(&memo));
+        assert_eq!(cold.labels, expected);
+        let after_cold = memo.stats();
+        assert!(after_cold.misses > 0, "the table has feature rows: {after_cold:?}");
+        assert_eq!(after_cold.hits, 0);
+        let warm = kglink.annotate_request(&resources, req(&table).feature_memo(&memo));
+        assert_eq!(warm.labels, expected);
+        let after_warm = memo.stats();
+        assert_eq!(after_warm.misses, after_cold.misses, "a warm request misses nothing");
+        assert_eq!(after_warm.hits, after_cold.misses);
+
+        kglink.config.use_feature_vector = false;
+        let memo = FeatureMemo::new();
+        let plain = kglink.annotate_request(&resources, req(&table).feature_memo(&memo));
+        assert_eq!(plain.labels, per_chunk(&kglink));
+        assert_eq!(memo.stats(), FeatureMemoStats::default());
     }
 
     #[test]

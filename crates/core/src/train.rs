@@ -2,6 +2,7 @@
 
 use crate::config::KgLinkConfig;
 use crate::error::KgLinkError;
+use crate::memo::FeatureMemo;
 use crate::model::KgLinkModel;
 use crate::preprocess::ProcessedTable;
 use crate::serialize::{serialize_features, serialize_table, SerializedTable, SlotFill};
@@ -285,76 +286,114 @@ pub fn predict_table(
     predict_table_traced(model, config, pt, &Tracer::disabled())
 }
 
-/// Batched prediction: the masked table and every eligible column's
-/// feature sequence are encoded in **one** batched forward — one GEMM per
-/// projection per layer across all of them — recorded under an
-/// `nn.forward` tracer span. Classification only reads one CLS row per
-/// column (plus each feature sequence's row 0), so the forward runs
-/// through [`Encoder::infer_batch_rows`], which skips the final block's
-/// row-local work for every other row. Composition and classification
-/// then read rows straight out of the packed batch; every row read is
-/// bit-identical to encoding each sequence separately.
-///
-/// [`Encoder::infer_batch_rows`]: kglink_nn::Encoder::infer_batch_rows
+/// [`predict_chunks`] over one prepared table, without a memo.
 pub fn predict_table_traced(
     model: &KgLinkModel,
     config: &KgLinkConfig,
     pt: &PreparedTable,
     tracer: &Tracer,
 ) -> Vec<LabelId> {
-    // Segment 0 is the masked table; each eligible feature sequence gets
-    // its own segment after it.
-    let mut seqs: Vec<&[u32]> = Vec::with_capacity(1 + pt.labels.len());
-    seqs.push(&pt.masked.ids);
-    let mut feat_slot: Vec<Option<usize>> = Vec::with_capacity(pt.labels.len());
-    for c in 0..pt.labels.len() {
-        let slot = if config.use_feature_vector {
-            pt.features[c].as_ref().map(|fids| {
-                seqs.push(fids);
-                seqs.len() - 1
-            })
-        } else {
-            None
-        };
-        feat_slot.push(slot);
+    predict_chunks(model, config, std::slice::from_ref(pt), None, tracer)
+}
+
+/// Where one column's feature vector comes from.
+enum FeatureRow {
+    /// No feature vector: the column is its CLS row alone.
+    Absent,
+    /// Remembered by the memo.
+    Remembered(Vec<f32>),
+    /// Row 0 of this segment of the forward.
+    Encoded(usize),
+}
+
+/// Batched prediction over the chunks of one table, labels concatenated in
+/// chunk order. Every chunk's masked table and every feature sequence
+/// `memo` does not already hold are encoded in **one** batched forward —
+/// one GEMM per projection per layer across all of them — recorded under
+/// an `nn.forward` tracer span. Classification only reads one CLS row per
+/// column (plus each feature sequence's row 0), so the forward runs
+/// through [`Encoder::infer_batch_rows`], which skips the final block's
+/// row-local work for every other row. Every row read is bit-identical to
+/// encoding each sequence separately, so a remembered row is too, and the
+/// rows encoded here are inserted into `memo` afterwards. A memo must only
+/// ever have seen this `model`'s weights.
+///
+/// [`Encoder::infer_batch_rows`]: kglink_nn::Encoder::infer_batch_rows
+pub fn predict_chunks(
+    model: &KgLinkModel,
+    config: &KgLinkConfig,
+    prepared: &[PreparedTable],
+    memo: Option<&FeatureMemo>,
+    tracer: &Tracer,
+) -> Vec<LabelId> {
+    if prepared.is_empty() {
+        return Vec::new();
     }
-    // Rows the classifier will read: the CLS row of every in-bounds
-    // column in segment 0, then row 0 of each feature segment.
-    let len0 = pt.masked.ids.len().min(model.encoder.config.max_len);
-    let mut needed: Vec<(usize, usize)> = pt
-        .masked
-        .cls
-        .iter()
-        .take(pt.labels.len())
-        .filter(|&&cls| cls < len0)
-        .map(|&cls| (0usize, cls))
-        .collect();
+    let max_len = model.encoder.config.max_len;
+    // Segment `i` is chunk `i`'s masked table; the feature sequences to
+    // encode follow. The classifier reads the CLS row of every in-bounds
+    // column, then row 0 of each feature segment.
+    let mut seqs: Vec<&[u32]> = prepared.iter().map(|pt| pt.masked.ids.as_slice()).collect();
+    let mut needed: Vec<(usize, usize)> = Vec::new();
+    let mut features: Vec<Vec<FeatureRow>> = Vec::with_capacity(prepared.len());
+    for (si, pt) in prepared.iter().enumerate() {
+        let len = pt.masked.ids.len().min(max_len);
+        let cls = &pt.masked.cls[..pt.labels.len()];
+        needed.extend(cls.iter().filter(|&&r| r < len).map(|&r| (si, r)));
+        let rows = cls
+            .iter()
+            .enumerate()
+            .map(|(c, &r)| match &pt.features[c] {
+                Some(fids) if config.use_feature_vector && r < len => {
+                    match memo.and_then(|m| m.get(fids)) {
+                        Some(row) => FeatureRow::Remembered(row),
+                        None => {
+                            seqs.push(fids);
+                            FeatureRow::Encoded(seqs.len() - 1)
+                        }
+                    }
+                }
+                _ => FeatureRow::Absent,
+            })
+            .collect();
+        features.push(rows);
+    }
     needed.sort_unstable();
     needed.dedup();
-    needed.extend((1..seqs.len()).map(|si| (si, 0)));
+    needed.extend((prepared.len()..seqs.len()).map(|si| (si, 0)));
     kglink_nn::with_encoder_scratch(|es| {
         let batch = {
             let _forward = tracer.span("nn.forward");
             model.encoder.infer_batch_rows(&seqs, &needed, es)
         };
-        (0..pt.labels.len())
-            .map(|c| {
-                let cls = pt.masked.cls[c];
-                if cls >= batch.len(0) {
-                    return LabelId(0); // truncated column: fall back to class 0
+        let mut labels = Vec::with_capacity(prepared.iter().map(|pt| pt.labels.len()).sum());
+        for (si, (pt, rows)) in prepared.iter().zip(&features).enumerate() {
+            for (&cls, row) in pt.masked.cls.iter().zip(rows) {
+                if cls >= batch.len(si) {
+                    labels.push(LabelId(0)); // truncated column: fall back to class 0
+                    continue;
                 }
-                let fv = feat_slot[c].map(|si| batch.row(si, 0));
-                let y_col = model.compose(batch.row(0, cls), fv);
-                let logits = model.classify(&y_col);
+                let fv = match row {
+                    FeatureRow::Absent => None,
+                    FeatureRow::Remembered(fv) => Some(fv.as_slice()),
+                    FeatureRow::Encoded(fi) => Some(batch.row(*fi, 0)),
+                };
+                let logits = model.classify(&model.compose(batch.row(si, cls), fv));
                 let best = logits
                     .iter()
                     .enumerate()
                     .max_by(|a, b| a.1.total_cmp(b.1))
                     .map(|(i, _)| i)
                     .unwrap_or(0);
-                LabelId(best as u32)
-            })
-            .collect()
+                labels.push(LabelId(best as u32));
+            }
+        }
+        if let Some(memo) = memo {
+            for (fi, fids) in seqs.iter().enumerate().skip(prepared.len()) {
+                memo.insert(fids, batch.row(fi, 0));
+            }
+        }
+        labels
     })
 }
 

@@ -59,6 +59,6 @@ pub use service::{
 };
 
 // Re-exported for callers wiring up a service without importing the
-// search crate directly.
-pub use kglink_core::DegradationRung;
+// core or search crates directly.
+pub use kglink_core::{DegradationRung, FeatureMemoStats};
 pub use kglink_search::{CacheConfig, CacheStats, Deadline};

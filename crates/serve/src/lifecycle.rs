@@ -37,7 +37,7 @@
 //!
 //! [`AnnotationService::swap_model`]: crate::AnnotationService::swap_model
 
-use kglink_core::KgLink;
+use kglink_core::{FeatureMemo, KgLink};
 use kglink_obs::Histogram;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -45,18 +45,27 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-/// One immutable generation of the serving model. Workers treat the whole
-/// epoch as read-only; retiring an epoch is dropping the last `Arc`.
+/// One immutable generation of the serving model. Workers treat the model
+/// as read-only; retiring an epoch is dropping the last `Arc`.
 pub struct ModelEpoch {
     /// Registry-assigned (or caller-assigned) version id.
     pub version: u64,
     /// The trained pipeline this epoch serves with.
     pub model: Arc<KgLink>,
+    /// Feature rows `model` has encoded, by token ids. A row is only valid
+    /// for the weights that computed it, so the memo is born and retired
+    /// with its epoch: promote and rollback swap it with the model, and no
+    /// invalidation is ever needed.
+    pub feature_memo: FeatureMemo,
 }
 
 impl ModelEpoch {
     pub fn new(version: u64, model: Arc<KgLink>) -> Self {
-        ModelEpoch { version, model }
+        ModelEpoch {
+            version,
+            model,
+            feature_memo: FeatureMemo::new(),
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! Service-level observability.
 //!
-//! [`ServiceMetrics`] is a point-in-time snapshot that folds three layers
+//! [`ServiceMetrics`] is a point-in-time snapshot that folds four layers
 //! together:
 //!
 //! 1. **Service counters** — submitted / completed / rejected / shed /
@@ -11,11 +11,13 @@
 //!    [`ResilientBackend::metrics`](kglink_search::ResilientBackend::metrics).
 //! 3. **Cache counters** — [`CacheStats`] from the shared
 //!    [`CachingBackend`](kglink_search::CachingBackend), when enabled.
+//! 4. **Feature-memo counters** — [`FeatureMemoStats`] of the serving
+//!    epoch's [`FeatureMemo`](kglink_core::FeatureMemo).
 //!
 //! Every time in the snapshot is real wall-clock time; the measured scaling
 //! figure is `serve.scaling_x` in `BENCHMARK.json`.
 
-use kglink_core::DegradationRung;
+use kglink_core::{DegradationRung, FeatureMemoStats};
 use kglink_search::CacheStats;
 use std::fmt;
 
@@ -93,6 +95,9 @@ pub struct ServiceMetrics {
     pub swaps: u64,
     /// Automatic rollbacks the watch-phase divergence guard performed.
     pub rollbacks: u64,
+    /// The serving epoch's feature-row memo. A new epoch starts a new memo,
+    /// so these counters restart from zero at every promote and rollback.
+    pub feature_memo: FeatureMemoStats,
 }
 
 impl ServiceMetrics {
@@ -147,6 +152,14 @@ impl fmt::Display for ServiceMetrics {
             f,
             "model: version={} swaps={} rollbacks={}",
             self.model_version, self.swaps, self.rollbacks
+        )?;
+        writeln!(
+            f,
+            "feature_memo: hit_share={:.3} hits={} misses={} entries={}",
+            self.feature_memo.hit_share(),
+            self.feature_memo.hits,
+            self.feature_memo.misses,
+            self.feature_memo.entries
         )?;
         writeln!(f, "throughput: {:.1}/s", self.throughput_per_s())?;
         writeln!(

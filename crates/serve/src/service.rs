@@ -512,6 +512,7 @@ impl AnnotationService {
             // panicked worker's poison rather than fail the metrics read.
             .unwrap_or_else(PoisonError::into_inner)
             .clone();
+        let epoch = self.lifecycle.current();
         ServiceMetrics {
             submitted: self.shared.submitted.load(Ordering::Relaxed),
             completed: self.shared.completed.load(Ordering::Relaxed),
@@ -536,9 +537,10 @@ impl AnnotationService {
             uptime_us: self.started.elapsed().as_micros() as u64,
             retrieval: self.retrieval.counts(),
             cache: self.retrieval.cache_stats(),
-            model_version: self.lifecycle.current().version,
+            model_version: epoch.version,
             swaps: self.lifecycle.swaps.load(Ordering::Relaxed),
             rollbacks: self.lifecycle.rollbacks.load(Ordering::Relaxed),
+            feature_memo: epoch.feature_memo.stats(),
         }
     }
 

@@ -22,12 +22,13 @@
 //! picks the [`DegradationRung`] this request is served at: full
 //! retrieval, cache-only, or no linkage).
 //!
-//! Forward-pass batching: each annotation routes through
-//! [`KgLink::annotate_request`], whose classifier encodes the masked
-//! table and all eligible feature sequences in a single batched encoder
-//! call (`kglink_nn::Encoder::infer_batch`). The encoder's scratch arenas
-//! are thread-local, so each worker warms its own pool on the first
-//! request and then serves without heap allocation in the forward pass.
+//! Forward pass: each annotation routes through
+//! [`KgLink::annotate_request`] with the annotating epoch's
+//! [`FeatureMemo`](kglink_core::FeatureMemo), so a request runs one
+//! batched, row-pruned forward (`kglink_nn::Encoder::infer_batch_rows`)
+//! over every chunk's masked table plus only the feature sequences that
+//! epoch has not encoded before. The encoder's scratch arenas are
+//! thread-local, so each worker warms its own pool on the first request.
 //!
 //! Panic isolation: each request is annotated inside `catch_unwind`, with
 //! a completion-on-drop [`TicketGuard`] armed *before* any fallible work.
@@ -39,15 +40,17 @@
 //! serving, so after a panic it exits with [`WorkerExit::Panicked`] and
 //! leaves the queue untouched; the supervisor decides whether to respawn
 //! it.
+//!
+//! [`KgLink::annotate_request`]: kglink_core::KgLink::annotate_request
 
 use crate::brownout;
 use crate::error::ServiceError;
-use crate::lifecycle::{Lifecycle, Serving, ShadowState};
+use crate::lifecycle::{Lifecycle, ModelEpoch, Serving, ShadowState};
 use crate::queue::BoundedQueue;
 use crate::retrieval::Retrieval;
 use crate::service::{Annotation, Request, Shared};
 use kglink_core::pipeline::{req, AnnotateOutcome, Resources};
-use kglink_core::{DegradationRung, KgLink};
+use kglink_core::DegradationRung;
 use kglink_kg::GraphAccess;
 use kglink_nn::Tokenizer;
 use kglink_obs::Tracer;
@@ -209,17 +212,21 @@ struct ServePath {
     remaining: Deadline,
 }
 
-/// Annotate one table with one model along a resolved [`ServePath`].
-/// `counted` is true for the primary annotation; shadow duplicates pass
-/// `false` so they never skew the primary's retrieval counters.
+/// Annotate one table with one epoch's model and feature memo along a
+/// resolved [`ServePath`]. `counted` is true for the primary annotation;
+/// shadow duplicates pass `false` so they never skew the primary's
+/// retrieval counters.
 fn annotate_once(
     ctx: &WorkerContext,
-    model: &KgLink,
+    epoch: &ModelEpoch,
     request: &Request,
     path: ServePath,
     counted: bool,
 ) -> AnnotateOutcome {
-    let spec = req(&request.table).deadline(path.remaining).rung(path.rung);
+    let spec = req(&request.table)
+        .deadline(path.remaining)
+        .rung(path.rung)
+        .feature_memo(&epoch.feature_memo);
     let backend = ctx.retrieval.at(path.rung, counted);
     let resources = Resources::builder()
         .graph(&ctx.graph)
@@ -231,7 +238,7 @@ fn annotate_once(
         // constructor validated these exact resources; a builder error here
         // is a bug in this crate, not a runtime condition.
         .expect("service resources validated at startup");
-    model.annotate_request(&resources, spec)
+    epoch.model.annotate_request(&resources, spec)
 }
 
 fn serve_request(ctx: &WorkerContext, request: &Request, serving: &Serving) -> Annotation {
@@ -261,7 +268,7 @@ fn serve_request(ctx: &WorkerContext, request: &Request, serving: &Serving) -> A
     // kglink-lint: allow(nondeterminism) — annotate-only wall time feeding
     // the shadow-comparison latency histograms; labels never read it.
     let t0 = Instant::now();
-    let outcome = annotate_once(ctx, &serving.epoch.model, request, path, true);
+    let outcome = annotate_once(ctx, &serving.epoch, request, path, true);
     let primary_us = t0.elapsed().as_micros() as u64;
 
     if let Some(sh) = &serving.window {
@@ -299,7 +306,7 @@ fn run_shadow(
     // the p99-inflation guard; no annotation output reads it.
     let t0 = Instant::now();
     let duplicate = catch_unwind(AssertUnwindSafe(|| {
-        annotate_once(ctx, &sh.epoch.model, request, path, false).labels
+        annotate_once(ctx, &sh.epoch, request, path, false).labels
     }));
     let shadow_us = t0.elapsed().as_micros() as u64;
     let (flipped_columns, flipped) = match &duplicate {

@@ -574,6 +574,65 @@ fn hot_swap_is_atomic_and_bit_identical() {
     );
 }
 
+/// Feature rows are remembered per epoch: a promote brings a fresh memo
+/// with the new weights, so the rows model A encoded never reach model B.
+/// A memo shared across epochs would hand B the rows A computed.
+#[test]
+fn feature_rows_are_remembered_per_epoch() {
+    use kglink::core::KgLinkModel;
+    use kglink::serve::{FeatureMemoStats, SwapPlan};
+
+    let fx = fixture();
+    let svc = service(
+        fx,
+        ServiceConfig {
+            workers: 2,
+            initial_version: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    let serve_all = |svc: &AnnotationService| -> Vec<Vec<LabelId>> {
+        svc.submit_batch(fx.tables.iter().cloned())
+            .into_iter()
+            .map(|t| t.expect("admitted").wait().expect("served").labels)
+            .collect()
+    };
+    serve_all(&svc);
+    serve_all(&svc);
+    let warm = svc.metrics().feature_memo;
+    assert!(warm.hits > 0 && warm.entries > 0, "the second pass hits: {warm:?}");
+
+    // Model B: the same label space, fresh weights.
+    let b = Arc::new(KgLink {
+        config: fx.model.config.clone(),
+        model: KgLinkModel::new(
+            &fx.model.config,
+            fx.tokenizer.vocab.len(),
+            fx.model.labels.len(),
+        ),
+        labels: fx.model.labels.clone(),
+    });
+    let plan = SwapPlan {
+        probe_tables: Vec::new(),
+        shadow_min_requests: 0,
+        watch_min_requests: 0,
+        ..SwapPlan::default()
+    };
+    svc.swap_model(2, Arc::clone(&b), &plan).expect("ungated swap promotes");
+    assert_eq!(svc.model_version(), 2);
+    assert_eq!(svc.metrics().feature_memo, FeatureMemoStats::default());
+
+    let resources = fx.resources_with(fx.searcher.as_ref());
+    let expected: Vec<Vec<LabelId>> = fx
+        .tables
+        .iter()
+        .map(|t| b.annotate_request(&resources, req(t)).labels)
+        .collect();
+    assert_eq!(serve_all(&svc), expected, "model B serves its own feature rows");
+    let after = svc.metrics().feature_memo;
+    assert!(after.misses > 0, "B's memo starts empty: {after:?}");
+}
+
 /// Candidates that cannot possibly serve are refused without touching the
 /// epoch: a label-space mismatch is rejected at prepare, and a zero
 /// rollback budget fails closed before any phase runs.
