@@ -33,15 +33,18 @@
 //!
 //! **Why per-block max scores: the staged traversal.** `max_score` is the
 //! largest BM25 contribution any posting in the block can make (computable
-//! at build time: df, doc lengths, and corpus stats are all final). A
-//! query reads each of its terms' block headers once into a block table
-//! and takes the term bound `ub = max(block max)`. Lists are then walked
-//! one per *stage*, rarest first. A doc met in stage `s` that an
-//! earlier-stage list contains was handled there; any other doc is scored
-//! in full — one `term_score` per list containing it, added to `0.0` in
-//! query-term order, its `tf` in the other lists found by seeking their
-//! block tables (binary search on `last`, decode at most that one block)
-//! — and offered to the top-k heap. Before a stage, if the heap is full
+//! at build time: df, doc lengths, and corpus stats are all final). When
+//! a term's posting bytes enter the block cache they are CRC-checked and
+//! every block header is decoded once into a fixed-width block table
+//! appended to the cached entry, with the term bound `ub = max(block
+//! max)`; a query opens a list by reading that table's trailer. Lists are
+//! then walked one per *stage*, rarest first. A doc met in stage `s` that
+//! an earlier-stage list contains was handled there; any other doc is
+//! scored in full — one `term_score` per list containing it, added to
+//! `0.0` in query-term order, its `tf` in the other lists found by seeking
+//! their block tables (binary search on `last` forward from the list's
+//! last seek, decode at most that one block) — and offered to the top-k
+//! heap. Before a stage, if the heap is full
 //! and the most an unseen doc can score — `Σ max(ub, 0)` over the lists
 //! of stage ≥ `s`, summed in query-term order — is strictly below the
 //! k-th best, the query is finished; before a block, the same sum with
@@ -72,7 +75,7 @@
 use crate::atomic::AtomicFile;
 use crate::blockcache::BlockCache;
 use crate::error::StoreError;
-use crate::varint::{crc32, get_count, get_uv32, put_uv, Crc32, MAX_VARINT_LEN};
+use crate::varint::{crc32, get_count, get_uv32, put_uv, read_verified, Crc32, MAX_VARINT_LEN};
 use kglink_search::tokenize::{tokenize, tokenize_unique};
 use kglink_search::Bm25Params;
 use std::cmp::Ordering;
@@ -348,8 +351,6 @@ impl TermSink<'_> {
         let mut n_blocks = 0u64;
         let mut prev_last = 0u32;
         for chunk in postings.chunks(MAX_BLOCK_POSTINGS) {
-            let first = chunk[0].0;
-            let last = chunk[chunk.len() - 1].0;
             // The block max is computed by the *same* f32 expression the
             // reader scores with — that equality is what makes skipping
             // against it rank-safe rather than heuristic.
@@ -362,28 +363,14 @@ impl TermSink<'_> {
                     max_score.max(self.params.term_score(idf, tf as f32, dl as f32, self.avg));
             }
             self.block_buf.clear();
-            put_uv(&mut self.block_buf, chunk.len() as u64);
-            put_uv(&mut self.block_buf, u64::from(first - prev_last));
-            put_uv(&mut self.block_buf, u64::from(last - first));
-            self.block_buf.extend_from_slice(&max_score.to_le_bytes());
-            let mut payload = Vec::with_capacity(chunk.len() * 2);
-            let mut prev = first;
-            for &(doc, _) in &chunk[1..] {
-                put_uv(&mut payload, u64::from(doc - prev));
-                prev = doc;
-            }
-            for &(_, tf) in chunk {
-                put_uv(&mut payload, u64::from(tf));
-            }
-            put_uv(&mut self.block_buf, payload.len() as u64);
-            self.block_buf.extend_from_slice(&payload);
+            put_block(&mut self.block_buf, chunk, prev_last, max_score);
             crc.update(&self.block_buf);
             post_len += self.block_buf.len() as u64;
             let block = std::mem::take(&mut self.block_buf);
             self.file.write_all(&block)?;
             self.block_buf = block;
             n_blocks += 1;
-            prev_last = last;
+            prev_last = chunk[chunk.len() - 1].0;
         }
         self.offsets.push(u32::try_from(self.entries.len()).map_err(|_| {
             StoreError::Corrupt("dictionary entries exceed u32::MAX bytes".into())
@@ -405,6 +392,28 @@ impl TermSink<'_> {
         self.prev_term.push_str(term);
         Ok(())
     }
+}
+
+/// Append one posting block — header, then payload — for `chunk`, the
+/// `(doc, tf)` postings after a block ending at doc `prev_last`.
+fn put_block(buf: &mut Vec<u8>, chunk: &[(u32, u32)], prev_last: u32, max_score: f32) {
+    let first = chunk[0].0;
+    let last = chunk[chunk.len() - 1].0;
+    put_uv(buf, chunk.len() as u64);
+    put_uv(buf, u64::from(first - prev_last));
+    put_uv(buf, u64::from(last - first));
+    buf.extend_from_slice(&max_score.to_le_bytes());
+    let mut payload = Vec::with_capacity(chunk.len() * 2);
+    let mut prev = first;
+    for &(doc, _) in &chunk[1..] {
+        put_uv(&mut payload, u64::from(doc - prev));
+        prev = doc;
+    }
+    for &(_, tf) in chunk {
+        put_uv(&mut payload, u64::from(tf));
+    }
+    put_uv(buf, payload.len() as u64);
+    buf.extend_from_slice(&payload);
 }
 
 /// K-way merge of term-sorted runs into the sink. Runs are indexed in
@@ -576,7 +585,8 @@ struct DictEntry {
 
 /// Read access to a sealed `KGBM` segment. The dictionary and document
 /// lengths are resident (a few MB per 10M docs); posting bytes are read on
-/// demand through a [`BlockCache`] keyed by `(0, term ordinal)`.
+/// demand through a [`BlockCache`] keyed by `(0, term ordinal)`, each entry
+/// carrying its block table.
 #[derive(Debug)]
 pub struct Bm25Segment {
     file: File,
@@ -665,15 +675,7 @@ impl Bm25Segment {
                 "doc-length section of {doclen_len} bytes is not u32-aligned"
             )));
         }
-        let mut dict = vec![0u8; dict_len as usize];
-        file.read_exact_at(&mut dict, dict_off)?;
-        let found = crc32(&dict);
-        if found != dict_crc {
-            return Err(StoreError::CrcMismatch {
-                expected: dict_crc,
-                found,
-            });
-        }
+        let mut dict = read_verified(&file, dict_off, dict_len as usize, dict_crc)?;
         let offsets_len = n_terms as usize * 4;
         if dict.len() < offsets_len {
             return Err(StoreError::Corrupt(format!(
@@ -686,15 +688,7 @@ impl Bm25Segment {
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect();
-        let mut doclen_bytes = vec![0u8; doclen_len as usize];
-        file.read_exact_at(&mut doclen_bytes, doclen_off)?;
-        let found = crc32(&doclen_bytes);
-        if found != doclen_crc {
-            return Err(StoreError::CrcMismatch {
-                expected: doclen_crc,
-                found,
-            });
-        }
+        let doclen_bytes = read_verified(&file, doclen_off, doclen_len as usize, doclen_crc)?;
         let doc_lens: Vec<u32> = doclen_bytes
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
@@ -789,7 +783,9 @@ impl Bm25Segment {
         Ok(None)
     }
 
-    /// Fetch (and CRC-verify, once) the full posting bytes of a term.
+    /// A term's full posting bytes with their block table appended (see
+    /// [`List`]): read, CRC-verified and header-decoded once per cache
+    /// residency. A load that fails either check caches nothing.
     fn postings(
         &self,
         ordinal: usize,
@@ -797,16 +793,9 @@ impl Bm25Segment {
         cache: &BlockCache,
     ) -> Result<Arc<Vec<u8>>, StoreError> {
         cache.get_or_try_load((0, ordinal as u32), || {
-            let mut buf = vec![0u8; entry.post_len as usize];
-            self.file
-                .read_exact_at(&mut buf, self.postings_off + entry.post_off)?;
-            let found = crc32(&buf);
-            if found != entry.post_crc {
-                return Err(StoreError::CrcMismatch {
-                    expected: entry.post_crc,
-                    found,
-                });
-            }
+            let off = self.postings_off + entry.post_off;
+            let mut buf = read_verified(&self.file, off, entry.post_len as usize, entry.post_crc)?;
+            append_block_table(&mut buf, entry.df)?;
             Ok(buf)
         })
     }
@@ -875,14 +864,15 @@ impl Bm25Segment {
                 // Nothing outside the finished stages can enter the top-k.
                 for &j in &order[s..] {
                     stats.skipped_docs += lists[j].df as u64;
-                    stats.skipped_blocks += lists[j].blocks.len() as u64;
+                    stats.skipped_blocks += lists[j].n_blocks as u64;
                 }
                 break;
             }
-            for b in 0..lists[p].blocks.len() {
-                if hopeless(&heap, &lists, s, p, lists[p].blocks[b].max) {
+            for b in 0..lists[p].n_blocks {
+                let head = lists[p].head(b);
+                if hopeless(&heap, &lists, s, p, head.max) {
                     stats.skipped_blocks += 1;
-                    stats.skipped_docs += lists[p].blocks[b].count as u64;
+                    stats.skipped_docs += head.count as u64;
                     continue;
                 }
                 lists[p].load(b)?;
@@ -919,7 +909,13 @@ impl Bm25Segment {
 }
 
 fn offer(heap: &mut BinaryHeap<HeapEntry>, k: usize, doc: u32, score: f32) {
-    heap.push(HeapEntry { doc, score });
+    let entry = HeapEntry { doc, score };
+    // A full heap pops its worst entry after the push, so an entry worse
+    // than that one would be popped straight back: most scored docs are.
+    if heap.len() >= k && heap.peek().is_some_and(|worst| entry > *worst) {
+        return;
+    }
+    heap.push(entry);
     if heap.len() > k {
         heap.pop();
     }
@@ -964,55 +960,152 @@ struct BlockHead {
     payload_len: usize,
 }
 
-/// One query term's posting list: the block table read from the headers,
-/// and at most one decoded block.
+/// Bytes of one block-table row: `count, first, last, max bits, payload
+/// start, payload len`, each a `u32` LE, in [`BlockHead`] field order.
+const ROW_LEN: usize = 24;
+/// Row fields the seek reads on its own.
+const FIRST: usize = 1;
+const LAST: usize = 2;
+/// After the rows: `u32 n_blocks`, then the bits of the list bound `ub`.
+const TRAILER_LEN: usize = 8;
+
+/// Field `i` of a block-table row.
+fn row_field(row: &[u8; ROW_LEN], i: usize) -> u32 {
+    u32::from_le_bytes([row[4 * i], row[4 * i + 1], row[4 * i + 2], row[4 * i + 3]])
+}
+
+/// Decode every block header of a term's verified posting bytes, with all
+/// of [`read_head`]'s checks, and append the block table and trailer
+/// [`List::open`] reads. One `reserve_exact` keeps `capacity() == len()`,
+/// so the cache's charge is the allocation; a header that fails to decode
+/// fails the load.
+fn append_block_table(bytes: &mut Vec<u8>, df: usize) -> Result<(), StoreError> {
+    let mut heads = Vec::with_capacity(df.div_ceil(MAX_BLOCK_POSTINGS).min(bytes.len()));
+    let (mut pos, mut prev_last, mut ub) = (0usize, 0u32, f32::NEG_INFINITY);
+    while pos < bytes.len() {
+        let head = read_head(bytes, pos, prev_last)?;
+        pos = head.payload_start + head.payload_len;
+        prev_last = head.last;
+        ub = ub.max(head.max);
+        heads.push(head);
+    }
+    bytes.reserve_exact(heads.len() * ROW_LEN + TRAILER_LEN);
+    // Counts are ≤ 128 and offsets lie inside a list whose length is a
+    // `u32` in the dictionary, so every field fits.
+    for h in &heads {
+        let (start, len) = (h.payload_start as u32, h.payload_len as u32);
+        for v in [h.count as u32, h.first, h.last, h.max.to_bits(), start, len] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    bytes.extend_from_slice(&(heads.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&ub.to_bits().to_le_bytes());
+    Ok(())
+}
+
+/// One query term's posting list over its cached entry — the posting
+/// bytes, then the block table [`append_block_table`] built when the entry
+/// was loaded — and at most one decoded block. Opening reads the trailer:
+/// no header is parsed per query.
+///
+/// Seeks move forward from a cursor. Within a stage the docs seeked into
+/// a list ascend; a new stage restarts at low ids. `seek_at` is the last
+/// seek's doc `d` and `B(d)`, the first block whose `last` is not below
+/// it; `found_at` is a block and `I(d')`, the first index of its decoded
+/// docs not below some `d' ≤ d`. Both `B` and `I` are `partition_point`s
+/// over ascending keys, hence monotone in the doc: for a seek of `doc ≥
+/// d`, `B(doc) ≥ B(d)` and, in the same block, `I(doc) ≥ I(d')`. So
+/// checking block `B(d)` and then binary-searching only the blocks after
+/// it, and searching a block only from the remembered index (galloping:
+/// the same `partition_point`), gives exactly the whole-table
+/// `partition_point` and, docs being strictly ascending in a valid list,
+/// the whole-block `binary_search`. A seek of `doc < d`
+/// voids both premises, so it forgets the cursor and searches from zero.
 struct List {
     bytes: Arc<Vec<u8>>,
+    /// Where the posting bytes end and the block table starts.
+    table: usize,
+    n_blocks: usize,
     idf: f32,
     df: usize,
-    blocks: Vec<BlockHead>,
     /// Largest block max: no posting of this list scores higher.
     ub: f32,
     /// Index of the block decoded into `docs`/`tfs`.
     loaded: Option<usize>,
     docs: Vec<u32>,
     tfs: Vec<u32>,
+    /// The last seek: its doc and the first block whose `last` is ≥ it.
+    seek_at: (u32, usize),
+    /// The last in-block search: its block and the index it stopped at.
+    found_at: (usize, usize),
 }
 
 impl List {
-    /// Read every block header of a term's posting bytes; payloads stay
-    /// undecoded until a stage walks them or a seek lands in them.
+    /// Open a cached posting entry; payloads stay undecoded until a stage
+    /// walks them or a seek lands in them.
     fn open(bytes: Arc<Vec<u8>>, idf: f32, df: usize) -> Result<Self, StoreError> {
-        let mut blocks = Vec::with_capacity(df.div_ceil(MAX_BLOCK_POSTINGS));
-        let (mut pos, mut prev_last, mut ub) = (0usize, 0u32, f32::NEG_INFINITY);
-        while pos < bytes.len() {
-            let head = read_head(&bytes, pos, prev_last)?;
-            pos = head.payload_start + head.payload_len;
-            prev_last = head.last;
-            ub = ub.max(head.max);
-            blocks.push(head);
-        }
+        let trailer = bytes.len().checked_sub(TRAILER_LEN).ok_or(StoreError::Truncated)?;
+        let n_blocks = le_u32(&bytes, trailer)? as usize;
+        let ub = f32::from_bits(le_u32(&bytes, trailer + 4)?);
+        let table = trailer
+            .checked_sub(n_blocks * ROW_LEN)
+            .ok_or_else(|| StoreError::Corrupt("block table overruns its list".into()))?;
         Ok(List {
             bytes,
+            table,
+            n_blocks,
             idf,
             df,
-            blocks,
             ub,
             loaded: None,
             docs: Vec::new(),
             tfs: Vec::new(),
+            seek_at: (0, 0),
+            found_at: (0, 0),
         })
+    }
+
+    /// The block table, one row per block.
+    fn rows(&self) -> &[[u8; ROW_LEN]] {
+        self.bytes[self.table..self.table + self.n_blocks * ROW_LEN]
+            .as_chunks()
+            .0
+    }
+
+    /// Block `b`'s header, as its table row holds it.
+    fn head(&self, b: usize) -> BlockHead {
+        let row = &self.rows()[b];
+        BlockHead {
+            count: row_field(row, 0) as usize,
+            first: row_field(row, FIRST),
+            last: row_field(row, LAST),
+            max: f32::from_bits(row_field(row, 3)),
+            payload_start: row_field(row, 4) as usize,
+            payload_len: row_field(row, 5) as usize,
+        }
     }
 
     /// Term frequency of `doc` in this list, decoding at most the one
     /// block whose id range covers it.
     fn seek(&mut self, doc: u32) -> Result<Option<u32>, StoreError> {
-        let b = self.blocks.partition_point(|h| h.last < doc);
-        if self.blocks.get(b).is_none_or(|h| doc < h.first) {
+        let (at_doc, mut b) = self.seek_at;
+        if doc < at_doc {
+            (b, self.found_at) = (0, (0, 0));
+        }
+        let rows = self.rows();
+        if rows.get(b).is_some_and(|r| row_field(r, LAST) < doc) {
+            b += 1 + rows[b + 1..].partition_point(|r| row_field(r, LAST) < doc);
+        }
+        let uncovered = rows.get(b).is_none_or(|r| doc < row_field(r, FIRST));
+        self.seek_at = (doc, b);
+        if uncovered {
             return Ok(None);
         }
         self.load(b)?;
-        Ok(self.docs.binary_search(&doc).ok().map(|i| self.tfs[i]))
+        let from = if self.found_at.0 == b { self.found_at.1 } else { 0 };
+        let i = from + gallop(&self.docs[from..], doc);
+        self.found_at = (b, i);
+        Ok((self.docs.get(i) == Some(&doc)).then(|| self.tfs[i]))
     }
 
     /// Decode block `b`'s payload, unless it is the one already held.
@@ -1021,9 +1114,9 @@ impl List {
             return Ok(());
         }
         self.loaded = None;
-        let head = &self.blocks[b];
+        let head = self.head(b);
         let end = head.payload_start + head.payload_len;
-        let bytes = &self.bytes[..];
+        let bytes = &self.bytes[..self.table];
         let mut p = head.payload_start;
         self.docs.clear();
         self.tfs.clear();
@@ -1056,6 +1149,19 @@ impl List {
         self.loaded = Some(b);
         Ok(())
     }
+}
+
+/// `docs.partition_point(|&d| d < doc)` for ascending `docs`, galloping
+/// from the front: a seek's doc is usually at or just past the cursor, so
+/// this takes a comparison or two where a search of the block takes seven.
+fn gallop(docs: &[u32], doc: u32) -> usize {
+    // Every doc in `docs[..lo]` is below `doc`.
+    let (mut lo, mut step) = (0, 1);
+    while lo + step <= docs.len() && docs[lo + step - 1] < doc {
+        lo += step;
+        step *= 2;
+    }
+    lo + docs[lo..(lo + step - 1).min(docs.len())].partition_point(|&d| d < doc)
 }
 
 /// Decode the block header at `p` without touching its payload.
@@ -1390,6 +1496,107 @@ mod tests {
             std::fs::write(&path, &orig).unwrap();
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_header_failing_behind_a_valid_crc_fails_every_load_and_caches_nothing() {
+        let docs: Vec<(u32, String)> = (0u32..600)
+            .map(|i| {
+                let rare = if (300..304).contains(&i) { " rare" } else { "" };
+                (i, format!("common filler{}{rare}", i % 7))
+            })
+            .collect();
+        let (_, _, dir) = build_both(&docs, usize::MAX);
+        let path = dir.join(BM25_FILE);
+        reseal(&path, "common", |posts| rewrite_head(posts, 2, 129, 127));
+        let seg = Bm25Segment::open(&path).unwrap();
+        let cache = BlockCache::new(1 << 20, 1);
+        // The undamaged lists are resident; only `common` loads from here.
+        seg.search("rare filler3", 3, &cache).unwrap();
+        let before = cache.stats();
+        for (n, query) in (1u64..).zip(["common", "rare common", "common rare filler3"]) {
+            let got = seg.search(query, 3, &cache);
+            assert!(matches!(got, Err(StoreError::Corrupt(_))), "{query:?} gave {got:?}");
+            let s = cache.stats();
+            assert_eq!(s.misses, before.misses + n, "{query:?}: the load runs again");
+            assert_eq!(s.resident_bytes, before.resident_bytes, "{query:?}: nothing cached");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_loaded_list_is_charged_exactly_its_allocation() {
+        let (_, seg, dir) = build_both(&corpus(), usize::MAX);
+        let cache = BlockCache::new(1 << 20, 1);
+        let mut charged = 0;
+        for term in ["peter", "alias", "item7", "album"] {
+            let (ordinal, entry) = seg.lookup(term).unwrap().unwrap();
+            let bytes = seg.postings(ordinal, &entry, &cache).unwrap();
+            assert_eq!(bytes.capacity(), bytes.len(), "{term}");
+            // The posting bytes, a 24-byte row a block, the trailer.
+            let rows = entry.df.div_ceil(MAX_BLOCK_POSTINGS) * ROW_LEN;
+            assert_eq!(bytes.len(), entry.post_len as usize + rows + TRAILER_LEN, "{term}");
+            charged += crate::blockcache::ENTRY_OVERHEAD_BYTES + bytes.len();
+        }
+        assert_eq!(cache.stats().resident_bytes, charged);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn cursor_seeks_equal_whole_table_searches() {
+        let mut state = 0u64;
+        let mut rnd = move |n: u64| {
+            state += 1;
+            mix(state) % n
+        };
+        for case in 0..300 {
+            // A quarter of the lists fit one or two blocks.
+            let len = 1 + rnd(if case % 4 == 0 { 200 } else { 5_000 }) as usize;
+            // Ascending docs, some adjacent, with the odd long jump: gaps
+            // inside blocks and between them.
+            let mut postings = Vec::with_capacity(len);
+            let mut doc = rnd(50) as u32;
+            for _ in 0..len {
+                postings.push((doc, 1 + rnd(4) as u32));
+                doc += 1 + if rnd(40) == 0 { rnd(5_000) } else { rnd(3) } as u32;
+            }
+            let blocks: Vec<&[(u32, u32)]> = postings.chunks(MAX_BLOCK_POSTINGS).collect();
+            let mut bytes = Vec::new();
+            let mut prev_last = 0;
+            for block in &blocks {
+                put_block(&mut bytes, block, prev_last, 1.0);
+                prev_last = block[block.len() - 1].0;
+            }
+            append_block_table(&mut bytes, len).unwrap();
+            let mut list = List::open(Arc::new(bytes), 1.0, len).unwrap();
+            // What a seek answered before it had a cursor.
+            let reference = |doc: u32| {
+                let b = blocks.partition_point(|c| c[c.len() - 1].0 < doc);
+                let c = blocks.get(b).filter(|c| c[0].0 <= doc)?;
+                c.binary_search_by_key(&doc, |&(d, _)| d).ok().map(|i| c[i].1)
+            };
+            let (first, last) = (postings[0].0, postings[len - 1].0);
+            let mut target = 0u32;
+            for step in 0..600 {
+                target = match rnd(12) {
+                    // Ascending runs, repeats among them.
+                    0..=4 => target.saturating_add(rnd(40) as u32),
+                    5 => target,
+                    6 => target.saturating_sub(rnd(3_000) as u32),
+                    7 => postings[rnd(len as u64) as usize].0,
+                    8 => rnd(u64::from(first) + 1) as u32,
+                    9 => [last + 1 + rnd(100) as u32, u32::MAX][rnd(2) as usize],
+                    // Just past a block's last doc: a gap when the next
+                    // block does not start there.
+                    _ => blocks[rnd(blocks.len() as u64) as usize].last().unwrap().0 + 1,
+                };
+                assert_eq!(
+                    list.seek(target).unwrap(),
+                    reference(target),
+                    "case {case}, step {step}, doc {target}"
+                );
+            }
+        }
     }
 
     fn mix(v: u64) -> u64 {

@@ -46,7 +46,7 @@ use crate::atomic::AtomicFile;
 use crate::blockcache::BlockCache;
 use crate::error::StoreError;
 use crate::varint::{
-    borrow_str, crc32, get_count, get_str, get_uv32, put_str, put_uv, skip_str,
+    borrow_str, crc32, get_count, get_str, get_uv32, put_str, put_uv, read_verified, skip_str,
 };
 use kglink_kg::{Edge, Entity, EntityId, NeSchema, PredicateId};
 use std::fs::File;
@@ -455,15 +455,7 @@ impl Segment {
         {
             return Err(StoreError::Truncated);
         }
-        let mut index_bytes = vec![0u8; index_len as usize];
-        file.read_exact_at(&mut index_bytes, index_off)?;
-        let found = crc32(&index_bytes);
-        if found != index_crc {
-            return Err(StoreError::CrcMismatch {
-                expected: index_crc,
-                found,
-            });
-        }
+        let index_bytes = read_verified(&file, index_off, index_len as usize, index_crc)?;
         let mut blocks = Vec::with_capacity(n_blocks as usize);
         for i in 0..n_blocks as usize {
             let at = i * INDEX_ENTRY_LEN;
@@ -518,16 +510,7 @@ impl Segment {
     ) -> Result<std::sync::Arc<Vec<u8>>, StoreError> {
         let meta = self.blocks[block_idx];
         cache.get_or_try_load((self.shard_index, block_idx as u32), || {
-            let mut buf = vec![0u8; meta.len as usize];
-            self.file.read_exact_at(&mut buf, meta.off)?;
-            let found = crc32(&buf);
-            if found != meta.crc {
-                return Err(StoreError::CrcMismatch {
-                    expected: meta.crc,
-                    found,
-                });
-            }
-            Ok(buf)
+            read_verified(&self.file, meta.off, meta.len as usize, meta.crc)
         })
     }
 
