@@ -27,6 +27,7 @@ use kglink_core::pipeline::{build_vocab, KgLink, Resources};
 use kglink_core::{KgLinkConfig, TrainReport};
 use kglink_datagen::{pretrain_corpus, semtab_like, viznet_like, GeneratedBenchmark, SemTabConfig, VizNetConfig};
 use kglink_kg::{GraphAccess, KnowledgeGraph, SyntheticWorld, WorldConfig};
+use kglink_nn::frame;
 use kglink_nn::serialize::save_params;
 use kglink_nn::{Encoder, EncoderConfig, MlmPretrainConfig, MlmPretrainer, Tokenizer};
 use kglink_search::{EntitySearcher, KgBackend};
@@ -136,19 +137,27 @@ impl ExpEnv {
         }
     }
 
-    /// MLM pre-training of the shared MiniLM, cached on disk.
+    /// MLM pre-training of the shared MiniLM, cached on disk as a
+    /// [`frame`] (magic `KGPT`) around its `KGLW` weights: the cache is
+    /// published atomically, and a torn or foreign file is trained again
+    /// instead of being handed to `fit` (which loads it best-effort).
     fn pretrain_encoder(tokenizer: &Tokenizer, corpus: &[String], seed: u64, fast: bool) -> Vec<u8> {
-        let cache_dir = std::path::Path::new("target/kglink-cache");
-        let cache = cache_dir.join(format!(
+        const CACHE_MAGIC: &[u8; 4] = b"KGPT";
+        let cache = std::path::Path::new("target/kglink-cache").join(format!(
             "pretrained_v{}_{}_{}_{}.bin",
-            1,
+            2,
             seed,
             tokenizer.vocab.len(),
             u8::from(fast)
         ));
-        if let Ok(blob) = std::fs::read(&cache) {
-            eprintln!("[setup] loaded cached pre-trained encoder ({} bytes)", blob.len());
-            return blob;
+        if let Ok(file) = std::fs::read(&cache) {
+            match frame::decode(&file, CACHE_MAGIC, 1) {
+                Ok(blob) => {
+                    eprintln!("[setup] loaded cached pre-trained encoder ({} bytes)", blob.len());
+                    return blob.to_vec();
+                }
+                Err(e) => eprintln!("[setup] cached pre-trained encoder unusable ({e}), retraining"),
+            }
         }
         eprintln!("[setup] MLM pre-training on {} sentences…", corpus.len());
         let t0 = Instant::now();
@@ -170,8 +179,9 @@ impl ExpEnv {
         );
         let (mut encoder, _) = pre.into_parts();
         let blob = save_params(&mut encoder).to_vec();
-        let _ = std::fs::create_dir_all(cache_dir);
-        let _ = std::fs::write(&cache, &blob);
+        if let Err(e) = frame::publish(&cache, &frame::encode(CACHE_MAGIC, 1, &blob)) {
+            eprintln!("[setup] could not cache the pre-trained encoder: {e}");
+        }
         blob
     }
 

@@ -7,8 +7,9 @@ use crate::model::KgLinkModel;
 use crate::preprocess::ProcessedTable;
 use crate::serialize::{serialize_features, serialize_table, SerializedTable, SlotFill};
 use kglink_nn::checkpoint::{
-    load_train_state, CheckpointError, Checkpointer, TrainCheckpoint,
+    load_train_state, save_train_state, CheckpointError, Checkpointer, TrainCheckpoint,
 };
+use kglink_nn::frame::{Reader, Writer};
 use kglink_nn::layers::param::HasParams;
 use kglink_nn::serialize::{load_params, save_params};
 use kglink_nn::{cross_entropy, dmlm_loss, AdamW, LinearDecay, Task, Tensor, Tokenizer};
@@ -435,6 +436,8 @@ pub fn train(
 // lives here, so a mid-epoch resume replays bit-identically: the epoch
 // shuffle order, the f32 loss accumulator (exact bits), and the
 // early-stopping bookkeeping including the serialized best-epoch weights.
+// Fields go through `kglink_nn::frame`'s writer and reader, like every
+// other section of the checkpoint.
 
 struct LoopState {
     epoch: u64,
@@ -452,147 +455,88 @@ struct LoopState {
     report: TrainReport,
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32(buf: &mut Vec<u8>, v: f32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Bounds-checked little-endian reader; every short read is a typed
-/// [`CheckpointError::Truncated`] instead of a slice panic.
-struct Reader<'a>(&'a [u8]);
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], CheckpointError> {
-        if self.0.len() < n {
-            return Err(CheckpointError::Truncated);
-        }
-        let (head, tail) = self.0.split_at(n);
-        self.0 = tail;
-        Ok(head)
-    }
-
-    /// Fixed-size read: the array width is checked by construction, so no
-    /// fallible slice-to-array conversion is needed afterwards.
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
-        let (head, tail) = self
-            .0
-            .split_first_chunk::<N>()
-            .ok_or(CheckpointError::Truncated)?;
-        self.0 = tail;
-        Ok(*head)
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    fn f32(&mut self) -> Result<f32, CheckpointError> {
-        Ok(f32::from_le_bytes(self.array()?))
-    }
-
-    fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_le_bytes(self.array()?))
-    }
-}
-
 impl LoopState {
     fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        put_u64(&mut buf, self.epoch);
-        put_u64(&mut buf, self.chunk);
-        put_u64(&mut buf, self.global_step);
-        put_u64(&mut buf, self.consecutive_bad);
-        put_u64(&mut buf, self.bad_epochs);
-        put_u64(&mut buf, self.n_tables);
-        put_f32(&mut buf, self.epoch_loss);
-        put_f64(&mut buf, self.best_acc);
-        put_u64(&mut buf, self.order.len() as u64);
+        let mut w = Writer::new();
+        w.u64(self.epoch)
+            .u64(self.chunk)
+            .u64(self.global_step)
+            .u64(self.consecutive_bad)
+            .u64(self.bad_epochs)
+            .u64(self.n_tables)
+            .f32(self.epoch_loss)
+            .f64(self.best_acc)
+            .u64(self.order.len() as u64);
         for &i in &self.order {
-            put_u64(&mut buf, i as u64);
+            w.u64(i as u64);
         }
         match &self.best_blob {
-            Some(blob) => {
-                put_u64(&mut buf, 1 + blob.len() as u64);
-                buf.extend_from_slice(blob);
-            }
-            None => put_u64(&mut buf, 0),
-        }
+            Some(blob) => w.u64(1 + blob.len() as u64).bytes(blob),
+            None => w.u64(0),
+        };
         let r = &self.report;
-        put_u64(&mut buf, r.best_epoch as u64);
-        put_u64(&mut buf, r.nonfinite_steps);
-        put_u64(&mut buf, r.rollbacks);
-        put_u64(&mut buf, r.epoch_loss.len() as u64);
+        w.u64(r.best_epoch as u64)
+            .u64(r.nonfinite_steps)
+            .u64(r.rollbacks)
+            .u64(r.epoch_loss.len() as u64);
         for &l in &r.epoch_loss {
-            put_f32(&mut buf, l);
+            w.f32(l);
         }
-        put_u64(&mut buf, r.val_accuracy.len() as u64);
+        w.u64(r.val_accuracy.len() as u64);
         for &a in &r.val_accuracy {
-            put_f64(&mut buf, a);
+            w.f64(a);
         }
-        put_u64(&mut buf, r.sigma_trajectory.len() as u64);
+        w.u64(r.sigma_trajectory.len() as u64);
         for &(s0, s1) in &r.sigma_trajectory {
-            put_f32(&mut buf, s0);
-            put_f32(&mut buf, s1);
+            w.f32(s0).f32(s1);
         }
-        buf
+        w.into_vec()
     }
 
     fn decode(blob: &[u8]) -> Result<Self, CheckpointError> {
-        let mut r = Reader(blob);
-        let epoch = r.u64()?;
-        let chunk = r.u64()?;
-        let global_step = r.u64()?;
-        let consecutive_bad = r.u64()?;
-        let bad_epochs = r.u64()?;
-        let n_tables = r.u64()?;
-        let epoch_loss = r.f32()?;
-        let best_acc = r.f64()?;
-        let n_order = r.u64()? as usize;
-        let mut order = Vec::with_capacity(n_order);
-        for _ in 0..n_order {
-            order.push(r.u64()? as usize);
-        }
-        let blob_tag = r.u64()?;
-        let best_blob = if blob_tag == 0 {
-            None
-        } else {
-            Some(r.take(blob_tag as usize - 1)?.to_vec())
+        let mut r = Reader::new(blob);
+        // Struct fields evaluate in the order written: the wire order.
+        let state = LoopState {
+            epoch: r.u64()?,
+            chunk: r.u64()?,
+            global_step: r.u64()?,
+            consecutive_bad: r.u64()?,
+            bad_epochs: r.u64()?,
+            n_tables: r.u64()?,
+            epoch_loss: r.f32()?,
+            best_acc: r.f64()?,
+            order: {
+                let mut order = Vec::new();
+                for _ in 0..r.u64()? {
+                    order.push(r.u64()? as usize);
+                }
+                order
+            },
+            best_blob: match r.count()? {
+                0 => None,
+                tag => Some(r.take(tag - 1)?.to_vec()),
+            },
+            report: {
+                let mut report = TrainReport {
+                    best_epoch: r.u64()? as usize,
+                    nonfinite_steps: r.u64()?,
+                    rollbacks: r.u64()?,
+                    ..TrainReport::default()
+                };
+                for _ in 0..r.u64()? {
+                    report.epoch_loss.push(r.f32()?);
+                }
+                for _ in 0..r.u64()? {
+                    report.val_accuracy.push(r.f64()?);
+                }
+                for _ in 0..r.u64()? {
+                    report.sigma_trajectory.push((r.f32()?, r.f32()?));
+                }
+                report
+            },
         };
-        let mut report = TrainReport {
-            best_epoch: r.u64()? as usize,
-            nonfinite_steps: r.u64()?,
-            rollbacks: r.u64()?,
-            ..TrainReport::default()
-        };
-        for _ in 0..r.u64()? {
-            report.epoch_loss.push(r.f32()?);
-        }
-        for _ in 0..r.u64()? {
-            report.val_accuracy.push(r.f64()?);
-        }
-        for _ in 0..r.u64()? {
-            report.sigma_trajectory.push((r.f32()?, r.f32()?));
-        }
-        Ok(LoopState {
-            epoch,
-            chunk,
-            global_step,
-            consecutive_bad,
-            bad_epochs,
-            n_tables,
-            epoch_loss,
-            best_acc,
-            order,
-            best_blob,
-            report,
-        })
+        r.finish()?;
+        Ok(state)
     }
 }
 
@@ -679,10 +623,7 @@ pub fn train_with(
 
     // Rollback target: the last durable checkpoint, or the (possibly
     // resumed) starting state before any step is taken.
-    let mut last_good: (Vec<u8>, usize) = (
-        kglink_nn::checkpoint::save_train_state(model).to_vec(),
-        opt.steps(),
-    );
+    let mut last_good = (save_train_state(model), opt.steps());
 
     'epochs: while epoch < config.epochs {
         if !mid_epoch {
@@ -782,7 +723,7 @@ pub fn train_with(
                         state.encode(),
                     );
                     cp.save(&ckpt).map_err(KgLinkError::Checkpoint)?;
-                    last_good = (ckpt.train_state.to_vec(), opt.steps());
+                    last_good = (ckpt.train_state, opt.steps());
                     tracer.incr("train.checkpoint", 1);
                 }
             }
@@ -952,5 +893,49 @@ mod tests {
                 assert!((p.index()) < n_labels);
             }
         }
+    }
+
+    #[test]
+    fn loop_state_round_trips_and_every_damage_is_typed() {
+        let state = LoopState {
+            epoch: 2,
+            chunk: 5,
+            global_step: 17,
+            consecutive_bad: 1,
+            bad_epochs: 1,
+            n_tables: 19,
+            epoch_loss: f32::from_bits(0x3f80_0001),
+            best_acc: 0.625,
+            order: vec![3, 0, 2, 1],
+            best_blob: Some(vec![9, 8, 7]),
+            report: TrainReport {
+                epoch_loss: vec![1.5, 1.25],
+                val_accuracy: vec![0.5, 0.625],
+                sigma_trajectory: vec![(0.1, -0.2), (0.3, -0.4)],
+                best_epoch: 1,
+                nonfinite_steps: 2,
+                rollbacks: 1,
+                ..TrainReport::default()
+            },
+        };
+        let blob = state.encode();
+        // `LoopState` has no `PartialEq`; re-encoding bit for bit is the
+        // stronger statement.
+        assert_eq!(LoopState::decode(&blob).map(|s| s.encode()), Ok(blob.clone()));
+        let empty = LoopState { best_blob: None, order: Vec::new(), ..state };
+        let blob2 = empty.encode();
+        assert_eq!(LoopState::decode(&blob2).map(|s| s.encode()), Ok(blob2));
+        for cut in 0..blob.len() {
+            assert!(
+                matches!(LoopState::decode(&blob[..cut]), Err(CheckpointError::Truncated)),
+                "cut at {cut}"
+            );
+        }
+        let mut longer = blob;
+        longer.push(0);
+        assert!(matches!(
+            LoopState::decode(&longer),
+            Err(CheckpointError::Malformed(_))
+        ));
     }
 }

@@ -1,5 +1,5 @@
-//! `atomic-write`: checkpoint, segment and registry bytes reach disk only
-//! through their crate's atomic temp→fsync→rename writer.
+//! `atomic-write`: model artifacts and store segments reach disk only
+//! through their codec's atomic temp→fsync→rename writer.
 //!
 //! Three crash-safety arguments share one shape. A torn checkpoint is what
 //! the KGCK CRC exists to *detect*, not to *cause*; the disk world
@@ -8,6 +8,8 @@
 //! lands. All three collapse if any writer calls `fs::write(...)` /
 //! `File::create(...)` on such a file directly — a crash mid-write leaves a
 //! torn file that a manifest still vouches for or a load half-sees.
+//! Checkpoints and registry artifacts share one writer,
+//! `kglink_nn::frame::publish`; store segments have `kglink_store::atomic`.
 //!
 //! Port of the old `ci.sh` grep gate, made file-rename-robust: the rule
 //! flags any raw write whose statement mentions an artifact family (an
@@ -26,22 +28,17 @@ use crate::workspace::Workspace;
 pub struct AtomicWrite;
 
 /// `(statement markers, what the bytes are, the sanctioned writer)` — one
-/// row per framing implementation (ROADMAP 4(b) merges them into one).
+/// row per atomic writer; the first matching row names the writer.
 const ARTIFACTS: &[(&[&str], &str, &str)] = &[
-    (
-        &["kgck", "ckpt", "checkpoint"],
-        "checkpoint data",
-        "kglink_nn::checkpoint::Checkpointer",
-    ),
     (
         &["kges", "kgbm", "kgsm", "segment"],
         "segment data",
         "kglink_store::atomic",
     ),
     (
-        &["kgmf", "manifest", "registry"],
-        "registry artifacts",
-        "kglink_registry::ModelRegistry::publish",
+        &["kgck", "ckpt", "checkpoint", "kgmf", "manifest", "registry"],
+        "model artifacts",
+        "kglink_nn::frame::publish",
     ),
 ];
 
@@ -51,7 +48,7 @@ impl Rule for AtomicWrite {
     }
 
     fn describe(&self) -> &'static str {
-        "checkpoints, store segments and registry artifacts are written only via their atomic writer (temp→fsync→rename)"
+        "model artifacts (checkpoints, registry versions) and store segments are written only via their atomic writer (temp→fsync→rename)"
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
@@ -132,7 +129,7 @@ fn save(ckpt_path: &Path, segment_path: &Path, registry_dir: &Path, bytes: &[u8]
         assert!(run("crates/store/src/world.rs", src).is_empty());
         // The atomic publishers' own create statement carries no markers.
         let clean = "fn w(dir: &Path, name: &str) { let f = File::create(&tmp)?; }\n";
-        assert!(run("crates/registry/src/publish.rs", clean).is_empty());
+        assert!(run("crates/nn/src/frame.rs", clean).is_empty());
         let forged = "fn t() { fs::write(\"torn.kgck\", b\"junk\"); }\n";
         assert!(run("crates/nn/tests/checkpoint.rs", forged).is_empty());
         let inline = "#[cfg(test)]\nmod t { fn f() { fs::write(\"x.kgsm\", b\"j\"); } }\n";

@@ -9,18 +9,9 @@
 //! section for caller loop state) — so kill-at-any-step followed by resume
 //! replays to a **bit-identical** final model.
 //!
-//! ## Format (`KGCK`, little-endian)
+//! ## Format (`KGCK`, version 1)
 //!
-//! ```text
-//! offset  size  field
-//! 0       4     magic "KGCK"
-//! 4       4     u32 version (currently 1)
-//! 8       4     u32 CRC32 (IEEE) over the payload
-//! 12      8     u64 payload length
-//! 20      …     payload
-//! ```
-//!
-//! Payload:
+//! A [`crate::frame`] with magic `"KGCK"` whose payload is:
 //!
 //! ```text
 //! u64 opt_step | u64 rng_state | u64 epoch | u64 step
@@ -33,38 +24,19 @@
 //! u32 cols | u8 decay | rows·cols f32 value | rows·cols f32 m |
 //! rows·cols f32 v`.
 //!
-//! ## Corruption model
+//! Every way a file can be damaged is a distinct [`CheckpointError`] (the
+//! frame's corruption model), plus [`WrongArchitecture`] when a
+//! structurally valid checkpoint from a different model is applied.
+//! [`Checkpointer::save`] writes through [`frame::publish`], so a crash
+//! mid-save leaves the previous complete checkpoint or the new one.
 //!
-//! Every distinct way a file can be damaged yields a distinct typed
-//! [`CheckpointError`]: a clobbered magic → [`BadMagic`], a version from a
-//! different build → [`WrongVersion`] (checked *before* the CRC, because a
-//! different version implies a different layout), a short file →
-//! [`Truncated`], a flipped bit anywhere in the payload → [`CrcMismatch`],
-//! and a structurally valid checkpoint from a different model →
-//! [`WrongArchitecture`] when applied.
-//!
-//! ## Atomic writes
-//!
-//! [`Checkpointer::save`] never exposes a torn file: bytes go to a
-//! temporary sibling (`<path>.tmp`), are fsync'd, and only then renamed
-//! over the destination — on POSIX a rename within one directory is
-//! atomic, so a crash mid-save leaves either the previous complete
-//! checkpoint or the new complete checkpoint, never a hybrid. This type is
-//! the **only** sanctioned writer of checkpoint files (CI greps for
-//! ad-hoc `fs::write` of checkpoint data).
-//!
-//! [`BadMagic`]: CheckpointError::BadMagic
-//! [`WrongVersion`]: CheckpointError::WrongVersion
-//! [`Truncated`]: CheckpointError::Truncated
-//! [`CrcMismatch`]: CheckpointError::CrcMismatch
 //! [`WrongArchitecture`]: CheckpointError::WrongArchitecture
 
+use crate::frame::{self, Reader, Writer};
 use crate::layers::param::HasParams;
-use crate::serialize::LoadError;
-use crate::tensor::Tensor;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::serialize::{decode_params, encode_params, LoadError};
+use bytes::Bytes;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 const MAGIC: &[u8; 4] = b"KGCK";
 const STATE_MAGIC: &[u8; 4] = b"KGLT";
@@ -72,42 +44,47 @@ const STATE_MAGIC: &[u8; 4] = b"KGLT";
 /// Current checkpoint format version.
 pub const VERSION: u32 = 1;
 
-/// Why a checkpoint could not be decoded or applied.
+/// Why a model artifact could not be decoded or applied. This is the error
+/// of [`crate::frame`], so it also describes the registry's artifacts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// The blob does not start with the `KGCK` magic.
+    /// The blob does not start with the expected magic.
     BadMagic,
-    /// The format version does not match this build's [`VERSION`].
+    /// The format version does not match this build's.
     WrongVersion { found: u32, expected: u32 },
-    /// The blob ends before its declared payload does (short read,
+    /// The blob ends before its declared payload or fields do (short read,
     /// truncated download, crash while a non-atomic writer ran).
     Truncated,
     /// The payload's CRC32 does not match the header (bit rot, torn
     /// write, in-flight corruption).
     CrcMismatch { expected: u32, found: u32 },
+    /// The frame is intact but a field inside it does not parse (an
+    /// unknown tag, trailing bytes).
+    Malformed(String),
     /// The checkpoint is internally valid but was written by a model with
     /// a different parameter count or shapes.
     WrongArchitecture(LoadError),
-    /// The checkpoint file could not be read or written.
+    /// The file could not be read or written.
     Io(String),
 }
 
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CheckpointError::BadMagic => write!(f, "not a KGCK checkpoint"),
+            CheckpointError::BadMagic => write!(f, "bad magic number"),
             CheckpointError::WrongVersion { found, expected } => {
-                write!(f, "checkpoint version {found}, this build reads {expected}")
+                write!(f, "format version {found}, this build reads {expected}")
             }
-            CheckpointError::Truncated => write!(f, "checkpoint is truncated"),
+            CheckpointError::Truncated => write!(f, "input is truncated"),
             CheckpointError::CrcMismatch { expected, found } => write!(
                 f,
-                "checkpoint CRC mismatch: header says {expected:#010x}, payload hashes to {found:#010x}"
+                "CRC mismatch: header says {expected:#010x}, payload hashes to {found:#010x}"
             ),
+            CheckpointError::Malformed(detail) => write!(f, "malformed payload: {detail}"),
             CheckpointError::WrongArchitecture(e) => {
                 write!(f, "checkpoint is from a different architecture: {e}")
             }
-            CheckpointError::Io(e) => write!(f, "checkpoint I/O failed: {e}"),
+            CheckpointError::Io(e) => write!(f, "I/O failed: {e}"),
         }
     }
 }
@@ -120,105 +97,20 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// CRC32 (IEEE 802.3, reflected) over `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 /// Serialize parameter values **and** AdamW moment buffers (the full
 /// mutable training state of a model) into a `KGLT` blob.
 ///
 /// Gradients are not captured: checkpoints are taken at optimizer-step
 /// boundaries, where every gradient accumulator is zero by construction.
 pub fn save_train_state(model: &mut dyn HasParams) -> Bytes {
-    let mut tensors: Vec<(Tensor, Tensor, Tensor, bool)> = Vec::new();
-    model.visit_params(&mut |p| {
-        tensors.push((p.value.clone(), p.m.clone(), p.v.clone(), p.decay))
-    });
-    let mut buf = BytesMut::new();
-    buf.put_slice(STATE_MAGIC);
-    buf.put_u32_le(tensors.len() as u32);
-    for (value, m, v, decay) in &tensors {
-        buf.put_u32_le(value.rows() as u32);
-        buf.put_u32_le(value.cols() as u32);
-        buf.put_u8(u8::from(*decay));
-        for t in [value, m, v] {
-            for &x in t.data() {
-                buf.put_f32_le(x);
-            }
-        }
-    }
-    buf.freeze()
+    encode_params(model, STATE_MAGIC, true)
 }
 
 /// Load a `KGLT` blob produced by [`save_train_state`] into `model`
-/// (values and moments; the architecture must match exactly).
+/// (values and moments; the architecture must match exactly, and a blob
+/// that does not leaves `model` untouched).
 pub fn load_train_state(model: &mut dyn HasParams, blob: &[u8]) -> Result<(), LoadError> {
-    let mut buf = blob;
-    if buf.remaining() < 8 || &buf[..4] != STATE_MAGIC {
-        return Err(LoadError::BadMagic);
-    }
-    buf.advance(4);
-    let count = buf.get_u32_le() as usize;
-    let mut tensors: Vec<(Tensor, Tensor, Tensor)> = Vec::with_capacity(count);
-    for _ in 0..count {
-        if buf.remaining() < 9 {
-            return Err(LoadError::Truncated);
-        }
-        let rows = buf.get_u32_le() as usize;
-        let cols = buf.get_u32_le() as usize;
-        let _decay = buf.get_u8();
-        let numel = rows * cols;
-        if buf.remaining() < numel * 4 * 3 {
-            return Err(LoadError::Truncated);
-        }
-        let read_tensor = |buf: &mut &[u8]| {
-            let mut data = Vec::with_capacity(numel);
-            for _ in 0..numel {
-                data.push(buf.get_f32_le());
-            }
-            Tensor::from_vec(rows, cols, data)
-        };
-        let value = read_tensor(&mut buf);
-        let m = read_tensor(&mut buf);
-        let v = read_tensor(&mut buf);
-        tensors.push((value, m, v));
-    }
-    let mut expected = 0usize;
-    model.visit_params(&mut |_| expected += 1);
-    if expected != tensors.len() {
-        return Err(LoadError::CountMismatch {
-            expected,
-            found: tensors.len(),
-        });
-    }
-    let mut idx = 0usize;
-    let mut shape_err = None;
-    model.visit_params(&mut |p| {
-        if shape_err.is_none() {
-            if p.value.shape() != tensors[idx].0.shape() {
-                shape_err = Some(idx);
-            } else {
-                p.value = tensors[idx].0.clone();
-                p.m = tensors[idx].1.clone();
-                p.v = tensors[idx].2.clone();
-                p.grad.fill_zero();
-            }
-        }
-        idx += 1;
-    });
-    match shape_err {
-        Some(index) => Err(LoadError::ShapeMismatch { index }),
-        None => Ok(()),
-    }
+    decode_params(model, blob, STATE_MAGIC, true)
 }
 
 /// Everything a training loop needs to resume bit-identically: model
@@ -268,98 +160,46 @@ impl TrainCheckpoint {
 
     /// Encode into the `KGCK` wire format (header + CRC'd payload).
     pub fn encode(&self) -> Bytes {
-        let mut payload = BytesMut::new();
-        payload.put_u64_le(self.opt_step);
-        payload.put_u64_le(self.rng_state);
-        payload.put_u64_le(self.epoch);
-        payload.put_u64_le(self.step);
-        payload.put_u32_le(self.extra.len() as u32);
-        payload.put_slice(&self.extra);
-        payload.put_u32_le(self.train_state.len() as u32);
-        payload.put_slice(&self.train_state);
-        let payload = payload.freeze();
-        let mut buf = BytesMut::with_capacity(20 + payload.len());
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u32_le(crc32(&payload));
-        buf.put_u64_le(payload.len() as u64);
-        buf.put_slice(&payload);
-        buf.freeze()
+        let mut w = Writer::with_capacity(40 + self.extra.len() + self.train_state.len());
+        w.u64(self.opt_step)
+            .u64(self.rng_state)
+            .u64(self.epoch)
+            .u64(self.step)
+            .u32(self.extra.len() as u32)
+            .bytes(&self.extra)
+            .u32(self.train_state.len() as u32)
+            .bytes(&self.train_state);
+        Bytes::from(frame::encode(MAGIC, VERSION, &w.into_vec()))
     }
 
     /// Decode a `KGCK` blob, verifying magic, version, and CRC.
     pub fn decode(blob: &[u8]) -> Result<Self, CheckpointError> {
-        let mut buf = blob;
-        if buf.remaining() < 4 {
-            return Err(CheckpointError::Truncated);
-        }
-        if &buf[..4] != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        buf.advance(4);
-        if buf.remaining() < 16 {
-            return Err(CheckpointError::Truncated);
-        }
-        let version = buf.get_u32_le();
-        if version != VERSION {
-            return Err(CheckpointError::WrongVersion {
-                found: version,
-                expected: VERSION,
-            });
-        }
-        let expected_crc = buf.get_u32_le();
-        let payload_len = buf.get_u64_le() as usize;
-        if buf.remaining() < payload_len {
-            return Err(CheckpointError::Truncated);
-        }
-        let payload = &buf[..payload_len];
-        let found_crc = crc32(payload);
-        if found_crc != expected_crc {
-            return Err(CheckpointError::CrcMismatch {
-                expected: expected_crc,
-                found: found_crc,
-            });
-        }
-        let mut p = payload;
-        // 4 u64 cursors + 2 u32 section lengths are guaranteed by the CRC
-        // only if the writer was well-formed; keep the checks anyway so a
-        // hand-built payload fails typed instead of panicking.
-        if p.remaining() < 8 * 4 + 4 {
-            return Err(CheckpointError::Truncated);
-        }
-        let opt_step = p.get_u64_le();
-        let rng_state = p.get_u64_le();
-        let epoch = p.get_u64_le();
-        let step = p.get_u64_le();
-        let extra_len = p.get_u32_le() as usize;
-        if p.remaining() < extra_len + 4 {
-            return Err(CheckpointError::Truncated);
-        }
-        let extra = p[..extra_len].to_vec();
-        p.advance(extra_len);
-        let state_len = p.get_u32_le() as usize;
-        if p.remaining() < state_len {
-            return Err(CheckpointError::Truncated);
-        }
-        let train_state = Bytes::copy_from_slice(&p[..state_len]);
-        Ok(TrainCheckpoint {
-            opt_step,
-            rng_state,
-            epoch,
-            step,
-            extra,
-            train_state,
-        })
+        let mut r = Reader::new(frame::decode(blob, MAGIC, VERSION)?);
+        // Struct fields evaluate in the order written: the wire order.
+        let ckpt = TrainCheckpoint {
+            opt_step: r.u64()?,
+            rng_state: r.u64()?,
+            epoch: r.u64()?,
+            step: r.u64()?,
+            extra: {
+                let n = r.u32()? as usize;
+                r.take(n)?.to_vec()
+            },
+            train_state: {
+                let n = r.u32()? as usize;
+                Bytes::copy_from_slice(r.take(n)?)
+            },
+        };
+        r.finish()?;
+        Ok(ckpt)
     }
 }
 
-/// Periodic atomic checkpoint writer. See the module docs for the
-/// temp-file → fsync → rename protocol.
+/// Periodic atomic checkpoint writer.
 #[derive(Debug)]
 pub struct Checkpointer {
     path: PathBuf,
     every: u64,
-    saves: AtomicU64,
 }
 
 impl Checkpointer {
@@ -369,18 +209,7 @@ impl Checkpointer {
         Checkpointer {
             path: path.into(),
             every: every_n_steps,
-            saves: AtomicU64::new(0),
         }
-    }
-
-    /// Destination path of the (complete) checkpoint file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Configured cadence in optimizer steps.
-    pub fn every(&self) -> u64 {
-        self.every
     }
 
     /// Whether global step `step` is a checkpoint boundary.
@@ -388,32 +217,9 @@ impl Checkpointer {
         self.every > 0 && step > 0 && step.is_multiple_of(self.every)
     }
 
-    /// Checkpoints written so far by this instance.
-    pub fn saves(&self) -> u64 {
-        self.saves.load(Ordering::Relaxed)
-    }
-
-    /// Atomically persist `ckpt`: write `<path>.tmp`, fsync, rename over
-    /// `path`. A crash at any point leaves either the old complete file or
-    /// the new complete file.
+    /// Atomically persist `ckpt` through [`frame::publish`].
     pub fn save(&self, ckpt: &TrainCheckpoint) -> Result<(), CheckpointError> {
-        use std::io::Write;
-        if let Some(dir) = self.path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let tmp = self.path.with_extension("kgck.tmp");
-        let blob = ckpt.encode();
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(&blob)?;
-            // Data must be durable *before* the rename publishes it.
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        self.saves.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        Ok(frame::publish(&self.path, &ckpt.encode())?)
     }
 
     /// Read and decode a checkpoint file.
@@ -455,13 +261,6 @@ mod tests {
             }
         });
         e
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE test vector.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]
@@ -529,6 +328,19 @@ mod tests {
     }
 
     #[test]
+    fn a_payload_with_bytes_left_over_is_malformed_not_misread() {
+        let mut e = dirty_encoder(3);
+        let ckpt = TrainCheckpoint::capture(&mut e, 1, 2, 0, 1, vec![4]);
+        let framed = ckpt.encode();
+        let mut payload = frame::decode(&framed, MAGIC, VERSION).unwrap().to_vec();
+        payload.push(0);
+        assert!(matches!(
+            TrainCheckpoint::decode(&frame::encode(MAGIC, VERSION, &payload)),
+            Err(CheckpointError::Malformed(_))
+        ));
+    }
+
+    #[test]
     fn wrong_architecture_is_typed_on_restore() {
         let mut a = dirty_encoder(5);
         let ckpt = TrainCheckpoint::capture(&mut a, 1, 2, 0, 1, Vec::new());
@@ -551,7 +363,6 @@ mod tests {
         // Overwrite with a newer checkpoint; the old one must be replaced.
         let newer = TrainCheckpoint::capture(&mut e, 9, 10, 2, 6, vec![2]);
         cp.save(&newer).unwrap();
-        assert_eq!(cp.saves(), 2);
         let loaded = Checkpointer::load(&path).unwrap();
         assert_eq!(loaded, newer);
         assert!(

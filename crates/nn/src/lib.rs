@@ -23,12 +23,16 @@
 //!   multi-forward training steps (masked table + ground-truth table +
 //!   feature sequences) trivially correct.
 //! * Everything is deterministic under a seed.
+//! * Model artifacts — checkpoints, weight blobs, and the registry files
+//!   built on them — share one codec, [`frame`]: a CRC'd frame, a
+//!   bounds-checked reader/writer, and one atomic publish.
 
 #![deny(deprecated)]
 #![forbid(unsafe_code)]
 
 pub mod checkpoint;
 pub mod encoder;
+pub mod frame;
 pub mod kernels;
 pub mod layers;
 pub mod loss;

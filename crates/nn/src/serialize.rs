@@ -1,20 +1,27 @@
 //! Weight serialization.
 //!
-//! A tiny self-describing binary format (`bytes`-based) so one pre-trained
-//! encoder can be reused across the experiment grid instead of re-running
-//! MLM pre-training for every table/figure binary:
+//! A tiny self-describing binary format so one pre-trained encoder can be
+//! reused across the experiment grid instead of re-running MLM pre-training
+//! for every table/figure binary:
 //!
 //! ```text
 //! magic "KGLW" | u32 n_params | for each: u32 rows | u32 cols | f32 data…
 //! ```
 //!
+//! The checkpoint's `KGLT` train-state blob is the same layout with the
+//! optimizer moments added per parameter (`u8 decay | value | m | v`), and
+//! both are written and read by the one pair of functions here, through
+//! [`crate::frame`]'s writer and reader.
+//!
 //! Parameters are identified positionally via the deterministic
 //! [`HasParams::visit_params`] order, so the loading model must have the
 //! exact same architecture.
 
+use crate::frame::{Reader, Writer};
 use crate::layers::param::HasParams;
 use crate::tensor::Tensor;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::CheckpointError;
+use bytes::Bytes;
 
 const MAGIC: &[u8; 4] = b"KGLW";
 
@@ -46,75 +53,120 @@ impl std::error::Error for LoadError {}
 
 /// Serialize every parameter value of `model` into a byte blob.
 pub fn save_params(model: &mut dyn HasParams) -> Bytes {
-    let mut tensors: Vec<Tensor> = Vec::new();
-    model.visit_params(&mut |p| tensors.push(p.value.clone()));
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(tensors.len() as u32);
-    for t in &tensors {
-        buf.put_u32_le(t.rows() as u32);
-        buf.put_u32_le(t.cols() as u32);
-        for &v in t.data() {
-            buf.put_f32_le(v);
-        }
-    }
-    buf.freeze()
+    encode_params(model, MAGIC, false)
 }
 
 /// Load a blob produced by [`save_params`] into `model` (same architecture).
 pub fn load_params(model: &mut dyn HasParams, blob: &[u8]) -> Result<(), LoadError> {
-    let mut buf = blob;
-    if buf.remaining() < 8 || &buf[..4] != MAGIC {
-        return Err(LoadError::BadMagic);
-    }
-    buf.advance(4);
-    let count = buf.get_u32_le() as usize;
-    let mut tensors = Vec::with_capacity(count);
-    for _ in 0..count {
-        if buf.remaining() < 8 {
-            return Err(LoadError::Truncated);
-        }
-        let rows = buf.get_u32_le() as usize;
-        let cols = buf.get_u32_le() as usize;
-        if buf.remaining() < rows * cols * 4 {
-            return Err(LoadError::Truncated);
-        }
-        let mut data = Vec::with_capacity(rows * cols);
-        for _ in 0..rows * cols {
-            data.push(buf.get_f32_le());
-        }
-        tensors.push(Tensor::from_vec(rows, cols, data));
-    }
-    let mut expected = 0usize;
-    model.visit_params(&mut |_| expected += 1);
-    if expected != tensors.len() {
-        return Err(LoadError::CountMismatch {
-            expected,
-            found: tensors.len(),
-        });
-    }
-    let mut idx = 0usize;
-    let mut shape_err = None;
+    decode_params(model, blob, MAGIC, false)
+}
+
+/// `magic | u32 n_params`, then per parameter `u32 rows | u32 cols` and
+/// either its values or, with `moments`, `u8 decay | value | m | v`.
+pub(crate) fn encode_params(model: &mut dyn HasParams, magic: &[u8; 4], moments: bool) -> Bytes {
+    let mut n_params = 0u32;
+    model.visit_params(&mut |_| n_params += 1);
+    let mut w = Writer::new();
+    w.bytes(magic).u32(n_params);
     model.visit_params(&mut |p| {
-        if shape_err.is_none() {
-            if p.value.shape() != tensors[idx].shape() {
-                shape_err = Some(idx);
-            } else {
-                p.value = tensors[idx].clone();
+        w.u32(p.value.rows() as u32).u32(p.value.cols() as u32);
+        if moments {
+            w.u8(u8::from(p.decay));
+        }
+        let sections = if moments { 3 } else { 1 };
+        for t in [&p.value, &p.m, &p.v].into_iter().take(sections) {
+            for &x in t.data() {
+                w.f32(x);
             }
         }
-        idx += 1;
     });
-    match shape_err {
-        Some(index) => Err(LoadError::ShapeMismatch { index }),
-        None => Ok(()),
+    Bytes::from(w.into_vec())
+}
+
+/// One parameter as read back: its value and, in a `KGLT` blob, `(m, v)`.
+struct Saved {
+    value: Tensor,
+    moments: Option<(Tensor, Tensor)>,
+}
+
+/// Load an [`encode_params`] blob into `model`. The whole blob is parsed
+/// and every shape checked before the first parameter is overwritten.
+pub(crate) fn decode_params(
+    model: &mut dyn HasParams,
+    blob: &[u8],
+    magic: &[u8; 4],
+    moments: bool,
+) -> Result<(), LoadError> {
+    if blob.len() < 8 || &blob[..4] != magic {
+        return Err(LoadError::BadMagic);
     }
+    let saved = read_params(Reader::new(&blob[4..]), moments).map_err(|_| LoadError::Truncated)?;
+    let mut shapes = Vec::with_capacity(saved.len());
+    model.visit_params(&mut |p| shapes.push(p.value.shape()));
+    if shapes.len() != saved.len() {
+        return Err(LoadError::CountMismatch {
+            expected: shapes.len(),
+            found: saved.len(),
+        });
+    }
+    if let Some(index) = shapes
+        .iter()
+        .zip(&saved)
+        .position(|(&shape, s)| shape != s.value.shape())
+    {
+        return Err(LoadError::ShapeMismatch { index });
+    }
+    let mut saved = saved.into_iter();
+    model.visit_params(&mut |p| {
+        if let Some(s) = saved.next() {
+            p.value = s.value;
+            if let Some((m, v)) = s.moments {
+                p.m = m;
+                p.v = v;
+                p.grad.fill_zero();
+            }
+        }
+    });
+    Ok(())
+}
+
+fn read_params(mut r: Reader<'_>, moments: bool) -> Result<Vec<Saved>, CheckpointError> {
+    let n_params = r.u32()?;
+    let mut out = Vec::new();
+    for _ in 0..n_params {
+        let rows = r.u32()? as usize;
+        let cols = r.u32()? as usize;
+        if moments {
+            r.u8()?; // decay is a property of the architecture, not state
+        }
+        let mut tensor = || -> Result<Tensor, CheckpointError> {
+            let bytes = rows
+                .checked_mul(cols)
+                .and_then(|n| n.checked_mul(4))
+                .ok_or(CheckpointError::Truncated)?;
+            let data = r
+                .take(bytes)?
+                .chunks_exact(4)
+                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                .collect();
+            Ok(Tensor::from_vec(rows, cols, data))
+        };
+        let value = tensor()?;
+        let moments = if moments {
+            Some((tensor()?, tensor()?))
+        } else {
+            None
+        };
+        out.push(Saved { value, moments });
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encoder::{Encoder, EncoderConfig};
+    use crate::Param;
 
     fn cfg() -> EncoderConfig {
         EncoderConfig {
@@ -174,5 +226,35 @@ mod tests {
             load_params(&mut wider, &blob),
             Err(LoadError::ShapeMismatch { .. }) | Err(LoadError::Truncated)
         ));
+    }
+
+    struct Bag(Vec<Param>);
+
+    impl HasParams for Bag {
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+            self.0.iter_mut().for_each(f);
+        }
+    }
+
+    #[test]
+    fn a_rejected_blob_leaves_the_model_untouched() {
+        let bag = |shape_b: (usize, usize), fill: f32| {
+            Bag(vec![
+                Param::new(Tensor::from_vec(1, 2, vec![fill; 2])),
+                Param::new(Tensor::from_vec(shape_b.0, shape_b.1, vec![fill; 2])),
+            ])
+        };
+        let blob = save_params(&mut bag((1, 2), 1.0));
+        // Same count, the *second* shape differs: the first parameter must
+        // not be overwritten before the mismatch is found.
+        let mut dst = bag((2, 1), 9.0);
+        assert_eq!(
+            load_params(&mut dst, &blob),
+            Err(LoadError::ShapeMismatch { index: 1 })
+        );
+        assert_eq!(dst.0[0].value.data(), &[9.0, 9.0]);
+        let blob = encode_params(&mut bag((1, 2), 1.0), b"KGLT", true);
+        assert!(decode_params(&mut dst, &blob, b"KGLT", true).is_err());
+        assert_eq!(dst.0[0].value.data(), &[9.0, 9.0]);
     }
 }

@@ -5,8 +5,9 @@
 //! misinterpretation.
 
 use kglink_nn::checkpoint::{
-    crc32, load_train_state, save_train_state, CheckpointError, TrainCheckpoint, VERSION,
+    load_train_state, save_train_state, CheckpointError, TrainCheckpoint, VERSION,
 };
+use kglink_nn::frame::crc32;
 use kglink_nn::layers::param::HasParams;
 use kglink_nn::{AdamW, AdamWConfig, Param, Tensor};
 use proptest::prelude::*;
@@ -79,6 +80,39 @@ fn snapshot(bag: &mut Bag) -> Vec<(Vec<f32>, Vec<f32>, Vec<f32>)> {
         ))
     });
     out
+}
+
+/// The `KGCK` bytes, built by hand from the documented layout: a codec
+/// change that moves one byte of an existing format fails here.
+#[test]
+fn kgck_bytes_are_the_documented_layout() {
+    let mut p = Param::new_no_decay(Tensor::from_vec(1, 2, vec![1.0, -2.0]));
+    p.m = Tensor::from_vec(1, 2, vec![0.5, 0.25]);
+    p.v = Tensor::from_vec(1, 2, vec![4.0, 8.0]);
+    let mut model = Bag { params: vec![p] };
+    let encoded = TrainCheckpoint::capture(&mut model, 3, 0xfeed, 1, 9, vec![7, 7]).encode();
+
+    let f32s = |xs: &[f32]| xs.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
+    let mut state = b"KGLT".to_vec();
+    state.extend(1u32.to_le_bytes()); // one parameter
+    state.extend(1u32.to_le_bytes()); // rows
+    state.extend(2u32.to_le_bytes()); // cols
+    state.push(0); // no weight decay
+    state.extend(f32s(&[1.0, -2.0, 0.5, 0.25, 4.0, 8.0])); // value | m | v
+    let mut payload = Vec::new();
+    for cursor in [3u64, 0xfeed, 1, 9] {
+        payload.extend(cursor.to_le_bytes());
+    }
+    payload.extend(2u32.to_le_bytes());
+    payload.extend([7, 7]);
+    payload.extend((state.len() as u32).to_le_bytes());
+    payload.extend(&state);
+    let mut expected = b"KGCK".to_vec();
+    expected.extend(VERSION.to_le_bytes());
+    expected.extend(crc32(&payload).to_le_bytes());
+    expected.extend((payload.len() as u64).to_le_bytes());
+    expected.extend(&payload);
+    assert_eq!(&encoded[..], &expected[..]);
 }
 
 proptest! {

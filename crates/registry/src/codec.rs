@@ -1,21 +1,23 @@
-//! Hand-rolled binary codec for the model metadata blob.
+//! Binary codec for the model metadata blob.
 //!
 //! The vendored `serde` stub is derive-markers only (nothing serializes
 //! through it), so the registry encodes the [`KgLinkConfig`], the label
-//! vocabulary, and the tokenizer vocab size explicitly. The blob rides in
-//! the `extra` field of the PR-4 [`kglink_nn::TrainCheckpoint`], so it
-//! inherits the outer KGCK CRC; its own magic + version only guard against
-//! the *meaning* of the fields drifting between code generations.
+//! vocabulary, and the tokenizer vocab size explicitly, with
+//! [`kglink_nn::frame`]'s writer and reader. The blob rides in the `extra`
+//! field of a [`kglink_nn::TrainCheckpoint`], so it inherits the outer
+//! KGCK CRC; its own magic + version only guard against the *meaning* of
+//! the fields drifting between code generations.
 //!
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! "KGMX" | u16 codec version (=1) | u32 vocab_size | config fields (fixed
+//! "KGMX" | u16 codec version (=1) | u64 vocab_size | config fields (fixed
 //! order, see `encode`) | u32 n_labels | n_labels × (u32 len | utf-8 name)
 //! ```
 
 use kglink_core::config::{EncoderSize, KgLinkConfig, RowFilter};
-use kglink_nn::AdamWConfig;
+use kglink_nn::frame::{Reader, Writer};
+use kglink_nn::{AdamWConfig, CheckpointError};
 use kglink_table::LabelVocab;
 
 const MAGIC: &[u8; 4] = b"KGMX";
@@ -27,219 +29,126 @@ pub(crate) fn encode_model_meta(
     labels: &LabelVocab,
     vocab_size: usize,
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256);
-    out.extend_from_slice(MAGIC);
-    put_u16(&mut out, CODEC_VERSION);
-    put_u64(&mut out, vocab_size as u64);
+    let mut w = Writer::with_capacity(256);
+    w.bytes(MAGIC).u16(CODEC_VERSION).u64(vocab_size as u64);
 
-    put_u64(&mut out, config.max_entities_per_mention as u64);
-    put_u64(&mut out, config.max_candidate_types as u64);
-    put_u64(&mut out, config.top_k_rows as u64);
-    out.push(match config.row_filter {
-        RowFilter::LinkScore => 0,
-        RowFilter::Original => 1,
-    });
-    put_u64(&mut out, config.max_columns as u64);
-    put_u64(&mut out, config.retrieval_deadline_us);
-    put_u64(&mut out, config.tokens_per_column as u64);
-    put_u64(&mut out, config.feature_seq_tokens as u64);
-    out.push(match config.encoder {
-        EncoderSize::Mini => 0,
-        EncoderSize::Large => 1,
-    });
-    put_f32(&mut out, config.temperature);
-    put_f32(&mut out, config.dropout);
-    out.push(config.use_mask_task as u8);
-    out.push(config.use_candidate_types as u8);
-    out.push(config.use_feature_vector as u8);
-    put_u64(&mut out, config.epochs as u64);
-    put_u64(&mut out, config.batch_size as u64);
-    put_u64(&mut out, config.patience as u64);
-    put_f32(&mut out, config.optimizer.lr);
-    put_f32(&mut out, config.optimizer.beta1);
-    put_f32(&mut out, config.optimizer.beta2);
-    put_f32(&mut out, config.optimizer.eps);
-    put_f32(&mut out, config.optimizer.weight_decay);
-    put_f32(&mut out, config.optimizer.clip_norm);
+    w.u64(config.max_entities_per_mention as u64)
+        .u64(config.max_candidate_types as u64)
+        .u64(config.top_k_rows as u64)
+        .u8(match config.row_filter {
+            RowFilter::LinkScore => 0,
+            RowFilter::Original => 1,
+        })
+        .u64(config.max_columns as u64)
+        .u64(config.retrieval_deadline_us)
+        .u64(config.tokens_per_column as u64)
+        .u64(config.feature_seq_tokens as u64)
+        .u8(match config.encoder {
+            EncoderSize::Mini => 0,
+            EncoderSize::Large => 1,
+        })
+        .f32(config.temperature)
+        .f32(config.dropout)
+        .u8(config.use_mask_task as u8)
+        .u8(config.use_candidate_types as u8)
+        .u8(config.use_feature_vector as u8)
+        .u64(config.epochs as u64)
+        .u64(config.batch_size as u64)
+        .u64(config.patience as u64);
+    let o = &config.optimizer;
+    for v in [o.lr, o.beta1, o.beta2, o.eps, o.weight_decay, o.clip_norm] {
+        w.f32(v);
+    }
     match config.fixed_log_sigmas {
-        None => out.push(0),
-        Some((a, b)) => {
-            out.push(1);
-            put_f32(&mut out, a);
-            put_f32(&mut out, b);
-        }
-    }
-    put_u64(&mut out, config.seed);
+        None => w.u8(0),
+        Some((a, b)) => w.u8(1).f32(a).f32(b),
+    };
+    w.u64(config.seed);
 
-    put_u32(&mut out, labels.len() as u32);
+    w.u32(labels.len() as u32);
     for (_, name) in labels.iter() {
-        put_u32(&mut out, name.len() as u32);
-        out.extend_from_slice(name.as_bytes());
+        w.u32(name.len() as u32).bytes(name.as_bytes());
     }
-    out
+    w.into_vec()
 }
 
-/// Decode [`encode_model_meta`] output. Errors are human-readable details;
-/// the caller wraps them in a typed `RegistryError::Malformed`.
+/// Decode [`encode_model_meta`] output; every byte must be accounted for.
 pub(crate) fn decode_model_meta(
     buf: &[u8],
-) -> Result<(KgLinkConfig, LabelVocab, usize), String> {
-    let mut r = Reader { buf, pos: 0 };
+) -> Result<(KgLinkConfig, LabelVocab, usize), CheckpointError> {
+    let malformed = CheckpointError::Malformed;
+    let mut r = Reader::new(buf);
     if r.take(4)? != MAGIC {
-        return Err("model-meta blob has a bad magic number".into());
+        return Err(CheckpointError::BadMagic);
     }
-    let ver = r.u16()?;
-    if ver != CODEC_VERSION {
-        return Err(format!(
-            "model-meta codec version {ver}, expected {CODEC_VERSION}"
-        ));
+    let found = r.u16()?;
+    if found != CODEC_VERSION {
+        return Err(CheckpointError::WrongVersion {
+            found: found.into(),
+            expected: CODEC_VERSION.into(),
+        });
     }
     let vocab_size = r.u64()? as usize;
 
-    let max_entities_per_mention = r.u64()? as usize;
-    let max_candidate_types = r.u64()? as usize;
-    let top_k_rows = r.u64()? as usize;
-    let row_filter = match r.u8()? {
-        0 => RowFilter::LinkScore,
-        1 => RowFilter::Original,
-        n => return Err(format!("unknown row filter tag {n}")),
+    // Struct fields evaluate in the order written: the wire order.
+    let config = KgLinkConfig {
+        max_entities_per_mention: r.u64()? as usize,
+        max_candidate_types: r.u64()? as usize,
+        top_k_rows: r.u64()? as usize,
+        row_filter: match r.u8()? {
+            0 => RowFilter::LinkScore,
+            1 => RowFilter::Original,
+            n => return Err(malformed(format!("unknown row filter tag {n}"))),
+        },
+        max_columns: r.u64()? as usize,
+        retrieval_deadline_us: r.u64()?,
+        tokens_per_column: r.u64()? as usize,
+        feature_seq_tokens: r.u64()? as usize,
+        encoder: match r.u8()? {
+            0 => EncoderSize::Mini,
+            1 => EncoderSize::Large,
+            n => return Err(malformed(format!("unknown encoder size tag {n}"))),
+        },
+        temperature: r.f32()?,
+        dropout: r.f32()?,
+        use_mask_task: r.u8()? != 0,
+        use_candidate_types: r.u8()? != 0,
+        use_feature_vector: r.u8()? != 0,
+        epochs: r.u64()? as usize,
+        batch_size: r.u64()? as usize,
+        patience: r.u64()? as usize,
+        optimizer: AdamWConfig {
+            lr: r.f32()?,
+            beta1: r.f32()?,
+            beta2: r.f32()?,
+            eps: r.f32()?,
+            weight_decay: r.f32()?,
+            clip_norm: r.f32()?,
+        },
+        fixed_log_sigmas: match r.u8()? {
+            0 => None,
+            1 => Some((r.f32()?, r.f32()?)),
+            n => return Err(malformed(format!("unknown fixed-sigma tag {n}"))),
+        },
+        seed: r.u64()?,
     };
-    let max_columns = r.u64()? as usize;
-    let retrieval_deadline_us = r.u64()?;
-    let tokens_per_column = r.u64()? as usize;
-    let feature_seq_tokens = r.u64()? as usize;
-    let encoder = match r.u8()? {
-        0 => EncoderSize::Mini,
-        1 => EncoderSize::Large,
-        n => return Err(format!("unknown encoder size tag {n}")),
-    };
-    let temperature = r.f32()?;
-    let dropout = r.f32()?;
-    let use_mask_task = r.u8()? != 0;
-    let use_candidate_types = r.u8()? != 0;
-    let use_feature_vector = r.u8()? != 0;
-    let epochs = r.u64()? as usize;
-    let batch_size = r.u64()? as usize;
-    let patience = r.u64()? as usize;
-    let optimizer = AdamWConfig {
-        lr: r.f32()?,
-        beta1: r.f32()?,
-        beta2: r.f32()?,
-        eps: r.f32()?,
-        weight_decay: r.f32()?,
-        clip_norm: r.f32()?,
-    };
-    let fixed_log_sigmas = match r.u8()? {
-        0 => None,
-        1 => Some((r.f32()?, r.f32()?)),
-        n => return Err(format!("unknown fixed-sigma tag {n}")),
-    };
-    let seed = r.u64()?;
 
     let n_labels = r.u32()? as usize;
     let mut labels = LabelVocab::new();
     for i in 0..n_labels {
         let len = r.u32()? as usize;
-        let raw = r.take(len)?;
-        let name = std::str::from_utf8(raw)
-            .map_err(|_| format!("label {i} is not valid UTF-8"))?;
+        let name = std::str::from_utf8(r.take(len)?)
+            .map_err(|_| malformed(format!("label {i} is not valid UTF-8")))?;
         labels.intern(name);
     }
     if labels.len() != n_labels {
-        return Err(format!(
+        return Err(malformed(format!(
             "label vocabulary collapsed on decode: {n_labels} recorded, {} distinct",
             labels.len()
-        ));
+        )));
     }
-    if r.pos != buf.len() {
-        return Err(format!(
-            "{} trailing byte(s) after model metadata",
-            buf.len() - r.pos
-        ));
-    }
-
-    let config = KgLinkConfig {
-        max_entities_per_mention,
-        max_candidate_types,
-        top_k_rows,
-        row_filter,
-        max_columns,
-        retrieval_deadline_us,
-        tokens_per_column,
-        feature_seq_tokens,
-        encoder,
-        temperature,
-        dropout,
-        use_mask_task,
-        use_candidate_types,
-        use_feature_vector,
-        epochs,
-        batch_size,
-        patience,
-        optimizer,
-        fixed_log_sigmas,
-        seed,
-    };
+    r.finish()?;
     Ok((config, labels, vocab_size))
-}
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_f32(out: &mut Vec<u8>, v: f32) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-/// Bounds-checked little-endian reader over a borrowed slice.
-pub(crate) struct Reader<'a> {
-    pub(crate) buf: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.buf.len() - self.pos < n {
-            return Err(format!(
-                "input is short: wanted {n} bytes at offset {}, have {}",
-                self.pos,
-                self.buf.len() - self.pos
-            ));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, String> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-    pub(crate) fn u32(&mut self) -> Result<u32, String> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-    pub(crate) fn u64(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-    fn f32(&mut self) -> Result<f32, String> {
-        Ok(f32::from_bits(self.u32()?))
-    }
 }
 
 #[cfg(test)]

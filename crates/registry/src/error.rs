@@ -2,10 +2,10 @@
 //!
 //! Every way a published model can be damaged on disk maps to a distinct
 //! variant: loaders and the serving swap path branch on *what* broke, and
-//! nothing in this crate panics on foreign bytes. The variants mirror
-//! [`kglink_nn::checkpoint::CheckpointError`] where the damage lives in the
-//! weights artifact, with the registry version and artifact attached so a
-//! quarantine report names the exact file.
+//! nothing in this crate panics on foreign bytes. The framing variants are
+//! [`kglink_nn::checkpoint::CheckpointError`]'s — both artifacts are
+//! [`kglink_nn::frame`]s — with the registry version and artifact attached
+//! so a quarantine report names the exact file.
 
 use std::fmt;
 

@@ -5,8 +5,11 @@
 //! CRC'd, atomically committed version directories, and the serving layer
 //! *loads* fully validated versions to hot-swap between. The invariants:
 //!
-//! - **Manifest-last commit point.** A version's weights are written (via
-//!   the same temp-file → fsync → rename protocol as `kglink_store`)
+//! - **One codec.** Both artifacts are [`kglink_nn::frame`]s, read with
+//!   its reader and written with its atomic publish (temp → fsync →
+//!   rename → directory fsync), the same code a training checkpoint goes
+//!   through.
+//! - **Manifest-last commit point.** A version's weights are published
 //!   before the manifest that vouches for them; a crash anywhere leaves
 //!   either a committed version or an invisible, id-burning husk.
 //! - **Typed corruption, no panics.** Truncated manifests, bit-flipped
@@ -23,10 +26,7 @@
 
 mod codec;
 mod error;
-mod publish;
 mod registry;
 
 pub use error::{Artifact, RegistryError};
-pub use registry::{
-    count_non_finite, LoadedModel, ModelRegistry, PublishedModel, FORMAT_VERSION,
-};
+pub use registry::{LoadedModel, ModelRegistry, PublishedModel, FORMAT_VERSION};

@@ -5,34 +5,34 @@
 //! ```text
 //! root/
 //!   versions/v000001/
-//!     weights.kgck    # framed TrainCheckpoint (PR-4 KGCK format):
+//!     weights.kgck    # a TrainCheckpoint (KGCK frame):
 //!                     #   extra = KGMX model metadata (config/labels/vocab)
 //!                     #   train_state = KGLT weights + optimizer moments
-//!     manifest.kgmf   # commit point — written LAST, CRC'd, names the
+//!     manifest.kgmf   # commit point (KGMF frame) — written LAST, names the
 //!                     #   weights length/CRC/architecture it vouches for
 //!   quarantine/
 //!     v000007-crc-mismatch/   # damaged versions are moved, never deleted
 //! ```
 //!
 //! A version exists iff its manifest parses: publishes write weights first
-//! and the manifest last through the atomic writer, so a crash mid-publish
+//! and the manifest last through [`frame::publish`], so a crash mid-publish
 //! leaves an uncommitted directory the registry treats as free space. Every
 //! way the artifacts can be damaged surfaces as a typed
 //! [`RegistryError`] — loading never panics on foreign bytes — and
 //! [`ModelRegistry::load_or_quarantine`] moves damaged versions aside so a
 //! retrying caller stops tripping on them.
 
-use crate::codec::{self, Reader};
+use crate::codec;
 use crate::error::{Artifact, RegistryError};
-use crate::publish;
 use kglink_core::pipeline::KgLink;
 use kglink_core::KgLinkModel;
-use kglink_nn::checkpoint::{crc32, save_train_state};
+use kglink_nn::checkpoint::save_train_state;
+use kglink_nn::frame::{self, crc32, Reader, Writer};
 use kglink_nn::layers::param::HasParams;
 use kglink_nn::{CheckpointError, TrainCheckpoint};
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Format generation of the manifest framing. Bump on layout changes.
 pub const FORMAT_VERSION: u32 = 1;
@@ -75,11 +75,6 @@ impl ModelRegistry {
         Ok(ModelRegistry { root })
     }
 
-    /// Registry root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn versions_dir(&self) -> PathBuf {
         self.root.join("versions")
     }
@@ -102,25 +97,20 @@ impl ModelRegistry {
     ) -> Result<PublishedModel, RegistryError> {
         let version = self.next_version()?;
         let dir = self.version_dir(version);
-        fs::create_dir_all(&dir).map_err(|e| io_err(version, &e))?;
-        publish::sweep_tmp(&dir);
-
-        let meta = codec::encode_model_meta(&model.config, &model.labels, vocab_size);
-        let ckpt = TrainCheckpoint {
+        let weights = TrainCheckpoint {
             opt_step: 0,
             rng_state: 0,
             epoch: 0,
             step: 0,
-            extra: meta,
+            extra: codec::encode_model_meta(&model.config, &model.labels, vocab_size),
             train_state: save_train_state(&mut model.model),
-        };
-        let weights = ckpt.encode();
-        publish::write_artifact(&dir, WEIGHTS_FILE, &weights)
-            .map_err(|e| io_err(version, &e))?;
+        }
+        .encode();
+        frame::publish(&dir.join(WEIGHTS_FILE), &weights).map_err(|e| io_err(version, &e))?;
 
         let weights_len = weights.len() as u64;
         let weights_crc = crc32(&weights);
-        let manifest = encode_manifest(&ManifestV1 {
+        let manifest = Manifest {
             version,
             weights_len,
             weights_crc,
@@ -128,8 +118,8 @@ impl ModelRegistry {
             vocab_size: vocab_size as u64,
             param_count: model.model.param_count() as u64,
             tag: tag.to_string(),
-        });
-        publish::write_artifact(&dir, MANIFEST_FILE, &manifest)
+        };
+        frame::publish(&dir.join(MANIFEST_FILE), &manifest.encode())
             .map_err(|e| io_err(version, &e))?;
 
         Ok(PublishedModel {
@@ -158,11 +148,6 @@ impl ModelRegistry {
         out
     }
 
-    /// Highest committed version, if any.
-    pub fn latest(&self) -> Option<u64> {
-        self.list().into_iter().next_back()
-    }
-
     /// Load and fully validate a version: manifest CRC, weights length +
     /// CRC against the manifest, KGCK/KGLT decode, architecture
     /// consistency, and a non-finite weight scan — all before the model is
@@ -174,7 +159,8 @@ impl ModelRegistry {
             return Err(RegistryError::Missing { version });
         }
         let manifest_bytes = fs::read(&manifest_path).map_err(|e| io_err(version, &e))?;
-        let manifest = decode_manifest(version, &manifest_bytes)?;
+        let manifest = Manifest::decode(&manifest_bytes)
+            .map_err(|e| artifact_err(version, Artifact::Manifest, e))?;
         if manifest.version != version {
             return Err(RegistryError::Malformed {
                 version,
@@ -227,12 +213,12 @@ impl ModelRegistry {
         }
 
         let ckpt = TrainCheckpoint::decode(&weights)
-            .map_err(|e| from_checkpoint(version, e))?;
-        let (config, labels, vocab_size) = codec::decode_model_meta(&ckpt.extra)
-            .map_err(|detail| RegistryError::Malformed {
+            .map_err(|e| artifact_err(version, Artifact::Weights, e))?;
+        let (config, labels, vocab_size) =
+            codec::decode_model_meta(&ckpt.extra).map_err(|e| RegistryError::Malformed {
                 version,
                 artifact: Artifact::Weights,
-                detail,
+                detail: format!("model metadata: {e}"),
             })?;
         if labels.len() as u64 != manifest.n_labels
             || vocab_size as u64 != manifest.vocab_size
@@ -252,13 +238,8 @@ impl ModelRegistry {
         }
 
         let mut model = KgLinkModel::new(&config, vocab_size, labels.len());
-        kglink_nn::checkpoint::load_train_state(&mut model, &ckpt.train_state).map_err(
-            |e| RegistryError::Malformed {
-                version,
-                artifact: Artifact::Weights,
-                detail: format!("train-state blob rejected: {e}"),
-            },
-        )?;
+        ckpt.restore(&mut model)
+            .map_err(|e| artifact_err(version, Artifact::Weights, e))?;
         let params = model.param_count() as u64;
         if params != manifest.param_count {
             return Err(RegistryError::Malformed {
@@ -364,7 +345,7 @@ impl ModelRegistry {
 }
 
 /// Count non-finite scalars across a model's parameters.
-pub fn count_non_finite(model: &mut dyn HasParams) -> u64 {
+fn count_non_finite(model: &mut dyn HasParams) -> u64 {
     let mut bad = 0u64;
     model.visit_params(&mut |p| {
         bad += p.value.data().iter().filter(|v| !v.is_finite()).count() as u64;
@@ -372,7 +353,9 @@ pub fn count_non_finite(model: &mut dyn HasParams) -> u64 {
     bad
 }
 
-struct ManifestV1 {
+/// The commit point of a version directory: a [`frame`] under
+/// `"KGMF"` whose payload vouches for the weights artifact.
+struct Manifest {
     version: u64,
     weights_len: u64,
     weights_crc: u32,
@@ -382,90 +365,38 @@ struct ManifestV1 {
     tag: String,
 }
 
-fn encode_manifest(m: &ManifestV1) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(64 + m.tag.len());
-    codec::put_u64(&mut payload, m.version);
-    codec::put_u64(&mut payload, m.weights_len);
-    codec::put_u32(&mut payload, m.weights_crc);
-    codec::put_u64(&mut payload, m.n_labels);
-    codec::put_u64(&mut payload, m.vocab_size);
-    codec::put_u64(&mut payload, m.param_count);
-    codec::put_u32(&mut payload, m.tag.len() as u32);
-    payload.extend_from_slice(m.tag.as_bytes());
+impl Manifest {
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::with_capacity(44 + self.tag.len());
+        w.u64(self.version)
+            .u64(self.weights_len)
+            .u32(self.weights_crc)
+            .u64(self.n_labels)
+            .u64(self.vocab_size)
+            .u64(self.param_count)
+            .u32(self.tag.len() as u32)
+            .bytes(self.tag.as_bytes());
+        frame::encode(MANIFEST_MAGIC, FORMAT_VERSION, &w.into_vec())
+    }
 
-    let mut out = Vec::with_capacity(payload.len() + 20);
-    out.extend_from_slice(MANIFEST_MAGIC);
-    codec::put_u32(&mut out, FORMAT_VERSION);
-    codec::put_u32(&mut out, crc32(&payload));
-    codec::put_u64(&mut out, payload.len() as u64);
-    out.extend_from_slice(&payload);
-    out
-}
-
-fn decode_manifest(version: u64, bytes: &[u8]) -> Result<ManifestV1, RegistryError> {
-    let art = Artifact::Manifest;
-    let mut r = Reader::new(bytes);
-    let magic = r
-        .take(4)
-        .map_err(|_| RegistryError::Truncated { version, artifact: art })?;
-    if magic != MANIFEST_MAGIC {
-        return Err(RegistryError::BadMagic { version, artifact: art });
+    fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
+        let mut r = Reader::new(frame::decode(bytes, MANIFEST_MAGIC, FORMAT_VERSION)?);
+        // Struct fields evaluate in the order written: the wire order.
+        let m = Manifest {
+            version: r.u64()?,
+            weights_len: r.u64()?,
+            weights_crc: r.u32()?,
+            n_labels: r.u64()?,
+            vocab_size: r.u64()?,
+            param_count: r.u64()?,
+            tag: {
+                let n = r.u32()? as usize;
+                String::from_utf8_lossy(r.take(n)?).into_owned()
+            },
+        };
+        r.finish()?;
+        Ok(m)
     }
-    let found_format = r
-        .u32()
-        .map_err(|_| RegistryError::Truncated { version, artifact: art })?;
-    if found_format != FORMAT_VERSION {
-        return Err(RegistryError::ForeignFormat {
-            version,
-            artifact: art,
-            found: found_format,
-            expected: FORMAT_VERSION,
-        });
-    }
-    let expected_crc = r
-        .u32()
-        .map_err(|_| RegistryError::Truncated { version, artifact: art })?;
-    let len = r
-        .u64()
-        .map_err(|_| RegistryError::Truncated { version, artifact: art })? as usize;
-    let payload = r
-        .take(len)
-        .map_err(|_| RegistryError::Truncated { version, artifact: art })?;
-    let found_crc = crc32(payload);
-    if found_crc != expected_crc {
-        return Err(RegistryError::CrcMismatch {
-            version,
-            artifact: art,
-            expected: expected_crc,
-            found: found_crc,
-        });
-    }
-    let malformed = |detail: String| RegistryError::Malformed {
-        version,
-        artifact: art,
-        detail,
-    };
-    let mut p = Reader::new(payload);
-    let m = ManifestV1 {
-        version: p.u64().map_err(&malformed)?,
-        weights_len: p.u64().map_err(&malformed)?,
-        weights_crc: p.u32().map_err(&malformed)?,
-        n_labels: p.u64().map_err(&malformed)?,
-        vocab_size: p.u64().map_err(&malformed)?,
-        param_count: p.u64().map_err(&malformed)?,
-        tag: {
-            let n = p.u32().map_err(&malformed)? as usize;
-            let raw = p.take(n).map_err(&malformed)?;
-            String::from_utf8_lossy(raw).into_owned()
-        },
-    };
-    if p.pos != payload.len() {
-        return Err(malformed(format!(
-            "{} trailing byte(s) in manifest payload",
-            payload.len() - p.pos
-        )));
-    }
-    Ok(m)
 }
 
 fn parse_version_dir(name: &str) -> Option<u64> {
@@ -490,8 +421,8 @@ fn root_io(e: &io::Error) -> RegistryError {
     }
 }
 
-fn from_checkpoint(version: u64, e: CheckpointError) -> RegistryError {
-    let artifact = Artifact::Weights;
+/// Attach the version and artifact to a frame or checkpoint error.
+fn artifact_err(version: u64, artifact: Artifact, e: CheckpointError) -> RegistryError {
     match e {
         CheckpointError::BadMagic => RegistryError::BadMagic { version, artifact },
         CheckpointError::WrongVersion { found, expected } => RegistryError::ForeignFormat {
@@ -507,11 +438,54 @@ fn from_checkpoint(version: u64, e: CheckpointError) -> RegistryError {
             expected,
             found,
         },
+        CheckpointError::Malformed(detail) => RegistryError::Malformed {
+            version,
+            artifact,
+            detail,
+        },
         CheckpointError::WrongArchitecture(e) => RegistryError::Malformed {
             version,
             artifact,
             detail: format!("wrong architecture: {e}"),
         },
         CheckpointError::Io(detail) => RegistryError::Io { version, detail },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn manifest_is_the_documented_kgmf_frame() {
+        let manifest = Manifest {
+            version: 3,
+            weights_len: 1234,
+            weights_crc: 0xdead_beef,
+            n_labels: 4,
+            vocab_size: 64,
+            param_count: 99,
+            tag: "nightly".into(),
+        };
+        let mut payload = Vec::new();
+        for v in [3u64, 1234] {
+            payload.extend(v.to_le_bytes());
+        }
+        payload.extend(0xdead_beef_u32.to_le_bytes());
+        for v in [4u64, 64, 99] {
+            payload.extend(v.to_le_bytes());
+        }
+        payload.extend(7u32.to_le_bytes());
+        payload.extend(b"nightly");
+        let bytes = manifest.encode();
+        assert_eq!(bytes, frame::encode(b"KGMF", 1, &payload));
+        assert_eq!(Manifest::decode(&bytes).map(|m| m.encode()), Ok(bytes));
+
+        payload.push(0);
+        let padded = frame::encode(MANIFEST_MAGIC, FORMAT_VERSION, &payload);
+        assert!(matches!(
+            Manifest::decode(&padded),
+            Err(CheckpointError::Malformed(_))
+        ));
     }
 }

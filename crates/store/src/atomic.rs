@@ -1,7 +1,8 @@
 //! The store's one sanctioned segment writer: temp → fsync → rename.
 //!
-//! Same protocol as `kglink_nn::checkpoint::Checkpointer` (the module docs
-//! there carry the full crash argument): bytes go to a temporary sibling,
+//! Same protocol as `kglink_nn::frame::publish`, the model artifacts'
+//! writer (the module docs there carry the crash argument), in streaming
+//! form and without the directory fsync: bytes go to a temporary sibling,
 //! are fsync'd, and only then renamed over the destination. On POSIX a
 //! rename within one directory is atomic, so a crash at any point leaves
 //! either the previous complete segment or the new complete segment, never
@@ -26,9 +27,9 @@ use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// Extension appended to the destination name while writing. Distinct from
-/// the checkpoint writer's `.kgck.tmp` so concurrent trainers and store
-/// builds in one directory can never collide.
+/// Extension that replaces the destination's while writing. Distinct from
+/// `kglink_nn::frame::publish`'s `<name>.tmp`, so a model artifact and a
+/// store build in one directory can never collide.
 const TMP_SUFFIX: &str = "kgst.tmp";
 
 /// Atomically replace `path` with `bytes` (temp → fsync → rename).

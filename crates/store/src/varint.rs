@@ -208,7 +208,7 @@ fn step8(crc: u32, w: &[u8; 8]) -> u32 {
 }
 
 /// Incremental CRC32 (IEEE 802.3, reflected) — the same polynomial and test
-/// vectors as `kglink_nn::checkpoint::crc32`, restated here in streaming
+/// vectors as `kglink_nn::frame::crc32`, restated here in streaming
 /// form so segment writers can hash multi-megabyte sections as they go
 /// instead of buffering them. Every block-cache miss and every byte the
 /// world writer emits passes through [`Crc32::update`], so it is
