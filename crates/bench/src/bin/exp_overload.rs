@@ -1,14 +1,8 @@
 //! exp_overload: overload-protection chaos harness.
 //!
-//! Three parts, all deterministic:
+//! Two parts, both deterministic:
 //!
-//! 1. **Degraded-output identity (real model).** A service pinned at rung
-//!    2 (no linkage) must produce annotations bit-identical to annotating
-//!    through an always-failing backend, and a service pinned at rung 1
-//!    (cache-only) over a stone-cold cache must match the same baseline —
-//!    proving the ladder changes *cost*, never *semantics*.
-//!
-//! 2. **Open-loop load sweep (simulated queue).** A G/D/c queue
+//! 1. **Open-loop load sweep (simulated queue).** A G/D/c queue
 //!    simulation in integer microseconds drives the *real*
 //!    `AimdLimit`/`BrownoutController` state machines with open-loop
 //!    arrivals (no client backpressure) at 0.4–2.0× the saturation rate,
@@ -18,32 +12,28 @@
 //!    p99 stays bounded through a spike, the ladder actually engages
 //!    during the spike, and the controller recovers to rung 0 after it.
 //!
-//! 3. **Retry-budget chaos.** The real `ResilientBackend` over a seeded
+//! 2. **Retry-budget chaos.** The real `ResilientBackend` over a seeded
 //!    fault injector with a long outage, with and without a retry budget:
 //!    the budget must cap lifetime retries at `initial + ratio × queries`
 //!    and strictly reduce retry amplification.
 //!
+//! That degraded rungs change cost, never labels, is `tests/serve.rs`'s
+//! to check (`pinned_no_linkage_rung_…`, `cold_cache_only_rung_…`).
 //! The sweep is exported to `results/overload.jsonl` through the
-//! observability layer's `JsonlSink`. `--smoke` shrinks the model
-//! workload and the simulated horizon but keeps every assertion.
+//! observability layer's `JsonlSink`. `--smoke` shrinks the simulated
+//! horizon and the fault burst but keeps every assertion.
 
-use kglink_bench::{print_markdown, ExpEnv, Which};
-use kglink_core::req;
+use kglink_bench::{print_markdown, ExpEnv};
 use kglink_obs::{Histogram, JsonlSink, Tracer};
 use kglink_search::{
-    BreakerConfig, CacheConfig, Deadline, FaultConfig, FaultyBackend, KgBackend,
-    ResilienceConfig, ResilientBackend, RetryBudgetConfig,
+    BreakerConfig, Deadline, FaultConfig, FaultyBackend, KgBackend, ResilienceConfig,
+    ResilientBackend, RetryBudgetConfig,
 };
-use kglink_serve::{
-    AimdConfig, AimdLimit, BrownoutConfig, BrownoutController, DegradationRung,
-    OverloadConfig, ServiceConfig,
-};
-use kglink_table::{LabelId, Split, Table};
+use kglink_serve::{AimdConfig, AimdLimit, BrownoutConfig, BrownoutController, DegradationRung};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
-// Part 2: the open-loop queue simulation.
+// Part 1: the open-loop queue simulation.
 // ---------------------------------------------------------------------------
 
 /// Simulated service times per rung, µs. Degradation buys real capacity:
@@ -194,73 +184,7 @@ fn main() {
     let tracer = Tracer::enabled();
 
     // -----------------------------------------------------------------
-    // Part 1: degraded rungs are bit-identical to their baselines.
-    // -----------------------------------------------------------------
-    let dataset = &env.bench(Which::SemTab).dataset;
-    eprintln!("[overload] training KGLink for the degraded-identity check…");
-    let model = env.fit_smoke(&env.resources(), Which::SemTab, smoke);
-    let tables: Vec<Table> = dataset
-        .tables_in(Split::Test)
-        .take(if smoke { 4 } else { 16 })
-        .cloned()
-        .collect();
-    // The no-linkage baseline: annotate through an always-failing backend.
-    let dead = FaultyBackend::new(&*env.searcher, FaultConfig::with_fault_rate(env.seed, 1.0));
-    let dead_resources = env.resources_with(&dead);
-    let baseline: Vec<Vec<LabelId>> = tables
-        .iter()
-        .map(|t| model.annotate_request(&dead_resources, req(t)).labels)
-        .collect();
-
-    let model = Arc::new(model);
-    let pinned_service = |rung: DegradationRung, cache: Option<CacheConfig>| {
-        env.service(
-            Arc::clone(&model),
-            env.backend(),
-            ServiceConfig {
-                workers: 2,
-                cache,
-                overload: Some(OverloadConfig {
-                    brownout: BrownoutConfig::pinned(rung),
-                    ..OverloadConfig::default()
-                }),
-                ..ServiceConfig::default()
-            },
-        )
-    };
-
-    let svc = pinned_service(DegradationRung::NoLinkage, None);
-    for (i, ticket) in svc.submit_batch(tables.iter().cloned()).into_iter().enumerate() {
-        let annotation = ticket.expect("admitted").wait().expect("degraded, not failed");
-        assert_eq!(annotation.rung, DegradationRung::NoLinkage);
-        assert_eq!(
-            annotation.labels, baseline[i],
-            "table {i}: rung-2 output diverged from the no-linkage baseline"
-        );
-    }
-    assert_eq!(svc.metrics().served_no_linkage, tables.len() as u64);
-    drop(svc);
-
-    // Rung 1 over a stone-cold cache: every lookup misses, every column
-    // degrades — identical labels, recorded at rung 1.
-    let svc = pinned_service(DegradationRung::CacheOnly, Some(CacheConfig::default()));
-    for (i, ticket) in svc.submit_batch(tables.iter().cloned()).into_iter().enumerate() {
-        let annotation = ticket.expect("admitted").wait().expect("degraded, not failed");
-        assert_eq!(annotation.rung, DegradationRung::CacheOnly);
-        assert_eq!(
-            annotation.labels, baseline[i],
-            "table {i}: cold cache-only output diverged from the no-linkage baseline"
-        );
-    }
-    assert_eq!(svc.metrics().served_cache_only, tables.len() as u64);
-    drop(svc);
-    eprintln!(
-        "[overload] degraded-identity: {} tables bit-identical at rungs 1 and 2",
-        tables.len()
-    );
-
-    // -----------------------------------------------------------------
-    // Part 2: the load sweep.
+    // Part 1: the load sweep.
     // -----------------------------------------------------------------
     let horizon_us: u64 = if smoke { 1_000_000 } else { 4_000_000 };
     let saturation = WORKERS as f64 * 1e6 / FULL_US as f64;
@@ -396,7 +320,7 @@ fn main() {
     );
 
     // -----------------------------------------------------------------
-    // Part 3: retry budgets under a fault burst.
+    // Part 2: retry budgets under a fault burst.
     // -----------------------------------------------------------------
     let queries = if smoke { 40u64 } else { 200 };
     let run_burst = |retry_budget: Option<RetryBudgetConfig>| {

@@ -1,19 +1,23 @@
 //! The transformer encoder: embeddings + stacked blocks.
 //!
-//! Inference has two shapes. [`Encoder::infer`] encodes one sequence.
-//! [`Encoder::infer_batch`] packs any number of sequences into one
-//! `(Σ lengths × d_model)` activation matrix and runs **one GEMM per
-//! projection per layer** for the whole batch; only the attention score
-//! products remain per-segment (they must not attend across sequence
-//! boundaries). Both paths produce bit-identical hidden states because
-//! every row's arithmetic is independent of which batch it rides in.
-//! All intermediate buffers come from an [`EncoderScratch`], so the
-//! steady-state batched path performs zero heap allocations.
+//! Training runs [`Encoder::forward`] one sequence at a time, caching
+//! for backprop. Inference packs any number of sequences into one
+//! `(Σ lengths × d_model)` matrix ([`Encoder::infer_batch`];
+//! [`Encoder::infer`] is a batch of one) and sends every block through
+//! one function, `block_rows`: one GEMM per projection per block for the
+//! whole batch, attention score products per segment so no sequence
+//! attends across its boundary. [`Encoder::infer_batch_rows`] runs the
+//! last block only over the rows the caller reads (a column's CLS row);
+//! K/V still cover every row. A row's arithmetic does not depend on the
+//! rows riding with it, so all of these are bit-identical to each other
+//! and to the training forward. Intermediates come from an
+//! [`EncoderScratch`], so steady-state inference allocates nothing.
 
 use crate::kernels::{self, Mat, MatMut, Trans};
 use crate::layers::block::{BlockCache, TransformerBlock};
 use crate::layers::embedding::{Embedding, EmbeddingCache};
 use crate::layers::layernorm::{LayerNorm, LayerNormCache};
+use crate::layers::linear::Linear;
 use crate::layers::param::{HasParams, Param};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
@@ -226,15 +230,10 @@ impl Encoder {
         with_encoder_scratch(|es| self.infer_batch(&[ids], es).packed().clone())
     }
 
-    /// Encode a batch of token sequences in one packed forward pass.
-    ///
-    /// Bit-identical to calling [`Encoder::infer`] once per sequence (each
-    /// row's arithmetic is independent of its batch), but runs one GEMM
-    /// per projection per layer over all `Σ lengths` rows at once; only
-    /// the attention score products stay per-segment per-head so no
-    /// sequence attends across its boundary. All intermediates come from
-    /// `scratch` — in steady state this path performs zero heap
-    /// allocations.
+    /// Encode a batch of token sequences in one packed forward pass:
+    /// bit-identical to [`Encoder::infer`] per sequence, but one GEMM per
+    /// projection per layer over all `Σ lengths` rows. Intermediates come
+    /// from `scratch`, so in steady state it allocates nothing.
     pub fn infer_batch<'s>(
         &self,
         seqs: &[&[u32]],
@@ -250,21 +249,26 @@ impl Encoder {
     /// `needed` lists the `(segment, row)` pairs the caller will read,
     /// grouped by ascending segment with strictly ascending rows within a
     /// segment, every row in bounds after `max_len` clipping. The final
-    /// transformer block computes its row-local work (Q projection,
-    /// attention output, FFN, layer norms) **only for those rows**; the
-    /// K/V context every attention row needs still covers the full batch.
-    /// Each listed row is bit-identical to the same row from
-    /// [`Encoder::infer_batch`]; *unlisted* rows of the result hold
-    /// stale intermediate state and must not be read.
+    /// transformer block computes everything but K/V **only for those
+    /// rows**. Each listed row is bit-identical to the same row from
+    /// [`Encoder::infer_batch`]; *unlisted* rows of the result hold the
+    /// final block's input and must not be read.
     pub fn infer_batch_rows<'s>(
         &self,
         seqs: &[&[u32]],
         needed: &[(usize, usize)],
         scratch: &'s mut EncoderScratch,
     ) -> BatchHidden<'s> {
+        debug_assert!(
+            needed.windows(2).all(|w| w[0] < w[1]),
+            "needed rows must be grouped by ascending segment, ascending row"
+        );
         self.forward_packed(seqs, Some(needed), scratch)
     }
 
+    /// Embed every sequence into the packed matrix, then run each block
+    /// through [`block_rows`]: over every row, except that the last block
+    /// runs over `needed` only when it is given.
     fn forward_packed<'s>(
         &self,
         seqs: &[&[u32]],
@@ -272,7 +276,6 @@ impl Encoder {
         scratch: &'s mut EncoderScratch,
     ) -> BatchHidden<'s> {
         let d = self.config.d_model;
-        let d_ff = self.config.d_ff;
         let EncoderScratch { ks: s, hidden, offsets } = scratch;
         offsets.clear();
         offsets.push(0);
@@ -302,275 +305,14 @@ impl Encoder {
             self.emb_ln.beta.value.data(),
         );
 
-        // Activation buffers for the block loop; q and k double as the
-        // attention-output and FFN-output buffers once dead.
-        let mut q = s.take(total * d);
-        let mut k = s.take(total * d);
-        let mut v = s.take(total * d);
-        let mut ctx = s.take(total * d);
-        let mut ff = s.take(total * d_ff);
         let last = self.blocks.len().wrapping_sub(1);
         for (bi, block) in self.blocks.iter().enumerate() {
-            if bi == last {
-                if let Some(needed) = needed {
-                    self.last_block_rows(block, needed, hidden, offsets, &mut k, &mut v, s);
-                    break;
-                }
-            }
-            let attn = &block.attn;
-            let (n_heads, dh) = (attn.n_heads(), attn.d_head());
-            let scale = 1.0 / (dh as f32).sqrt();
-            // Q/K/V projections: one GEMM each over the whole batch.
-            for (dst, lin) in [(&mut q, &attn.wq), (&mut k, &attn.wk), (&mut v, &attn.wv)] {
-                kernels::gemm(
-                    hidden.as_mat(),
-                    lin.w.value.as_mat(),
-                    Trans::No,
-                    Trans::No,
-                    &mut MatMut::new(dst, total, d),
-                    s,
-                );
-                kernels::add_bias_rows(dst, lin.b.value.data());
-            }
-            // Attention scores per segment per head over strided views.
-            for seg in 0..seqs.len() {
-                let o = offsets[seg];
-                let l = offsets[seg + 1] - o;
-                if l == 0 {
-                    continue;
-                }
-                let mut scores = s.take(l * l);
-                for h in 0..n_heads {
-                    let off = o * d + h * dh;
-                    kernels::gemm(
-                        Mat::with_stride(&q[off..], l, dh, d),
-                        Mat::with_stride(&k[off..], l, dh, d),
-                        Trans::No,
-                        Trans::Yes,
-                        &mut MatMut::new(&mut scores, l, l),
-                        s,
-                    );
-                    kernels::scaled_softmax_rows(&mut scores, l, scale);
-                    kernels::gemm(
-                        Mat::new(&scores, l, l),
-                        Mat::with_stride(&v[off..], l, dh, d),
-                        Trans::No,
-                        Trans::No,
-                        &mut MatMut::with_stride(&mut ctx[off..], l, dh, d),
-                        s,
-                    );
-                }
-                s.give(scores);
-            }
-            // Output projection (into q, now dead) + residual + LN1.
-            kernels::gemm(
-                Mat::new(&ctx, total, d),
-                attn.wo.w.value.as_mat(),
-                Trans::No,
-                Trans::No,
-                &mut MatMut::new(&mut q, total, d),
-                s,
-            );
-            kernels::add_bias_rows(&mut q, attn.wo.b.value.data());
-            // h1 = x + attn_out (addition commutes bitwise on floats,
-            // so this matches the legacy `x.add(&a)` exactly).
-            for (a, &x_v) in q.iter_mut().zip(hidden.data().iter()) {
-                *a += x_v;
-            }
-            kernels::layer_norm_rows(
-                &mut q,
-                block.ln1.gamma.value.data(),
-                block.ln1.beta.value.data(),
-            );
-            // q now holds h. FFN: fused bias+GELU, second projection into
-            // k (dead), then the second residual + LN2 back into `hidden`.
-            kernels::gemm(
-                Mat::new(&q, total, d),
-                block.ffn.fc1.w.value.as_mat(),
-                Trans::No,
-                Trans::No,
-                &mut MatMut::new(&mut ff, total, d_ff),
-                s,
-            );
-            kernels::bias_gelu_rows(&mut ff, block.ffn.fc1.b.value.data());
-            kernels::gemm(
-                Mat::new(&ff, total, d_ff),
-                block.ffn.fc2.w.value.as_mat(),
-                Trans::No,
-                Trans::No,
-                &mut MatMut::new(&mut k, total, d),
-                s,
-            );
-            kernels::add_bias_rows(&mut k, block.ffn.fc2.b.value.data());
-            for ((out, &h_v), &f_v) in hidden.data_mut().iter_mut().zip(q.iter()).zip(k.iter()) {
-                *out = h_v + f_v;
-            }
-            kernels::layer_norm_rows(
-                hidden.data_mut(),
-                block.ln2.gamma.value.data(),
-                block.ln2.beta.value.data(),
-            );
+            block_rows(block, needed.filter(|_| bi == last), hidden, offsets, s);
         }
-        s.give(q);
-        s.give(k);
-        s.give(v);
-        s.give(ctx);
-        s.give(ff);
         BatchHidden {
             hidden: &*hidden,
             offsets: offsets.as_slice(),
         }
-    }
-
-    /// The final transformer block, computed only for the `needed`
-    /// output rows (see [`Encoder::infer_batch_rows`]). Attention K/V
-    /// still spans every row of the batch; everything else — Q, scores,
-    /// context, output projection, residuals, layer norms, FFN — runs on
-    /// a gathered `(needed × d)` matrix and is scattered back into
-    /// `hidden` at the end. Row arithmetic is untouched, so each written
-    /// row is bit-identical to the unpruned forward.
-    #[allow(clippy::too_many_arguments)]
-    fn last_block_rows(
-        &self,
-        block: &TransformerBlock,
-        needed: &[(usize, usize)],
-        hidden: &mut Tensor,
-        offsets: &[usize],
-        k: &mut [f32],
-        v: &mut [f32],
-        s: &mut kernels::Scratch,
-    ) {
-        let d = self.config.d_model;
-        let d_ff = self.config.d_ff;
-        let total = hidden.rows();
-        let nr = needed.len();
-        debug_assert!(
-            needed
-                .windows(2)
-                .all(|w| w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1)),
-            "needed rows must be grouped by ascending segment, ascending row"
-        );
-        if nr == 0 {
-            return;
-        }
-        let attn = &block.attn;
-        let (n_heads, dh) = (attn.n_heads(), attn.d_head());
-        let scale = 1.0 / (dh as f32).sqrt();
-        // K/V must cover every row any needed row attends over.
-        for (dst, lin) in [(&mut *k, &attn.wk), (&mut *v, &attn.wv)] {
-            kernels::gemm(
-                hidden.as_mat(),
-                lin.w.value.as_mat(),
-                Trans::No,
-                Trans::No,
-                &mut MatMut::new(dst, total, d),
-                s,
-            );
-            kernels::add_bias_rows(dst, lin.b.value.data());
-        }
-        // Gather the needed block-input rows, then project Q for them only.
-        let mut hc = s.take(nr * d);
-        for (ci, &(seg, r)) in needed.iter().enumerate() {
-            debug_assert!(seg < offsets.len() - 1 && r < offsets[seg + 1] - offsets[seg]);
-            hc[ci * d..(ci + 1) * d].copy_from_slice(hidden.row(offsets[seg] + r));
-        }
-        let mut qc = s.take(nr * d);
-        kernels::gemm(
-            Mat::new(&hc, nr, d),
-            attn.wq.w.value.as_mat(),
-            Trans::No,
-            Trans::No,
-            &mut MatMut::new(&mut qc, nr, d),
-            s,
-        );
-        kernels::add_bias_rows(&mut qc, attn.wq.b.value.data());
-        // Attention per segment-run of needed rows, per head.
-        let mut ctxc = s.take(nr * d);
-        let mut ci = 0;
-        while ci < nr {
-            let seg = needed[ci].0;
-            let mut cj = ci;
-            while cj < nr && needed[cj].0 == seg {
-                cj += 1;
-            }
-            let nseg = cj - ci;
-            let o = offsets[seg];
-            let l = offsets[seg + 1] - o;
-            let mut scores = s.take(nseg * l);
-            for h in 0..n_heads {
-                let off_kv = o * d + h * dh;
-                kernels::gemm(
-                    Mat::with_stride(&qc[ci * d + h * dh..], nseg, dh, d),
-                    Mat::with_stride(&k[off_kv..], l, dh, d),
-                    Trans::No,
-                    Trans::Yes,
-                    &mut MatMut::new(&mut scores, nseg, l),
-                    s,
-                );
-                kernels::scaled_softmax_rows(&mut scores, l, scale);
-                kernels::gemm(
-                    Mat::new(&scores, nseg, l),
-                    Mat::with_stride(&v[off_kv..], l, dh, d),
-                    Trans::No,
-                    Trans::No,
-                    &mut MatMut::with_stride(&mut ctxc[ci * d + h * dh..], nseg, dh, d),
-                    s,
-                );
-            }
-            s.give(scores);
-            ci = cj;
-        }
-        // Output projection + residual + LN1, all on the gathered rows.
-        let mut ac = s.take(nr * d);
-        kernels::gemm(
-            Mat::new(&ctxc, nr, d),
-            attn.wo.w.value.as_mat(),
-            Trans::No,
-            Trans::No,
-            &mut MatMut::new(&mut ac, nr, d),
-            s,
-        );
-        kernels::add_bias_rows(&mut ac, attn.wo.b.value.data());
-        for (a, &x_v) in ac.iter_mut().zip(hc.iter()) {
-            *a += x_v;
-        }
-        kernels::layer_norm_rows(&mut ac, block.ln1.gamma.value.data(), block.ln1.beta.value.data());
-        // FFN into qc (dead), then the second residual + LN2, scattered
-        // back into `hidden` at the needed rows.
-        let mut ffc = s.take(nr * d_ff);
-        kernels::gemm(
-            Mat::new(&ac, nr, d),
-            block.ffn.fc1.w.value.as_mat(),
-            Trans::No,
-            Trans::No,
-            &mut MatMut::new(&mut ffc, nr, d_ff),
-            s,
-        );
-        kernels::bias_gelu_rows(&mut ffc, block.ffn.fc1.b.value.data());
-        kernels::gemm(
-            Mat::new(&ffc, nr, d_ff),
-            block.ffn.fc2.w.value.as_mat(),
-            Trans::No,
-            Trans::No,
-            &mut MatMut::new(&mut qc, nr, d),
-            s,
-        );
-        kernels::add_bias_rows(&mut qc, block.ffn.fc2.b.value.data());
-        // h2 = h + ffn_out, bit-parity with the unpruned loop.
-        for (out, &h_v) in qc.iter_mut().zip(ac.iter()) {
-            *out += h_v;
-        }
-        kernels::layer_norm_rows(&mut qc, block.ln2.gamma.value.data(), block.ln2.beta.value.data());
-        for (ci, &(seg, r)) in needed.iter().enumerate() {
-            hidden
-                .row_mut(offsets[seg] + r)
-                .copy_from_slice(&qc[ci * d..(ci + 1) * d]);
-        }
-        s.give(hc);
-        s.give(qc);
-        s.give(ctxc);
-        s.give(ac);
-        s.give(ffc);
     }
 
     /// Backward from `dh` (gradient w.r.t. the final hidden states).
@@ -598,6 +340,138 @@ impl Encoder {
     }
 }
 
+/// `out = x·W` for a row-major `x` with `lin.d_in()` columns; the
+/// caller applies the bias (plain or fused with GELU).
+fn gemm_rows(x: &[f32], lin: &Linear, out: &mut [f32], s: &mut kernels::Scratch) {
+    let rows = x.len() / lin.d_in();
+    kernels::gemm(
+        Mat::new(x, rows, lin.d_in()),
+        lin.w.value.as_mat(),
+        Trans::No,
+        Trans::No,
+        &mut MatMut::new(out, rows, lin.d_out()),
+        s,
+    );
+}
+
+/// One transformer block of the packed inference forward, in place on
+/// `hidden`, for the rows `rows` selects: `None` is every row, `Some`
+/// lists `(segment, row)` pairs as [`Encoder::infer_batch_rows`] takes
+/// them.
+///
+/// K and V are projected over every row, since a selected row attends
+/// over its whole segment. Everything else — Q, attention, the output
+/// projection, both residuals, LN1, the FFN and LN2 — runs on the
+/// selected rows only: `hidden` itself for `None`, the gathered rows
+/// otherwise. Attention runs once per run of selected rows sharing a
+/// segment (for `None`, a whole segment). The outputs are written back
+/// to the rows they came from; unselected rows keep the block's input.
+/// Each row's arithmetic is the same whichever rows ride with it, so a
+/// selected row is bit-identical to the same row of the `None` call.
+fn block_rows(
+    block: &TransformerBlock,
+    rows: Option<&[(usize, usize)]>,
+    hidden: &mut Tensor,
+    offsets: &[usize],
+    s: &mut kernels::Scratch,
+) {
+    let (total, d) = hidden.shape();
+    let n = rows.map_or(total, <[_]>::len);
+    if n == 0 {
+        return;
+    }
+    let attn = &block.attn;
+    let (n_heads, dh) = (attn.n_heads(), attn.d_head());
+    let scale = 1.0 / (dh as f32).sqrt();
+    // Packed row of selected row `i`.
+    let row_of = |i: usize| rows.map_or(i, |rows| offsets[rows[i].0] + rows[i].1);
+
+    let mut k = s.take(total * d);
+    let mut v = s.take(total * d);
+    for (dst, lin) in [(&mut k, &attn.wk), (&mut v, &attn.wv)] {
+        gemm_rows(hidden.data(), lin, dst, s);
+        kernels::add_bias_rows(dst, lin.b.value.data());
+    }
+    let gathered = rows.map(|rows| {
+        let mut xs = s.take(n * d);
+        for (i, &(seg, r)) in rows.iter().enumerate() {
+            debug_assert!(seg < offsets.len() - 1 && r < offsets[seg + 1] - offsets[seg]);
+            xs[i * d..(i + 1) * d].copy_from_slice(hidden.row(row_of(i)));
+        }
+        xs
+    });
+    let x = gathered.as_deref().unwrap_or(hidden.data());
+    let mut q = s.take(n * d);
+    gemm_rows(x, &attn.wq, &mut q, s);
+    kernels::add_bias_rows(&mut q, attn.wq.b.value.data());
+
+    // Attention per run of selected rows in one segment, per head, over
+    // strided head views; no row attends across its segment's boundary.
+    let mut ctx = s.take(n * d);
+    let mut i = 0;
+    while i < n {
+        let (seg, m) = match rows {
+            None => {
+                let seg = offsets.partition_point(|&o| o <= i) - 1;
+                (seg, offsets[seg + 1] - i)
+            }
+            Some(rows) => (rows[i].0, rows[i..].iter().take_while(|r| r.0 == rows[i].0).count()),
+        };
+        let (o, l) = (offsets[seg], offsets[seg + 1] - offsets[seg]);
+        let mut scores = s.take(m * l);
+        for h in 0..n_heads {
+            let (q_off, kv_off) = (i * d + h * dh, o * d + h * dh);
+            kernels::gemm(
+                Mat::with_stride(&q[q_off..], m, dh, d),
+                Mat::with_stride(&k[kv_off..], l, dh, d),
+                Trans::No,
+                Trans::Yes,
+                &mut MatMut::new(&mut scores, m, l),
+                s,
+            );
+            kernels::scaled_softmax_rows(&mut scores, l, scale);
+            kernels::gemm(
+                Mat::new(&scores, m, l),
+                Mat::with_stride(&v[kv_off..], l, dh, d),
+                Trans::No,
+                Trans::No,
+                &mut MatMut::with_stride(&mut ctx[q_off..], m, dh, d),
+                s,
+            );
+        }
+        s.give(scores);
+        i += m;
+    }
+
+    // Output projection into q (dead), first residual, LN1: q holds h.
+    gemm_rows(&ctx, &attn.wo, &mut q, s);
+    kernels::add_bias_rows(&mut q, attn.wo.b.value.data());
+    for (a, &x_v) in q.iter_mut().zip(x) {
+        *a += x_v;
+    }
+    kernels::layer_norm_rows(&mut q, block.ln1.gamma.value.data(), block.ln1.beta.value.data());
+    if let Some(xs) = gathered {
+        s.give(xs);
+    }
+    // FFN: fused bias+GELU, second projection into ctx (dead).
+    let mut ff = s.take(n * block.ffn.fc1.d_out());
+    gemm_rows(&q, &block.ffn.fc1, &mut ff, s);
+    kernels::bias_gelu_rows(&mut ff, block.ffn.fc1.b.value.data());
+    gemm_rows(&ff, &block.ffn.fc2, &mut ctx, s);
+    kernels::add_bias_rows(&mut ctx, block.ffn.fc2.b.value.data());
+    // Second residual + LN2, written to each selected row's home.
+    for i in 0..n {
+        let out = hidden.row_mut(row_of(i));
+        for ((o, &h_v), &f_v) in out.iter_mut().zip(&q[i * d..]).zip(&ctx[i * d..]) {
+            *o = h_v + f_v;
+        }
+        kernels::layer_norm_rows(out, block.ln2.gamma.value.data(), block.ln2.beta.value.data());
+    }
+    for buf in [k, v, q, ctx, ff] {
+        s.give(buf);
+    }
+}
+
 impl HasParams for Encoder {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.token_emb.visit_params(f);
@@ -612,6 +486,19 @@ impl HasParams for Encoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An encoder with every parameter perturbed — biases and layer-norm
+    /// gains included, which construction sets to 0 and 1 — so a dropped
+    /// or misplaced term moves the output.
+    fn perturbed(config: EncoderConfig) -> Encoder {
+        let mut enc = Encoder::new(config);
+        let mut rng = StdRng::seed_from_u64(config.seed + 1);
+        enc.visit_params(&mut |p| {
+            let (rows, cols) = p.value.shape();
+            p.value.axpy(1.0, &Tensor::normal(rows, cols, 0.05, &mut rng));
+        });
+        enc
+    }
 
     fn tiny_config() -> EncoderConfig {
         EncoderConfig {
@@ -641,15 +528,48 @@ mod tests {
         assert_eq!(h.rows(), 16);
     }
 
+    /// The training forward is the bit reference for inference: every
+    /// length up to `max_len`, and one past it (clipped), must agree
+    /// exactly.
     #[test]
     fn infer_matches_forward() {
-        let enc = Encoder::new(tiny_config());
-        let ids = [2u32, 7, 9, 11, 3];
-        let (h, _) = enc.forward(&ids);
-        let h2 = enc.infer(&ids);
-        for (a, b) in h.data().iter().zip(h2.data()) {
-            assert!((a - b).abs() < 1e-5);
+        let enc = perturbed(tiny_config());
+        for len in 1..=enc.config.max_len + 3 {
+            let ids: Vec<u32> = (0..len as u32).map(|i| (i * 7 + 2) % 20).collect();
+            let (h, _) = enc.forward(&ids);
+            let h2 = enc.infer(&ids);
+            assert_eq!(h.shape(), h2.shape());
+            for (i, (a, b)) in h.data().iter().zip(h2.data()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "length {len}, element {i}");
+            }
         }
+    }
+
+    /// CRC32 over the output bits of `infer_batch` (every row) and
+    /// `infer_batch_rows` (the listed rows) for a seeded mini encoder,
+    /// with an empty and a clipped segment in the batch. Anything that
+    /// moves one output bit — a reordered sum, a kernel rewrite, a wider
+    /// vector target — changes this constant.
+    #[test]
+    fn forward_output_bits_match_the_golden_digest() {
+        let enc = perturbed(EncoderConfig::mini(64));
+        let max = enc.config.max_len;
+        let seqs_owned: Vec<Vec<u32>> = vec![
+            (0..13).map(|i| (i * 5 + 2) % 64).collect(),
+            Vec::new(),
+            (0..max as u32 + 20).map(|i| (i * 7 + 1) % 64).collect(),
+            vec![2, 3],
+            (0..40).map(|i| (i * 11 + 4) % 64).collect(),
+        ];
+        let seqs: Vec<&[u32]> = seqs_owned.iter().map(Vec::as_slice).collect();
+        let needed = [(0usize, 0usize), (0, 12), (2, 0), (2, max - 1), (3, 1), (4, 0)];
+        let mut scratch = EncoderScratch::new();
+        let full = enc.infer_batch(&seqs, &mut scratch).packed().clone();
+        let pruned = enc.infer_batch_rows(&seqs, &needed, &mut scratch);
+        let rows = needed.iter().flat_map(|&(seg, r)| pruned.row(seg, r));
+        let bits: Vec<u8> =
+            full.data().iter().chain(rows).flat_map(|v| v.to_bits().to_le_bytes()).collect();
+        assert_eq!(crate::frame::crc32(&bits), 0xBD4D_5CFE);
     }
 
     #[test]

@@ -122,41 +122,6 @@ impl MultiHeadSelfAttention {
         )
     }
 
-    /// Forward without caching: scores live entirely in scratch.
-    pub fn infer(&self, x: &Tensor) -> Tensor {
-        let dh = self.d_head();
-        let scale = 1.0 / (dh as f32).sqrt();
-        let q = self.wq.infer(x);
-        let k = self.wk.infer(x);
-        let v = self.wv.infer(x);
-        let l = x.rows();
-        let mut ctx = Tensor::zeros(l, self.wq.d_out());
-        kernels::with_thread_scratch(|s| {
-            let mut scores = s.take(l * l);
-            for h in 0..self.n_heads {
-                kernels::gemm(
-                    Self::head(&q, h, dh),
-                    Self::head(&k, h, dh),
-                    Trans::No,
-                    Trans::Yes,
-                    &mut MatMut::new(&mut scores, l, l),
-                    s,
-                );
-                kernels::scaled_softmax_rows(&mut scores, l, scale);
-                kernels::gemm(
-                    Mat::new(&scores, l, l),
-                    Self::head(&v, h, dh),
-                    Trans::No,
-                    Trans::No,
-                    &mut Self::head_mut(&mut ctx, h, dh),
-                    s,
-                );
-            }
-            s.give(scores);
-        });
-        self.wo.infer(&ctx)
-    }
-
     /// Backward: accumulates all projection gradients, returns `dx`.
     pub fn backward(&mut self, cache: &AttentionCache, dy: &Tensor) -> Tensor {
         let dh = self.d_head();
@@ -251,18 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn infer_matches_forward() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let attn = MultiHeadSelfAttention::new(8, 4, &mut rng);
-        let x = Tensor::xavier(3, 8, &mut rng);
-        let (y, _) = attn.forward(&x);
-        let y2 = attn.infer(&x);
-        for (a, b) in y.data().iter().zip(y2.data()) {
-            assert!((a - b).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn input_gradient_matches_finite_difference() {
         let mut rng = StdRng::seed_from_u64(14);
         let mut attn = MultiHeadSelfAttention::new(4, 2, &mut rng);
@@ -276,7 +229,8 @@ mod tests {
             xp.data_mut()[idx] += eps;
             let mut xm = x.clone();
             xm.data_mut()[idx] -= eps;
-            let num = (attn.infer(&xp).dot(&upstream) - attn.infer(&xm).dot(&upstream)) / (2.0 * eps);
+            let num = (attn.forward(&xp).0.dot(&upstream) - attn.forward(&xm).0.dot(&upstream))
+                / (2.0 * eps);
             assert!(
                 (num - dx.data()[idx]).abs() < 2e-2,
                 "dx[{idx}]: numeric {num} vs analytic {}",
@@ -297,9 +251,9 @@ mod tests {
         for idx in [0usize, 7] {
             let orig = attn.wq.w.value.data()[idx];
             attn.wq.w.value.data_mut()[idx] = orig + eps;
-            let lp = attn.infer(&x).dot(&upstream);
+            let lp = attn.forward(&x).0.dot(&upstream);
             attn.wq.w.value.data_mut()[idx] = orig - eps;
-            let lm = attn.infer(&x).dot(&upstream);
+            let lm = attn.forward(&x).0.dot(&upstream);
             attn.wq.w.value.data_mut()[idx] = orig;
             let num = (lp - lm) / (2.0 * eps);
             let ana = attn.wq.w.grad.data()[idx];

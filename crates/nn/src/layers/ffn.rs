@@ -1,6 +1,6 @@
 //! Position-wise feed-forward network with GELU.
 
-use crate::kernels::{self, gelu, gelu_grad, Trans};
+use crate::kernels::{gelu, gelu_grad};
 use crate::layers::linear::{Linear, LinearCache};
 use crate::layers::param::{HasParams, Param};
 use crate::tensor::Tensor;
@@ -52,24 +52,6 @@ impl FeedForward {
         )
     }
 
-    /// Forward without caching: `x·W1` then the fused bias+GELU kernel,
-    /// then the second projection.
-    pub fn infer(&self, x: &Tensor) -> Tensor {
-        let mut hidden = Tensor::zeros(x.rows(), self.fc1.d_out());
-        kernels::with_thread_scratch(|s| {
-            kernels::gemm(
-                x.as_mat(),
-                self.fc1.w.value.as_mat(),
-                Trans::No,
-                Trans::No,
-                &mut hidden.as_mat_mut(),
-                s,
-            );
-        });
-        kernels::bias_gelu_rows(hidden.data_mut(), self.fc1.b.value.data());
-        self.fc2.infer(&hidden)
-    }
-
     /// Backward: accumulates gradients, returns `dx`.
     pub fn backward(&mut self, cache: &FfnCache, dy: &Tensor) -> Tensor {
         let mut dhidden = self.fc2.backward(&cache.c2, dy);
@@ -93,16 +75,12 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn shapes_and_consistency() {
+    fn forward_shapes() {
         let mut rng = StdRng::seed_from_u64(17);
         let ffn = FeedForward::new(4, 8, &mut rng);
         let x = Tensor::xavier(3, 4, &mut rng);
         let (y, _) = ffn.forward(&x);
         assert_eq!(y.shape(), (3, 4));
-        let y2 = ffn.infer(&x);
-        for (a, b) in y.data().iter().zip(y2.data()) {
-            assert!((a - b).abs() < 1e-6);
-        }
     }
 
     #[test]
@@ -119,7 +97,8 @@ mod tests {
             xp.data_mut()[idx] += eps;
             let mut xm = x.clone();
             xm.data_mut()[idx] -= eps;
-            let num = (ffn.infer(&xp).dot(&upstream) - ffn.infer(&xm).dot(&upstream)) / (2.0 * eps);
+            let num = (ffn.forward(&xp).0.dot(&upstream) - ffn.forward(&xm).0.dot(&upstream))
+                / (2.0 * eps);
             assert!(
                 (num - dx.data()[idx]).abs() < 2e-2,
                 "dx[{idx}]: {num} vs {}",
@@ -130,9 +109,9 @@ mod tests {
         for idx in [0usize, 10] {
             let orig = ffn.fc1.w.value.data()[idx];
             ffn.fc1.w.value.data_mut()[idx] = orig + eps;
-            let lp = ffn.infer(&x).dot(&upstream);
+            let lp = ffn.forward(&x).0.dot(&upstream);
             ffn.fc1.w.value.data_mut()[idx] = orig - eps;
-            let lm = ffn.infer(&x).dot(&upstream);
+            let lm = ffn.forward(&x).0.dot(&upstream);
             ffn.fc1.w.value.data_mut()[idx] = orig;
             let num = (lp - lm) / (2.0 * eps);
             assert!((num - ffn.fc1.w.grad.data()[idx]).abs() < 2e-2);

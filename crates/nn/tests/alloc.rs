@@ -6,7 +6,8 @@
 //! `EncoderScratch::fresh_allocs` already counts pool misses, but it can
 //! only see allocations routed *through* the pool. This test installs a
 //! counting global allocator and asserts on the real thing: the process
-//! allocation counter must not move across repeated `infer_batch` calls.
+//! allocation counter must not move across repeated `infer_batch` and
+//! `infer_batch_rows` calls.
 //!
 //! The test lives alone in its own integration-test binary on purpose —
 //! any concurrently running test would allocate and poison the counter.
@@ -64,6 +65,46 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTING: CountingAlloc = CountingAlloc;
 
+/// Warm a fresh scratch with one `forward` (which appends the values it
+/// reads to the given buffer), then require five more calls to leave the
+/// process allocation counter and the pool's miss counter where the
+/// warm-up left them, with every output bit equal to the warm-up's.
+fn assert_allocation_free(name: &str, mut forward: impl FnMut(&mut EncoderScratch, &mut Vec<f32>))
+{
+    let mut scratch = EncoderScratch::new();
+    // Warm-up: sizes the scratch pool, the packed hidden buffer, and the
+    // offsets table for this batch shape.
+    let mut warm = Vec::new();
+    forward(&mut scratch, &mut warm);
+    let mut out = Vec::with_capacity(warm.len());
+    let pool_misses = scratch.fresh_allocs();
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    for _ in 0..5 {
+        out.clear();
+        forward(&mut scratch, &mut out);
+        // Read every value so the call cannot be optimized away, without
+        // allocating: compare against the warm-up output in place.
+        assert_eq!(out.len(), warm.len(), "{name} output length changed");
+        if let Some(i) = out.iter().zip(&warm).position(|(a, b)| a.to_bits() != b.to_bits()) {
+            panic!("{name} output element {i} changed after warm-up");
+        }
+    }
+    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state {name} hit the global allocator {} time(s)",
+        after - before
+    );
+    assert_eq!(
+        scratch.fresh_allocs(),
+        pool_misses,
+        "{name}: scratch pool reported a miss after warm-up"
+    );
+}
+
+/// Both serving shapes in one test: a second test in this binary would
+/// run concurrently and allocate into the counter.
 #[test]
 fn steady_state_batched_inference_is_allocation_free() {
     let encoder = Encoder::new(EncoderConfig::mini(256));
@@ -71,38 +112,16 @@ fn steady_state_batched_inference_is_allocation_free() {
         .map(|i| (0..(5 + i * 7)).map(|t| (t % 251) as u32).collect())
         .collect();
     let refs: Vec<&[u32]> = seqs.iter().map(Vec::as_slice).collect();
-    let mut scratch = EncoderScratch::new();
+    // What classification reads: each segment's CLS row, plus two more
+    // rows of the longest segment.
+    let mut needed: Vec<(usize, usize)> = (0..refs.len()).map(|seg| (seg, 0)).collect();
+    needed.extend([(5, 3), (5, 39)]);
 
-    // Warm-up: sizes the scratch pool, the packed hidden buffer, and the
-    // offsets table for this batch shape.
-    let warm: Vec<f32> = {
-        let out = encoder.infer_batch(&refs, &mut scratch);
-        out.packed().data().to_vec()
-    };
-
-    let pool_misses = scratch.fresh_allocs();
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    for _ in 0..5 {
-        let out = encoder.infer_batch(&refs, &mut scratch);
-        // Read something so the call cannot be optimized away, without
-        // allocating: compare against the warm-up output in place.
-        assert!(out
-            .packed()
-            .data()
-            .iter()
-            .zip(&warm)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-    }
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state infer_batch hit the global allocator {} time(s)",
-        after - before
-    );
-    assert_eq!(
-        scratch.fresh_allocs(),
-        pool_misses,
-        "scratch pool reported a miss after warm-up"
-    );
+    assert_allocation_free("infer_batch", |scratch, out| {
+        out.extend(encoder.infer_batch(&refs, scratch).packed().data());
+    });
+    assert_allocation_free("infer_batch_rows", |scratch, out| {
+        let rows = encoder.infer_batch_rows(&refs, &needed, scratch);
+        out.extend(needed.iter().flat_map(|&(seg, r)| rows.row(seg, r)));
+    });
 }

@@ -50,9 +50,6 @@ KGLINK_FAST=1 cargo run --release -q -p kglink-bench --bin exp_serve -- --smoke
 echo "== exp_obs smoke (stage tiling + zero-overhead tracer gate) =="
 KGLINK_FAST=1 cargo run --release -q -p kglink-bench --bin exp_obs -- --smoke
 
-echo "== exp_crash smoke (kill+resume bit-identity, guards, panic isolation) =="
-KGLINK_FAST=1 cargo run --release -q -p kglink-bench --bin exp_crash -- --smoke
-
 echo "== exp_overload smoke (admission control, degradation ladder, retry budgets) =="
 KGLINK_FAST=1 cargo run --release -q -p kglink-bench --bin exp_overload -- --smoke
 

@@ -6,7 +6,7 @@
 use kglink::core::pipeline::{build_vocab, KgLink, Resources};
 use kglink::core::{FitOptions, GuardPolicy, KgLinkConfig};
 use kglink::datagen::{pretrain_corpus, semtab_like, SemTabConfig};
-use kglink::table::Dataset;
+use kglink::table::{Dataset, Split};
 use kglink::kg::{KnowledgeGraph, SyntheticWorld, WorldConfig};
 use kglink::nn::checkpoint::save_train_state;
 use kglink::nn::layers::param::HasParams;
@@ -114,8 +114,16 @@ fn kill_and_resume_is_bit_identical_at_every_sampled_step() {
     let baseline_state = state_bytes(&mut baseline);
 
     // Kill after steps on both sides of an epoch boundary (the tiny run
-    // has ~5 steps per epoch) and resume from the last atomic checkpoint.
-    for kill_step in [2, 4, 6] {
+    // has ~5 steps per epoch) and after the final step, before its
+    // epoch's validation; resume from the last atomic checkpoint.
+    let steps_per_epoch = fx
+        .dataset
+        .tables_in(Split::Train)
+        .count()
+        .div_ceil(config.batch_size) as u64;
+    let final_step = steps_per_epoch * base_report.epoch_loss.len() as u64;
+    assert!(final_step > 6, "the fixture must run past the sampled steps");
+    for kill_step in [2, 4, 6, final_step] {
         let path = temp_ckpt(&format!("resume-{kill_step}"));
         let halted_opts = FitOptions::new()
             .checkpoint_every(&path, 2)
@@ -250,6 +258,11 @@ fn skip_step_guard_contains_injected_nan_and_reports_it() {
     for acc in &report.val_accuracy {
         assert!(acc.is_finite());
     }
+    let summary = model.evaluate(&res, &fx.dataset, Split::Test);
+    assert!(
+        summary.weighted_f1_pct().is_finite(),
+        "the SkipStep model must evaluate to finite test-split metrics"
+    );
 }
 
 #[test]
