@@ -37,6 +37,9 @@
 //!    i.e. with its [`HOT_FEATURES`] encoded too; cold minus warm is the
 //!    memo's saving at kernel level.
 //!
+//! The JSON records the CPU level the build targets (`isa`, from
+//! [`build_isa`]): kernel numbers from different levels are not comparable.
+//!
 //! Per-column and `nn.forward` latencies are not reported here: this loop is
 //! an in-memory world; `nn.forward_us` in `BENCHMARK.json` measures them on
 //! the disk world.
@@ -50,8 +53,8 @@ use kglink_core::train::{self, prepare_tables, FitOptions, PreparedTable};
 use kglink_core::{KgLink, KgLinkConfig, KgLinkModel};
 use kglink_nn::encoder::{Encoder, EncoderScratch};
 use kglink_nn::kernels::{
-    bias_gelu_rows, gemm, layer_norm_rows, scaled_softmax_rows, set_reference_mode, softmax_rows,
-    Mat, MatMut, Scratch, Trans,
+    bias_gelu_rows, build_isa, gemm, layer_norm_rows, scaled_softmax_rows, set_reference_mode,
+    softmax_rows, Mat, MatMut, Scratch, Trans,
 };
 use kglink_table::{LabelId, Split};
 use std::time::{Duration, Instant};
@@ -501,7 +504,11 @@ fn main() {
     // --- Report + JSON -------------------------------------------------------
     let floor = if smoke { SPEEDUP_FLOOR_SMOKE } else { SPEEDUP_FLOOR_FULL };
     print_markdown(
-        &format!("exp_bench — kernel layer compute ({})", if smoke { "smoke" } else { "full" }),
+        &format!(
+            "exp_bench — kernel layer compute ({}, {})",
+            if smoke { "smoke" } else { "full" },
+            build_isa()
+        ),
         &["metric", "scalar", "fast"],
         &[
             vec!["tables/s".into(), format!("{scalar_tables_per_s:.1}"), format!("{fast_tables_per_s:.1}")],
@@ -519,6 +526,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"experiment\": \"exp_bench\",\n  \"mode\": \"{mode}\",\n  \
+         \"isa\": \"{isa}\",\n  \
          \"tables\": {tables},\n  \"columns\": {cols},\n  \
          \"scalar_tables_per_s\": {scalar_tables_per_s:.2},\n  \
          \"fast_tables_per_s\": {fast_tables_per_s:.2},\n  \
@@ -540,6 +548,7 @@ fn main() {
         split.layer_norm,
         split.bias_gelu,
         mode = if smoke { "smoke" } else { "full" },
+        isa = build_isa(),
         tables = prep.len(),
         cols = n_cols,
     );

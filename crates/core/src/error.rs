@@ -6,6 +6,7 @@
 //! falls back to a default label rather than crash on one bad table).
 
 use kglink_nn::checkpoint::CheckpointError;
+use kglink_nn::kernels::MissingCpuFeature;
 use kglink_search::RetrievalError;
 use kglink_table::TableId;
 use std::fmt;
@@ -24,6 +25,12 @@ pub enum KgLinkError {
     Retrieval(RetrievalError),
     /// A training checkpoint could not be written, read, or applied.
     Checkpoint(CheckpointError),
+    /// The running CPU lacks a feature this build was compiled to use
+    /// (x86-64-v3 by default), as its `/proc/cpuinfo` flags show; checked
+    /// by [`ResourcesBuilder::build`](crate::pipeline::ResourcesBuilder::build)
+    /// before any model work. A best effort: code that runs earlier is
+    /// compiled for the same CPU and can still fault with `SIGILL`.
+    UnsupportedCpu(MissingCpuFeature),
 }
 
 impl KgLinkError {
@@ -57,6 +64,7 @@ impl fmt::Display for KgLinkError {
             }
             KgLinkError::Retrieval(e) => write!(f, "retrieval failed: {e}"),
             KgLinkError::Checkpoint(e) => write!(f, "checkpoint failed: {e}"),
+            KgLinkError::UnsupportedCpu(e) => write!(f, "unsupported CPU: {e}"),
         }
     }
 }
@@ -75,6 +83,12 @@ impl From<CheckpointError> for KgLinkError {
     }
 }
 
+impl From<MissingCpuFeature> for KgLinkError {
+    fn from(e: MissingCpuFeature) -> Self {
+        KgLinkError::UnsupportedCpu(e)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,5 +100,8 @@ mod tests {
         let e: KgLinkError = RetrievalError::Transient.into();
         assert!(matches!(e, KgLinkError::Retrieval(RetrievalError::Transient)));
         assert!(e.to_string().contains("transient"));
+        let e: KgLinkError = MissingCpuFeature { feature: "fma" }.into();
+        assert!(matches!(e, KgLinkError::UnsupportedCpu(MissingCpuFeature { feature: "fma" })));
+        assert!(e.to_string().contains("unsupported CPU") && e.to_string().contains("`fma`"));
     }
 }

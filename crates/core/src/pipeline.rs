@@ -54,9 +54,11 @@ impl<'a> Resources<'a> {
 }
 
 /// Validating builder for [`Resources`]: [`build`](Self::build) fails with
-/// [`KgLinkError::MissingResource`] when the KG, backend, or tokenizer is
-/// absent, and with [`KgLinkError::InvalidConfig`] when the tokenizer's
-/// vocabulary is empty (an annotator over it could never see a token).
+/// [`KgLinkError::UnsupportedCpu`] when the CPU lacks a feature the build
+/// was compiled for (see [`check_cpu`](kglink_nn::kernels::check_cpu)), with [`KgLinkError::MissingResource`] when the KG,
+/// backend, or tokenizer is absent, and with [`KgLinkError::InvalidConfig`]
+/// when the tokenizer's vocabulary is empty (an annotator over it could
+/// never see a token).
 #[derive(Default)]
 pub struct ResourcesBuilder<'a> {
     graph: Option<&'a (dyn GraphAccess + 'a)>,
@@ -101,6 +103,7 @@ impl<'a> ResourcesBuilder<'a> {
 
     /// Validate and assemble the bundle.
     pub fn build(self) -> Result<Resources<'a>, KgLinkError> {
+        kglink_nn::kernels::check_cpu()?;
         let graph = self
             .graph
             .ok_or(KgLinkError::missing_resource("knowledge graph"))?;

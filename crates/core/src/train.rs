@@ -308,8 +308,9 @@ enum FeatureRow {
 }
 
 /// Batched prediction over the chunks of one table, labels concatenated in
-/// chunk order. Every chunk's masked table and every feature sequence
-/// `memo` does not already hold are encoded in **one** batched forward —
+/// chunk order: each column's arg-max logit, class 0 for a column truncated
+/// away. Every chunk's masked table and every feature sequence `memo` does
+/// not already hold are encoded in **one** batched forward —
 /// one GEMM per projection per layer across all of them — recorded under
 /// an `nn.forward` tracer span. Classification only reads one CLS row per
 /// column (plus each feature sequence's row 0), so the forward runs
@@ -327,8 +328,31 @@ pub fn predict_chunks(
     memo: Option<&FeatureMemo>,
     tracer: &Tracer,
 ) -> Vec<LabelId> {
+    let mut labels = Vec::with_capacity(prepared.iter().map(|pt| pt.labels.len()).sum());
+    chunk_logits(model, config, prepared, memo, tracer, |logits| {
+        let best = logits
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(i, _)| i)
+            .unwrap_or(0);
+        labels.push(LabelId(best as u32));
+    });
+    labels
+}
+
+/// The classifier logits behind [`predict_chunks`], column by column in
+/// chunk order, handed to `each` (empty for a column truncated away).
+pub(crate) fn chunk_logits(
+    model: &KgLinkModel,
+    config: &KgLinkConfig,
+    prepared: &[PreparedTable],
+    memo: Option<&FeatureMemo>,
+    tracer: &Tracer,
+    mut each: impl FnMut(&[f32]),
+) {
     if prepared.is_empty() {
-        return Vec::new();
+        return;
     }
     let max_len = model.encoder.config.max_len;
     // Segment `i` is chunk `i`'s masked table; the feature sequences to
@@ -367,11 +391,10 @@ pub fn predict_chunks(
             let _forward = tracer.span("nn.forward");
             model.encoder.infer_batch_rows(&seqs, &needed, es)
         };
-        let mut labels = Vec::with_capacity(prepared.iter().map(|pt| pt.labels.len()).sum());
         for (si, (pt, rows)) in prepared.iter().zip(&features).enumerate() {
             for (&cls, row) in pt.masked.cls.iter().zip(rows) {
                 if cls >= batch.len(si) {
-                    labels.push(LabelId(0)); // truncated column: fall back to class 0
+                    each(&[]);
                     continue;
                 }
                 let fv = match row {
@@ -379,14 +402,7 @@ pub fn predict_chunks(
                     FeatureRow::Remembered(fv) => Some(fv.as_slice()),
                     FeatureRow::Encoded(fi) => Some(batch.row(*fi, 0)),
                 };
-                let logits = model.classify(&model.compose(batch.row(si, cls), fv));
-                let best = logits
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0);
-                labels.push(LabelId(best as u32));
+                each(&model.classify(&model.compose(batch.row(si, cls), fv)));
             }
         }
         if let Some(memo) = memo {
@@ -394,7 +410,6 @@ pub fn predict_chunks(
                 memo.insert(fids, batch.row(fi, 0));
             }
         }
-        labels
     })
 }
 
@@ -893,6 +908,49 @@ mod tests {
                 assert!((p.index()) < n_labels);
             }
         }
+    }
+
+    /// CRC32 over the `to_bits` of every test column's classifier logits,
+    /// after one epoch of fixed-seed training, through the serving path
+    /// ([`chunk_logits`], one forward per table). Anything that moves one
+    /// logit bit — a kernel rewrite, a reordered sum, a wider vector
+    /// target — changes this constant; `scripts/ci.sh` checks it under the
+    /// baseline ISA as well as the default build.
+    #[test]
+    fn classifier_logit_bits_match_the_golden_digest() {
+        let (train_prep, test_prep, mut config, vocab_size, n_labels) = setup();
+        config.epochs = 1;
+        let mut model = KgLinkModel::new(&config, vocab_size, n_labels);
+        train(&mut model, &config, &train_prep, &test_prep);
+        let mut bits = Vec::new();
+        for pt in &test_prep {
+            let tracer = Tracer::disabled();
+            chunk_logits(&model, &config, std::slice::from_ref(pt), None, &tracer, |logits| {
+                bits.extend(logits.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+            });
+        }
+        assert!(bits.len() >= 4 * n_labels * test_prep.len(), "every column's logits");
+        assert_eq!(kglink_nn::frame::crc32(&bits), 0x6A0E_1173);
+    }
+
+    /// CRC32 over the `KGCK` bytes (`TrainCheckpoint::encode`) written after
+    /// a few fixed-seed optimizer steps: parameters, AdamW moments and loop
+    /// state, so it pins the backward kernels and the optimizer as the
+    /// logit digest pins the forward.
+    #[test]
+    fn checkpoint_bytes_match_the_golden_digest() {
+        let (train_prep, test_prep, config, vocab_size, n_labels) = setup();
+        let dir = std::env::temp_dir().join(format!("kglink-golden-{}", std::process::id()));
+        let path = dir.join("model.kgck");
+        let mut model = KgLinkModel::new(&config, vocab_size, n_labels);
+        let options = FitOptions::new().checkpoint_every(&path, 3).halt_after_step(3);
+        let report =
+            train_with(&mut model, &config, &train_prep, &test_prep, &options, &Tracer::disabled())
+                .unwrap();
+        assert!(report.halted, "the fixture must run three steps");
+        let bytes = Checkpointer::load(&path).unwrap().encode();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(kglink_nn::frame::crc32(&bytes), 0x5DE1_0060);
     }
 
     #[test]

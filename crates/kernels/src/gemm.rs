@@ -296,8 +296,6 @@ fn block_loop(
         while j0 < n {
             let nr = NR.min(n - j0);
             match (mr, nr) {
-                #[cfg(feature = "simd")]
-                (MR, NR) => kernel_full(ap, bp, i0, j0, k, out, acc_mode),
                 (_, NR) => kernel_tile::<NR>(ap, bp, i0, j0, mr, k, out, acc_mode),
                 (_, HALF_NR) => kernel_tile::<HALF_NR>(ap, bp, i0, j0, mr, k, out, acc_mode),
                 _ => kernel_edge(ap, bp, i0, j0, mr, nr, k, out, acc_mode),
@@ -305,52 +303,6 @@ fn block_loop(
             j0 += NR;
         }
         i0 += MR;
-    }
-}
-
-/// The 4×8 micro-kernel on `std::simd` (nightly, `simd` feature); the
-/// stable build runs full tiles through [`kernel_tile`] like every other
-/// fixed-width tile, and both are bit-identical.
-#[cfg(feature = "simd")]
-#[inline]
-fn kernel_full(
-    ap: Panel<'_>,
-    bp: Panel<'_>,
-    i0: usize,
-    j0: usize,
-    k: usize,
-    out: &mut MatMut<'_>,
-    acc_mode: bool,
-) {
-    use std::simd::f32x8;
-    let a0 = ap.row(i0, k);
-    let a1 = ap.row(i0 + 1, k);
-    let a2 = ap.row(i0 + 2, k);
-    let a3 = ap.row(i0 + 3, k);
-    let mut accv = [f32x8::splat(0.0); MR];
-    for kk in 0..k {
-        let brow = bp.row(kk, j0 + NR);
-        let b = f32x8::from_slice(&brow[j0..j0 + NR]);
-        let av = [a0[kk], a1[kk], a2[kk], a3[kk]];
-        for r in 0..MR {
-            // Separate mul and add (no fused contraction): bit-identical
-            // to the scalar path.
-            accv[r] += f32x8::splat(av[r]) * b;
-        }
-    }
-    let mut acc = [[0.0f32; NR]; MR];
-    for r in 0..MR {
-        accv[r].copy_to_slice(&mut acc[r]);
-    }
-    for (r, acc_row) in acc.iter().enumerate() {
-        let orow = &mut out.row_mut(i0 + r)[j0..j0 + NR];
-        if acc_mode {
-            for c in 0..NR {
-                orow[c] += acc_row[c];
-            }
-        } else {
-            orow.copy_from_slice(acc_row);
-        }
     }
 }
 

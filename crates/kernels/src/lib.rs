@@ -13,7 +13,10 @@
 //! * [`exp`] / [`tanh`] — the crate's own definitions (no libm), which the
 //!   softmax and GELU kernels above are built on;
 //! * [`Scratch`] — a per-thread pool of recycled `f32` buffers so the
-//!   steady-state inference path performs zero heap allocations.
+//!   steady-state inference path performs zero heap allocations;
+//! * [`check_cpu`] — the typed startup check, read from `/proc/cpuinfo`,
+//!   that the running CPU has every feature this build was compiled for,
+//!   and [`build_isa`].
 //!
 //! # Parity policy
 //!
@@ -35,13 +38,14 @@
 
 #![deny(deprecated)]
 #![forbid(unsafe_code)]
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 
+mod cpu;
 mod fused;
 mod gemm;
 mod math;
 mod scratch;
 
+pub use cpu::{build_isa, check_cpu, MissingCpuFeature};
 pub use fused::{
     add_bias_rows, bias_gelu_rows, gelu, gelu_grad, layer_norm_rows, layer_norm_rows_cached,
     log_softmax, mean, scaled_softmax_rows, softmax, softmax_backward_rows, softmax_rows,
