@@ -115,9 +115,10 @@ impl CtaModel for Hnn {
     }
 
     fn predict_table(&self, env: &BenchEnv<'_>, table: &Table) -> Vec<LabelId> {
-        // kglink-lint: allow(panic-in-lib) — Baseline trait contract: the
-        // bench harness always fits before predicting; a None here is a
-        // harness bug, not a data condition to degrade on.
+        #[expect(
+            clippy::expect_used,
+            reason = "Baseline trait contract: the bench harness always fits before predicting; a None here is a harness bug, not a data condition to degrade on"
+        )]
         let mlp = self.mlp.as_ref().expect("fit before predict");
         (0..table.n_cols())
             .map(|c| {

@@ -264,9 +264,10 @@ impl PlmCore {
             }
         }
         if let Some(blob) = best_blob {
-            // kglink-lint: allow(panic-in-lib) — structural: the blob was
-            // produced by save_params on this very model moments ago, so
-            // shapes always match; a failure is memory corruption, not input.
+            #[expect(
+                clippy::expect_used,
+                reason = "structural: the blob was produced by save_params on this very model moments ago, so shapes always match; a failure is memory corruption, not input"
+            )]
             load_params(self, &blob).expect("restoring own weights cannot fail");
         }
     }

@@ -136,9 +136,10 @@ impl CtaModel for Reca {
     }
 
     fn predict_table(&self, env: &BenchEnv<'_>, table: &Table) -> Vec<LabelId> {
-        // kglink-lint: allow(panic-in-lib) — Baseline trait contract: the
-        // bench harness always fits before predicting; a None here is a
-        // harness bug, not a data condition to degrade on.
+        #[expect(
+            clippy::expect_used,
+            reason = "Baseline trait contract: the bench harness always fits before predicting; a None here is a harness bug, not a data condition to degrade on"
+        )]
         let core = self.core.as_ref().expect("fit before predict");
         (0..table.n_cols())
             .flat_map(|c| core.predict(&self.sequence_for(table, c, env.resources.tokenizer)))

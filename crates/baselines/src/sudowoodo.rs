@@ -236,11 +236,12 @@ impl CtaModel for Sudowoodo {
     }
 
     fn predict_table(&self, env: &BenchEnv<'_>, table: &Table) -> Vec<LabelId> {
-        // kglink-lint: allow(panic-in-lib) — Baseline trait contract: the
-        // bench harness always fits before predicting; a None here is a
-        // harness bug, not a data condition to degrade on.
+        #[expect(
+            clippy::expect_used,
+            reason = "Baseline trait contract: the bench harness always fits before predicting; a None here is a harness bug, not a data condition to degrade on"
+        )]
         let encoder = self.encoder.as_ref().expect("fit before predict");
-        // kglink-lint: allow(panic-in-lib) — same contract as the line above.
+        #[expect(clippy::expect_used, reason = "same contract as the line above")]
         let head = self.head.as_ref().expect("fit before predict");
         (0..table.n_cols())
             .map(|c| {

@@ -306,10 +306,12 @@ pub struct KgLink {
 impl KgLink {
     /// Train KGLink on a dataset's train split, early-stopping on its
     /// validation split. Returns the annotator and the training trace.
+    #[expect(
+        clippy::expect_used,
+        reason = "structural: every TrainError is checkpoint I/O, and default FitOptions do no checkpoint I/O"
+    )]
     pub fn fit(resources: &Resources<'_>, dataset: &Dataset, config: KgLinkConfig) -> (Self, TrainReport) {
         Self::fit_with(resources, dataset, config, &FitOptions::default())
-            // kglink-lint: allow(panic-in-lib) — structural: every TrainError
-            // is checkpoint I/O, and default FitOptions do no checkpoint I/O.
             .expect("fit without checkpoint I/O cannot fail")
     }
 
@@ -349,6 +351,10 @@ impl KgLink {
 
     /// Train from already-preprocessed tables (lets the experiment harness
     /// share one Part-1 pass across models and ablations).
+    #[expect(
+        clippy::expect_used,
+        reason = "structural: every TrainError is checkpoint I/O, and default FitOptions do no checkpoint I/O"
+    )]
     pub fn fit_processed(
         resources: &Resources<'_>,
         train_pt: &[ProcessedTable],
@@ -364,8 +370,6 @@ impl KgLink {
             config,
             &FitOptions::default(),
         )
-        // kglink-lint: allow(panic-in-lib) — structural: every TrainError is
-        // checkpoint I/O, and default FitOptions do no checkpoint I/O.
         .expect("fit without checkpoint I/O cannot fail")
     }
 

@@ -426,6 +426,10 @@ pub fn evaluate(model: &KgLinkModel, config: &KgLinkConfig, tables: &[PreparedTa
 
 /// Fine-tune `model` on `train` with early stopping on `val` accuracy.
 /// Restores the best-epoch weights before returning.
+#[expect(
+    clippy::expect_used,
+    reason = "structural: every TrainError is a checkpoint I/O failure, and default FitOptions do no checkpoint I/O"
+)]
 pub fn train(
     model: &mut KgLinkModel,
     config: &KgLinkConfig,
@@ -440,8 +444,6 @@ pub fn train(
         &FitOptions::default(),
         &Tracer::disabled(),
     )
-    // kglink-lint: allow(panic-in-lib) — structural: every TrainError is a
-    // checkpoint I/O failure, and default FitOptions do no checkpoint I/O.
     .expect("training without checkpoint I/O cannot fail")
 }
 
@@ -694,10 +696,11 @@ pub fn train_with(
                         model.zero_grads();
                         consecutive_bad += 1;
                         if consecutive_bad >= max_consecutive.max(1) {
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "structural: the snapshot was serialized from this very model this run, so decode cannot fail"
+                            )]
                             load_train_state(model, &last_good.0)
-                                // kglink-lint: allow(panic-in-lib) — structural:
-                                // the snapshot was serialized from this very
-                                // model this run, so decode cannot fail.
                                 .expect("restoring own snapshot cannot fail");
                             opt.set_steps(last_good.1);
                             consecutive_bad = 0;
@@ -777,8 +780,10 @@ pub fn train_with(
         epoch += 1;
     }
     if let Some(blob) = best_blob {
-        // kglink-lint: allow(panic-in-lib) — structural: best_blob came from
-        // save_params on this model during this run; shapes always match.
+        #[expect(
+            clippy::expect_used,
+            reason = "structural: best_blob came from save_params on this model during this run; shapes always match"
+        )]
         load_params(model, &blob).expect("restoring own weights cannot fail");
     }
     Ok(report)

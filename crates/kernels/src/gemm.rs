@@ -311,7 +311,11 @@ fn block_loop(
 /// All `MR` accumulator rows are computed (rows past `mr` re-read the last
 /// valid row and are never written back), so both inner loops have
 /// constant bounds and stable rustc auto-vectorizes them.
-#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
+#[expect(
+    clippy::needless_range_loop,
+    clippy::too_many_arguments,
+    reason = "constant-bound index loops are what auto-vectorizes; the panels, offsets and output view are the kernel's whole state"
+)]
 fn kernel_tile<const W: usize>(
     ap: Panel<'_>,
     bp: Panel<'_>,
@@ -347,7 +351,11 @@ fn kernel_tile<const W: usize>(
 
 /// Ragged-tail kernel for every other width: an `mr × nr` block (`mr ≤ 4`,
 /// `nr < 8`) with the same sequential-`k` accumulation.
-#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
+#[expect(
+    clippy::needless_range_loop,
+    clippy::too_many_arguments,
+    reason = "same loop shape and kernel state as `kernel_tile`"
+)]
 fn kernel_edge(
     ap: Panel<'_>,
     bp: Panel<'_>,
@@ -395,7 +403,10 @@ fn kernel_edge(
 /// bits on finite data.) Deliberately element-at-a-time: no blocking, no
 /// register tiling — each accumulation is a serial dependency chain the
 /// compiler cannot vectorize without reassociating float adds.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "takes `gemm_impl`'s operands plus the shapes it already derived, so the reference path is a drop-in branch"
+)]
 fn reference(
     a: Mat<'_>,
     b: Mat<'_>,

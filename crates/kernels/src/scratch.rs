@@ -39,6 +39,9 @@ impl Scratch {
             Some(i) => self.pool.swap_remove(i),
             None => {
                 self.fresh_allocs += 1;
+                // kglink-lint: allow(hot-path-alloc) — the pool grows only while
+                // warming up to a workload's largest shapes; crates/nn/tests/alloc.rs
+                // pins steady-state allocations to zero.
                 Vec::with_capacity(len)
             }
         };

@@ -61,11 +61,11 @@ impl KnowledgeGraph {
         if let Some(pos) = self.predicates.iter().position(|p| p == name) {
             return PredicateId(pos as u16);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "capacity guard: the KGLink predicate vocabulary is a few dozen relations (Wikidata uses ~11k); a typed error would ripple through every intern call site for a bound no real graph approaches"
+        )]
         let id = PredicateId(
-            // kglink-lint: allow(panic-in-lib) — capacity guard: the KGLink
-            // predicate vocabulary is a few dozen relations (Wikidata uses
-            // ~11k); a typed error would ripple through every intern call
-            // site for a bound no real graph approaches.
             u16::try_from(self.predicates.len()).expect("more than u16::MAX predicates"),
         );
         self.predicates.push(name.to_string());
@@ -101,9 +101,10 @@ impl KnowledgeGraph {
 
     /// Append an entity, returning its id.
     pub fn add_entity(&mut self, entity: Entity) -> EntityId {
-        // kglink-lint: allow(panic-in-lib) — capacity guard: EntityId is u32
-        // by design (4G entities ≫ the paper's 100M-entity KG); overflow is
-        // a build-time sizing decision, not a runtime data condition.
+        #[expect(
+            clippy::expect_used,
+            reason = "capacity guard: EntityId is u32 by design (4G entities ≫ the paper's 100M-entity KG); overflow is a build-time sizing decision, not a runtime data condition"
+        )]
         let id = EntityId(u32::try_from(self.entities.len()).expect("more than u32::MAX entities"));
         self.entities.push(entity);
         self.outgoing.push(Vec::new());

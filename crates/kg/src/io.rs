@@ -166,8 +166,10 @@ pub fn import_triples_from(reader: impl BufRead) -> Result<KnowledgeGraph, KgIoE
                     .ok_or_else(|| bad(line, &format!("unknown schema {schema:?}")))?;
                 let mut entity = Entity::new(label, schema);
                 entity.is_type = is_type == "1";
-                // kglink-lint: allow(panic-in-lib) — capacity guard mirroring
-                // KnowledgeGraph::add_entity: ids are u32 by design.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "capacity guard mirroring KnowledgeGraph::add_entity: ids are u32 by design"
+                )]
                 let eid = EntityId(u32::try_from(entities.len()).expect("more than u32::MAX entities"));
                 entities.push(entity);
                 if ids.insert(id.to_string(), eid).is_some() {

@@ -247,9 +247,11 @@ impl<'c> Generator<'c> {
         id
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "structural: every caller either guards with is_empty() or draws from a pool this builder filled"
+    )]
     fn pick(&mut self, pool: &[EntityId]) -> EntityId {
-        // kglink-lint: allow(panic-in-lib) — structural: every caller either
-        // guards with is_empty() or draws from a pool this builder filled.
         *pool.choose(&mut self.rng).expect("non-empty pool")
     }
 
@@ -531,9 +533,10 @@ impl<'c> Generator<'c> {
                             self.b.relate(id, member_of, party);
                         }
                     }
-                    // kglink-lint: allow(panic-in-lib) — the match arms mirror
-                    // the closed profession list literal a few lines above; a
-                    // new profession must extend both, and this is the fuse.
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "the match arms mirror the closed profession list literal a few lines above; a new profession must extend both, and this is the fuse"
+                    )]
                     _ => unreachable!(),
                 }
             }

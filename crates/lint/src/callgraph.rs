@@ -4,9 +4,11 @@
 //! Resolution is *name-based with type narrowing*, not full type inference
 //! (std-only crate; `syn` and rustc internals are off the table):
 //!
-//! - `self.helper(..)` resolves within the caller's `impl` type first.
+//! - `self.helper(..)` resolves within the caller's `impl` type first, and
+//!   `s.take(..)` on a parameter `s: &mut Scratch` within `Scratch`.
 //! - `Type::assoc(..)` resolves to fns whose `impl` type matches `Type`
-//!   (through `use` renames).
+//!   (through `use` renames), and to nothing when the workspace has no
+//!   `impl Type` (`Vec::with_capacity` is std's, not a same-name fn's).
 //! - `recv.method(..)` and bare `helper(..)` resolve by name, same-file
 //!   candidates preferred.
 //!
@@ -172,24 +174,32 @@ impl Resolver {
         Resolver { by_name, by_ty }
     }
 
-    /// Resolve one call site made from `caller` (an index into the fn
-    /// table) in `caller_file`.
+    /// Resolve one call site made from `caller`, which lives in
+    /// `caller_file`.
     pub fn resolve(
         &self,
         site: &CallSite,
         caller_file_ix: usize,
-        caller_self_ty: Option<&str>,
+        caller: &FnItem,
         fns: &[(usize, FnItem)],
         aliases: &BTreeMap<String, String>,
     ) -> Vec<usize> {
         match site.kind {
             CallKind::Method => {
-                // `self.helper()` → same impl type wins outright.
-                if site.receiver.as_deref() == Some("self") {
-                    if let Some(ty) = caller_self_ty {
-                        if let Some(c) = self.by_ty.get(&(ty.to_string(), site.name.clone())) {
-                            return c.clone();
-                        }
+                // `self.helper()` → same impl type wins outright, and so
+                // does the declared type of a parameter receiver.
+                let recv_ty = match site.receiver.as_deref() {
+                    Some("self") => caller.self_ty.as_deref(),
+                    Some(r) => caller
+                        .params
+                        .iter()
+                        .find(|p| p.name == r)
+                        .and_then(|p| named_type(&p.ty)),
+                    None => None,
+                };
+                if let Some(ty) = recv_ty {
+                    if let Some(c) = self.by_ty.get(&(ty.to_string(), site.name.clone())) {
+                        return c.clone();
                     }
                 }
                 // The by-name fallback has no receiver type, so std
@@ -218,8 +228,18 @@ impl Resolver {
                     .as_deref()
                     .map(|q| aliases.get(q).map(String::as_str).unwrap_or(q));
                 if let Some(q) = qual {
+                    let q = if q == "Self" {
+                        caller.self_ty.as_deref().unwrap_or(q)
+                    } else {
+                        q
+                    };
                     if let Some(c) = self.by_ty.get(&(q.to_string(), site.name.clone())) {
                         return c.clone();
+                    }
+                    let ours = self.by_ty.range((q.to_string(), String::new())..).next();
+                    let ours = ours.is_some_and(|((ty, _), _)| ty == q);
+                    if q.starts_with(char::is_uppercase) && !ours {
+                        return Vec::new();
                     }
                 }
                 capped(self.by_name.get(&site.name).cloned().unwrap_or_default())
@@ -250,6 +270,22 @@ const UBIQUITOUS_METHODS: &[&str] = &[
     "push", "push_back", "push_front", "read", "recv", "remove", "replace", "send", "store",
     "swap", "take", "unwrap", "wait", "write",
 ];
+
+/// The type a parameter of type `ty` (space-joined tokens) names, past
+/// references, `mut`, lifetimes and a module path: `Scratch` for
+/// `&'s mut kernels::Scratch`. `None` for generic or compound types.
+fn named_type(ty: &str) -> Option<&str> {
+    let mut name = None;
+    for tok in ty.split(' ') {
+        match tok {
+            "&" | "mut" | ":" => {}
+            t if t.starts_with('\'') => {}
+            t if t.chars().all(|c| c.is_alphanumeric() || c == '_') => name = Some(t),
+            _ => return None,
+        }
+    }
+    name
+}
 
 fn capped(v: Vec<usize>) -> Vec<usize> {
     if v.len() > AMBIG_LIMIT {
@@ -297,6 +333,24 @@ mod tests {
         assert_eq!(got[1], (CallKind::Method, "lock".into(), None));
     }
 
+    /// Every fn's call sites in `src`, each resolved from its own caller.
+    fn resolved(src: &str) -> Vec<Vec<Vec<usize>>> {
+        let f = SourceFile::new("crates/x/src/a.rs".into(), src.into());
+        let items = parse_items(&f);
+        let fns: Vec<(usize, FnItem)> = items.fns.iter().map(|i| (0usize, i.clone())).collect();
+        let files = vec![f];
+        let r = Resolver::new(&fns, &files);
+        fns.iter()
+            .map(|(_, item)| {
+                let body: Vec<_> = item.body.into_iter().collect();
+                extract_calls(&files[0], &body)
+                    .iter()
+                    .map(|c| r.resolve(c, 0, item, &fns, &BTreeMap::new()))
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn self_method_resolves_within_impl_type() {
         let src = "\
@@ -308,16 +362,35 @@ impl Bar {
     fn b(&self) {}
 }
 ";
-        let f = SourceFile::new("crates/x/src/a.rs".into(), src.into());
-        let items = parse_items(&f);
-        let fns: Vec<(usize, FnItem)> = items.fns.iter().map(|i| (0usize, i.clone())).collect();
-        let files = vec![f];
-        let r = Resolver::new(&fns, &files);
-        let body = fns[0].1.body.unwrap();
-        let calls = extract_calls(&files[0], &[body]);
-        assert_eq!(calls.len(), 1);
-        let callees = r.resolve(&calls[0], 0, Some("Foo"), &fns, &BTreeMap::new());
-        assert_eq!(callees, vec![1], "resolves to Foo::b only, not Bar::b");
+        // Resolves to Foo::b only, not Bar::b.
+        assert_eq!(resolved(src)[0], vec![vec![1]]);
+    }
+
+    #[test]
+    fn receivers_and_type_paths_resolve_within_declared_types() {
+        let src = "\
+fn caller(s: &'a mut kernels::Scratch, v: Vec<u32>) {
+    s.take(4);
+    v.take();
+    Vec::with_capacity(4);
+    Scratch::with_capacity(4);
+    scratch::reset();
+}
+impl Scratch {
+    fn take(&mut self, n: usize) {}
+    fn with_capacity(n: usize) -> Scratch { Self::reset() }
+    fn reset() {}
+}
+impl Pool {
+    fn take(&mut self, n: usize) {}
+}
+";
+        let got = resolved(src);
+        // A parameter's declared type narrows `take` to `Scratch::take`; a
+        // generic one names nothing, and `take` stays ubiquitous. std's
+        // `Vec` is not ours; a module path still resolves by name.
+        assert_eq!(got[0], vec![vec![1], vec![], vec![], vec![2], vec![3]]);
+        assert_eq!(got[2], vec![vec![3]], "`Self::` is the impl type");
     }
 
     #[test]
@@ -340,9 +413,9 @@ impl Bar {
         let r = Resolver::new(&fns, &files);
         let body = fns[0].1.body.unwrap();
         let calls = extract_calls(&files[0], &[body]);
-        let frob = r.resolve(&calls[0], 0, None, &fns, &BTreeMap::new());
+        let frob = r.resolve(&calls[0], 0, &fns[0].1, &fns, &BTreeMap::new());
         assert_eq!(frob, vec![1], "test-scope frob is not a candidate");
-        let common = r.resolve(&calls[1], 0, None, &fns, &BTreeMap::new());
+        let common = r.resolve(&calls[1], 0, &fns[0].1, &fns, &BTreeMap::new());
         assert!(common.is_empty(), "6 candidates exceed AMBIG_LIMIT");
     }
 }

@@ -3,7 +3,7 @@
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable rule id, e.g. `panic-in-lib`.
+    /// Stable rule id, e.g. `lock-order`.
     pub rule: &'static str,
     /// Repo-relative path.
     pub path: String,

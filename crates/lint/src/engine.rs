@@ -217,8 +217,8 @@ mod tests {
     fn justified_allow_suppresses_and_counts() {
         let src = "\
 fn f() {
-    // kglink-lint: allow(panic-in-lib) — capacity bounded by construction
-    x.unwrap();
+    // kglink-lint: allow(nondeterminism) — timing only, never in an output
+    let t = Instant::now();
 }
 ";
         let r = lint_one("crates/kg/src/graph.rs", src);
@@ -228,7 +228,7 @@ fn f() {
 
     #[test]
     fn bare_allow_still_suppresses_but_is_flagged_itself() {
-        let src = "fn f() {\n // kglink-lint: allow(panic-in-lib)\n x.unwrap();\n}\n";
+        let src = "fn f() {\n // kglink-lint: allow(nondeterminism)\n let t = Instant::now();\n}\n";
         let r = lint_one("crates/kg/src/graph.rs", src);
         assert_eq!(r.suppressed, 1);
         assert_eq!(r.findings.len(), 1);
@@ -239,7 +239,7 @@ fn f() {
     fn unused_and_unknown_allows_are_flagged() {
         let src = "\
 fn f() {
-    // kglink-lint: allow(panic-in-lib) — nothing panicky follows anymore
+    // kglink-lint: allow(nondeterminism) — no clock read follows anymore
     let x = 1;
     // kglink-lint: allow(no-such-rule) — rule id typo'd
     let y = 2;

@@ -362,7 +362,10 @@ fn parse_fn(
     (Some(item), body_open + 1)
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per FnItem field the signature scan produced"
+)]
 fn make_fn(
     f: &SourceFile,
     start: usize,

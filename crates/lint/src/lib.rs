@@ -2,10 +2,12 @@
 //!
 //! The repo's correctness story rests on invariants the type system cannot
 //! see — bit-identical kill+resume, bit-identical multi-worker serving,
-//! single-source percentile math, atomic checkpoint writes, panic-free
-//! library code. This crate enforces them statically, at CI time, replacing
-//! the two path-anchored `grep` gates that used to live in `scripts/ci.sh`
-//! (which silently rotted whenever an exempted file was renamed).
+//! single-source percentile math, atomic checkpoint writes, lock order,
+//! allocation-free inference. This crate enforces them statically, at CI
+//! time, replacing the two path-anchored `grep` gates that used to live in
+//! `scripts/ci.sh` (which silently rotted whenever an exempted file was
+//! renamed). Per-site token bans — panics in library code, unbounded
+//! serving channels, `unsafe` — are compiler and clippy settings instead.
 //!
 //! Std-only by design: the workspace builds offline against vendored stubs,
 //! so `syn` is off the table. The [`lexer`] is a comment/string/raw-string
@@ -30,7 +32,7 @@
 //! - [`callgraph`] — call-site extraction and name-based resolution with
 //!   type narrowing.
 //! - [`summary`] — the one scanner for per-fn facts (lock holds,
-//!   panic/alloc/poison/blocking sites, `Deadline` discipline) and their
+//!   alloc/poison/blocking sites, `Deadline` discipline) and their
 //!   fixpoint propagation.
 //! - [`workspace`] — the assembled model handed to every rule.
 //! - [`rules`] — the rule set behind the one [`rules::Rule`] trait; see
@@ -42,6 +44,7 @@
 
 #![deny(deprecated)]
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::allow_attributes, clippy::allow_attributes_without_reason))]
 
 pub mod callgraph;
 pub mod diag;

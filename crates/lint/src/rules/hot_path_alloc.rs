@@ -1,61 +1,45 @@
-//! `hot-path-alloc`: kernel and layer forward/backward bodies must not
-//! allocate — including through the helpers they call.
+//! `hot-path-alloc`: steady-state inference allocates nothing — checked
+//! from the packed encoder forward down through every helper it reaches.
 //!
-//! The kernel layer's whole contract is that steady-state inference
-//! performs zero heap allocations: every buffer comes from a preallocated
-//! [`Scratch`] arena (`kglink_kernels::Scratch`), and the counting-allocator
-//! test in `crates/nn/tests/alloc.rs` enforces the end-to-end guarantee.
-//! That test only covers the paths it drives, though — a `vec![0.0; n]`
-//! added to a rarely-taken branch regresses the per-call allocation count
-//! without failing it. This rule is the static backstop. The allocation
-//! idioms (`Vec::new()`, `vec![`, `.to_vec()`, `.clone()`) are recognised by
-//! `summary::scan`; a finding is a witness chain from a hot body to one:
+//! Inference runs `Encoder::forward_packed` → `block_rows` → `gemm_rows`
+//! (`crates/nn/src/encoder.rs`), and every buffer they need comes from a
+//! preallocated [`Scratch`] arena (`kglink_kernels::Scratch`). The
+//! counting-allocator test in `crates/nn/tests/alloc.rs` pins the real
+//! allocation count to zero, but only on the paths it drives — a
+//! `vec![0.0; n]` added to a rarely-taken branch regresses it without
+//! failing. This rule is the static backstop. The allocation idioms
+//! `summary::scan` recognises (`Vec::new()`, `Vec::with_capacity(..)`,
+//! `vec![..]`, `.to_vec()`, `.clone()`) are flagged where they stand in
+//! the three roots and in every non-test fn of `crates/kernels/src` and
+//! `crates/nn/src` the roots reach through resolved calls; the message
+//! carries the chain from the root. Code outside those crates allocates
+//! freely — a cold error branch that formats a message is the counting
+//! test's business, not this rule's.
 //!
-//! 1. **Zero-length chains** — an allocation site inside a
-//!    `fn forward`/`fn backward` body (fns nested in that body included) in
-//!    the kernel crate (`crates/kernels/`) and the layer zoo
-//!    (`crates/nn/src/layers/`), reported at the site.
-//! 2. **Reach through helpers** — a forward/backward body calling (through
-//!    any resolved chain) a function in those same hot-path crates whose
-//!    body allocates. The helper itself is legal (`hot-path-alloc` only
-//!    polices hot bodies), but calling it from a hot body moves the
-//!    allocation onto the steady-state path; flagged at the call site.
-//!    Allocations outside the hot-path crates are out of scope — the rest
-//!    of the workspace allocates freely, and hot code calling into it
-//!    (e.g. error construction on a cold branch) is the allocation-counting
-//!    test's business, not this rule's.
-//!
-//! Training-path allocations that are *owned past the call* — a cache that
-//! must outlive the caller's borrow of the input, for example — are
-//! legitimate; they carry a justified
-//! `// kglink-lint: allow(hot-path-alloc)` comment, which also stops the
-//! site from propagating to callers.
+//! The one sanctioned site is `Scratch::take`'s pool miss: it happens
+//! during warm-up only and carries a justified
+//! `// kglink-lint: allow(hot-path-alloc)`. A root that no longer exists is
+//! itself a finding, so renaming one fails the gate instead of silently
+//! checking nothing.
 //!
 //! [`Scratch`]: ../../../kernels/src/scratch.rs
 
 use super::Rule;
 use crate::diag::Finding;
-use crate::items::FnItem;
-use crate::source::{Scope, SourceFile};
+use crate::source::Scope;
 use crate::workspace::Workspace;
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
 
 pub struct HotPathAlloc;
 
-/// Path prefixes whose forward/backward bodies are hot-path code. The rest
-/// of the workspace allocates freely.
-const PATH_SCOPE: &[&str] = &["crates/kernels/", "crates/nn/src/layers/"];
+/// The file holding the packed inference forward.
+const ROOT_FILE: &str = "crates/nn/src/encoder.rs";
 
-/// Function names whose bodies the rule polices.
-const HOT_FNS: &[&str] = &["forward", "backward"];
+/// The inference forward's fns in [`ROOT_FILE`]: where reachability starts.
+const ROOTS: &[&str] = &["forward_packed", "block_rows", "gemm_rows"];
 
-fn in_scope(f: &SourceFile) -> bool {
-    f.scope == Scope::Lib && PATH_SCOPE.iter().any(|p| f.path.starts_with(p))
-}
-
-fn is_hot(f: &SourceFile, item: &FnItem) -> bool {
-    in_scope(f) && !item.in_test && HOT_FNS.contains(&item.name.as_str())
-}
+/// Crates whose fns are on the hot path once a root reaches them.
+const HELPER_SCOPE: &[&str] = &["crates/kernels/src/", "crates/nn/src/"];
 
 impl Rule for HotPathAlloc {
     fn id(&self) -> &'static str {
@@ -63,87 +47,80 @@ impl Rule for HotPathAlloc {
     }
 
     fn describe(&self) -> &'static str {
-        "kernel/layer forward and backward bodies allocate only through scratch arenas, including via helpers"
+        "the packed inference forward, and every kernels/nn fn it reaches, allocate only through scratch arenas"
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        // Own sites. Fns are listed in source order, a parent before the fns
-        // nested in its body, so "inside the current hot body" is one
-        // comparison against where that body closes.
-        let mut hot_until: Option<(usize, usize)> = None;
-        for (i, (file_ix, item)) in ws.fns.iter().enumerate() {
+        // Only a run that lints the nn crate can hold the roots.
+        if !ws
+            .files
+            .iter()
+            .any(|f| f.path.starts_with("crates/nn/src/"))
+        {
+            return;
+        }
+        let on_path = |i: usize| {
+            let (file_ix, item) = &ws.fns[i];
             let f = &ws.files[*file_ix];
-            if !hot_until.is_some_and(|(hf, close)| hf == *file_ix && item.decl_ix < close) {
-                hot_until = item.body.filter(|_| is_hot(f, item)).map(|(_, close)| (*file_ix, close));
-            }
-            if hot_until.is_none() {
+            f.scope == Scope::Lib
+                && !item.in_test
+                && HELPER_SCOPE.iter().any(|p| f.path.starts_with(p))
+        };
+        // Breadth-first from the roots over resolved calls; `chain[i]` is
+        // the call chain that first reached fn `i`, root name first.
+        let mut chain: Vec<Option<Vec<String>>> = vec![None; ws.fns.len()];
+        let mut queue = VecDeque::new();
+        for &root in ROOTS {
+            let found = (0..ws.fns.len()).find(|&i| {
+                let (file_ix, item) = &ws.fns[i];
+                ws.files[*file_ix].path == ROOT_FILE
+                    && item.name == root
+                    && item.body.is_some()
+                    && on_path(i)
+            });
+            let Some(i) = found else {
+                out.push(Finding::new(
+                    self.id(),
+                    ROOT_FILE,
+                    0,
+                    format!(
+                        "hot-path root `fn {root}` not found in {ROOT_FILE}: the rule would check \
+                         nothing; point `ROOTS` at the inference forward's new name"
+                    ),
+                ));
                 continue;
+            };
+            chain[i] = Some(vec![root.to_string()]);
+            queue.push_back(i);
+        }
+        while let Some(i) = queue.pop_front() {
+            for call in &ws.calls[i] {
+                for &callee in &call.callees {
+                    if chain[callee].is_some() || !on_path(callee) {
+                        continue;
+                    }
+                    let mut via = chain[i].clone().unwrap_or_default();
+                    via.push(call.site.name.clone());
+                    chain[callee] = Some(via);
+                    queue.push_back(callee);
+                }
             }
+        }
+        for (i, via) in chain.iter().enumerate() {
+            let Some(via) = via else { continue };
+            let f = &ws.files[ws.fns[i].0];
             for site in &ws.locals[i].alloc_sites {
                 out.push(Finding::new(
                     self.id(),
                     &f.path,
                     site.line,
                     format!(
-                        "{} in a hot-path forward/backward body: take the buffer \
-                         from the scratch arena (`kernels::with_thread_scratch`) or hoist \
-                         it out of the call; if the allocation is a training cache that \
-                         must own its data, justify it with an allow comment",
-                        site.what
+                        "{} on the inference hot path (`{}`): take the buffer from the \
+                         scratch arena or hoist it out of the call",
+                        site.what,
+                        via.join(" → "),
                     ),
                 ));
-            }
-        }
-        let mut seen: BTreeSet<(usize, u32, String)> = BTreeSet::new();
-        for (i, (file_ix, item)) in ws.fns.iter().enumerate() {
-            let f = &ws.files[*file_ix];
-            if !is_hot(f, item) {
-                continue;
-            }
-            for call in &ws.calls[i] {
-                for &callee in &call.callees {
-                    if callee == i {
-                        continue;
-                    }
-                    let Some(w) = &ws.props[callee].may_alloc else {
-                        continue;
-                    };
-                    let wf = &ws.files[w.site.file];
-                    if !in_scope(wf) {
-                        continue; // out-of-scope code allocates freely
-                    }
-                    // The fn owning the witness site is the last hop of the
-                    // chain (or the callee itself); if that is a hot body in
-                    // scope, the site is already reported where it stands.
-                    let owner = w
-                        .via
-                        .last()
-                        .map(String::as_str)
-                        .unwrap_or(ws.fns[callee].1.name.as_str());
-                    if HOT_FNS.contains(&owner) {
-                        continue;
-                    }
-                    if !seen.insert((*file_ix, call.site.line, call.site.name.clone())) {
-                        continue;
-                    }
-                    out.push(Finding::new(
-                        self.id(),
-                        &f.path,
-                        call.site.line,
-                        format!(
-                            "`{}` body calls `{}` which allocates at {}:{} ({}){} — \
-                             the helper puts a heap allocation on the steady-state \
-                             path; take the buffer from the scratch arena or hoist \
-                             it out of the hot body",
-                            item.name,
-                            call.site.name,
-                            wf.path,
-                            w.site.line,
-                            w.site.what,
-                            w.via_text(),
-                        ),
-                    ));
-                }
             }
         }
     }
@@ -153,7 +130,7 @@ impl Rule for HotPathAlloc {
 mod tests {
     use super::*;
 
-    fn run_files(files: Vec<(&str, &str)>) -> Vec<(String, u32, String)> {
+    fn run(files: Vec<(&str, &str)>) -> Vec<(String, u32, String)> {
         let ws = Workspace::from_sources(files);
         let mut out = Vec::new();
         HotPathAlloc.check(&ws, &mut out);
@@ -162,109 +139,102 @@ mod tests {
             .collect()
     }
 
-    fn run(path: &str, src: &str) -> Vec<u32> {
-        run_files(vec![(path, src)])
-            .into_iter()
-            .map(|(_, l, _)| l)
-            .collect()
+    fn lines(files: Vec<(&str, &str)>) -> Vec<(String, u32)> {
+        run(files).into_iter().map(|(p, l, _)| (p, l)).collect()
     }
 
-    const HOT: &str = "\
-pub fn forward(&self, x: &Tensor) -> Tensor {
-    let cache = x.clone();
-    let ids = self.ids.to_vec();
-    let mut buf = vec![0.0f32; 8];
-    let mut tails = Vec::new();
-    buf[0] = 1.0;
-    cache
-}
+    /// All three roots, allocation-free, calling `helper` from `gemm_rows`.
+    const ROOTS_SRC: &str = "\
+fn forward_packed(&self) { block_rows(); }
+fn block_rows() { gemm_rows(); }
+fn gemm_rows() { helper(); }
 ";
 
     #[test]
-    fn flags_all_four_patterns_in_forward() {
-        assert_eq!(
-            run("crates/nn/src/layers/linear.rs", HOT),
-            vec![2, 3, 4, 5]
-        );
-        assert_eq!(run("crates/kernels/src/gemm.rs", HOT), vec![2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn backward_is_scanned_and_other_fns_are_not() {
+    fn flags_every_idiom_in_a_root() {
         let src = "\
-fn backward(&self) { let d = dy.clone(); }
-fn infer(&self) { let y = x.clone(); }
-fn helper() { let v = Vec::new(); }
-";
-        assert_eq!(run("crates/nn/src/layers/ffn.rs", src), vec![1]);
-    }
-
-    #[test]
-    fn out_of_scope_paths_tests_and_signatures_are_exempt() {
-        assert!(run("crates/core/src/train.rs", HOT).is_empty());
-        assert!(run("crates/nn/src/encoder.rs", HOT).is_empty());
-        assert!(run("crates/nn/tests/alloc.rs", HOT).is_empty());
-        let inline = "#[cfg(test)]\nmod t {\n    fn forward() { let v = x.clone(); }\n}\n";
-        assert!(run("crates/nn/src/layers/linear.rs", inline).is_empty());
-        let sig = "trait Layer { fn forward(&self, x: &Tensor) -> Tensor; }\n";
-        assert!(run("crates/nn/src/layers/linear.rs", sig).is_empty());
-    }
-
-    #[test]
-    fn fn_nested_in_a_hot_body_is_part_of_it() {
-        let src = "\
-fn forward(&self) {
-    fn pad(n: usize) -> Vec<f32> { vec![0.0; n] }
+fn forward_packed(&self, x: &Tensor) { block_rows(); gemm_rows(); }
+fn block_rows(x: &Tensor) {
+    let a = x.clone();
+    let b = x.ids.to_vec();
+    let c = vec![0.0f32; 8];
+    let d = Vec::new();
+    let e = Vec::with_capacity(8);
 }
-fn pad_cold(n: usize) -> Vec<f32> { vec![0.0; n] }
+fn gemm_rows() {}
 ";
-        assert_eq!(run("crates/nn/src/layers/linear.rs", src), vec![2]);
+        let got = lines(vec![(ROOT_FILE, src)]);
+        let want: Vec<(String, u32)> = (3..=7).map(|l| (ROOT_FILE.to_string(), l)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
-    fn clone_with_arguments_and_plain_idents_do_not_match() {
-        // `clone_from(...)`, a field named `clone`, and `to_vec` without a
-        // receiver are not the flagged idioms.
-        let src = "\
-fn forward(&self) {
-    a.clone_from(&b);
-    let c = self.clone;
-    let d = to_vec(x);
-}
-";
-        assert!(run("crates/nn/src/layers/linear.rs", src).is_empty());
-    }
-
-    #[test]
-    fn forward_calling_allocating_helper_is_flagged_at_the_call() {
-        let src = "\
-pub fn forward(x: &[f32]) -> f32 {
-    let s = scale(x);
-    s
-}
-fn scale(x: &[f32]) -> f32 {
-    let owned = x.to_vec();
-    owned[0]
-}
-";
-        let hits = run_files(vec![("crates/kernels/src/norm.rs", src)]);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].1, 2);
-        assert!(hits[0].2.contains("`scale`") && hits[0].2.contains("norm.rs:6"), "{}", hits[0].2);
-    }
-
-    #[test]
-    fn helper_outside_hot_crates_is_not_flagged() {
-        let hits = run_files(vec![
+    fn reachable_helper_is_flagged_at_its_site_with_the_chain() {
+        let hits = run(vec![
+            (ROOT_FILE, ROOTS_SRC),
             (
                 "crates/kernels/src/norm.rs",
-                "pub fn forward(x: &[f32]) -> f32 { cold_error(x) }\n",
+                "pub fn helper() { scale(); }\nfn scale(x: &[f32]) { let o = x.to_vec(); }\n",
             ),
+        ]);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        let (path, line, msg) = &hits[0];
+        assert_eq!((path.as_str(), *line), ("crates/kernels/src/norm.rs", 2));
+        assert!(msg.contains("`gemm_rows → helper → scale`"), "{msg}");
+    }
+
+    #[test]
+    fn unreachable_test_and_out_of_scope_code_is_exempt() {
+        let hits = lines(vec![
+            (ROOT_FILE, ROOTS_SRC),
+            // Reached, but outside the kernels/nn crates.
             (
                 "crates/core/src/err.rs",
-                "pub fn cold_error(x: &[f32]) -> f32 { let v = x.to_vec(); v[0] }\n",
+                "pub fn helper() { let v = Vec::new(); }\n",
+            ),
+            // In scope, but no root reaches it (training code).
+            (
+                "crates/nn/src/layers/linear.rs",
+                "pub fn forward(x: &Tensor) { let c = x.clone(); }\n",
+            ),
+            // Reached by name, but test code.
+            (
+                "crates/nn/src/tensor.rs",
+                "#[cfg(test)]\nmod t {\n    fn helper() { let v = vec![1]; }\n}\n",
             ),
         ]);
         assert!(hits.is_empty(), "{hits:?}");
+    }
+
+    #[test]
+    fn lookalikes_do_not_match() {
+        // `clone_from(...)`, a field named `clone`, `to_vec` without a
+        // receiver, and `Vec::from` are not the flagged idioms.
+        let src = "\
+fn forward_packed() { block_rows(); gemm_rows(); }
+fn block_rows(&self) {
+    a.clone_from(&b);
+    let c = self.clone;
+    let d = to_vec(x);
+    let e = Vec::from(x);
+}
+fn gemm_rows() {}
+";
+        assert!(lines(vec![(ROOT_FILE, src)]).is_empty());
+    }
+
+    #[test]
+    fn a_missing_root_is_a_finding_once_the_nn_crate_is_linted() {
+        let renamed =
+            "fn forward_packed() { block_rows(); }\nfn block_rows() {}\nfn gemm_rows_v2() {}\n";
+        let hits = run(vec![(ROOT_FILE, renamed)]);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!((hits[0].0.as_str(), hits[0].1), (ROOT_FILE, 0));
+        assert!(hits[0].2.contains("`fn gemm_rows`"), "{}", hits[0].2);
+        // A moved file loses all three roots.
+        let moved = run(vec![("crates/nn/src/forward.rs", ROOTS_SRC)]);
+        assert_eq!(moved.len(), 3, "{moved:?}");
+        // A run that does not lint the nn crate has no roots to look for.
+        assert!(run(vec![("crates/kernels/src/gemm.rs", "fn gemm() {}\n")]).is_empty());
     }
 }

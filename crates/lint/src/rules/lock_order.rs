@@ -23,7 +23,8 @@
 //!    after arguing each guarded structure is re-validatable. A bare
 //!    `.lock().unwrap()` / `.read().expect(...)` bypasses that audit and
 //!    re-introduces poison cascades; it is flagged here (on top of
-//!    `panic-in-lib`) even in binaries and outside fn bodies.
+//!    clippy's `expect_used`/`unwrap_used` in lib code) even in binaries
+//!    and outside fn bodies.
 
 use super::Rule;
 use crate::diag::Finding;

@@ -13,9 +13,7 @@ mod epoch_hold;
 mod hot_path_alloc;
 mod lock_order;
 mod nondeterminism;
-mod panic_in_lib;
 mod single_percentile;
-mod unbounded_channel;
 
 pub use atomic_write::AtomicWrite;
 pub use blocking_under_lock::BlockingUnderLock;
@@ -24,16 +22,14 @@ pub use epoch_hold::EpochHold;
 pub use hot_path_alloc::HotPathAlloc;
 pub use lock_order::LockOrder;
 pub use nondeterminism::Nondeterminism;
-pub use panic_in_lib::PanicInLib;
 pub use single_percentile::SinglePercentile;
-pub use unbounded_channel::UnboundedChannel;
 
 use crate::diag::Finding;
 use crate::source::SourceFile;
 use crate::workspace::Workspace;
 
 /// A lint rule: runs once over the assembled [`Workspace`]. Token rules
-/// iterate `ws.files`; rules about panics, allocations, locks and blocking
+/// iterate `ws.files`; rules about allocations, locks and blocking
 /// read the per-fn summaries (`ws.locals`, `ws.gaps`) for their own sites
 /// and the propagated ones (`ws.props`) for sites reached through calls —
 /// a direct finding is the zero-length chain of the fact propagation uses.
@@ -50,8 +46,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(Nondeterminism),
         Box::new(AtomicWrite),
         Box::new(SinglePercentile),
-        Box::new(UnboundedChannel),
-        Box::new(PanicInLib),
         Box::new(LockOrder),
         Box::new(HotPathAlloc),
         Box::new(BlockingUnderLock),

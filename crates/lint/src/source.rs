@@ -4,7 +4,7 @@
 use crate::lexer::{lex, Tok, TokKind};
 
 /// Where a file sits in the workspace, decided from its path. Rules declare
-/// which scopes they apply to; e.g. `panic-in-lib` runs only on [`Scope::Lib`].
+/// which scopes they apply to; e.g. `nondeterminism` runs only on [`Scope::Lib`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scope {
     /// Library code under a crate's `src/` (or the root `src/`).
@@ -330,13 +330,13 @@ mod tests {
     #[test]
     fn suppressions_target_next_code_line_or_same_line() {
         let src = "\
-// kglink-lint: allow(panic-in-lib) — capacity invariant, checked at build
-let a = x.unwrap();
+// kglink-lint: allow(hot-path-alloc) — capacity invariant, checked at build
+let a = x.to_vec();
 let b = y.unwrap(); // kglink-lint: allow(nondeterminism): timing only
 ";
         let f = SourceFile::new("crates/x/src/lib.rs".into(), src.into());
         assert_eq!(f.suppressions.len(), 2);
-        assert_eq!(f.suppressions[0].rules, vec!["panic-in-lib".to_string()]);
+        assert_eq!(f.suppressions[0].rules, vec!["hot-path-alloc".to_string()]);
         assert_eq!(f.suppressions[0].target_line, 2);
         assert!(f.suppressions[0].justification.contains("capacity"));
         assert_eq!(f.suppressions[1].target_line, 3);
@@ -345,7 +345,7 @@ let b = y.unwrap(); // kglink-lint: allow(nondeterminism): timing only
 
     #[test]
     fn suppression_in_string_literal_is_ignored() {
-        let src = "let s = \"kglink-lint: allow(panic-in-lib)\";\n";
+        let src = "let s = \"kglink-lint: allow(hot-path-alloc)\";\n";
         let f = SourceFile::new("crates/x/src/lib.rs".into(), src.into());
         assert!(f.suppressions.is_empty());
     }
@@ -353,7 +353,7 @@ let b = y.unwrap(); // kglink-lint: allow(nondeterminism): timing only
     #[test]
     fn doc_prose_mentioning_the_syntax_is_not_a_suppression() {
         let src = "\
-//! Escape hatch: a `// kglink-lint: allow(panic-in-lib)` comment.
+//! Escape hatch: a `// kglink-lint: allow(hot-path-alloc)` comment.
 /// Use `kglink-lint: allow(...)` to silence a rule.
 fn f() {}
 /* kglink-lint: allow(nondeterminism) — block form, at comment start */

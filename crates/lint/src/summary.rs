@@ -1,9 +1,9 @@
 //! Per-function summaries and their fixpoint propagation.
 //!
-//! [`scan`] is the one place that knows what a panic site, an allocation
-//! idiom, a lock acquisition, a bare `.lock().unwrap()` or a blocking call
-//! looks like: rules never match those tokens themselves, they read the
-//! facts recorded here. For every workspace function — and for the tokens
+//! [`scan`] is the one place that knows what an allocation idiom, a lock
+//! acquisition, a bare `.lock().unwrap()` or a blocking call looks like:
+//! rules never match those tokens themselves, they read the facts
+//! recorded here. For every workspace function — and for the tokens
 //! outside every fn body, the *gaps* where `const`/`static` initialisers and
 //! macro bodies live — the engine computes a [`LocalSummary`]:
 //!
@@ -14,13 +14,9 @@
 //!   its statement only. Calls to functions *returning* a guard type
 //!   (`MutexGuard`, `RwLock*Guard`) count as acquisitions of the callee's
 //!   lock — that is how `let state = self.lock_state();` is seen.
-//! - **Panic sites** (`unwrap`/`expect`/panic-family macros) and
-//!   **allocation sites** (`Vec::new()`, `vec![..]`, `.to_vec()`,
-//!   `.clone()`), excluding inline `#[cfg(test)]` code. A site under a
-//!   justified allow-comment is recorded with its `excused` bit set
-//!   (consulting the allow marks it used): rules still report it, so the
-//!   suppression pass counts it, but it does not seed propagation — the
-//!   vouched invariant covers callers as well.
+//! - **Allocation sites** (`Vec::new()`, `Vec::with_capacity(..)`,
+//!   `vec![..]`, `.to_vec()`, `.clone()`), excluding inline `#[cfg(test)]`
+//!   code.
 //! - **Poison-audit bypasses**: `.lock().unwrap()` / `.read().expect(..)`.
 //! - **Blocking sites**: `Condvar` waits (with the guard binding they
 //!   consume — waiting *releases* that one lock), channel `recv`s, thread
@@ -29,10 +25,10 @@
 //!   the body ever mentions them.
 //!
 //! [`propagate`] then folds callee summaries into callers over the resolved
-//! call graph until fixpoint: `may_panic`, `may_alloc`, `may_block`,
-//! `reaches_backend`, and the transitive lock-acquisition set, each carried
-//! with a [`Witness`] (the originating site plus the call chain to it) so
-//! findings can say *why*, not just *that*.
+//! call graph until fixpoint: `may_block`, `reaches_backend`, and the
+//! transitive lock-acquisition set, each carried with a [`Witness`] (the
+//! originating site plus the call chain to it) so findings can say *why*,
+//! not just *that*.
 
 use crate::callgraph::ResolvedCall;
 use crate::items::{brace_depths, matching_close, FnItem};
@@ -54,17 +50,13 @@ pub struct Site {
     /// Index into the workspace file list.
     pub file: usize,
     pub line: u32,
-    /// Short human description of the site (`\`.unwrap(...)\``, `Condvar wait`).
+    /// Short human description of the site (`\`.to_vec()\``, `Condvar wait`).
     pub what: String,
-    /// A justified allow-comment vouches for this panic/alloc site.
-    pub excused: bool,
 }
 
 impl Site {
-    /// A site no allow-comment can vouch for (only panic and allocation
-    /// sites are excusable).
-    fn plain(file: usize, line: u32, what: String) -> Site {
-        Site { file, line, what, excused: false }
+    fn new(file: usize, line: u32, what: String) -> Site {
+        Site { file, line, what }
     }
 }
 
@@ -116,7 +108,6 @@ pub struct BlockingSite {
 /// Facts visible in one function's own body.
 #[derive(Debug, Clone, Default)]
 pub struct LocalSummary {
-    pub panic_sites: Vec<Site>,
     pub alloc_sites: Vec<Site>,
     /// `.lock().unwrap()`-shaped acquisitions that skip poison recovery.
     pub poison_sites: Vec<Site>,
@@ -133,15 +124,12 @@ pub struct LocalSummary {
 /// (seeded with the function's own sites).
 #[derive(Debug, Clone, Default)]
 pub struct Propagated {
-    pub may_panic: Option<Witness>,
-    pub may_alloc: Option<Witness>,
     pub may_block: Option<Witness>,
     pub reaches_backend: Option<Witness>,
     /// Lock name → earliest witness of its (transitive) acquisition.
     pub acquires: BTreeMap<String, Witness>,
 }
 
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
 const ACQUIRE_METHODS: &[&str] = &["lock", "read", "write"];
 const GUARD_TYPES: &[&str] = &["MutexGuard", "RwLockReadGuard", "RwLockWriteGuard"];
@@ -174,19 +162,6 @@ pub fn qualify_lock(recv: &str, self_ty: Option<&str>) -> String {
             .unwrap_or_else(|| recv.to_string()),
         None => recv.to_string(),
     }
-}
-
-/// True when an allow-comment for `rule` targets `line`; consulting one
-/// marks it used (it is actively excusing the site from propagation).
-fn excused(f: &SourceFile, line: u32, rule: &str) -> bool {
-    let mut hit = false;
-    for s in &f.suppressions {
-        if s.target_line == line && s.rules.iter().any(|r| r == rule) {
-            s.used.set(true);
-            hit = true;
-        }
-    }
-    hit
 }
 
 /// Compute the local summary of one fn. `owned` is its body minus nested
@@ -249,33 +224,17 @@ fn scan_range(
         }
         let t = f.code_text(i);
         let line = f.code_line(i);
-        let site = |what: String, rule: &str| Site {
-            file: file_ix,
-            line,
-            excused: excused(f, line, rule),
-            what,
-        };
-        // Panic sites.
-        if PANIC_MACROS.contains(&t) && f.code_text(i + 1) == "!" {
-            s.panic_sites.push(site(format!("`{t}!`"), "panic-in-lib"));
-            continue;
-        }
         let after_dot = i > 0 && f.code_text(i - 1) == ".";
         let called = f.code_text(i + 1) == "(";
-        if after_dot && called && PANIC_METHODS.contains(&t) {
-            s.panic_sites.push(site(format!("`.{t}(...)`"), "panic-in-lib"));
-            continue;
-        }
         // Allocation sites (the hot-path idioms).
         let alloc = match t {
-            // `Vec::new(` — `::` lexes as two `:` tokens.
-            "Vec"
-                if f.code_text(i + 1) == ":"
-                    && f.code_text(i + 2) == ":"
-                    && f.code_text(i + 3) == "new"
-                    && f.code_text(i + 4) == "(" =>
-            {
-                Some("`Vec::new()`")
+            // `Vec::new(` / `Vec::with_capacity(` — `::` lexes as two `:` tokens.
+            "Vec" if f.code_text(i + 1) == ":" && f.code_text(i + 2) == ":" => {
+                match (f.code_text(i + 3), f.code_text(i + 4)) {
+                    ("new", "(") => Some("`Vec::new()`"),
+                    ("with_capacity", "(") => Some("`Vec::with_capacity(..)`"),
+                    _ => None,
+                }
             }
             "vec" if f.code_text(i + 1) == "!" => Some("`vec![...]`"),
             "to_vec" if after_dot && called => Some("`.to_vec()`"),
@@ -283,7 +242,7 @@ fn scan_range(
             _ => None,
         };
         if let Some(what) = alloc {
-            s.alloc_sites.push(site(what.to_string(), "hot-path-alloc"));
+            s.alloc_sites.push(Site::new(file_ix, line, what.to_string()));
             continue;
         }
         // Direct lock acquisitions: `.lock()` / `.read()` / `.write()`.
@@ -300,7 +259,7 @@ fn scan_range(
                 && f.code_text(i + 5) == "("
             {
                 let what = format!("`.{t}().{bypass}(...)`");
-                s.poison_sites.push(Site::plain(file_ix, f.code_line(i + 4), what));
+                s.poison_sites.push(Site::new(file_ix, f.code_line(i + 4), what));
             }
             if let Some(recv) = crate::callgraph::receiver_path(f, i - 1) {
                 let name = qualify_lock(&recv, self_ty);
@@ -347,7 +306,7 @@ fn scan_range(
                 continue;
             }
             if BACKEND_METHODS.contains(&t) {
-                s.backend_calls.push(Site::plain(file_ix, line, format!("`KgBackend::{t}`")));
+                s.backend_calls.push(Site::new(file_ix, line, format!("`KgBackend::{t}`")));
                 s.blocking.push(BlockingSite {
                     ix: i,
                     line,
@@ -509,13 +468,11 @@ pub fn propagate(fns_len: usize, calls: &[Vec<ResolvedCall>], locals: &[LocalSum
         .map(|i| {
             let l = &locals[i];
             Propagated {
-                may_panic: l.panic_sites.iter().find(|s| !s.excused).map(own_witness),
-                may_alloc: l.alloc_sites.iter().find(|s| !s.excused).map(own_witness),
                 may_block: l
                     .blocking
                     .first()
                     .map(|b| Witness {
-                        site: Site::plain(usize::MAX, b.line, b.what.clone()),
+                        site: Site::new(usize::MAX, b.line, b.what.clone()),
                         via: Vec::new(),
                     }),
                 reaches_backend: l.backend_calls.first().map(own_witness),
@@ -527,7 +484,7 @@ pub fn propagate(fns_len: usize, calls: &[Vec<ResolvedCall>], locals: &[LocalSum
                         (
                             lk.name.clone(),
                             Witness {
-                                site: Site::plain(usize::MAX, lk.line, format!("acquires `{}`", lk.name)),
+                                site: Site::new(usize::MAX, lk.line, format!("acquires `{}`", lk.name)),
                                 via: Vec::new(),
                             },
                         )
@@ -539,7 +496,7 @@ pub fn propagate(fns_len: usize, calls: &[Vec<ResolvedCall>], locals: &[LocalSum
     // Blocking/lock witnesses above use the owning fn's file implicitly;
     // patch in the real file index from the call-graph walk below is not
     // needed — rules report at the *call site*, the witness only carries
-    // line + description. Backend/panic/alloc witnesses need the file for
+    // line + description. Backend witnesses need the file for
     // scope checks, which `own_witness` preserves.
     loop {
         let mut changed = false;
@@ -552,8 +509,6 @@ pub fn propagate(fns_len: usize, calls: &[Vec<ResolvedCall>], locals: &[LocalSum
                     }
                     let callee_prop = props[callee].clone();
                     let p = &mut props[caller];
-                    changed |= merge(&mut p.may_panic, &callee_prop.may_panic, &name_of);
-                    changed |= merge(&mut p.may_alloc, &callee_prop.may_alloc, &name_of);
                     changed |= merge(&mut p.may_block, &callee_prop.may_block, &name_of);
                     changed |= merge(
                         &mut p.reaches_backend,
@@ -669,23 +624,6 @@ fn pop(&self) {
     }
 
     #[test]
-    fn excused_sites_are_recorded_but_do_not_seed_propagation() {
-        let src = "\
-fn f(&self) {
-    // kglink-lint: allow(panic-in-lib) — invariant argued at construction
-    self.x.unwrap();
-    self.y.unwrap();
-}
-";
-        let (f, _, sums) = summarize(src);
-        let sites: Vec<(u32, bool)> = sums[0].panic_sites.iter().map(|s| (s.line, s.excused)).collect();
-        assert_eq!(sites, vec![(3, true), (4, false)]);
-        assert!(f.suppressions[0].used.get());
-        let props = propagate(1, &[Vec::new()], &sums);
-        assert_eq!(props[0].may_panic.as_ref().map(|w| w.site.line), Some(4));
-    }
-
-    #[test]
     fn deadline_params_track_usage() {
         let src = "\
 fn fwd(&self, q: &str, deadline: Deadline) { self.inner.search_entities(q, 5, deadline); }
@@ -730,8 +668,7 @@ impl Q {
                 crate::callgraph::extract_calls(&files[0], &owned)
                     .into_iter()
                     .map(|site| {
-                        let callees =
-                            resolver.resolve(&site, 0, it.self_ty.as_deref(), &fns, &items.aliases);
+                        let callees = resolver.resolve(&site, 0, it, &fns, &items.aliases);
                         ResolvedCall { site, callees }
                     })
                     .collect()
@@ -749,39 +686,13 @@ impl Q {
         let src = "\
 fn top() { mid(); }
 fn mid() { bottom(); }
-fn bottom() { x.unwrap(); }
+fn bottom() { std::thread::sleep(d); }
 ";
-        let f = SourceFile::new("crates/serve/src/a.rs".into(), src.into());
-        let items = parse_items(&f);
-        let files = vec![f];
-        let fns: Vec<(usize, FnItem)> = items.fns.iter().map(|i| (0, i.clone())).collect();
-        let depths = brace_depths(&files[0]);
-        let locals: Vec<LocalSummary> = fns
-            .iter()
-            .map(|(_, it)| {
-                let owned = it.body.map(|b| vec![b]).unwrap_or_default();
-                local_summary(&files[0], 0, it, &owned, &depths)
-            })
-            .collect();
-        let resolver = crate::callgraph::Resolver::new(&fns, &files);
-        let calls: Vec<Vec<ResolvedCall>> = fns
-            .iter()
-            .map(|(_, it)| {
-                let owned = it.body.map(|b| vec![b]).unwrap_or_default();
-                crate::callgraph::extract_calls(&files[0], &owned)
-                    .into_iter()
-                    .map(|site| {
-                        let callees =
-                            resolver.resolve(&site, 0, it.self_ty.as_deref(), &fns, &items.aliases);
-                        ResolvedCall { site, callees }
-                    })
-                    .collect()
-            })
-            .collect();
-        let props = propagate(fns.len(), &calls, &locals);
-        let w = props[0].may_panic.as_ref().expect("top reaches a panic");
+        let ws = crate::workspace::Workspace::from_sources(vec![("crates/serve/src/a.rs", src)]);
+        let props = &ws.props;
+        let w = props[0].may_block.as_ref().expect("top reaches a sleep");
         assert_eq!(w.via, vec!["mid".to_string(), "bottom".to_string()]);
         assert_eq!(w.site.line, 3);
-        assert!(props[2].may_panic.as_ref().expect("own site").via.is_empty());
+        assert!(props[2].may_block.as_ref().expect("own site").via.is_empty());
     }
 }

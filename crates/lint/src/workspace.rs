@@ -55,13 +55,7 @@ impl Workspace {
                 extract_calls(f, &owned[i])
                     .into_iter()
                     .map(|site| {
-                        let callees = resolver.resolve(
-                            &site,
-                            *file_ix,
-                            item.self_ty.as_deref(),
-                            &fns,
-                            &aliases[*file_ix],
-                        );
+                        let callees = resolver.resolve(&site, *file_ix, item, &fns, &aliases[*file_ix]);
                         ResolvedCall { site, callees }
                     })
                     .collect()
@@ -164,15 +158,15 @@ mod tests {
     fn nested_fn_tokens_belong_to_the_nested_fn_only() {
         let ws = Workspace::from_sources(vec![(
             "crates/x/src/a.rs",
-            "fn outer() {\n    before();\n    fn inner() { x.unwrap(); }\n    after();\n}\n\
-             fn first() {\n    fn leading() { y.unwrap(); }\n}\n",
+            "fn outer() {\n    before();\n    fn inner() { x.to_vec(); }\n    after();\n}\n\
+             fn first() {\n    fn leading() { y.to_vec(); }\n}\n",
         )]);
         assert_eq!(ws.fns.len(), 4);
         // A nested fn that opens the body is still a hole in its parent.
-        assert!(ws.locals[2].panic_sites.is_empty() && ws.owned[2].is_empty());
-        // outer sees its own calls but not inner's unwrap.
-        assert!(ws.locals[0].panic_sites.is_empty());
-        assert_eq!(ws.locals[1].panic_sites.len(), 1);
+        assert!(ws.locals[2].alloc_sites.is_empty() && ws.owned[2].is_empty());
+        // outer sees its own calls but not inner's allocation.
+        assert!(ws.locals[0].alloc_sites.is_empty());
+        assert_eq!(ws.locals[1].alloc_sites.len(), 1);
         // And outer's owned ranges are split around inner.
         assert_eq!(ws.owned[0].len(), 2);
     }
@@ -186,7 +180,7 @@ mod tests {
             ),
             (
                 "crates/serve/src/b.rs",
-                "pub fn helper() { std::fs::read(\"x\").unwrap(); }\n",
+                "pub fn helper() { std::fs::read(\"x\"); }\n",
             ),
         ]);
         let entry = ws
@@ -194,8 +188,7 @@ mod tests {
             .iter()
             .position(|(_, it)| it.name == "entry")
             .expect("entry exists");
-        let w = ws.props[entry].may_panic.as_ref().expect("propagated panic");
+        let w = ws.props[entry].may_block.as_ref().expect("fs::read blocks");
         assert_eq!(w.via, vec!["helper".to_string()]);
-        assert!(ws.props[entry].may_block.is_some(), "fs::read blocks");
     }
 }

@@ -28,8 +28,7 @@ impl Embedding {
     pub fn forward(&self, ids: &[u32]) -> (Tensor, EmbeddingCache) {
         (
             self.infer(ids),
-            // kglink-lint: allow(hot-path-alloc) — the cache must own the
-            // ids for the scatter-add in backward.
+            // The cache must own the ids for the scatter-add in backward.
             EmbeddingCache { ids: ids.to_vec() },
         )
     }

@@ -34,9 +34,8 @@ impl FeedForward {
     /// Forward with cache.
     pub fn forward(&self, x: &Tensor) -> (Tensor, FfnCache) {
         let (hidden_pre, c1) = self.fc1.forward(x);
-        // kglink-lint: allow(hot-path-alloc) — the pre-activation must be
-        // kept for the GELU derivative, so the activated copy is a real
-        // second buffer.
+        // The pre-activation is kept for the GELU derivative, so the
+        // activated copy is a real second buffer.
         let mut hidden = hidden_pre.clone();
         for v in hidden.data_mut() {
             *v = gelu(*v);

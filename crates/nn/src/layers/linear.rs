@@ -32,8 +32,7 @@ impl Linear {
     /// Forward with cache for a later backward.
     pub fn forward(&self, x: &Tensor) -> (Tensor, LinearCache) {
         let y = self.infer(x);
-        // kglink-lint: allow(hot-path-alloc) — the training cache must own
-        // the input past the caller's borrow.
+        // The training cache must own the input past the caller's borrow.
         (y, LinearCache { x: x.clone() })
     }
 

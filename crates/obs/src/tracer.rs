@@ -269,8 +269,10 @@ impl Tracer {
     }
 
     fn close_span(&self, data: &SpanData<'_>) {
-        // kglink-lint: allow(panic-in-lib) — structural: SpanData is only
-        // ever constructed by span(), which requires inner to be Some.
+        #[expect(
+            clippy::expect_used,
+            reason = "structural: SpanData is only ever constructed by span(), which requires inner to be Some"
+        )]
         let inner = self.inner.as_ref().expect("span data implies enabled");
         let elapsed_us = data.start.elapsed().as_micros() as u64;
         SPAN_STACK.with(|s| {

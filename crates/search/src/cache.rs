@@ -84,15 +84,16 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         self.capacity
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "structural slab invariant: every index stored in `map` or the recency list points at an occupied slot; a None here is a linked-list bug, not a condition"
+    )]
     fn node(&self, idx: usize) -> &LruNode<K, V> {
-        // kglink-lint: allow(panic-in-lib) — structural slab invariant:
-        // every index stored in `map` or the recency list points at an
-        // occupied slot; a None here is a linked-list bug, not a condition.
         self.slab[idx].as_ref().expect("live node")
     }
 
+    #[expect(clippy::expect_used, reason = "same slab invariant as `node`")]
     fn node_mut(&mut self, idx: usize) -> &mut LruNode<K, V> {
-        // kglink-lint: allow(panic-in-lib) — same slab invariant as `node`.
         self.slab[idx].as_mut().expect("live node")
     }
 
@@ -158,8 +159,10 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         }
         let tail = self.tail;
         self.detach(tail);
-        // kglink-lint: allow(panic-in-lib) — same slab invariant as `node`:
-        // a non-NIL tail always points at an occupied slot.
+        #[expect(
+            clippy::expect_used,
+            reason = "same slab invariant as `node`: a non-NIL tail always points at an occupied slot"
+        )]
         let node = self.slab[tail].take().expect("live tail");
         self.map.remove(&node.key);
         self.free.push(tail);
@@ -178,8 +181,10 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         let evicted = if self.map.len() == self.capacity {
             let tail = self.tail;
             self.detach(tail);
-            // kglink-lint: allow(panic-in-lib) — `map` is non-empty here, so
-            // the list has a live tail; same structural invariant as `node`.
+            #[expect(
+                clippy::expect_used,
+                reason = "`map` is non-empty here, so the list has a live tail; same structural invariant as `node`"
+            )]
             let node = self.slab[tail].take().expect("live tail");
             self.map.remove(&node.key);
             self.free.push(tail);

@@ -23,6 +23,7 @@
 
 #![deny(deprecated)]
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::allow_attributes, clippy::allow_attributes_without_reason))]
 
 pub mod backend;
 pub mod bm25;

@@ -219,6 +219,10 @@ impl<B: KgBackend> PanickingBackend<B> {
 }
 
 impl<B: KgBackend> KgBackend for PanickingBackend<B> {
+    #[expect(
+        clippy::panic,
+        reason = "panicking IS this chaos decorator's contract; it exists to exercise the panic isolation in the serving layer and the resilience tests"
+    )]
     fn search_entities(
         &self,
         query: &str,
@@ -227,9 +231,6 @@ impl<B: KgBackend> KgBackend for PanickingBackend<B> {
     ) -> Result<SearchOutcome, RetrievalError> {
         let n = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
         if n.is_multiple_of(self.every) {
-            // kglink-lint: allow(panic-in-lib) — panicking IS this chaos
-            // decorator's contract; it exists to exercise the panic
-            // isolation in the serving layer and the resilience tests.
             panic!("injected panic on backend call {n}");
         }
         self.inner.search_entities(query, top_k, deadline)
@@ -669,9 +670,10 @@ impl<B: KgBackend> ResilientBackend<B> {
     /// `breaker.transition` event when its state changes.
     fn record_breaker_outcome(&self, state: &mut ResilientState, ok: bool) {
         let now = state.clock_us;
-        // kglink-lint: allow(panic-in-lib) — structural: the constructor
-        // installs a breaker unconditionally; the Option only exists so the
-        // state struct can be built field by field.
+        #[expect(
+            clippy::expect_used,
+            reason = "structural: the constructor installs a breaker unconditionally; the Option only exists so the state struct can be built field by field"
+        )]
         let breaker = state.breaker.as_mut().expect("breaker always present");
         let before = breaker.state();
         breaker.record(now, ok);
@@ -714,8 +716,10 @@ impl<B: KgBackend> KgBackend for ResilientBackend<B> {
         loop {
             let state = &mut *guard;
             let now = state.clock_us;
-            // kglink-lint: allow(panic-in-lib) — same structural invariant
-            // as record_breaker_outcome: the breaker is always installed.
+            #[expect(
+                clippy::expect_used,
+                reason = "same structural invariant as record_breaker_outcome: the breaker is always installed"
+            )]
             let breaker = state.breaker.as_mut().expect("breaker always present");
             let before = breaker.state();
             let admitted = breaker.allow(now);

@@ -241,6 +241,10 @@ impl Shared {
 /// Spawn (or respawn) the worker at pool index `idx` from the supervisor's
 /// template context, so a respawned worker is indistinguishable from the
 /// original (same shared state).
+#[expect(
+    clippy::expect_used,
+    reason = "OS thread spawn fails only on process-level resource exhaustion at startup; there is no degraded mode to offer without a worker pool"
+)]
 fn spawn_worker(
     pool: &WorkerContext,
     idx: usize,
@@ -260,9 +264,6 @@ fn spawn_worker(
                 .unwrap_or(WorkerExit::Panicked);
             let _ = exit_tx.send((idx, exit));
         })
-        // kglink-lint: allow(panic-in-lib) — OS thread spawn fails only
-        // on process-level resource exhaustion at startup; there is no
-        // degraded mode to offer without a worker pool.
         .expect("failed to spawn worker thread")
 }
 
@@ -389,10 +390,15 @@ impl AnnotationService {
         };
         // Admission-only mode (`workers == 0`) needs no worker threads and
         // therefore no supervisor either.
+        #[expect(
+            clippy::expect_used,
+            reason = "same startup-only resource-exhaustion case as the worker spawn above"
+        )]
         let supervisor = if config.workers > 0 {
-            // kglink-lint: allow(unbounded-channel) — worker-exit signal:
-            // at most one message per worker death, bounded by the restart
-            // budget plus the pool size; can never grow under load.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "worker-exit signal: at most one message per worker death, bounded by the restart budget plus the pool size; can never grow under load"
+            )]
             let (exit_tx, exit_rx) = mpsc::channel();
             let handles: Vec<Option<JoinHandle<()>>> = (0..config.workers)
                 .map(|idx| Some(spawn_worker(&pool, idx, exit_tx.clone())))
@@ -402,8 +408,6 @@ impl AnnotationService {
                 std::thread::Builder::new()
                     .name("kglink-serve-supervisor".to_string())
                     .spawn(move || supervise(pool, restart_budget, exit_tx, exit_rx, handles))
-                    // kglink-lint: allow(panic-in-lib) — same startup-only
-                    // resource-exhaustion case as the worker spawn above.
                     .expect("failed to spawn supervisor thread"),
             )
         } else {
@@ -451,9 +455,10 @@ impl AnnotationService {
             });
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        // kglink-lint: allow(unbounded-channel) — per-ticket reply channel:
-        // exactly one message ever flows through it, so "unbounded" holds
-        // at most one item by construction.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-ticket reply channel: exactly one message ever flows through it, so \"unbounded\" holds at most one item by construction"
+        )]
         let (tx, rx) = mpsc::channel();
         let request = Request {
             id,

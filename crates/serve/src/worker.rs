@@ -228,15 +228,16 @@ fn annotate_once(
         .rung(path.rung)
         .feature_memo(&epoch.feature_memo);
     let backend = ctx.retrieval.at(path.rung, counted);
+    #[expect(
+        clippy::expect_used,
+        reason = "structural: the service constructor validated these exact resources; a builder error here is a bug in this crate, not a runtime condition"
+    )]
     let resources = Resources::builder()
         .graph(&ctx.graph)
         .backend(&backend)
         .tokenizer(&ctx.tokenizer)
         .tracer(&ctx.tracer)
         .build()
-        // kglink-lint: allow(panic-in-lib) — structural: the service
-        // constructor validated these exact resources; a builder error here
-        // is a bug in this crate, not a runtime condition.
         .expect("service resources validated at startup");
     epoch.model.annotate_request(&resources, spec)
 }

@@ -485,7 +485,7 @@ fn merge_runs(runs: &[PathBuf], sink: &mut TermSink<'_>) -> Result<(), StoreErro
         let term = head.term;
         take(head.run, &mut readers, &mut heap, &mut pending, &mut merged)?;
         while heap.peek().is_some_and(|h| h.term == term) {
-            // kglink-lint: allow(panic-in-lib) — peek just proved non-empty.
+            #[expect(clippy::expect_used, reason = "peek just proved non-empty")]
             let next = heap.pop().expect("peeked entry");
             take(next.run, &mut readers, &mut heap, &mut pending, &mut merged)?;
         }

@@ -142,7 +142,7 @@ impl WorldWriter {
                 self.next_id,
             )?);
         }
-        // kglink-lint: allow(panic-in-lib) — just populated above.
+        #[expect(clippy::expect_used, reason = "just populated above")]
         let shard = self.shard.as_mut().expect("open shard");
         shard.push(entity, outgoing, incoming)?;
         self.bm25.add_doc(id, &entity.label)?;
@@ -153,8 +153,10 @@ impl WorldWriter {
             StoreError::Corrupt("more than u32::MAX entities".into())
         })?;
         if self.next_id.is_multiple_of(self.cfg.per_shard) {
-            // kglink-lint: allow(panic-in-lib) — a record was just pushed,
-            // so the shard writer exists.
+            #[expect(
+                clippy::expect_used,
+                reason = "a record was just pushed, so the shard writer exists"
+            )]
             let full = self.shard.take().expect("open shard");
             full.finish()?;
             self.next_shard += 1;

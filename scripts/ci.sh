@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate: release build, full test suite, the same
-# output bits under the baseline ISA, strict clippy and rustdoc.
+# Tier-1 verification gate: release build, strict clippy, full test
+# suite, the same output bits under the baseline ISA, and rustdoc.
 # Run from the repository root. Any failure fails the script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -11,6 +11,17 @@ tree_at_entry="$(git status --porcelain)"
 
 echo "== cargo build --release =="
 cargo build --release
+
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+# Clippy owns the workspace's per-site bans, so it runs before the
+# multi-minute test suite: every Scope::Lib root denies clippy's panic
+# family (unwrap_used, expect_used, panic, unreachable, todo,
+# unimplemented) and any #[allow] or reasonless #[expect] outside test
+# builds, and crates/{serve,search}/clippy.toml disallow the unbounded
+# std::sync::mpsc::channel. A justified site carries
+# #[expect(<lint>, reason = "...")], and a stale one fails as
+# unfulfilled_lint_expectations.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== benchmark builds against the library (frozen API surface) =="
 # benchmark/ is frozen and calls the library's public API by today's
@@ -54,9 +65,6 @@ if [[ "$(uname -m)" == "x86_64" ]]; then
         train::tests::checkpoint_bytes_match_the_golden_digest
 fi
 
-echo "== cargo clippy --workspace --all-targets -- -D warnings =="
-cargo clippy --workspace --all-targets -- -D warnings
-
 echo "== cargo doc --workspace --no-deps (rustdoc warnings denied) =="
 # A renamed or deleted item must not leave a dead intra-doc link behind.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
@@ -69,10 +77,11 @@ echo "== kglink-lint self-test (fixture corpus meta-gate) =="
 cargo run --release -q -p kglink-lint -- --self-test
 
 echo "== kglink-lint --workspace --deny-all =="
-# Workspace invariant gate: every rule `kglink-lint --list-rules` prints
-# (catalog and evidence in DESIGN.md §11), over the workspace call graph,
-# with every suppression audited. Findings are exported to
-# results/lint.jsonl.
+# Workspace invariant gate: the eight rules `kglink-lint --list-rules`
+# prints (nondeterminism, atomic-write, single-percentile, lock-order,
+# hot-path-alloc, blocking-under-lock, deadline-drop, epoch-hold; catalog
+# and evidence in DESIGN.md §11), over the workspace call graph, with
+# every suppression audited. Findings are exported to results/lint.jsonl.
 cargo run --release -q -p kglink-lint -- --workspace --deny-all --json
 
 echo "== exp_serve smoke (serving-layer identity + cache gate) =="
