@@ -9,7 +9,7 @@
 //! reuse retrievals instead of re-running BM25.
 //!
 //! Correctness argument: the cache key normalizes a query with the same
-//! analyzer the inverted index applies ([`tokenize`]), so two queries that
+//! analyzer both indexes apply ([`for_each_token`]), so two queries that
 //! normalize equal are guaranteed to produce identical BM25 results —
 //! a cache hit returns bit-for-bit what the miss path would have computed.
 //! Errors are never cached (a transient fault must not poison the key),
@@ -21,7 +21,7 @@
 //! inner backend actually served.
 
 use crate::backend::{Deadline, KgBackend, RetrievalError, SearchOutcome};
-use crate::tokenize::tokenize;
+use crate::tokenize::for_each_token;
 use kglink_kg::EntityId;
 use kglink_obs::Tracer;
 use std::collections::hash_map::DefaultHasher;
@@ -268,9 +268,17 @@ impl CacheStats {
 
 /// Normalize a mention with the index analyzer: two mentions that normalize
 /// equal are guaranteed identical BM25 results, which makes them safe to
-/// share a cache entry.
+/// share a cache entry. The result is the mention's tokens joined by one
+/// space, written straight into the key without a `String` per token.
 pub fn normalize_mention(query: &str) -> String {
-    tokenize(query).join(" ")
+    let mut key = String::with_capacity(query.len());
+    for_each_token(query, &mut String::new(), |t| {
+        if !key.is_empty() {
+            key.push(' ');
+        }
+        key.push_str(t);
+    });
+    key
 }
 
 type CacheKey = (String, usize);

@@ -65,21 +65,25 @@
 //! visited once and each scored doc costs one seek per other list — the
 //! same order of work as a document-at-a-time walk of the union.
 //!
-//! **Why the builder spills.** `Bm25SegBuilder` accumulates postings in a
-//! `BTreeMap` and, past a posting budget, spills term-sorted runs to
-//! scratch files — always at a document boundary, so one document's
-//! postings never straddle runs. `finish` k-way merges the runs (term
-//! order from the BTreeMap, doc order from run order) and streams blocks
-//! through the atomic writer. Peak memory is the budget, not the corpus.
+//! **Why the builder spills.** `Bm25SegBuilder` interns each term once per
+//! run: a probe-only hash map gives the term a slot, and postings
+//! accumulate in a `Vec` indexed by slot, so a token of a known term costs
+//! a lookup, not an allocation. Past a posting budget it spills a run to a
+//! scratch file — always at a document boundary, so one document's
+//! postings never straddle runs — with the slots sorted by term bytes.
+//! `finish` k-way merges the runs (term order from that sort, doc order
+//! from run order) and streams blocks through the atomic writer. The map
+//! is never iterated, so hash order reaches no byte, and the output is the
+//! same for every budget. Peak memory is the budget, not the corpus.
 
 use crate::atomic::AtomicFile;
 use crate::blockcache::BlockCache;
 use crate::error::StoreError;
 use crate::varint::{crc32, get_count, get_uv32, put_uv, read_verified, Crc32, MAX_VARINT_LEN};
-use kglink_search::tokenize::{tokenize, tokenize_unique};
+use kglink_search::tokenize::{for_each_token, tokenize_unique};
 use kglink_search::Bm25Params;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BinaryHeap, HashMap};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::os::unix::fs::FileExt;
@@ -118,8 +122,17 @@ pub struct Bm25SegBuilder {
     run_dir: PathBuf,
     params: Bm25Params,
     spill_budget: usize,
-    cur: BTreeMap<String, Vec<(u32, u32)>>,
+    /// Term → slot in `cur`. Only ever probed, never iterated, so hash
+    /// order cannot reach a byte of the segment.
+    slots: HashMap<String, u32>,
+    /// Per slot: the term and its `(doc, tf)` postings since the last
+    /// spill, in first-seen order; `sorted_slots` gives term order.
+    cur: Vec<(String, Vec<(u32, u32)>)>,
     cur_postings: usize,
+    /// Reused per document: the analyzer's token buffer and the slot of
+    /// every token, sorted to count term frequencies.
+    token: String,
+    doc_slots: Vec<u32>,
     runs: Vec<PathBuf>,
     doc_lens: Vec<u32>,
     last_doc: Option<u32>,
@@ -135,8 +148,11 @@ impl Bm25SegBuilder {
             run_dir: path.with_extension("runs"),
             params,
             spill_budget: spill_budget.max(1),
-            cur: BTreeMap::new(),
+            slots: HashMap::new(),
+            cur: Vec::new(),
             cur_postings: 0,
+            token: String::new(),
+            doc_slots: Vec::new(),
             runs: Vec::new(),
             doc_lens: Vec::new(),
             last_doc: None,
@@ -160,8 +176,30 @@ impl Bm25SegBuilder {
             }
         }
         self.last_doc = Some(doc);
-        let tokens = tokenize(text);
-        if tokens.is_empty() {
+        // Map every token to its slot; a `String` is made only for a term
+        // this run has not seen.
+        let Self {
+            slots,
+            cur,
+            token,
+            doc_slots,
+            ..
+        } = self;
+        doc_slots.clear();
+        for_each_token(text, token, |term| {
+            let slot = match slots.get(term) {
+                Some(&slot) => slot,
+                None => {
+                    let slot = cur.len() as u32;
+                    slots.insert(term.to_owned(), slot);
+                    cur.push((term.to_owned(), Vec::new()));
+                    slot
+                }
+            };
+            doc_slots.push(slot);
+        });
+        let n_tokens = self.doc_slots.len();
+        if n_tokens == 0 {
             return Ok(());
         }
         if self.doc_lens.len() <= doc as usize {
@@ -170,14 +208,13 @@ impl Bm25SegBuilder {
         if self.doc_lens[doc as usize] == 0 {
             self.n_docs += 1;
         }
-        self.doc_lens[doc as usize] += tokens.len() as u32;
-        self.total_len += tokens.len() as u64;
-        let mut tf: BTreeMap<&str, u32> = BTreeMap::new();
-        for t in &tokens {
-            *tf.entry(t.as_str()).or_insert(0) += 1;
-        }
-        for (term, count) in tf {
-            let list = self.cur.entry(term.to_string()).or_default();
+        self.doc_lens[doc as usize] += n_tokens as u32;
+        self.total_len += n_tokens as u64;
+        // Equal slots are adjacent once sorted: each run is one term's tf.
+        self.doc_slots.sort_unstable();
+        for run in self.doc_slots.chunk_by(|a, b| a == b) {
+            let count = run.len() as u32;
+            let list = &mut self.cur[run[0] as usize].1;
             if let Some(last) = list.last_mut() {
                 if last.0 == doc {
                     last.1 += count;
@@ -188,6 +225,14 @@ impl Bm25SegBuilder {
             self.cur_postings += 1;
         }
         Ok(())
+    }
+
+    /// Slots in ascending term-byte order — the order runs and the
+    /// segment's dictionary are written in.
+    fn sorted_slots(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.cur.len()).collect();
+        order.sort_unstable_by(|&a, &b| self.cur[a].0.as_bytes().cmp(self.cur[b].0.as_bytes()));
+        order
     }
 
     fn spill(&mut self) -> Result<(), StoreError> {
@@ -201,7 +246,8 @@ impl Bm25SegBuilder {
         let file = File::create(&run_path)?;
         let mut w = BufWriter::new(file);
         let mut buf = Vec::new();
-        for (term, list) in &self.cur {
+        for slot in self.sorted_slots() {
+            let (term, list) = &self.cur[slot];
             buf.clear();
             put_uv(&mut buf, term.len() as u64);
             buf.extend_from_slice(term.as_bytes());
@@ -214,6 +260,7 @@ impl Bm25SegBuilder {
         }
         w.flush()?;
         self.runs.push(run_path);
+        self.slots.clear();
         self.cur.clear();
         self.cur_postings = 0;
         Ok(())
@@ -246,7 +293,8 @@ impl Bm25SegBuilder {
             block_buf: Vec::new(),
         };
         if self.runs.is_empty() {
-            for (term, list) in &self.cur {
+            for slot in self.sorted_slots() {
+                let (term, list) = &self.cur[slot];
                 sink.emit(term, list)?;
             }
         } else {
@@ -1298,6 +1346,25 @@ mod tests {
         assert!(!dir2.join("index.runs").exists());
         std::fs::remove_dir_all(&dir1).unwrap();
         std::fs::remove_dir_all(&dir2).unwrap();
+    }
+
+    #[test]
+    fn spill_budgets_write_byte_identical_segments() {
+        // Non-ASCII fields too, so both analyzer paths feed the table.
+        let mut docs = corpus();
+        docs.push((400, "Österreich İstanbul straße".into()));
+        docs.push((400, "ǅemal ÖSTERREICH 4x4".into()));
+        docs.push((401, "Straße Peter-İnan".into()));
+        let segment_bytes = |spill: usize| {
+            let (_, _, dir) = build_both(&docs, spill);
+            let bytes = std::fs::read(dir.join(BM25_FILE)).unwrap();
+            std::fs::remove_dir_all(&dir).unwrap();
+            bytes
+        };
+        // Budget 1 spills a run at every document boundary.
+        let whole = segment_bytes(usize::MAX);
+        assert!(whole == segment_bytes(1), "budget 1 moved a byte");
+        assert!(whole == segment_bytes(50), "budget 50 moved a byte");
     }
 
     #[test]

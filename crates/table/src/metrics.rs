@@ -6,7 +6,7 @@
 
 use crate::dataset::LabelId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Aggregate evaluation result.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -42,6 +42,8 @@ impl EvalSummary {
             .zip(truths)
             .filter(|(p, t)| p == t)
             .count();
+        // Ascending label order: f64 addition is not associative, so a
+        // hash-ordered sum could differ in its last bits between processes.
         let report = per_class_report(predictions, truths);
         let mut weighted = 0.0;
         let mut macro_sum = 0.0;
@@ -86,56 +88,44 @@ pub struct ClassReport {
     pub support: usize,
 }
 
-/// Per-class precision/recall/F1.
+/// Per-class precision/recall/F1, for every class that is true or
+/// predicted at least once, in ascending label order.
 pub fn per_class_report(
     predictions: &[LabelId],
     truths: &[LabelId],
-) -> HashMap<LabelId, ClassReport> {
+) -> BTreeMap<LabelId, ClassReport> {
     assert_eq!(predictions.len(), truths.len());
-    let mut tp: HashMap<LabelId, usize> = HashMap::new();
-    let mut fp: HashMap<LabelId, usize> = HashMap::new();
-    let mut fn_: HashMap<LabelId, usize> = HashMap::new();
-    let mut support: HashMap<LabelId, usize> = HashMap::new();
+    // Per class: true positives, false positives, false negatives, support.
+    let mut counts: BTreeMap<LabelId, [usize; 4]> = BTreeMap::new();
     for (&p, &t) in predictions.iter().zip(truths) {
-        *support.entry(t).or_insert(0) += 1;
+        counts.entry(t).or_default()[3] += 1;
         if p == t {
-            *tp.entry(t).or_insert(0) += 1;
+            counts.entry(t).or_default()[0] += 1;
         } else {
-            *fp.entry(p).or_insert(0) += 1;
-            *fn_.entry(t).or_insert(0) += 1;
+            counts.entry(p).or_default()[1] += 1;
+            counts.entry(t).or_default()[2] += 1;
         }
     }
-    let mut all_classes: Vec<LabelId> = support
-        .keys()
-        .chain(fp.keys())
-        .copied()
-        .collect::<std::collections::BTreeSet<_>>()
+    counts
         .into_iter()
-        .collect();
-    all_classes.sort_unstable();
-    let mut out = HashMap::with_capacity(all_classes.len());
-    for c in all_classes {
-        let tp_c = *tp.get(&c).unwrap_or(&0) as f64;
-        let fp_c = *fp.get(&c).unwrap_or(&0) as f64;
-        let fn_c = *fn_.get(&c).unwrap_or(&0) as f64;
-        let precision = if tp_c + fp_c > 0.0 { tp_c / (tp_c + fp_c) } else { 0.0 };
-        let recall = if tp_c + fn_c > 0.0 { tp_c / (tp_c + fn_c) } else { 0.0 };
-        let f1 = if precision + recall > 0.0 {
-            2.0 * precision * recall / (precision + recall)
-        } else {
-            0.0
-        };
-        out.insert(
-            c,
-            ClassReport {
+        .map(|(c, [tp, fp, fn_, support])| {
+            let (tp_c, fp_c, fn_c) = (tp as f64, fp as f64, fn_ as f64);
+            let precision = if tp_c + fp_c > 0.0 { tp_c / (tp_c + fp_c) } else { 0.0 };
+            let recall = if tp_c + fn_c > 0.0 { tp_c / (tp_c + fn_c) } else { 0.0 };
+            let f1 = if precision + recall > 0.0 {
+                2.0 * precision * recall / (precision + recall)
+            } else {
+                0.0
+            };
+            let report = ClassReport {
                 precision,
                 recall,
                 f1,
-                support: *support.get(&c).unwrap_or(&0),
-            },
-        );
-    }
-    out
+                support,
+            };
+            (c, report)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -191,6 +181,48 @@ mod tests {
         let c2 = report[&LabelId(2)];
         assert_eq!(c2.support, 0);
         assert_eq!(c2.precision, 0.0);
+    }
+
+    #[test]
+    fn f1_sums_run_in_ascending_label_order() {
+        // 24 labels, 20 of them true somewhere, with uneven supports and
+        // confusions: per-class F1s are unrelated fractions, so the sum's
+        // last bits depend on its order. Never-true labels 1, 7, 13 and 19
+        // are predicted, so the report holds them and the sums skip them.
+        let mut preds = Vec::new();
+        let mut truths = Vec::new();
+        for i in 0u32..600 {
+            let t = (i * i / 7 + 3 * i) % 24;
+            let p = if i % 5 < 3 { t } else { (i * 13 + 5) % 24 };
+            truths.push(LabelId(t));
+            preds.push(LabelId(p));
+        }
+        let s = EvalSummary::compute(&preds, &truths);
+        let (mut weighted, mut macro_sum, mut classes) = (0.0f64, 0.0f64, 0usize);
+        for c in (0u32..24).map(LabelId) {
+            let count = |pred: Option<LabelId>, truth: Option<LabelId>| {
+                preds
+                    .iter()
+                    .zip(&truths)
+                    .filter(|&(&p, &t)| pred.is_none_or(|x| p == x) && truth.is_none_or(|x| t == x))
+                    .count() as f64
+            };
+            let support = count(None, Some(c));
+            if support == 0.0 {
+                continue;
+            }
+            let tp = count(Some(c), Some(c));
+            let (precision, recall) = (tp / count(Some(c), None), tp / support);
+            let f1 = 2.0 * precision * recall / (precision + recall);
+            weighted += f1 * support;
+            macro_sum += f1;
+            classes += 1;
+        }
+        assert_eq!(classes, 20);
+        assert_eq!(s.weighted_f1.to_bits(), (weighted / 600.0).to_bits());
+        assert_eq!(s.macro_f1.to_bits(), (macro_sum / classes as f64).to_bits());
+        let order: Vec<LabelId> = per_class_report(&preds, &truths).into_keys().collect();
+        assert_eq!(order, (0u32..24).map(LabelId).collect::<Vec<_>>());
     }
 
     #[test]

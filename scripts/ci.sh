@@ -37,9 +37,10 @@ cargo test -q --workspace
 echo "== same bits under the baseline ISA (x86-64, no AVX) =="
 # The default build targets x86-64-v3 (.cargo/config.toml) and the parity
 # policy says the vector width moves speed, not bits. Rebuild the kernel
-# parity/math tests and the three golden digests (encoder rows, classifier
-# logits, checkpoint bytes) for baseline x86-64: RUSTFLAGS overrides the
-# config, and a target dir of its own keeps both builds warm. An --exact
+# parity/math tests and the four golden digests (encoder rows, classifier
+# logits, checkpoint bytes, world files: index.kgbm holds f32 block max
+# scores) for baseline x86-64: RUSTFLAGS overrides the config, and a
+# target dir of its own keeps both builds warm. An --exact
 # filter that matches nothing still exits 0, so each filtered run must
 # report exactly as many passed tests as it names: a renamed digest test
 # fails here instead of checking nothing.
@@ -63,6 +64,8 @@ if [[ "$(uname -m)" == "x86_64" ]]; then
     baseline_isa_exact 2 -p kglink-core --lib -- --exact \
         train::tests::classifier_logit_bits_match_the_golden_digest \
         train::tests::checkpoint_bytes_match_the_golden_digest
+    baseline_isa_exact 1 -p kglink-datagen --test golden_world -- --exact \
+        world_bytes_match_the_golden_digest
 fi
 
 echo "== cargo doc --workspace --no-deps (rustdoc warnings denied) =="
