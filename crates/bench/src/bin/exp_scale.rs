@@ -188,7 +188,7 @@ fn main() {
     let seed: u64 = env_u64("KGLINK_SEED").unwrap_or(7);
     let n_entities = env_u64("KGLINK_SCALE_ENTITIES")
         .unwrap_or(if smoke { 150_000 } else { 10_000_000 });
-    // Measured VmHWM: ~18 MB smoke, ~203 MB full. The budget leaves slack
+    // Measured VmHWM: ~22 MB smoke, ~215 MB full. The budget leaves slack
     // for allocator/platform variance but sits far below what an in-memory
     // 10M-entity world would need (several GB) — the assert is meaningful.
     let budget_mb = env_u64("KGLINK_SCALE_BUDGET_MB")

@@ -25,9 +25,19 @@
 //! Everything derives from `splitmix64(seed, id)` — no RNG state is
 //! carried between entities, so generation is reproducible and could be
 //! resumed or parallelized per block.
+//!
+//! The instance loop allocates nothing per entity, so it keeps pace with
+//! the writer's BM25 builder thread. One [`Entity`] serves every instance:
+//! its label is rewritten in place, its alias `String`s go to a spare pool
+//! and come back as the next aliases' buffers, edges live in stack arrays,
+//! the per-type incoming lists are cleared rather than dropped after each
+//! block, and a mention is cloned only for the ids that are sampled. The
+//! bytes written are those of an entity built from scratch (the
+//! `golden_world` test pins them, and the sampled mentions).
 
 use kglink_kg::{predicates, Edge, Entity, EntityId, NeSchema, PredicateId};
 use kglink_store::{Manifest, StoreError, WorldWriter, WorldWriterConfig};
+use std::fmt::Write;
 use std::path::Path;
 
 /// Predicate used for the intra-block instance ring.
@@ -116,20 +126,33 @@ fn mix(seed: u64, v: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn instance_entity(seed: u64, id: u64) -> Entity {
+/// Overwrite `e` with instance `id`'s label, schema and initials alias,
+/// moving its old aliases to `spare` and reusing their buffers. Returns
+/// whether the initials alias (always `aliases[0]`) was written.
+fn fill_instance(e: &mut Entity, spare: &mut Vec<String>, seed: u64, id: u64) -> bool {
     let h = mix(seed, id);
     let first = FIRST[(h % 24) as usize];
     let second = SECOND[((h >> 8) % 24) as usize];
     let tag = id / (24 * 24);
-    let schema = SCHEMAS[((h >> 16) % 8) as usize];
-    let label = format!("{first} {second} {tag}");
-    let mut e = Entity::new(label, schema);
+    e.schema = SCHEMAS[((h >> 16) % 8) as usize];
+    e.label.clear();
+    let _ = write!(e.label, "{first} {second} {tag}");
+    spare.append(&mut e.aliases);
     // A quarter of instances carry an initials-style alias, so the alias
     // path of the index sees real traffic at scale.
-    if h & 0b11_0000_0000_0000 == 0 {
-        e = e.with_alias(format!("{} {second}", &first[..1]));
+    let initials = h & 0b11_0000_0000_0000 == 0;
+    if initials {
+        push_alias(e, spare, format_args!("{} {second}", &first[..1]));
     }
-    e
+    initials
+}
+
+/// Append an alias to `e`, written into a spare buffer when one is left.
+fn push_alias(e: &mut Entity, spare: &mut Vec<String>, text: std::fmt::Arguments<'_>) {
+    let mut alias = spare.pop().unwrap_or_default();
+    alias.clear();
+    let _ = alias.write_fmt(text);
+    e.aliases.push(alias);
 }
 
 /// Generate a world into `dir`. Returns the manifest and sampled
@@ -166,67 +189,78 @@ pub fn generate_big_world(
     let rel = w.intern_predicate(RELATED_TO)?;
     let mut mentions = Vec::new();
 
+    // One instance entity, its alias buffers and the type lists are reused
+    // for the whole world: the loop allocates nothing per instance.
+    let mut e = Entity::new(String::new(), SCHEMAS[0]);
+    let mut spare: Vec<String> = Vec::new();
+    // Incoming `instance of` lists for this block's types, filled as the
+    // instances stream out.
+    let mut type_in: Vec<Vec<Edge>> = vec![Vec::new(); cfg.types_per_block as usize];
+    let mut ty = Entity::new_type(String::new());
+    let hot_total = 16 * u64::from(cfg.skew_terms);
     for b in 0..n_blocks {
         let base = b * block;
-        // Incoming `instance of` lists for this block's types, filled as
-        // the instances stream out.
-        let mut type_in: Vec<Vec<Edge>> =
-            vec![Vec::new(); cfg.types_per_block as usize];
         for j in 0..insts {
             let id = base + j;
             let h = mix(cfg.seed ^ 0xb10c, id);
             let t = (h % u64::from(cfg.types_per_block)) as usize;
             let type_id = EntityId((base + insts + t as u64) as u32);
-            let mut e = instance_entity(cfg.seed, id);
-            // Mentions sample the *organic* surface forms, before any skew
-            // alias is appended, so query benchmarks stay representative.
-            let organic_mention = {
-                let m = e.aliases.first().filter(|_| h & 1 == 0);
-                m.cloned().unwrap_or_else(|| e.label.clone())
-            };
+            let initials = fill_instance(&mut e, &mut spare, cfg.seed, id);
             // Skew families: the first `16 × skew_terms` ids are hot
             // carriers (tf 4, short doc); a hashed ~`skew_terms`/97 slice
             // of the remaining ids are cold carriers (tf 1, padded doc).
-            let hot_total = 16 * u64::from(cfg.skew_terms);
             if cfg.skew_terms > 0 {
                 if b == 0 && j < hot_total {
                     let fam = j / 16;
-                    let tok = format!("skewhub{fam}");
-                    e = e.with_alias(format!("{tok} {tok} {tok} {tok}"));
+                    push_alias(
+                        &mut e,
+                        &mut spare,
+                        format_args!("skewhub{fam} skewhub{fam} skewhub{fam} skewhub{fam}"),
+                    );
                 } else if id >= hot_total {
                     let fam = mix(cfg.seed ^ 0x5e3b, id) % 97;
                     if fam < u64::from(cfg.skew_terms) {
-                        e = e.with_alias(format!(
-                            "skewhub{fam} archive backfill record entry item note"
-                        ));
+                        push_alias(
+                            &mut e,
+                            &mut spare,
+                            format_args!("skewhub{fam} archive backfill record entry item note"),
+                        );
                     }
                 }
             }
-            let mut out = vec![Edge {
-                predicate: p31,
-                target: type_id,
-            }];
-            let mut inc = Vec::new();
-            if insts > 1 {
-                out.push(Edge {
+            // The ring needs a second instance; arrays keep edges off the heap.
+            let ring = usize::from(insts > 1);
+            let out = [
+                Edge {
+                    predicate: p31,
+                    target: type_id,
+                },
+                Edge {
                     predicate: rel,
                     target: EntityId((base + (j + 1) % insts) as u32),
-                });
-                inc.push(Edge {
-                    predicate: rel,
-                    target: EntityId((base + (j + insts - 1) % insts) as u32),
-                });
-            }
-            let got = w.add_entity(&e, &out, &inc)?;
+                },
+            ];
+            let inc = [Edge {
+                predicate: rel,
+                target: EntityId((base + (j + insts - 1) % insts) as u32),
+            }];
+            let got = w.add_entity(&e, &out[..1 + ring], &inc[..ring])?;
             type_in[t].push(Edge {
                 predicate: p31,
                 target: got,
             });
             if mentions.len() < cfg.mention_cap && id % mention_stride == 0 {
-                mentions.push(organic_mention);
+                // Mentions sample the *organic* surface forms, never a
+                // skew alias, so query benchmarks stay representative.
+                let organic = if initials && h & 1 == 0 {
+                    &e.aliases[0]
+                } else {
+                    &e.label
+                };
+                mentions.push(organic.clone());
             }
         }
-        for (t, inc) in type_in.into_iter().enumerate() {
+        for (t, inc) in type_in.iter_mut().enumerate() {
             let core = (b * u64::from(cfg.types_per_block) + t as u64)
                 % u64::from(cfg.core_types);
             let out = [Edge {
@@ -234,8 +268,10 @@ pub fn generate_big_world(
                 // Forward reference: core types are written last.
                 target: EntityId((core_base + core) as u32),
             }];
-            let e = Entity::new_type(format!("category {b} {t}"));
-            w.add_entity(&e, &out, &inc)?;
+            ty.label.clear();
+            let _ = write!(ty.label, "category {b} {t}");
+            w.add_entity(&ty, &out, inc)?;
+            inc.clear();
         }
     }
     // Core types, with every block type that subclasses them incoming.

@@ -8,9 +8,10 @@
 //! that the BM25 builder spills several runs and `finish` merges them;
 //! the synthetic world goes through `write_graph`, the in-memory graph
 //! conversion. A change that moves one byte of either world changes a
-//! constant here.
+//! constant here. The big world's sampled mentions and skew queries are
+//! not in any file, so a second digest pins those strings.
 
-use kglink_datagen::{generate_big_world, BigWorldConfig};
+use kglink_datagen::{generate_big_world, BigWorld, BigWorldConfig};
 use kglink_kg::{SyntheticWorld, WorldConfig};
 use kglink_store::varint::Crc32;
 use kglink_store::{write_graph, WorldWriterConfig};
@@ -48,9 +49,8 @@ fn dir_digest(dir: &Path) -> u32 {
     crc.finish()
 }
 
-#[test]
-fn world_bytes_match_the_golden_digest() {
-    let big = world_dir("big");
+/// The 20k-entity big world, built into `dir` under [`SPILL_POSTINGS`].
+fn build_big_world(dir: &Path) -> BigWorld {
     let cfg = BigWorldConfig {
         n_entities: 20_000,
         seed: 0x0060_1de2,
@@ -60,7 +60,13 @@ fn world_bytes_match_the_golden_digest() {
         spill_postings: SPILL_POSTINGS,
         ..WorldWriterConfig::default()
     };
-    let built = generate_big_world(&big, &cfg, store).unwrap();
+    generate_big_world(dir, &cfg, store).unwrap()
+}
+
+#[test]
+fn world_bytes_match_the_golden_digest() {
+    let big = world_dir("big");
+    let built = build_big_world(&big);
     // Every document holds at least one posting and a run spills only
     // once it holds the budget, so this many documents mean at least
     // three spilled runs plus the in-memory tail through the merge.
@@ -78,4 +84,21 @@ fn world_bytes_match_the_golden_digest() {
         (0x71F2_042B, 0x29F9_4F71),
         "(big world, tiny world) digests: {digests:#010X?}"
     );
+}
+
+#[test]
+fn sampled_mentions_match_the_golden_digest() {
+    let dir = world_dir("mentions");
+    let built = build_big_world(&dir);
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(built.mentions.len(), BigWorldConfig::default().mention_cap);
+    // Each string contributes its byte length, then its bytes, so no two
+    // different lists can concatenate to the same stream.
+    let mut crc = Crc32::new();
+    for s in built.mentions.iter().chain(&built.skew_queries) {
+        crc.update(&(s.len() as u32).to_le_bytes());
+        crc.update(s.as_bytes());
+    }
+    let digest = crc.finish();
+    assert_eq!(digest, 0x0AFA_F4FF, "mentions digest: {digest:#010X}");
 }

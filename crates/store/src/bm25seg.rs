@@ -79,13 +79,15 @@
 use crate::atomic::AtomicFile;
 use crate::blockcache::BlockCache;
 use crate::error::StoreError;
-use crate::varint::{crc32, get_count, get_uv32, put_uv, read_verified, Crc32, MAX_VARINT_LEN};
+use crate::varint::{
+    crc32, get_count, get_uv, get_uv32, put_uv, read_verified, Crc32, MAX_VARINT_LEN,
+};
 use kglink_search::tokenize::{for_each_token, tokenize_unique};
 use kglink_search::Bm25Params;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -99,8 +101,11 @@ pub(crate) const HEADER_LEN: usize = 80;
 pub const MAX_BLOCK_POSTINGS: usize = 128;
 
 /// Default spill threshold: postings buffered in memory before a run goes
-/// to disk (~48 MB of `(String, Vec)` overhead at typical term lengths).
-pub const DEFAULT_SPILL_POSTINGS: usize = 4_000_000;
+/// to disk (8 B each plus their lists' growth slack). The builder runs on
+/// its own thread, whose malloc arena the caller never reuses, so the
+/// budget adds to the process peak in full; every budget writes the same
+/// bytes.
+pub const DEFAULT_SPILL_POSTINGS: usize = 1_000_000;
 
 /// File name of the BM25 segment inside a world directory.
 pub const BM25_FILE: &str = "index.kgbm";
@@ -579,6 +584,15 @@ fn read_uv(r: &mut BufReader<File>) -> Result<u64, StoreError> {
 
 /// Varint from a reader; `None` only on EOF *before the first byte*.
 fn read_uv_opt(r: &mut BufReader<File>) -> Result<Option<u64>, StoreError> {
+    // A varint is at most MAX_VARINT_LEN bytes, so with that many buffered
+    // it decodes in place; only near a buffer boundary go byte by byte.
+    let buffered = r.buffer();
+    if buffered.len() >= MAX_VARINT_LEN {
+        let mut pos = 0;
+        let v = get_uv(buffered, &mut pos)?;
+        r.consume(pos);
+        return Ok(Some(v));
+    }
     let mut v: u64 = 0;
     let mut shift = 0u32;
     let mut first = true;

@@ -13,6 +13,20 @@
 //! [`WorldWriter::new`] deletes any *stale* manifest up front — so a crash
 //! during a rebuild can never pair an old manifest with new shards.
 //!
+//! The BM25 segment builds on a thread of its own. [`WorldWriter`] packs
+//! every label and alias into batches of `BATCH_DOCS` (4 096) documents
+//! and hands full batches over a bounded channel; the builder thread
+//! indexes them in arrival order, so the segment's bytes are those of an
+//! inline build, and returns each emptied batch for reuse (at most three
+//! exist at once).
+//! [`WorldWriter::finish`] sends the commit signal and joins the thread.
+//! Dropping an unfinished writer closes the channel without that signal
+//! and joins the thread, whose builder then drops unpublished and removes
+//! its spill runs. The builder's first error — or its panic, as a
+//! [`StoreError::Corrupt`] — surfaces from the next `add_entity` that
+//! hands over a batch, or from `finish`; after any error the writer
+//! refuses every further call.
+//!
 //! Identifier discipline: entity ids are assigned densely in arrival
 //! order (exactly like `KnowledgeGraph::add_entity`), and predicate ids in
 //! interning order (exactly like `intern_predicate`, including `instance
@@ -22,14 +36,20 @@
 //! reference landed inside the world.
 
 use crate::backend::{DiskBackend, DiskGraph};
-use crate::bm25seg::{Bm25SegBuilder, BM25_FILE, DEFAULT_SPILL_POSTINGS};
+use crate::bm25seg::{Bm25SegBuilder, Bm25Stats, BM25_FILE, DEFAULT_SPILL_POSTINGS};
 use crate::error::StoreError;
 use crate::manifest::{Manifest, MANIFEST_FILE};
 use crate::segment::{shard_file_name, SegmentWriter};
 use kglink_kg::{predicates, Edge, Entity, EntityId, KnowledgeGraph, PredicateId};
 use kglink_search::Bm25Params;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+
+/// Documents (labels and aliases) per batch handed to the BM25 builder
+/// thread.
+const BATCH_DOCS: usize = 4_096;
 
 /// Geometry and indexing knobs for a world build.
 #[derive(Debug, Clone)]
@@ -53,6 +73,102 @@ impl Default for WorldWriterConfig {
     }
 }
 
+/// Index fields on their way to the builder thread: every text in one
+/// arena, and per field its document id and end offset in the arena.
+#[derive(Default)]
+struct DocBatch {
+    text: String,
+    docs: Vec<(u32, usize)>,
+}
+
+impl std::fmt::Debug for DocBatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "DocBatch({} docs)", self.docs.len())
+    }
+}
+
+impl DocBatch {
+    fn push(&mut self, doc: u32, field: &str) {
+        self.text.push_str(field);
+        self.docs.push((doc, self.text.len()));
+    }
+}
+
+/// One hand-over to the builder thread: fields to index after every
+/// earlier batch and, on the last one, the commit signal.
+struct Handover {
+    batch: DocBatch,
+    commit: bool,
+}
+
+/// The BM25 builder's thread and both ends of its batch traffic.
+#[derive(Debug)]
+struct BuilderThread {
+    /// Bound 1: one batch queued while one is indexed and one is filled.
+    batches: SyncSender<Handover>,
+    /// Emptied batches coming back for reuse.
+    free: Receiver<DocBatch>,
+    handle: JoinHandle<Result<Bm25Stats, StoreError>>,
+}
+
+impl BuilderThread {
+    fn spawn(builder: Bm25SegBuilder) -> Result<Self, StoreError> {
+        let (batches, rx) = sync_channel(1);
+        let (free_tx, free) = sync_channel(2);
+        let handle = std::thread::Builder::new()
+            .name("kglink-bm25".into())
+            .spawn(move || index_batches(builder, &rx, &free_tx))?;
+        Ok(BuilderThread {
+            batches,
+            free,
+            handle,
+        })
+    }
+
+    /// Close the channel, wait for the thread and return what it
+    /// returned; a panic becomes a typed error.
+    fn join(self) -> Result<Bm25Stats, StoreError> {
+        drop(self.batches);
+        self.handle.join().unwrap_or_else(|panic| {
+            let why = panic
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string payload");
+            Err(StoreError::Corrupt(format!(
+                "BM25 builder thread panicked: {why}"
+            )))
+        })
+    }
+}
+
+/// The builder thread's body: index batches in arrival order until the
+/// commit signal (publish the segment) or a closed channel (drop the
+/// builder unpublished, which removes its runs).
+fn index_batches(
+    mut builder: Bm25SegBuilder,
+    batches: &Receiver<Handover>,
+    free: &SyncSender<DocBatch>,
+) -> Result<Bm25Stats, StoreError> {
+    while let Ok(Handover { mut batch, commit }) = batches.recv() {
+        let mut start = 0;
+        for &(doc, end) in &batch.docs {
+            builder.add_doc(doc, &batch.text[start..end])?;
+            start = end;
+        }
+        if commit {
+            return builder.finish();
+        }
+        batch.text.clear();
+        batch.docs.clear();
+        // Never blocks: a full queue or a gone writer just frees the batch.
+        let _ = free.try_send(batch);
+    }
+    Err(StoreError::Corrupt(
+        "world build dropped before finish".into(),
+    ))
+}
+
 /// Streaming writer for a world directory.
 #[derive(Debug)]
 pub struct WorldWriter {
@@ -66,7 +182,11 @@ pub struct WorldWriter {
     next_id: u32,
     /// Highest entity id any edge referenced (forward references allowed).
     max_ref: Option<u32>,
-    bm25: Bm25SegBuilder,
+    /// `None` once joined: after `finish`, or after the thread failed.
+    builder: Option<BuilderThread>,
+    batch: DocBatch,
+    /// The first error any call returned; every later call returns it.
+    failed: Option<StoreError>,
 }
 
 impl WorldWriter {
@@ -83,6 +203,7 @@ impl WorldWriter {
             std::fs::remove_file(&stale)?;
         }
         let bm25 = Bm25SegBuilder::create(&dir.join(BM25_FILE), cfg.bm25, cfg.spill_postings);
+        let builder = BuilderThread::spawn(bm25)?;
         Ok(WorldWriter {
             dir: dir.to_path_buf(),
             cfg,
@@ -93,7 +214,9 @@ impl WorldWriter {
             next_shard: 0,
             next_id: 0,
             max_ref: None,
-            bm25,
+            builder: Some(builder),
+            batch: DocBatch::default(),
+            failed: None,
         })
     }
 
@@ -117,8 +240,25 @@ impl WorldWriter {
 
     /// Append the next entity (ids are dense, in arrival order) together
     /// with both adjacency directions. Edge targets may point forward to
-    /// ids not yet written; predicates must already be interned.
+    /// ids not yet written; predicates must already be interned. After an
+    /// error, this and [`WorldWriter::finish`] fail for good.
     pub fn add_entity(
+        &mut self,
+        entity: &Entity,
+        outgoing: &[Edge],
+        incoming: &[Edge],
+    ) -> Result<EntityId, StoreError> {
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        let added = self.try_add_entity(entity, outgoing, incoming);
+        if let Err(e) = &added {
+            self.failed = Some(e.clone());
+        }
+        added
+    }
+
+    fn try_add_entity(
         &mut self,
         entity: &Entity,
         outgoing: &[Edge],
@@ -145,9 +285,12 @@ impl WorldWriter {
         #[expect(clippy::expect_used, reason = "just populated above")]
         let shard = self.shard.as_mut().expect("open shard");
         shard.push(entity, outgoing, incoming)?;
-        self.bm25.add_doc(id, &entity.label)?;
+        self.batch.push(id, &entity.label);
         for alias in &entity.aliases {
-            self.bm25.add_doc(id, alias)?;
+            self.batch.push(id, alias);
+        }
+        if self.batch.docs.len() >= BATCH_DOCS {
+            self.send_batch(false)?;
         }
         self.next_id = self.next_id.checked_add(1).ok_or_else(|| {
             StoreError::Corrupt("more than u32::MAX entities".into())
@@ -164,6 +307,22 @@ impl WorldWriter {
         Ok(EntityId(id))
     }
 
+    /// Hand the open batch to the builder thread and start filling an
+    /// emptied one. A closed channel means the thread stopped on an
+    /// error: join it and return that error.
+    fn send_batch(&mut self, commit: bool) -> Result<(), StoreError> {
+        let thread = self.builder.as_ref().ok_or_else(joined)?;
+        let next = thread.free.try_recv().unwrap_or_default();
+        let batch = std::mem::replace(&mut self.batch, next);
+        if thread.batches.send(Handover { batch, commit }).is_ok() {
+            return Ok(());
+        }
+        match self.builder.take().map(BuilderThread::join) {
+            Some(Err(e)) => Err(e),
+            _ => Err(joined()),
+        }
+    }
+
     /// Number of entities written so far.
     pub fn entity_count(&self) -> u64 {
         u64::from(self.next_id)
@@ -171,8 +330,12 @@ impl WorldWriter {
 
     /// Seal the world: close the open shard, commit the BM25 segment, and
     /// write the manifest (the commit point). Fails typed if any edge
-    /// referenced an entity that was never written.
+    /// referenced an entity that was never written, or if any earlier call
+    /// failed.
     pub fn finish(mut self) -> Result<Manifest, StoreError> {
+        if let Some(e) = self.failed.take() {
+            return Err(e);
+        }
         if let Some(m) = self.max_ref {
             if m >= self.next_id {
                 return Err(StoreError::Corrupt(format!(
@@ -185,18 +348,35 @@ impl WorldWriter {
             shard.finish()?;
             self.next_shard += 1;
         }
-        let stats = self.bm25.finish()?;
+        self.send_batch(true)?;
+        let stats = self.builder.take().ok_or_else(joined)?.join()?;
         let manifest = Manifest {
             n_entities: u64::from(self.next_id),
             per_shard: self.cfg.per_shard,
             n_shards: self.next_shard,
-            predicates: self.predicates,
+            predicates: std::mem::take(&mut self.predicates),
             instance_of: self.instance_of,
             subclass_of: self.subclass_of,
             bm25: stats,
         };
         manifest.write(&self.dir)?;
         Ok(manifest)
+    }
+}
+
+/// The error for a call that needs the builder thread after it was joined.
+fn joined() -> StoreError {
+    StoreError::Corrupt("BM25 builder thread is no longer running".into())
+}
+
+impl Drop for WorldWriter {
+    /// An unfinished build closes the batch channel without the commit
+    /// signal and waits for the builder thread, which drops its builder
+    /// unpublished (removing `index.runs/`) before the drop returns.
+    fn drop(&mut self) {
+        if let Some(thread) = self.builder.take() {
+            let _ = thread.join();
+        }
     }
 }
 
@@ -345,6 +525,76 @@ mod tests {
         let w = WorldWriter::new(&dir, WorldWriterConfig::default()).unwrap();
         drop(w);
         assert!(matches!(DiskWorld::open(&dir), Err(StoreError::Io(_))));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Entity `i` of the bulk builds below: one single-token label.
+    fn bulk_entity(i: usize) -> Entity {
+        Entity::new(format!("entity{i}"), NeSchema::Other)
+    }
+
+    #[test]
+    fn dropping_a_spilled_build_joins_the_builder_and_leaves_nothing() {
+        let dir = tmpdir("abort");
+        let cfg = WorldWriterConfig {
+            spill_postings: 1,
+            ..WorldWriterConfig::default()
+        };
+        let mut w = WorldWriter::new(&dir, cfg).unwrap();
+        // Keep the builder thread's end of the free-batch queue observable:
+        // it disconnects only once the thread's state has been dropped.
+        let (_tx, unused) = sync_channel(1);
+        let free = std::mem::replace(&mut w.builder.as_mut().unwrap().free, unused);
+        for i in 0..BATCH_DOCS + 1 {
+            w.add_entity(&bulk_entity(i), &[], &[]).unwrap();
+        }
+        // The first batch is out; wait until the builder has spilled.
+        let runs = dir.join("index.runs");
+        let t0 = std::time::Instant::now();
+        while !runs.exists() {
+            assert!(t0.elapsed().as_secs() < 30, "the builder never spilled");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        drop(w);
+        loop {
+            match free.try_recv() {
+                Ok(_) => continue,
+                Err(std::sync::mpsc::TryRecvError::Disconnected) => break,
+                Err(std::sync::mpsc::TryRecvError::Empty) => {
+                    panic!("the builder thread outlived the writer's drop")
+                }
+            }
+        }
+        assert!(!dir.join(BM25_FILE).exists());
+        assert!(!runs.exists());
+        assert!(!dir.join(MANIFEST_FILE).exists());
+        write_graph(&dir, &toy_graph(), WorldWriterConfig::default()).unwrap();
+        assert!(DiskWorld::open(&dir).is_ok());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_builder_error_comes_back_typed_and_sticks() {
+        let dir = tmpdir("runs-blocked");
+        // The first spill must create `index.runs/`, and a file is there.
+        std::fs::write(dir.join("index.runs"), b"not a directory").unwrap();
+        let cfg = WorldWriterConfig {
+            spill_postings: 1,
+            ..WorldWriterConfig::default()
+        };
+        let mut w = WorldWriter::new(&dir, cfg).unwrap();
+        // The builder fails inside the first batch and never takes the
+        // second, so handing over the third cannot succeed.
+        let first = (0..3 * BATCH_DOCS)
+            .find_map(|i| w.add_entity(&bulk_entity(i), &[], &[]).err())
+            .expect("a blocked spill must fail the build");
+        assert!(matches!(first, StoreError::Io(_)), "{first:?}");
+        for i in 0..3 {
+            assert_eq!(w.add_entity(&bulk_entity(i), &[], &[]), Err(first.clone()));
+        }
+        assert_eq!(w.finish().unwrap_err(), first);
+        assert!(!dir.join(MANIFEST_FILE).exists());
+        assert!(!dir.join(BM25_FILE).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -37,13 +37,13 @@ cargo test -q --workspace
 echo "== same bits under the baseline ISA (x86-64, no AVX) =="
 # The default build targets x86-64-v3 (.cargo/config.toml) and the parity
 # policy says the vector width moves speed, not bits. Rebuild the kernel
-# parity/math tests and the four golden digests (encoder rows, classifier
+# parity/math tests and the five golden digests (encoder rows, classifier
 # logits, checkpoint bytes, world files: index.kgbm holds f32 block max
-# scores) for baseline x86-64: RUSTFLAGS overrides the config, and a
-# target dir of its own keeps both builds warm. An --exact
-# filter that matches nothing still exits 0, so each filtered run must
-# report exactly as many passed tests as it names: a renamed digest test
-# fails here instead of checking nothing.
+# scores; the big world's sampled mentions) for baseline x86-64:
+# RUSTFLAGS overrides the config, and a target dir of its own keeps both
+# builds warm. An --exact filter that matches nothing still exits 0, so
+# each filtered run must report exactly as many passed tests as it names:
+# a renamed digest test fails here instead of checking nothing.
 if [[ "$(uname -m)" == "x86_64" ]]; then
     baseline_isa() {
         RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/isa-baseline cargo test -q "$@"
@@ -64,8 +64,9 @@ if [[ "$(uname -m)" == "x86_64" ]]; then
     baseline_isa_exact 2 -p kglink-core --lib -- --exact \
         train::tests::classifier_logit_bits_match_the_golden_digest \
         train::tests::checkpoint_bytes_match_the_golden_digest
-    baseline_isa_exact 1 -p kglink-datagen --test golden_world -- --exact \
-        world_bytes_match_the_golden_digest
+    baseline_isa_exact 2 -p kglink-datagen --test golden_world -- --exact \
+        world_bytes_match_the_golden_digest \
+        sampled_mentions_match_the_golden_digest
 fi
 
 echo "== cargo doc --workspace --no-deps (rustdoc warnings denied) =="
@@ -110,7 +111,9 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --smoke
 
 # Opt-in ThreadSanitizer stage: dynamic cross-check of the same lock/wait
-# discipline the lint rules reason about statically. TSan
+# discipline the lint rules reason about statically, over the serving
+# layer and the world writer's BM25 builder thread (kglink-store's
+# world:: tests), the only library thread started outside serve. TSan
 # needs nightly (-Zsanitizer + -Zbuild-std), so the stage is gated on
 # KGLINK_TSAN=1 and skipped with a visible notice when nightly (or its
 # rust-src component) is unavailable — it must never silently pass.
@@ -118,11 +121,15 @@ if [[ "${KGLINK_TSAN:-0}" == "1" ]]; then
     if rustup run nightly rustc --version >/dev/null 2>&1 \
         && rustup component list --toolchain nightly 2>/dev/null \
             | grep -q '^rust-src (installed)'; then
-        echo "== ThreadSanitizer: crates/serve concurrency tests (nightly) =="
+        echo "== ThreadSanitizer: crates/serve and the world writer's builder thread (nightly) =="
         host="$(rustc -vV | sed -n 's/^host: //p')"
-        RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
-            cargo +nightly test -Zbuild-std --target "$host" \
-            --target-dir target/tsan -p kglink-serve
+        tsan() {
+            RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
+                cargo +nightly test -Zbuild-std --target "$host" \
+                --target-dir target/tsan "$@"
+        }
+        tsan -p kglink-serve
+        tsan -p kglink-store --lib -- world::
     else
         echo "== ThreadSanitizer: SKIPPED (nightly toolchain with rust-src not available) =="
     fi
