@@ -54,23 +54,32 @@ mod tests {
     use super::*;
     use kglink_table::{CellValue, SplitSpec, Table, TableId};
 
+    /// One single-row table per entry of `tables`, with one text column
+    /// per label it lists; every table starts in the training split.
+    fn dataset(vocab: &LabelVocab, tables: &[Vec<LabelId>]) -> Dataset {
+        let tables = tables
+            .iter()
+            .zip(0u32..)
+            .map(|(labels, i)| {
+                let columns = vec![vec![CellValue::Text("x".into())]; labels.len()];
+                Table::new(TableId(i), vec![], columns, labels.clone())
+            })
+            .collect();
+        Dataset::new("toy", tables, vocab.clone())
+    }
+
     #[test]
     fn majority_label_is_most_frequent_training_label() {
         let mut vocab = LabelVocab::new();
         let a = vocab.intern("a");
         let b = vocab.intern("b");
-        let mut tables = Vec::new();
-        for i in 0..10u32 {
-            let l = if i < 7 { a } else { b };
-            tables.push(Table::new(
-                TableId(i),
-                vec![],
-                vec![vec![CellValue::Text("x".into())]],
-                vec![l],
-            ));
+        let seven_to_three: Vec<Vec<LabelId>> = (0..10).map(|i| vec![if i < 7 { a } else { b }]).collect();
+        let mut skewed = dataset(&vocab, &seven_to_three);
+        skewed.assign_splits(SplitSpec::default(), 3);
+        // Equal counts, with the higher id seen first: the lower id wins.
+        let tied = dataset(&vocab, &vec![vec![b, a]; 4]);
+        for (ds, want) in [(skewed, a), (tied, a)] {
+            assert_eq!(train_majority_label(&ds), want);
         }
-        let mut ds = Dataset::new("toy", tables, vocab);
-        ds.assign_splits(SplitSpec::default(), 3);
-        assert_eq!(train_majority_label(&ds), a);
     }
 }

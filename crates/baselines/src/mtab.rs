@@ -51,6 +51,10 @@ impl CtaModel for MTab {
                             // Match the entity type against every dataset
                             // label's KG translation, rewarding exact matches
                             // over hierarchy matches.
+                            #[expect(
+                                clippy::iter_over_hash_type,
+                                reason = "order-insensitive: each label has its own accumulator and is visited once per (entity, type), so the visit order changes no sum"
+                            )]
                             for (&label, &label_ty) in env.label_to_type {
                                 let w = if ty == label_ty {
                                     2.0
@@ -66,14 +70,16 @@ impl CtaModel for MTab {
                         }
                     }
                 }
-                // kglink-lint: allow(nondeterminism) — max under a total order
-                // (score, then label id): the winner is independent of the
-                // hash map's iteration order.
-                label_scores
-                    .into_iter()
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "max under a total order (score, then label id): the winner is independent of the hash map's iteration order"
+                )]
+                let best = label_scores
+                    .drain()
                     .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))
                     .map(|(l, _)| l)
-                    .unwrap_or(self.fallback)
+                    .unwrap_or(self.fallback);
+                best
             })
             .collect()
     }

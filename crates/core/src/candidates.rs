@@ -53,11 +53,12 @@ pub fn candidate_types(
                 }
             }
         }
-        // kglink-lint: allow(nondeterminism) — order-insensitive: the filter
-        // is per-element and the very next statement imposes a total order
-        // (score via total_cmp, then entity id) before anything is emitted.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "order-insensitive: the filter is per-element and the very next statement imposes a total order (score via total_cmp, then entity id) before anything is emitted"
+        )]
         let mut ranked: Vec<CandidateType> = scores
-            .into_iter()
+            .drain()
             .filter(|(ct, _)| row_support[ct].len() >= 2.min(filtered.table.n_rows()))
             .map(|(entity, score)| CandidateType { entity, score })
             .collect();

@@ -161,9 +161,11 @@ impl SyntheticWorld {
 
     /// All fine types that have at least `min` instances.
     pub fn populated_types(&self, min: usize) -> Vec<EntityId> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "order-insensitive: the filter is per-entry and the result is sorted before returning"
+        )]
         let mut v: Vec<EntityId> = self
-            // kglink-lint: allow(nondeterminism) — order-insensitive: the
-            // filter is per-entry and the result is sorted before returning.
             .instances_by_type
             .iter()
             .filter(|(_, inst)| inst.len() >= min)

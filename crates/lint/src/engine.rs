@@ -216,10 +216,8 @@ mod tests {
     #[test]
     fn justified_allow_suppresses_and_counts() {
         let src = "\
-fn f() {
-    // kglink-lint: allow(nondeterminism) — timing only, never in an output
-    let t = Instant::now();
-}
+// kglink-lint: allow(single-percentile) — the one canonical implementation
+fn p99_quantile(v: &[u64]) -> u64 { v[0] }
 ";
         let r = lint_one("crates/kg/src/graph.rs", src);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
@@ -228,7 +226,7 @@ fn f() {
 
     #[test]
     fn bare_allow_still_suppresses_but_is_flagged_itself() {
-        let src = "fn f() {\n // kglink-lint: allow(nondeterminism)\n let t = Instant::now();\n}\n";
+        let src = "// kglink-lint: allow(single-percentile)\nfn p99_quantile(v: &[u64]) -> u64 { v[0] }\n";
         let r = lint_one("crates/kg/src/graph.rs", src);
         assert_eq!(r.suppressed, 1);
         assert_eq!(r.findings.len(), 1);
@@ -239,7 +237,7 @@ fn f() {
     fn unused_and_unknown_allows_are_flagged() {
         let src = "\
 fn f() {
-    // kglink-lint: allow(nondeterminism) — no clock read follows anymore
+    // kglink-lint: allow(single-percentile) — no quantile fn follows anymore
     let x = 1;
     // kglink-lint: allow(no-such-rule) — rule id typo'd
     let y = 2;

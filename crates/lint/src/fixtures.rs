@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! //@ file: crates/kg/src/io.rs        — virtual path used for scoping
-//! //@ expect: nondeterminism @ 7        — a finding this file must produce
+//! //@ expect: single-percentile @ 7     — a finding this file must produce
 //! //@ suppressed: 2                     — exact count of suppressed findings
 //! ```
 //!
@@ -283,14 +283,14 @@ mod tests {
 
     #[test]
     fn parses_directives() {
-        let text = "//@ file: crates/x/src/a.rs\n//@ expect: nondeterminism @ 4\n//@ suppressed: 1\nfn f() {}\n";
+        let text = "//@ file: crates/x/src/a.rs\n//@ expect: single-percentile @ 4\n//@ suppressed: 1\nfn f() {}\n";
         let f = parse_fixture(Path::new("a.rsfix"), text.into()).expect("parses");
         assert_eq!(f.files.len(), 1);
         assert_eq!(f.files[0].0, "crates/x/src/a.rs");
         assert_eq!(
             f.expect,
             vec![Expectation {
-                rule: "nondeterminism".into(),
+                rule: "single-percentile".into(),
                 path: "crates/x/src/a.rs".into(),
                 line: 4
             }]
@@ -302,7 +302,7 @@ mod tests {
     fn parses_multi_file_bundles_with_section_relative_expectations() {
         let text = "\
 //@ file: crates/a/src/lib.rs
-//@ expect: nondeterminism @ 3
+//@ expect: single-percentile @ 3
 fn f() {
     g();
 }
@@ -322,7 +322,7 @@ fn g() {}
         assert_eq!(
             f.expect,
             vec![Expectation {
-                rule: "nondeterminism".into(),
+                rule: "single-percentile".into(),
                 path: "crates/a/src/lib.rs".into(),
                 line: 3
             }]

@@ -1,13 +1,12 @@
 //! kglink-lint: the workspace invariant linter.
 //!
 //! The repo's correctness story rests on invariants the type system cannot
-//! see — bit-identical kill+resume, bit-identical multi-worker serving,
-//! single-source percentile math, atomic checkpoint writes, lock order,
-//! allocation-free inference. This crate enforces them statically, at CI
-//! time, replacing the two path-anchored `grep` gates that used to live in
-//! `scripts/ci.sh` (which silently rotted whenever an exempted file was
-//! renamed). Per-site token bans — panics in library code, unbounded
-//! serving channels, `unsafe` — are compiler and clippy settings instead.
+//! see — single-source percentile math, lock order, no blocking under a
+//! lock, forwarded deadlines, epoch discipline, allocation-free inference.
+//! This crate enforces them statically, at CI time. Per-site bans — panics,
+//! wall-clock reads, hash-order iteration, raw file writes and unbounded
+//! channels in library code, and `unsafe` — are compiler settings instead:
+//! lib-root `deny` lines and the workspace `clippy.toml` (DESIGN.md §11).
 //!
 //! Std-only by design: the workspace builds offline against vendored stubs,
 //! so `syn` is off the table. The [`lexer`] is a comment/string/raw-string
@@ -44,7 +43,7 @@
 
 #![deny(deprecated)]
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::allow_attributes, clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::allow_attributes, clippy::allow_attributes_without_reason, clippy::disallowed_methods, clippy::iter_over_hash_type))]
 
 pub mod callgraph;
 pub mod diag;

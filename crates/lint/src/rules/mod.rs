@@ -6,22 +6,18 @@
 //! offending pattern. See DESIGN.md §11 for the catalog and the policy on
 //! adding rules.
 
-mod atomic_write;
 mod blocking_under_lock;
 mod deadline_drop;
 mod epoch_hold;
 mod hot_path_alloc;
 mod lock_order;
-mod nondeterminism;
 mod single_percentile;
 
-pub use atomic_write::AtomicWrite;
 pub use blocking_under_lock::BlockingUnderLock;
 pub use deadline_drop::DeadlineDrop;
 pub use epoch_hold::EpochHold;
 pub use hot_path_alloc::HotPathAlloc;
 pub use lock_order::LockOrder;
-pub use nondeterminism::Nondeterminism;
 pub use single_percentile::SinglePercentile;
 
 use crate::diag::Finding;
@@ -43,8 +39,6 @@ pub trait Rule {
 /// The rule set.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(Nondeterminism),
-        Box::new(AtomicWrite),
         Box::new(SinglePercentile),
         Box::new(LockOrder),
         Box::new(HotPathAlloc),
@@ -72,16 +66,10 @@ pub const META_RULES: &[(&str, &str)] = &[
     ),
 ];
 
-/// True when code-token `i` of `f` is product library code: file in `Lib`
-/// scope and token outside any inline `#[cfg(test)]` item.
-pub fn is_lib_code(f: &SourceFile, i: usize) -> bool {
-    f.scope == crate::source::Scope::Lib && !f.code_in_test(i)
-}
-
 /// Code-token index range `[start, end)` of the statement containing code
 /// token `i`: back to just after the nearest `;`/`{`/`}`, forward through
 /// the nearest `;` (or a block end). An approximation — good enough to ask
-/// "does this statement mention a checkpoint?" or "is this chain sorted?".
+/// "does this statement name an epoch?" or "where does this guard end?".
 pub fn stmt_range(f: &SourceFile, i: usize) -> (usize, usize) {
     let mut start = i;
     while start > 0 {
@@ -103,9 +91,4 @@ pub fn stmt_range(f: &SourceFile, i: usize) -> (usize, usize) {
         }
     }
     (start, end)
-}
-
-/// True if any code token in `[start, end)` passes `pred` (given its text).
-pub fn range_has(f: &SourceFile, start: usize, end: usize, mut pred: impl FnMut(&str) -> bool) -> bool {
-    (start..end.min(f.code.len())).any(|j| pred(f.code_text(j)))
 }

@@ -4,7 +4,7 @@
 use crate::lexer::{lex, Tok, TokKind};
 
 /// Where a file sits in the workspace, decided from its path. Rules declare
-/// which scopes they apply to; e.g. `nondeterminism` runs only on [`Scope::Lib`].
+/// which scopes they apply to; e.g. `hot-path-alloc` skips [`Scope::Test`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scope {
     /// Library code under a crate's `src/` (or the root `src/`).
@@ -332,7 +332,7 @@ mod tests {
         let src = "\
 // kglink-lint: allow(hot-path-alloc) — capacity invariant, checked at build
 let a = x.to_vec();
-let b = y.unwrap(); // kglink-lint: allow(nondeterminism): timing only
+let b = y.unwrap(); // kglink-lint: allow(lock-order): poison audited
 ";
         let f = SourceFile::new("crates/x/src/lib.rs".into(), src.into());
         assert_eq!(f.suppressions.len(), 2);
@@ -340,7 +340,7 @@ let b = y.unwrap(); // kglink-lint: allow(nondeterminism): timing only
         assert_eq!(f.suppressions[0].target_line, 2);
         assert!(f.suppressions[0].justification.contains("capacity"));
         assert_eq!(f.suppressions[1].target_line, 3);
-        assert_eq!(f.suppressions[1].justification, "timing only");
+        assert_eq!(f.suppressions[1].justification, "poison audited");
     }
 
     #[test]
@@ -356,11 +356,11 @@ let b = y.unwrap(); // kglink-lint: allow(nondeterminism): timing only
 //! Escape hatch: a `// kglink-lint: allow(hot-path-alloc)` comment.
 /// Use `kglink-lint: allow(...)` to silence a rule.
 fn f() {}
-/* kglink-lint: allow(nondeterminism) — block form, at comment start */
+/* kglink-lint: allow(single-percentile) — block form, at comment start */
 fn g() {}
 ";
         let f = SourceFile::new("crates/x/src/lib.rs".into(), src.into());
         assert_eq!(f.suppressions.len(), 1);
-        assert_eq!(f.suppressions[0].rules, vec!["nondeterminism".to_string()]);
+        assert_eq!(f.suppressions[0].rules, vec!["single-percentile".to_string()]);
     }
 }

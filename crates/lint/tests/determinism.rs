@@ -1,6 +1,6 @@
 //! Two lint runs over the same workspace must produce byte-identical
-//! `results/lint.jsonl` content. The engine lints itself with this rule
-//! (`nondeterminism`), but the exported artifact is the contract CI diffs,
+//! `results/lint.jsonl` content. Clippy bans hash-order iteration in the
+//! engine's lib code, but the exported artifact is the contract CI diffs,
 //! so it gets its own end-to-end pin: findings and the suppression-audit
 //! record are deterministic.
 

@@ -61,10 +61,12 @@ impl Vocab {
                 *counts.entry(w).or_insert(0) += 1;
             }
         }
-        // kglink-lint: allow(nondeterminism) — order-insensitive: the filter
-        // is per-entry and the sort below totally orders by (count, word).
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "order-insensitive: the filter is per-entry and the sort below totally orders by (count, word)"
+        )]
         let mut items: Vec<(String, usize)> = counts
-            .into_iter()
+            .drain()
             .filter(|&(_, c)| c >= min_count)
             .collect();
         // Most frequent first; ties alphabetical for determinism.

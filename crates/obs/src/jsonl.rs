@@ -54,7 +54,12 @@ impl JsonlSink<BufWriter<std::fs::File>> {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        Ok(JsonlSink::new(BufWriter::new(std::fs::File::create(path)?)))
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a trace export, not a store or model file: a torn line is what a reader of an interrupted run expects"
+        )]
+        let file = std::fs::File::create(path)?;
+        Ok(JsonlSink::new(BufWriter::new(file)))
     }
 }
 

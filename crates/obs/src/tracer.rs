@@ -93,6 +93,10 @@ impl Tracer {
     pub fn enabled() -> Self {
         Tracer {
             inner: Some(Arc::new(Inner {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the trace clock's origin: event timestamps are trace output, never annotation output"
+                )]
                 epoch: Instant::now(),
                 next_span: AtomicU64::new(1),
                 events: Mutex::new(Vec::new()),
@@ -162,6 +166,10 @@ impl Tracer {
                         id,
                         parent,
                         name,
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "span timing feeds the stage histograms, never an annotation output"
+                        )]
                         start: Instant::now(),
                     }),
                 }

@@ -96,9 +96,11 @@ impl InvertedIndex {
     /// Freeze the index: sorts postings by document id for deterministic
     /// iteration and enables querying.
     pub fn finish(&mut self) {
-        // kglink-lint: allow(nondeterminism) — order-insensitive: each list
-        // is canonicalized (sorted by doc, duplicates merged) independently;
-        // the visit order across lists can affect nothing observable.
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::iter_over_hash_type,
+            reason = "order-insensitive: each list is canonicalized (sorted by doc, duplicates merged) independently; the visit order across lists can affect nothing observable"
+        )]
         for list in self.postings.values_mut() {
             list.sort_unstable_by_key(|p| p.doc);
             // Merge duplicate (doc) entries produced by multiple fields.
@@ -225,10 +227,10 @@ impl Ord for HeapEntry {
 
 fn top_k(acc: HashMap<DocId, f32>, k: usize) -> Vec<SearchHit> {
     let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
-    // kglink-lint: allow(nondeterminism) — order-insensitive: HeapEntry's
-    // Ord is total (total_cmp, then doc id), so a size-bounded heap keeps
-    // exactly the k greatest entries whatever order they arrive in; the
-    // final sort below fixes the emitted order.
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "order-insensitive: HeapEntry's Ord is total (total_cmp, then doc id), so a size-bounded heap keeps exactly the k greatest entries whatever order they arrive in; the final sort below fixes the emitted order"
+    )]
     for (doc, score) in acc {
         heap.push(HeapEntry(SearchHit { doc, score }));
         if heap.len() > k {

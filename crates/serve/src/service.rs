@@ -423,8 +423,10 @@ impl AnnotationService {
             rollback_budget: config.rollback_budget,
             tracer: config.tracer,
             next_id: AtomicU64::new(0),
-            // kglink-lint: allow(nondeterminism) — wall-clock uptime for
-            // the metrics snapshot only; no annotation output reads it.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock uptime for the metrics snapshot only; no annotation output reads it"
+            )]
             started: Instant::now(),
             supervisor,
             closed: false,
@@ -464,9 +466,10 @@ impl AnnotationService {
             id,
             table,
             deadline,
-            // kglink-lint: allow(nondeterminism) — queue-wait timestamp:
-            // deadlines are budgeted against real elapsed time by design;
-            // annotation *results* stay bit-identical regardless (PR 2).
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "queue-wait timestamp: deadlines are budgeted against real elapsed time by design; annotation results stay bit-identical regardless"
+            )]
             enqueued: Instant::now(),
             reply: tx,
         };
@@ -753,8 +756,10 @@ impl AnnotationService {
                 plan.watch_sample_every,
             ))
         });
-        // kglink-lint: allow(nondeterminism) — measures how long the epoch
-        // bump itself takes for the swap report; no annotation reads it.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measures how long the epoch bump itself takes for the swap report; no annotation reads it"
+        )]
         let t_promote = Instant::now();
         let prior = self
             .lifecycle
@@ -851,8 +856,10 @@ impl AnnotationService {
     /// timeout elapses. Live traffic drives the counters; this thread only
     /// sleeps and reads.
     fn await_comparisons(&self, st: &ShadowState, min: u64, timeout: Duration) {
-        // kglink-lint: allow(nondeterminism) — real-time phase timeout for
-        // the blocking swap driver; annotation outputs never read it.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "real-time phase timeout for the blocking swap driver; annotation outputs never read it"
+        )]
         let t0 = Instant::now();
         while st.compared.load(Ordering::SeqCst) < min && t0.elapsed() < timeout {
             std::thread::sleep(Duration::from_micros(500));

@@ -266,8 +266,10 @@ fn serve_request(ctx: &WorkerContext, request: &Request, serving: &Serving) -> A
         },
     };
 
-    // kglink-lint: allow(nondeterminism) — annotate-only wall time feeding
-    // the shadow-comparison latency histograms; labels never read it.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "annotate-only wall time feeding the shadow-comparison latency histograms; labels never read it"
+    )]
     let t0 = Instant::now();
     let outcome = annotate_once(ctx, &serving.epoch, request, path, true);
     let primary_us = t0.elapsed().as_micros() as u64;
@@ -303,8 +305,10 @@ fn run_shadow(
     primary: &AnnotateOutcome,
     primary_us: u64,
 ) {
-    // kglink-lint: allow(nondeterminism) — shadow annotate wall time for
-    // the p99-inflation guard; no annotation output reads it.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "shadow annotate wall time for the p99-inflation guard; no annotation output reads it"
+    )]
     let t0 = Instant::now();
     let duplicate = catch_unwind(AssertUnwindSafe(|| {
         annotate_once(ctx, &sh.epoch, request, path, false).labels

@@ -6,8 +6,8 @@
 //! are fsync'd, and only then renamed over the destination. On POSIX a
 //! rename within one directory is atomic, so a crash at any point leaves
 //! either the previous complete segment or the new complete segment, never
-//! a torn hybrid. The `atomic-write` lint rule keeps every other
-//! `fs::write`/`File::create` of segment data out of the workspace.
+//! a torn hybrid. Clippy's raw-write ban (the workspace `clippy.toml`)
+//! keeps every other `fs::write`/`File::create` out of lib code.
 //!
 //! Two shapes:
 //!
@@ -60,9 +60,10 @@ impl AtomicFile {
             }
         }
         let tmp = path.with_extension(TMP_SUFFIX);
-        // This *is* the sanctioned atomic writer: the create targets the
-        // temporary sibling only, and the bytes become a segment solely at
-        // the fsync+rename in `commit`.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the sanctioned atomic writer: the create targets the temporary sibling only, and the bytes become a segment solely at the fsync+rename in `commit`"
+        )]
         let file = File::create(&tmp)?;
         Ok(AtomicFile {
             writer: Some(BufWriter::new(file)),

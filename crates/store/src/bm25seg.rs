@@ -246,8 +246,10 @@ impl Bm25SegBuilder {
         }
         std::fs::create_dir_all(&self.run_dir)?;
         let run_path = self.run_dir.join(format!("run-{:04}.bin", self.runs.len()));
-        // Runs are transient scratch (deleted in finish/Drop), not store
-        // files: plain sequential writes, no framing, no fsync.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "runs are transient scratch (deleted in finish/Drop), not store files: plain sequential writes, no framing, no fsync"
+        )]
         let file = File::create(&run_path)?;
         let mut w = BufWriter::new(file);
         let mut buf = Vec::new();

@@ -223,9 +223,9 @@ impl Dataset {
         }
     }
 
-    /// Label distribution over columns in a split.
-    pub fn label_histogram(&self, split: Split) -> HashMap<LabelId, usize> {
-        let mut h = HashMap::new();
+    /// Label distribution over columns in a split, in label order.
+    pub fn label_histogram(&self, split: Split) -> BTreeMap<LabelId, usize> {
+        let mut h = BTreeMap::new();
         for (_, l) in self.columns_in(split) {
             *h.entry(l).or_insert(0) += 1;
         }

@@ -14,13 +14,13 @@ cargo build --release
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 # Clippy owns the workspace's per-site bans, so it runs before the
-# multi-minute test suite: every Scope::Lib root denies clippy's panic
-# family (unwrap_used, expect_used, panic, unreachable, todo,
-# unimplemented) and any #[allow] or reasonless #[expect] outside test
-# builds, and crates/{serve,search}/clippy.toml disallow the unbounded
-# std::sync::mpsc::channel. A justified site carries
-# #[expect(<lint>, reason = "...")], and a stale one fails as
-# unfulfilled_lint_expectations.
+# multi-minute test suite: outside test builds every Scope::Lib root
+# denies clippy's panic family, any #[allow] or reasonless #[expect], a
+# for loop over a hash type, and what the root clippy.toml disallows:
+# Instant/SystemTime::now, HashMap/HashSet iteration methods, fs::write,
+# File::create{,_new}, OpenOptions::open and mpsc::channel. A justified
+# site carries #[expect(<lint>, reason = "...")], and a stale one fails
+# as unfulfilled_lint_expectations.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== benchmark builds against the library (frozen API surface) =="
@@ -81,11 +81,11 @@ echo "== kglink-lint self-test (fixture corpus meta-gate) =="
 cargo run --release -q -p kglink-lint -- --self-test
 
 echo "== kglink-lint --workspace --deny-all =="
-# Workspace invariant gate: the eight rules `kglink-lint --list-rules`
-# prints (nondeterminism, atomic-write, single-percentile, lock-order,
-# hot-path-alloc, blocking-under-lock, deadline-drop, epoch-hold; catalog
-# and evidence in DESIGN.md §11), over the workspace call graph, with
-# every suppression audited. Findings are exported to results/lint.jsonl.
+# Workspace invariant gate: the six rules `kglink-lint --list-rules`
+# prints (single-percentile, lock-order, hot-path-alloc,
+# blocking-under-lock, deadline-drop, epoch-hold; catalog and evidence in
+# DESIGN.md §11), over the workspace call graph, with every suppression
+# audited. Findings are exported to results/lint.jsonl.
 cargo run --release -q -p kglink-lint -- --workspace --deny-all --json
 
 echo "== exp_serve smoke (serving-layer identity + cache gate) =="
