@@ -132,7 +132,11 @@ impl BrownoutController {
 /// unblocks *now* with [`ServiceError::Shed`], not at some later drop.
 /// Every eviction path (`ShedOldest` admission and admission-limit trims)
 /// routes through here so the accounting can never diverge.
-pub(crate) fn resolve_shed(victim: Request, shed_counter: &std::sync::atomic::AtomicU64, tracer: &Tracer) {
+pub(crate) fn resolve_shed(
+    victim: Request,
+    shed_counter: &std::sync::atomic::AtomicU64,
+    tracer: &Tracer,
+) {
     shed_counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     tracer.incr("serve.shed", 1);
     let _ = victim.reply.send(Err(ServiceError::Shed));
@@ -200,7 +204,8 @@ mod tests {
         for _ in 0..1_000 {
             assert_eq!(b.observe(0), DegradationRung::NoLinkage);
         }
-        let mut cache_only = BrownoutController::new(BrownoutConfig::pinned(DegradationRung::CacheOnly));
+        let mut cache_only =
+            BrownoutController::new(BrownoutConfig::pinned(DegradationRung::CacheOnly));
         for _ in 0..10 {
             assert_eq!(cache_only.observe(0), DegradationRung::CacheOnly);
         }

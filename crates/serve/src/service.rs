@@ -260,8 +260,8 @@ fn spawn_worker(
             // `worker::run` already isolates per-request panics; this
             // outer net catches anything that unwinds out of the loop
             // itself so the supervisor always learns how we died.
-            let exit = catch_unwind(AssertUnwindSafe(|| worker::run(ctx)))
-                .unwrap_or(WorkerExit::Panicked);
+            let exit =
+                catch_unwind(AssertUnwindSafe(|| worker::run(ctx))).unwrap_or(WorkerExit::Panicked);
             let _ = exit_tx.send((idx, exit));
         })
         .expect("failed to spawn worker thread")
@@ -313,11 +313,12 @@ fn supervise(
                         pool.shared.failed.store(true, Ordering::SeqCst);
                         pool.tracer.incr("worker.pool_failed", 1);
                         for leftover in pool.queue.close() {
-                            let _ = leftover.reply.send(Err(
-                                ServiceError::RestartBudgetExhausted {
-                                    budget: restart_budget,
-                                },
-                            ));
+                            let _ =
+                                leftover
+                                    .reply
+                                    .send(Err(ServiceError::RestartBudgetExhausted {
+                                        budget: restart_budget,
+                                    }));
                         }
                     }
                 }
@@ -361,7 +362,11 @@ impl AnnotationService {
         tokenizer: Arc<Tokenizer>,
         config: ServiceConfig,
     ) -> Self {
-        let retrieval = Arc::new(Retrieval::new(backend, config.cache.clone(), &config.tracer));
+        let retrieval = Arc::new(Retrieval::new(
+            backend,
+            config.cache.clone(),
+            &config.tracer,
+        ));
         let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
         let shared = Arc::new(Shared::new(config.workers, config.overload.as_ref()));
         if let Some(overload) = &shared.overload {
@@ -740,9 +745,7 @@ impl AnnotationService {
                     format!(
                         "shadow label-flip rate {rate:.3} exceeds gate {:.3} \
                          ({} of {} requests)",
-                        plan.shadow_max_flip_rate,
-                        report.shadow_flips,
-                        report.shadow_compared
+                        plan.shadow_max_flip_rate, report.shadow_flips, report.shadow_compared
                     ),
                 );
             }

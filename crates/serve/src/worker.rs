@@ -171,8 +171,7 @@ fn overload_control(ctx: &WorkerContext, sojourn_us: u64) -> DegradationRung {
     if let Some(verdict) = verdict {
         let previous = ctx.queue.set_limit(limit);
         if limit != previous {
-            let trimmed =
-                brownout::trim_queue_to_limit(&ctx.queue, &ctx.shared.shed, &ctx.tracer);
+            let trimmed = brownout::trim_queue_to_limit(&ctx.queue, &ctx.shared.shed, &ctx.tracer);
             ctx.tracer.event_with(
                 "serve.admission_limit",
                 vec![
@@ -191,7 +190,12 @@ fn overload_control(ctx: &WorkerContext, sojourn_us: u64) -> DegradationRung {
         ctx.tracer.event_with(
             "serve.rung_change",
             vec![
-                ("from", DegradationRung::from_level(previous_level as u8).name().to_string()),
+                (
+                    "from",
+                    DegradationRung::from_level(previous_level as u8)
+                        .name()
+                        .to_string(),
+                ),
                 ("to", rung.name().to_string()),
             ],
         );
