@@ -59,6 +59,10 @@ impl Reca {
         if a.is_empty() && b.is_empty() {
             return 0.0;
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "order-insensitive: only the size of the intersection is read"
+        )]
         let inter = a.intersection(b).count();
         let union = a.len() + b.len() - inter;
         inter as f64 / union as f64

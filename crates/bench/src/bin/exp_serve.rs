@@ -19,9 +19,12 @@
 //! searcher, demonstrating that training-time preprocessing reuses the
 //! same cache layer the service uses (and measuring its hit rate).
 //!
+//! The `help items` column is `ServiceMetrics::help_items`: search and
+//! one-hop batch items an idle worker ran for another worker's request.
+//!
 //! `--smoke` shrinks the workload and skips the scaling assertions (they
 //! need the full grid); it keeps the bit-identity, cache-hit and memo
-//! checks.
+//! checks, over one and two workers.
 
 use kglink_bench::{print_markdown, ExpEnv, Which};
 use kglink_search::{CacheConfig, CachingBackend, Deadline};
@@ -39,6 +42,7 @@ struct Cell {
     p99_us: u64,
     hit_rate: f64,
     memo_hit_share: f64,
+    help_items: u64,
     degraded: u64,
 }
 
@@ -94,7 +98,7 @@ fn main() {
     );
 
     let model = Arc::new(model);
-    let worker_grid: &[usize] = if smoke { &[1] } else { &[1, 2, 4, 8] };
+    let worker_grid: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
     let cache_grid: &[bool] = if smoke { &[true] } else { &[false, true] };
     let mut cells: Vec<Cell> = Vec::new();
 
@@ -155,6 +159,7 @@ fn main() {
                 p99_us: m.latency_p99_us,
                 hit_rate: m.cache_hit_rate(),
                 memo_hit_share: m.feature_memo.hit_share(),
+                help_items: m.help_items,
                 degraded: m.degraded_columns,
             });
             eprintln!(
@@ -179,6 +184,7 @@ fn main() {
                 format!("{}", c.p99_us),
                 format!("{:.3}", c.hit_rate),
                 format!("{:.3}", c.memo_hit_share),
+                c.help_items.to_string(),
                 c.degraded.to_string(),
             ]
         })
@@ -199,6 +205,7 @@ fn main() {
             "p99 us",
             "hit rate",
             "memo hit share",
+            "help items",
             "degraded cols",
         ],
         &rows,

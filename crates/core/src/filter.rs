@@ -75,17 +75,24 @@ pub fn prune_and_filter(
 ) -> FilteredTable {
     let n_rows = table.n_rows();
     let n_cols = table.n_cols();
-    // One graph read per distinct candidate of the chunk, asked in first-use
-    // order (row, column, rank); the rows below only borrow the answers.
+    // One graph read per distinct candidate of the chunk, asked as one
+    // batch in first-use order (row, column, rank); `hop_of` maps an id to
+    // its answer's index, and the rows below only borrow the answers.
     // Both maps are probed by id, never iterated.
-    let mut one_hop: IdMap<Vec<EntityId>> = IdMap::default();
+    let mut hop_of: IdMap<usize> = IdMap::default();
+    let mut ids = Vec::new();
     for r in 0..n_rows {
         for c in 0..n_cols {
             for &(e, _) in &linked.cell(r, c).candidates {
-                one_hop.entry(e).or_insert_with(|| graph.one_hop(e));
+                hop_of.entry(e).or_insert_with(|| {
+                    ids.push(e);
+                    ids.len() - 1
+                });
             }
         }
     }
+    let hops = graph.one_hop_batch(ids);
+    let one_hop = |e: &EntityId| hops.get(hop_of[e]).map_or(&[][..], Vec::as_slice);
 
     // Prune every cell row by row.
     let mut pruned: Vec<Vec<PrunedCell>> = vec![vec![PrunedCell::default(); n_rows]; n_cols];
@@ -97,7 +104,7 @@ pub fn prune_and_filter(
         for (c, counts) in neighbor_counts.iter_mut().enumerate() {
             counts.clear();
             for (e, _) in &linked.cell(r, c).candidates {
-                for &n in &one_hop[e] {
+                for &n in one_hop(e) {
                     *counts.entry(n).or_insert(0) += 1;
                 }
             }

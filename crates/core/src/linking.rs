@@ -60,37 +60,48 @@ impl LinkedTable {
 
     /// [`link`](Self::link) with a per-query retrieval deadline. Retrieval
     /// errors leave the cell unlinked with `failed = true`.
+    ///
+    /// Every entity mention of the table goes to the backend as one
+    /// [`KgBackend::search_batch`], column-major, and each answer is put
+    /// back at its cell by index; a batch that answers short fails the
+    /// cells it left out.
     pub fn link_with_deadline(
         table: &Table,
         backend: &dyn KgBackend,
         max_entities: usize,
         deadline: Deadline,
     ) -> Self {
-        let cells = table
+        let mut queries = Vec::new();
+        let mut cells: Vec<Vec<CellLink>> = table
             .columns
             .iter()
             .map(|col| {
                 col.iter()
                     .map(|cell| {
                         let kind = cell.mention_kind();
-                        let (candidates, failed) = if kind == MentionKind::Entity {
-                            match backend.search_entities(&cell.surface(), max_entities, deadline)
-                            {
-                                Ok(outcome) => (outcome.hits, false),
-                                Err(_) => (Vec::new(), true),
-                            }
-                        } else {
-                            (Vec::new(), false)
-                        };
+                        if kind == MentionKind::Entity {
+                            queries.push(cell.surface());
+                        }
                         CellLink {
                             kind,
-                            candidates,
-                            failed,
+                            candidates: Vec::new(),
+                            failed: false,
                         }
                     })
                     .collect()
             })
             .collect();
+        let mut answers = backend
+            .search_batch(queries, max_entities, deadline)
+            .into_iter();
+        for link in cells.iter_mut().flatten() {
+            if link.kind == MentionKind::Entity {
+                match answers.next() {
+                    Some(Ok(outcome)) => link.candidates = outcome.hits,
+                    Some(Err(_)) | None => link.failed = true,
+                }
+            }
+        }
         LinkedTable { cells }
     }
 

@@ -6,11 +6,40 @@
 //! Each fusion performs exactly the operation sequence of the unfused
 //! legacy code (e.g. `t = v * scale` then `exp(t - max)`), so results are
 //! bit-identical to computing the steps separately.
+//!
+//! The row reductions (softmax max and sum, layer-norm mean and variance)
+//! run eight rows abreast: one accumulator chain per row, the eight chains
+//! interleaved column by column so they overlap in the pipeline, then the
+//! remainder rows one at a time. Each row's chain is still its own fold in
+//! column order from the same start value, so every row's bits are those
+//! of the row on its own.
 
 use crate::math::{exp, tanh};
 
 /// Layer-norm variance epsilon (matches the original `kglink-nn` value).
 pub const LAYER_NORM_EPS: f32 = 1e-5;
+
+/// Rows per interleaved reduction group (module docs).
+const GROUP: usize = 8;
+
+/// Fold every row of a `GROUP`-row block in column order, one chain per
+/// row starting from `init`, the chains interleaved; `f(row, acc, v)`.
+#[inline(always)]
+fn fold_group(
+    block: &[f32],
+    cols: usize,
+    init: f32,
+    f: impl Fn(usize, f32, f32) -> f32,
+) -> [f32; GROUP] {
+    let rows: [&[f32]; GROUP] = std::array::from_fn(|k| &block[k * cols..(k + 1) * cols]);
+    let mut acc = [init; GROUP];
+    for c in 0..cols {
+        for (k, (a, row)) in acc.iter_mut().zip(&rows).enumerate() {
+            *a = f(k, *a, row[c]);
+        }
+    }
+    acc
+}
 
 /// Numerically stable in-place row-wise softmax.
 pub fn softmax_rows(x: &mut [f32], cols: usize) {
@@ -26,7 +55,25 @@ pub fn softmax_rows(x: &mut [f32], cols: usize) {
 /// one sequential chain, ascending from 0.0.
 pub fn scaled_softmax_rows(x: &mut [f32], cols: usize, scale: f32) {
     assert!(cols > 0 && x.len().is_multiple_of(cols), "scaled_softmax_rows shape");
-    for row in x.chunks_exact_mut(cols) {
+    let mut blocks = x.chunks_exact_mut(GROUP * cols);
+    for block in &mut blocks {
+        let max = fold_group(block, cols, f32::NEG_INFINITY, |_, m, v| {
+            f32::max(m, v * scale)
+        });
+        for (row, &m) in block.chunks_exact_mut(cols).zip(&max) {
+            for v in row.iter_mut() {
+                *v = exp(*v * scale - m);
+            }
+        }
+        let sum = fold_group(block, cols, 0.0, |_, s, v| s + v);
+        for (row, &s) in block.chunks_exact_mut(cols).zip(&sum) {
+            let inv = 1.0 / s.max(f32::MIN_POSITIVE);
+            for v in row.iter_mut() {
+                *v *= inv;
+            }
+        }
+    }
+    for row in blocks.into_remainder().chunks_exact_mut(cols) {
         let max = row
             .iter()
             .map(|&v| v * scale)
@@ -79,20 +126,47 @@ pub fn softmax_backward_rows(probs: &[f32], dp: &mut [f32], cols: usize) {
     }
 }
 
+/// One row's layer-norm mean and inverse standard deviation. Both sums
+/// start where `Iterator::sum` does (`-0.0`), and the variance keeps
+/// `.powi(2)`.
+fn ln_stats(row: &[f32]) -> (f32, f32) {
+    let d = row.len() as f32;
+    let mean: f32 = row.iter().sum::<f32>() / d;
+    let var: f32 = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / d;
+    (mean, 1.0 / (var + LAYER_NORM_EPS).sqrt())
+}
+
+/// [`ln_stats`] of the `GROUP` rows of `block`, eight rows abreast.
+fn ln_stats_group(block: &[f32], d: usize) -> ([f32; GROUP], [f32; GROUP]) {
+    let sum = fold_group(block, d, -0.0, |_, s, v| s + v);
+    let mean = sum.map(|s| s / d as f32);
+    let sq = fold_group(block, d, -0.0, |k, s, v| s + (v - mean[k]).powi(2));
+    let istd = sq.map(|s| 1.0 / (s / d as f32 + LAYER_NORM_EPS).sqrt());
+    (mean, istd)
+}
+
 /// In-place row-wise layer norm with learned gain and bias. The row width
 /// is `gamma.len()`.
 pub fn layer_norm_rows(x: &mut [f32], gamma: &[f32], beta: &[f32]) {
     let d = gamma.len();
     assert_eq!(beta.len(), d, "layer_norm_rows params");
     assert!(d > 0 && x.len().is_multiple_of(d), "layer_norm_rows shape");
-    for row in x.chunks_exact_mut(d) {
-        let mean: f32 = row.iter().sum::<f32>() / d as f32;
-        let var: f32 = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / d as f32;
-        let istd = 1.0 / (var + LAYER_NORM_EPS).sqrt();
+    let normalize = |row: &mut [f32], mean: f32, istd: f32| {
         for (c, v) in row.iter_mut().enumerate() {
             let h = (*v - mean) * istd;
             *v = h * gamma[c] + beta[c];
         }
+    };
+    let mut blocks = x.chunks_exact_mut(GROUP * d);
+    for block in &mut blocks {
+        let (mean, istd) = ln_stats_group(block, d);
+        for (k, row) in block.chunks_exact_mut(d).enumerate() {
+            normalize(row, mean[k], istd[k]);
+        }
+    }
+    for row in blocks.into_remainder().chunks_exact_mut(d) {
+        let (mean, istd) = ln_stats(row);
+        normalize(row, mean, istd);
     }
 }
 
@@ -112,20 +186,25 @@ pub fn layer_norm_rows_cached(
     assert!(d > 0 && x.len().is_multiple_of(d), "layer_norm_rows_cached shape");
     assert_eq!(x.len(), y.len());
     assert_eq!(x.len(), x_hat.len());
-    for ((row, yo), xh) in x
-        .chunks_exact(d)
-        .zip(y.chunks_exact_mut(d))
-        .zip(x_hat.chunks_exact_mut(d))
-    {
-        let mean: f32 = row.iter().sum::<f32>() / d as f32;
-        let var: f32 = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / d as f32;
-        let istd = 1.0 / (var + LAYER_NORM_EPS).sqrt();
+    let mut write = |r: usize, mean: f32, istd: f32| {
         inv_std.push(istd);
+        let (row, yo, xh) = (&x[r * d..], &mut y[r * d..], &mut x_hat[r * d..]);
         for c in 0..d {
             let h = (row[c] - mean) * istd;
             xh[c] = h;
             yo[c] = h * gamma[c] + beta[c];
         }
+    };
+    let grouped = x.len() / (GROUP * d) * GROUP;
+    for (g, block) in x.chunks_exact(GROUP * d).enumerate() {
+        let (mean, istd) = ln_stats_group(block, d);
+        for k in 0..GROUP {
+            write(g * GROUP + k, mean[k], istd[k]);
+        }
+    }
+    for r in grouped..x.len() / d {
+        let (mean, istd) = ln_stats(&x[r * d..(r + 1) * d]);
+        write(r, mean, istd);
     }
 }
 

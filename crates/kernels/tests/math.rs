@@ -4,8 +4,8 @@
 //! compiler vectorised, equals element-at-a-time calls bit for bit.
 
 use kglink_kernels::{
-    bias_gelu_rows, exp, gelu, gelu_grad, log_softmax, scaled_softmax_rows, softmax, softmax_rows,
-    tanh,
+    bias_gelu_rows, exp, gelu, gelu_grad, layer_norm_rows, layer_norm_rows_cached, log_softmax,
+    scaled_softmax_rows, softmax, softmax_rows, tanh, LAYER_NORM_EPS,
 };
 use std::hint::black_box;
 
@@ -103,13 +103,15 @@ fn bits(xs: &[f32]) -> Vec<u32> {
 }
 
 /// Row widths 1..=17 cross every vector width (4, 8, 16 lanes) and leave
-/// every possible scalar remainder. The reference goes through `black_box`
-/// one element at a time, so it cannot be vectorised the same way.
+/// every possible scalar remainder; row counts 1..=19 reach two full
+/// eight-row reduction groups and every remainder after them. The
+/// reference goes through `black_box` one element at a time, so it cannot
+/// be vectorised (or interleaved across rows) the same way.
 #[test]
 fn row_kernels_equal_element_at_a_time_calls_bitwise() {
     let one = |f: fn(f32) -> f32, v: f32| black_box(f)(black_box(v));
     for cols in 1..=17usize {
-        for rows in [1usize, 3] {
+        for rows in 1..=19usize {
             let x = fill(cols * 31 + rows, rows * cols);
             let bias = fill(cols + 1000, cols);
 
@@ -152,5 +154,82 @@ fn row_kernels_equal_element_at_a_time_calls_bitwise() {
             let want: Vec<f32> = x[..cols].iter().map(|&v| v - (sum.ln() + max)).collect();
             assert_eq!(bits(&log_softmax(&x[..cols])), bits(&want), "log_softmax cols {cols}");
         }
+    }
+}
+
+/// One row's layer norm, one element at a time: both sums start from
+/// `-0.0` (where `Iterator::sum` starts) and add in column order, and the
+/// variance squares with `powi(2)`.
+fn layer_norm_row_oracle(row: &[f32], gamma: &[f32], beta: &[f32]) -> (Vec<f32>, Vec<f32>, f32) {
+    let d = row.len() as f32;
+    let mut sum = -0.0f32;
+    for &v in row {
+        sum = black_box(sum + v);
+    }
+    let mean = sum / d;
+    let mut sq = -0.0f32;
+    for &v in row {
+        sq = black_box(sq + (v - mean).powi(2));
+    }
+    let istd = 1.0 / (sq / d + LAYER_NORM_EPS).sqrt();
+    let x_hat: Vec<f32> = row.iter().map(|&v| black_box((v - mean) * istd)).collect();
+    let y = x_hat
+        .iter()
+        .zip(gamma.iter().zip(beta))
+        .map(|(&h, (&g, &b))| h * g + b)
+        .collect();
+    (y, x_hat, istd)
+}
+
+/// Both layer-norm kernels equal the per-row oracle bit for bit, over the
+/// same widths and row counts as above.
+#[test]
+fn layer_norm_kernels_equal_a_per_row_oracle_bitwise() {
+    for cols in 1..=17usize {
+        for rows in 1..=19usize {
+            let x = fill(cols * 37 + rows, rows * cols);
+            let gamma = fill(cols + 2000, cols);
+            let beta = fill(cols + 3000, cols);
+            let (mut want_y, mut want_h, mut want_istd) = (Vec::new(), Vec::new(), Vec::new());
+            for row in x.chunks_exact(cols) {
+                let (y, h, istd) = layer_norm_row_oracle(row, &gamma, &beta);
+                want_y.extend(y);
+                want_h.extend(h);
+                want_istd.push(istd);
+            }
+            let mut in_place = x.clone();
+            layer_norm_rows(&mut in_place, &gamma, &beta);
+            assert_eq!(
+                bits(&in_place),
+                bits(&want_y),
+                "layer_norm_rows {rows}x{cols}"
+            );
+            let (mut y, mut h, mut istd) = (vec![0.0; x.len()], vec![0.0; x.len()], Vec::new());
+            layer_norm_rows_cached(&x, &gamma, &beta, &mut y, &mut h, &mut istd);
+            assert_eq!(
+                bits(&y),
+                bits(&want_y),
+                "layer_norm_rows_cached y {rows}x{cols}"
+            );
+            assert_eq!(
+                bits(&h),
+                bits(&want_h),
+                "layer_norm_rows_cached x_hat {rows}x{cols}"
+            );
+            assert_eq!(
+                bits(&istd),
+                bits(&want_istd),
+                "layer_norm_rows_cached istd {rows}x{cols}"
+            );
+        }
+    }
+    // Rows of negative zeros tell a `-0.0` start from a `0.0` one: with a
+    // `0.0` start the mean is `+0.0`, every `x_hat` is `-0.0` and, with a
+    // `-0.0` bias, so is every output. Nine rows: one group, one remainder.
+    let mut zeros = vec![-0.0f32; 9 * 4];
+    layer_norm_rows(&mut zeros, &[1.0; 4], &[-0.0; 4]);
+    let want = layer_norm_row_oracle(&[-0.0; 4], &[1.0; 4], &[-0.0; 4]).0;
+    for row in zeros.chunks_exact(4) {
+        assert_eq!(bits(row), bits(&want));
     }
 }

@@ -165,7 +165,7 @@ proptest! {
 
     #[test]
     fn scaled_softmax_matches_scale_then_softmax(
-        rows in 1usize..6,
+        rows in 1usize..20,
         cols in 1usize..17,
         seed in 0u64..(1 << 48),
         scale_raw in 1usize..40,
@@ -184,7 +184,7 @@ proptest! {
 
     #[test]
     fn cached_layer_norm_matches_in_place(
-        rows in 1usize..6,
+        rows in 1usize..20,
         cols in 1usize..17,
         seed in 0u64..(1 << 48),
     ) {
@@ -203,7 +203,7 @@ proptest! {
 
     #[test]
     fn bias_gelu_matches_add_bias_then_gelu(
-        rows in 1usize..6,
+        rows in 1usize..20,
         cols in 1usize..17,
         seed in 0u64..(1 << 48),
     ) {

@@ -50,6 +50,14 @@ pub trait GraphAccess: Send + Sync {
     /// direction, deduplicated, sorted, self-loops removed.
     fn one_hop(&self, id: EntityId) -> Vec<EntityId>;
 
+    /// [`one_hop`](Self::one_hop) of every id of a batch, answers in id
+    /// order. The default is the per-id loop; `kglink-serve`'s graph handle
+    /// overrides it to share the batch with idle workers, so an override
+    /// must answer item `i` exactly as `one_hop(ids[i])` would.
+    fn one_hop_batch(&self, ids: Vec<EntityId>) -> Vec<Vec<EntityId>> {
+        ids.into_iter().map(|id| self.one_hop(id)).collect()
+    }
+
     /// One-hop neighborhood with connecting predicates, ordered by
     /// predicate *name* then target id (stable across interning orders).
     fn one_hop_with_predicates(&self, id: EntityId) -> Vec<(PredicateId, EntityId)>;
@@ -123,6 +131,9 @@ impl<G: GraphAccess + ?Sized> GraphAccess for &G {
     fn one_hop(&self, id: EntityId) -> Vec<EntityId> {
         (**self).one_hop(id)
     }
+    fn one_hop_batch(&self, ids: Vec<EntityId>) -> Vec<Vec<EntityId>> {
+        (**self).one_hop_batch(ids)
+    }
     fn one_hop_with_predicates(&self, id: EntityId) -> Vec<(PredicateId, EntityId)> {
         (**self).one_hop_with_predicates(id)
     }
@@ -152,6 +163,9 @@ impl<G: GraphAccess + ?Sized> GraphAccess for std::sync::Arc<G> {
     }
     fn one_hop(&self, id: EntityId) -> Vec<EntityId> {
         (**self).one_hop(id)
+    }
+    fn one_hop_batch(&self, ids: Vec<EntityId>) -> Vec<Vec<EntityId>> {
+        (**self).one_hop_batch(ids)
     }
     fn one_hop_with_predicates(&self, id: EntityId) -> Vec<(PredicateId, EntityId)> {
         (**self).one_hop_with_predicates(id)

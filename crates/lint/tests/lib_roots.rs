@@ -31,6 +31,10 @@ const BANNED_PATHS: &[&str] = &[
     "std::collections::HashMap::drain",
     "std::collections::HashSet::iter",
     "std::collections::HashSet::drain",
+    "std::collections::HashSet::union",
+    "std::collections::HashSet::intersection",
+    "std::collections::HashSet::difference",
+    "std::collections::HashSet::symmetric_difference",
     "std::fs::write",
     "std::fs::File::create",
     "std::fs::File::create_new",

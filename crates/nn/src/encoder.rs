@@ -459,13 +459,14 @@ fn block_rows(
     kernels::bias_gelu_rows(&mut ff, block.ffn.fc1.b.value.data());
     gemm_rows(&ff, &block.ffn.fc2, &mut ctx, s);
     kernels::add_bias_rows(&mut ctx, block.ffn.fc2.b.value.data());
-    // Second residual + LN2, written to each selected row's home.
-    for i in 0..n {
-        let out = hidden.row_mut(row_of(i));
-        for ((o, &h_v), &f_v) in out.iter_mut().zip(&q[i * d..]).zip(&ctx[i * d..]) {
-            *o = h_v + f_v;
-        }
-        kernels::layer_norm_rows(out, block.ln2.gamma.value.data(), block.ln2.beta.value.data());
+    // Second residual into q, LN2 over all n rows at once, then each row
+    // copied to its selected row's home.
+    for (h_v, &f_v) in q.iter_mut().zip(ctx.iter()) {
+        *h_v += f_v;
+    }
+    kernels::layer_norm_rows(&mut q, block.ln2.gamma.value.data(), block.ln2.beta.value.data());
+    for (i, row) in q.chunks_exact(d).enumerate() {
+        hidden.row_mut(row_of(i)).copy_from_slice(row);
     }
     for buf in [k, v, q, ctx, ff] {
         s.give(buf);

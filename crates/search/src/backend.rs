@@ -138,6 +138,23 @@ pub trait KgBackend: Send + Sync {
         deadline: Deadline,
     ) -> Result<SearchOutcome, RetrievalError>;
 
+    /// [`search_entities`](Self::search_entities) for every query of a
+    /// batch, answers in query order. The default is the per-query loop;
+    /// `kglink-serve`'s rung view overrides it to share the batch with idle
+    /// workers, so an override must answer item `i` exactly as
+    /// `search_entities(&queries[i], ..)` would.
+    fn search_batch(
+        &self,
+        queries: Vec<String>,
+        top_k: usize,
+        deadline: Deadline,
+    ) -> Vec<Result<SearchOutcome, RetrievalError>> {
+        queries
+            .iter()
+            .map(|query| self.search_entities(query, top_k, deadline))
+            .collect()
+    }
+
     /// Infallible convenience used by pure-KG voting baselines: a failed
     /// retrieval degrades to "no candidates" — exactly the paper's
     /// no-linkage semantics.
@@ -157,6 +174,15 @@ impl<B: KgBackend + ?Sized> KgBackend for &B {
     ) -> Result<SearchOutcome, RetrievalError> {
         (**self).search_entities(query, top_k, deadline)
     }
+
+    fn search_batch(
+        &self,
+        queries: Vec<String>,
+        top_k: usize,
+        deadline: Deadline,
+    ) -> Vec<Result<SearchOutcome, RetrievalError>> {
+        (**self).search_batch(queries, top_k, deadline)
+    }
 }
 
 /// Owned shared backends (the serving layer hands `Arc<dyn KgBackend>`
@@ -169,6 +195,15 @@ impl<B: KgBackend + ?Sized> KgBackend for std::sync::Arc<B> {
         deadline: Deadline,
     ) -> Result<SearchOutcome, RetrievalError> {
         (**self).search_entities(query, top_k, deadline)
+    }
+
+    fn search_batch(
+        &self,
+        queries: Vec<String>,
+        top_k: usize,
+        deadline: Deadline,
+    ) -> Vec<Result<SearchOutcome, RetrievalError>> {
+        (**self).search_batch(queries, top_k, deadline)
     }
 }
 

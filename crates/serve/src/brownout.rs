@@ -145,8 +145,8 @@ pub(crate) fn resolve_shed(
 /// Shrink `queue` to its current dynamic limit, failing each evicted
 /// request promptly via [`resolve_shed`]. Called by workers right after
 /// the admission controller cuts the limit.
-pub(crate) fn trim_queue_to_limit(
-    queue: &BoundedQueue<Request>,
+pub(crate) fn trim_queue_to_limit<H: Clone>(
+    queue: &BoundedQueue<Request, H>,
     shed_counter: &std::sync::atomic::AtomicU64,
     tracer: &Tracer,
 ) -> usize {

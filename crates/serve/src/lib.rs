@@ -56,6 +56,7 @@
 pub mod admission;
 pub mod brownout;
 pub mod error;
+mod fanout;
 pub mod lifecycle;
 pub mod metrics;
 pub mod queue;

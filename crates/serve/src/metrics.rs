@@ -78,6 +78,9 @@ pub struct ServiceMetrics {
     /// typed [`WorkerPanicked`](crate::ServiceError::WorkerPanicked) reply,
     /// never a hung ticket.
     pub worker_panics: u64,
+    /// Search and one-hop batch items an idle worker ran for another
+    /// worker's request.
+    pub help_items: u64,
     /// Workers the supervisor respawned after a panic.
     pub worker_restarts: u64,
     /// Workers currently alive (spawned minus cleanly-exited minus dead
@@ -126,8 +129,12 @@ impl fmt::Display for ServiceMetrics {
         )?;
         writeln!(
             f,
-            "load: queue_depth={} in_flight={} latency_p50={}us p99={}us",
-            self.queue_depth, self.in_flight, self.latency_p50_us, self.latency_p99_us
+            "load: queue_depth={} in_flight={} help_items={} latency_p50={}us p99={}us",
+            self.queue_depth,
+            self.in_flight,
+            self.help_items,
+            self.latency_p50_us,
+            self.latency_p99_us
         )?;
         writeln!(
             f,

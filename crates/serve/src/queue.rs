@@ -12,10 +12,19 @@
 //!   evict the oldest queued one, which is the request most likely to have
 //!   already blown its deadline (freshness-first).
 //!
-//! Workers take one item per wake-up with [`BoundedQueue::pop`]. The queue
-//! keeps no ledger of its own: the service counts submissions and sheds
+//! Consumers take one item per wake-up with [`BoundedQueue::pop`] (the
+//! service's workers use [`BoundedQueue::next`], below). The queue keeps
+//! no ledger of its own: the service counts submissions and sheds
 //! from what `push` and [`trim_to_limit`](BoundedQueue::trim_to_limit)
 //! return.
+//!
+//! Idle help: a queue may also carry *offers* of type `H`, work a busy
+//! consumer shares with idle ones. [`BoundedQueue::next`] is `pop` for a
+//! consumer willing to help: while no item is queued it takes a clone of
+//! the first posted offer instead of parking. [`BoundedQueue::offer`]
+//! posts only while some consumer is parked in `next`, and the poster
+//! [`withdraw`](BoundedQueue::withdraw)s the offer when it is done. Items
+//! always come first: an idle consumer helps only while nothing is queued.
 //!
 //! Poisoning: a worker that panics *while annotating* never holds the
 //! queue lock (all critical sections here are pure `VecDeque` + counter
@@ -49,14 +58,28 @@ pub enum PushError {
     Closed,
 }
 
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
+/// What [`BoundedQueue::next`] handed a consumer.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Next<T, H> {
+    /// The oldest queued item, taken off the queue.
+    Item(T),
+    /// A clone of a posted offer; it stays posted for other idle consumers.
+    Offer(H),
 }
 
-/// Fixed-capacity MPMC queue; see the module docs for the policy semantics.
-pub struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
+struct QueueState<T, H> {
+    items: VecDeque<T>,
+    closed: bool,
+    /// Consumers parked in [`BoundedQueue::next`].
+    idle: usize,
+    /// Posted offers, oldest first; at most one per busy consumer.
+    offers: Vec<H>,
+}
+
+/// Fixed-capacity MPMC queue; see the module docs for the policy semantics
+/// and for the offers of type `H` (none by default).
+pub struct BoundedQueue<T, H = ()> {
+    state: Mutex<QueueState<T, H>>,
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
@@ -67,14 +90,24 @@ pub struct BoundedQueue<T> {
 }
 
 impl<T> BoundedQueue<T> {
-    /// A queue holding at most `capacity` items. Panics if `capacity == 0`:
-    /// a zero-capacity queue can never transfer work.
+    /// A queue holding at most `capacity` items and no offers. Panics if
+    /// `capacity == 0`: a zero-capacity queue can never transfer work.
     pub fn new(capacity: usize) -> Self {
+        Self::with_offers(capacity)
+    }
+}
+
+impl<T, H: Clone> BoundedQueue<T, H> {
+    /// [`new`](BoundedQueue::new) for a queue that also carries offers of
+    /// type `H` to idle consumers.
+    pub fn with_offers(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be at least 1");
         BoundedQueue {
             state: Mutex::new(QueueState {
                 items: VecDeque::with_capacity(capacity),
                 closed: false,
+                idle: 0,
+                offers: Vec::new(),
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -114,7 +147,7 @@ impl<T> BoundedQueue<T> {
 
     /// Acquire the state lock, recovering from poison (see module docs:
     /// the state is re-validatable, so a poisoned lock is survivable).
-    fn lock_state(&self) -> MutexGuard<'_, QueueState<T>> {
+    fn lock_state(&self) -> MutexGuard<'_, QueueState<T, H>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -170,22 +203,75 @@ impl<T> BoundedQueue<T> {
 
     /// Block until an item is available (or the queue closes), then take
     /// the oldest one. `None` means the queue is closed *and* drained —
-    /// the worker's signal to exit.
+    /// the worker's signal to exit. Offers are never returned here.
     pub fn pop(&self) -> Option<T> {
+        match self.wait(false)? {
+            Next::Item(item) => Some(item),
+            Next::Offer(_) => None,
+        }
+    }
+
+    /// [`pop`](Self::pop) for a consumer that helps while idle: block until
+    /// an item is queued or an offer is posted, and take the item if there
+    /// is one. `None` means closed and drained.
+    pub fn next(&self) -> Option<Next<T, H>> {
+        self.wait(true)
+    }
+
+    fn wait(&self, helps: bool) -> Option<Next<T, H>> {
         let mut state = self.lock_state();
-        while state.items.is_empty() && !state.closed {
+        loop {
+            if let Some(item) = state.items.pop_front() {
+                drop(state);
+                // Freed a slot: wake the producers parked on a full queue.
+                self.not_full.notify_all();
+                return Some(Next::Item(item));
+            }
+            if helps {
+                if let Some(offer) = state.offers.first() {
+                    return Some(Next::Offer(offer.clone()));
+                }
+            }
+            if state.closed {
+                return None;
+            }
+            state.idle += usize::from(helps);
             state = self
                 .not_empty
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
+            state.idle -= usize::from(helps);
         }
-        let item = state.items.pop_front();
+    }
+
+    /// Whether no item is queued: a helping consumer's cue to keep helping.
+    pub fn is_empty(&self) -> bool {
+        self.lock_state().items.is_empty()
+    }
+
+    /// Post `offer` if a consumer is parked in [`next`](Self::next), waking
+    /// every parked one; `false` (nothing posted) when none is idle or the
+    /// queue is closed.
+    pub fn offer(&self, offer: H) -> bool {
+        let mut state = self.lock_state();
+        if state.idle == 0 || state.closed {
+            return false;
+        }
+        state.offers.push(offer);
         drop(state);
-        if item.is_some() {
-            // Freed a slot: wake the producers parked on a full queue.
-            self.not_full.notify_all();
-        }
-        item
+        self.not_empty.notify_all();
+        true
+    }
+
+    /// Whether a consumer is parked in [`next`](Self::next) right now: an
+    /// [`offer`](Self::offer) would be taken.
+    pub fn has_idle(&self) -> bool {
+        self.lock_state().idle > 0
+    }
+
+    /// Remove every posted offer `is` picks out.
+    pub fn withdraw(&self, is: impl Fn(&H) -> bool) {
+        self.lock_state().offers.retain(|o| !is(o));
     }
 
     /// Close the queue and return everything still queued, so the caller
@@ -343,6 +429,32 @@ mod tests {
         assert_eq!(waiter.join().unwrap(), ((Some("a"), Some("b")), None));
         assert!(leftovers.is_empty());
         assert_eq!(q.push("c", AdmissionPolicy::Block), Err(PushError::Closed));
+    }
+
+    #[test]
+    fn offers_reach_only_idle_consumers_and_items_come_first() {
+        let q: Arc<BoundedQueue<u32, &str>> = Arc::new(BoundedQueue::with_offers(4));
+        assert!(!q.offer("early"), "nobody idle: nothing is posted");
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.next())
+        };
+        while !q.has_idle() {
+            std::thread::yield_now();
+        }
+        assert!(q.offer("job"));
+        assert_eq!(consumer.join().unwrap(), Some(Next::Offer("job")));
+        // The offer stays posted until withdrawn, but an item comes first;
+        // a plain pop never sees offers.
+        q.push(7, AdmissionPolicy::Reject).unwrap();
+        q.push(8, AdmissionPolicy::Reject).unwrap();
+        assert_eq!(q.next(), Some(Next::Item(7)));
+        assert_eq!(q.pop(), Some(8));
+        assert_eq!(q.next(), Some(Next::Offer("job")));
+        q.withdraw(|o| *o == "job");
+        assert!(q.close().is_empty());
+        assert_eq!(q.next(), None);
+        assert!(!q.offer("late"), "a closed queue posts nothing");
     }
 
     #[test]

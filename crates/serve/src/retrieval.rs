@@ -5,10 +5,14 @@
 //! [`Retrieval::at`] borrows it as a [`KgBackend`] whose single
 //! `search_entities` is the whole degradation ladder, keyed by rung.
 //! Only `counted` lookups at the `Full` rung reach [`RetrievalCounts`];
-//! shadow duplicates and swap probes pass `counted = false`.
+//! shadow duplicates and swap probes pass `counted = false`. A worker
+//! borrows it through [`Retrieval::shared_at`] instead, whose search
+//! batches are shared with the pool's idle workers ([`crate::fanout`]).
 
+use crate::fanout::{self, Searches};
 use crate::metrics::RetrievalCounts;
 use crate::service::SharedBackend;
+use crate::worker::WorkerContext;
 use kglink_core::DegradationRung;
 use kglink_obs::Tracer;
 use kglink_search::{
@@ -50,10 +54,20 @@ impl Retrieval {
     /// Borrow the stack as the backend for one annotation at `rung`
     /// (folded through [`Self::effective_rung`], the one place that rule lives).
     pub fn at(&self, rung: DegradationRung, counted: bool) -> impl KgBackend + '_ {
+        RungView::at(self, rung, counted)
+    }
+
+    /// [`at`](Self::at) for an annotation on worker `ctx`: a search batch
+    /// is shared with the pool's idle workers.
+    pub fn shared_at<'a>(
+        &'a self,
+        rung: DegradationRung,
+        counted: bool,
+        ctx: &'a WorkerContext,
+    ) -> impl KgBackend + 'a {
         RungView {
-            retrieval: self,
-            rung: self.effective_rung(rung),
-            counted,
+            helpers: Some(ctx),
+            ..RungView::at(self, rung, counted)
         }
     }
 
@@ -75,6 +89,19 @@ struct RungView<'a> {
     retrieval: &'a Retrieval,
     rung: DegradationRung,
     counted: bool,
+    /// The worker whose idle siblings share this view's search batches.
+    helpers: Option<&'a WorkerContext>,
+}
+
+impl<'a> RungView<'a> {
+    fn at(retrieval: &'a Retrieval, rung: DegradationRung, counted: bool) -> Self {
+        RungView {
+            retrieval,
+            rung: retrieval.effective_rung(rung),
+            counted,
+            helpers: None,
+        }
+    }
 }
 
 impl KgBackend for RungView<'_> {
@@ -119,6 +146,30 @@ impl KgBackend for RungView<'_> {
                 needed_us: 1,
                 budget_us: 0,
             }),
+        }
+    }
+
+    fn search_batch(
+        &self,
+        queries: Vec<String>,
+        top_k: usize,
+        deadline: Deadline,
+    ) -> Vec<Result<SearchOutcome, RetrievalError>> {
+        match self.helpers {
+            Some(ctx) => fanout::share(
+                ctx,
+                Searches {
+                    queries,
+                    rung: self.rung,
+                    counted: self.counted,
+                    top_k,
+                    deadline,
+                },
+            ),
+            None => queries
+                .iter()
+                .map(|query| self.search_entities(query, top_k, deadline))
+                .collect(),
         }
     }
 }

@@ -24,11 +24,12 @@
 use crate::admission::{AimdConfig, AimdLimit};
 use crate::brownout::{self, BrownoutConfig, BrownoutController};
 use crate::error::ServiceError;
+use crate::fanout::RequestQueue;
 use crate::lifecycle::{
     Lifecycle, ModelEpoch, ShadowState, SwapError, SwapPhase, SwapPlan, SwapReport, VersionStats,
 };
 use crate::metrics::ServiceMetrics;
-use crate::queue::{AdmissionPolicy, BoundedQueue, PushError};
+use crate::queue::{AdmissionPolicy, PushError};
 use crate::retrieval::Retrieval;
 use crate::worker::{self, WorkerContext, WorkerExit};
 use kglink_core::pipeline::req;
@@ -194,6 +195,8 @@ pub(crate) struct Shared {
     pub failed_cells: AtomicU64,
     pub in_flight: AtomicUsize,
     pub worker_panics: AtomicU64,
+    /// Batch items run by a worker other than the request's owner.
+    pub help_items: AtomicU64,
     pub worker_restarts: AtomicU64,
     pub workers_alive: AtomicUsize,
     /// Set by the supervisor when every worker is dead and the restart
@@ -222,6 +225,7 @@ impl Shared {
             failed_cells: AtomicU64::new(0),
             in_flight: AtomicUsize::new(0),
             worker_panics: AtomicU64::new(0),
+            help_items: AtomicU64::new(0),
             worker_restarts: AtomicU64::new(0),
             workers_alive: AtomicUsize::new(workers),
             failed: AtomicBool::new(false),
@@ -330,7 +334,7 @@ fn supervise(
 
 /// Concurrent in-process annotation service over a trained [`KgLink`].
 pub struct AnnotationService {
-    queue: Arc<BoundedQueue<Request>>,
+    queue: Arc<RequestQueue>,
     shared: Arc<Shared>,
     retrieval: Arc<Retrieval>,
     admission: AdmissionPolicy,
@@ -367,7 +371,7 @@ impl AnnotationService {
             config.cache.clone(),
             &config.tracer,
         ));
-        let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
+        let queue = Arc::new(RequestQueue::with_offers(config.queue_capacity));
         let shared = Arc::new(Shared::new(config.workers, config.overload.as_ref()));
         if let Some(overload) = &shared.overload {
             // Start admission at the controller's optimistic initial limit
@@ -545,6 +549,7 @@ impl AnnotationService {
             latency_p50_us: latency.p50(),
             latency_p99_us: latency.p99(),
             worker_panics: self.shared.worker_panics.load(Ordering::Relaxed),
+            help_items: self.shared.help_items.load(Ordering::Relaxed),
             worker_restarts: self.shared.worker_restarts.load(Ordering::Relaxed),
             workers_alive: self.shared.workers_alive.load(Ordering::SeqCst),
             uptime_us: self.started.elapsed().as_micros() as u64,

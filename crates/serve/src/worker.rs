@@ -1,9 +1,14 @@
-//! The worker loop: take one request, annotate it, reply.
+//! The worker loop: take one request, annotate it, reply — or, with
+//! nothing queued, help another worker's request.
 //!
 //! Every annotation reaches the KG through one view of the service's
-//! shared [`Retrieval`] stack, `retrieval.at(rung, counted)`; the rung is
-//! the only thing that differs between full, cache-only and no-linkage
-//! service.
+//! shared [`Retrieval`] stack, `retrieval.shared_at(rung, counted, ctx)`,
+//! and the graph through [`SharedGraph`]; the rung is the only thing that
+//! differs between full, cache-only and no-linkage service. Both views
+//! offer their search and one-hop batches to idle workers
+//! ([`crate::fanout`]): a worker parked in [`RequestQueue::next`] takes
+//! such an offer, runs items until a request is queued or none is left,
+//! and goes back to the queue.
 //!
 //! Deadline handling happens here: a request's [`Deadline`] budget is
 //! measured against its *real* queue wait. A request that exhausted its
@@ -39,14 +44,16 @@
 //! never hang on a crashed worker. A worker holds only the request it is
 //! serving, so after a panic it exits with [`WorkerExit::Panicked`] and
 //! leaves the queue untouched; the supervisor decides whether to respawn
-//! it.
+//! it. A helped item's panic is caught on the helper, which serves on,
+//! and resumed on the owner, so it takes this same path exactly once.
 //!
 //! [`KgLink::annotate_request`]: kglink_core::KgLink::annotate_request
 
 use crate::brownout;
 use crate::error::ServiceError;
+use crate::fanout::{RequestQueue, SharedGraph};
 use crate::lifecycle::{Lifecycle, ModelEpoch, Serving, ShadowState};
-use crate::queue::BoundedQueue;
+use crate::queue::Next;
 use crate::retrieval::Retrieval;
 use crate::service::{Annotation, Request, Shared};
 use kglink_core::pipeline::{req, AnnotateOutcome, Resources};
@@ -70,7 +77,7 @@ pub(crate) struct WorkerContext {
     pub retrieval: Arc<Retrieval>,
     pub graph: Arc<dyn GraphAccess>,
     pub tokenizer: Arc<Tokenizer>,
-    pub queue: Arc<BoundedQueue<Request>>,
+    pub queue: Arc<RequestQueue>,
     pub shared: Arc<Shared>,
     pub tracer: Tracer,
 }
@@ -115,7 +122,18 @@ impl Drop for TicketGuard {
 }
 
 pub(crate) fn run(ctx: WorkerContext) -> WorkerExit {
-    while let Some(request) = ctx.queue.pop() {
+    while let Some(next) = ctx.queue.next() {
+        let request = match next {
+            Next::Item(request) => request,
+            Next::Offer(job) => {
+                let (ran, done) = job.help(&ctx);
+                ctx.shared.help_items.fetch_add(ran, Ordering::Relaxed);
+                if done {
+                    ctx.queue.withdraw(|offer| Arc::ptr_eq(offer, &job));
+                }
+                continue;
+            }
+        };
         // One slot read per request: the epoch and the comparison window
         // were stored together, so a promote lands between requests and
         // this request is served end-to-end by `serving.epoch`.
@@ -231,13 +249,14 @@ fn annotate_once(
         .deadline(path.remaining)
         .rung(path.rung)
         .feature_memo(&epoch.feature_memo);
-    let backend = ctx.retrieval.at(path.rung, counted);
+    let backend = ctx.retrieval.shared_at(path.rung, counted, ctx);
+    let graph = SharedGraph(ctx);
     #[expect(
         clippy::expect_used,
         reason = "structural: the service constructor validated these exact resources; a builder error here is a bug in this crate, not a runtime condition"
     )]
     let resources = Resources::builder()
-        .graph(&ctx.graph)
+        .graph(&graph)
         .backend(&backend)
         .tokenizer(&ctx.tokenizer)
         .tracer(&ctx.tracer)
