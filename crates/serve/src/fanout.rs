@@ -33,7 +33,8 @@ use kglink_kg::{Entity, EntityId, GraphAccess, NeSchema, PredicateId};
 use kglink_search::{Deadline, KgBackend, RetrievalError, SearchOutcome};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, Thread};
 
@@ -150,6 +151,16 @@ impl<I: Items> Help for Job<I> {
             }
         }
         (ran, false)
+    }
+}
+
+/// Help with `offer` on the idle worker `ctx`, count the items run here,
+/// and withdraw the offer once it has nothing left for helpers.
+pub(crate) fn help(ctx: &WorkerContext, offer: &Offer) {
+    let (ran, done) = offer.help(ctx);
+    ctx.shared.help_items.fetch_add(ran, Relaxed);
+    if done {
+        ctx.queue.withdraw(|posted| Arc::ptr_eq(posted, offer));
     }
 }
 

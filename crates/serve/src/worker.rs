@@ -51,7 +51,7 @@
 
 use crate::brownout;
 use crate::error::ServiceError;
-use crate::fanout::{RequestQueue, SharedGraph};
+use crate::fanout::{self, RequestQueue, SharedGraph};
 use crate::lifecycle::{Lifecycle, ModelEpoch, Serving, ShadowState};
 use crate::queue::Next;
 use crate::retrieval::Retrieval;
@@ -126,11 +126,7 @@ pub(crate) fn run(ctx: WorkerContext) -> WorkerExit {
         let request = match next {
             Next::Item(request) => request,
             Next::Offer(job) => {
-                let (ran, done) = job.help(&ctx);
-                ctx.shared.help_items.fetch_add(ran, Ordering::Relaxed);
-                if done {
-                    ctx.queue.withdraw(|offer| Arc::ptr_eq(offer, &job));
-                }
+                fanout::help(&ctx, &job);
                 continue;
             }
         };
