@@ -4,15 +4,16 @@
 //! single-threaded `annotate_request`, and a panic in a helped item fails
 //! its request exactly once while the helper keeps serving.
 //!
-//! Every search goes through a decorator that sleeps a little per call, so
-//! the owner is still draining its batch when the idle worker wakes.
-//! (These tests live here because this crate already depends on both the
-//! service and the disk store.)
+//! Each request is sent once both workers are parked in the queue (the
+//! `idle_workers` gauge), and the KG calls the test shares out sleep a
+//! little each, so the owner is still draining its batch when the idle
+//! worker wakes. (These tests live here because this crate already depends
+//! on both the service and the disk store.)
 
 use kglink_core::pipeline::{build_vocab, req, KgLink, Resources};
 use kglink_core::KgLinkConfig;
 use kglink_datagen::{pretrain_corpus, semtab_like, SemTabConfig};
-use kglink_kg::{GraphAccess, SyntheticWorld, WorldConfig};
+use kglink_kg::{Entity, EntityId, GraphAccess, NeSchema, PredicateId, SyntheticWorld, WorldConfig};
 use kglink_nn::Tokenizer;
 use kglink_search::{Deadline, KgBackend, RetrievalError, SearchOutcome};
 use kglink_serve::{AnnotationService, ServiceConfig, ServiceError, SharedBackend};
@@ -21,7 +22,7 @@ use kglink_table::{LabelId, Table};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{self, ThreadId};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 struct Fixture {
     model: Arc<KgLink>,
@@ -48,8 +49,11 @@ fn fixture() -> &'static Fixture {
             .tokenizer(&tokenizer)
             .build()
             .unwrap();
+        // Two columns per chunk: a wider table is annotated chunk by chunk,
+        // and the panic test needs a chunk after the first.
         let config = KgLinkConfig {
             epochs: 2,
+            max_columns: 2,
             ..KgLinkConfig::fast_test()
         };
         let (model, _) = KgLink::fit(&resources, &bench.dataset, config);
@@ -62,73 +66,104 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// The disk backend, slowed by a sleep per search. With `panic_on_helper`,
-/// the first call from a thread other than the one that made the current
-/// request's first call (its owner: it claims item 0 while the idle worker
-/// is still waking) panics, once.
-struct Slow {
-    inner: SharedBackend,
-    /// The current request's first caller; the test clears it per request.
-    first: Mutex<Option<ThreadId>>,
-    panic_on_helper: bool,
-    fired: AtomicBool,
-    /// The thread the injected panic landed on.
-    panicked_on: Mutex<Option<ThreadId>>,
-    /// Threads that served a search after the panic.
-    later: Mutex<Vec<ThreadId>>,
-}
+/// The disk backend, slowed by a sleep per search.
+struct SlowSearch(SharedBackend);
 
-impl Slow {
-    fn new(inner: SharedBackend, panic_on_helper: bool) -> Self {
-        Slow {
-            inner,
-            first: Mutex::new(None),
-            panic_on_helper,
-            fired: AtomicBool::new(false),
-            panicked_on: Mutex::new(None),
-            later: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-impl KgBackend for Slow {
+impl KgBackend for SlowSearch {
     fn search_entities(
         &self,
         query: &str,
         top_k: usize,
         deadline: Deadline,
     ) -> Result<SearchOutcome, RetrievalError> {
+        thread::sleep(Duration::from_micros(300));
+        self.0.search_entities(query, top_k, deadline)
+    }
+}
+
+/// The disk graph, slowed by a sleep per one-hop read, that panics once on
+/// a helped one-hop item. A request's owner is the thread that calls
+/// `schema_of`: only a chunk's candidate types do, on the owner, after the
+/// chunk's batches. The first one-hop read by any other thread after that
+/// (a helper, in a later chunk's batch) panics.
+struct Trap {
+    inner: Arc<dyn GraphAccess>,
+    /// The current request's owner; the test clears it per request.
+    owner: Mutex<Option<ThreadId>>,
+    fired: AtomicBool,
+    /// The thread the injected panic landed on.
+    panicked_on: Mutex<Option<ThreadId>>,
+    /// Threads that read a neighbourhood after the panic.
+    later: Mutex<Vec<ThreadId>>,
+}
+
+impl GraphAccess for Trap {
+    fn entity_count(&self) -> usize {
+        self.inner.entity_count()
+    }
+    fn entity(&self, id: EntityId) -> Entity {
+        self.inner.entity(id)
+    }
+    fn label(&self, id: EntityId) -> String {
+        self.inner.label(id)
+    }
+    fn schema_of(&self, id: EntityId) -> NeSchema {
+        *self.owner.lock().unwrap() = Some(thread::current().id());
+        self.inner.schema_of(id)
+    }
+    fn predicate_name(&self, p: PredicateId) -> String {
+        self.inner.predicate_name(p)
+    }
+    fn one_hop(&self, id: EntityId) -> Vec<EntityId> {
         let me = thread::current().id();
-        let owner = *self.first.lock().unwrap().get_or_insert(me);
+        let owner = *self.owner.lock().unwrap();
         if self.fired.load(Ordering::SeqCst) {
             self.later.lock().unwrap().push(me);
-        } else if self.panic_on_helper && me != owner && !self.fired.swap(true, Ordering::SeqCst) {
+        } else if owner.is_some_and(|o| o != me) && !self.fired.swap(true, Ordering::SeqCst) {
             *self.panicked_on.lock().unwrap() = Some(me);
             panic!("injected panic on a helped item");
         }
         thread::sleep(Duration::from_micros(300));
-        self.inner.search_entities(query, top_k, deadline)
+        self.inner.one_hop(id)
+    }
+    fn one_hop_with_predicates(&self, id: EntityId) -> Vec<(PredicateId, EntityId)> {
+        self.inner.one_hop_with_predicates(id)
+    }
+    fn types_of(&self, id: EntityId) -> Vec<EntityId> {
+        self.inner.types_of(id)
+    }
+    fn superclasses_of(&self, id: EntityId) -> Vec<EntityId> {
+        self.inner.superclasses_of(id)
     }
 }
 
-fn service(fx: &Fixture, backend: SharedBackend) -> AnnotationService {
+fn service(graph: Arc<dyn GraphAccess>, backend: SharedBackend) -> AnnotationService {
+    let fx = fixture();
     AnnotationService::new(
         Arc::clone(&fx.model),
-        Arc::clone(&fx.world.graph) as Arc<dyn GraphAccess>,
+        graph,
         backend,
         Arc::clone(&fx.tokenizer),
         ServiceConfig {
             workers: 2,
-            // Every lookup reaches the slow source: the cold path.
+            // Every lookup reaches the source: the cold path.
             cache: None,
             ..ServiceConfig::default()
         },
     )
 }
 
-/// Let the worker that did not take the last request park in the queue.
-fn settle() {
-    thread::sleep(Duration::from_millis(20));
+/// Wait until both workers are parked in the queue, so the next request's
+/// owner finds an idle worker for its first batch.
+fn wait_idle(svc: &AnnotationService) {
+    let start = Instant::now();
+    while svc.metrics().idle_workers < 2 {
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "the workers never parked"
+        );
+        thread::sleep(Duration::from_micros(100));
+    }
 }
 
 #[test]
@@ -145,13 +180,13 @@ fn a_lone_cold_request_is_helped_and_bit_identical_to_single_threaded() {
         .iter()
         .map(|t| fx.model.annotate_request(&resources, req(t)).labels)
         .collect();
-    let backend = Arc::new(Slow::new(
-        Arc::clone(&fx.world.backend) as SharedBackend,
-        false,
-    ));
-    let mut svc = service(fx, backend as SharedBackend);
+    let backend = SlowSearch(Arc::clone(&fx.world.backend) as SharedBackend);
+    let mut svc = service(
+        Arc::clone(&fx.world.graph) as Arc<dyn GraphAccess>,
+        Arc::new(backend),
+    );
     for (i, table) in fx.tables.iter().enumerate() {
-        settle();
+        wait_idle(&svc);
         let annotation = svc.annotate(table.clone()).expect("service up");
         assert_eq!(annotation.labels, baseline[i], "table {i}");
     }
@@ -162,28 +197,41 @@ fn a_lone_cold_request_is_helped_and_bit_identical_to_single_threaded() {
     assert_eq!(metrics.worker_panics, 0);
 }
 
-/// One service's run: lone requests until the injected panic has fired,
-/// then one more round. Every run must fail exactly one request and keep
-/// the counters reconciled; returns whether the panicking thread served a
-/// later search. It cannot if the panic landed on the owner itself, which
-/// happens when the idle worker made the request's first call.
-fn panic_round(fx: &Fixture) -> bool {
-    let backend = Arc::new(Slow::new(
+#[test]
+fn a_panic_on_a_helped_item_fails_its_request_once_and_the_helper_serves_on() {
+    let fx = fixture();
+    assert!(
+        fx.tables.iter().any(|t| t.n_cols() > 2),
+        "no table has a second chunk"
+    );
+    let graph = Arc::new(Trap {
+        inner: Arc::clone(&fx.world.graph) as Arc<dyn GraphAccess>,
+        owner: Mutex::new(None),
+        fired: AtomicBool::new(false),
+        panicked_on: Mutex::new(None),
+        later: Mutex::new(Vec::new()),
+    });
+    let mut svc = service(
+        Arc::clone(&graph) as Arc<dyn GraphAccess>,
         Arc::clone(&fx.world.backend) as SharedBackend,
-        true,
-    ));
-    let mut svc = service(fx, Arc::clone(&backend) as SharedBackend);
+    );
+    // Lone requests until the panic has fired, then one more round.
     let mut outcomes = Vec::new();
     let mut after = 0;
     for table in fx.tables.iter().cycle().take(8 * fx.tables.len()) {
-        settle();
-        *backend.first.lock().unwrap() = None;
+        wait_idle(&svc);
+        *graph.owner.lock().unwrap() = None;
         outcomes.push(svc.annotate(table.clone()));
-        after += usize::from(backend.fired.load(Ordering::SeqCst));
+        after += usize::from(graph.fired.load(Ordering::SeqCst));
         if after > fx.tables.len() {
             break;
         }
     }
+    let culprit = graph
+        .panicked_on
+        .lock()
+        .unwrap()
+        .expect("no helper ever ran a one-hop item of a later chunk");
     let panicked = outcomes
         .iter()
         .filter(|o| matches!(o, Err(ServiceError::WorkerPanicked)))
@@ -195,31 +243,18 @@ fn panic_round(fx: &Fixture) -> bool {
             .all(|o| matches!(o, Ok(_) | Err(ServiceError::WorkerPanicked))),
         "{outcomes:?}"
     );
-    let culprit = backend
-        .panicked_on
-        .lock()
-        .unwrap()
-        .expect("the panic fired");
-    let served_on = backend.later.lock().unwrap().contains(&culprit);
+    assert!(
+        graph.later.lock().unwrap().contains(&culprit),
+        "the helper that caught the panic served no later read"
+    );
     svc.shutdown();
     let metrics = svc.metrics();
     assert_eq!(metrics.worker_panics, 1);
     assert_eq!(metrics.completed, outcomes.len() as u64 - 1);
+    // The failed ticket is counted in `worker_panics`, not `completed`.
     assert_eq!(
         metrics.submitted,
         metrics.completed + metrics.shed + metrics.worker_panics
     );
     assert!(metrics.help_items > 0);
-    served_on
-}
-
-#[test]
-fn a_panic_on_a_helped_item_fails_its_request_once_and_the_helper_serves_on() {
-    let fx = fixture();
-    // A helper that stopped serving after its panic fails every round; a
-    // panic that landed on the owner instead (a rare race) only fails one.
-    assert!(
-        (0..4).any(|_| panic_round(fx)),
-        "the helper that caught the panic served no later search"
-    );
 }

@@ -92,7 +92,7 @@ pub fn prune_and_filter(
         }
     }
     let hops = graph.one_hop_batch(ids);
-    let one_hop = |e: &EntityId| hops.get(hop_of[e]).map_or(&[][..], Vec::as_slice);
+    let one_hop = |e: &EntityId| hops[hop_of[e]].as_slice();
 
     // Prune every cell row by row.
     let mut pruned: Vec<Vec<PrunedCell>> = vec![vec![PrunedCell::default(); n_rows]; n_cols];

@@ -9,10 +9,11 @@
 //!
 //! The row reductions (softmax max and sum, layer-norm mean and variance)
 //! run eight rows abreast: one accumulator chain per row, the eight chains
-//! interleaved column by column so they overlap in the pipeline, then the
-//! remainder rows one at a time. Each row's chain is still its own fold in
-//! column order from the same start value, so every row's bits are those
-//! of the row on its own.
+//! interleaved column by column so they overlap in the pipeline. The last
+//! group may be short; its unused lanes fold a copy of its last row and
+//! are dropped. Each row's chain is still its own fold in column order
+//! from the same start value, so every row's bits are those of the row on
+//! its own.
 
 use crate::math::{exp, tanh};
 
@@ -22,8 +23,10 @@ pub const LAYER_NORM_EPS: f32 = 1e-5;
 /// Rows per interleaved reduction group (module docs).
 const GROUP: usize = 8;
 
-/// Fold every row of a `GROUP`-row block in column order, one chain per
-/// row starting from `init`, the chains interleaved; `f(row, acc, v)`.
+/// Fold each row of `block` (at most `GROUP` rows of `cols`) in column
+/// order, one chain per row starting from `init`, the chains interleaved;
+/// `f(row, acc, v)`. A short block's lanes past its last row fold that row
+/// again, so every block runs the same eight-lane loop.
 #[inline(always)]
 fn fold_group(
     block: &[f32],
@@ -31,7 +34,11 @@ fn fold_group(
     init: f32,
     f: impl Fn(usize, f32, f32) -> f32,
 ) -> [f32; GROUP] {
-    let rows: [&[f32]; GROUP] = std::array::from_fn(|k| &block[k * cols..(k + 1) * cols]);
+    let last = block.len() / cols - 1;
+    let rows: [&[f32]; GROUP] = std::array::from_fn(|k| {
+        let k = k.min(last);
+        &block[k * cols..(k + 1) * cols]
+    });
     let mut acc = [init; GROUP];
     for c in 0..cols {
         for (k, (a, row)) in acc.iter_mut().zip(&rows).enumerate() {
@@ -55,8 +62,7 @@ pub fn softmax_rows(x: &mut [f32], cols: usize) {
 /// one sequential chain, ascending from 0.0.
 pub fn scaled_softmax_rows(x: &mut [f32], cols: usize, scale: f32) {
     assert!(cols > 0 && x.len().is_multiple_of(cols), "scaled_softmax_rows shape");
-    let mut blocks = x.chunks_exact_mut(GROUP * cols);
-    for block in &mut blocks {
+    for block in x.chunks_mut(GROUP * cols) {
         let max = fold_group(block, cols, f32::NEG_INFINITY, |_, m, v| {
             f32::max(m, v * scale)
         });
@@ -71,23 +77,6 @@ pub fn scaled_softmax_rows(x: &mut [f32], cols: usize, scale: f32) {
             for v in row.iter_mut() {
                 *v *= inv;
             }
-        }
-    }
-    for row in blocks.into_remainder().chunks_exact_mut(cols) {
-        let max = row
-            .iter()
-            .map(|&v| v * scale)
-            .fold(f32::NEG_INFINITY, f32::max);
-        for v in row.iter_mut() {
-            *v = exp(*v * scale - max);
-        }
-        let mut sum = 0.0f32;
-        for &v in row.iter() {
-            sum += v;
-        }
-        let inv = 1.0 / sum.max(f32::MIN_POSITIVE);
-        for v in row.iter_mut() {
-            *v *= inv;
         }
     }
 }
@@ -126,17 +115,10 @@ pub fn softmax_backward_rows(probs: &[f32], dp: &mut [f32], cols: usize) {
     }
 }
 
-/// One row's layer-norm mean and inverse standard deviation. Both sums
-/// start where `Iterator::sum` does (`-0.0`), and the variance keeps
-/// `.powi(2)`.
-fn ln_stats(row: &[f32]) -> (f32, f32) {
-    let d = row.len() as f32;
-    let mean: f32 = row.iter().sum::<f32>() / d;
-    let var: f32 = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / d;
-    (mean, 1.0 / (var + LAYER_NORM_EPS).sqrt())
-}
-
-/// [`ln_stats`] of the `GROUP` rows of `block`, eight rows abreast.
+/// Layer-norm mean and inverse standard deviation of each row of `block`
+/// (at most `GROUP` rows of `d`). Both sums start where `Iterator::sum`
+/// does (`-0.0`), and the variance keeps `.powi(2)`.
+#[inline(always)]
 fn ln_stats_group(block: &[f32], d: usize) -> ([f32; GROUP], [f32; GROUP]) {
     let sum = fold_group(block, d, -0.0, |_, s, v| s + v);
     let mean = sum.map(|s| s / d as f32);
@@ -151,22 +133,14 @@ pub fn layer_norm_rows(x: &mut [f32], gamma: &[f32], beta: &[f32]) {
     let d = gamma.len();
     assert_eq!(beta.len(), d, "layer_norm_rows params");
     assert!(d > 0 && x.len().is_multiple_of(d), "layer_norm_rows shape");
-    let normalize = |row: &mut [f32], mean: f32, istd: f32| {
-        for (c, v) in row.iter_mut().enumerate() {
-            let h = (*v - mean) * istd;
-            *v = h * gamma[c] + beta[c];
-        }
-    };
-    let mut blocks = x.chunks_exact_mut(GROUP * d);
-    for block in &mut blocks {
+    for block in x.chunks_mut(GROUP * d) {
         let (mean, istd) = ln_stats_group(block, d);
         for (k, row) in block.chunks_exact_mut(d).enumerate() {
-            normalize(row, mean[k], istd[k]);
+            for (c, v) in row.iter_mut().enumerate() {
+                let h = (*v - mean[k]) * istd[k];
+                *v = h * gamma[c] + beta[c];
+            }
         }
-    }
-    for row in blocks.into_remainder().chunks_exact_mut(d) {
-        let (mean, istd) = ln_stats(row);
-        normalize(row, mean, istd);
     }
 }
 
@@ -186,25 +160,18 @@ pub fn layer_norm_rows_cached(
     assert!(d > 0 && x.len().is_multiple_of(d), "layer_norm_rows_cached shape");
     assert_eq!(x.len(), y.len());
     assert_eq!(x.len(), x_hat.len());
-    let mut write = |r: usize, mean: f32, istd: f32| {
-        inv_std.push(istd);
-        let (row, yo, xh) = (&x[r * d..], &mut y[r * d..], &mut x_hat[r * d..]);
-        for c in 0..d {
-            let h = (row[c] - mean) * istd;
-            xh[c] = h;
-            yo[c] = h * gamma[c] + beta[c];
-        }
-    };
-    let grouped = x.len() / (GROUP * d) * GROUP;
-    for (g, block) in x.chunks_exact(GROUP * d).enumerate() {
+    let g = GROUP * d;
+    for ((block, y), x_hat) in x.chunks(g).zip(y.chunks_mut(g)).zip(x_hat.chunks_mut(g)) {
         let (mean, istd) = ln_stats_group(block, d);
-        for k in 0..GROUP {
-            write(g * GROUP + k, mean[k], istd[k]);
+        inv_std.extend_from_slice(&istd[..block.len() / d]);
+        let rows = block.chunks_exact(d).zip(y.chunks_exact_mut(d)).zip(x_hat.chunks_exact_mut(d));
+        for (k, ((row, yo), xh)) in rows.enumerate() {
+            for c in 0..d {
+                let h = (row[c] - mean[k]) * istd[k];
+                xh[c] = h;
+                yo[c] = h * gamma[c] + beta[c];
+            }
         }
-    }
-    for r in grouped..x.len() / d {
-        let (mean, istd) = ln_stats(&x[r * d..(r + 1) * d]);
-        write(r, mean, istd);
     }
 }
 

@@ -29,8 +29,10 @@ use crate::workspace::Workspace;
 
 pub struct EpochHold;
 
-/// Functions that constitute a request boundary on the serve path.
-const BOUNDARY_FNS: &[&str] = &["pop", "serve_request", "annotate_request", "annotate"];
+/// Functions that constitute a request boundary on the serve path. A
+/// queue take (`BoundedQueue::next`, or a `pop`) is matched by name: both
+/// names are std vocabulary the call graph never resolves by name.
+const BOUNDARY_FNS: &[&str] = &["pop", "next", "serve_request", "annotate_request", "annotate"];
 
 impl Rule for EpochHold {
     fn id(&self) -> &'static str {
@@ -183,6 +185,27 @@ impl Worker {
         assert_eq!(hits[0].1, 3);
         assert!(
             hits[0].2.contains("request boundary `pop`"),
+            "{}",
+            hits[0].2
+        );
+    }
+
+    #[test]
+    fn epoch_guard_held_across_the_queue_take_is_flagged() {
+        let src = "\
+impl Worker {
+    fn turn(&self, ctx: &WorkerContext) {
+        let epoch = ctx.lifecycle.epoch.lock().unwrap_or_else(PoisonError::into_inner);
+        let taken = ctx.queue.next();
+        drop(epoch);
+        serve(taken);
+    }
+}
+";
+        let hits = run(vec![("crates/serve/src/worker.rs", src)]);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert!(
+            hits[0].2.contains("request boundary `next`"),
             "{}",
             hits[0].2
         );

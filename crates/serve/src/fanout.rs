@@ -60,11 +60,10 @@ pub(crate) trait Items: Send + Sync + 'static {
     fn run_item(&self, i: usize, ctx: &WorkerContext) -> Self::Out;
 }
 
-/// A search batch, with the `(rung, counted, top_k, deadline)` a helper
-/// needs to rebuild the owner's `retrieval.at(..)` view.
+/// A full-rung search batch, with the `(counted, top_k, deadline)` a
+/// helper needs to rebuild the owner's `retrieval.at(Full, counted)` view.
 pub(crate) struct Searches {
     pub queries: Vec<String>,
-    pub rung: DegradationRung,
     pub counted: bool,
     pub top_k: usize,
     pub deadline: Deadline,
@@ -76,11 +75,9 @@ impl Items for Searches {
         self.queries.len()
     }
     fn run_item(&self, i: usize, ctx: &WorkerContext) -> Self::Out {
-        ctx.retrieval.at(self.rung, self.counted).search_entities(
-            &self.queries[i],
-            self.top_k,
-            self.deadline,
-        )
+        ctx.retrieval
+            .at(DegradationRung::Full, self.counted)
+            .search_entities(&self.queries[i], self.top_k, self.deadline)
     }
 }
 
@@ -184,7 +181,7 @@ impl<I: Items> Drop for Posted<'_, I> {
 /// return the answers in item order.
 pub(crate) fn share<I: Items>(ctx: &WorkerContext, items: I) -> Vec<I::Out> {
     let n = items.len();
-    if n < 2 || !ctx.queue.has_idle() {
+    if n < 2 || ctx.queue.idle() == 0 {
         return (0..n).map(|i| items.run_item(i, ctx)).collect();
     }
     let job = Arc::new(Job {
@@ -217,8 +214,15 @@ pub(crate) fn share<I: Items>(ctx: &WorkerContext, items: I) -> Vec<I::Out> {
     {
         resume_unwind(payload);
     }
-    let answers = std::mem::take(&mut *job.answers.lock().unwrap_or_else(PoisonError::into_inner));
-    answers.into_iter().map_while(|answer| answer).collect()
+    #[expect(
+        clippy::expect_used,
+        reason = "every index was claimed once, and its item either answered or panicked (resumed above): an empty slot is a broken claim cursor"
+    )]
+    let answers = std::mem::take(&mut *job.answers.lock().unwrap_or_else(PoisonError::into_inner))
+        .into_iter()
+        .map(|answer| answer.expect("every claimed item is answered"))
+        .collect();
+    answers
 }
 
 /// The service's graph as an annotation on one worker reads it: every call

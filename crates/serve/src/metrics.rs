@@ -64,6 +64,9 @@ pub struct ServiceMetrics {
     pub served_no_linkage: u64,
     /// Requests currently being annotated by workers.
     pub in_flight: usize,
+    /// Workers parked waiting for a request. An idle worker helps with a
+    /// busy one's batched KG reads.
+    pub idle_workers: usize,
     /// Columns annotated across all completed requests.
     pub annotated_columns: u64,
     /// Columns that fell back to the no-linkage degraded path.
@@ -129,9 +132,10 @@ impl fmt::Display for ServiceMetrics {
         )?;
         writeln!(
             f,
-            "load: queue_depth={} in_flight={} help_items={} latency_p50={}us p99={}us",
+            "load: queue_depth={} in_flight={} idle_workers={} help_items={} latency_p50={}us p99={}us",
             self.queue_depth,
             self.in_flight,
+            self.idle_workers,
             self.help_items,
             self.latency_p50_us,
             self.latency_p99_us

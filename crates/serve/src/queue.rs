@@ -12,16 +12,15 @@
 //!   evict the oldest queued one, which is the request most likely to have
 //!   already blown its deadline (freshness-first).
 //!
-//! Consumers take one item per wake-up with [`BoundedQueue::pop`] (the
-//! service's workers use [`BoundedQueue::next`], below). The queue keeps
-//! no ledger of its own: the service counts submissions and sheds
-//! from what `push` and [`trim_to_limit`](BoundedQueue::trim_to_limit)
+//! Consumers take one item per wake-up with [`BoundedQueue::next`]. The
+//! queue keeps no ledger of its own: the service counts submissions and
+//! sheds from what `push` and [`trim_to_limit`](BoundedQueue::trim_to_limit)
 //! return.
 //!
 //! Idle help: a queue may also carry *offers* of type `H`, work a busy
-//! consumer shares with idle ones. [`BoundedQueue::next`] is `pop` for a
-//! consumer willing to help: while no item is queued it takes a clone of
-//! the first posted offer instead of parking. [`BoundedQueue::offer`]
+//! consumer shares with idle ones. While no item is queued,
+//! [`BoundedQueue::next`] takes a clone of the first posted offer instead
+//! of parking. [`BoundedQueue::offer`]
 //! posts only while some consumer is parked in `next`, and the poster
 //! [`withdraw`](BoundedQueue::withdraw)s the offer when it is done. Items
 //! always come first: an idle consumer helps only while nothing is queued.
@@ -201,24 +200,11 @@ impl<T, H: Clone> BoundedQueue<T, H> {
         Ok(victim)
     }
 
-    /// Block until an item is available (or the queue closes), then take
-    /// the oldest one. `None` means the queue is closed *and* drained —
-    /// the worker's signal to exit. Offers are never returned here.
-    pub fn pop(&self) -> Option<T> {
-        match self.wait(false)? {
-            Next::Item(item) => Some(item),
-            Next::Offer(_) => None,
-        }
-    }
-
-    /// [`pop`](Self::pop) for a consumer that helps while idle: block until
-    /// an item is queued or an offer is posted, and take the item if there
-    /// is one. `None` means closed and drained.
+    /// Block until an item is queued or an offer is posted (or the queue
+    /// closes), and take the oldest item if there is one, else a clone of
+    /// the first offer. `None` means closed and drained — the worker's
+    /// signal to exit.
     pub fn next(&self) -> Option<Next<T, H>> {
-        self.wait(true)
-    }
-
-    fn wait(&self, helps: bool) -> Option<Next<T, H>> {
         let mut state = self.lock_state();
         loop {
             if let Some(item) = state.items.pop_front() {
@@ -227,20 +213,18 @@ impl<T, H: Clone> BoundedQueue<T, H> {
                 self.not_full.notify_all();
                 return Some(Next::Item(item));
             }
-            if helps {
-                if let Some(offer) = state.offers.first() {
-                    return Some(Next::Offer(offer.clone()));
-                }
+            if let Some(offer) = state.offers.first() {
+                return Some(Next::Offer(offer.clone()));
             }
             if state.closed {
                 return None;
             }
-            state.idle += usize::from(helps);
+            state.idle += 1;
             state = self
                 .not_empty
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
-            state.idle -= usize::from(helps);
+            state.idle -= 1;
         }
     }
 
@@ -263,10 +247,10 @@ impl<T, H: Clone> BoundedQueue<T, H> {
         true
     }
 
-    /// Whether a consumer is parked in [`next`](Self::next) right now: an
-    /// [`offer`](Self::offer) would be taken.
-    pub fn has_idle(&self) -> bool {
-        self.lock_state().idle > 0
+    /// Consumers parked in [`next`](Self::next) right now; while any is,
+    /// an [`offer`](Self::offer) would be taken.
+    pub fn idle(&self) -> usize {
+        self.lock_state().idle
     }
 
     /// Remove every posted offer `is` picks out.
@@ -292,9 +276,17 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    /// Pop everything queued right now, oldest first, without parking.
+    /// The next item of a queue that carries no offers.
+    fn pop<T>(q: &BoundedQueue<T>) -> Option<T> {
+        match q.next()? {
+            Next::Item(item) => Some(item),
+            Next::Offer(()) => unreachable!("no offer is ever posted"),
+        }
+    }
+
+    /// Take everything queued right now, oldest first, without parking.
     fn drain<T>(q: &BoundedQueue<T>) -> Vec<T> {
-        (0..q.depth()).filter_map(|_| q.pop()).collect()
+        (0..q.depth()).filter_map(|_| pop(q)).collect()
     }
 
     #[test]
@@ -328,7 +320,7 @@ mod tests {
         for i in 0..5 {
             q.push(i, AdmissionPolicy::Reject).unwrap();
         }
-        assert_eq!(q.pop(), Some(0));
+        assert_eq!(pop(&q), Some(0));
         assert_eq!(q.depth(), 4, "one item per pop");
         assert_eq!(drain(&q), vec![1, 2, 3, 4]);
     }
@@ -414,9 +406,9 @@ mod tests {
             let q = Arc::clone(&q);
             let drained = Arc::clone(&drained);
             std::thread::spawn(move || {
-                let taken = (q.pop(), q.pop());
+                let taken = (pop(&q), pop(&q));
                 drained.wait();
-                (taken, q.pop())
+                (taken, pop(&q))
             })
         };
         // The two items are gone; give the waiter a chance to park on the
@@ -439,17 +431,16 @@ mod tests {
             let q = Arc::clone(&q);
             std::thread::spawn(move || q.next())
         };
-        while !q.has_idle() {
+        while q.idle() == 0 {
             std::thread::yield_now();
         }
         assert!(q.offer("job"));
         assert_eq!(consumer.join().unwrap(), Some(Next::Offer("job")));
-        // The offer stays posted until withdrawn, but an item comes first;
-        // a plain pop never sees offers.
+        // The offer stays posted until withdrawn, but items come first.
         q.push(7, AdmissionPolicy::Reject).unwrap();
         q.push(8, AdmissionPolicy::Reject).unwrap();
         assert_eq!(q.next(), Some(Next::Item(7)));
-        assert_eq!(q.pop(), Some(8));
+        assert_eq!(q.next(), Some(Next::Item(8)));
         assert_eq!(q.next(), Some(Next::Offer("job")));
         q.withdraw(|o| *o == "job");
         assert!(q.close().is_empty());
@@ -467,8 +458,8 @@ mod tests {
         };
         std::thread::sleep(std::time::Duration::from_millis(10));
         // Producer is parked on the full queue; one pop must release it.
-        assert_eq!(q.pop(), Some(1));
+        assert_eq!(pop(&q), Some(1));
         assert_eq!(producer.join().unwrap(), Ok(None));
-        assert_eq!(q.pop(), Some(2));
+        assert_eq!(pop(&q), Some(2));
     }
 }

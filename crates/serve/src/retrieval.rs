@@ -155,18 +155,19 @@ impl KgBackend for RungView<'_> {
         top_k: usize,
         deadline: Deadline,
     ) -> Vec<Result<SearchOutcome, RetrievalError>> {
+        // Only a full lookup does I/O worth sharing; the other rungs answer
+        // every item at once.
         match self.helpers {
-            Some(ctx) => fanout::share(
+            Some(ctx) if self.rung == DegradationRung::Full => fanout::share(
                 ctx,
                 Searches {
                     queries,
-                    rung: self.rung,
                     counted: self.counted,
                     top_k,
                     deadline,
                 },
             ),
-            None => queries
+            _ => queries
                 .iter()
                 .map(|query| self.search_entities(query, top_k, deadline))
                 .collect(),

@@ -543,6 +543,7 @@ impl AnnotationService {
             served_cache_only: self.shared.rung_served[1].load(Ordering::Relaxed),
             served_no_linkage: self.shared.rung_served[2].load(Ordering::Relaxed),
             in_flight: self.shared.in_flight.load(Ordering::SeqCst),
+            idle_workers: self.queue.idle(),
             annotated_columns: self.shared.annotated_columns.load(Ordering::Relaxed),
             degraded_columns: self.shared.degraded_columns.load(Ordering::Relaxed),
             failed_cells: self.shared.failed_cells.load(Ordering::Relaxed),
