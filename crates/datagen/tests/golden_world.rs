@@ -2,9 +2,11 @@
 //!
 //! The store's writer promises that an ingest change — a new analyzer, a
 //! new term table, a wider vector target — moves speed, not bytes. This
-//! test pins that promise: one CRC32 over every file of two fixed-seed
-//! worlds, in file-name order, each file contributing its name and then
-//! its bytes. The big world is built under a posting budget small enough
+//! test pins that promise: per file kind (entity shards, BM25 index,
+//! manifest) one CRC32 over that kind's files of two fixed-seed worlds, in
+//! file-name order, each file contributing its name and then its bytes, so
+//! a format change to one kind re-blesses that kind's constants alone. The
+//! big world is built under a posting budget small enough
 //! that the BM25 builder spills several runs and `finish` merges them;
 //! the synthetic world goes through `write_graph`, the in-memory graph
 //! conversion. A change that moves one byte of either world changes a
@@ -26,8 +28,14 @@ fn world_dir(tag: &str) -> PathBuf {
     d
 }
 
-/// CRC32 over `(name, bytes)` of every file in `dir`, in name order.
-fn dir_digest(dir: &Path) -> u32 {
+/// The file kinds of a world directory, by name suffix: entity shards, the
+/// BM25 index, the manifest.
+const KINDS: [&str; 3] = [".kges", "index.kgbm", "world.kgsm"];
+
+/// Per entry of [`KINDS`], CRC32 over `(name, bytes)` of every file in
+/// `dir` whose name ends with it, in name order. Every file is of exactly
+/// one kind.
+fn dir_digests(dir: &Path) -> [u32; 3] {
     let mut files: Vec<(String, PathBuf)> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| {
@@ -41,12 +49,16 @@ fn dir_digest(dir: &Path) -> u32 {
         })
         .collect();
     files.sort();
-    let mut crc = Crc32::new();
+    let mut crcs = [Crc32::new(), Crc32::new(), Crc32::new()];
     for (name, path) in &files {
-        crc.update(name.as_bytes());
-        crc.update(&std::fs::read(path).unwrap());
+        let kind = KINDS
+            .iter()
+            .position(|k| name.ends_with(k))
+            .unwrap_or_else(|| panic!("{name} is of no known kind"));
+        crcs[kind].update(name.as_bytes());
+        crcs[kind].update(&std::fs::read(path).unwrap());
     }
-    crc.finish()
+    crcs.each_ref().map(Crc32::finish)
 }
 
 /// The 20k-entity big world, built into `dir` under [`SPILL_POSTINGS`].
@@ -76,12 +88,16 @@ fn world_bytes_match_the_golden_digest() {
     let world = SyntheticWorld::generate(&WorldConfig::tiny(11));
     write_graph(&tiny, &world.graph, WorldWriterConfig::default()).unwrap();
 
-    let digests = (dir_digest(&big), dir_digest(&tiny));
+    let digests = (dir_digests(&big), dir_digests(&tiny));
     std::fs::remove_dir_all(&big).unwrap();
     std::fs::remove_dir_all(&tiny).unwrap();
+    // (.kges, index.kgbm, world.kgsm) of each world.
     assert_eq!(
         digests,
-        (0x71F2_042B, 0x29F9_4F71),
+        (
+            [0xF903_F6F6, 0x97C7_0DE9, 0x732A_6A5F],
+            [0xE709_B935, 0xBF37_A259, 0xDDC0_0BB5]
+        ),
         "(big world, tiny world) digests: {digests:#010X?}"
     );
 }
