@@ -137,7 +137,8 @@ mod tests {
     use super::*;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("kglink-store-atomic-{tag}-{}", std::process::id()));
+        let d =
+            std::env::temp_dir().join(format!("kglink-store-atomic-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&d).unwrap();
         d
     }

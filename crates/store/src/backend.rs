@@ -88,8 +88,8 @@ impl DiskGraph {
                     seg.first_id()
                 )));
             }
-            let expect_records = (manifest.n_entities - expect_first)
-                .min(u64::from(manifest.per_shard));
+            let expect_records =
+                (manifest.n_entities - expect_first).min(u64::from(manifest.per_shard));
             if u64::from(seg.n_records()) != expect_records {
                 return Err(StoreError::Corrupt(format!(
                     "shard {i} holds {} records, manifest implies {expect_records}",
@@ -177,11 +177,7 @@ impl DiskGraph {
     }
 
     /// Both edge lists of `id`, `visit(outgoing, edge)` in stored order.
-    fn try_edges(
-        &self,
-        id: EntityId,
-        visit: impl FnMut(bool, Edge),
-    ) -> Result<(), StoreError> {
+    fn try_edges(&self, id: EntityId, visit: impl FnMut(bool, Edge)) -> Result<(), StoreError> {
         let (seg, local) = self.locate(id)?;
         seg.read_edges(local, &self.blocks, visit)
     }

@@ -180,7 +180,9 @@ mod tests {
     #[test]
     fn hit_after_miss_returns_same_bytes() {
         let cache = BlockCache::new(1 << 20, 4);
-        let a = cache.get_or_try_load((0, 1), || Ok(vec![1u8, 2, 3])).unwrap();
+        let a = cache
+            .get_or_try_load((0, 1), || Ok(vec![1u8, 2, 3]))
+            .unwrap();
         let b = cache
             .get_or_try_load((0, 1), || panic!("must not reload a cached block"))
             .unwrap();
@@ -212,7 +214,11 @@ mod tests {
         cache.get_or_try_load((0, 1), || Ok(vec![1u8; 40])).unwrap();
         cache.get_or_try_load((0, 2), || Ok(vec![2u8; 40])).unwrap();
         let s = cache.stats();
-        assert!(s.resident_bytes <= budget, "resident {} over budget", s.resident_bytes);
+        assert!(
+            s.resident_bytes <= budget,
+            "resident {} over budget",
+            s.resident_bytes
+        );
         assert_eq!(s.evictions, 1);
         // Block 2 (most recent) is still a hit.
         cache
@@ -250,10 +256,15 @@ mod tests {
     fn oversized_value_is_served_but_never_resident() {
         let cache = BlockCache::new(ENTRY_OVERHEAD_BYTES + 64, 1);
         cache.get_or_try_load((0, 1), || Ok(vec![1u8; 32])).unwrap();
-        let big = cache.get_or_try_load((0, 0), || Ok(vec![7u8; 500])).unwrap();
+        let big = cache
+            .get_or_try_load((0, 0), || Ok(vec![7u8; 500]))
+            .unwrap();
         assert_eq!(big.len(), 500);
         let s = cache.stats();
-        assert_eq!((s.resident_bytes, s.evictions), (ENTRY_OVERHEAD_BYTES + 32, 0));
+        assert_eq!(
+            (s.resident_bytes, s.evictions),
+            (ENTRY_OVERHEAD_BYTES + 32, 0)
+        );
         // It displaced nothing: the small block is still a hit.
         cache
             .get_or_try_load((0, 1), || panic!("the small block should be resident"))

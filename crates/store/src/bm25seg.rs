@@ -427,9 +427,11 @@ impl TermSink<'_> {
             n_blocks += 1;
             prev_last = chunk[chunk.len() - 1].0;
         }
-        self.offsets.push(u32::try_from(self.entries.len()).map_err(|_| {
-            StoreError::Corrupt("dictionary entries exceed u32::MAX bytes".into())
-        })?);
+        self.offsets.push(
+            u32::try_from(self.entries.len()).map_err(|_| {
+                StoreError::Corrupt("dictionary entries exceed u32::MAX bytes".into())
+            })?,
+        );
         put_uv(&mut self.entries, term.len() as u64);
         self.entries.extend_from_slice(term.as_bytes());
         put_uv(&mut self.entries, df as u64);
@@ -562,8 +564,8 @@ fn read_run_record(r: &mut BufReader<File>) -> Result<Option<RunRecord>, StoreEr
     }
     let mut term = vec![0u8; term_len as usize];
     r.read_exact(&mut term)?;
-    let term = String::from_utf8(term)
-        .map_err(|_| StoreError::Corrupt("run term is not UTF-8".into()))?;
+    let term =
+        String::from_utf8(term).map_err(|_| StoreError::Corrupt("run term is not UTF-8".into()))?;
     let count = read_uv(r)?;
     if count > u64::from(u32::MAX) {
         return Err(StoreError::Corrupt(format!("run posting count {count}")));
@@ -801,7 +803,8 @@ impl Bm25Segment {
         let start = *self
             .dict_offsets
             .get(i)
-            .ok_or_else(|| StoreError::Corrupt(format!("term ordinal {i} out of range")))? as usize;
+            .ok_or_else(|| StoreError::Corrupt(format!("term ordinal {i} out of range")))?
+            as usize;
         let bytes = &self.dict_entries;
         let mut pos = start;
         let term_len = get_count(bytes, &mut pos, bytes.len())?;
@@ -872,7 +875,8 @@ impl Bm25Segment {
         k: usize,
         cache: &BlockCache,
     ) -> Result<Vec<(u32, f32)>, StoreError> {
-        self.search_with_stats(query, k, cache).map(|(hits, _)| hits)
+        self.search_with_stats(query, k, cache)
+            .map(|(hits, _)| hits)
     }
 
     /// [`Bm25Segment::search`] plus the work counters.
@@ -1108,7 +1112,10 @@ impl List {
     /// Open a cached posting entry; payloads stay undecoded until a stage
     /// walks them or a seek lands in them.
     fn open(bytes: Arc<Vec<u8>>, idf: f32, df: usize) -> Result<Self, StoreError> {
-        let trailer = bytes.len().checked_sub(TRAILER_LEN).ok_or(StoreError::Truncated)?;
+        let trailer = bytes
+            .len()
+            .checked_sub(TRAILER_LEN)
+            .ok_or(StoreError::Truncated)?;
         let n_blocks = le_u32(&bytes, trailer)? as usize;
         let ub = f32::from_bits(le_u32(&bytes, trailer + 4)?);
         let table = trailer
@@ -1166,7 +1173,11 @@ impl List {
             return Ok(None);
         }
         self.load(b)?;
-        let from = if self.found_at.0 == b { self.found_at.1 } else { 0 };
+        let from = if self.found_at.0 == b {
+            self.found_at.1
+        } else {
+            0
+        };
         let i = from + gallop(&self.docs[from..], doc);
         self.found_at = (b, i);
         Ok((self.docs.get(i) == Some(&doc)).then(|| self.tfs[i]))
@@ -1315,13 +1326,20 @@ mod tests {
         query: &str,
         k: usize,
     ) -> QueryStats {
-        let mem: Vec<(u32, u32)> =
-            idx.search(query, k).iter().map(|h| (h.doc, h.score.to_bits())).collect();
+        let mem: Vec<(u32, u32)> = idx
+            .search(query, k)
+            .iter()
+            .map(|h| (h.doc, h.score.to_bits()))
+            .collect();
         let (disk, stats) = seg.search_with_stats(query, k, cache).unwrap();
         let disk: Vec<(u32, u32)> = disk.iter().map(|&(d, s)| (d, s.to_bits())).collect();
         assert_eq!(mem, disk, "{query:?} k={k}");
         let df: usize = tokenize_unique(query).iter().map(|t| idx.doc_freq(t)).sum();
-        assert_eq!(stats.scored_docs + stats.skipped_docs, df as u64, "{query:?} k={k}: {stats:?}");
+        assert_eq!(
+            stats.scored_docs + stats.skipped_docs,
+            df as u64,
+            "{query:?} k={k}: {stats:?}"
+        );
         stats
     }
 
@@ -1330,7 +1348,14 @@ mod tests {
         let docs = corpus();
         let (idx, seg, dir) = build_both(&docs, usize::MAX);
         let cache = BlockCache::new(1 << 20, 2);
-        for query in ["peter steele", "rust", "album band city", "item7", "zzz", ""] {
+        for query in [
+            "peter steele",
+            "rust",
+            "album band city",
+            "item7",
+            "zzz",
+            "",
+        ] {
             for k in [1, 3, 10, 50] {
                 let mem = idx.search(query, k);
                 let disk = seg.search(query, k, &cache).unwrap();
@@ -1389,7 +1414,9 @@ mod tests {
         // with id, so later blocks cannot beat an established top-3.
         let mut docs = Vec::new();
         for i in 0u32..800 {
-            let pad: String = (0..(i as usize / 4 + 1)).map(|j| format!(" w{j}")).collect();
+            let pad: String = (0..(i as usize / 4 + 1))
+                .map(|j| format!(" w{j}"))
+                .collect();
             docs.push((i, format!("common{pad}")));
         }
         let (idx, seg, dir) = build_both(&docs, usize::MAX);
@@ -1400,17 +1427,19 @@ mod tests {
         for (m, d) in mem.iter().zip(&hits) {
             assert_eq!((m.doc, m.score.to_bits()), (d.0, d.1.to_bits()));
         }
-        assert!(
-            stats.skipped_docs > 0,
-            "skipping never engaged: {stats:?}"
-        );
+        assert!(stats.skipped_docs > 0, "skipping never engaged: {stats:?}");
         assert!(
             stats.scored_docs + stats.skipped_docs == 800,
             "every posting accounted for: {stats:?}"
         );
         // The same accounting over several lists: each posting is met once
         // as its stage's own, whether scored, skipped or cut off.
-        for query in ["common w0", "w199 common", "w150 w40 common w199", "w7 nosuch w3"] {
+        for query in [
+            "common w0",
+            "w199 common",
+            "w150 w40 common w199",
+            "w7 nosuch w3",
+        ] {
             for k in [1, 3, 10, 801] {
                 assert_same_hits(&idx, &seg, &cache, query, k);
             }
@@ -1418,7 +1447,10 @@ mod tests {
         // Four long docs hold `w199`; once they are scored nothing in
         // `common` alone can reach them, so that list is never walked.
         let stats = assert_same_hits(&idx, &seg, &cache, "w199 common", 3);
-        assert_eq!((stats.scored_docs, stats.skipped_docs, stats.skipped_blocks), (4, 800, 7));
+        assert_eq!(
+            (stats.scored_docs, stats.skipped_docs, stats.skipped_blocks),
+            (4, 800, 7)
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1442,7 +1474,10 @@ mod tests {
         std::fs::write(&path, &bad).unwrap();
         assert!(matches!(
             Bm25Segment::open(&path),
-            Err(StoreError::WrongVersion { found: 7, expected: VERSION })
+            Err(StoreError::WrongVersion {
+                found: 7,
+                expected: VERSION
+            })
         ));
 
         let mut bad = orig.clone();
@@ -1477,9 +1512,15 @@ mod tests {
         }
         assert!(saw_crc_error, "flipped posting byte never surfaced");
         // The damaged list fails the whole query, wherever its term stands.
-        for q in ["peter steele rust album band city", "item7 city band album rust steele peter"] {
+        for q in [
+            "peter steele rust album band city",
+            "item7 city band album rust steele peter",
+        ] {
             assert!(
-                matches!(seg.search(q, 5, &cache), Err(StoreError::CrcMismatch { .. })),
+                matches!(
+                    seg.search(q, 5, &cache),
+                    Err(StoreError::CrcMismatch { .. })
+                ),
                 "{q}"
             );
         }
@@ -1599,10 +1640,20 @@ mod tests {
         let before = cache.stats();
         for (n, query) in (1u64..).zip(["common", "rare common", "common rare filler3"]) {
             let got = seg.search(query, 3, &cache);
-            assert!(matches!(got, Err(StoreError::Corrupt(_))), "{query:?} gave {got:?}");
+            assert!(
+                matches!(got, Err(StoreError::Corrupt(_))),
+                "{query:?} gave {got:?}"
+            );
             let s = cache.stats();
-            assert_eq!(s.misses, before.misses + n, "{query:?}: the load runs again");
-            assert_eq!(s.resident_bytes, before.resident_bytes, "{query:?}: nothing cached");
+            assert_eq!(
+                s.misses,
+                before.misses + n,
+                "{query:?}: the load runs again"
+            );
+            assert_eq!(
+                s.resident_bytes, before.resident_bytes,
+                "{query:?}: nothing cached"
+            );
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1618,7 +1669,11 @@ mod tests {
             assert_eq!(bytes.capacity(), bytes.len(), "{term}");
             // The posting bytes, a 24-byte row a block, the trailer.
             let rows = entry.df.div_ceil(MAX_BLOCK_POSTINGS) * ROW_LEN;
-            assert_eq!(bytes.len(), entry.post_len as usize + rows + TRAILER_LEN, "{term}");
+            assert_eq!(
+                bytes.len(),
+                entry.post_len as usize + rows + TRAILER_LEN,
+                "{term}"
+            );
             charged += crate::blockcache::ENTRY_OVERHEAD_BYTES + bytes.len();
         }
         assert_eq!(cache.stats().resident_bytes, charged);
@@ -1656,7 +1711,9 @@ mod tests {
             let reference = |doc: u32| {
                 let b = blocks.partition_point(|c| c[c.len() - 1].0 < doc);
                 let c = blocks.get(b).filter(|c| c[0].0 <= doc)?;
-                c.binary_search_by_key(&doc, |&(d, _)| d).ok().map(|i| c[i].1)
+                c.binary_search_by_key(&doc, |&(d, _)| d)
+                    .ok()
+                    .map(|i| c[i].1)
             };
             let (first, last) = (postings[0].0, postings[len - 1].0);
             let mut target = 0u32;
@@ -1696,7 +1753,10 @@ mod tests {
     /// closing each block of 10 000, whose numbers collide with tags.
     fn name_label(id: u32) -> (String, Option<String>) {
         if id % 10_000 >= 9_984 {
-            return (format!("category {} {}", id / 10_000, id % 10_000 - 9_984), None);
+            return (
+                format!("category {} {}", id / 10_000, id % 10_000 - 9_984),
+                None,
+            );
         }
         let h = mix(u64::from(id));
         // 24 first and 24 second names, each with its own initial.
@@ -1747,7 +1807,11 @@ mod tests {
             let stats = assert_same_hits(&idx, &seg, &cache, &label, 10);
             // A type label may walk one block more: "category 0 0" holds
             // its number twice, and no bound rules out that block's max.
-            let slack = if first == "category" { MAX_BLOCK_POSTINGS } else { 0 };
+            let slack = if first == "category" {
+                MAX_BLOCK_POSTINGS
+            } else {
+                0
+            };
             assert!(
                 stats.scored_docs <= (rarest + slack) as u64,
                 "{label:?}: {stats:?} against a rarest list of {rarest}"

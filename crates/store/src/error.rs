@@ -55,7 +55,10 @@ impl fmt::Display for StoreError {
             ),
             StoreError::Corrupt(what) => write!(f, "segment is structurally corrupt: {what}"),
             StoreError::UnknownEntity { id, n_entities } => {
-                write!(f, "entity Q{id} is outside this world ({n_entities} entities)")
+                write!(
+                    f,
+                    "entity Q{id} is outside this world ({n_entities} entities)"
+                )
             }
             StoreError::Io(e) => write!(f, "store I/O failed: {e}"),
         }
@@ -82,12 +85,25 @@ mod tests {
 
     #[test]
     fn display_names_the_failure() {
-        assert!(StoreError::BadMagic { expected: "KGES" }.to_string().contains("KGES"));
-        let e = StoreError::WrongVersion { found: 9, expected: 1 };
+        assert!(StoreError::BadMagic { expected: "KGES" }
+            .to_string()
+            .contains("KGES"));
+        let e = StoreError::WrongVersion {
+            found: 9,
+            expected: 1,
+        };
         assert!(e.to_string().contains('9'));
-        let e = StoreError::CrcMismatch { expected: 1, found: 2 };
+        let e = StoreError::CrcMismatch {
+            expected: 1,
+            found: 2,
+        };
         assert!(e.to_string().contains("CRC"));
-        assert!(StoreError::UnknownEntity { id: 3, n_entities: 2 }.to_string().contains("Q3"));
+        assert!(StoreError::UnknownEntity {
+            id: 3,
+            n_entities: 2
+        }
+        .to_string()
+        .contains("Q3"));
     }
 
     #[test]

@@ -211,8 +211,7 @@ impl Manifest {
         }
         let crc = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
         let len = u64::from_le_bytes([
-            bytes[12], bytes[13], bytes[14], bytes[15], bytes[16], bytes[17], bytes[18],
-            bytes[19],
+            bytes[12], bytes[13], bytes[14], bytes[15], bytes[16], bytes[17], bytes[18], bytes[19],
         ]);
         let payload = bytes
             .get(FRAME_LEN..)
@@ -296,7 +295,10 @@ mod tests {
         std::fs::write(&path, &bad).unwrap();
         assert!(matches!(
             Manifest::read(&dir),
-            Err(StoreError::WrongVersion { found: 42, expected: VERSION })
+            Err(StoreError::WrongVersion {
+                found: 42,
+                expected: VERSION
+            })
         ));
 
         std::fs::write(&path, &orig[..orig.len() - 3]).unwrap();

@@ -91,11 +91,7 @@ fn schema_from_tag(tag: u8) -> Result<NeSchema, StoreError> {
         5 => NeSchema::Biology,
         6 => NeSchema::Concept,
         7 => NeSchema::Other,
-        other => {
-            return Err(StoreError::Corrupt(format!(
-                "unknown schema tag {other}"
-            )))
-        }
+        other => return Err(StoreError::Corrupt(format!("unknown schema tag {other}"))),
     })
 }
 
@@ -596,10 +592,8 @@ mod tests {
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "kglink-store-segment-{tag}-{}",
-            std::process::id()
-        ));
+        let d =
+            std::env::temp_dir().join(format!("kglink-store-segment-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&d).unwrap();
         d
     }
@@ -686,7 +680,10 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             Segment::open(&path),
-            Err(StoreError::WrongVersion { found: 99, expected: VERSION })
+            Err(StoreError::WrongVersion {
+                found: 99,
+                expected: VERSION
+            })
         ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -767,7 +764,10 @@ mod tests {
             assert_eq!(walked.map(|()| lists), full, "bytes {bytes:?}");
             failures += usize::from(full.is_err());
         }
-        assert!(failures > good.len(), "the corpus exercises the error paths");
+        assert!(
+            failures > good.len(),
+            "the corpus exercises the error paths"
+        );
     }
 
     #[test]

@@ -63,7 +63,9 @@ pub fn get_uv32(bytes: &[u8], pos: &mut usize) -> Result<u32, StoreError> {
 pub fn get_count(bytes: &[u8], pos: &mut usize, limit: usize) -> Result<usize, StoreError> {
     let v = get_uv(bytes, pos)?;
     if v > limit as u64 {
-        return Err(StoreError::Corrupt(format!("count {v} exceeds bound {limit}")));
+        return Err(StoreError::Corrupt(format!(
+            "count {v} exceeds bound {limit}"
+        )));
     }
     Ok(v as usize)
 }
@@ -297,7 +299,17 @@ mod tests {
     #[test]
     fn varints_round_trip() {
         let mut buf = Vec::new();
-        let values = [0u64, 1, 127, 128, 300, 16_383, 16_384, u32::MAX as u64, u64::MAX];
+        let values = [
+            0u64,
+            1,
+            127,
+            128,
+            300,
+            16_383,
+            16_384,
+            u32::MAX as u64,
+            u64::MAX,
+        ];
         for &v in &values {
             put_uv(&mut buf, v);
         }
@@ -314,12 +326,18 @@ mod tests {
         assert_eq!(get_uv(&[0x80], &mut pos), Err(StoreError::Truncated));
         let overlong = [0x80u8; 11];
         let mut pos = 0;
-        assert!(matches!(get_uv(&overlong, &mut pos), Err(StoreError::Corrupt(_))));
+        assert!(matches!(
+            get_uv(&overlong, &mut pos),
+            Err(StoreError::Corrupt(_))
+        ));
         // 10-byte varint whose last byte sets bits beyond 64 overflows.
         let mut too_big = vec![0xffu8; 9];
         too_big.push(0x02);
         let mut pos = 0;
-        assert!(matches!(get_uv(&too_big, &mut pos), Err(StoreError::Corrupt(_))));
+        assert!(matches!(
+            get_uv(&too_big, &mut pos),
+            Err(StoreError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -342,7 +360,10 @@ mod tests {
         put_uv(&mut bad, 2);
         bad.extend_from_slice(&[0xff, 0xfe]);
         let mut pos = 0;
-        assert!(matches!(get_str(&bad, &mut pos), Err(StoreError::Corrupt(_))));
+        assert!(matches!(
+            get_str(&bad, &mut pos),
+            Err(StoreError::Corrupt(_))
+        ));
     }
 
     #[test]

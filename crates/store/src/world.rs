@@ -226,9 +226,10 @@ impl WorldWriter {
         if let Some(pos) = self.predicates.iter().position(|p| p == name) {
             return Ok(PredicateId(pos as u16));
         }
-        let id = PredicateId(u16::try_from(self.predicates.len()).map_err(|_| {
-            StoreError::Corrupt("more than u16::MAX predicates".into())
-        })?);
+        let id = PredicateId(
+            u16::try_from(self.predicates.len())
+                .map_err(|_| StoreError::Corrupt("more than u16::MAX predicates".into()))?,
+        );
         self.predicates.push(name.to_string());
         if name == predicates::INSTANCE_OF {
             self.instance_of = Some(id);
@@ -276,11 +277,7 @@ impl WorldWriter {
         }
         if self.shard.is_none() {
             let path = self.dir.join(shard_file_name(self.next_shard));
-            self.shard = Some(SegmentWriter::create(
-                &path,
-                self.next_shard,
-                self.next_id,
-            )?);
+            self.shard = Some(SegmentWriter::create(&path, self.next_shard, self.next_id)?);
         }
         #[expect(clippy::expect_used, reason = "just populated above")]
         let shard = self.shard.as_mut().expect("open shard");
@@ -292,9 +289,10 @@ impl WorldWriter {
         if self.batch.docs.len() >= BATCH_DOCS {
             self.send_batch(false)?;
         }
-        self.next_id = self.next_id.checked_add(1).ok_or_else(|| {
-            StoreError::Corrupt("more than u32::MAX entities".into())
-        })?;
+        self.next_id = self
+            .next_id
+            .checked_add(1)
+            .ok_or_else(|| StoreError::Corrupt("more than u32::MAX entities".into()))?;
         if self.next_id.is_multiple_of(self.cfg.per_shard) {
             #[expect(
                 clippy::expect_used,
@@ -447,10 +445,8 @@ mod tests {
     use kglink_search::EntitySearcher;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "kglink-store-world-{tag}-{}",
-            std::process::id()
-        ));
+        let d =
+            std::env::temp_dir().join(format!("kglink-store-world-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
         d

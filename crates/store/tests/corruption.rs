@@ -10,8 +10,8 @@
 use kglink_kg::{Entity, GraphAccess, KgBuilder, NeSchema};
 use kglink_search::backend::{Deadline, KgBackend};
 use kglink_store::{
-    shard_file_name, write_graph, DiskBackend, DiskGraph, DiskWorld, StoreError,
-    WorldWriterConfig, BM25_FILE, MANIFEST_FILE,
+    shard_file_name, write_graph, DiskBackend, DiskGraph, DiskWorld, StoreError, WorldWriterConfig,
+    BM25_FILE, MANIFEST_FILE,
 };
 use std::path::PathBuf;
 
@@ -133,7 +133,10 @@ fn shard_block_bitflip_fails_lazily_and_degrades_scoped() {
     assert_eq!(g.entity(kglink_kg::EntityId(0)).label, "");
     assert_eq!(g.error_count(), before + 1);
     // Entities in undamaged shards still read fine.
-    assert_eq!(g.try_label(kglink_kg::EntityId(5)).unwrap(), "peter steele 4");
+    assert_eq!(
+        g.try_label(kglink_kg::EntityId(5)).unwrap(),
+        "peter steele 4"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -209,7 +212,10 @@ fn neighbourhood_tier_remembers_answers_never_failures() {
     let mut b = KgBuilder::new();
     let musician = b.add_type("Musician", None);
     for i in 0..600 {
-        b.add_instance(Entity::new(format!("peter steele {i}"), NeSchema::Person), musician);
+        b.add_instance(
+            Entity::new(format!("peter steele {i}"), NeSchema::Person),
+            musician,
+        );
     }
     let cfg = WorldWriterConfig {
         per_shard: 512,
@@ -236,7 +242,11 @@ fn neighbourhood_tier_remembers_answers_never_failures() {
             g.try_one_hop(id(301)),
             Err(StoreError::CrcMismatch { .. })
         ));
-        assert_eq!(g.cache_stats().misses, misses + 1, "attempt {attempt} re-read the block");
+        assert_eq!(
+            g.cache_stats().misses,
+            misses + 1,
+            "attempt {attempt} re-read the block"
+        );
         assert!(g.one_hop(id(301)).is_empty());
         assert_eq!(g.error_count(), attempt);
     }

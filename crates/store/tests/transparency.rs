@@ -212,18 +212,30 @@ fn cache_budget_holds_under_mixed_reads_with_a_hub() {
         g.add_edge(EntityId(i), pred, EntityId(i % 97 + 1));
     }
     let dir = casedir();
-    let cfg = WorldWriterConfig { per_shard: 6000, ..WorldWriterConfig::default() };
+    let cfg = WorldWriterConfig {
+        per_shard: 6000,
+        ..WorldWriterConfig::default()
+    };
     write_graph(&dir, &g, cfg).unwrap();
     let cache_bytes = 256 << 10;
     let world = DiskWorld::open_with_caches(&dir, cache_bytes, cache_bytes).unwrap();
-    assert!(g.one_hop(hub).len() * 4 > cache_bytes / 4, "the hub outweighs the tier");
+    assert!(
+        g.one_hop(hub).len() * 4 > cache_bytes / 4,
+        "the hub outweighs the tier"
+    );
 
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
     for i in 0..100_000u32 {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         // Half the reads go to a hot set of 64 entities, so lists are reused.
         let pick = (state >> 33) as u32;
-        let id = EntityId(if pick & 1 == 0 { pick / 2 % 64 } else { pick / 2 % (n + 1) });
+        let id = EntityId(if pick & 1 == 0 {
+            pick / 2 % 64
+        } else {
+            pick / 2 % (n + 1)
+        });
         let id = if i.is_multiple_of(1000) { hub } else { id };
         match i % 4 {
             0 | 1 => assert_eq!(world.graph.one_hop(id), g.one_hop(id)),
@@ -240,7 +252,10 @@ fn cache_budget_holds_under_mixed_reads_with_a_hub() {
     }
     let s = world.graph.cache_stats();
     assert!(s.resident_bytes <= cache_bytes, "{s:?}");
-    assert!(s.resident_bytes > cache_bytes / 2, "both tiers are in use: {s:?}");
+    assert!(
+        s.resident_bytes > cache_bytes / 2,
+        "both tiers are in use: {s:?}"
+    );
     assert!(s.evictions > 0 && s.hits > 0 && s.misses > 0, "{s:?}");
     assert_eq!(world.graph.error_count(), 0);
     std::fs::remove_dir_all(&dir).unwrap();
