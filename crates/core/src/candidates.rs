@@ -91,8 +91,14 @@ mod tests {
         let musician = b.add_type("Musician", None);
         let band_ty = b.add_type("Musical group", None);
         let member_of = b.predicate("member of");
-        let band1 = b.add_instance(Entity::new("The Velvet Owls", NeSchema::Organization), band_ty);
-        let band2 = b.add_instance(Entity::new("Iron Prophets", NeSchema::Organization), band_ty);
+        let band1 = b.add_instance(
+            Entity::new("The Velvet Owls", NeSchema::Organization),
+            band_ty,
+        );
+        let band2 = b.add_instance(
+            Entity::new("Iron Prophets", NeSchema::Organization),
+            band_ty,
+        );
         let names = ["Peter Steele", "Anna Kovacs", "Luca Rossi"];
         let bands = [band1, band2, band1];
         for (name, band) in names.iter().zip(bands) {

@@ -98,10 +98,16 @@ mod tests {
         let e = KgLinkError::degenerate(TableId(7), "no columns");
         assert!(e.to_string().contains("no columns"));
         let e: KgLinkError = RetrievalError::Transient.into();
-        assert!(matches!(e, KgLinkError::Retrieval(RetrievalError::Transient)));
+        assert!(matches!(
+            e,
+            KgLinkError::Retrieval(RetrievalError::Transient)
+        ));
         assert!(e.to_string().contains("transient"));
         let e: KgLinkError = MissingCpuFeature { feature: "fma" }.into();
-        assert!(matches!(e, KgLinkError::UnsupportedCpu(MissingCpuFeature { feature: "fma" })));
+        assert!(matches!(
+            e,
+            KgLinkError::UnsupportedCpu(MissingCpuFeature { feature: "fma" })
+        ));
         assert!(e.to_string().contains("unsupported CPU") && e.to_string().contains("`fma`"));
     }
 }

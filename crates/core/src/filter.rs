@@ -155,11 +155,7 @@ pub fn prune_and_filter(
         RowFilter::LinkScore => {
             let mut idx: Vec<usize> = (0..n_rows).collect();
             // Stable ordering: score descending, then original index.
-            idx.sort_by(|&a, &b| {
-                row_scores[b]
-                    .total_cmp(&row_scores[a])
-                    .then(a.cmp(&b))
-            });
+            idx.sort_by(|&a, &b| row_scores[b].total_cmp(&row_scores[a]).then(a.cmp(&b)));
             idx.truncate(keep);
             idx
         }
@@ -229,7 +225,10 @@ mod tests {
         assert!(cell.entities[0].overlap_score > 0);
         // Symmetric for Peter Steele.
         let cell1 = &filtered.cells[1][0];
-        assert!(cell1.entities.iter().any(|e| e.entity == steele && e.overlap_score > 0));
+        assert!(cell1
+            .entities
+            .iter()
+            .any(|e| e.entity == steele && e.overlap_score > 0));
     }
 
     #[test]

@@ -37,7 +37,21 @@
 
 #![deny(deprecated)]
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::allow_attributes, clippy::allow_attributes_without_reason, clippy::disallowed_methods, clippy::iter_over_hash_type))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason,
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type
+    )
+)]
 
 pub mod candidates;
 pub mod config;
@@ -62,5 +76,5 @@ pub use pipeline::{
     req, AnnotateOutcome, AnnotateRequest, DegradationRung, FitOptions, GuardPolicy, KgLink,
     Resources, ResourcesBuilder, TrainReport,
 };
-pub use preprocess::{preprocess_table, preprocess_table_traced, ProcessedTable, Preprocessor};
+pub use preprocess::{preprocess_table, preprocess_table_traced, Preprocessor, ProcessedTable};
 pub use stats::{DegradationStats, LinkStatistics, LinkageClass};

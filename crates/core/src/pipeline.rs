@@ -114,9 +114,7 @@ impl<'a> ResourcesBuilder<'a> {
             .tokenizer
             .ok_or(KgLinkError::missing_resource("tokenizer"))?;
         if tokenizer.vocab.is_empty() {
-            return Err(KgLinkError::invalid_config(
-                "tokenizer vocabulary is empty",
-            ));
+            return Err(KgLinkError::invalid_config("tokenizer vocabulary is empty"));
         }
         Ok(Resources {
             graph,
@@ -310,7 +308,11 @@ impl KgLink {
         clippy::expect_used,
         reason = "structural: every TrainError is checkpoint I/O, and default FitOptions do no checkpoint I/O"
     )]
-    pub fn fit(resources: &Resources<'_>, dataset: &Dataset, config: KgLinkConfig) -> (Self, TrainReport) {
+    pub fn fit(
+        resources: &Resources<'_>,
+        dataset: &Dataset,
+        config: KgLinkConfig,
+    ) -> (Self, TrainReport) {
         Self::fit_with(resources, dataset, config, &FitOptions::default())
             .expect("fit without checkpoint I/O cannot fail")
     }
@@ -346,7 +348,14 @@ impl KgLink {
             let _preprocess = tracer.span("fit.preprocess");
             (process(Split::Train), process(Split::Validation))
         };
-        Self::fit_processed_with(resources, &train_pt, &val_pt, &dataset.labels, config, options)
+        Self::fit_processed_with(
+            resources,
+            &train_pt,
+            &val_pt,
+            &dataset.labels,
+            config,
+            options,
+        )
     }
 
     /// Train from already-preprocessed tables (lets the experiment harness
@@ -442,11 +451,23 @@ impl KgLink {
         let failed_cells = processed.iter().map(|pt| pt.failed_cells).sum();
         let prepared = {
             let _encode = tracer.span("encode");
-            prepare_tables(&processed, resources.tokenizer, &self.labels, &config, false)
+            prepare_tables(
+                &processed,
+                resources.tokenizer,
+                &self.labels,
+                &config,
+                false,
+            )
         };
         let mut labels = {
             let _classify = tracer.span("classify");
-            train::predict_chunks(&self.model, &config, &prepared, request.feature_memo, &tracer)
+            train::predict_chunks(
+                &self.model,
+                &config,
+                &prepared,
+                request.feature_memo,
+                &tracer,
+            )
         };
         // Degenerate or skipped chunks must not change the output arity:
         // pad with the first label as a deterministic fallback.
@@ -465,7 +486,13 @@ impl KgLink {
         resources: &Resources<'_>,
         tables: &[ProcessedTable],
     ) -> EvalSummary {
-        let prep = prepare_tables(tables, resources.tokenizer, &self.labels, &self.config, false);
+        let prep = prepare_tables(
+            tables,
+            resources.tokenizer,
+            &self.labels,
+            &self.config,
+            false,
+        );
         train::evaluate(&self.model, &self.config, &prep)
     }
 
@@ -492,7 +519,13 @@ impl KgLink {
         resources: &Resources<'_>,
         tables: &[ProcessedTable],
     ) -> Vec<Vec<LabelId>> {
-        let prep = prepare_tables(tables, resources.tokenizer, &self.labels, &self.config, false);
+        let prep = prepare_tables(
+            tables,
+            resources.tokenizer,
+            &self.labels,
+            &self.config,
+            false,
+        );
         prep.iter()
             .map(|p| train::predict_table(&self.model, &self.config, p))
             .collect()
@@ -518,11 +551,7 @@ mod tests {
         let bench = semtab_like(&world, &SemTabConfig::tiny(77));
         let searcher = EntitySearcher::build(&world.graph);
         let corpus = pretrain_corpus(&world, 2);
-        let vocab = build_vocab(
-            corpus.iter().map(String::as_str),
-            &[&bench.dataset],
-            6000,
-        );
+        let vocab = build_vocab(corpus.iter().map(String::as_str), &[&bench.dataset], 6000);
         let tokenizer = Tokenizer::new(vocab);
         let resources = Resources::builder()
             .graph(&world.graph)
@@ -558,15 +587,27 @@ mod tests {
         let searcher = EntitySearcher::build(&world.graph);
         let tokenizer = Tokenizer::new(Vocab::build(["hello world"], 1, 100));
 
-        match Resources::builder().backend(&searcher).tokenizer(&tokenizer).build() {
+        match Resources::builder()
+            .backend(&searcher)
+            .tokenizer(&tokenizer)
+            .build()
+        {
             Err(KgLinkError::MissingResource { what }) => assert_eq!(what, "knowledge graph"),
             other => panic!("expected MissingResource, got {:?}", other.is_ok()),
         }
-        match Resources::builder().graph(&world.graph).tokenizer(&tokenizer).build() {
+        match Resources::builder()
+            .graph(&world.graph)
+            .tokenizer(&tokenizer)
+            .build()
+        {
             Err(KgLinkError::MissingResource { what }) => assert_eq!(what, "retrieval backend"),
             other => panic!("expected MissingResource, got {:?}", other.is_ok()),
         }
-        match Resources::builder().graph(&world.graph).backend(&searcher).build() {
+        match Resources::builder()
+            .graph(&world.graph)
+            .backend(&searcher)
+            .build()
+        {
             Err(KgLinkError::MissingResource { what }) => assert_eq!(what, "tokenizer"),
             other => panic!("expected MissingResource, got {:?}", other.is_ok()),
         }
@@ -682,12 +723,18 @@ mod tests {
         let cold = kglink.annotate_request(&resources, req(&table).feature_memo(&memo));
         assert_eq!(cold.labels, expected);
         let after_cold = memo.stats();
-        assert!(after_cold.misses > 0, "the table has feature rows: {after_cold:?}");
+        assert!(
+            after_cold.misses > 0,
+            "the table has feature rows: {after_cold:?}"
+        );
         assert_eq!(after_cold.hits, 0);
         let warm = kglink.annotate_request(&resources, req(&table).feature_memo(&memo));
         assert_eq!(warm.labels, expected);
         let after_warm = memo.stats();
-        assert_eq!(after_warm.misses, after_cold.misses, "a warm request misses nothing");
+        assert_eq!(
+            after_warm.misses, after_cold.misses,
+            "a warm request misses nothing"
+        );
         assert_eq!(after_warm.hits, after_cold.misses);
 
         kglink.config.use_feature_vector = false;

@@ -112,7 +112,13 @@ impl<'a> Preprocessor<'a> {
             .split_columns(self.config.max_columns)
             .into_iter()
             .map(|chunk| {
-                preprocess_table_traced(&chunk, self.graph, self.backend, &self.config, &self.tracer)
+                preprocess_table_traced(
+                    &chunk,
+                    self.graph,
+                    self.backend,
+                    &self.config,
+                    &self.tracer,
+                )
             })
             .collect())
     }
@@ -164,10 +170,7 @@ pub fn preprocess_table_traced(
                 linked.degrade_column(c);
                 tracer.event_with(
                     "degrade.column",
-                    vec![
-                        ("table", table.id.0.to_string()),
-                        ("column", c.to_string()),
-                    ],
+                    vec![("table", table.id.0.to_string()), ("column", c.to_string())],
                 );
             }
         }
@@ -191,15 +194,15 @@ pub fn preprocess_table_traced(
         })
         .collect();
     let has_linkage: Vec<bool> = (0..n_cols)
-        .map(|c| filtered.cells[c].iter().any(|cell| !cell.entities.is_empty()))
+        .map(|c| {
+            filtered.cells[c]
+                .iter()
+                .any(|cell| !cell.entities.is_empty())
+        })
         .collect();
     let candidate_type_names: Vec<Vec<String>> = cts
         .iter()
-        .map(|col| {
-            col.iter()
-                .map(|ct| graph.label(ct.entity))
-                .collect()
-        })
+        .map(|col| col.iter().map(|ct| graph.label(ct.entity)).collect())
         .collect();
     let labels = filtered.table.labels.clone();
     ProcessedTable {
@@ -326,8 +329,7 @@ mod tests {
         let searcher = EntitySearcher::build(&world.graph);
         let dead = FaultyBackend::new(&searcher, FaultConfig::with_fault_rate(7, 1.0));
         let pre = Preprocessor::new(&world.graph, &dead, KgLinkConfig::fast_test());
-        let healthy_pre =
-            Preprocessor::new(&world.graph, &searcher, KgLinkConfig::fast_test());
+        let healthy_pre = Preprocessor::new(&world.graph, &searcher, KgLinkConfig::fast_test());
         let mut degraded_cols = 0usize;
         let mut failed = 0usize;
         for table in bench.dataset.tables.iter().take(5) {
@@ -353,7 +355,10 @@ mod tests {
                 }
             }
         }
-        assert!(degraded_cols > 0, "SemTab-like tables have linkable columns");
+        assert!(
+            degraded_cols > 0,
+            "SemTab-like tables have linkable columns"
+        );
         assert!(failed > 0);
     }
 }

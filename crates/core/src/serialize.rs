@@ -87,7 +87,10 @@ pub fn serialize_table(
                 CellValue::Number(n) => vec![tokenizer.encode_number(*n)],
                 CellValue::Date(d) => {
                     // Years bucket to [YEAR]; full dates too.
-                    let year = d.get(..4).and_then(|y| y.parse::<f64>().ok()).unwrap_or(0.0);
+                    let year = d
+                        .get(..4)
+                        .and_then(|y| y.parse::<f64>().ok())
+                        .unwrap_or(0.0);
                     vec![tokenizer.encode_number(year)]
                 }
                 CellValue::Empty => continue,
@@ -143,7 +146,10 @@ mod tests {
         let musician = b.add_type("Musician", None);
         let band_ty = b.add_type("Musical group", None);
         let member = b.predicate("member of");
-        let band = b.add_instance(Entity::new("Iron Prophets", NeSchema::Organization), band_ty);
+        let band = b.add_instance(
+            Entity::new("Iron Prophets", NeSchema::Organization),
+            band_ty,
+        );
         for name in ["Peter Steele", "Anna Kovacs"] {
             let m = b.add_instance(Entity::new(name, NeSchema::Person), musician);
             b.relate(m, member, band);
@@ -154,7 +160,10 @@ mod tests {
             TableId(0),
             vec![],
             vec![
-                vec![CellValue::parse("Peter Steele"), CellValue::parse("Anna Kovacs")],
+                vec![
+                    CellValue::parse("Peter Steele"),
+                    CellValue::parse("Anna Kovacs"),
+                ],
                 vec![CellValue::parse("180"), CellValue::parse("190")],
             ],
             vec![LabelId(0), LabelId(1)],
@@ -231,7 +240,13 @@ mod tests {
     #[test]
     fn without_candidate_types_omits_kg_tokens() {
         let (pt, tok, labels) = setup();
-        let with = serialize_table(&pt, &tok, &labels, &KgLinkConfig::fast_test(), SlotFill::Mask);
+        let with = serialize_table(
+            &pt,
+            &tok,
+            &labels,
+            &KgLinkConfig::fast_test(),
+            SlotFill::Mask,
+        );
         let cfg = KgLinkConfig::fast_test().without_kg();
         let without = serialize_table(&pt, &tok, &labels, &cfg, SlotFill::Mask);
         assert!(without.ids.len() < with.ids.len());

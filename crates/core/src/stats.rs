@@ -96,7 +96,11 @@ impl std::fmt::Display for LinkStatistics {
             self.non_numeric_without_ct,
             self.pct(self.non_numeric_without_ct)
         )?;
-        write!(f, "Total columns:                 {:>6} (100%)", self.total_columns)
+        write!(
+            f,
+            "Total columns:                 {:>6} (100%)",
+            self.total_columns
+        )
     }
 }
 
@@ -271,7 +275,10 @@ mod tests {
         let s = DegradationStats::from_processed(&dead).with_backend(&resilient.metrics());
         assert!(s.degraded_columns > 0);
         assert!(s.failed_cells > 0);
-        assert!(s.retries > 0, "transient faults are retried before giving up");
+        assert!(
+            s.retries > 0,
+            "transient faults are retried before giving up"
+        );
         assert!(s.degraded_fraction() > 0.0);
         let text = s.to_string();
         assert!(text.contains("Degraded columns"));

@@ -175,7 +175,13 @@ fn train_table(
         let keep = 1.0 - config.dropout;
         let scale = 1.0 / keep;
         let mask: Vec<f32> = (0..hidden.numel())
-            .map(|_| if rng.gen_bool(keep as f64) { scale } else { 0.0 })
+            .map(|_| {
+                if rng.gen_bool(keep as f64) {
+                    scale
+                } else {
+                    0.0
+                }
+            })
             .collect();
         for (h, &m) in hidden.data_mut().iter_mut().zip(&mask) {
             *h *= m;
@@ -414,7 +420,11 @@ pub(crate) fn chunk_logits(
 }
 
 /// Evaluate a model over prepared tables.
-pub fn evaluate(model: &KgLinkModel, config: &KgLinkConfig, tables: &[PreparedTable]) -> EvalSummary {
+pub fn evaluate(
+    model: &KgLinkModel,
+    config: &KgLinkConfig,
+    tables: &[PreparedTable],
+) -> EvalSummary {
     let mut preds = Vec::new();
     let mut truths = Vec::new();
     for pt in tables {
@@ -634,7 +644,10 @@ pub fn train_with(
         tracer.incr("train.resume", 1);
         tracer.event_with(
             "train.resume",
-            vec![("step", ckpt.step.to_string()), ("epoch", epoch.to_string())],
+            vec![
+                ("step", ckpt.step.to_string()),
+                ("epoch", epoch.to_string()),
+            ],
         );
     }
 
@@ -678,10 +691,7 @@ pub fn train_with(
             } else {
                 report.nonfinite_steps += 1;
                 tracer.incr("train.nonfinite", 1);
-                tracer.event_with(
-                    "train.nonfinite",
-                    vec![("step", global_step.to_string())],
-                );
+                tracer.event_with("train.nonfinite", vec![("step", global_step.to_string())]);
                 match options.guard {
                     GuardPolicy::Off => {
                         // Pre-guard behavior: apply the poisoned step.
@@ -750,9 +760,7 @@ pub fn train_with(
                 return Ok(report);
             }
         }
-        report
-            .epoch_loss
-            .push(epoch_loss / n_tables.max(1) as f32);
+        report.epoch_loss.push(epoch_loss / n_tables.max(1) as f32);
         let acc = if val_tables.is_empty() {
             0.0
         } else {
@@ -828,7 +836,8 @@ mod tests {
         };
         let train_pt = process(Split::Train);
         let test_pt = process(Split::Test);
-        let train_prep = prepare_tables(&train_pt, &tokenizer, &bench.dataset.labels, &config, true);
+        let train_prep =
+            prepare_tables(&train_pt, &tokenizer, &bench.dataset.labels, &config, true);
         let test_prep = prepare_tables(&test_pt, &tokenizer, &bench.dataset.labels, &config, false);
         let n_labels = bench.dataset.labels.len();
         (train_prep, test_prep, config, vocab_size, n_labels)
@@ -849,10 +858,7 @@ mod tests {
             before.accuracy,
             after.accuracy
         );
-        assert!(
-            after.accuracy > 1.0 / n_labels as f64,
-            "better than random"
-        );
+        assert!(after.accuracy > 1.0 / n_labels as f64, "better than random");
     }
 
     #[test]
@@ -896,7 +902,12 @@ mod tests {
         let before = evaluate(&model, &config, &test_prep);
         train(&mut model, &config, &train_prep, &test_prep);
         let after = evaluate(&model, &config, &test_prep);
-        assert!(after.accuracy > before.accuracy, "{} -> {}", before.accuracy, after.accuracy);
+        assert!(
+            after.accuracy > before.accuracy,
+            "{} -> {}",
+            before.accuracy,
+            after.accuracy
+        );
         // Dropout is train-only: two evaluations agree exactly.
         let again = evaluate(&model, &config, &test_prep);
         assert_eq!(after.accuracy, again.accuracy);
@@ -930,11 +941,21 @@ mod tests {
         let mut bits = Vec::new();
         for pt in &test_prep {
             let tracer = Tracer::disabled();
-            chunk_logits(&model, &config, std::slice::from_ref(pt), None, &tracer, |logits| {
-                bits.extend(logits.iter().flat_map(|v| v.to_bits().to_le_bytes()));
-            });
+            chunk_logits(
+                &model,
+                &config,
+                std::slice::from_ref(pt),
+                None,
+                &tracer,
+                |logits| {
+                    bits.extend(logits.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+                },
+            );
         }
-        assert!(bits.len() >= 4 * n_labels * test_prep.len(), "every column's logits");
+        assert!(
+            bits.len() >= 4 * n_labels * test_prep.len(),
+            "every column's logits"
+        );
         assert_eq!(kglink_nn::frame::crc32(&bits), 0x6A0E_1173);
     }
 
@@ -948,10 +969,18 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("kglink-golden-{}", std::process::id()));
         let path = dir.join("model.kgck");
         let mut model = KgLinkModel::new(&config, vocab_size, n_labels);
-        let options = FitOptions::new().checkpoint_every(&path, 3).halt_after_step(3);
-        let report =
-            train_with(&mut model, &config, &train_prep, &test_prep, &options, &Tracer::disabled())
-                .unwrap();
+        let options = FitOptions::new()
+            .checkpoint_every(&path, 3)
+            .halt_after_step(3);
+        let report = train_with(
+            &mut model,
+            &config,
+            &train_prep,
+            &test_prep,
+            &options,
+            &Tracer::disabled(),
+        )
+        .unwrap();
         assert!(report.halted, "the fixture must run three steps");
         let bytes = Checkpointer::load(&path).unwrap().encode();
         std::fs::remove_dir_all(&dir).ok();
@@ -984,13 +1013,23 @@ mod tests {
         let blob = state.encode();
         // `LoopState` has no `PartialEq`; re-encoding bit for bit is the
         // stronger statement.
-        assert_eq!(LoopState::decode(&blob).map(|s| s.encode()), Ok(blob.clone()));
-        let empty = LoopState { best_blob: None, order: Vec::new(), ..state };
+        assert_eq!(
+            LoopState::decode(&blob).map(|s| s.encode()),
+            Ok(blob.clone())
+        );
+        let empty = LoopState {
+            best_blob: None,
+            order: Vec::new(),
+            ..state
+        };
         let blob2 = empty.encode();
         assert_eq!(LoopState::decode(&blob2).map(|s| s.encode()), Ok(blob2));
         for cut in 0..blob.len() {
             assert!(
-                matches!(LoopState::decode(&blob[..cut]), Err(CheckpointError::Truncated)),
+                matches!(
+                    LoopState::decode(&blob[..cut]),
+                    Err(CheckpointError::Truncated)
+                ),
                 "cut at {cut}"
             );
         }
