@@ -10,7 +10,8 @@
 //!   (through `use` renames), and to nothing when the workspace has no
 //!   `impl Type` (`Vec::with_capacity` is std's, not a same-name fn's).
 //! - `recv.method(..)` and bare `helper(..)` resolve by name, same-file
-//!   candidates preferred.
+//!   candidates preferred; a bare call to a parameter of the caller
+//!   (`load()` with `load: F`) resolves to nothing.
 //!
 //! A name that matches more than [`AMBIG_LIMIT`] candidates resolves to
 //! *nothing*: a fan-out that wide (e.g. `.len()`) carries no signal, and
@@ -245,6 +246,12 @@ impl Resolver {
                 capped(self.by_name.get(&site.name).cloned().unwrap_or_default())
             }
             CallKind::Bare => {
+                // A call to the caller's own parameter (`load()` with
+                // `load: F`) runs whatever closure the caller was handed,
+                // never the workspace fns that share its name.
+                if caller.params.iter().any(|p| p.name == site.name) {
+                    return Vec::new();
+                }
                 let all = self.by_name.get(&site.name).cloned().unwrap_or_default();
                 let same_file: Vec<usize> = all
                     .iter()
@@ -391,6 +398,16 @@ impl Pool {
         // `Vec` is not ours; a module path still resolves by name.
         assert_eq!(got[0], vec![vec![1], vec![], vec![], vec![2], vec![3]]);
         assert_eq!(got[2], vec![vec![3]], "`Self::` is the impl type");
+    }
+
+    #[test]
+    fn a_call_to_a_parameter_resolves_to_nothing() {
+        let src = "\
+fn get_or_try_load<F>(key: u32, load: F) -> u32 { load(); helper() }
+fn load() {}
+fn helper() {}
+";
+        assert_eq!(resolved(src)[0], vec![vec![], vec![2]]);
     }
 
     #[test]
