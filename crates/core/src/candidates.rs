@@ -21,7 +21,8 @@ pub struct CandidateType {
 /// filter, neighbors whose named-entity schema is `PERSON` or `DATE` are
 /// excluded. The `r2 ≠ r1` constraint of Eq. 8 is honored by requiring a
 /// candidate type to be supported by entities from at least two distinct
-/// rows.
+/// rows. The neighbourhoods are the ones Step 2 read; `graph` answers the
+/// schema filter.
 pub fn candidate_types(
     filtered: &FilteredTable,
     graph: &dyn GraphAccess,
@@ -29,7 +30,6 @@ pub fn candidate_types(
 ) -> Vec<Vec<CandidateType>> {
     let n_cols = filtered.cells.len();
     let mut out = Vec::with_capacity(n_cols);
-    let mut hop_cache: HashMap<EntityId, Vec<EntityId>> = HashMap::new();
     for c in 0..n_cols {
         let mut scores: HashMap<EntityId, f64> = HashMap::new();
         let mut row_support: HashMap<EntityId, Vec<usize>> = HashMap::new();
@@ -38,10 +38,7 @@ pub fn candidate_types(
                 if pe.overlap_score == 0 {
                     continue; // fallback entities carry no weight in Eq. 8
                 }
-                let neighbors = hop_cache
-                    .entry(pe.entity)
-                    .or_insert_with(|| graph.one_hop(pe.entity));
-                for &ct in neighbors.iter() {
+                for &ct in filtered.one_hop(pe.entity) {
                     if !graph.schema_of(ct).eligible_as_type() {
                         continue;
                     }

@@ -60,6 +60,19 @@ pub struct FilteredTable {
     pub row_order: Vec<usize>,
     /// Row linking scores (Eq. 5) of the kept rows.
     pub row_scores: Vec<f32>,
+    /// The batch's one-hop answers, `hops[hop_of[e]]` for every candidate
+    /// `e` of the unfiltered table: Step 3 reads them through
+    /// [`FilteredTable::one_hop`] instead of asking the graph again.
+    hop_of: IdMap<usize>,
+    hops: Vec<Vec<EntityId>>,
+}
+
+impl FilteredTable {
+    /// The one-hop neighbourhood `prune_and_filter` read for `entity`, which
+    /// must be one of its candidates (every entity of `cells` is).
+    pub(crate) fn one_hop(&self, entity: EntityId) -> &[EntityId] {
+        &self.hops[self.hop_of[&entity]]
+    }
 }
 
 /// Prune candidate entity sets with the one-hop-intersection rule (Eq. 3),
@@ -77,8 +90,8 @@ pub fn prune_and_filter(
     let n_cols = table.n_cols();
     // One graph read per distinct candidate of the chunk, asked as one
     // batch in first-use order (row, column, rank); `hop_of` maps an id to
-    // its answer's index, and the rows below only borrow the answers.
-    // Both maps are probed by id, never iterated.
+    // its answer's index, and the rows below and Step 3 only borrow the
+    // answers. Both maps are probed by id, never iterated.
     let mut hop_of: IdMap<usize> = IdMap::default();
     let mut ids = Vec::new();
     for r in 0..n_rows {
@@ -172,6 +185,8 @@ pub fn prune_and_filter(
         cells,
         row_order,
         row_scores: kept_scores,
+        hop_of,
+        hops,
     }
 }
 
