@@ -47,12 +47,12 @@ const HOP_TIER_SHARE: usize = 4;
 /// Entity id `i` lives in shard `i / per_shard` at local offset
 /// `i % per_shard`; each lookup touches one cached block. Resident memory
 /// is the manifest, the per-shard block indexes, and two caches under one
-/// byte budget — independent of world size. `blocks` holds verified data
-/// blocks and serves every read; `hops` sits in front of it for
+/// byte budget — independent of world size. `blocks` holds verified record
+/// and adjacency blocks; `hops` sits in front of it for
 /// [`DiskGraph::try_one_hop`] only and holds *results* — the candidate
 /// filter asks for the neighbourhood of every candidate of every cell, the
-/// same entities table after table, and a 256-record block is the wrong
-/// unit to keep one ≈ 12-byte answer resident.
+/// same entities table after table, and even a 256-record adjacency block
+/// is the wrong unit to keep one ≈ 12-byte answer resident.
 #[derive(Debug)]
 pub struct DiskGraph {
     manifest: Manifest,
@@ -182,20 +182,19 @@ impl DiskGraph {
         seg.read_edges(local, &self.blocks, visit)
     }
 
-    /// One-hop neighborhood, replicating `KnowledgeGraph::one_hop`
+    /// One-hop neighborhood, as `KnowledgeGraph::one_hop` answers it
     /// (either direction, deduplicated, sorted, self removed). Answers are
-    /// memoised per entity in the neighbourhood tier: only `Ok` ones, so a
-    /// failing read fails — and is counted — every time it is asked, and
-    /// not lists above ⅛ of a tier shard, so one hub cannot flush it.
+    /// memoised per entity in the neighbourhood tier; a miss reads the
+    /// list the writer stored in the record's adjacency block. Only `Ok`
+    /// answers are kept, so a failing read fails — and is counted — every
+    /// time it is asked, and not lists above ⅛ of a tier shard, so one hub
+    /// cannot flush it.
     pub fn try_one_hop(&self, id: EntityId) -> Result<Vec<EntityId>, StoreError> {
         if let Some(hop) = self.hops.get(id) {
             return Ok(hop);
         }
-        let mut hop = Vec::new();
-        self.try_edges(id, |_, e| hop.push(e.target))?;
-        hop.sort_unstable();
-        hop.dedup();
-        hop.retain(|&t| t != id);
+        let (seg, local) = self.locate(id)?;
+        let hop = seg.read_one_hop(local, &self.blocks)?;
         self.hops.insert(id, &hop);
         Ok(hop)
     }

@@ -14,17 +14,23 @@
 //! │ u64 index_off │ u64 index_len                                │
 //! │ u32 shard_index │ u32 first_id │ u32 n_records │ u32 n_blocks│  44-byte header
 //! ├──────────────────────────────────────────────────────────────┤
-//! │ data blocks: records, each `u32 len | payload`               │
+//! │ per block: a record block, then its adjacency block          │
+//! │   record block: records, each `u32 len | payload`            │
+//! │   adjacency block: the same records' one-hop lists, each     │
+//! │     `varint len | delta-varint ids`                          │
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ block index: per block                                       │
-//! │   `u64 off | u32 len | u32 crc | u32 first_rec`  (20 bytes)  │
+//! │   `u64 off | u32 len | u32 crc | u32 first_rec`              │
+//! │   `u32 adj_len | u32 adj_crc`                    (28 bytes)  │
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
 //!
 //! Version is checked before any CRC (a different version implies a
 //! different layout, so hashing it is meaningless); the index CRC is
-//! checked once at open; each block's CRC is checked when the block first
-//! enters the block cache. Blocks close at [`MAX_BLOCK_BYTES`] *or*
+//! checked once at open; each block's CRC — record or adjacency, each has
+//! its own — is checked when the block first enters the block cache. A
+//! block's adjacency block starts where its record block ends
+//! (`off + len`). Blocks close at [`MAX_BLOCK_BYTES`] of records *or*
 //! [`MAX_BLOCK_RECORDS`], whichever comes first — variable records per
 //! block means a handful of giant records (hub entities with huge edge
 //! lists) cannot force every lookup in their neighborhood to read
@@ -41,6 +47,14 @@
 //!
 //! Strings lead so the hot partial decodes (`label`, `schema`) never touch
 //! the edge lists.
+//!
+//! An adjacency record is what `one_hop` answers, derived from the
+//! record's edges at write time: the targets of both directions, sorted,
+//! deduplicated, the entity itself removed; stored as the first id, then
+//! gaps (each ≥ 1), all varints, behind the varint byte length that lets
+//! [`Segment::read_one_hop`] skip a record in one step. It is ≈ 12 bytes
+//! where its record block is ≈ 12.5 KB, so a one-hop miss reads and CRCs
+//! the small block alone.
 
 use crate::atomic::AtomicFile;
 use crate::blockcache::BlockCache;
@@ -54,9 +68,12 @@ use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 pub(crate) const MAGIC: &[u8; 4] = b"KGES";
-pub(crate) const VERSION: u32 = 1;
+pub(crate) const VERSION: u32 = 2;
 pub(crate) const HEADER_LEN: usize = 44;
-const INDEX_ENTRY_LEN: usize = 20;
+const INDEX_ENTRY_LEN: usize = 28;
+/// Set on the block ordinal of an adjacency block's cache key, so it never
+/// meets its record block's key `(shard, block)`.
+const ADJACENCY_KEY: u32 = 1 << 31;
 
 /// A data block closes once it holds this many payload bytes…
 pub const MAX_BLOCK_BYTES: usize = 256 * 1024;
@@ -274,6 +291,55 @@ struct BlockMeta {
     len: u32,
     crc: u32,
     first_rec: u32,
+    /// The adjacency block, at `off + len`.
+    adj_len: u32,
+    adj_crc: u32,
+}
+
+/// Append the one-hop list of entity `id` to `adj` as an adjacency record:
+/// `hop` (scratch, overwritten) collects the targets of `edges`, then is
+/// sorted, deduplicated and cleared of `id`, exactly the list
+/// `KnowledgeGraph::one_hop` answers. `bytes` is scratch too.
+fn encode_one_hop<'e>(
+    id: EntityId,
+    edges: impl Iterator<Item = &'e Edge>,
+    hop: &mut Vec<EntityId>,
+    bytes: &mut Vec<u8>,
+    adj: &mut Vec<u8>,
+) {
+    hop.clear();
+    hop.extend(edges.map(|e| e.target));
+    hop.sort_unstable();
+    hop.dedup();
+    hop.retain(|&t| t != id);
+    bytes.clear();
+    let mut prev = 0;
+    for t in hop.iter() {
+        put_uv(bytes, u64::from(t.0 - prev));
+        prev = t.0;
+    }
+    put_uv(adj, bytes.len() as u64);
+    adj.extend_from_slice(bytes);
+}
+
+/// Decode an adjacency record payload (no length prefix): the first id,
+/// then gaps. A gap of 0 or past `u32::MAX` is `Corrupt`: the writer only
+/// stores strictly ascending ids.
+fn decode_one_hop(bytes: &[u8]) -> Result<Vec<EntityId>, StoreError> {
+    // Every id costs at least one byte.
+    let mut hop = Vec::with_capacity(bytes.len());
+    let mut pos = 0;
+    while pos < bytes.len() {
+        let gap = get_uv32(bytes, &mut pos)?;
+        let id = match hop.last() {
+            None => Some(gap),
+            Some(&EntityId(prev)) if gap > 0 => prev.checked_add(gap),
+            Some(_) => None,
+        }
+        .ok_or_else(|| StoreError::Corrupt(format!("one-hop gap {gap} breaks the order")))?;
+        hop.push(EntityId(id));
+    }
+    Ok(hop)
 }
 
 /// Streaming writer for one entity shard. Records arrive in id order via
@@ -287,9 +353,12 @@ pub struct SegmentWriter {
     n_records: u32,
     /// Payload of the currently open block (record frames, concatenated).
     block: Vec<u8>,
+    /// Payload of its adjacency block (adjacency records, concatenated).
+    adj: Vec<u8>,
     block_records: u32,
     index: Vec<BlockMeta>,
     scratch: Vec<u8>,
+    hop: Vec<EntityId>,
 }
 
 impl SegmentWriter {
@@ -304,13 +373,16 @@ impl SegmentWriter {
             first_id,
             n_records: 0,
             block: Vec::with_capacity(MAX_BLOCK_BYTES + 4096),
+            adj: Vec::new(),
             block_records: 0,
             index: Vec::new(),
             scratch: Vec::new(),
+            hop: Vec::new(),
         })
     }
 
-    /// Append the record for the next entity id in sequence.
+    /// Append the record for the next entity id in sequence, and its
+    /// one-hop list to the adjacency block.
     pub fn push(
         &mut self,
         entity: &Entity,
@@ -327,6 +399,13 @@ impl SegmentWriter {
         })?;
         self.block.extend_from_slice(&len.to_le_bytes());
         self.block.extend_from_slice(&self.scratch);
+        encode_one_hop(
+            EntityId(self.first_id.wrapping_add(self.n_records)),
+            outgoing.iter().chain(incoming),
+            &mut self.hop,
+            &mut self.scratch,
+            &mut self.adj,
+        );
         self.block_records += 1;
         self.n_records += 1;
         if self.block.len() >= MAX_BLOCK_BYTES || self.block_records >= MAX_BLOCK_RECORDS {
@@ -340,15 +419,21 @@ impl SegmentWriter {
             return Ok(());
         }
         let off = self.file.position();
-        let crc = crc32(&self.block);
+        let adj_len = u32::try_from(self.adj.len()).map_err(|_| {
+            StoreError::Corrupt(format!("adjacency block at {off} exceeds u32::MAX bytes"))
+        })?;
         self.file.write_all(&self.block)?;
+        self.file.write_all(&self.adj)?;
         self.index.push(BlockMeta {
             off,
             len: self.block.len() as u32,
-            crc,
+            crc: crc32(&self.block),
             first_rec: self.n_records - self.block_records,
+            adj_len,
+            adj_crc: crc32(&self.adj),
         });
         self.block.clear();
+        self.adj.clear();
         self.block_records = 0;
         Ok(())
     }
@@ -364,6 +449,8 @@ impl SegmentWriter {
             index_bytes.extend_from_slice(&b.len.to_le_bytes());
             index_bytes.extend_from_slice(&b.crc.to_le_bytes());
             index_bytes.extend_from_slice(&b.first_rec.to_le_bytes());
+            index_bytes.extend_from_slice(&b.adj_len.to_le_bytes());
+            index_bytes.extend_from_slice(&b.adj_crc.to_le_bytes());
         }
         self.file.write_all(&index_bytes)?;
         let mut header = Vec::with_capacity(HEADER_LEN);
@@ -438,7 +525,7 @@ impl Segment {
         let first_id = read_u32(&header, 32);
         let n_records = read_u32(&header, 36);
         let n_blocks = read_u32(&header, 40);
-        if index_len != u64::from(n_blocks) * INDEX_ENTRY_LEN as u64 {
+        if n_blocks >= ADJACENCY_KEY || index_len != u64::from(n_blocks) * INDEX_ENTRY_LEN as u64 {
             return Err(StoreError::Corrupt(format!(
                 "index length {index_len} does not match {n_blocks} blocks"
             )));
@@ -460,16 +547,19 @@ impl Segment {
                 len: read_u32(&index_bytes, at + 8),
                 crc: read_u32(&index_bytes, at + 12),
                 first_rec: read_u32(&index_bytes, at + 16),
+                adj_len: read_u32(&index_bytes, at + 20),
+                adj_crc: read_u32(&index_bytes, at + 24),
             };
+            let len = u64::from(meta.len) + u64::from(meta.adj_len);
             if meta
                 .off
-                .checked_add(u64::from(meta.len))
+                .checked_add(len)
                 .map(|end| end > index_off)
                 .unwrap_or(true)
             {
                 return Err(StoreError::Corrupt(format!(
-                    "block {i} spans [{}, +{}) past the data section",
-                    meta.off, meta.len
+                    "block {i} spans [{}, +{len}) past the data section",
+                    meta.off
                 )));
             }
             blocks.push(meta);
@@ -498,16 +588,44 @@ impl Segment {
         self.n_records
     }
 
-    /// Fetch a block through the cache, verifying its CRC on first load.
+    /// Fetch a block through the cache, verifying its CRC on first load:
+    /// the record block of `block_idx`, or its adjacency block.
     fn block(
         &self,
         block_idx: usize,
+        adjacency: bool,
         cache: &BlockCache,
     ) -> Result<std::sync::Arc<Vec<u8>>, StoreError> {
         let meta = self.blocks[block_idx];
-        cache.get_or_try_load((self.shard_index, block_idx as u32), || {
-            read_verified(&self.file, meta.off, meta.len as usize, meta.crc)
+        let (key, off, len, crc) = if adjacency {
+            let off = meta.off + u64::from(meta.len);
+            (
+                block_idx as u32 | ADJACENCY_KEY,
+                off,
+                meta.adj_len,
+                meta.adj_crc,
+            )
+        } else {
+            (block_idx as u32, meta.off, meta.len, meta.crc)
+        };
+        cache.get_or_try_load((self.shard_index, key), || {
+            read_verified(&self.file, off, len as usize, crc)
         })
+    }
+
+    /// The block holding local record `local`: the last whose `first_rec`
+    /// is at most `local`.
+    fn block_of(&self, local: u32) -> Result<usize, StoreError> {
+        if local >= self.n_records {
+            return Err(StoreError::UnknownEntity {
+                id: self.first_id.saturating_add(local),
+                n_entities: u64::from(self.first_id) + u64::from(self.n_records),
+            });
+        }
+        self.blocks
+            .partition_point(|b| b.first_rec <= local)
+            .checked_sub(1)
+            .ok_or_else(|| StoreError::Corrupt("record before first block".into()))
     }
 
     /// Run `decode` over the payload bytes of local record `local`.
@@ -517,19 +635,8 @@ impl Segment {
         cache: &BlockCache,
         decode: impl FnOnce(&[u8]) -> Result<T, StoreError>,
     ) -> Result<T, StoreError> {
-        if local >= self.n_records {
-            return Err(StoreError::UnknownEntity {
-                id: self.first_id.saturating_add(local),
-                n_entities: u64::from(self.first_id) + u64::from(self.n_records),
-            });
-        }
-        // Last block whose first_rec <= local.
-        let block_idx = self
-            .blocks
-            .partition_point(|b| b.first_rec <= local)
-            .checked_sub(1)
-            .ok_or_else(|| StoreError::Corrupt("record before first block".into()))?;
-        let bytes = self.block(block_idx, cache)?;
+        let block_idx = self.block_of(local)?;
+        let bytes = self.block(block_idx, false, cache)?;
         let mut pos = 0usize;
         let mut rec = self.blocks[block_idx].first_rec;
         loop {
@@ -548,6 +655,25 @@ impl Segment {
             pos = end;
             rec += 1;
         }
+    }
+
+    /// One-hop list of local record `local` from its adjacency block:
+    /// sorted, deduplicated ids, the entity itself excluded.
+    pub fn read_one_hop(
+        &self,
+        local: u32,
+        cache: &BlockCache,
+    ) -> Result<Vec<EntityId>, StoreError> {
+        let block_idx = self.block_of(local)?;
+        let bytes = self.block(block_idx, true, cache)?;
+        let mut pos = 0;
+        for _ in self.blocks[block_idx].first_rec..local {
+            let len = get_count(&bytes, &mut pos, bytes.len())?;
+            pos += len;
+        }
+        let len = get_count(&bytes, &mut pos, bytes.len())?;
+        let end = pos.checked_add(len).ok_or(StoreError::Truncated)?;
+        decode_one_hop(bytes.get(pos..end).ok_or(StoreError::Truncated)?)
     }
 
     /// Full record of local record `local`.
@@ -620,6 +746,108 @@ mod tests {
             w.push(&e, &out, &inc).unwrap();
         }
         assert_eq!(w.finish().unwrap(), n);
+    }
+
+    /// Edges of local record `i` of the one-hop fixture, entity id
+    /// `first + i`: none, a self-loop, one target in both directions,
+    /// repeats, and at `hub` enough edges to close a block by bytes.
+    fn one_hop_edges(first: u32, i: u32, hub: u32) -> (Vec<Edge>, Vec<Edge>) {
+        let me = first + i;
+        let edge = |p: u16, t: u32| Edge {
+            predicate: PredicateId(p),
+            target: EntityId(t),
+        };
+        if i == hub {
+            // ≈ 4 bytes an edge: the record alone passes MAX_BLOCK_BYTES.
+            let out = (0..70_000u32)
+                .map(|k| edge(1, k * 29 % 2_000_000))
+                .collect();
+            return (out, vec![edge(0, me)]);
+        }
+        match i % 5 {
+            0 => (Vec::new(), Vec::new()),
+            1 => (vec![edge(0, me), edge(1, me + 3)], vec![edge(0, me)]),
+            2 => (vec![edge(2, me + 1)], vec![edge(3, me + 1), edge(0, 7)]),
+            3 => (
+                vec![edge(0, me - 1), edge(1, me - 1), edge(0, 9)],
+                vec![edge(4, 5), edge(2, 9)],
+            ),
+            _ => (vec![edge(1, u32::MAX), edge(1, 0)], vec![edge(0, me + 2)]),
+        }
+    }
+
+    #[test]
+    fn one_hop_lists_match_the_records_they_derive_from() {
+        let dir = tmpdir("onehop");
+        let path = dir.join(shard_file_name(2));
+        let (first, n, hub) = (100, MAX_BLOCK_RECORDS * 2 + 77, MAX_BLOCK_RECORDS + 40);
+        let mut w = SegmentWriter::create(&path, 2, first).unwrap();
+        for i in 0..n {
+            let (out, inc) = one_hop_edges(first, i, hub);
+            let e = Entity::new(format!("entity {i}"), NeSchema::Place);
+            w.push(&e, &out, &inc).unwrap();
+        }
+        assert_eq!(w.finish().unwrap(), n);
+        let seg = Segment::open(&path).unwrap();
+        // The hub's block closed at the hub, by bytes, short of the
+        // record cap; blocks before and after it are record-capped.
+        let hub_block = seg.blocks.partition_point(|b| b.first_rec <= hub) - 1;
+        let (start, next) = (
+            seg.blocks[hub_block].first_rec,
+            seg.blocks[hub_block + 1].first_rec,
+        );
+        assert_eq!(next, hub + 1);
+        assert!(next - start < MAX_BLOCK_RECORDS);
+        assert!(seg.blocks.len() >= 4, "{} blocks", seg.blocks.len());
+        let cache = BlockCache::new(1 << 20, 2);
+        let mut kinds = [0usize; 3];
+        for i in 0..n {
+            let rec = seg.read_record(i, &cache).unwrap();
+            let me = EntityId(first + i);
+            let mut want: Vec<EntityId> = rec
+                .outgoing
+                .iter()
+                .chain(&rec.incoming)
+                .map(|e| e.target)
+                .collect();
+            kinds[0] += usize::from(want.contains(&me));
+            want.sort_unstable();
+            want.dedup();
+            want.retain(|&t| t != me);
+            kinds[1] += usize::from(want.is_empty());
+            kinds[2] += usize::from(want.len() > 20_000);
+            assert_eq!(seg.read_one_hop(i, &cache).unwrap(), want, "record {i}");
+        }
+        assert!(kinds.iter().all(|&k| k > 0), "{kinds:?}");
+        assert!(matches!(
+            seg.read_one_hop(n, &cache),
+            Err(StoreError::UnknownEntity { .. })
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn one_hop_decode_rejects_out_of_order_gaps() {
+        let mut bytes = Vec::new();
+        for gap in [5, 0] {
+            put_uv(&mut bytes, gap);
+        }
+        assert!(matches!(
+            decode_one_hop(&bytes),
+            Err(StoreError::Corrupt(_))
+        ));
+        let mut bytes = Vec::new();
+        for gap in [u64::from(u32::MAX), 1] {
+            put_uv(&mut bytes, gap);
+        }
+        assert!(matches!(
+            decode_one_hop(&bytes),
+            Err(StoreError::Corrupt(_))
+        ));
+        assert_eq!(
+            decode_one_hop(&[0, 1, 2]).unwrap(),
+            vec![EntityId(0), EntityId(1), EntityId(3)]
+        );
     }
 
     #[test]
