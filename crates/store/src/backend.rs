@@ -35,10 +35,10 @@ pub const DEFAULT_GRAPH_CACHE_BYTES: usize = 64 << 20;
 pub const DEFAULT_BM25_CACHE_BYTES: usize = 64 << 20;
 
 /// The neighbourhood tier's share of a [`DiskGraph`]'s cache budget is
-/// `1 / HOP_TIER_SHARE`. A quarter: a generation of the tier holds a list
-/// in ≈ 37 bytes (128 KiB over 3 584 lists) against a 12.5 KB block, so ¼
-/// of the bytes holds 57× more *entities* than the other ¾ holds blocks,
-/// while uniform record reads — which only blocks serve — lose a quarter of
+/// `1 / HOP_TIER_SHARE`. A quarter: a generation of the tier holds a
+/// wanted list in ≈ 37 bytes (128 KiB over 3 584 lists), where a ≈ 3 KB
+/// adjacency block keeps it only with the 255 lists around it, while
+/// uniform record reads — which only blocks serve — lose a quarter of
 /// their reach, not half.
 const HOP_TIER_SHARE: usize = 4;
 

@@ -1,5 +1,5 @@
 //! The neighbourhood tier: [`DiskGraph::try_one_hop`]'s answers, kept per
-//! entity id in flat arrays.
+//! entity id in flat arrays, in front of the adjacency blocks a miss reads.
 //!
 //! A one-hop list is a few `u32` ids (3 on average in the benchmark's
 //! world), so any per-entry node, map slot or `Arc` would outweigh it. Each

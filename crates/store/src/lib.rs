@@ -7,7 +7,8 @@
 //! behind the same traits the pipeline already consumes:
 //!
 //! - **Entity shards** (`entities-NNNNN.kges`, [`segment`]): fixed-range
-//!   sharding by entity id, length-prefixed records in CRC'd blocks, a
+//!   sharding by entity id, length-prefixed records in CRC'd blocks, each
+//!   followed by its records' one-hop lists in a CRC'd adjacency block, a
 //!   binary-searchable block index in the file tail. [`DiskGraph`]
 //!   implements [`kglink_kg::GraphAccess`] over them through a bounded
 //!   [`BlockCache`], with a tier of one-hop answers in front.

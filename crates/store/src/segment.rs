@@ -297,9 +297,9 @@ struct BlockMeta {
 }
 
 /// Append the one-hop list of entity `id` to `adj` as an adjacency record:
-/// `hop` (scratch, overwritten) collects the targets of `edges`, then is
-/// sorted, deduplicated and cleared of `id`, exactly the list
-/// `KnowledgeGraph::one_hop` answers. `bytes` is scratch too.
+/// `hop` (scratch, overwritten) collects the targets of `edges` other than
+/// `id`, sorted and deduplicated, exactly the list `KnowledgeGraph::one_hop`
+/// answers. `bytes` is scratch too.
 fn encode_one_hop<'e>(
     id: EntityId,
     edges: impl Iterator<Item = &'e Edge>,
@@ -308,10 +308,9 @@ fn encode_one_hop<'e>(
     adj: &mut Vec<u8>,
 ) {
     hop.clear();
-    hop.extend(edges.map(|e| e.target));
+    hop.extend(edges.map(|e| e.target).filter(|&t| t != id));
     hop.sort_unstable();
     hop.dedup();
-    hop.retain(|&t| t != id);
     bytes.clear();
     let mut prev = 0;
     for t in hop.iter() {
