@@ -65,7 +65,7 @@ pub struct FilteredTable {
     /// `hop_ids[hop_starts[i]..hop_starts[i + 1]]`. Step 3 reads them through
     /// [`FilteredTable::one_hop`] instead of asking the graph again; two
     /// buffers rather than one `Vec` a list, which the filter frees, because
-    /// the table outlives Step 3 (hundreds of live lists measured ≈ 20 µs
+    /// the table outlives Step 3 (hundreds of live lists measured 15–30 µs
     /// slower a hot table in the stages after it).
     hop_of: IdMap<usize>,
     hop_starts: Vec<usize>,

@@ -52,9 +52,9 @@
 //! record's edges at write time: the targets of both directions, sorted,
 //! deduplicated, the entity itself removed; stored as the first id, then
 //! gaps (each ≥ 1), all varints, behind the varint byte length that lets
-//! [`Segment::read_one_hop`] skip a record in one step. It is ≈ 12 bytes
-//! where its record block is ≈ 12.5 KB, so a one-hop miss reads and CRCs
-//! the small block alone.
+//! [`Segment::read_one_hop`] skip a record in one step. In the benchmark's
+//! world an adjacency block is ≈ 3 KB where its record block is ≈ 12.5 KB,
+//! and a one-hop miss reads and CRCs the small block alone.
 
 use crate::atomic::AtomicFile;
 use crate::blockcache::BlockCache;
