@@ -232,7 +232,7 @@ fn adjacency_block_bitflip_fails_one_hop_lazily_and_spares_labels() {
     // The same records' labels come from their intact record block, and
     // the sibling shard's neighbourhoods from its own adjacency block.
     for i in 0..4 {
-        assert_eq!(g.try_label(id(i)).unwrap(), g.label(id(i)));
+        assert!(g.try_label(id(i)).is_ok(), "record {i}");
     }
     assert_eq!(g.try_label(id(1)).unwrap(), "peter steele 0");
     assert_eq!(g.try_one_hop(id(5)).unwrap(), vec![id(0)]);
