@@ -6,11 +6,10 @@
 //! manifest) one CRC32 over that kind's files of two fixed-seed worlds, in
 //! file-name order, each file contributing its name and then its bytes, so
 //! a format change to one kind re-blesses that kind's constants alone. The
-//! big world is built under a posting budget small enough
-//! that the BM25 builder spills several runs and `finish` merges them;
-//! the synthetic world goes through `write_graph`, the in-memory graph
-//! conversion. A change that moves one byte of either world changes a
-//! constant here. The big world's sampled mentions and skew queries are
+//! big world is built under a posting budget small enough that the BM25
+//! builder spills several runs and `finish` merges them; the synthetic
+//! world goes through `write_graph`, the in-memory graph conversion. A
+//! change that moves one byte of either world changes a constant here. The big world's sampled mentions and skew queries are
 //! not in any file, so a second digest pins those strings.
 
 use kglink_datagen::{generate_big_world, BigWorld, BigWorldConfig};
