@@ -108,19 +108,19 @@ mod tests {
     use kglink_core::pipeline::{build_vocab, Resources};
     use kglink_datagen::{pretrain_corpus, semtab_like, SemTabConfig};
     use kglink_kg::{SyntheticWorld, WorldConfig};
-    use kglink_search::EntitySearcher;
+    use kglink_store::DiskWorld;
 
     #[test]
     fn doduo_learns_semtab_like_data() {
         let world = SyntheticWorld::generate(&WorldConfig::tiny(95));
         let bench = semtab_like(&world, &SemTabConfig::tiny(95));
-        let searcher = EntitySearcher::build(&world.graph);
+        let disk = DiskWorld::from_graph(&world.graph).unwrap();
         let corpus = pretrain_corpus(&world, 3);
         let vocab = build_vocab(corpus.iter().map(String::as_str), &[&bench.dataset], 6000);
         let tokenizer = kglink_nn::Tokenizer::new(vocab);
         let resources = Resources::builder()
-            .graph(&world.graph)
-            .backend(&searcher)
+            .graph(&disk.graph)
+            .backend(&disk.backend)
             .tokenizer(&tokenizer)
             .build()
             .unwrap();

@@ -136,18 +136,18 @@ mod tests {
     use kglink_datagen::{semtab_like, SemTabConfig};
     use kglink_kg::{SyntheticWorld, WorldConfig};
     use kglink_nn::Tokenizer;
-    use kglink_search::EntitySearcher;
+    use kglink_store::DiskWorld;
 
     #[test]
     fn hnn_trains_and_beats_random_on_semtab_like() {
         let world = SyntheticWorld::generate(&WorldConfig::tiny(120));
         let bench = semtab_like(&world, &SemTabConfig::tiny(120));
-        let searcher = EntitySearcher::build(&world.graph);
+        let disk = DiskWorld::from_graph(&world.graph).unwrap();
         let vocab = build_vocab([], &[&bench.dataset], 2000);
         let tokenizer = Tokenizer::new(vocab);
         let resources = Resources::builder()
-            .graph(&world.graph)
-            .backend(&searcher)
+            .graph(&disk.graph)
+            .backend(&disk.backend)
             .tokenizer(&tokenizer)
             .build()
             .unwrap();
@@ -171,12 +171,12 @@ mod tests {
     fn first_cell_types_uses_only_the_first_linkable_cell() {
         let world = SyntheticWorld::generate(&WorldConfig::tiny(121));
         let bench = semtab_like(&world, &SemTabConfig::tiny(121));
-        let searcher = EntitySearcher::build(&world.graph);
+        let disk = DiskWorld::from_graph(&world.graph).unwrap();
         let vocab = build_vocab([], &[&bench.dataset], 2000);
         let tokenizer = Tokenizer::new(vocab);
         let resources = Resources::builder()
-            .graph(&world.graph)
-            .backend(&searcher)
+            .graph(&disk.graph)
+            .backend(&disk.backend)
             .tokenizer(&tokenizer)
             .build()
             .unwrap();

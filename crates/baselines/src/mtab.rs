@@ -92,19 +92,19 @@ mod tests {
     use kglink_datagen::{semtab_like, viznet_like, SemTabConfig, VizNetConfig};
     use kglink_kg::{SyntheticWorld, WorldConfig};
     use kglink_nn::Tokenizer;
-    use kglink_search::EntitySearcher;
+    use kglink_store::DiskWorld;
     use kglink_table::Split;
 
     #[test]
     fn mtab_is_strong_on_semtab_like_data() {
         let world = SyntheticWorld::generate(&WorldConfig::tiny(91));
         let bench = semtab_like(&world, &SemTabConfig::tiny(91));
-        let searcher = EntitySearcher::build(&world.graph);
+        let disk = DiskWorld::from_graph(&world.graph).unwrap();
         let vocab = build_vocab([], &[&bench.dataset], 4000);
         let tokenizer = Tokenizer::new(vocab);
         let resources = Resources::builder()
-            .graph(&world.graph)
-            .backend(&searcher)
+            .graph(&disk.graph)
+            .backend(&disk.backend)
             .tokenizer(&tokenizer)
             .build()
             .unwrap();
@@ -148,12 +148,12 @@ mod tests {
                 ..VizNetConfig::default()
             },
         );
-        let searcher = EntitySearcher::build(&world.graph);
+        let disk = DiskWorld::from_graph(&world.graph).unwrap();
         let vocab = build_vocab([], &[&viznet.dataset], 4000);
         let tokenizer = Tokenizer::new(vocab);
         let resources = Resources::builder()
-            .graph(&world.graph)
-            .backend(&searcher)
+            .graph(&disk.graph)
+            .backend(&disk.backend)
             .tokenizer(&tokenizer)
             .build()
             .unwrap();
@@ -185,12 +185,12 @@ mod tests {
     fn numeric_columns_fall_back_to_majority() {
         let world = SyntheticWorld::generate(&WorldConfig::tiny(93));
         let bench = viznet_like(&world, &VizNetConfig::tiny(93));
-        let searcher = EntitySearcher::build(&world.graph);
+        let disk = DiskWorld::from_graph(&world.graph).unwrap();
         let vocab = build_vocab([], &[&bench.dataset], 4000);
         let tokenizer = Tokenizer::new(vocab);
         let resources = Resources::builder()
-            .graph(&world.graph)
-            .backend(&searcher)
+            .graph(&disk.graph)
+            .backend(&disk.backend)
             .tokenizer(&tokenizer)
             .build()
             .unwrap();

@@ -158,7 +158,7 @@ mod tests {
     use kglink_datagen::{viznet_like, VizNetConfig};
     use kglink_kg::{SyntheticWorld, WorldConfig};
     use kglink_nn::Tokenizer;
-    use kglink_search::EntitySearcher;
+    use kglink_store::DiskWorld;
     use kglink_table::TableId;
 
     #[test]
@@ -183,12 +183,12 @@ mod tests {
     fn sherlock_beats_random_on_viznet_like() {
         let world = SyntheticWorld::generate(&WorldConfig::tiny(110));
         let bench = viznet_like(&world, &VizNetConfig::tiny(110));
-        let searcher = EntitySearcher::build(&world.graph);
+        let disk = DiskWorld::from_graph(&world.graph).unwrap();
         let vocab = build_vocab([], &[&bench.dataset], 2000);
         let tokenizer = Tokenizer::new(vocab);
         let resources = Resources::builder()
-            .graph(&world.graph)
-            .backend(&searcher)
+            .graph(&disk.graph)
+            .backend(&disk.backend)
             .tokenizer(&tokenizer)
             .build()
             .unwrap();

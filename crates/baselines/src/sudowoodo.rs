@@ -258,7 +258,7 @@ mod tests {
     use kglink_core::pipeline::{build_vocab, Resources};
     use kglink_datagen::{semtab_like, SemTabConfig};
     use kglink_kg::{SyntheticWorld, WorldConfig};
-    use kglink_search::EntitySearcher;
+    use kglink_store::DiskWorld;
 
     #[test]
     fn views_are_subsets_with_frame_tokens() {
@@ -307,12 +307,12 @@ mod tests {
     fn sudowoodo_end_to_end_beats_random() {
         let world = SyntheticWorld::generate(&WorldConfig::tiny(130));
         let bench = semtab_like(&world, &SemTabConfig::tiny(130));
-        let searcher = EntitySearcher::build(&world.graph);
+        let disk = DiskWorld::from_graph(&world.graph).unwrap();
         let vocab = build_vocab([], &[&bench.dataset], 4000);
         let tokenizer = kglink_nn::Tokenizer::new(vocab);
         let resources = Resources::builder()
-            .graph(&world.graph)
-            .backend(&searcher)
+            .graph(&disk.graph)
+            .backend(&disk.backend)
             .tokenizer(&tokenizer)
             .build()
             .unwrap();

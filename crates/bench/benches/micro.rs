@@ -15,12 +15,12 @@ use kglink_core::train::{evaluate, prepare_tables};
 use kglink_datagen::{semtab_like, SemTabConfig};
 use kglink_kg::{SyntheticWorld, WorldConfig};
 use kglink_nn::Tokenizer;
-use kglink_search::EntitySearcher;
+use kglink_search::KgBackend;
+use kglink_store::DiskWorld;
 use std::hint::black_box;
 
 struct Fixture {
-    world: SyntheticWorld,
-    searcher: EntitySearcher,
+    world: DiskWorld,
     bench: kglink_datagen::GeneratedBenchmark,
     tokenizer: Tokenizer,
     config: KgLinkConfig,
@@ -40,12 +40,11 @@ fn fixture() -> Fixture {
             ..SemTabConfig::default()
         },
     );
-    let searcher = EntitySearcher::build(&world.graph);
+    let disk = DiskWorld::from_graph(&world.graph).unwrap();
     let vocab = build_vocab([], &[&bench.dataset], 8000);
     Fixture {
         tokenizer: Tokenizer::new(vocab),
-        world,
-        searcher,
+        world: disk,
         bench,
         config: KgLinkConfig::default(),
     }
@@ -55,7 +54,7 @@ fn bench_bm25(c: &mut Criterion) {
     let f = fixture();
     c.bench_function("bm25_link_mention_top10", |b| {
         b.iter(|| {
-            black_box(f.searcher.link_mention(black_box("Peter Steele"), 10));
+            black_box(f.world.backend.link_mention(black_box("Peter Steele"), 10));
         })
     });
 }
@@ -64,9 +63,9 @@ fn bench_part1(c: &mut Criterion) {
     let f = fixture();
     let table = &f.bench.dataset.tables[0];
     c.bench_function("part1_link_table", |b| {
-        b.iter(|| black_box(LinkedTable::link(table, &f.searcher, 10)))
+        b.iter(|| black_box(LinkedTable::link(table, &f.world.backend, 10)))
     });
-    let linked = LinkedTable::link(table, &f.searcher, 10);
+    let linked = LinkedTable::link(table, &f.world.backend, 10);
     c.bench_function("part1_prune_and_filter", |b| {
         b.iter(|| {
             black_box(prune_and_filter(
@@ -79,13 +78,13 @@ fn bench_part1(c: &mut Criterion) {
         })
     });
     c.bench_function("part1_full_preprocess_table", |b| {
-        b.iter(|| black_box(preprocess_table(table, &f.world.graph, &f.searcher, &f.config)))
+        b.iter(|| black_box(preprocess_table(table, &f.world.graph, &f.world.backend, &f.config)))
     });
 }
 
 fn bench_serialization(c: &mut Criterion) {
     let f = fixture();
-    let pt = preprocess_table(&f.bench.dataset.tables[0], &f.world.graph, &f.searcher, &f.config);
+    let pt = preprocess_table(&f.bench.dataset.tables[0], &f.world.graph, &f.world.backend, &f.config);
     c.bench_function("serialize_table_masked", |b| {
         b.iter(|| {
             black_box(serialize_table(
@@ -101,7 +100,7 @@ fn bench_serialization(c: &mut Criterion) {
 
 fn bench_model(c: &mut Criterion) {
     let f = fixture();
-    let pre = Preprocessor::new(&f.world.graph, &f.searcher, f.config.clone());
+    let pre = Preprocessor::new(&f.world.graph, &f.world.backend, f.config.clone());
     let processed: Vec<_> = f.bench.dataset.tables[..4]
         .iter()
         .flat_map(|t| pre.process(t))

@@ -26,13 +26,14 @@ use kglink_baselines::{BenchEnv, CtaModel};
 use kglink_core::pipeline::{build_vocab, KgLink, Resources};
 use kglink_core::{KgLinkConfig, TrainReport};
 use kglink_datagen::{pretrain_corpus, semtab_like, viznet_like, GeneratedBenchmark, SemTabConfig, VizNetConfig};
-use kglink_kg::{GraphAccess, KnowledgeGraph, SyntheticWorld, WorldConfig};
+use kglink_kg::{GraphAccess, SyntheticWorld, WorldConfig};
 use kglink_nn::frame;
 use kglink_nn::serialize::save_params;
 use kglink_nn::{Encoder, EncoderConfig, MlmPretrainConfig, MlmPretrainer, Tokenizer};
-use kglink_search::{EntitySearcher, KgBackend};
+use kglink_search::KgBackend;
 use kglink_serve::{AnnotationService, ServiceConfig, SharedBackend};
-use kglink_table::{Dataset, EvalSummary, LabelId, Split, Table};
+use kglink_store::{DiskBackend, DiskGraph, DiskWorld};
+use kglink_table::{Dataset, EvalSummary, Split};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -52,14 +53,16 @@ impl Which {
     }
 }
 
-/// The shared experiment environment. Graph, searcher and tokenizer are
-/// `Arc`s so the serving harnesses hand the *same* instances to
-/// [`ExpEnv::service`] that the offline references borrow.
+/// The shared experiment environment. The generated world is read through
+/// the disk store the service ships ([`DiskWorld::from_graph`]); graph,
+/// searcher and tokenizer are `Arc`s so the serving harnesses hand the
+/// *same* instances to [`ExpEnv::service`] that the offline references
+/// borrow.
 pub struct ExpEnv {
-    pub graph: Arc<KnowledgeGraph>,
+    pub graph: Arc<DiskGraph>,
     pub semtab: GeneratedBenchmark,
     pub viznet: GeneratedBenchmark,
-    pub searcher: Arc<EntitySearcher>,
+    pub searcher: Arc<DiskBackend>,
     pub tokenizer: Arc<Tokenizer>,
     pub pretrained: Vec<u8>,
     pub fast: bool,
@@ -110,8 +113,8 @@ impl ExpEnv {
             viznet.dataset.n_columns(),
             viznet.dataset.labels.len(),
         );
-        eprintln!("[setup] building BM25 index over {} entities…", world.graph.len());
-        let searcher = Arc::new(EntitySearcher::build(&world.graph));
+        eprintln!("[setup] writing the disk world of {} entities…", world.graph.len());
+        let disk = DiskWorld::from_graph(&world.graph).expect("the experiment world writes to the temp dir");
         let corpus = pretrain_corpus(&world, seed ^ 0x53);
         // The cap matters: rare entity tokens fall out of the vocabulary and
         // surface as [UNK], so models must generalize from context and KG
@@ -126,10 +129,10 @@ impl ExpEnv {
         let tokenizer = Arc::new(Tokenizer::new(vocab));
         let pretrained = Self::pretrain_encoder(&tokenizer, &corpus, seed, fast);
         ExpEnv {
-            graph: Arc::new(world.graph),
+            graph: disk.graph,
             semtab,
             viznet,
-            searcher,
+            searcher: disk.backend,
             tokenizer,
             pretrained,
             fast,
@@ -193,7 +196,7 @@ impl ExpEnv {
         }
     }
 
-    /// KGLink resources view over the healthy in-process searcher.
+    /// KGLink resources view over the healthy disk backend.
     pub fn resources(&self) -> Resources<'_> {
         self.resources_with(&*self.searcher)
     }
@@ -256,7 +259,7 @@ impl ExpEnv {
         KgLink::fit(resources, &self.bench(which).dataset, self.smoke_config(which, smoke)).0
     }
 
-    /// The in-process searcher as a service backend (the same instance the
+    /// The disk backend as a service backend (the same instance the
     /// offline references query, not a second index).
     pub fn backend(&self) -> SharedBackend {
         Arc::clone(&self.searcher) as SharedBackend
@@ -391,21 +394,6 @@ pub fn print_markdown(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 /// Format a percentage.
 pub fn pct(v: f64) -> String {
     format!("{v:.2}")
-}
-
-/// Predictions + truths over a set of raw tables for a baseline model.
-pub fn predictions_on<'a>(
-    model: &dyn CtaModel,
-    benv: &BenchEnv<'_>,
-    tables: impl Iterator<Item = &'a Table>,
-) -> (Vec<LabelId>, Vec<LabelId>) {
-    let mut preds = Vec::new();
-    let mut truths = Vec::new();
-    for t in tables {
-        preds.extend(model.predict_table(benv, t));
-        truths.extend(t.labels.iter().copied());
-    }
-    (preds, truths)
 }
 
 /// Split a dataset's test tables into (numeric columns, non-numeric

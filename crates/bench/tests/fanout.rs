@@ -17,7 +17,7 @@ use kglink_kg::{Entity, EntityId, GraphAccess, NeSchema, PredicateId, SyntheticW
 use kglink_nn::Tokenizer;
 use kglink_search::{Deadline, KgBackend, RetrievalError, SearchOutcome};
 use kglink_serve::{AnnotationService, ServiceConfig, ServiceError, SharedBackend};
-use kglink_store::{write_graph, DiskWorld, WorldWriterConfig};
+use kglink_store::DiskWorld;
 use kglink_table::{LabelId, Table};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -36,10 +36,7 @@ fn fixture() -> &'static Fixture {
     FIXTURE.get_or_init(|| {
         let world = SyntheticWorld::generate(&WorldConfig::tiny(523));
         let bench = semtab_like(&world, &SemTabConfig::tiny(523));
-        let dir = std::env::temp_dir().join(format!("kglink-fanout-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        write_graph(&dir, &world.graph, WorldWriterConfig::default()).unwrap();
-        let disk = DiskWorld::open(&dir).unwrap();
+        let disk = DiskWorld::from_graph(&world.graph).unwrap();
         let corpus = pretrain_corpus(&world, 523);
         let vocab = build_vocab(corpus.iter().map(String::as_str), &[&bench.dataset], 6000);
         let tokenizer = Tokenizer::new(vocab);

@@ -77,7 +77,7 @@ mod tests {
     use crate::filter::prune_and_filter;
     use crate::linking::LinkedTable;
     use kglink_kg::{Entity, KgBuilder, NeSchema};
-    use kglink_search::EntitySearcher;
+    use kglink_store::DiskWorld;
     use kglink_table::{CellValue, LabelId, Table, TableId};
 
     /// Two-column table of musicians and their bands, where `Musician` (a
@@ -124,10 +124,10 @@ mod tests {
         table: &Table,
         max_types: usize,
     ) -> Vec<Vec<CandidateType>> {
-        let searcher = EntitySearcher::build(g);
-        let linked = LinkedTable::link(table, &searcher, 10);
-        let filtered = prune_and_filter(table, &linked, g, 25, RowFilter::LinkScore);
-        candidate_types(&filtered, g, max_types)
+        let world = DiskWorld::from_graph(g).unwrap();
+        let linked = LinkedTable::link(table, &world.backend, 10);
+        let filtered = prune_and_filter(table, &linked, &world.graph, 25, RowFilter::LinkScore);
+        candidate_types(&filtered, &world.graph, max_types)
     }
 
     #[test]

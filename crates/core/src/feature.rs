@@ -43,7 +43,7 @@ mod tests {
     use crate::filter::prune_and_filter;
     use crate::linking::LinkedTable;
     use kglink_kg::{Entity, KgBuilder, NeSchema};
-    use kglink_search::EntitySearcher;
+    use kglink_store::DiskWorld;
     use kglink_table::{CellValue, LabelId, Table, TableId};
 
     fn setup() -> (kglink_kg::KnowledgeGraph, Table) {
@@ -68,10 +68,10 @@ mod tests {
     }
 
     fn features(g: &kglink_kg::KnowledgeGraph, table: &Table) -> Vec<Option<String>> {
-        let searcher = EntitySearcher::build(g);
-        let linked = LinkedTable::link(table, &searcher, 10);
-        let filtered = prune_and_filter(table, &linked, g, 25, RowFilter::LinkScore);
-        feature_sequences(&filtered, g)
+        let world = DiskWorld::from_graph(g).unwrap();
+        let linked = LinkedTable::link(table, &world.backend, 10);
+        let filtered = prune_and_filter(table, &linked, &world.graph, 25, RowFilter::LinkScore);
+        feature_sequences(&filtered, &world.graph)
     }
 
     #[test]

@@ -208,7 +208,7 @@ pub fn prune_and_filter(
 mod tests {
     use super::*;
     use kglink_kg::{Entity, KgBuilder, NeSchema};
-    use kglink_search::EntitySearcher;
+    use kglink_store::DiskWorld;
     use kglink_table::{CellValue, LabelId, TableId};
 
     /// Build the paper's Figure 5 situation: album "Rust" performed by
@@ -240,11 +240,11 @@ mod tests {
     #[test]
     fn overlap_disambiguates_figure5() {
         let (g, table, rust_album, steele) = figure5();
-        let searcher = EntitySearcher::build(&g);
-        let linked = LinkedTable::link(&table, &searcher, 10);
+        let world = DiskWorld::from_graph(&g).unwrap();
+        let linked = LinkedTable::link(&table, &world.backend, 10);
         // Both Rust entities are retrieved for the ambiguous mention.
         assert!(linked.cell(0, 0).candidates.len() >= 2);
-        let filtered = prune_and_filter(&table, &linked, &g, 10, RowFilter::LinkScore);
+        let filtered = prune_and_filter(&table, &linked, &world.graph, 10, RowFilter::LinkScore);
         // The album survives pruning with positive overlap (its neighbor
         // Peter Steele is a candidate of column 1); the city falls back out.
         let cell = &filtered.cells[0][0];
@@ -273,9 +273,9 @@ mod tests {
             vec![vec![CellValue::parse("Springfield")]],
             vec![LabelId(0)],
         );
-        let searcher = EntitySearcher::build(&g);
-        let linked = LinkedTable::link(&table, &searcher, 10);
-        let filtered = prune_and_filter(&table, &linked, &g, 5, RowFilter::LinkScore);
+        let world = DiskWorld::from_graph(&g).unwrap();
+        let linked = LinkedTable::link(&table, &world.backend, 10);
+        let filtered = prune_and_filter(&table, &linked, &world.graph, 5, RowFilter::LinkScore);
         let cell = &filtered.cells[0][0];
         assert!(cell.fallback);
         assert_eq!(cell.entities.len(), 1);
@@ -305,9 +305,9 @@ mod tests {
             ],
             vec![LabelId(0), LabelId(1)],
         );
-        let searcher = EntitySearcher::build(&g);
-        let linked = LinkedTable::link(&table, &searcher, 10);
-        let filtered = prune_and_filter(&table, &linked, &g, 1, RowFilter::LinkScore);
+        let world = DiskWorld::from_graph(&g).unwrap();
+        let linked = LinkedTable::link(&table, &world.backend, 10);
+        let filtered = prune_and_filter(&table, &linked, &world.graph, 1, RowFilter::LinkScore);
         assert_eq!(filtered.table.n_rows(), 1);
         // Row 1 (Springfield/Norland) links; row 0 does not — row 1 wins.
         assert_eq!(filtered.row_order, vec![1]);
@@ -322,18 +322,61 @@ mod tests {
     #[test]
     fn original_filter_preserves_order() {
         let (g, table, ..) = figure5();
-        let searcher = EntitySearcher::build(&g);
-        let linked = LinkedTable::link(&table, &searcher, 10);
-        let filtered = prune_and_filter(&table, &linked, &g, 1, RowFilter::Original);
+        let world = DiskWorld::from_graph(&g).unwrap();
+        let linked = LinkedTable::link(&table, &world.backend, 10);
+        let filtered = prune_and_filter(&table, &linked, &world.graph, 1, RowFilter::Original);
         assert_eq!(filtered.row_order, vec![0]);
+    }
+
+    /// Step 2 runs on the shipped path: over disk worlds, most linked kept
+    /// cells of the generated benchmarks' row-coherent tables hold an
+    /// entity with a positive overlap score (Eq. 6).
+    #[test]
+    fn generated_tables_reach_positive_overlap_on_disk_worlds() {
+        use crate::config::KgLinkConfig;
+        use kglink_datagen::{semtab_like, viznet_like, SemTabConfig, VizNetConfig};
+        use kglink_kg::{SyntheticWorld, WorldConfig};
+
+        let cfg = KgLinkConfig::default();
+        for seed in [77, 301, 523, 907] {
+            let world = SyntheticWorld::generate(&WorldConfig::tiny(seed));
+            let disk = DiskWorld::from_graph(&world.graph).unwrap();
+            let semtab = semtab_like(&world, &SemTabConfig::tiny(seed)).dataset;
+            let viznet = viznet_like(&world, &VizNetConfig::tiny(seed)).dataset;
+            for (name, dataset) in [("SemTab-like", semtab), ("VizNet-like", viznet)] {
+                let (mut linked, mut overlapping) = (0usize, 0usize);
+                for table in &dataset.tables {
+                    let links =
+                        LinkedTable::link(table, &disk.backend, cfg.max_entities_per_mention);
+                    let filtered = prune_and_filter(
+                        table,
+                        &links,
+                        &disk.graph,
+                        cfg.top_k_rows,
+                        cfg.row_filter,
+                    );
+                    for cell in filtered.cells.iter().flatten() {
+                        if !cell.entities.is_empty() {
+                            linked += 1;
+                            overlapping +=
+                                usize::from(cell.entities.iter().any(|e| e.overlap_score > 0));
+                        }
+                    }
+                }
+                assert!(
+                    linked > 0 && overlapping * 2 >= linked,
+                    "{name} seed {seed}: {overlapping} of {linked} linked cells overlap"
+                );
+            }
+        }
     }
 
     #[test]
     fn k_larger_than_rows_keeps_all() {
         let (g, table, ..) = figure5();
-        let searcher = EntitySearcher::build(&g);
-        let linked = LinkedTable::link(&table, &searcher, 10);
-        let filtered = prune_and_filter(&table, &linked, &g, 100, RowFilter::LinkScore);
+        let world = DiskWorld::from_graph(&g).unwrap();
+        let linked = LinkedTable::link(&table, &world.backend, 10);
+        let filtered = prune_and_filter(&table, &linked, &world.graph, 100, RowFilter::LinkScore);
         assert_eq!(filtered.table.n_rows(), table.n_rows());
     }
 }

@@ -169,14 +169,15 @@ impl LinkedTable {
 mod tests {
     use super::*;
     use kglink_kg::{Entity, KgBuilder, NeSchema};
-    use kglink_search::{EntitySearcher, FaultConfig, FaultyBackend};
+    use kglink_search::{FaultConfig, FaultyBackend};
+    use kglink_store::DiskWorld;
     use kglink_table::{CellValue, LabelId, TableId};
 
-    fn setup() -> (kglink_kg::KnowledgeGraph, Table) {
+    fn setup() -> (DiskWorld, Table) {
         let mut b = KgBuilder::new();
         let musician = b.add_type("Musician", None);
         b.add_instance(Entity::new("Peter Steele", NeSchema::Person), musician);
-        let g = b.build();
+        let world = DiskWorld::from_graph(&b.build()).unwrap();
         let table = Table::new(
             TableId(0),
             vec![],
@@ -189,14 +190,13 @@ mod tests {
             ],
             vec![LabelId(0), LabelId(1)],
         );
-        (g, table)
+        (world, table)
     }
 
     #[test]
     fn linkable_cells_retrieve_entities() {
-        let (g, table) = setup();
-        let searcher = EntitySearcher::build(&g);
-        let linked = LinkedTable::link(&table, &searcher, 5);
+        let (world, table) = setup();
+        let linked = LinkedTable::link(&table, &world.backend, 5);
         assert!(linked.cell(0, 0).is_linked());
         assert!(linked.cell(0, 0).best_score() > 0.0);
         assert!(!linked.cell(0, 0).failed);
@@ -204,9 +204,8 @@ mod tests {
 
     #[test]
     fn numeric_and_date_cells_get_zero_score() {
-        let (g, table) = setup();
-        let searcher = EntitySearcher::build(&g);
-        let linked = LinkedTable::link(&table, &searcher, 5);
+        let (world, table) = setup();
+        let linked = LinkedTable::link(&table, &world.backend, 5);
         // Column 1 holds a year (date) and a number.
         assert_eq!(linked.cell(0, 1).kind, MentionKind::Date);
         assert_eq!(linked.cell(1, 1).kind, MentionKind::Numeric);
@@ -217,9 +216,8 @@ mod tests {
 
     #[test]
     fn unmatched_mentions_stay_unlinked() {
-        let (g, table) = setup();
-        let searcher = EntitySearcher::build(&g);
-        let linked = LinkedTable::link(&table, &searcher, 5);
+        let (world, table) = setup();
+        let linked = LinkedTable::link(&table, &world.backend, 5);
         assert!(!linked.cell(1, 0).is_linked());
         assert_eq!(linked.cell(1, 0).best_score(), 0.0);
         assert!(
@@ -230,18 +228,16 @@ mod tests {
 
     #[test]
     fn linkage_rate_counts_only_entity_cells() {
-        let (g, table) = setup();
-        let searcher = EntitySearcher::build(&g);
-        let linked = LinkedTable::link(&table, &searcher, 5);
+        let (world, table) = setup();
+        let linked = LinkedTable::link(&table, &world.backend, 5);
         // Two entity cells, one linked.
         assert!((linked.linkage_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn retrieval_failures_mark_cells_and_columns() {
-        let (g, table) = setup();
-        let searcher = EntitySearcher::build(&g);
-        let dead = FaultyBackend::new(&searcher, FaultConfig::with_fault_rate(1, 1.0));
+        let (world, table) = setup();
+        let dead = FaultyBackend::new(&world.backend, FaultConfig::with_fault_rate(1, 1.0));
         let linked = LinkedTable::link(&table, &dead, 5);
         // Entity cells fail; numeric/date cells never attempt retrieval.
         assert!(linked.cell(0, 0).failed);
@@ -255,9 +251,8 @@ mod tests {
 
     #[test]
     fn degrade_column_clears_candidates() {
-        let (g, table) = setup();
-        let searcher = EntitySearcher::build(&g);
-        let mut linked = LinkedTable::link(&table, &searcher, 5);
+        let (world, table) = setup();
+        let mut linked = LinkedTable::link(&table, &world.backend, 5);
         assert!(linked.cell(0, 0).is_linked());
         linked.degrade_column(0);
         assert!(!linked.cell(0, 0).is_linked());

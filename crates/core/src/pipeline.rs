@@ -543,19 +543,19 @@ mod tests {
     use crate::memo::FeatureMemoStats;
     use kglink_datagen::{pretrain_corpus, semtab_like, SemTabConfig};
     use kglink_kg::{SyntheticWorld, WorldConfig};
-    use kglink_search::EntitySearcher;
+    use kglink_store::DiskWorld;
 
     #[test]
     fn fit_annotate_evaluate_end_to_end() {
         let world = SyntheticWorld::generate(&WorldConfig::tiny(77));
         let bench = semtab_like(&world, &SemTabConfig::tiny(77));
-        let searcher = EntitySearcher::build(&world.graph);
+        let disk = DiskWorld::from_graph(&world.graph).unwrap();
         let corpus = pretrain_corpus(&world, 2);
         let vocab = build_vocab(corpus.iter().map(String::as_str), &[&bench.dataset], 6000);
         let tokenizer = Tokenizer::new(vocab);
         let resources = Resources::builder()
-            .graph(&world.graph)
-            .backend(&searcher)
+            .graph(&disk.graph)
+            .backend(&disk.backend)
             .tokenizer(&tokenizer)
             .build()
             .expect("complete resource bundle");
@@ -584,11 +584,11 @@ mod tests {
     #[test]
     fn resources_builder_validates_the_bundle() {
         let world = SyntheticWorld::generate(&WorldConfig::tiny(80));
-        let searcher = EntitySearcher::build(&world.graph);
+        let disk = DiskWorld::from_graph(&world.graph).unwrap();
         let tokenizer = Tokenizer::new(Vocab::build(["hello world"], 1, 100));
 
         match Resources::builder()
-            .backend(&searcher)
+            .backend(&disk.backend)
             .tokenizer(&tokenizer)
             .build()
         {
@@ -596,7 +596,7 @@ mod tests {
             other => panic!("expected MissingResource, got {:?}", other.is_ok()),
         }
         match Resources::builder()
-            .graph(&world.graph)
+            .graph(&disk.graph)
             .tokenizer(&tokenizer)
             .build()
         {
@@ -604,8 +604,8 @@ mod tests {
             other => panic!("expected MissingResource, got {:?}", other.is_ok()),
         }
         match Resources::builder()
-            .graph(&world.graph)
-            .backend(&searcher)
+            .graph(&disk.graph)
+            .backend(&disk.backend)
             .build()
         {
             Err(KgLinkError::MissingResource { what }) => assert_eq!(what, "tokenizer"),
@@ -618,8 +618,8 @@ mod tests {
         }
         assert!(matches!(
             Resources::builder()
-                .graph(&world.graph)
-                .backend(&searcher)
+                .graph(&disk.graph)
+                .backend(&disk.backend)
                 .tokenizer(&empty_tok)
                 .build(),
             Err(KgLinkError::InvalidConfig { .. })
@@ -632,13 +632,13 @@ mod tests {
 
         let world = SyntheticWorld::generate(&WorldConfig::tiny(79));
         let bench = semtab_like(&world, &SemTabConfig::tiny(79));
-        let searcher = EntitySearcher::build(&world.graph);
+        let disk = DiskWorld::from_graph(&world.graph).unwrap();
         let corpus = pretrain_corpus(&world, 2);
         let vocab = build_vocab(corpus.iter().map(String::as_str), &[&bench.dataset], 6000);
         let tokenizer = Tokenizer::new(vocab);
         let resources = Resources::builder()
-            .graph(&world.graph)
-            .backend(&searcher)
+            .graph(&disk.graph)
+            .backend(&disk.backend)
             .tokenizer(&tokenizer)
             .build()
             .expect("complete resource bundle");
@@ -658,9 +658,9 @@ mod tests {
 
         // A zero budget over a latency-injecting backend times out every
         // retrieval: the outcome keeps its arity and reports degradation.
-        let slow = FaultyBackend::new(&searcher, FaultConfig::healthy(79));
+        let slow = FaultyBackend::new(&disk.backend, FaultConfig::healthy(79));
         let slow_resources = Resources::builder()
-            .graph(&world.graph)
+            .graph(&disk.graph)
             .backend(&slow)
             .tokenizer(&tokenizer)
             .build()
@@ -687,13 +687,13 @@ mod tests {
 
         let world = SyntheticWorld::generate(&WorldConfig::tiny(81));
         let bench = semtab_like(&world, &SemTabConfig::tiny(81));
-        let searcher = EntitySearcher::build(&world.graph);
+        let disk = DiskWorld::from_graph(&world.graph).unwrap();
         let corpus = pretrain_corpus(&world, 2);
         let vocab = build_vocab(corpus.iter().map(String::as_str), &[&bench.dataset], 6000);
         let tokenizer = Tokenizer::new(vocab);
         let resources = Resources::builder()
-            .graph(&world.graph)
-            .backend(&searcher)
+            .graph(&disk.graph)
+            .backend(&disk.backend)
             .tokenizer(&tokenizer)
             .build()
             .expect("complete resource bundle");
@@ -709,7 +709,7 @@ mod tests {
         assert_eq!(table.n_cols(), 20);
 
         let per_chunk = |kglink: &KgLink| -> Vec<LabelId> {
-            let pre = Preprocessor::new(&world.graph, &searcher, kglink.config.clone());
+            let pre = Preprocessor::new(&disk.graph, &disk.backend, kglink.config.clone());
             let processed = pre.process(&table);
             assert_eq!(processed.len(), 3);
             kglink

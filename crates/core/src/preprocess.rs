@@ -223,15 +223,16 @@ mod tests {
     use super::*;
     use kglink_datagen::{semtab_like, SemTabConfig};
     use kglink_kg::{SyntheticWorld, WorldConfig};
-    use kglink_search::{EntitySearcher, FaultConfig, FaultyBackend};
+    use kglink_search::{FaultConfig, FaultyBackend};
+    use kglink_store::DiskWorld;
     use kglink_table::{CellValue, TableId};
 
     #[test]
     fn preprocess_semtab_like_tables_end_to_end() {
         let world = SyntheticWorld::generate(&WorldConfig::tiny(21));
         let bench = semtab_like(&world, &SemTabConfig::tiny(21));
-        let searcher = EntitySearcher::build(&world.graph);
-        let pre = Preprocessor::new(&world.graph, &searcher, KgLinkConfig::fast_test());
+        let disk = DiskWorld::from_graph(&world.graph).unwrap();
+        let pre = Preprocessor::new(&disk.graph, &disk.backend, KgLinkConfig::fast_test());
         let mut with_ct = 0usize;
         let mut with_fv = 0usize;
         let mut total = 0usize;
@@ -272,10 +273,10 @@ mod tests {
     #[test]
     fn wide_tables_are_split() {
         let world = SyntheticWorld::generate(&WorldConfig::tiny(22));
-        let searcher = EntitySearcher::build(&world.graph);
+        let disk = DiskWorld::from_graph(&world.graph).unwrap();
         let mut cfg = KgLinkConfig::fast_test();
         cfg.max_columns = 2;
-        let pre = Preprocessor::new(&world.graph, &searcher, cfg);
+        let pre = Preprocessor::new(&disk.graph, &disk.backend, cfg);
         // Build the wide table directly instead of hoping the generator
         // produced one (a degenerate dataset used to panic here).
         let wide = Table::new(
@@ -295,8 +296,8 @@ mod tests {
     #[test]
     fn zero_column_table_is_a_typed_error_not_a_panic() {
         let world = SyntheticWorld::generate(&WorldConfig::tiny(23));
-        let searcher = EntitySearcher::build(&world.graph);
-        let pre = Preprocessor::new(&world.graph, &searcher, KgLinkConfig::fast_test());
+        let disk = DiskWorld::from_graph(&world.graph).unwrap();
+        let pre = Preprocessor::new(&disk.graph, &disk.backend, KgLinkConfig::fast_test());
         let empty = Table::new(TableId(901), vec![], vec![], vec![]);
         match pre.try_process(&empty) {
             Err(KgLinkError::DegenerateTable { table, .. }) => assert_eq!(table, TableId(901)),
@@ -309,10 +310,10 @@ mod tests {
     #[test]
     fn zero_max_columns_is_an_invalid_config_error() {
         let world = SyntheticWorld::generate(&WorldConfig::tiny(24));
-        let searcher = EntitySearcher::build(&world.graph);
+        let disk = DiskWorld::from_graph(&world.graph).unwrap();
         let mut cfg = KgLinkConfig::fast_test();
         cfg.max_columns = 0;
-        let pre = Preprocessor::new(&world.graph, &searcher, cfg);
+        let pre = Preprocessor::new(&disk.graph, &disk.backend, cfg);
         let bench = semtab_like(&world, &SemTabConfig::tiny(24));
         let table = &bench.dataset.tables[0];
         assert!(matches!(
@@ -326,10 +327,10 @@ mod tests {
     fn full_outage_degrades_every_linkable_column() {
         let world = SyntheticWorld::generate(&WorldConfig::tiny(25));
         let bench = semtab_like(&world, &SemTabConfig::tiny(25));
-        let searcher = EntitySearcher::build(&world.graph);
-        let dead = FaultyBackend::new(&searcher, FaultConfig::with_fault_rate(7, 1.0));
-        let pre = Preprocessor::new(&world.graph, &dead, KgLinkConfig::fast_test());
-        let healthy_pre = Preprocessor::new(&world.graph, &searcher, KgLinkConfig::fast_test());
+        let disk = DiskWorld::from_graph(&world.graph).unwrap();
+        let dead = FaultyBackend::new(&disk.backend, FaultConfig::with_fault_rate(7, 1.0));
+        let pre = Preprocessor::new(&disk.graph, &dead, KgLinkConfig::fast_test());
+        let healthy_pre = Preprocessor::new(&disk.graph, &disk.backend, KgLinkConfig::fast_test());
         let mut degraded_cols = 0usize;
         let mut failed = 0usize;
         for table in bench.dataset.tables.iter().take(5) {

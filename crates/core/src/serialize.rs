@@ -138,7 +138,7 @@ mod tests {
     use crate::preprocess::preprocess_table;
     use kglink_kg::{Entity, KgBuilder, NeSchema};
     use kglink_nn::Vocab;
-    use kglink_search::EntitySearcher;
+    use kglink_store::DiskWorld;
     use kglink_table::{LabelId, Table, TableId};
 
     fn setup() -> (ProcessedTable, Tokenizer, LabelVocab) {
@@ -154,8 +154,7 @@ mod tests {
             let m = b.add_instance(Entity::new(name, NeSchema::Person), musician);
             b.relate(m, member, band);
         }
-        let g = b.build();
-        let searcher = EntitySearcher::build(&g);
+        let world = DiskWorld::from_graph(&b.build()).unwrap();
         let table = Table::new(
             TableId(0),
             vec![],
@@ -169,7 +168,7 @@ mod tests {
             vec![LabelId(0), LabelId(1)],
         );
         let cfg = KgLinkConfig::fast_test();
-        let pt = preprocess_table(&table, &g, &searcher, &cfg);
+        let pt = preprocess_table(&table, &world.graph, &world.backend, &cfg);
         let vocab = Vocab::build(
             [
                 "peter steele anna kovacs musician iron prophets member of musical group name height",

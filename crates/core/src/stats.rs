@@ -188,14 +188,14 @@ mod tests {
     use crate::preprocess::Preprocessor;
     use kglink_datagen::{viznet_like, VizNetConfig};
     use kglink_kg::{SyntheticWorld, WorldConfig};
-    use kglink_search::EntitySearcher;
+    use kglink_store::DiskWorld;
 
     #[test]
     fn viznet_like_statistics_have_the_papers_shape() {
         let world = SyntheticWorld::generate(&WorldConfig::tiny(31));
         let bench = viznet_like(&world, &VizNetConfig::tiny(31));
-        let searcher = EntitySearcher::build(&world.graph);
-        let pre = Preprocessor::new(&world.graph, &searcher, KgLinkConfig::fast_test());
+        let disk = DiskWorld::from_graph(&world.graph).unwrap();
+        let pre = Preprocessor::new(&disk.graph, &disk.backend, KgLinkConfig::fast_test());
         let processed: Vec<_> = bench
             .dataset
             .tables
@@ -243,10 +243,10 @@ mod tests {
 
         let world = SyntheticWorld::generate(&WorldConfig::tiny(32));
         let bench = semtab_like(&world, &SemTabConfig::tiny(32));
-        let searcher = EntitySearcher::build(&world.graph);
+        let disk = DiskWorld::from_graph(&world.graph).unwrap();
 
         // Healthy backend: nothing degrades.
-        let pre = Preprocessor::new(&world.graph, &searcher, KgLinkConfig::fast_test());
+        let pre = Preprocessor::new(&disk.graph, &disk.backend, KgLinkConfig::fast_test());
         let healthy: Vec<_> = bench
             .dataset
             .tables
@@ -262,9 +262,9 @@ mod tests {
 
         // Full outage behind the resilient decorator: everything linkable
         // degrades and the decorator's counters surface.
-        let faulty = FaultyBackend::new(&searcher, FaultConfig::with_fault_rate(5, 1.0));
+        let faulty = FaultyBackend::new(&disk.backend, FaultConfig::with_fault_rate(5, 1.0));
         let resilient = ResilientBackend::new(&faulty, ResilienceConfig::default());
-        let pre = Preprocessor::new(&world.graph, &resilient, KgLinkConfig::fast_test());
+        let pre = Preprocessor::new(&disk.graph, &resilient, KgLinkConfig::fast_test());
         let dead: Vec<_> = bench
             .dataset
             .tables

@@ -804,7 +804,7 @@ mod tests {
     use kglink_datagen::{pretrain_corpus, semtab_like, SemTabConfig};
     use kglink_kg::{SyntheticWorld, WorldConfig};
     use kglink_nn::{Tokenizer, Vocab};
-    use kglink_search::EntitySearcher;
+    use kglink_store::DiskWorld;
     use kglink_table::Split;
 
     fn setup() -> (
@@ -816,9 +816,9 @@ mod tests {
     ) {
         let world = SyntheticWorld::generate(&WorldConfig::tiny(55));
         let bench = semtab_like(&world, &SemTabConfig::tiny(55));
-        let searcher = EntitySearcher::build(&world.graph);
+        let disk = DiskWorld::from_graph(&world.graph).unwrap();
         let config = KgLinkConfig::fast_test();
-        let pre = Preprocessor::new(&world.graph, &searcher, config.clone());
+        let pre = Preprocessor::new(&disk.graph, &disk.backend, config.clone());
         let corpus = pretrain_corpus(&world, 1);
         let mut texts: Vec<String> = corpus;
         for (_, name) in bench.dataset.labels.iter() {

@@ -35,7 +35,7 @@
 //! bytes written are those of an entity built from scratch (the
 //! `golden_world` test pins them, and the sampled mentions).
 
-use kglink_kg::{predicates, Edge, Entity, EntityId, NeSchema, PredicateId};
+use kglink_kg::{predicates, Edge, Entity, EntityId, NeSchema};
 use kglink_store::{Manifest, StoreError, WorldWriter, WorldWriterConfig};
 use std::fmt::Write;
 use std::path::Path;
@@ -299,12 +299,6 @@ pub fn generate_big_world(
         mentions,
         skew_queries,
     })
-}
-
-/// Predicate id of [`RELATED_TO`] in a generated world (interned third,
-/// after the two ontology predicates).
-pub fn related_to_id() -> PredicateId {
-    PredicateId(2)
 }
 
 #[cfg(test)]

@@ -220,18 +220,6 @@ impl KnowledgeGraph {
             .collect()
     }
 
-    /// The `instance of` predicate id, if any edge vocabulary registered it.
-    #[inline]
-    pub fn instance_of_predicate(&self) -> Option<PredicateId> {
-        self.instance_of
-    }
-
-    /// The `subclass of` predicate id, if registered.
-    #[inline]
-    pub fn subclass_of_predicate(&self) -> Option<PredicateId> {
-        self.subclass_of
-    }
-
     /// All type entities (classes) in the graph.
     pub fn type_entities(&self) -> Vec<EntityId> {
         self.entities()

@@ -149,28 +149,6 @@ impl InvertedIndex {
         self.postings.get(term).map_or(0, Vec::len)
     }
 
-    /// BM25 score of a single document for `query`, or `None` if the
-    /// document shares no terms with the query.
-    pub fn score_doc(&self, query: &str, doc: DocId) -> Option<f32> {
-        let terms = tokenize_unique(query);
-        let n = self.doc_count();
-        let avg = self.avg_doc_len().max(1e-6);
-        let len = self.doc_len(doc)? as f32;
-        let mut score = 0.0;
-        let mut matched = false;
-        for term in &terms {
-            let Some(list) = self.postings.get(term) else {
-                continue;
-            };
-            if let Ok(pos) = list.binary_search_by_key(&doc, |p| p.doc) {
-                let idf = Bm25Params::idf(n, list.len());
-                score += self.params.term_score(idf, list[pos].tf as f32, len, avg);
-                matched = true;
-            }
-        }
-        matched.then_some(score)
-    }
-
     /// Top-`k` documents for `query`, ranked by BM25 score descending.
     /// Ties break toward the lower document id for determinism.
     pub fn search(&self, query: &str, k: usize) -> Vec<SearchHit> {
@@ -294,17 +272,6 @@ mod tests {
         let hits = idx.search("pf", 5);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].doc, 7);
-    }
-
-    #[test]
-    fn score_doc_matches_search_scores() {
-        let idx = small_index();
-        let hits = idx.search("peter steele", 5);
-        for h in &hits {
-            let s = idx.score_doc("peter steele", h.doc).unwrap();
-            assert!((s - h.score).abs() < 1e-5);
-        }
-        assert_eq!(idx.score_doc("peter steele", 2), None);
     }
 
     #[test]

@@ -10,9 +10,11 @@ use kglink_kg::{EntityId, KnowledgeGraph};
 /// This is the reproduction's stand-in for the Elasticsearch deployment in
 /// the paper's experimental setup ("We used Elasticsearch … to index the
 /// WikiData KG and generate the BM25 entity linking scores for the KG entity
-/// callback"). Labels and aliases are indexed; descriptions are optional
-/// (off by default — WikiData linking in the paper matches against entity
-/// labels, and indexing long descriptions dilutes length normalization).
+/// callback"). Labels and aliases are indexed, as in the disk world's
+/// BM25 segment; descriptions are not (WikiData linking in the paper
+/// matches against entity labels, and indexing long descriptions dilutes
+/// length normalization). Pipelines read `kglink-store`'s `DiskBackend`;
+/// this index is the reference the store is proven bit-identical to.
 #[derive(Debug)]
 pub struct EntitySearcher {
     index: InvertedIndex,
@@ -21,19 +23,10 @@ pub struct EntitySearcher {
 impl EntitySearcher {
     /// Index every entity of `graph` (labels + aliases).
     pub fn build(graph: &KnowledgeGraph) -> Self {
-        Self::build_with(graph, Bm25Params::default(), false)
-    }
-
-    /// Index with explicit parameters; `index_descriptions` additionally
-    /// indexes the description field.
-    pub fn build_with(graph: &KnowledgeGraph, params: Bm25Params, index_descriptions: bool) -> Self {
-        let mut index = InvertedIndex::new(params);
+        let mut index = InvertedIndex::new(Bm25Params::default());
         for (id, entity) in graph.entities() {
             for text in entity.searchable_texts() {
                 index.add_document(id.0, text);
-            }
-            if index_descriptions && !entity.description.is_empty() {
-                index.add_document(id.0, &entity.description);
             }
         }
         index.finish();
@@ -48,11 +41,6 @@ impl EntitySearcher {
             .into_iter()
             .map(|SearchHit { doc, score }| (EntityId(doc), score))
             .collect()
-    }
-
-    /// BM25 score of one specific entity for a mention, if they share terms.
-    pub fn score(&self, mention: &str, entity: EntityId) -> Option<f32> {
-        self.index.score_doc(mention, entity.0)
     }
 
     /// The underlying index (for statistics).
@@ -123,29 +111,4 @@ mod tests {
         assert!(s.link_mention("cucumber sandwich", 5).is_empty());
     }
 
-    #[test]
-    fn score_is_consistent_with_ranking() {
-        let (g, _, steele, _) = graph();
-        let s = EntitySearcher::build(&g);
-        let hits = s.link_mention("Steele", 5);
-        let direct = s.score("Steele", steele).unwrap();
-        let ranked = hits.iter().find(|&&(e, _)| e == steele).unwrap().1;
-        assert!((direct - ranked).abs() < 1e-5);
-    }
-
-    #[test]
-    fn descriptions_can_be_indexed() {
-        let mut b = KgBuilder::new();
-        let ty = b.add_type("Scientist", None);
-        let e = b.add_instance(
-            Entity::new("Ada Example", NeSchema::Person).with_description("pioneering computer scientist"),
-            ty,
-        );
-        let g = b.build();
-        let without = EntitySearcher::build(&g);
-        assert!(without.link_mention("pioneering computer", 5).is_empty());
-        let with = EntitySearcher::build_with(&g, Bm25Params::default(), true);
-        let hits = with.link_mention("pioneering computer", 5);
-        assert!(hits.iter().any(|&(id, _)| id == e));
-    }
 }

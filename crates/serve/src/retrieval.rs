@@ -179,19 +179,20 @@ impl KgBackend for RungView<'_> {
 mod tests {
     use super::*;
     use kglink_kg::{Entity, KgBuilder, NeSchema};
-    use kglink_search::{EntitySearcher, FaultConfig, FaultyBackend};
+    use kglink_search::{FaultConfig, FaultyBackend};
+    use kglink_store::{DiskBackend, DiskWorld};
     use std::sync::Arc;
     use DegradationRung::{CacheOnly, Full, NoLinkage};
 
     /// A `FaultyBackend` is the call-counting source: it answers like the
-    /// searcher underneath and reports how often it was reached.
-    fn source(faults: FaultConfig) -> Arc<FaultyBackend<EntitySearcher>> {
+    /// disk backend underneath and reports how often it was reached.
+    fn source(faults: FaultConfig) -> Arc<FaultyBackend<Arc<DiskBackend>>> {
         let mut b = KgBuilder::new();
         let ty = b.add_type("City", None);
         b.add_instance(Entity::new("paris", NeSchema::Place), ty);
         b.add_instance(Entity::new("lyon", NeSchema::Place), ty);
         Arc::new(FaultyBackend::new(
-            EntitySearcher::build(&b.build()),
+            DiskWorld::from_graph(&b.build()).unwrap().backend,
             faults,
         ))
     }

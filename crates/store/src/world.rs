@@ -6,7 +6,9 @@
 //! world to disk in bounded memory — entities arrive once, in id order,
 //! and are never all resident; [`write_graph`] converts an in-memory
 //! [`KnowledgeGraph`] (the transparency baseline); [`DiskWorld`] opens the
-//! result as the `GraphAccess` + `KgBackend` pair the pipeline consumes.
+//! result as the `GraphAccess` + `KgBackend` pair the pipeline consumes,
+//! and [`DiskWorld::from_graph`] does both for a generated world that
+//! needs no directory of its own.
 //!
 //! Crash safety composes from the segment layer: every file is published
 //! by temp → fsync → rename, the manifest is written last, and
@@ -43,6 +45,7 @@ use crate::segment::{shard_file_name, SegmentWriter};
 use kglink_kg::{predicates, Edge, Entity, EntityId, KnowledgeGraph, PredicateId};
 use kglink_search::Bm25Params;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -425,6 +428,27 @@ impl DiskWorld {
         })
     }
 
+    /// Write `graph` with [`write_graph`] into a fresh directory under
+    /// [`std::env::temp_dir`], open it, and remove the directory. Every
+    /// shard and the BM25 segment keep their open file handles, so the
+    /// world reads on while nothing it made is left on disk (this relies
+    /// on Unix semantics for removing open files). Small worlds (the
+    /// experiments' 1.3k entities) take milliseconds.
+    pub fn from_graph(graph: &KnowledgeGraph) -> Result<Self, StoreError> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "kglink-world-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let world =
+            write_graph(&dir, graph, WorldWriterConfig::default()).and_then(|_| Self::open(&dir));
+        let removed = std::fs::remove_dir_all(&dir);
+        let world = world?;
+        removed?;
+        Ok(world)
+    }
+
     /// Open with explicit block-cache budgets (graph bytes, BM25 bytes).
     pub fn open_with_caches(
         dir: &Path,
@@ -442,7 +466,7 @@ impl DiskWorld {
 mod tests {
     use super::*;
     use kglink_kg::{GraphAccess, KgBuilder, NeSchema};
-    use kglink_search::EntitySearcher;
+    use kglink_search::{Deadline, EntitySearcher, KgBackend};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d =
@@ -504,6 +528,36 @@ mod tests {
                 assert_eq!(a.0, b.0, "{q}");
                 assert_eq!(a.1.to_bits(), b.1.to_bits(), "{q}");
             }
+        }
+        assert_eq!(world.graph.error_count(), 0);
+        assert_eq!(world.backend.error_count(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_world_from_a_graph_reads_on_after_its_directory_is_gone() {
+        let g = kglink_kg::SyntheticWorld::generate(&kglink_kg::WorldConfig::tiny(77)).graph;
+        let dir = tmpdir("from-graph");
+        write_graph(&dir, &g, WorldWriterConfig::default()).unwrap();
+        let opened = DiskWorld::open(&dir).unwrap();
+        let world = DiskWorld::from_graph(&g).unwrap();
+        let ours = format!("kglink-world-{}-", std::process::id());
+        let left: Vec<_> = std::fs::read_dir(std::env::temp_dir())
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().starts_with(&ours))
+            .map(|e| e.path())
+            .collect();
+        assert!(left.is_empty(), "from_graph left {left:?} behind");
+        for (id, entity) in g.entities() {
+            assert_eq!(world.graph.one_hop(id), opened.graph.one_hop(id));
+            assert_eq!(world.graph.label(id), opened.graph.label(id));
+            assert_eq!(world.graph.types_of(id), opened.graph.types_of(id));
+            let search = |b: &DiskBackend| {
+                b.search_entities(&entity.label, 10, Deadline::UNBOUNDED)
+                    .unwrap()
+            };
+            assert_eq!(search(&world.backend), search(&opened.backend));
         }
         assert_eq!(world.graph.error_count(), 0);
         assert_eq!(world.backend.error_count(), 0);

@@ -66,14 +66,6 @@ impl CellValue {
         self.mention_kind() == MentionKind::Entity
     }
 
-    /// Whether this cell is numeric (used for the paper's numeric-column
-    /// classification in Table III: a column is numeric iff *all* its cells
-    /// are numeric).
-    #[inline]
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, CellValue::Number(_))
-    }
-
     /// Surface form used when serializing the table for the language model.
     pub fn surface(&self) -> String {
         match self {

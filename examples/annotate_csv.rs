@@ -14,7 +14,7 @@ use kglink::core::{KgLinkConfig, Preprocessor};
 use kglink::datagen::{pretrain_corpus, viznet_like, VizNetConfig};
 use kglink::kg::{SyntheticWorld, WorldConfig};
 use kglink::nn::Tokenizer;
-use kglink::search::EntitySearcher;
+use kglink::store::DiskWorld;
 use kglink::table::{table_from_csv, TableId};
 
 fn demo_csv(world: &SyntheticWorld) -> String {
@@ -71,13 +71,13 @@ fn main() {
             ..VizNetConfig::default()
         },
     );
-    let searcher = EntitySearcher::build(&world.graph);
+    let disk = DiskWorld::from_graph(&world.graph).expect("the world writes to the temp dir");
     let corpus = pretrain_corpus(&world, 51);
     let vocab = build_vocab(corpus.iter().map(String::as_str), &[&bench.dataset], 10_000);
     let tokenizer = Tokenizer::new(vocab);
     let resources = Resources::builder()
-        .graph(&world.graph)
-        .backend(&searcher)
+        .graph(&disk.graph)
+        .backend(&disk.backend)
         .tokenizer(&tokenizer)
         .build()
         .expect("a complete resource bundle");
@@ -91,7 +91,7 @@ fn main() {
         },
     );
 
-    let pre = Preprocessor::new(&world.graph, &searcher, kglink.config.clone());
+    let pre = Preprocessor::new(&disk.graph, &disk.backend, kglink.config.clone());
     let processed = pre.process(&table);
     let predictions = kglink
         .annotate_request(&resources, req(&table))

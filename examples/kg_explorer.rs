@@ -10,8 +10,9 @@
 use kglink::core::config::RowFilter;
 use kglink::core::filter::prune_and_filter;
 use kglink::core::linking::LinkedTable;
-use kglink::kg::{SyntheticWorld, TypeHierarchy, WorldConfig};
-use kglink::search::EntitySearcher;
+use kglink::kg::{GraphAccess, SyntheticWorld, TypeHierarchy, WorldConfig};
+use kglink::search::KgBackend;
+use kglink::store::DiskWorld;
 use kglink::table::{CellValue, LabelId, Table, TableId};
 
 fn main() {
@@ -20,14 +21,14 @@ fn main() {
         scale: 0.5,
         ..WorldConfig::default()
     });
-    let g = &world.graph;
-    let searcher = EntitySearcher::build(g);
+    let disk = DiskWorld::from_graph(&world.graph).expect("the world writes to the temp dir");
+    let g = &*disk.graph;
 
     // --- 1. Ambiguous mention linking -----------------------------------
     let some_athlete = world.instances_of(world.types.basketball_player)[0];
     let mention = g.label(some_athlete).to_string();
     println!("BM25 candidates for mention {mention:?}:");
-    for (e, score) in searcher.link_mention(&mention, 5) {
+    for (e, score) in disk.backend.link_mention(&mention, 5) {
         println!("  {e} {:?} ({}) score {score:.2}", g.label(e), g.entity(e).description);
     }
 
@@ -53,7 +54,7 @@ fn main() {
             ],
             vec![LabelId(0), LabelId(1)],
         );
-        let linked = LinkedTable::link(&table, &searcher, 10);
+        let linked = LinkedTable::link(&table, &disk.backend, 10);
         let filtered = prune_and_filter(&table, &linked, g, 10, RowFilter::LinkScore);
         println!(
             "\nOverlapping filter on row [{:?}, {:?}]:",

@@ -9,7 +9,7 @@ use kglink::core::KgLinkConfig;
 use kglink::datagen::{pretrain_corpus, semtab_like, SemTabConfig};
 use kglink::kg::{KgStats, SyntheticWorld, WorldConfig};
 use kglink::nn::Tokenizer;
-use kglink::search::EntitySearcher;
+use kglink::store::DiskWorld;
 use kglink::table::Split;
 
 fn main() {
@@ -38,13 +38,13 @@ fn main() {
     );
 
     // 3. Shared resources: BM25 index + tokenizer.
-    let searcher = EntitySearcher::build(&world.graph);
+    let disk = DiskWorld::from_graph(&world.graph).expect("the world writes to the temp dir");
     let corpus = pretrain_corpus(&world, 42);
     let vocab = build_vocab(corpus.iter().map(String::as_str), &[&bench.dataset], 8000);
     let tokenizer = Tokenizer::new(vocab);
     let resources = Resources::builder()
-        .graph(&world.graph)
-        .backend(&searcher)
+        .graph(&disk.graph)
+        .backend(&disk.backend)
         .tokenizer(&tokenizer)
         .build()
         .expect("a complete resource bundle");

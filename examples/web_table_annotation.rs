@@ -12,7 +12,7 @@ use kglink::core::{KgLinkConfig, Preprocessor};
 use kglink::datagen::{pretrain_corpus, viznet_like, VizNetConfig};
 use kglink::kg::{SyntheticWorld, WorldConfig};
 use kglink::nn::Tokenizer;
-use kglink::search::EntitySearcher;
+use kglink::store::DiskWorld;
 use kglink::table::{CellValue, LabelId, Table, TableId};
 
 fn main() {
@@ -29,13 +29,13 @@ fn main() {
             ..VizNetConfig::default()
         },
     );
-    let searcher = EntitySearcher::build(&world.graph);
+    let disk = DiskWorld::from_graph(&world.graph).expect("the world writes to the temp dir");
     let corpus = pretrain_corpus(&world, 21);
     let vocab = build_vocab(corpus.iter().map(String::as_str), &[&bench.dataset], 10_000);
     let tokenizer = Tokenizer::new(vocab);
     let resources = Resources::builder()
-        .graph(&world.graph)
-        .backend(&searcher)
+        .graph(&disk.graph)
+        .backend(&disk.backend)
         .tokenizer(&tokenizer)
         .build()
         .expect("a complete resource bundle");
@@ -84,7 +84,7 @@ fn main() {
     );
 
     // Peek into Part 1: what the KG stage extracted.
-    let pre = Preprocessor::new(&world.graph, &searcher, kglink.config.clone());
+    let pre = Preprocessor::new(&disk.graph, &disk.backend, kglink.config.clone());
     let pt = &pre.process(&table)[0];
     println!("\nPart 1 — KG candidate types per column:");
     for c in 0..pt.table.n_cols() {

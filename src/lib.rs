@@ -12,4 +12,5 @@ pub use kglink_obs as obs;
 pub use kglink_registry as registry;
 pub use kglink_search as search;
 pub use kglink_serve as serve;
+pub use kglink_store as store;
 pub use kglink_table as table;

@@ -7,22 +7,23 @@ use kglink::core::pipeline::{build_vocab, KgLink, Resources};
 use kglink::core::{FitOptions, GuardPolicy, KgLinkConfig};
 use kglink::datagen::{pretrain_corpus, semtab_like, SemTabConfig};
 use kglink::table::{Dataset, Split};
-use kglink::kg::{KnowledgeGraph, SyntheticWorld, WorldConfig};
+use kglink::kg::{SyntheticWorld, WorldConfig};
 use kglink::nn::checkpoint::save_train_state;
 use kglink::nn::layers::param::HasParams;
 use kglink::nn::Tokenizer;
 use kglink::obs::{EventKind, Tracer};
-use kglink::search::{EntitySearcher, PanickingBackend};
+use kglink::search::PanickingBackend;
 use kglink::serve::{
     AdmissionPolicy, AnnotationService, ServiceConfig, ServiceError, SharedBackend,
 };
+use kglink::store::{DiskBackend, DiskGraph, DiskWorld};
 use kglink::table::Table;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 struct Fixture {
-    graph: KnowledgeGraph,
-    searcher: EntitySearcher,
+    graph: Arc<DiskGraph>,
+    searcher: Arc<DiskBackend>,
     tokenizer: Tokenizer,
     dataset: Dataset,
 }
@@ -32,12 +33,12 @@ fn fixture() -> &'static Fixture {
     FIXTURE.get_or_init(|| {
         let world = SyntheticWorld::generate(&WorldConfig::tiny(907));
         let bench = semtab_like(&world, &SemTabConfig::tiny(907));
-        let searcher = EntitySearcher::build(&world.graph);
+        let disk = DiskWorld::from_graph(&world.graph).unwrap();
         let corpus = pretrain_corpus(&world, 907);
         let vocab = build_vocab(corpus.iter().map(String::as_str), &[&bench.dataset], 6000);
         Fixture {
-            graph: world.graph.clone(),
-            searcher,
+            graph: disk.graph,
+            searcher: disk.backend,
             tokenizer: Tokenizer::new(vocab),
             dataset: bench.dataset,
         }
@@ -311,9 +312,9 @@ fn rollback_guard_restores_last_checkpoint_after_consecutive_bad_steps() {
 
 struct ServeFixture {
     model: Arc<KgLink>,
-    graph: Arc<KnowledgeGraph>,
+    graph: Arc<DiskGraph>,
     tokenizer: Arc<Tokenizer>,
-    searcher: Arc<EntitySearcher>,
+    searcher: Arc<DiskBackend>,
     tables: Vec<Table>,
 }
 
@@ -325,9 +326,9 @@ fn serve_fixture() -> &'static ServeFixture {
         let (model, _) = KgLink::fit(&res, &fx.dataset, train_config());
         ServeFixture {
             model: Arc::new(model),
-            graph: Arc::new(fx.graph.clone()),
+            graph: Arc::clone(&fx.graph),
             tokenizer: Arc::new(fx.tokenizer.clone()),
-            searcher: Arc::new(EntitySearcher::build(&fx.graph)),
+            searcher: Arc::clone(&fx.searcher),
             tables: fx.dataset.tables.iter().take(10).cloned().collect(),
         }
     })
@@ -337,7 +338,7 @@ fn panicking_service(
     fx: &ServeFixture,
     every: u64,
     config: ServiceConfig,
-) -> (AnnotationService, Arc<PanickingBackend<Arc<EntitySearcher>>>) {
+) -> (AnnotationService, Arc<PanickingBackend<Arc<DiskBackend>>>) {
     let backend = Arc::new(PanickingBackend::new(Arc::clone(&fx.searcher), every));
     let svc = AnnotationService::new(
         Arc::clone(&fx.model),

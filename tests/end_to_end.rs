@@ -11,22 +11,22 @@ use kglink::datagen::{pretrain_corpus, semtab_like, viznet_like, SemTabConfig, V
 use kglink::kg::{SyntheticWorld, WorldConfig};
 use kglink::nn::serialize::save_params;
 use kglink::nn::{Encoder, EncoderConfig, MlmPretrainConfig, MlmPretrainer, Tokenizer};
-use kglink::search::EntitySearcher;
+use kglink::store::DiskWorld;
 use kglink::table::Split;
 
 struct Fixture {
     world: SyntheticWorld,
     semtab: kglink::datagen::GeneratedBenchmark,
     viznet: kglink::datagen::GeneratedBenchmark,
-    searcher: EntitySearcher,
+    disk: DiskWorld,
     tokenizer: Tokenizer,
 }
 
 impl Fixture {
     fn resources(&self) -> Resources<'_> {
         Resources::builder()
-            .graph(&self.world.graph)
-            .backend(&self.searcher)
+            .graph(&self.disk.graph)
+            .backend(&self.disk.backend)
             .tokenizer(&self.tokenizer)
             .build()
             .unwrap()
@@ -59,7 +59,7 @@ fn fixture(seed: u64) -> Fixture {
             ..VizNetConfig::default()
         },
     );
-    let searcher = EntitySearcher::build(&world.graph);
+    let disk = DiskWorld::from_graph(&world.graph).unwrap();
     let corpus = pretrain_corpus(&world, seed);
     let vocab = build_vocab(
         corpus.iter().map(String::as_str),
@@ -70,7 +70,7 @@ fn fixture(seed: u64) -> Fixture {
         world,
         semtab,
         viznet,
-        searcher,
+        disk,
         tokenizer: Tokenizer::new(vocab),
     }
 }
@@ -177,7 +177,7 @@ fn baselines_conform_to_the_trait_and_run() {
 fn link_statistics_shape_matches_the_paper() {
     let f = fixture(205);
     let config = KgLinkConfig::fast_test();
-    let pre = Preprocessor::new(&f.world.graph, &f.searcher, config);
+    let pre = Preprocessor::new(&f.disk.graph, &f.disk.backend, config);
     let stats = |ds: &kglink::table::Dataset| {
         let processed: Vec<_> = ds.tables.iter().flat_map(|t| pre.process(t)).collect();
         LinkStatistics::compute(&processed)

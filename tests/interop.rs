@@ -8,19 +8,20 @@ use kglink::kg::io::{export_triples, import_triples};
 use kglink::kg::{SyntheticWorld, WorldConfig};
 use kglink::nn::Tokenizer;
 use kglink::search::EntitySearcher;
+use kglink::store::DiskWorld;
 use kglink::table::{table_from_csv, TableId};
 
 #[test]
 fn csv_file_can_be_annotated_end_to_end() {
     let world = SyntheticWorld::generate(&WorldConfig::tiny(301));
     let bench = semtab_like(&world, &SemTabConfig::tiny(301));
-    let searcher = EntitySearcher::build(&world.graph);
+    let disk = DiskWorld::from_graph(&world.graph).unwrap();
     let corpus = pretrain_corpus(&world, 301);
     let vocab = build_vocab(corpus.iter().map(String::as_str), &[&bench.dataset], 6000);
     let tokenizer = Tokenizer::new(vocab);
     let resources = Resources::builder()
-        .graph(&world.graph)
-        .backend(&searcher)
+        .graph(&disk.graph)
+        .backend(&disk.backend)
         .tokenizer(&tokenizer)
         .build()
         .unwrap();

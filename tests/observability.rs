@@ -8,9 +8,8 @@ use kglink::datagen::{pretrain_corpus, semtab_like, SemTabConfig};
 use kglink::kg::{SyntheticWorld, WorldConfig};
 use kglink::nn::Tokenizer;
 use kglink::obs::{Event, EventKind, Tracer};
-use kglink::search::{
-    EntitySearcher, FaultConfig, FaultyBackend, ResilienceConfig, ResilientBackend,
-};
+use kglink::search::{FaultConfig, FaultyBackend, ResilienceConfig, ResilientBackend};
+use kglink::store::DiskWorld;
 
 /// Everything about an event that must be identical across reruns —
 /// wall-clock fields (`t_us`, span `elapsed_us`) are excluded, counter
@@ -29,18 +28,17 @@ fn fingerprint(e: &Event) -> (String, String) {
 /// One traced annotation pass over `n_tables` tables through a full-outage
 /// backend. Fresh backend + tracer per call, so reruns are independent.
 fn traced_outage_run(
-    world: &SyntheticWorld,
-    searcher: &EntitySearcher,
+    disk: &DiskWorld,
     tokenizer: &Tokenizer,
     model: &KgLink,
     tables: &[&kglink::table::Table],
 ) -> (Tracer, usize) {
     let tracer = Tracer::enabled();
-    let dead = FaultyBackend::new(searcher, FaultConfig::with_fault_rate(517, 1.0));
+    let dead = FaultyBackend::new(&disk.backend, FaultConfig::with_fault_rate(517, 1.0));
     let resilient =
         ResilientBackend::new(&dead, ResilienceConfig::default()).with_tracer(&tracer);
     let resources = Resources::builder()
-        .graph(&world.graph)
+        .graph(&disk.graph)
         .backend(&resilient)
         .tokenizer(tokenizer)
         .tracer(&tracer)
@@ -59,14 +57,14 @@ fn traced_outage_run(
 fn fault_injected_run_produces_a_causally_ordered_deterministic_event_log() {
     let world = SyntheticWorld::generate(&WorldConfig::tiny(517));
     let bench = semtab_like(&world, &SemTabConfig::tiny(517));
-    let searcher = EntitySearcher::build(&world.graph);
+    let disk = DiskWorld::from_graph(&world.graph).unwrap();
     let corpus = pretrain_corpus(&world, 517);
     let vocab = build_vocab(corpus.iter().map(String::as_str), &[&bench.dataset], 6000);
     let tokenizer = Tokenizer::new(vocab);
     let (model, _) = {
         let resources = Resources::builder()
-            .graph(&world.graph)
-            .backend(&searcher)
+            .graph(&disk.graph)
+            .backend(&disk.backend)
             .tokenizer(&tokenizer)
             .build()
             .unwrap();
@@ -82,7 +80,7 @@ fn fault_injected_run_produces_a_causally_ordered_deterministic_event_log() {
     let tables: Vec<_> = bench.dataset.tables.iter().take(4).collect();
 
     let (tracer, degraded_total) =
-        traced_outage_run(&world, &searcher, &tokenizer, &model, &tables);
+        traced_outage_run(&disk, &tokenizer, &model, &tables);
     let events = tracer.events();
     assert!(!events.is_empty());
 
@@ -157,7 +155,7 @@ fn fault_injected_run_produces_a_causally_ordered_deterministic_event_log() {
 
     // And the whole log is deterministic: an identically-seeded rerun
     // replays the same events in the same causal order (timing aside).
-    let (tracer2, degraded2) = traced_outage_run(&world, &searcher, &tokenizer, &model, &tables);
+    let (tracer2, degraded2) = traced_outage_run(&disk, &tokenizer, &model, &tables);
     assert_eq!(degraded_total, degraded2);
     let fp1: Vec<_> = events.iter().map(fingerprint).collect();
     let fp2: Vec<_> = tracer2.events().iter().map(fingerprint).collect();

@@ -8,13 +8,13 @@ use kglink::core::{KgLinkConfig, Preprocessor};
 use kglink::datagen::{pretrain_corpus, semtab_like, SemTabConfig};
 use kglink::kg::{SyntheticWorld, TypeHierarchy, WorldConfig};
 use kglink::nn::Tokenizer;
-use kglink::search::EntitySearcher;
+use kglink::store::DiskWorld;
 use kglink::table::Split;
 
 struct Fix {
     world: SyntheticWorld,
     bench: kglink::datagen::GeneratedBenchmark,
-    searcher: EntitySearcher,
+    disk: DiskWorld,
     tokenizer: Tokenizer,
 }
 
@@ -32,13 +32,13 @@ fn fix(seed: u64) -> Fix {
             ..SemTabConfig::default()
         },
     );
-    let searcher = EntitySearcher::build(&world.graph);
+    let disk = DiskWorld::from_graph(&world.graph).unwrap();
     let corpus = pretrain_corpus(&world, seed);
     let vocab = build_vocab(corpus.iter().map(String::as_str), &[&bench.dataset], 8000);
     Fix {
         world,
         bench,
-        searcher,
+        disk,
         tokenizer: Tokenizer::new(vocab),
     }
 }
@@ -50,8 +50,8 @@ fn fix(seed: u64) -> Fix {
 fn kg_information_helps_on_semtab_like_data() {
     let f = fix(601);
     let resources = Resources::builder()
-        .graph(&f.world.graph)
-        .backend(&f.searcher)
+        .graph(&f.disk.graph)
+        .backend(&f.disk.backend)
         .tokenizer(&f.tokenizer)
         .build()
         .unwrap();
@@ -80,8 +80,8 @@ fn kg_information_helps_on_semtab_like_data() {
 #[test]
 fn candidate_types_span_the_granularity_hierarchy() {
     let f = fix(602);
-    let pre = Preprocessor::new(&f.world.graph, &f.searcher, KgLinkConfig::default());
-    let h = TypeHierarchy::new(&f.world.graph);
+    let pre = Preprocessor::new(&f.disk.graph, &f.disk.backend, KgLinkConfig::default());
+    let h = TypeHierarchy::new(&f.disk.graph);
     let person = f.world.types.person;
     // Find a table whose first column is an athlete subject column.
     let mut checked = false;
@@ -119,9 +119,9 @@ fn link_score_filter_keeps_better_linked_rows() {
     let mut ours_total = 0.0f32;
     let mut orig_total = 0.0f32;
     for table in f.bench.dataset.tables.iter().take(25) {
-        let linked = LinkedTable::link(table, &f.searcher, 10);
-        let ours = prune_and_filter(table, &linked, &f.world.graph, 3, RowFilter::LinkScore);
-        let orig = prune_and_filter(table, &linked, &f.world.graph, 3, RowFilter::Original);
+        let linked = LinkedTable::link(table, &f.disk.backend, 10);
+        let ours = prune_and_filter(table, &linked, &f.disk.graph, 3, RowFilter::LinkScore);
+        let orig = prune_and_filter(table, &linked, &f.disk.graph, 3, RowFilter::Original);
         ours_total += ours.row_scores.iter().sum::<f32>();
         orig_total += orig.row_scores.iter().sum::<f32>();
     }

@@ -174,10 +174,9 @@ proptest! {
             vec![rows.iter().map(|s| CellValue::parse(s)).collect()],
             vec![LabelId(0)],
         );
-        let graph = kglink::kg::KnowledgeGraph::new();
-        let searcher = kglink::search::EntitySearcher::build(&graph);
-        let linked = LinkedTable::link(&table, &searcher, 5);
-        let filtered = prune_and_filter(&table, &linked, &graph, k, RowFilter::LinkScore);
+        let world = kglink::store::DiskWorld::from_graph(&kglink::kg::KnowledgeGraph::new()).unwrap();
+        let linked = LinkedTable::link(&table, &world.backend, 5);
+        let filtered = prune_and_filter(&table, &linked, &world.graph, k, RowFilter::LinkScore);
         prop_assert!(filtered.table.n_rows() <= k.max(1));
         prop_assert!(filtered.table.n_rows() <= table.n_rows());
         prop_assert_eq!(filtered.row_order.len(), filtered.table.n_rows());

@@ -7,27 +7,26 @@ use kglink::core::{KgLinkConfig, KgLinkError, Preprocessor};
 use kglink::datagen::{pretrain_corpus, semtab_like, SemTabConfig};
 use kglink::kg::{KnowledgeGraph, SyntheticWorld, WorldConfig};
 use kglink::nn::Tokenizer;
-use kglink::search::{
-    EntitySearcher, FaultConfig, FaultyBackend, ResilienceConfig, ResilientBackend,
-};
+use kglink::search::{FaultConfig, FaultyBackend, ResilienceConfig, ResilientBackend};
+use kglink::store::DiskWorld;
 use kglink::table::{CellValue, LabelId, Table, TableId};
 
 fn trained_model() -> (
     SyntheticWorld,
-    EntitySearcher,
+    DiskWorld,
     Tokenizer,
     KgLink,
 ) {
     let world = SyntheticWorld::generate(&WorldConfig::tiny(401));
     let bench = semtab_like(&world, &SemTabConfig::tiny(401));
-    let searcher = EntitySearcher::build(&world.graph);
+    let disk = DiskWorld::from_graph(&world.graph).unwrap();
     let corpus = pretrain_corpus(&world, 401);
     let vocab = build_vocab(corpus.iter().map(String::as_str), &[&bench.dataset], 6000);
     let tokenizer = Tokenizer::new(vocab);
     let (model, _) = {
         let resources = Resources::builder()
-            .graph(&world.graph)
-            .backend(&searcher)
+            .graph(&disk.graph)
+            .backend(&disk.backend)
             .tokenizer(&tokenizer)
             .build()
             .unwrap();
@@ -40,15 +39,15 @@ fn trained_model() -> (
             },
         )
     };
-    (world, searcher, tokenizer, model)
+    (world, disk, tokenizer, model)
 }
 
 #[test]
 fn annotating_degenerate_tables_never_panics() {
-    let (world, searcher, tokenizer, model) = trained_model();
+    let (_, disk, tokenizer, model) = trained_model();
     let resources = Resources::builder()
-        .graph(&world.graph)
-        .backend(&searcher)
+        .graph(&disk.graph)
+        .backend(&disk.backend)
         .tokenizer(&tokenizer)
         .build()
         .unwrap();
@@ -119,13 +118,13 @@ fn empty_knowledge_graph_still_allows_training() {
     let world = SyntheticWorld::generate(&WorldConfig::tiny(402));
     let bench = semtab_like(&world, &SemTabConfig::tiny(402));
     let empty = KnowledgeGraph::new();
-    let searcher = EntitySearcher::build(&empty);
+    let disk = DiskWorld::from_graph(&empty).unwrap();
     let corpus = pretrain_corpus(&world, 402);
     let vocab = build_vocab(corpus.iter().map(String::as_str), &[&bench.dataset], 6000);
     let tokenizer = Tokenizer::new(vocab);
     let resources = Resources::builder()
-        .graph(&empty)
-        .backend(&searcher)
+        .graph(&disk.graph)
+        .backend(&disk.backend)
         .tokenizer(&tokenizer)
         .build()
         .unwrap();
@@ -151,8 +150,8 @@ fn preprocessing_with_empty_graph_yields_no_kg_information() {
     let world = SyntheticWorld::generate(&WorldConfig::tiny(403));
     let bench = semtab_like(&world, &SemTabConfig::tiny(403));
     let empty = KnowledgeGraph::new();
-    let searcher = EntitySearcher::build(&empty);
-    let pre = Preprocessor::new(&empty, &searcher, KgLinkConfig::fast_test());
+    let disk = DiskWorld::from_graph(&empty).unwrap();
+    let pre = Preprocessor::new(&disk.graph, &disk.backend, KgLinkConfig::fast_test());
     for table in bench.dataset.tables.iter().take(5) {
         for pt in pre.process(table) {
             for c in 0..pt.table.n_cols() {
@@ -169,7 +168,7 @@ fn outage_mid_annotate_degrades_and_stays_deterministic() {
     // The backend dies after the 5th retrieval call and never recovers.
     // Annotation must keep its arity for every table and produce the same
     // predictions on an identically-configured rerun.
-    let (world, searcher, tokenizer, model) = trained_model();
+    let (world, disk, tokenizer, model) = trained_model();
     let bench = semtab_like(&world, &SemTabConfig::tiny(401));
     let tables: Vec<&Table> = bench.dataset.tables.iter().take(6).collect();
     let annotate_all = |resources: &Resources<'_>| -> Vec<Vec<LabelId>> {
@@ -180,11 +179,11 @@ fn outage_mid_annotate_degrades_and_stays_deterministic() {
     };
     let run = || -> Vec<Vec<LabelId>> {
         let dying = FaultyBackend::new(
-            &searcher,
+            &disk.backend,
             FaultConfig::healthy(404).with_outage(5, u64::MAX),
         );
         let resources = Resources::builder()
-            .graph(&world.graph)
+            .graph(&disk.graph)
             .backend(&dying)
             .tokenizer(&tokenizer)
             .build()
@@ -207,15 +206,15 @@ fn flapping_backend_during_fit_completes_deterministically() {
     // of training; fit must complete and be bit-for-bit repeatable.
     let world = SyntheticWorld::generate(&WorldConfig::tiny(405));
     let bench = semtab_like(&world, &SemTabConfig::tiny(405));
-    let searcher = EntitySearcher::build(&world.graph);
+    let disk = DiskWorld::from_graph(&world.graph).unwrap();
     let corpus = pretrain_corpus(&world, 405);
     let vocab = build_vocab(corpus.iter().map(String::as_str), &[&bench.dataset], 6000);
     let tokenizer = Tokenizer::new(vocab);
     let run = || {
-        let flaky = FaultyBackend::new(&searcher, FaultConfig::with_fault_rate(405, 0.3));
+        let flaky = FaultyBackend::new(&disk.backend, FaultConfig::with_fault_rate(405, 0.3));
         let resilient = ResilientBackend::new(&flaky, ResilienceConfig::default());
         let resources = Resources::builder()
-            .graph(&world.graph)
+            .graph(&disk.graph)
             .backend(&resilient)
             .tokenizer(&tokenizer)
             .build()
@@ -240,11 +239,11 @@ fn full_outage_degrades_every_linkable_column_to_the_no_kg_shape() {
     // no feature vector, [MASK]-only label slot.
     let world = SyntheticWorld::generate(&WorldConfig::tiny(406));
     let bench = semtab_like(&world, &SemTabConfig::tiny(406));
-    let searcher = EntitySearcher::build(&world.graph);
-    let dead = FaultyBackend::new(&searcher, FaultConfig::with_fault_rate(406, 1.0));
+    let disk = DiskWorld::from_graph(&world.graph).unwrap();
+    let dead = FaultyBackend::new(&disk.backend, FaultConfig::with_fault_rate(406, 1.0));
     let config = KgLinkConfig::fast_test();
-    let pre_dead = Preprocessor::new(&world.graph, &dead, config.clone());
-    let pre_ok = Preprocessor::new(&world.graph, &searcher, config.clone());
+    let pre_dead = Preprocessor::new(&disk.graph, &dead, config.clone());
+    let pre_ok = Preprocessor::new(&disk.graph, &disk.backend, config.clone());
     let vocab = build_vocab(
         pretrain_corpus(&world, 406).iter().map(String::as_str),
         &[&bench.dataset],
@@ -283,16 +282,16 @@ fn full_outage_degrades_every_linkable_column_to_the_no_kg_shape() {
 
 #[test]
 fn zero_column_table_yields_typed_error_and_annotate_survives() {
-    let (world, searcher, tokenizer, model) = trained_model();
-    let pre = Preprocessor::new(&world.graph, &searcher, KgLinkConfig::fast_test());
+    let (_, disk, tokenizer, model) = trained_model();
+    let pre = Preprocessor::new(&disk.graph, &disk.backend, KgLinkConfig::fast_test());
     let empty = Table::new(TableId(90), vec![], vec![], vec![]);
     match pre.try_process(&empty) {
         Err(KgLinkError::DegenerateTable { table, .. }) => assert_eq!(table, TableId(90)),
         other => panic!("expected DegenerateTable, got {other:?}"),
     }
     let resources = Resources::builder()
-        .graph(&world.graph)
-        .backend(&searcher)
+        .graph(&disk.graph)
+        .backend(&disk.backend)
         .tokenizer(&tokenizer)
         .build()
         .unwrap();
@@ -301,11 +300,11 @@ fn zero_column_table_yields_typed_error_and_annotate_survives() {
 
 #[test]
 fn extreme_config_values_are_tolerated() {
-    let (world, searcher, tokenizer, _) = trained_model();
+    let (world, disk, tokenizer, _) = trained_model();
     let bench = semtab_like(&world, &SemTabConfig::tiny(401));
     let resources = Resources::builder()
-        .graph(&world.graph)
-        .backend(&searcher)
+        .graph(&disk.graph)
+        .backend(&disk.backend)
         .tokenizer(&tokenizer)
         .build()
         .unwrap();

@@ -10,23 +10,22 @@
 use kglink::core::pipeline::{build_vocab, req, KgLink, Resources};
 use kglink::core::{KgLinkConfig, Preprocessor};
 use kglink::datagen::{pretrain_corpus, semtab_like, SemTabConfig};
-use kglink::kg::{GraphAccess, KnowledgeGraph, SyntheticWorld, WorldConfig};
+use kglink::kg::{GraphAccess, SyntheticWorld, WorldConfig};
 use kglink::nn::Tokenizer;
-use kglink::search::{
-    CacheConfig, CachingBackend, Deadline, EntitySearcher, FaultConfig, FaultyBackend,
-};
+use kglink::search::{CacheConfig, CachingBackend, Deadline, FaultConfig, FaultyBackend};
 use kglink::serve::{
     AdmissionPolicy, AimdConfig, AnnotationService, BrownoutConfig, DegradationRung,
     OverloadConfig, RetrievalCounts, ServiceConfig, ServiceError, SharedBackend,
 };
+use kglink::store::{DiskBackend, DiskGraph, DiskWorld};
 use kglink::table::{LabelId, Table};
 use std::sync::{Arc, OnceLock};
 
 struct Fixture {
     model: Arc<KgLink>,
-    graph: Arc<KnowledgeGraph>,
+    graph: Arc<DiskGraph>,
     tokenizer: Arc<Tokenizer>,
-    searcher: Arc<EntitySearcher>,
+    searcher: Arc<DiskBackend>,
     tables: Vec<Table>,
 }
 
@@ -50,14 +49,14 @@ fn fixture() -> &'static Fixture {
     FIXTURE.get_or_init(|| {
         let world = SyntheticWorld::generate(&WorldConfig::tiny(411));
         let bench = semtab_like(&world, &SemTabConfig::tiny(411));
-        let searcher = EntitySearcher::build(&world.graph);
+        let disk = DiskWorld::from_graph(&world.graph).unwrap();
         let corpus = pretrain_corpus(&world, 411);
         let vocab = build_vocab(corpus.iter().map(String::as_str), &[&bench.dataset], 6000);
         let tokenizer = Tokenizer::new(vocab);
         let (model, _) = {
             let resources = Resources::builder()
-                .graph(&world.graph)
-                .backend(&searcher)
+                .graph(&disk.graph)
+                .backend(&disk.backend)
                 .tokenizer(&tokenizer)
                 .build()
                 .unwrap();
@@ -72,9 +71,9 @@ fn fixture() -> &'static Fixture {
         };
         Fixture {
             model: Arc::new(model),
-            graph: Arc::new(world.graph.clone()),
+            graph: disk.graph,
             tokenizer: Arc::new(tokenizer),
-            searcher: Arc::new(searcher),
+            searcher: disk.backend,
             tables: bench.dataset.tables.iter().take(8).cloned().collect(),
         }
     })
