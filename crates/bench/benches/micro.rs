@@ -78,13 +78,25 @@ fn bench_part1(c: &mut Criterion) {
         })
     });
     c.bench_function("part1_full_preprocess_table", |b| {
-        b.iter(|| black_box(preprocess_table(table, &f.world.graph, &f.world.backend, &f.config)))
+        b.iter(|| {
+            black_box(preprocess_table(
+                table,
+                &f.world.graph,
+                &f.world.backend,
+                &f.config,
+            ))
+        })
     });
 }
 
 fn bench_serialization(c: &mut Criterion) {
     let f = fixture();
-    let pt = preprocess_table(&f.bench.dataset.tables[0], &f.world.graph, &f.world.backend, &f.config);
+    let pt = preprocess_table(
+        &f.bench.dataset.tables[0],
+        &f.world.graph,
+        &f.world.backend,
+        &f.config,
+    );
     c.bench_function("serialize_table_masked", |b| {
         b.iter(|| {
             black_box(serialize_table(
@@ -105,13 +117,29 @@ fn bench_model(c: &mut Criterion) {
         .iter()
         .flat_map(|t| pre.process(t))
         .collect();
-    let prepared = prepare_tables(&processed, &f.tokenizer, &f.bench.dataset.labels, &f.config, true);
-    let model = KgLinkModel::new(&f.config, f.tokenizer.vocab.len(), f.bench.dataset.labels.len());
+    let prepared = prepare_tables(
+        &processed,
+        &f.tokenizer,
+        &f.bench.dataset.labels,
+        &f.config,
+        true,
+    );
+    let model = KgLinkModel::new(
+        &f.config,
+        f.tokenizer.vocab.len(),
+        f.bench.dataset.labels.len(),
+    );
     c.bench_function("encoder_forward_table", |b| {
         b.iter(|| black_box(model.encoder.infer(&prepared[0].masked.ids)))
     });
     c.bench_function("predict_table", |b| {
-        b.iter(|| black_box(kglink_core::train::predict_table(&model, &f.config, &prepared[0])))
+        b.iter(|| {
+            black_box(kglink_core::train::predict_table(
+                &model,
+                &f.config,
+                &prepared[0],
+            ))
+        })
     });
     c.bench_function("evaluate_4_tables", |b| {
         b.iter(|| black_box(evaluate(&model, &f.config, &prepared)))

@@ -170,12 +170,19 @@ struct HotForward {
 /// The hot table's forward, with `features` encoded after its chunks.
 fn hot_forward(enc: &Encoder, features: &[usize]) -> HotForward {
     let vocab = enc.config.vocab_size;
-    let segments: Vec<(usize, usize)> =
-        HOT_CHUNKS.iter().copied().chain(features.iter().map(|&len| (len, 1))).collect();
+    let segments: Vec<(usize, usize)> = HOT_CHUNKS
+        .iter()
+        .copied()
+        .chain(features.iter().map(|&len| (len, 1)))
+        .collect();
     let seqs = segments
         .iter()
         .enumerate()
-        .map(|(s, &(l, _))| (0..l).map(|i| ((i * 31 + s * 7 + 5) % vocab) as u32).collect())
+        .map(|(s, &(l, _))| {
+            (0..l)
+                .map(|i| ((i * 31 + s * 7 + 5) % vocab) as u32)
+                .collect()
+        })
         .collect();
     let needed = segments
         .iter()
@@ -287,7 +294,14 @@ fn forward_split(enc: &Encoder, min_ms: u64) -> ForwardSplit {
         busy[0] += forward(&warm);
         busy[1] += timed(|| {
             for &(m, k, n) in &dense {
-                gemm(Mat::new(&a, m, k), Mat::new(&w, k, n), Trans::No, Trans::No, &mut MatMut::new(&mut out, m, n), &mut scratch);
+                gemm(
+                    Mat::new(&a, m, k),
+                    Mat::new(&w, k, n),
+                    Trans::No,
+                    Trans::No,
+                    &mut MatMut::new(&mut out, m, n),
+                    &mut scratch,
+                );
             }
         });
         busy[2] += timed(|| {
@@ -402,7 +416,10 @@ fn main() {
             "chunk {i}: fast batched labels diverge from the scalar per-column path"
         );
     }
-    eprintln!("[bench] parity: scalar and fast paths agree on all {} chunks", prep.len());
+    eprintln!(
+        "[bench] parity: scalar and fast paths agree on all {} chunks",
+        prep.len()
+    );
 
     // --- 2. Annotate throughput, single thread ------------------------------
     let min_ms: u64 = if smoke { 300 } else { 2000 };
@@ -452,7 +469,10 @@ fn main() {
     )
     .expect("halted fit (hi)");
     let hi_s = t1.elapsed().as_secs_f64();
-    assert!(r_lo.halted && r_hi.halted, "steps/sec runs must halt at the step budget");
+    assert!(
+        r_lo.halted && r_hi.halted,
+        "steps/sec runs must halt at the step budget"
+    );
     let train_steps_per_s = (steps_hi - steps_lo) as f64 / (hi_s - lo_s).max(1e-6);
     eprintln!(
         "[bench] train: {steps_lo} steps in {lo_s:.2}s, {steps_hi} steps in {hi_s:.2}s \
@@ -487,9 +507,13 @@ fn main() {
     // Nominal flops/element: softmax 5 (max, sub, exp, sum, div),
     // layer-norm 7 (two reduction passes + normalize + affine),
     // bias-GELU 11 (add + tanh-GELU polynomial).
-    let gflops = |flops_per_elem: usize, s_per_call: f64| (flops_per_elem * m * n) as f64 / s_per_call / 1e9;
+    let gflops =
+        |flops_per_elem: usize, s_per_call: f64| (flops_per_elem * m * n) as f64 / s_per_call / 1e9;
     let softmax_gflops = gflops(5, time_fresh(micro_ms, &act, |x| softmax_rows(x, n)));
-    let layer_norm_gflops = gflops(7, time_fresh(micro_ms, &act, |x| layer_norm_rows(x, &gamma, &beta)));
+    let layer_norm_gflops = gflops(
+        7,
+        time_fresh(micro_ms, &act, |x| layer_norm_rows(x, &gamma, &beta)),
+    );
     let bias_gelu_gflops = gflops(11, time_fresh(micro_ms, &act, |x| bias_gelu_rows(x, &beta)));
     eprintln!(
         "[bench] kernels: gemm {gemm_gflops:.2} GFLOP/s, softmax {softmax_gflops:.2}, \
@@ -498,11 +522,16 @@ fn main() {
 
     // --- 5. Forward split of one hot benchmark table ------------------------
     let split = forward_split(&model.model.encoder, 2 * micro_ms);
-    let (forward_us, forward_cold_us, other_us) = (split.forward, split.forward_cold, split.other());
+    let (forward_us, forward_cold_us, other_us) =
+        (split.forward, split.forward_cold, split.other());
     eprintln!("[bench] hot-table forward: {split:.0?}, other {other_us:.0} µs");
 
     // --- Report + JSON -------------------------------------------------------
-    let floor = if smoke { SPEEDUP_FLOOR_SMOKE } else { SPEEDUP_FLOOR_FULL };
+    let floor = if smoke {
+        SPEEDUP_FLOOR_SMOKE
+    } else {
+        SPEEDUP_FLOOR_FULL
+    };
     print_markdown(
         &format!(
             "exp_bench — kernel layer compute ({}, {})",
@@ -511,16 +540,52 @@ fn main() {
         ),
         &["metric", "scalar", "fast"],
         &[
-            vec!["tables/s".into(), format!("{scalar_tables_per_s:.1}"), format!("{fast_tables_per_s:.1}")],
-            vec!["columns/s".into(), format!("{scalar_cols_per_s:.1}"), format!("{fast_cols_per_s:.1}")],
+            vec![
+                "tables/s".into(),
+                format!("{scalar_tables_per_s:.1}"),
+                format!("{fast_tables_per_s:.1}"),
+            ],
+            vec![
+                "columns/s".into(),
+                format!("{scalar_cols_per_s:.1}"),
+                format!("{fast_cols_per_s:.1}"),
+            ],
             vec!["speedup ×".into(), "1.00".into(), format!("{speedup:.2}")],
-            vec!["train steps/s".into(), "—".into(), format!("{train_steps_per_s:.2}")],
-            vec!["gemm GFLOP/s".into(), "—".into(), format!("{gemm_gflops:.2}")],
-            vec!["softmax GFLOP/s".into(), "—".into(), format!("{softmax_gflops:.2}")],
-            vec!["layer_norm GFLOP/s".into(), "—".into(), format!("{layer_norm_gflops:.2}")],
-            vec!["bias_gelu GFLOP/s".into(), "—".into(), format!("{bias_gelu_gflops:.2}")],
-            vec!["hot-table forward µs (memo warm)".into(), "—".into(), format!("{forward_us:.0}")],
-            vec!["hot-table forward µs (memo cold)".into(), "—".into(), format!("{forward_cold_us:.0}")],
+            vec![
+                "train steps/s".into(),
+                "—".into(),
+                format!("{train_steps_per_s:.2}"),
+            ],
+            vec![
+                "gemm GFLOP/s".into(),
+                "—".into(),
+                format!("{gemm_gflops:.2}"),
+            ],
+            vec![
+                "softmax GFLOP/s".into(),
+                "—".into(),
+                format!("{softmax_gflops:.2}"),
+            ],
+            vec![
+                "layer_norm GFLOP/s".into(),
+                "—".into(),
+                format!("{layer_norm_gflops:.2}"),
+            ],
+            vec![
+                "bias_gelu GFLOP/s".into(),
+                "—".into(),
+                format!("{bias_gelu_gflops:.2}"),
+            ],
+            vec![
+                "hot-table forward µs (memo warm)".into(),
+                "—".into(),
+                format!("{forward_us:.0}"),
+            ],
+            vec![
+                "hot-table forward µs (memo cold)".into(),
+                "—".into(),
+                format!("{forward_cold_us:.0}"),
+            ],
         ],
     );
 

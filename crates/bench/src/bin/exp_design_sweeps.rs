@@ -28,7 +28,12 @@ fn main() {
     }
     print_markdown(
         "Design sweep — candidate types per column (SemTab-like)",
-        &["max candidate types j", "Accuracy", "Weighted F1", "Fit (s)"],
+        &[
+            "max candidate types j",
+            "Accuracy",
+            "Weighted F1",
+            "Fit (s)",
+        ],
         &rows,
     );
 
@@ -47,7 +52,12 @@ fn main() {
     }
     print_markdown(
         "Design sweep — entities retrieved per mention (SemTab-like)",
-        &["max entities per mention", "Accuracy", "Weighted F1", "Fit (s)"],
+        &[
+            "max entities per mention",
+            "Accuracy",
+            "Weighted F1",
+            "Fit (s)",
+        ],
         &rows,
     );
 }

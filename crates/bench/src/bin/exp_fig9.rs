@@ -18,7 +18,10 @@ fn main() {
     for &p in &[0.2f64, 0.4, 0.6, 0.8, 1.0] {
         for (name, config) in [
             ("KGLink", env.kglink_config(which)),
-            ("KGLink w/o msk", env.kglink_config(which).without_mask_task()),
+            (
+                "KGLink w/o msk",
+                env.kglink_config(which).without_mask_task(),
+            ),
         ] {
             let mut dataset = env.bench(which).dataset.clone();
             dataset.subsample_train(p, env.seed ^ 0x90);

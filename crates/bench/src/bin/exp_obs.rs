@@ -109,7 +109,10 @@ fn main() {
         "└ nn.forward (in classify)".into(),
         forward.count().to_string(),
         format!("{:.2}", forward.sum() as f64 / 1000.0),
-        format!("{:.1}", 100.0 * forward.sum() as f64 / annotate.sum() as f64),
+        format!(
+            "{:.1}",
+            100.0 * forward.sum() as f64 / annotate.sum() as f64
+        ),
         forward.p50().to_string(),
         forward.p99().to_string(),
     ]);
@@ -260,7 +263,8 @@ fn main() {
 
     // Export the event log for offline inspection.
     std::fs::create_dir_all("results").expect("create results/");
-    let mut sink = JsonlSink::create("results/obs_trace.jsonl").expect("open results/obs_trace.jsonl");
+    let mut sink =
+        JsonlSink::create("results/obs_trace.jsonl").expect("open results/obs_trace.jsonl");
     let lines = sink.export(&tracer).expect("export event log");
     eprintln!("[obs] wrote {lines} events to results/obs_trace.jsonl");
 

@@ -103,14 +103,16 @@ fn run_sim(arrival_times: &[u64], horizon_us: u64, adaptive: bool) -> SimOut {
         goodput_per_s: 0.0,
     };
     let drain = |now: u64,
-                     free: &mut Vec<u64>,
-                     queue: &mut VecDeque<u64>,
-                     limit: &mut usize,
-                     aimd: &mut Option<AimdLimit>,
-                     brownout: &mut Option<BrownoutController>,
-                     out: &mut SimOut| {
+                 free: &mut Vec<u64>,
+                 queue: &mut VecDeque<u64>,
+                 limit: &mut usize,
+                 aimd: &mut Option<AimdLimit>,
+                 brownout: &mut Option<BrownoutController>,
+                 out: &mut SimOut| {
         loop {
-            let idx = (0..free.len()).min_by_key(|&i| free[i]).expect("workers > 0");
+            let idx = (0..free.len())
+                .min_by_key(|&i| free[i])
+                .expect("workers > 0");
             if queue.is_empty() || free[idx] > now {
                 break;
             }
@@ -145,7 +147,15 @@ fn run_sim(arrival_times: &[u64], horizon_us: u64, adaptive: bool) -> SimOut {
         }
     };
     for &t in arrival_times {
-        drain(t, &mut free, &mut queue, &mut limit, &mut aimd, &mut brownout, &mut out);
+        drain(
+            t,
+            &mut free,
+            &mut queue,
+            &mut limit,
+            &mut aimd,
+            &mut brownout,
+            &mut out,
+        );
         if queue.len() >= limit {
             out.shed += 1;
             continue;
@@ -162,7 +172,9 @@ fn run_sim(arrival_times: &[u64], horizon_us: u64, adaptive: bool) -> SimOut {
         &mut brownout,
         &mut out,
     );
-    out.final_rung = brownout.as_ref().map_or(DegradationRung::Full, |b| b.rung());
+    out.final_rung = brownout
+        .as_ref()
+        .map_or(DegradationRung::Full, |b| b.rung());
     out.goodput_per_s = out.ok as f64 / (horizon_us as f64 / 1e6);
     out
 }
@@ -200,7 +212,10 @@ fn main() {
             tracer.event_with(
                 "overload.sweep",
                 vec![
-                    ("mode", if adaptive { "adaptive" } else { "static" }.to_string()),
+                    (
+                        "mode",
+                        if adaptive { "adaptive" } else { "static" }.to_string(),
+                    ),
                     ("load_x", format!("{mult:.1}")),
                     ("arrivals", out.arrivals.to_string()),
                     ("admitted", out.admitted.to_string()),
@@ -221,7 +236,10 @@ fn main() {
                 format!("{:.0}", out.goodput_per_s),
                 out.latency.p50().to_string(),
                 out.latency.p99().to_string(),
-                format!("{}/{}/{}", out.rung_served[0], out.rung_served[1], out.rung_served[2]),
+                format!(
+                    "{}/{}/{}",
+                    out.rung_served[0], out.rung_served[1], out.rung_served[2]
+                ),
             ]);
             if adaptive {
                 adaptive_goodput.push(out.goodput_per_s);
@@ -386,13 +404,17 @@ fn main() {
         budgeted.retries,
         unbudgeted.retries
     );
-    assert!(budgeted.retry_budget_denied > 0, "the burst must exercise denial");
+    assert!(
+        budgeted.retry_budget_denied > 0,
+        "the burst must exercise denial"
+    );
 
     // -----------------------------------------------------------------
     // Export the sweep for offline inspection.
     // -----------------------------------------------------------------
     std::fs::create_dir_all("results").expect("create results/");
-    let mut sink = JsonlSink::create("results/overload.jsonl").expect("open results/overload.jsonl");
+    let mut sink =
+        JsonlSink::create("results/overload.jsonl").expect("open results/overload.jsonl");
     let lines = sink.export(&tracer).expect("export sweep events");
     eprintln!("[overload] wrote {lines} events to results/overload.jsonl");
 

@@ -48,8 +48,11 @@ fn main() {
             .iter()
             .filter_map(|(&l, r)| {
                 let base = nomask_report.get(&l)?;
-                (r.support >= min_support)
-                    .then_some((l, 100.0 * (r.recall - base.recall), r.support))
+                (r.support >= min_support).then_some((
+                    l,
+                    100.0 * (r.recall - base.recall),
+                    r.support,
+                ))
             })
             .collect();
         gains.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());

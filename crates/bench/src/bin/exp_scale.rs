@@ -157,10 +157,7 @@ fn check_typed_failure(dir: &Path) {
     let orig = std::fs::read(&path).expect("manifest bytes");
 
     std::fs::write(&path, &orig[..10]).unwrap();
-    assert!(matches!(
-        DiskWorld::open(dir),
-        Err(StoreError::Truncated)
-    ));
+    assert!(matches!(DiskWorld::open(dir), Err(StoreError::Truncated)));
 
     let mut bad = orig.clone();
     bad[0] = b'x';
@@ -186,13 +183,12 @@ fn check_typed_failure(dir: &Path) {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let seed: u64 = env_u64("KGLINK_SEED").unwrap_or(7);
-    let n_entities = env_u64("KGLINK_SCALE_ENTITIES")
-        .unwrap_or(if smoke { 150_000 } else { 10_000_000 });
+    let n_entities =
+        env_u64("KGLINK_SCALE_ENTITIES").unwrap_or(if smoke { 150_000 } else { 10_000_000 });
     // Measured VmHWM: ~22 MB smoke, ~215 MB full. The budget leaves slack
     // for allocator/platform variance but sits far below what an in-memory
     // 10M-entity world would need (several GB) — the assert is meaningful.
-    let budget_mb = env_u64("KGLINK_SCALE_BUDGET_MB")
-        .unwrap_or(if smoke { 600 } else { 2_000 });
+    let budget_mb = env_u64("KGLINK_SCALE_BUDGET_MB").unwrap_or(if smoke { 600 } else { 2_000 });
     let work = PathBuf::from("target/exp_scale");
     let _ = std::fs::create_dir_all(&work);
 
@@ -233,8 +229,7 @@ fn main() {
 
     // Part 4: read-path latency through bounded caches (32 MB each — the
     // point is the world does NOT fit; the cache must absorb the re-reads).
-    let disk = DiskWorld::open_with_caches(&big_dir, 32 << 20, 32 << 20)
-        .expect("open big world");
+    let disk = DiskWorld::open_with_caches(&big_dir, 32 << 20, 32 << 20).expect("open big world");
     let n_lookups: u64 = if smoke { 20_000 } else { 100_000 };
     let mut lookup_ns = Histogram::new();
     let t0 = Instant::now();
@@ -258,8 +253,7 @@ fn main() {
     }
     let query_wall = t0.elapsed().as_secs_f64();
     let gstats = disk.graph.cache_stats();
-    let graph_hit_rate =
-        gstats.hits as f64 / (gstats.hits + gstats.misses).max(1) as f64;
+    let graph_hit_rate = gstats.hits as f64 / (gstats.hits + gstats.misses).max(1) as f64;
     let bstats = disk.backend.stats();
     // A count, not a timing: it repeats exactly, and it is what stays flat
     // as the world grows (a label is decided inside its rarest list).
@@ -359,19 +353,13 @@ fn main() {
                 .map(|c| {
                     (0..6)
                         .map(|r| {
-                            let m = &bw.mentions
-                                [(t * 12 + c * 6 + r) % bw.mentions.len()];
+                            let m = &bw.mentions[(t * 12 + c * 6 + r) % bw.mentions.len()];
                             CellValue::Text(m.clone())
                         })
                         .collect()
                 })
                 .collect();
-            Table::new(
-                TableId(t as u32),
-                Vec::new(),
-                cols,
-                vec![LabelId(0); 2],
-            )
+            Table::new(TableId(t as u32), Vec::new(), cols, vec![LabelId(0); 2])
         })
         .collect();
     let tickets = service.submit_batch(tables.iter().cloned());
@@ -404,18 +392,39 @@ fn main() {
     );
 
     print_markdown(
-        &format!("exp_scale — {total} entities on disk ({})", if smoke { "smoke" } else { "full" }),
+        &format!(
+            "exp_scale — {total} entities on disk ({})",
+            if smoke { "smoke" } else { "full" }
+        ),
         &["metric", "value"],
         &[
             vec!["entities".into(), total.to_string()],
             vec!["build s".into(), format!("{build_s:.1}")],
             vec!["build entities/s".into(), format!("{build_rate:.0}")],
-            vec!["world MB on disk".into(), format!("{:.1}", world_bytes as f64 / 1e6)],
-            vec!["lookup p50 µs".into(), format!("{:.1}", lookup_ns.p50() as f64 / 1e3)],
-            vec!["lookup p99 µs".into(), format!("{:.1}", lookup_ns.p99() as f64 / 1e3)],
-            vec!["query p50 µs".into(), format!("{:.1}", query_ns.p50() as f64 / 1e3)],
-            vec!["query p99 µs".into(), format!("{:.1}", query_ns.p99() as f64 / 1e3)],
-            vec!["graph cache hit rate".into(), format!("{graph_hit_rate:.3}")],
+            vec![
+                "world MB on disk".into(),
+                format!("{:.1}", world_bytes as f64 / 1e6),
+            ],
+            vec![
+                "lookup p50 µs".into(),
+                format!("{:.1}", lookup_ns.p50() as f64 / 1e3),
+            ],
+            vec![
+                "lookup p99 µs".into(),
+                format!("{:.1}", lookup_ns.p99() as f64 / 1e3),
+            ],
+            vec![
+                "query p50 µs".into(),
+                format!("{:.1}", query_ns.p50() as f64 / 1e3),
+            ],
+            vec![
+                "query p99 µs".into(),
+                format!("{:.1}", query_ns.p99() as f64 / 1e3),
+            ],
+            vec![
+                "graph cache hit rate".into(),
+                format!("{graph_hit_rate:.3}"),
+            ],
             vec!["hop tier hit rate".into(), format!("{tier_hit_rate:.3}")],
             vec!["VmHWM MB".into(), hwm.to_string()],
         ],

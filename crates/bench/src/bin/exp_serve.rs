@@ -88,7 +88,11 @@ fn main() {
     let t0 = Instant::now();
     let baseline: Vec<Vec<LabelId>> = test_tables
         .iter()
-        .map(|t| model.annotate_request(&env.resources(), kglink_core::req(t)).labels)
+        .map(|t| {
+            model
+                .annotate_request(&env.resources(), kglink_core::req(t))
+                .labels
+        })
         .collect();
     let seq_wall_s = t0.elapsed().as_secs_f64();
     eprintln!(
@@ -219,7 +223,9 @@ fn main() {
                 .expect("grid cell present")
         };
         // Wall-clock scaling is only observable with real cores.
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let cores = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
         if cores >= 4 {
             let real_speedup = find(1, false).wall_s / find(4, false).wall_s;
             println!("real speedup 1→4 workers (cache off): {real_speedup:.2}x");

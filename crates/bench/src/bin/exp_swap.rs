@@ -39,8 +39,7 @@ use kglink_nn::layers::param::HasParams;
 use kglink_registry::{ModelRegistry, RegistryError};
 use kglink_search::Deadline;
 use kglink_serve::{
-    AdmissionPolicy, Annotation, ServiceConfig, SwapError,
-    SwapPhase, SwapPlan, SwapReport,
+    AdmissionPolicy, Annotation, ServiceConfig, SwapError, SwapPhase, SwapPlan, SwapReport,
 };
 use kglink_table::{LabelId, Split, Table};
 use std::collections::BTreeMap;
@@ -112,7 +111,10 @@ fn main() {
     .map(|(v, m)| {
         let labels = test_tables
             .iter()
-            .map(|t| m.annotate_request(&env.resources(), kglink_core::req(t)).labels)
+            .map(|t| {
+                m.annotate_request(&env.resources(), kglink_core::req(t))
+                    .labels
+            })
             .collect();
         (v, labels)
     })
@@ -275,7 +277,10 @@ fn main() {
             ..good_plan.clone()
         };
         match service.swap_model(CLIFF_VERSION, Arc::clone(&cliff), &strict_prepare) {
-            Err(SwapError::Rejected { phase: SwapPhase::Prepare, reason }) => {
+            Err(SwapError::Rejected {
+                phase: SwapPhase::Prepare,
+                reason,
+            }) => {
                 eprintln!("[swap] cliff rejected at prepare: {reason}");
             }
             other => panic!("cliff must be rejected at prepare, got {other:?}"),
@@ -287,12 +292,19 @@ fn main() {
             ..good_plan.clone()
         };
         match service.swap_model(CLIFF_VERSION, Arc::clone(&cliff), &strict_shadow) {
-            Err(SwapError::Rejected { phase: SwapPhase::Shadow, reason }) => {
+            Err(SwapError::Rejected {
+                phase: SwapPhase::Shadow,
+                reason,
+            }) => {
                 eprintln!("[swap] cliff rejected at shadow: {reason}");
             }
             other => panic!("cliff must be rejected at shadow, got {other:?}"),
         }
-        assert_eq!(service.model_version(), 2, "rejections never touch the epoch");
+        assert_eq!(
+            service.model_version(),
+            2,
+            "rejections never touch the epoch"
+        );
         // (c) with prepare and shadow both open, it is promoted — and the
         // watch-phase divergence guard rolls it back automatically.
         let strict_watch = SwapPlan {
@@ -305,7 +317,11 @@ fn main() {
             }
             other => panic!("cliff must be rolled back from watch, got {other:?}"),
         }
-        assert_eq!(service.model_version(), 2, "rollback reinstalls the prior epoch");
+        assert_eq!(
+            service.model_version(),
+            2,
+            "rollback reinstalls the prior epoch"
+        );
         let m = service.metrics();
         assert_eq!(m.rollbacks, 1);
 
@@ -337,7 +353,10 @@ fn main() {
         results.len() as u64 + 1,
         "every submitted request completed (the +1 is the liveness probe)"
     );
-    assert!(metrics.failed_cells == 0, "healthy backend never fails cells");
+    assert!(
+        metrics.failed_cells == 0,
+        "healthy backend never fails cells"
+    );
     assert!(metrics.worker_panics == 0, "no worker died during swaps");
     let mut served_by: BTreeMap<u64, u64> = BTreeMap::new();
     for (idx, annotation) in &results {
@@ -353,8 +372,14 @@ fn main() {
         assert!(!annotation.expired);
         *served_by.entry(v).or_insert(0) += 1;
     }
-    assert!(served_by.get(&1).copied().unwrap_or(0) > 0, "v1 served traffic");
-    assert!(served_by.get(&2).copied().unwrap_or(0) > 0, "v2 served traffic");
+    assert!(
+        served_by.get(&1).copied().unwrap_or(0) > 0,
+        "v1 served traffic"
+    );
+    assert!(
+        served_by.get(&2).copied().unwrap_or(0) > 0,
+        "v2 served traffic"
+    );
     let stats = service.version_stats();
     for (&v, &n) in &served_by {
         let st = &stats[&v];

@@ -13,7 +13,9 @@
 //! KGLink     87.12 / 85.78      96.28 / 96.07
 //! ```
 
-use kglink_bench::{baseline_registry, print_markdown, run_baseline, run_kglink, ExpEnv, RunResult, Which};
+use kglink_bench::{
+    baseline_registry, print_markdown, run_baseline, run_kglink, ExpEnv, RunResult, Which,
+};
 
 fn main() {
     let env = ExpEnv::load();
@@ -56,14 +58,28 @@ fn main() {
         rows.push(vec![
             name.clone(),
             fmt(&slots[0], false),
-            if is_mtab { "-".into() } else { fmt(&slots[0], true) },
+            if is_mtab {
+                "-".into()
+            } else {
+                fmt(&slots[0], true)
+            },
             fmt(&slots[1], false),
-            if is_mtab { "-".into() } else { fmt(&slots[1], true) },
+            if is_mtab {
+                "-".into()
+            } else {
+                fmt(&slots[1], true)
+            },
         ]);
     }
     print_markdown(
         "Table I — main results (measured)",
-        &["Model", "SemTab Acc", "SemTab wF1", "VizNet Acc", "VizNet wF1"],
+        &[
+            "Model",
+            "SemTab Acc",
+            "SemTab wF1",
+            "VizNet Acc",
+            "VizNet wF1",
+        ],
         &rows,
     );
 }

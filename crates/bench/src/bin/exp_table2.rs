@@ -18,9 +18,18 @@ type ConfigTweak = Box<dyn Fn(kglink_core::KgLinkConfig) -> kglink_core::KgLinkC
 fn main() {
     let env = ExpEnv::load();
     let variants: Vec<(&str, ConfigTweak)> = vec![
-        ("KGLink w/o msk", Box::new(|c: kglink_core::KgLinkConfig| c.without_mask_task())),
-        ("KGLink w/o ct", Box::new(|c: kglink_core::KgLinkConfig| c.without_kg())),
-        ("KGLink w/o fv", Box::new(|c: kglink_core::KgLinkConfig| c.without_feature_vector())),
+        (
+            "KGLink w/o msk",
+            Box::new(|c: kglink_core::KgLinkConfig| c.without_mask_task()),
+        ),
+        (
+            "KGLink w/o ct",
+            Box::new(|c: kglink_core::KgLinkConfig| c.without_kg()),
+        ),
+        (
+            "KGLink w/o fv",
+            Box::new(|c: kglink_core::KgLinkConfig| c.without_feature_vector()),
+        ),
         (
             "KGLink large-PLM",
             Box::new(|mut c: kglink_core::KgLinkConfig| {
@@ -43,7 +52,13 @@ fn main() {
     }
     print_markdown(
         "Table II — ablation study (measured)",
-        &["Variant", "SemTab Acc", "SemTab wF1", "VizNet Acc", "VizNet wF1"],
+        &[
+            "Variant",
+            "SemTab Acc",
+            "SemTab wF1",
+            "VizNet Acc",
+            "VizNet wF1",
+        ],
         &rows,
     );
     println!(

@@ -18,11 +18,7 @@ fn main() {
     let mut stats = Vec::new();
     for which in [Which::SemTab, Which::VizNet] {
         let dataset = &env.bench(which).dataset;
-        let pre = Preprocessor::new(
-            resources.graph,
-            resources.backend,
-            env.kglink_config(which),
-        );
+        let pre = Preprocessor::new(resources.graph, resources.backend, env.kglink_config(which));
         let processed: Vec<_> = dataset.tables.iter().flat_map(|t| pre.process(t)).collect();
         let s = LinkStatistics::compute(&processed);
         eprintln!("[{}]\n{}", which.name(), s);

@@ -12,12 +12,12 @@
 //! Sudowoodo  96.21         67.72
 //! ```
 
-use kglink_bench::{baseline_registry, no_linkage_test_subset, print_markdown, run_kglink, ExpEnv, Which};
+use kglink_bench::{
+    baseline_registry, no_linkage_test_subset, print_markdown, run_kglink, ExpEnv, Which,
+};
 use kglink_table::LabelId;
 
-fn subset_accuracy(
-    preds_truths: &[(Vec<LabelId>, Vec<LabelId>, Vec<bool>)],
-) -> (f64, f64) {
+fn subset_accuracy(preds_truths: &[(Vec<LabelId>, Vec<LabelId>, Vec<bool>)]) -> (f64, f64) {
     let mut num_ok = 0usize;
     let mut num_n = 0usize;
     let mut txt_ok = 0usize;
@@ -75,13 +75,19 @@ fn main() {
             .iter()
             .map(|&i| {
                 let t = &dataset.tables[i];
-                let preds = model.annotate_request(&resources, kglink_core::req(t)).labels;
+                let preds = model
+                    .annotate_request(&resources, kglink_core::req(t))
+                    .labels;
                 let numeric: Vec<bool> = (0..t.n_cols()).map(|c| t.is_numeric_column(c)).collect();
                 (preds, t.labels.clone(), numeric)
             })
             .collect();
         let (num, txt) = subset_accuracy(&data);
-        rows.push(vec!["KGLink".to_string(), format!("{num:.2}"), format!("{txt:.2}")]);
+        rows.push(vec![
+            "KGLink".to_string(),
+            format!("{num:.2}"),
+            format!("{txt:.2}"),
+        ]);
     }
     for mut model in baseline_registry(&env, which) {
         if model.name() == "MTab" {
@@ -98,8 +104,15 @@ fn main() {
             })
             .collect();
         let (num, txt) = subset_accuracy(&data);
-        eprintln!("[run] {:<10} numeric {num:.2}  non-numeric {txt:.2}", model.name());
-        rows.push(vec![model.name().to_string(), format!("{num:.2}"), format!("{txt:.2}")]);
+        eprintln!(
+            "[run] {:<10} numeric {num:.2}  non-numeric {txt:.2}",
+            model.name()
+        );
+        rows.push(vec![
+            model.name().to_string(),
+            format!("{num:.2}"),
+            format!("{txt:.2}"),
+        ]);
     }
     print_markdown(
         "Table IV — accuracy on zero-KG-linkage test columns (measured, VizNet-like)",

@@ -32,7 +32,13 @@ fn main() {
     }
     print_markdown(
         "Table V — row filter comparison (measured, k = 8)",
-        &["Filter mechanism", "SemTab Acc", "SemTab wF1", "VizNet Acc", "VizNet wF1"],
+        &[
+            "Filter mechanism",
+            "SemTab Acc",
+            "SemTab wF1",
+            "VizNet Acc",
+            "VizNet wF1",
+        ],
         &rows,
     );
 }

@@ -25,7 +25,9 @@ use kglink_baselines::tabert::TaBert;
 use kglink_baselines::{BenchEnv, CtaModel};
 use kglink_core::pipeline::{build_vocab, KgLink, Resources};
 use kglink_core::{KgLinkConfig, TrainReport};
-use kglink_datagen::{pretrain_corpus, semtab_like, viznet_like, GeneratedBenchmark, SemTabConfig, VizNetConfig};
+use kglink_datagen::{
+    pretrain_corpus, semtab_like, viznet_like, GeneratedBenchmark, SemTabConfig, VizNetConfig,
+};
 use kglink_kg::{GraphAccess, SyntheticWorld, WorldConfig};
 use kglink_nn::frame;
 use kglink_nn::serialize::save_params;
@@ -70,7 +72,9 @@ pub struct ExpEnv {
 }
 
 fn env_flag(name: &str) -> bool {
-    std::env::var(name).map(|v| v == "1" || v == "true").unwrap_or(false)
+    std::env::var(name)
+        .map(|v| v == "1" || v == "true")
+        .unwrap_or(false)
 }
 
 impl ExpEnv {
@@ -113,8 +117,12 @@ impl ExpEnv {
             viznet.dataset.n_columns(),
             viznet.dataset.labels.len(),
         );
-        eprintln!("[setup] writing the disk world of {} entities…", world.graph.len());
-        let disk = DiskWorld::from_graph(&world.graph).expect("the experiment world writes to the temp dir");
+        eprintln!(
+            "[setup] writing the disk world of {} entities…",
+            world.graph.len()
+        );
+        let disk = DiskWorld::from_graph(&world.graph)
+            .expect("the experiment world writes to the temp dir");
         let corpus = pretrain_corpus(&world, seed ^ 0x53);
         // The cap matters: rare entity tokens fall out of the vocabulary and
         // surface as [UNK], so models must generalize from context and KG
@@ -144,7 +152,12 @@ impl ExpEnv {
     /// [`frame`] (magic `KGPT`) around its `KGLW` weights: the cache is
     /// published atomically, and a torn or foreign file is trained again
     /// instead of being handed to `fit` (which loads it best-effort).
-    fn pretrain_encoder(tokenizer: &Tokenizer, corpus: &[String], seed: u64, fast: bool) -> Vec<u8> {
+    fn pretrain_encoder(
+        tokenizer: &Tokenizer,
+        corpus: &[String],
+        seed: u64,
+        fast: bool,
+    ) -> Vec<u8> {
         const CACHE_MAGIC: &[u8; 4] = b"KGPT";
         let cache = std::path::Path::new("target/kglink-cache").join(format!(
             "pretrained_v{}_{}_{}_{}.bin",
@@ -156,10 +169,15 @@ impl ExpEnv {
         if let Ok(file) = std::fs::read(&cache) {
             match frame::decode(&file, CACHE_MAGIC, 1) {
                 Ok(blob) => {
-                    eprintln!("[setup] loaded cached pre-trained encoder ({} bytes)", blob.len());
+                    eprintln!(
+                        "[setup] loaded cached pre-trained encoder ({} bytes)",
+                        blob.len()
+                    );
                     return blob.to_vec();
                 }
-                Err(e) => eprintln!("[setup] cached pre-trained encoder unusable ({e}), retraining"),
+                Err(e) => {
+                    eprintln!("[setup] cached pre-trained encoder unusable ({e}), retraining")
+                }
             }
         }
         eprintln!("[setup] MLM pre-training on {} sentences…", corpus.len());
@@ -256,7 +274,12 @@ impl ExpEnv {
 
     /// Fit KGLink on `which` over `resources` with [`smoke_config`](Self::smoke_config).
     pub fn fit_smoke(&self, resources: &Resources<'_>, which: Which, smoke: bool) -> KgLink {
-        KgLink::fit(resources, &self.bench(which).dataset, self.smoke_config(which, smoke)).0
+        KgLink::fit(
+            resources,
+            &self.bench(which).dataset,
+            self.smoke_config(which, smoke),
+        )
+        .0
     }
 
     /// The disk backend as a service backend (the same instance the
@@ -267,7 +290,12 @@ impl ExpEnv {
 
     /// An [`AnnotationService`] over the shared graph and tokenizer; callers
     /// spell out only the [`ServiceConfig`] fields their experiment varies.
-    pub fn service(&self, model: Arc<KgLink>, backend: SharedBackend, config: ServiceConfig) -> AnnotationService {
+    pub fn service(
+        &self,
+        model: Arc<KgLink>,
+        backend: SharedBackend,
+        config: ServiceConfig,
+    ) -> AnnotationService {
         let graph = Arc::clone(&self.graph) as Arc<dyn GraphAccess>;
         AnnotationService::new(model, graph, backend, Arc::clone(&self.tokenizer), config)
     }
@@ -323,7 +351,12 @@ pub fn run_baseline(env: &ExpEnv, model: &mut dyn CtaModel, which: Which) -> Run
 }
 
 /// Train and evaluate KGLink (or an ablation of it) on one dataset.
-pub fn run_kglink(env: &ExpEnv, which: Which, config: KgLinkConfig, name: &str) -> (RunResult, TrainReport, KgLink) {
+pub fn run_kglink(
+    env: &ExpEnv,
+    which: Which,
+    config: KgLinkConfig,
+    name: &str,
+) -> (RunResult, TrainReport, KgLink) {
     let resources = env.resources();
     run_kglink_on(env, &resources, which, config, name)
 }
@@ -384,7 +417,10 @@ pub fn baseline_registry(env: &ExpEnv, which: Which) -> Vec<Box<dyn CtaModel>> {
 pub fn print_markdown(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n### {title}\n");
     println!("| {} |", headers.join(" | "));
-    println!("|{}|", headers.iter().map(|_| "---").collect::<Vec<_>>().join("|"));
+    println!(
+        "|{}|",
+        headers.iter().map(|_| "---").collect::<Vec<_>>().join("|")
+    );
     for row in rows {
         println!("| {} |", row.join(" | "));
     }
@@ -406,7 +442,11 @@ pub fn no_linkage_test_subset(env: &ExpEnv, dataset: &Dataset) -> Vec<usize> {
         .filter(|&i| {
             let t = &dataset.tables[i];
             let linked = kglink_core::linking::LinkedTable::link(t, &env.searcher, 3);
-            linked.cells.iter().flatten().all(|c| c.candidates.is_empty())
+            linked
+                .cells
+                .iter()
+                .flatten()
+                .all(|c| c.candidates.is_empty())
         })
         .collect()
 }
@@ -417,11 +457,7 @@ mod tests {
 
     #[test]
     fn markdown_table_prints() {
-        print_markdown(
-            "Demo",
-            &["a", "b"],
-            &[vec!["1".into(), "2".into()]],
-        );
+        print_markdown("Demo", &["a", "b"], &[vec!["1".into(), "2".into()]]);
         assert_eq!(pct(12.345), "12.35");
     }
 

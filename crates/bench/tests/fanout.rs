@@ -13,7 +13,9 @@
 use kglink_core::pipeline::{build_vocab, req, KgLink, Resources};
 use kglink_core::KgLinkConfig;
 use kglink_datagen::{pretrain_corpus, semtab_like, SemTabConfig};
-use kglink_kg::{Entity, EntityId, GraphAccess, NeSchema, PredicateId, SyntheticWorld, WorldConfig};
+use kglink_kg::{
+    Entity, EntityId, GraphAccess, NeSchema, PredicateId, SyntheticWorld, WorldConfig,
+};
 use kglink_nn::Tokenizer;
 use kglink_search::{Deadline, KgBackend, RetrievalError, SearchOutcome};
 use kglink_serve::{AnnotationService, ServiceConfig, ServiceError, SharedBackend};
