@@ -45,9 +45,15 @@ fn main() {
     };
     let variants: Vec<(&str, KgLinkConfig)> = vec![
         ("KGLink (full)", base.clone()),
-        ("w/o msk  (no representation-generation task)", base.clone().without_mask_task()),
+        (
+            "w/o msk  (no representation-generation task)",
+            base.clone().without_mask_task(),
+        ),
         ("w/o ct   (no KG info at all)", base.clone().without_kg()),
-        ("w/o fv   (no feature vector)", base.clone().without_feature_vector()),
+        (
+            "w/o fv   (no feature vector)",
+            base.clone().without_feature_vector(),
+        ),
     ];
 
     println!("{:<48} {:>10} {:>12}", "variant", "accuracy", "weighted F1");

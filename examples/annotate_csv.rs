@@ -105,10 +105,7 @@ fn main() {
                 .get(col)
                 .map(String::as_str)
                 .unwrap_or("<no header>");
-            println!(
-                "  column {col} ({header}): type = {:?}",
-                predictions[col]
-            );
+            println!("  column {col} ({header}): type = {:?}", predictions[col]);
             if let Some(stats) = pt.numeric_stats[c] {
                 println!(
                     "      numeric column: mean {:.1}, variance {:.1}, median {:.1}",

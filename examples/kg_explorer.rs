@@ -29,7 +29,11 @@ fn main() {
     let mention = g.label(some_athlete).to_string();
     println!("BM25 candidates for mention {mention:?}:");
     for (e, score) in disk.backend.link_mention(&mention, 5) {
-        println!("  {e} {:?} ({}) score {score:.2}", g.label(e), g.entity(e).description);
+        println!(
+            "  {e} {:?} ({}) score {score:.2}",
+            g.label(e),
+            g.entity(e).description
+        );
     }
 
     // --- 2. One-hop neighborhood (the feature sequence source) ----------
@@ -82,7 +86,10 @@ fn main() {
         g.label(fine),
         h.depth(fine),
         g.label(coarse),
-        h.ancestors(fine).iter().map(|&t| g.label(t)).collect::<Vec<_>>()
+        h.ancestors(fine)
+            .iter()
+            .map(|&t| g.label(t))
+            .collect::<Vec<_>>()
     );
     println!(
         "Granularity gap between {:?} and {:?}: {:?} — and between {:?} and an unrelated type {:?}: {:?} (the paper's Figure 2a case)",

@@ -74,7 +74,11 @@ fn main() {
         summary.support
     );
 
-    let table = bench.dataset.tables_in(Split::Test).next().expect("test table");
+    let table = bench
+        .dataset
+        .tables_in(Split::Test)
+        .next()
+        .expect("test table");
     let names = kglink
         .annotate_request(&resources, req(table))
         .names(&kglink.labels);

@@ -70,7 +70,9 @@ fn main() {
         vec![],
         vec![
             rows.iter().map(|&&a| CellValue::Text(name_of(a))).collect(),
-            rows.iter().map(|&&a| CellValue::parse(&team_of(a))).collect(),
+            rows.iter()
+                .map(|&&a| CellValue::parse(&team_of(a)))
+                .collect(),
             rows.iter()
                 .enumerate()
                 .map(|(i, _)| CellValue::Text(["PF", "PG", "SG", "C", "SF", "PF"][i].to_string()))

@@ -6,7 +6,6 @@
 use kglink::core::pipeline::{build_vocab, KgLink, Resources};
 use kglink::core::{FitOptions, GuardPolicy, KgLinkConfig};
 use kglink::datagen::{pretrain_corpus, semtab_like, SemTabConfig};
-use kglink::table::{Dataset, Split};
 use kglink::kg::{SyntheticWorld, WorldConfig};
 use kglink::nn::checkpoint::save_train_state;
 use kglink::nn::layers::param::HasParams;
@@ -18,6 +17,7 @@ use kglink::serve::{
 };
 use kglink::store::{DiskBackend, DiskGraph, DiskWorld};
 use kglink::table::Table;
+use kglink::table::{Dataset, Split};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
@@ -123,7 +123,10 @@ fn kill_and_resume_is_bit_identical_at_every_sampled_step() {
         .count()
         .div_ceil(config.batch_size) as u64;
     let final_step = steps_per_epoch * base_report.epoch_loss.len() as u64;
-    assert!(final_step > 6, "the fixture must run past the sampled steps");
+    assert!(
+        final_step > 6,
+        "the fixture must run past the sampled steps"
+    );
     for kill_step in [2, 4, 6, final_step] {
         let path = temp_ckpt(&format!("resume-{kill_step}"));
         let halted_opts = FitOptions::new()
@@ -181,7 +184,9 @@ fn scalar_path_checkpoint_resumes_bit_identically_on_kernel_path() {
         &res,
         &fx.dataset,
         config.clone(),
-        &FitOptions::new().checkpoint_every(&path, 2).halt_after_step(4),
+        &FitOptions::new()
+            .checkpoint_every(&path, 2)
+            .halt_after_step(4),
     );
     kglink::nn::kernels::set_reference_mode(false);
     let (_, halted_report) = halted.unwrap();
@@ -193,7 +198,9 @@ fn scalar_path_checkpoint_resumes_bit_identically_on_kernel_path() {
         &res,
         &fx.dataset,
         config,
-        &FitOptions::new().checkpoint_every(&path, 2).resume_from(&path),
+        &FitOptions::new()
+            .checkpoint_every(&path, 2)
+            .resume_from(&path),
     )
     .unwrap();
     assert!(!resume_report.halted);
@@ -297,7 +304,10 @@ fn rollback_guard_restores_last_checkpoint_after_consecutive_bad_steps() {
         .inject_nonfinite_at(&[3, 4, 5]);
     let (mut model, report) = KgLink::fit_with(&res, &fx.dataset, train_config(), &opts).unwrap();
     assert_eq!(report.nonfinite_steps, 3);
-    assert!(report.rollbacks >= 1, "three consecutive bad steps with K=2");
+    assert!(
+        report.rollbacks >= 1,
+        "three consecutive bad steps with K=2"
+    );
     assert_eq!(tracer.counter("train.rollback"), report.rollbacks);
     assert!(
         state_is_nan_free(&mut model),
@@ -378,7 +388,10 @@ fn panicking_backend_leaves_zero_hung_tickets_and_bounded_restarts() {
             Err(other) => panic!("unexpected error: {other}"),
         }
     }
-    assert!(panicked > 0, "a panic every 5 retrievals must hit some request");
+    assert!(
+        panicked > 0,
+        "a panic every 5 retrievals must hit some request"
+    );
     assert_eq!(ok + panicked, fx.tables.len() as u64);
     // The pool survived: a fresh request still completes (or at worst
     // panics typed — but never hangs or reports a dead pool).
@@ -424,13 +437,10 @@ fn restart_budget_exhaustion_fails_queued_and_future_requests_typed() {
         outcomes.push(ticket.expect("queue has room").wait());
     }
     assert!(
-        outcomes
-            .iter()
-            .all(|o| matches!(
-                o,
-                Err(ServiceError::WorkerPanicked)
-                    | Err(ServiceError::RestartBudgetExhausted { .. })
-            )),
+        outcomes.iter().all(|o| matches!(
+            o,
+            Err(ServiceError::WorkerPanicked) | Err(ServiceError::RestartBudgetExhausted { .. })
+        )),
         "all tickets must fail typed, got {outcomes:?}"
     );
     assert!(

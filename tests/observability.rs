@@ -35,8 +35,7 @@ fn traced_outage_run(
 ) -> (Tracer, usize) {
     let tracer = Tracer::enabled();
     let dead = FaultyBackend::new(&disk.backend, FaultConfig::with_fault_rate(517, 1.0));
-    let resilient =
-        ResilientBackend::new(&dead, ResilienceConfig::default()).with_tracer(&tracer);
+    let resilient = ResilientBackend::new(&dead, ResilienceConfig::default()).with_tracer(&tracer);
     let resources = Resources::builder()
         .graph(&disk.graph)
         .backend(&resilient)
@@ -79,8 +78,7 @@ fn fault_injected_run_produces_a_causally_ordered_deterministic_event_log() {
     };
     let tables: Vec<_> = bench.dataset.tables.iter().take(4).collect();
 
-    let (tracer, degraded_total) =
-        traced_outage_run(&disk, &tokenizer, &model, &tables);
+    let (tracer, degraded_total) = traced_outage_run(&disk, &tokenizer, &model, &tables);
     let events = tracer.events();
     assert!(!events.is_empty());
 
@@ -130,7 +128,10 @@ fn fault_injected_run_produces_a_causally_ordered_deterministic_event_log() {
         first_transition < first_reject,
         "rejections only happen after the breaker opened"
     );
-    let trip = events.iter().find(|e| e.name == "breaker.transition").unwrap();
+    let trip = events
+        .iter()
+        .find(|e| e.name == "breaker.transition")
+        .unwrap();
     assert!(
         trip.fields.contains(&("from", "closed".to_string()))
             && trip.fields.contains(&("to", "open".to_string())),
@@ -148,7 +149,14 @@ fn fault_injected_run_produces_a_causally_ordered_deterministic_event_log() {
 
     // Every pipeline stage timed something, under one root span per table.
     let stages = tracer.stages();
-    for stage in ["annotate", "retrieval", "filter", "feature", "encode", "classify"] {
+    for stage in [
+        "annotate",
+        "retrieval",
+        "filter",
+        "feature",
+        "encode",
+        "classify",
+    ] {
         assert!(stages.contains_key(stage), "stage `{stage}` missing");
     }
     assert_eq!(stages["annotate"].count(), tables.len() as u64);

@@ -105,7 +105,10 @@ fn candidate_types_span_the_granularity_hierarchy() {
             break;
         }
     }
-    assert!(checked, "no athlete column produced person-hierarchy candidate types");
+    assert!(
+        checked,
+        "no athlete column produced person-hierarchy candidate types"
+    );
 }
 
 /// Paper Table V's claim in miniature: with a small row budget, the

@@ -11,12 +11,7 @@ use kglink::search::{FaultConfig, FaultyBackend, ResilienceConfig, ResilientBack
 use kglink::store::DiskWorld;
 use kglink::table::{CellValue, LabelId, Table, TableId};
 
-fn trained_model() -> (
-    SyntheticWorld,
-    DiskWorld,
-    Tokenizer,
-    KgLink,
-) {
+fn trained_model() -> (SyntheticWorld, DiskWorld, Tokenizer, KgLink) {
     let world = SyntheticWorld::generate(&WorldConfig::tiny(401));
     let bench = semtab_like(&world, &SemTabConfig::tiny(401));
     let disk = DiskWorld::from_graph(&world.graph).unwrap();
@@ -268,16 +263,29 @@ fn full_outage_degrades_every_linkable_column_to_the_no_kg_shape() {
             }
             // With zero KG information the ablation flags are inert: the
             // serialized token stream matches the w/o-KG ablation exactly.
-            let with_flags =
-                serialize_table(pt_dead, &tokenizer, &bench.dataset.labels, &config, SlotFill::Mask);
-            let without_kg =
-                serialize_table(pt_dead, &tokenizer, &bench.dataset.labels, &no_kg, SlotFill::Mask);
+            let with_flags = serialize_table(
+                pt_dead,
+                &tokenizer,
+                &bench.dataset.labels,
+                &config,
+                SlotFill::Mask,
+            );
+            let without_kg = serialize_table(
+                pt_dead,
+                &tokenizer,
+                &bench.dataset.labels,
+                &no_kg,
+                SlotFill::Mask,
+            );
             assert_eq!(with_flags.ids, without_kg.ids);
             assert_eq!(with_flags.cls, without_kg.cls);
             assert_eq!(with_flags.slot, without_kg.slot);
         }
     }
-    assert!(degraded_total > 0, "SemTab-like tables have linkable columns");
+    assert!(
+        degraded_total > 0,
+        "SemTab-like tables have linkable columns"
+    );
 }
 
 #[test]
@@ -295,7 +303,10 @@ fn zero_column_table_yields_typed_error_and_annotate_survives() {
         .tokenizer(&tokenizer)
         .build()
         .unwrap();
-    assert!(model.annotate_request(&resources, req(&empty)).labels.is_empty());
+    assert!(model
+        .annotate_request(&resources, req(&empty))
+        .labels
+        .is_empty());
 }
 
 #[test]
@@ -321,5 +332,8 @@ fn extreme_config_values_are_tolerated() {
     };
     let (model, _) = KgLink::fit(&resources, &bench.dataset, config);
     let t = &bench.dataset.tables[0];
-    assert_eq!(model.annotate_request(&resources, req(t)).labels.len(), t.n_cols());
+    assert_eq!(
+        model.annotate_request(&resources, req(t)).labels.len(),
+        t.n_cols()
+    );
 }

@@ -174,7 +174,9 @@ fn shed_oldest_fails_the_oldest_ticket() {
         },
     );
     let oldest = svc.submit(fx.tables[0].clone()).expect("admitted");
-    let newest = svc.submit(fx.tables[1].clone()).expect("admitted by shedding");
+    let newest = svc
+        .submit(fx.tables[1].clone())
+        .expect("admitted by shedding");
     assert_eq!(
         oldest.wait(),
         Err(ServiceError::Shed),
@@ -206,8 +208,12 @@ fn shed_tickets_resolve_promptly_and_are_published_in_metrics() {
     );
     let first = svc.submit(fx.tables[0].clone()).expect("admitted");
     let second = svc.submit(fx.tables[1].clone()).expect("admitted");
-    let _third = svc.submit(fx.tables[2].clone()).expect("admitted by shedding");
-    let _fourth = svc.submit(fx.tables[3].clone()).expect("admitted by shedding");
+    let _third = svc
+        .submit(fx.tables[2].clone())
+        .expect("admitted by shedding");
+    let _fourth = svc
+        .submit(fx.tables[3].clone())
+        .expect("admitted by shedding");
     // Both victims are already resolved while the service is still alive.
     assert_eq!(first.wait(), Err(ServiceError::Shed));
     assert_eq!(second.wait(), Err(ServiceError::Shed));
@@ -250,7 +256,10 @@ fn adaptive_admission_clamps_below_the_physical_capacity() {
             assert_eq!(queue_depth, 2);
             assert_eq!(capacity, 2, "the reported bound is the dynamic limit");
         }
-        other => panic!("expected Overloaded at the clamped limit, got {:?}", other.map(|t| t.id())),
+        other => panic!(
+            "expected Overloaded at the clamped limit, got {:?}",
+            other.map(|t| t.id())
+        ),
     }
     let m = svc.metrics();
     assert_eq!(m.admission_limit, 2);
@@ -276,7 +285,10 @@ fn pinned_no_linkage_rung_is_bit_identical_to_the_dead_backend_baseline() {
     let dead_resources = fx.resources_with(&dead);
     let tickets = svc.submit_batch(fx.tables.iter().cloned());
     for (i, ticket) in tickets.into_iter().enumerate() {
-        let annotation = ticket.expect("admitted").wait().expect("degraded, not failed");
+        let annotation = ticket
+            .expect("admitted")
+            .wait()
+            .expect("degraded, not failed");
         assert_eq!(annotation.rung, DegradationRung::NoLinkage);
         assert!(!annotation.expired, "brownout is not a deadline expiry");
         assert_eq!(
@@ -320,7 +332,9 @@ fn cold_cache_only_rung_matches_no_linkage_and_records_its_rung() {
     assert_eq!(annotation.rung, DegradationRung::CacheOnly);
     assert_eq!(
         annotation.labels,
-        fx.model.annotate_request(&dead_resources, req(table)).labels
+        fx.model
+            .annotate_request(&dead_resources, req(table))
+            .labels
     );
     assert_eq!(svc.metrics().served_cache_only, 1);
     // Without a cache there is nothing to serve hits from: the rung folds
@@ -374,7 +388,10 @@ fn expired_deadline_degrades_gracefully_instead_of_panicking() {
         .expect("expired requests complete, they do not error");
     assert!(annotation.expired);
     assert_eq!(annotation.labels.len(), table.n_cols());
-    assert!(annotation.failed_cells > 0, "every retrieval short-circuits");
+    assert!(
+        annotation.failed_cells > 0,
+        "every retrieval short-circuits"
+    );
     // The degraded output equals annotating through an always-failing
     // backend: the no-linkage path does not depend on *why* retrieval
     // failed.
@@ -382,7 +399,9 @@ fn expired_deadline_degrades_gracefully_instead_of_panicking() {
     let dead_resources = fx.resources_with(&dead);
     assert_eq!(
         annotation.labels,
-        fx.model.annotate_request(&dead_resources, req(table)).labels
+        fx.model
+            .annotate_request(&dead_resources, req(table))
+            .labels
     );
     assert!(svc.metrics().expired >= 1);
 }
@@ -444,8 +463,14 @@ fn repeated_tables_hit_the_cache_and_metrics_reconcile() {
     let cache = m.cache.expect("cache enabled");
     assert_eq!(m.retrieval, counts(0, 0));
     assert!(m.failed_cells > 0);
-    assert_eq!((cache.hits, cache.misses, cache.insertions), (0, m.failed_cells, 0));
-    assert_eq!(cache_only_labels, run(&service(fx, pinned(DegradationRung::NoLinkage))));
+    assert_eq!(
+        (cache.hits, cache.misses, cache.insertions),
+        (0, m.failed_cells, 0)
+    );
+    assert_eq!(
+        cache_only_labels,
+        run(&service(fx, pinned(DegradationRung::NoLinkage)))
+    );
 }
 
 #[test]
@@ -599,7 +624,10 @@ fn feature_rows_are_remembered_per_epoch() {
     serve_all(&svc);
     serve_all(&svc);
     let warm = svc.metrics().feature_memo;
-    assert!(warm.hits > 0 && warm.entries > 0, "the second pass hits: {warm:?}");
+    assert!(
+        warm.hits > 0 && warm.entries > 0,
+        "the second pass hits: {warm:?}"
+    );
 
     // Model B: the same label space, fresh weights.
     let b = Arc::new(KgLink {
@@ -617,7 +645,8 @@ fn feature_rows_are_remembered_per_epoch() {
         watch_min_requests: 0,
         ..SwapPlan::default()
     };
-    svc.swap_model(2, Arc::clone(&b), &plan).expect("ungated swap promotes");
+    svc.swap_model(2, Arc::clone(&b), &plan)
+        .expect("ungated swap promotes");
     assert_eq!(svc.model_version(), 2);
     assert_eq!(svc.metrics().feature_memo, FeatureMemoStats::default());
 
@@ -627,7 +656,11 @@ fn feature_rows_are_remembered_per_epoch() {
         .iter()
         .map(|t| b.annotate_request(&resources, req(t)).labels)
         .collect();
-    assert_eq!(serve_all(&svc), expected, "model B serves its own feature rows");
+    assert_eq!(
+        serve_all(&svc),
+        expected,
+        "model B serves its own feature rows"
+    );
     let after = svc.metrics().feature_memo;
     assert!(after.misses > 0, "B's memo starts empty: {after:?}");
 }
