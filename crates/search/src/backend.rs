@@ -27,7 +27,9 @@ pub struct Deadline {
 
 impl Deadline {
     /// No budget: the call may take arbitrarily long.
-    pub const UNBOUNDED: Deadline = Deadline { budget_us: u64::MAX };
+    pub const UNBOUNDED: Deadline = Deadline {
+        budget_us: u64::MAX,
+    };
 
     pub fn from_us(budget_us: u64) -> Self {
         Deadline { budget_us }
@@ -90,12 +92,18 @@ impl fmt::Display for RetrievalError {
             RetrievalError::Timeout {
                 needed_us,
                 budget_us,
-            } => write!(f, "retrieval timed out ({needed_us}us needed, {budget_us}us budget)"),
+            } => write!(
+                f,
+                "retrieval timed out ({needed_us}us needed, {budget_us}us budget)"
+            ),
             RetrievalError::Transient => write!(f, "transient retrieval fault"),
             RetrievalError::Unavailable => write!(f, "retrieval backend unavailable"),
             RetrievalError::CircuitOpen {
                 cooldown_remaining_us,
-            } => write!(f, "circuit breaker open ({cooldown_remaining_us}us cooldown remaining)"),
+            } => write!(
+                f,
+                "circuit breaker open ({cooldown_remaining_us}us cooldown remaining)"
+            ),
             RetrievalError::RetriesExhausted { attempts, last } => {
                 write!(f, "retries exhausted after {attempts} attempts: {last}")
             }

@@ -316,7 +316,9 @@ impl<B: KgBackend> CachingBackend<B> {
         let per_shard = config.capacity.div_ceil(shards).max(1);
         CachingBackend {
             inner,
-            shards: (0..shards).map(|_| Mutex::new(Lru::new(per_shard))).collect(),
+            shards: (0..shards)
+                .map(|_| Mutex::new(Lru::new(per_shard)))
+                .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
@@ -444,7 +446,12 @@ mod tests {
     fn searcher() -> EntitySearcher {
         let mut b = KgBuilder::new();
         let ty = b.add_type("Musician", None);
-        for name in ["Peter Steele", "Anna Kovacs", "Peter Banks", "Peter Gabriel"] {
+        for name in [
+            "Peter Steele",
+            "Anna Kovacs",
+            "Peter Banks",
+            "Peter Gabriel",
+        ] {
             b.add_instance(Entity::new(name, NeSchema::Person), ty);
         }
         EntitySearcher::build(&b.build())
@@ -489,10 +496,17 @@ mod tests {
         let s = searcher();
         let cached = CachingBackend::new(&s, CacheConfig::default());
         let direct = s.search_entities("Peter", 5, Deadline::UNBOUNDED).unwrap();
-        let miss = cached.search_entities("Peter", 5, Deadline::UNBOUNDED).unwrap();
-        let hit = cached.search_entities("Peter", 5, Deadline::UNBOUNDED).unwrap();
+        let miss = cached
+            .search_entities("Peter", 5, Deadline::UNBOUNDED)
+            .unwrap();
+        let hit = cached
+            .search_entities("Peter", 5, Deadline::UNBOUNDED)
+            .unwrap();
         assert_eq!(miss.hits, direct.hits);
-        assert_eq!(hit.hits, direct.hits, "hit must be bit-identical to the miss path");
+        assert_eq!(
+            hit.hits, direct.hits,
+            "hit must be bit-identical to the miss path"
+        );
         assert_eq!(hit.latency_us, 0, "a cache hit is free in simulated time");
         let stats = cached.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -511,7 +525,11 @@ mod tests {
             .unwrap();
         assert_eq!(a.hits, b.hits);
         let stats = cached.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1), "case/whitespace variants hit");
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (1, 1),
+            "case/whitespace variants hit"
+        );
         // Different top_k is a different key: the hit list may differ.
         cached
             .search_entities("Peter Steele", 2, Deadline::UNBOUNDED)
@@ -530,14 +548,20 @@ mod tests {
                 .search_entities("Peter", 3, Deadline::UNBOUNDED)
                 .is_err());
         }
-        assert_eq!(cached.stats().entries, 0, "failures must not poison the cache");
+        assert_eq!(
+            cached.stats().entries,
+            0,
+            "failures must not poison the cache"
+        );
         let ok = cached
             .search_entities("Peter", 3, Deadline::UNBOUNDED)
             .expect("backend recovered");
         assert!(!ok.hits.is_empty());
         assert_eq!(cached.stats().entries, 1);
         // Now served from cache even if the backend dies again.
-        let hit = cached.search_entities("Peter", 3, Deadline::UNBOUNDED).unwrap();
+        let hit = cached
+            .search_entities("Peter", 3, Deadline::UNBOUNDED)
+            .unwrap();
         assert_eq!(hit.hits, ok.hits);
     }
 
@@ -557,7 +581,11 @@ mod tests {
         assert_eq!(hit.latency_us, 0);
         // Cold key: a miss, not a backend call — the outage is never seen.
         assert!(cached.lookup_cached("Anna", 3).is_none());
-        assert_eq!(flaky.calls(), calls_after_warm, "lookup never hits the backend");
+        assert_eq!(
+            flaky.calls(),
+            calls_after_warm,
+            "lookup never hits the backend"
+        );
         let stats = cached.stats();
         assert_eq!((stats.hits, stats.misses), (1, 2));
     }

@@ -216,11 +216,7 @@ fn top_k(acc: HashMap<DocId, f32>, k: usize) -> Vec<SearchHit> {
         }
     }
     let mut hits: Vec<SearchHit> = heap.into_iter().map(|e| e.0).collect();
-    hits.sort_unstable_by(|a, b| {
-        b.score
-            .total_cmp(&a.score)
-            .then_with(|| a.doc.cmp(&b.doc))
-    });
+    hits.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc)));
     hits
 }
 

@@ -156,7 +156,10 @@ impl<B: KgBackend> KgBackend for FaultyBackend<B> {
         } else {
             cfg.base_latency_us
         };
-        let latency_us = uniform_us(mix(cfg.seed, n.wrapping_mul(3).wrapping_add(2)), latency_range);
+        let latency_us = uniform_us(
+            mix(cfg.seed, n.wrapping_mul(3).wrapping_add(2)),
+            latency_range,
+        );
         if latency_us > deadline.budget_us() {
             return Err(RetrievalError::Timeout {
                 needed_us: latency_us,
@@ -779,8 +782,7 @@ impl<B: KgBackend> KgBackend for ResilientBackend<B> {
                     };
                     state.clock_us += cost;
                     self.record_breaker_outcome(state, false);
-                    let out_of_budget =
-                        state.clock_us - started_us >= deadline.budget_us();
+                    let out_of_budget = state.clock_us - started_us >= deadline.budget_us();
                     let exhausted = attempt >= self.config.max_retries
                         || !error.is_retryable()
                         || out_of_budget;
@@ -814,9 +816,7 @@ impl<B: KgBackend> KgBackend for ResilientBackend<B> {
                     }
                     let jitter_draw = unit(mix(
                         self.config.seed,
-                        query_index
-                            .wrapping_mul(31)
-                            .wrapping_add(attempt as u64),
+                        query_index.wrapping_mul(31).wrapping_add(attempt as u64),
                     ));
                     let delay_us = backoff_delay_us(&self.config, attempt, jitter_draw);
                     state.clock_us += delay_us;
@@ -844,7 +844,12 @@ mod tests {
     fn searcher() -> crate::EntitySearcher {
         let mut b = KgBuilder::new();
         let ty = b.add_type("Musician", None);
-        for name in ["Peter Steele", "Anna Kovacs", "Peter Banks", "Peter Gabriel"] {
+        for name in [
+            "Peter Steele",
+            "Anna Kovacs",
+            "Peter Banks",
+            "Peter Gabriel",
+        ] {
             b.add_instance(Entity::new(name, NeSchema::Person), ty);
         }
         crate::EntitySearcher::build(&b.build())

@@ -110,5 +110,4 @@ mod tests {
         let s = EntitySearcher::build(&g);
         assert!(s.link_mention("cucumber sandwich", 5).is_empty());
     }
-
 }
