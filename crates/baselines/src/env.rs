@@ -73,7 +73,8 @@ mod tests {
         let mut vocab = LabelVocab::new();
         let a = vocab.intern("a");
         let b = vocab.intern("b");
-        let seven_to_three: Vec<Vec<LabelId>> = (0..10).map(|i| vec![if i < 7 { a } else { b }]).collect();
+        let seven_to_three: Vec<Vec<LabelId>> =
+            (0..10).map(|i| vec![if i < 7 { a } else { b }]).collect();
         let mut skewed = dataset(&vocab, &seven_to_three);
         skewed.assign_splits(SplitSpec::default(), 3);
         // Equal counts, with the higher id seen first: the lower id wins.

@@ -158,7 +158,10 @@ mod tests {
         };
         let mut hnn = Hnn::new(MlpConfig::default());
         hnn.fit(&env, &bench.dataset);
-        assert!(!hnn.type_slots.is_empty(), "KG types discovered in training");
+        assert!(
+            !hnn.type_slots.is_empty(),
+            "KG types discovered in training"
+        );
         let summary = hnn.evaluate(&env, &bench.dataset, Split::Test);
         assert!(
             summary.accuracy > 1.0 / bench.dataset.labels.len() as f64,

@@ -1,8 +1,8 @@
 //! A small two-layer MLP classifier shared by Sherlock and HNN.
 
+use kglink_nn::kernels::{gelu, gelu_grad};
 use kglink_nn::layers::linear::Linear;
 use kglink_nn::layers::param::{HasParams, Param};
-use kglink_nn::kernels::{gelu, gelu_grad};
 use kglink_nn::{cross_entropy, AdamW, AdamWConfig, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

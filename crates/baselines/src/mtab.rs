@@ -202,10 +202,11 @@ mod tests {
         let mut mtab = MTab::new();
         mtab.fit(&env, &bench.dataset);
         // Find a numeric column in a test table.
-        let numeric = bench
-            .dataset
-            .tables_in(Split::Test)
-            .find_map(|t| (0..t.n_cols()).find(|&c| t.is_numeric_column(c)).map(|c| (t, c)));
+        let numeric = bench.dataset.tables_in(Split::Test).find_map(|t| {
+            (0..t.n_cols())
+                .find(|&c| t.is_numeric_column(c))
+                .map(|c| (t, c))
+        });
         if let Some((t, c)) = numeric {
             let preds = mtab.predict_table(&env, t);
             assert_eq!(preds[c], mtab.fallback);

@@ -129,7 +129,13 @@ impl PlmCore {
             let keep = 1.0 - dropout;
             let scale = 1.0 / keep;
             let mask: Vec<f32> = (0..hidden.numel())
-                .map(|_| if rng.gen_bool(keep as f64) { scale } else { 0.0 })
+                .map(|_| {
+                    if rng.gen_bool(keep as f64) {
+                        scale
+                    } else {
+                        0.0
+                    }
+                })
                 .collect();
             for (h, &m) in hidden.data_mut().iter_mut().zip(&mask) {
                 *h *= m;
@@ -281,7 +287,10 @@ pub fn encode_cell(cell: &kglink_table::CellValue, tokenizer: &kglink_nn::Tokeni
         CellValue::Text(s) => tokenizer.encode_text(s),
         CellValue::Number(n) => vec![tokenizer.encode_number(*n)],
         CellValue::Date(d) => {
-            let year = d.get(..4).and_then(|y| y.parse::<f64>().ok()).unwrap_or(0.0);
+            let year = d
+                .get(..4)
+                .and_then(|y| y.parse::<f64>().ok())
+                .unwrap_or(0.0);
             vec![tokenizer.encode_number(year)]
         }
         CellValue::Empty => Vec::new(),

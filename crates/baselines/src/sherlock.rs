@@ -65,24 +65,32 @@ pub fn column_features(table: &Table, c: usize) -> Vec<f32> {
     let text_n = text.max(1.0);
     let val_mean = mean(&values);
     vec![
-        numeric / n,                       // fraction numeric
-        dates / n,                         // fraction dates
-        empty / n,                         // fraction empty
-        text / n,                          // fraction text
-        mean(&char_lens),                  // mean text length
-        std(&char_lens),                   // std text length
+        numeric / n,                                   // fraction numeric
+        dates / n,                                     // fraction dates
+        empty / n,                                     // fraction empty
+        text / n,                                      // fraction text
+        mean(&char_lens),                              // mean text length
+        std(&char_lens),                               // std text length
         char_lens.iter().copied().fold(0.0, f32::max), // max text length
-        mean(&word_counts),                // mean word count
-        std(&word_counts),                 // std word count
-        digit_frac_sum / text_n,           // mean digit fraction
-        upper_frac_sum / text_n,           // mean uppercase fraction
-        alpha_frac_sum / text_n,           // mean alphabetic fraction
-        distinct.len() as f32 / n,         // distinct ratio
-        val_mean.abs().ln_1p(),            // log |mean value|
-        std(&values).ln_1p(),              // log value std
-        values.iter().copied().fold(f32::INFINITY, f32::min).clamp(-1e9, 1e9), // min value (clamped)
-        values.iter().copied().fold(f32::NEG_INFINITY, f32::max).clamp(-1e9, 1e9), // max value (clamped)
-        n.ln(),                            // log row count
+        mean(&word_counts),                            // mean word count
+        std(&word_counts),                             // std word count
+        digit_frac_sum / text_n,                       // mean digit fraction
+        upper_frac_sum / text_n,                       // mean uppercase fraction
+        alpha_frac_sum / text_n,                       // mean alphabetic fraction
+        distinct.len() as f32 / n,                     // distinct ratio
+        val_mean.abs().ln_1p(),                        // log |mean value|
+        std(&values).ln_1p(),                          // log value std
+        values
+            .iter()
+            .copied()
+            .fold(f32::INFINITY, f32::min)
+            .clamp(-1e9, 1e9), // min value (clamped)
+        values
+            .iter()
+            .copied()
+            .fold(f32::NEG_INFINITY, f32::max)
+            .clamp(-1e9, 1e9), // max value (clamped)
+        n.ln(),                                        // log row count
     ]
 }
 

@@ -150,13 +150,7 @@ impl Sudowoodo {
         let mut dz = vec![vec![0.0f32; d]; 2 * b];
         for i in 0..b {
             let logits: Vec<f32> = (0..b)
-                .map(|j| {
-                    z[i].iter()
-                        .zip(&z[b + j])
-                        .map(|(a, c)| a * c)
-                        .sum::<f32>()
-                        / tau
-                })
+                .map(|j| z[i].iter().zip(&z[b + j]).map(|(a, c)| a * c).sum::<f32>() / tau)
                 .collect();
             let (l, dlogits) = kglink_nn::cross_entropy(&logits, i);
             loss += l / b as f32;
@@ -229,7 +223,12 @@ impl CtaModel for Sudowoodo {
                 ys.push(t.labels[c].index());
             }
         }
-        let mut head = Mlp::new(encoder.d_model(), 64, env.labels.len(), self.config.seed ^ 0x5);
+        let mut head = Mlp::new(
+            encoder.d_model(),
+            64,
+            env.labels.len(),
+            self.config.seed ^ 0x5,
+        );
         head.fit(&xs, &ys, &self.config.head);
         self.encoder = Some(encoder);
         self.head = Some(head);

@@ -123,7 +123,12 @@ mod tests {
         let bench = semtab_like(&world, &SemTabConfig::tiny(97));
         let vocab = build_vocab([], &[&bench.dataset], 4000);
         let tokenizer = kglink_nn::Tokenizer::new(vocab);
-        let t = bench.dataset.tables.iter().find(|t| t.n_cols() >= 2).unwrap();
+        let t = bench
+            .dataset
+            .tables
+            .iter()
+            .find(|t| t.n_cols() >= 2)
+            .unwrap();
         let seqs = TaBert::serialize(t, &tokenizer);
         let total: usize = seqs.iter().map(|s| s.anchors.len()).sum();
         assert_eq!(total, t.n_cols());
