@@ -40,9 +40,9 @@
 //! The JSON records the CPU level the build targets (`isa`, from
 //! [`build_isa`]): kernel numbers from different levels are not comparable.
 //!
-//! Per-column and `nn.forward` latencies are not reported here: this loop is
-//! an in-memory world; `nn.forward_us` in `BENCHMARK.json` measures them on
-//! the disk world.
+//! Per-column and `nn.forward` latencies are not reported here: this loop
+//! reads the small experiment world; `nn.forward_us` in `BENCHMARK.json`
+//! measures them on the benchmark's 1M-entity world.
 //!
 //! `--smoke` shrinks the workload; combine with `KGLINK_FAST=1` for the CI
 //! gate (parity + the speedup floor).

@@ -2,7 +2,7 @@
 //! backend degrades (not a paper table; exercises the resilience layer).
 //!
 //! For each injected fault rate the full pipeline (fit *and* evaluate) runs
-//! against `ResilientBackend(FaultyBackend(EntitySearcher))`. Columns whose
+//! against `ResilientBackend(FaultyBackend(DiskBackend))`. Columns whose
 //! retrieval ultimately fails degrade to the paper's no-linkage path
 //! (Table IV), so the expected curve interpolates between fault-free KGLink
 //! and the `KGLink w/o ct` ablation floor — it never falls below a model

@@ -16,9 +16,9 @@ use kglink_search::{Deadline, KgBackend};
 use kglink_table::{Dataset, EvalSummary, LabelId, LabelVocab, Split, Table};
 
 /// Everything external a KGLink instance needs: the KG, a retrieval backend
-/// over it (the in-process searcher, or any resilient/faulty decorator
-/// stack), the tokenizer, and (optionally) pre-trained MiniLM weights shared
-/// across the experiment grid.
+/// over it (the disk backend, or any resilient/faulty decorator stack), the
+/// tokenizer, and (optionally) pre-trained MiniLM weights shared across the
+/// experiment grid.
 ///
 /// Construct through [`Resources::builder`], which validates the bundle
 /// instead of allowing inconsistent states.

@@ -12,7 +12,8 @@ tree_at_entry="$(git status --porcelain)"
 echo "== cargo fmt --check (formatted crates only) =="
 # The workspace is not rustfmt-clean yet. A crate joins this list in the
 # change that formats it, so the gate only ever grows.
-cargo fmt --check -p kglink-serve -p kglink-store -p kglink-core
+cargo fmt --check -p kglink-serve -p kglink-store -p kglink-core -p kglink-bench \
+    -p kglink -p kglink-search -p kglink-baselines
 
 echo "== cargo build --release =="
 cargo build --release
