@@ -83,7 +83,11 @@ impl std::fmt::Debug for Tracer {
         write!(
             f,
             "Tracer({})",
-            if self.inner.is_some() { "enabled" } else { "disabled" }
+            if self.inner.is_some() {
+                "enabled"
+            } else {
+                "disabled"
+            }
         )
     }
 }
@@ -198,7 +202,10 @@ impl Tracer {
     pub fn incr(&self, name: &'static str, delta: u64) {
         if let Some(inner) = &self.inner {
             let value = {
-                let mut counters = inner.counters.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut counters = inner
+                    .counters
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
                 let slot = counters.entry(name).or_insert(0);
                 *slot += delta;
                 *slot
@@ -233,22 +240,32 @@ impl Tracer {
 
     /// Snapshot of one stage histogram, if that stage ever recorded.
     pub fn stage(&self, name: &str) -> Option<Histogram> {
-        self.inner
-            .as_ref()
-            .and_then(|i| i.stages.lock().unwrap_or_else(PoisonError::into_inner).get(name).cloned())
+        self.inner.as_ref().and_then(|i| {
+            i.stages
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get(name)
+                .cloned()
+        })
     }
 
     /// Snapshot of every stage histogram.
     pub fn stages(&self) -> BTreeMap<&'static str, Histogram> {
         self.inner.as_ref().map_or_else(BTreeMap::new, |i| {
-            i.stages.lock().unwrap_or_else(PoisonError::into_inner).clone()
+            i.stages
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone()
         })
     }
 
     /// Snapshot of every counter.
     pub fn counters(&self) -> BTreeMap<&'static str, u64> {
         self.inner.as_ref().map_or_else(BTreeMap::new, |i| {
-            i.counters.lock().unwrap_or_else(PoisonError::into_inner).clone()
+            i.counters
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone()
         })
     }
 
@@ -267,13 +284,19 @@ impl Tracer {
     /// Snapshot of the event log, in causal (sequence) order.
     pub fn events(&self) -> Vec<Event> {
         self.inner.as_ref().map_or_else(Vec::new, |i| {
-            i.events.lock().unwrap_or_else(PoisonError::into_inner).clone()
+            i.events
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone()
         })
     }
 
     /// Events whose name matches `name`, in causal order.
     pub fn events_named(&self, name: &str) -> Vec<Event> {
-        self.events().into_iter().filter(|e| e.name == name).collect()
+        self.events()
+            .into_iter()
+            .filter(|e| e.name == name)
+            .collect()
     }
 
     fn close_span(&self, data: &SpanData<'_>) {
@@ -381,7 +404,10 @@ mod tests {
             inner_start.parent, outer_start.span,
             "nested span must record its parent"
         );
-        assert_eq!(tick.span, inner_start.span, "events attach to the open span");
+        assert_eq!(
+            tick.span, inner_start.span,
+            "events attach to the open span"
+        );
         assert!(matches!(events[3].kind, EventKind::SpanEnd { .. }));
         assert_eq!(events[4].name, "outer");
         // Sequence numbers are the causal order.
