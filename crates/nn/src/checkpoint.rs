@@ -299,14 +299,20 @@ mod tests {
         // Wrong magic.
         let mut bad = blob.to_vec();
         bad[0] = b'X';
-        assert_eq!(TrainCheckpoint::decode(&bad), Err(CheckpointError::BadMagic));
+        assert_eq!(
+            TrainCheckpoint::decode(&bad),
+            Err(CheckpointError::BadMagic)
+        );
 
         // Wrong version (checked before the CRC).
         let mut bad = blob.to_vec();
         bad[4] = 42;
         assert!(matches!(
             TrainCheckpoint::decode(&bad),
-            Err(CheckpointError::WrongVersion { found: 42, expected: VERSION })
+            Err(CheckpointError::WrongVersion {
+                found: 42,
+                expected: VERSION
+            })
         ));
 
         // Truncation, at several cut points.
@@ -344,10 +350,15 @@ mod tests {
     fn wrong_architecture_is_typed_on_restore() {
         let mut a = dirty_encoder(5);
         let ckpt = TrainCheckpoint::capture(&mut a, 1, 2, 0, 1, Vec::new());
-        let mut bigger = Encoder::new(EncoderConfig { n_layers: 2, ..cfg() });
+        let mut bigger = Encoder::new(EncoderConfig {
+            n_layers: 2,
+            ..cfg()
+        });
         assert!(matches!(
             ckpt.restore(&mut bigger),
-            Err(CheckpointError::WrongArchitecture(LoadError::CountMismatch { .. }))
+            Err(CheckpointError::WrongArchitecture(
+                LoadError::CountMismatch { .. }
+            ))
         ));
     }
 

@@ -170,7 +170,12 @@ impl Encoder {
     pub fn new(config: EncoderConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let token_emb = Embedding::new(config.vocab_size, config.d_model, &mut rng);
-        let pos_emb = Param::new(Tensor::normal(config.max_len, config.d_model, 0.02, &mut rng));
+        let pos_emb = Param::new(Tensor::normal(
+            config.max_len,
+            config.d_model,
+            0.02,
+            &mut rng,
+        ));
         let emb_ln = LayerNorm::new(config.d_model);
         let blocks = (0..config.n_layers)
             .map(|_| TransformerBlock::new(config.d_model, config.n_heads, config.d_ff, &mut rng))
@@ -276,7 +281,11 @@ impl Encoder {
         scratch: &'s mut EncoderScratch,
     ) -> BatchHidden<'s> {
         let d = self.config.d_model;
-        let EncoderScratch { ks: s, hidden, offsets } = scratch;
+        let EncoderScratch {
+            ks: s,
+            hidden,
+            offsets,
+        } = scratch;
         offsets.clear();
         offsets.push(0);
         let mut total = 0usize;
@@ -415,7 +424,10 @@ fn block_rows(
                 let seg = offsets.partition_point(|&o| o <= i) - 1;
                 (seg, offsets[seg + 1] - i)
             }
-            Some(rows) => (rows[i].0, rows[i..].iter().take_while(|r| r.0 == rows[i].0).count()),
+            Some(rows) => (
+                rows[i].0,
+                rows[i..].iter().take_while(|r| r.0 == rows[i].0).count(),
+            ),
         };
         let (o, l) = (offsets[seg], offsets[seg + 1] - offsets[seg]);
         let mut scores = s.take(m * l);
@@ -449,7 +461,11 @@ fn block_rows(
     for (a, &x_v) in q.iter_mut().zip(x) {
         *a += x_v;
     }
-    kernels::layer_norm_rows(&mut q, block.ln1.gamma.value.data(), block.ln1.beta.value.data());
+    kernels::layer_norm_rows(
+        &mut q,
+        block.ln1.gamma.value.data(),
+        block.ln1.beta.value.data(),
+    );
     if let Some(xs) = gathered {
         s.give(xs);
     }
@@ -464,7 +480,11 @@ fn block_rows(
     for (h_v, &f_v) in q.iter_mut().zip(ctx.iter()) {
         *h_v += f_v;
     }
-    kernels::layer_norm_rows(&mut q, block.ln2.gamma.value.data(), block.ln2.beta.value.data());
+    kernels::layer_norm_rows(
+        &mut q,
+        block.ln2.gamma.value.data(),
+        block.ln2.beta.value.data(),
+    );
     for (i, row) in q.chunks_exact(d).enumerate() {
         hidden.row_mut(row_of(i)).copy_from_slice(row);
     }
@@ -496,7 +516,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(config.seed + 1);
         enc.visit_params(&mut |p| {
             let (rows, cols) = p.value.shape();
-            p.value.axpy(1.0, &Tensor::normal(rows, cols, 0.05, &mut rng));
+            p.value
+                .axpy(1.0, &Tensor::normal(rows, cols, 0.05, &mut rng));
         });
         enc
     }
@@ -563,13 +584,24 @@ mod tests {
             (0..40).map(|i| (i * 11 + 4) % 64).collect(),
         ];
         let seqs: Vec<&[u32]> = seqs_owned.iter().map(Vec::as_slice).collect();
-        let needed = [(0usize, 0usize), (0, 12), (2, 0), (2, max - 1), (3, 1), (4, 0)];
+        let needed = [
+            (0usize, 0usize),
+            (0, 12),
+            (2, 0),
+            (2, max - 1),
+            (3, 1),
+            (4, 0),
+        ];
         let mut scratch = EncoderScratch::new();
         let full = enc.infer_batch(&seqs, &mut scratch).packed().clone();
         let pruned = enc.infer_batch_rows(&seqs, &needed, &mut scratch);
         let rows = needed.iter().flat_map(|&(seg, r)| pruned.row(seg, r));
-        let bits: Vec<u8> =
-            full.data().iter().chain(rows).flat_map(|v| v.to_bits().to_le_bytes()).collect();
+        let bits: Vec<u8> = full
+            .data()
+            .iter()
+            .chain(rows)
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect();
         assert_eq!(crate::frame::crc32(&bits), 0xBD4D_5CFE);
     }
 
@@ -587,7 +619,10 @@ mod tests {
         let mut full_s = EncoderScratch::new();
         let full: Vec<Vec<f32>> = {
             let b = enc.infer_batch(&seqs, &mut full_s);
-            needed.iter().map(|&(seg, r)| b.row(seg, r).to_vec()).collect()
+            needed
+                .iter()
+                .map(|&(seg, r)| b.row(seg, r).to_vec())
+                .collect()
         };
         let mut pruned_s = EncoderScratch::new();
         let b = enc.infer_batch_rows(&seqs, &needed, &mut pruned_s);

@@ -309,7 +309,11 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         let data: Vec<u8> = (0..2048u32).map(|i| (i * 31 + i / 7) as u8).collect();
         for len in 0..data.len() {
-            assert_eq!(crc32(&data[..len]), crc32_bitwise(&data[..len]), "len {len}");
+            assert_eq!(
+                crc32(&data[..len]),
+                crc32_bitwise(&data[..len]),
+                "len {len}"
+            );
         }
     }
 
@@ -334,7 +338,10 @@ mod tests {
         foreign[8] ^= 0xff;
         assert_eq!(
             decode(&foreign, b"TEST", 3),
-            Err(CheckpointError::WrongVersion { found: 9, expected: 3 })
+            Err(CheckpointError::WrongVersion {
+                found: 9,
+                expected: 3
+            })
         );
         for cut in 0..blob.len() {
             assert_eq!(
@@ -347,7 +354,10 @@ mod tests {
             let mut bad = blob.clone();
             bad[pos] ^= 0x04;
             assert!(
-                matches!(decode(&bad, b"TEST", 3), Err(CheckpointError::CrcMismatch { .. })),
+                matches!(
+                    decode(&bad, b"TEST", 3),
+                    Err(CheckpointError::CrcMismatch { .. })
+                ),
                 "flip at {pos}"
             );
         }
@@ -382,7 +392,10 @@ mod tests {
         assert_eq!(r.clone().take(1), Err(CheckpointError::Truncated));
         assert_eq!(r.finish(), Ok(()));
         for cut in 0..8 {
-            assert_eq!(Reader::new(&bytes[..cut]).u64(), Err(CheckpointError::Truncated));
+            assert_eq!(
+                Reader::new(&bytes[..cut]).u64(),
+                Err(CheckpointError::Truncated)
+            );
         }
     }
 
@@ -400,7 +413,10 @@ mod tests {
         let blocked = dir.join("blocked");
         fs::create_dir_all(blocked.join("child")).unwrap();
         assert!(publish(&blocked, b"bytes").is_err());
-        assert!(!tmp_path(&blocked).exists(), "failed publish left its temporary");
+        assert!(
+            !tmp_path(&blocked).exists(),
+            "failed publish left its temporary"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -50,8 +50,7 @@ impl Embedding {
         for (r, &id) in cache.ids.iter().enumerate() {
             let src = dy.row(r);
             let d = dy.cols();
-            let dst =
-                &mut self.table.grad.data_mut()[id as usize * d..(id as usize + 1) * d];
+            let dst = &mut self.table.grad.data_mut()[id as usize * d..(id as usize + 1) * d];
             for (g, &v) in dst.iter_mut().zip(src) {
                 *g += v;
             }

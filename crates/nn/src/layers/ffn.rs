@@ -41,14 +41,7 @@ impl FeedForward {
             *v = gelu(*v);
         }
         let (y, c2) = self.fc2.forward(&hidden);
-        (
-            y,
-            FfnCache {
-                c1,
-                c2,
-                hidden_pre,
-            },
-        )
+        (y, FfnCache { c1, c2, hidden_pre })
     }
 
     /// Backward: accumulates gradients, returns `dx`.

@@ -158,7 +158,10 @@ mod tests {
         let (_, c2) = layer.forward(&x);
         layer.backward(&c2, &dy);
         for (a, b) in layer.w.grad.data().iter().zip(g1.data()) {
-            assert!((a - 2.0 * b).abs() < 1e-6, "second call doubles the gradient");
+            assert!(
+                (a - 2.0 * b).abs() < 1e-6,
+                "second call doubles the gradient"
+            );
         }
     }
 

@@ -1,7 +1,7 @@
 //! Loss functions: cross-entropy, DMLM distillation, uncertainty weighting.
 
-use crate::layers::param::{HasParams, Param};
 use crate::kernels::{exp, log_softmax, softmax};
+use crate::layers::param::{HasParams, Param};
 use crate::tensor::Tensor;
 
 /// Cross-entropy of a single logit row against a target class (paper
@@ -27,7 +27,11 @@ pub fn cross_entropy(logits: &[f32], target: usize) -> (f32, Vec<f32>) {
 /// standard distillation reading of the paper's formulation. Returns
 /// `(loss, d_student_logits)`; the returned gradient is w.r.t. the student's
 /// *pre-temperature* logits (the `1/T` factor is already applied).
-pub fn dmlm_loss(student_logits: &[f32], teacher_logits: &[f32], temperature: f32) -> (f32, Vec<f32>) {
+pub fn dmlm_loss(
+    student_logits: &[f32],
+    teacher_logits: &[f32],
+    temperature: f32,
+) -> (f32, Vec<f32>) {
     assert_eq!(student_logits.len(), teacher_logits.len());
     assert!(temperature > 0.0);
     let inv_t = 1.0 / temperature;

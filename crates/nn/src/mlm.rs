@@ -93,7 +93,11 @@ impl HasParams for MlmPretrainer {
 impl MlmPretrainer {
     /// Wrap an encoder for pre-training.
     pub fn new(encoder: Encoder, config: MlmPretrainConfig) -> Self {
-        let head = MlmHead::new(encoder.d_model(), encoder.config.vocab_size, config.seed ^ 0xa5);
+        let head = MlmHead::new(
+            encoder.d_model(),
+            encoder.config.vocab_size,
+            config.seed ^ 0xa5,
+        );
         MlmPretrainer {
             encoder,
             head,

@@ -40,7 +40,10 @@ impl std::fmt::Display for LoadError {
             LoadError::BadMagic => write!(f, "not a KGLW weight blob"),
             LoadError::Truncated => write!(f, "weight blob is truncated"),
             LoadError::CountMismatch { expected, found } => {
-                write!(f, "parameter count mismatch: model has {expected}, blob has {found}")
+                write!(
+                    f,
+                    "parameter count mismatch: model has {expected}, blob has {found}"
+                )
             }
             LoadError::ShapeMismatch { index } => {
                 write!(f, "shape mismatch at parameter {index}")
@@ -185,7 +188,11 @@ mod tests {
         let mut a = Encoder::new(cfg());
         let blob = save_params(&mut a);
         let mut b = Encoder::new(EncoderConfig { seed: 999, ..cfg() });
-        assert_ne!(a.infer(&[2, 5, 3]), b.infer(&[2, 5, 3]), "different seeds differ");
+        assert_ne!(
+            a.infer(&[2, 5, 3]),
+            b.infer(&[2, 5, 3]),
+            "different seeds differ"
+        );
         load_params(&mut b, &blob).unwrap();
         assert_eq!(a.infer(&[2, 5, 3]), b.infer(&[2, 5, 3]));
     }

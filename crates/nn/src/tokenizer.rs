@@ -34,8 +34,17 @@ pub mod special {
 
     /// Human-readable names, indexed by id.
     pub const NAMES: [&str; 11] = [
-        "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "[NUM-]", "[NUM<100]", "[NUM<10K]",
-        "[NUM<1M]", "[NUM>=1M]", "[YEAR]",
+        "[PAD]",
+        "[UNK]",
+        "[CLS]",
+        "[SEP]",
+        "[MASK]",
+        "[NUM-]",
+        "[NUM<100]",
+        "[NUM<10K]",
+        "[NUM<1M]",
+        "[NUM>=1M]",
+        "[YEAR]",
     ];
 }
 
@@ -65,10 +74,8 @@ impl Vocab {
             clippy::disallowed_methods,
             reason = "order-insensitive: the filter is per-entry and the sort below totally orders by (count, word)"
         )]
-        let mut items: Vec<(String, usize)> = counts
-            .drain()
-            .filter(|&(_, c)| c >= min_count)
-            .collect();
+        let mut items: Vec<(String, usize)> =
+            counts.drain().filter(|&(_, c)| c >= min_count).collect();
         // Most frequent first; ties alphabetical for determinism.
         items.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         items.truncate(max_size.saturating_sub(special::FIRST_WORD as usize));
@@ -93,10 +100,7 @@ impl Vocab {
 
     /// Id of a (lowercased) word, or `UNK`.
     pub fn id(&self, word: &str) -> u32 {
-        self.by_word
-            .get(word)
-            .copied()
-            .unwrap_or(special::UNK)
+        self.by_word.get(word).copied().unwrap_or(special::UNK)
     }
 
     /// Word for an id.

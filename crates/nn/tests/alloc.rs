@@ -69,8 +69,7 @@ static COUNTING: CountingAlloc = CountingAlloc;
 /// reads to the given buffer), then require five more calls to leave the
 /// process allocation counter and the pool's miss counter where the
 /// warm-up left them, with every output bit equal to the warm-up's.
-fn assert_allocation_free(name: &str, mut forward: impl FnMut(&mut EncoderScratch, &mut Vec<f32>))
-{
+fn assert_allocation_free(name: &str, mut forward: impl FnMut(&mut EncoderScratch, &mut Vec<f32>)) {
     let mut scratch = EncoderScratch::new();
     // Warm-up: sizes the scratch pool, the packed hidden buffer, and the
     // offsets table for this batch shape.
@@ -85,7 +84,11 @@ fn assert_allocation_free(name: &str, mut forward: impl FnMut(&mut EncoderScratc
         // Read every value so the call cannot be optimized away, without
         // allocating: compare against the warm-up output in place.
         assert_eq!(out.len(), warm.len(), "{name} output length changed");
-        if let Some(i) = out.iter().zip(&warm).position(|(a, b)| a.to_bits() != b.to_bits()) {
+        if let Some(i) = out
+            .iter()
+            .zip(&warm)
+            .position(|(a, b)| a.to_bits() != b.to_bits())
+        {
             panic!("{name} output element {i} changed after warm-up");
         }
     }

@@ -54,7 +54,11 @@ fn bag(shapes: &[(usize, usize)], seed: u64) -> Bag {
         .map(|(i, &(rows, cols))| {
             let salt = i as u64;
             let mut p = if i % 2 == 0 {
-                Param::new(Tensor::from_vec(rows, cols, fill(seed, salt * 3, rows * cols)))
+                Param::new(Tensor::from_vec(
+                    rows,
+                    cols,
+                    fill(seed, salt * 3, rows * cols),
+                ))
             } else {
                 Param::new_no_decay(Tensor::from_vec(
                     rows,
