@@ -171,7 +171,8 @@ mod tests {
 
     #[test]
     fn builder_style_helpers() {
-        let e = Entity::new_type("Basketball player").with_description("athlete who plays basketball");
+        let e =
+            Entity::new_type("Basketball player").with_description("athlete who plays basketball");
         assert!(e.is_type);
         assert_eq!(e.schema, NeSchema::Concept);
         assert_eq!(e.description, "athlete who plays basketball");

@@ -117,7 +117,10 @@ impl KnowledgeGraph {
     /// # Panics
     /// Panics if either endpoint is out of range.
     pub fn add_edge(&mut self, subject: EntityId, predicate: PredicateId, object: EntityId) {
-        assert!(subject.index() < self.entities.len(), "subject out of range");
+        assert!(
+            subject.index() < self.entities.len(),
+            "subject out of range"
+        );
         assert!(object.index() < self.entities.len(), "object out of range");
         self.outgoing[subject.index()].push(Edge {
             predicate,

@@ -24,11 +24,20 @@ use std::io::BufRead;
 /// Parse errors with line numbers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KgIoError {
-    BadRecord { line: usize, reason: String },
-    UnknownEntity { line: usize, id: String },
+    BadRecord {
+        line: usize,
+        reason: String,
+    },
+    UnknownEntity {
+        line: usize,
+        id: String,
+    },
     /// The underlying reader failed. `line` is the 1-based number of the
     /// line being read when the error surfaced.
-    Io { line: usize, message: String },
+    Io {
+        line: usize,
+        message: String,
+    },
 }
 
 impl std::fmt::Display for KgIoError {
@@ -89,7 +98,12 @@ pub fn export_triples(graph: &KnowledgeGraph) -> String {
             let _ = writeln!(out, "A\t{}\t{}", id.0, alias.replace(['\t', '\n'], " "));
         }
         if !e.description.is_empty() {
-            let _ = writeln!(out, "D\t{}\t{}", id.0, e.description.replace(['\t', '\n'], " "));
+            let _ = writeln!(
+                out,
+                "D\t{}\t{}",
+                id.0,
+                e.description.replace(['\t', '\n'], " ")
+            );
         }
     }
     for (id, _) in graph.entities() {
@@ -118,9 +132,22 @@ pub fn import_triples(text: &str) -> Result<KnowledgeGraph, KgIoError> {
 /// Resolution is deferred to end-of-stream so declaration order stays as
 /// flexible as it was with the old whole-document parser.
 enum Pending {
-    Alias { line: usize, id: String, value: String },
-    Description { line: usize, id: String, value: String },
-    Edge { line: usize, subject: String, predicate: PredicateId, object: String },
+    Alias {
+        line: usize,
+        id: String,
+        value: String,
+    },
+    Description {
+        line: usize,
+        id: String,
+        value: String,
+    },
+    Edge {
+        line: usize,
+        subject: String,
+        predicate: PredicateId,
+        object: String,
+    },
 }
 
 /// Parse the triples format from a buffered reader in a single streaming
@@ -170,7 +197,8 @@ pub fn import_triples_from(reader: impl BufRead) -> Result<KnowledgeGraph, KgIoE
                     clippy::expect_used,
                     reason = "capacity guard mirroring KnowledgeGraph::add_entity: ids are u32 by design"
                 )]
-                let eid = EntityId(u32::try_from(entities.len()).expect("more than u32::MAX entities"));
+                let eid =
+                    EntityId(u32::try_from(entities.len()).expect("more than u32::MAX entities"));
                 entities.push(entity);
                 if ids.insert(id.to_string(), eid).is_some() {
                     return Err(bad(line, &format!("duplicate entity id {id:?}")));
@@ -248,10 +276,12 @@ pub fn import_triples_from(reader: impl BufRead) -> Result<KnowledgeGraph, KgIoE
 }
 
 fn resolve(ids: &HashMap<String, EntityId>, id: &str, line: usize) -> Result<EntityId, KgIoError> {
-    ids.get(id).copied().ok_or_else(|| KgIoError::UnknownEntity {
-        line,
-        id: id.to_string(),
-    })
+    ids.get(id)
+        .copied()
+        .ok_or_else(|| KgIoError::UnknownEntity {
+            line,
+            id: id.to_string(),
+        })
 }
 
 fn apply_attr(entities: &mut [Entity], eid: EntityId, tag: &str, value: String) {
@@ -315,7 +345,10 @@ mod tests {
     #[test]
     fn duplicate_ids_rejected() {
         let text = "E\ta\tperson\t0\tAlice\nE\ta\tperson\t0\tBob\n";
-        assert!(matches!(import_triples(text), Err(KgIoError::BadRecord { .. })));
+        assert!(matches!(
+            import_triples(text),
+            Err(KgIoError::BadRecord { .. })
+        ));
     }
 
     #[test]
@@ -389,6 +422,9 @@ mod tests {
         let g = b.build();
         let back = import_triples(&export_triples(&g)).unwrap();
         let pid = back.predicate_id("country").expect("predicate preserved");
-        assert!(back.outgoing(a).iter().any(|e| e.predicate == pid && e.target == c));
+        assert!(back
+            .outgoing(a)
+            .iter()
+            .any(|e| e.predicate == pid && e.target == c));
     }
 }

@@ -21,7 +21,21 @@
 
 #![deny(deprecated)]
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::allow_attributes, clippy::allow_attributes_without_reason, clippy::disallowed_methods, clippy::iter_over_hash_type))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason,
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type
+    )
+)]
 
 pub mod access;
 pub mod builder;

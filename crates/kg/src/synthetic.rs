@@ -232,7 +232,13 @@ impl<'c> Generator<'c> {
     }
 
     /// Create an instance of `ty`, with noise-model alias and coverage hole.
-    fn instance(&mut self, label: String, schema: NeSchema, ty: EntityId, desc: String) -> EntityId {
+    fn instance(
+        &mut self,
+        label: String,
+        schema: NeSchema,
+        ty: EntityId,
+        desc: String,
+    ) -> EntityId {
         let mut e = Entity::new(label, schema).with_description(desc);
         if self.rng.gen_bool(self.cfg.alias_prob) {
             let alias = names::alias_of(&e.label, &mut self.rng);
@@ -285,7 +291,12 @@ impl<'c> Generator<'c> {
         let sports: Vec<EntityId> = names::SPORTS
             .iter()
             .map(|s| {
-                self.instance(s.to_string(), NeSchema::Concept, types.sport, format!("the sport of {s}"))
+                self.instance(
+                    s.to_string(),
+                    NeSchema::Concept,
+                    types.sport,
+                    format!("the sport of {s}"),
+                )
             })
             .collect();
         let mut positions_by_sport: Vec<Vec<EntityId>> = Vec::new();
@@ -298,7 +309,10 @@ impl<'c> Generator<'c> {
                         .with_description(format!("player position in {sport_label}"));
                     e.aliases.push(abbr.to_string());
                     let id = self.b.add_instance(e, types.position);
-                    self.instances_by_type.entry(types.position).or_default().push(id);
+                    self.instances_by_type
+                        .entry(types.position)
+                        .or_default()
+                        .push(id);
                     id
                 })
                 .collect();
@@ -306,15 +320,36 @@ impl<'c> Generator<'c> {
         }
         let genres: Vec<EntityId> = names::GENRES
             .iter()
-            .map(|g| self.instance(g.to_string(), NeSchema::Concept, types.genre, format!("{g} genre")))
+            .map(|g| {
+                self.instance(
+                    g.to_string(),
+                    NeSchema::Concept,
+                    types.genre,
+                    format!("{g} genre"),
+                )
+            })
             .collect();
         let languages: Vec<EntityId> = names::LANGUAGES
             .iter()
-            .map(|l| self.instance(format!("{l} language"), NeSchema::Concept, types.language, format!("the {l} language")))
+            .map(|l| {
+                self.instance(
+                    format!("{l} language"),
+                    NeSchema::Concept,
+                    types.language,
+                    format!("the {l} language"),
+                )
+            })
             .collect();
         let awards: Vec<EntityId> = names::AWARDS
             .iter()
-            .map(|a| self.instance(a.to_string(), NeSchema::Concept, types.award, "award".into()))
+            .map(|a| {
+                self.instance(
+                    a.to_string(),
+                    NeSchema::Concept,
+                    types.award,
+                    "award".into(),
+                )
+            })
             .collect();
 
         // ---- Places -----------------------------------------------------
@@ -322,8 +357,15 @@ impl<'c> Generator<'c> {
         let mut countries = Vec::with_capacity(n_countries);
         for i in 0..n_countries {
             let label = names::country_name(i);
-            let id = self.instance(label.clone(), NeSchema::Place, types.country, format!("sovereign state of {label}"));
-            self.numeric.population.insert(id, self.rng.gen_range(800_000..90_000_000));
+            let id = self.instance(
+                label.clone(),
+                NeSchema::Place,
+                types.country,
+                format!("sovereign state of {label}"),
+            );
+            self.numeric
+                .population
+                .insert(id, self.rng.gen_range(800_000..90_000_000));
             countries.push(id);
         }
         let n_cities = self.cfg.scaled(70);
@@ -338,9 +380,17 @@ impl<'c> Generator<'c> {
                 format!("city in {}", self.b.graph().label(country)),
             );
             self.b.relate(id, country_p, country);
-            self.numeric.population.insert(id, self.rng.gen_range(20_000..9_000_000));
+            self.numeric
+                .population
+                .insert(id, self.rng.gen_range(20_000..9_000_000));
             // The first city generated for a country becomes its capital.
-            if self.b.graph().outgoing(country).iter().all(|e| e.predicate != capital_p) {
+            if self
+                .b
+                .graph()
+                .outgoing(country)
+                .iter()
+                .all(|e| e.predicate != capital_p)
+            {
                 self.b.relate(country, capital_p, id);
             }
             cities.push(id);
@@ -351,7 +401,9 @@ impl<'c> Generator<'c> {
             let country = self.pick(&countries);
             let id = self.instance(label, NeSchema::Place, types.mountain, "mountain".into());
             self.b.relate(id, country_p, country);
-            self.numeric.elevation_m.insert(id, self.rng.gen_range(900.0..8800.0));
+            self.numeric
+                .elevation_m
+                .insert(id, self.rng.gen_range(900.0..8800.0));
         }
         let n_rivers = self.cfg.scaled(20);
         for i in 0..n_rivers {
@@ -359,14 +411,25 @@ impl<'c> Generator<'c> {
             let country = self.pick(&countries);
             let id = self.instance(label, NeSchema::Place, types.river, "river".into());
             self.b.relate(id, country_p, country);
-            self.numeric.length_km.insert(id, self.rng.gen_range(40.0..6400.0));
+            self.numeric
+                .length_km
+                .insert(id, self.rng.gen_range(40.0..6400.0));
         }
         let n_stadiums = self.cfg.scaled(30);
         let mut stadiums = Vec::with_capacity(n_stadiums);
         for i in 0..n_stadiums {
             let city = self.pick(&cities);
-            let label = format!("{} {}", names::surname(i * 13 + 5), names::STADIUM_SUFFIXES[i % names::STADIUM_SUFFIXES.len()]);
-            let id = self.instance(label, NeSchema::Place, types.stadium, format!("stadium in {}", self.b.graph().label(city)));
+            let label = format!(
+                "{} {}",
+                names::surname(i * 13 + 5),
+                names::STADIUM_SUFFIXES[i % names::STADIUM_SUFFIXES.len()]
+            );
+            let id = self.instance(
+                label,
+                NeSchema::Place,
+                types.stadium,
+                format!("stadium in {}", self.b.graph().label(city)),
+            );
             self.b.relate(id, located_in, city);
             stadiums.push(id);
         }
@@ -378,9 +441,16 @@ impl<'c> Generator<'c> {
             let city = self.pick(&cities);
             let city_label = self.b.graph().label(city).to_string();
             let label = format!("University of {city_label}");
-            let id = self.instance(label, NeSchema::Organization, types.university, format!("university in {city_label}"));
+            let id = self.instance(
+                label,
+                NeSchema::Organization,
+                types.university,
+                format!("university in {city_label}"),
+            );
             self.b.relate(id, located_in, city);
-            self.numeric.founded_year.insert(id, self.rng.gen_range(1200..1990));
+            self.numeric
+                .founded_year
+                .insert(id, self.rng.gen_range(1200..1990));
             universities.push(id);
         }
         let n_companies = self.cfg.scaled(25);
@@ -388,17 +458,32 @@ impl<'c> Generator<'c> {
         for i in 0..n_companies {
             let label = names::company_name(i, &mut self.rng);
             let country = self.pick(&countries);
-            let id = self.instance(label, NeSchema::Organization, types.company, "company".into());
+            let id = self.instance(
+                label,
+                NeSchema::Organization,
+                types.company,
+                "company".into(),
+            );
             self.b.relate(id, country_p, country);
-            self.numeric.founded_year.insert(id, self.rng.gen_range(1890..2020));
+            self.numeric
+                .founded_year
+                .insert(id, self.rng.gen_range(1890..2020));
             companies.push(id);
         }
         let n_parties = self.cfg.scaled(12);
         let mut parties = Vec::with_capacity(n_parties);
         for i in 0..n_parties {
             let country = self.pick(&countries);
-            let label = format!("{} Party", names::PARTY_ADJECTIVES[i % names::PARTY_ADJECTIVES.len()]);
-            let id = self.instance(label, NeSchema::Organization, types.political_party, "political party".into());
+            let label = format!(
+                "{} Party",
+                names::PARTY_ADJECTIVES[i % names::PARTY_ADJECTIVES.len()]
+            );
+            let id = self.instance(
+                label,
+                NeSchema::Organization,
+                types.political_party,
+                "political party".into(),
+            );
             self.b.relate(id, country_p, country);
             parties.push(id);
         }
@@ -408,13 +493,23 @@ impl<'c> Generator<'c> {
             let si = i % sports.len();
             let city = self.pick(&cities);
             let city_label = self.b.graph().label(city).to_string();
-            let label = format!("{city_label} {}", names::TEAM_SUFFIXES[(i / sports.len()) % names::TEAM_SUFFIXES.len()]);
-            let id = self.instance(label, NeSchema::Organization, types.sports_team, format!("{} team", names::SPORTS[si]));
+            let label = format!(
+                "{city_label} {}",
+                names::TEAM_SUFFIXES[(i / sports.len()) % names::TEAM_SUFFIXES.len()]
+            );
+            let id = self.instance(
+                label,
+                NeSchema::Organization,
+                types.sports_team,
+                format!("{} team", names::SPORTS[si]),
+            );
             self.b.relate(id, sport_p, sports[si]);
             self.b.relate(id, located_in, city);
             let stadium = self.pick(&stadiums);
             self.b.relate(id, located_in, stadium);
-            self.numeric.founded_year.insert(id, self.rng.gen_range(1880..2015));
+            self.numeric
+                .founded_year
+                .insert(id, self.rng.gen_range(1880..2015));
             teams_by_sport[si].push(id);
         }
         let n_bands = self.cfg.scaled(35);
@@ -423,10 +518,17 @@ impl<'c> Generator<'c> {
             let label = names::band_name(i, &mut self.rng);
             let country = self.pick(&countries);
             let genre = self.pick(&genres);
-            let id = self.instance(label, NeSchema::Organization, types.musical_group, "musical group".into());
+            let id = self.instance(
+                label,
+                NeSchema::Organization,
+                types.musical_group,
+                "musical group".into(),
+            );
             self.b.relate(id, country_p, country);
             self.b.relate(id, genre_p, genre);
-            self.numeric.founded_year.insert(id, self.rng.gen_range(1960..2020));
+            self.numeric
+                .founded_year
+                .insert(id, self.rng.gen_range(1960..2020));
             bands.push(id);
         }
 
@@ -446,7 +548,13 @@ impl<'c> Generator<'c> {
                 name_counter += 1;
                 let country = self.pick(&countries);
                 let nat = self.b.graph().label(country).to_string();
-                let id = self.person(label, fine_ty, types.person, occupation, format!("{nat} {desc}"));
+                let id = self.person(
+                    label,
+                    fine_ty,
+                    types.person,
+                    occupation,
+                    format!("{nat} {desc}"),
+                );
                 self.b.relate(id, country_p, country);
                 self.b.relate(id, sport_p, sports[sport_idx]);
                 if !teams_by_sport[sport_idx].is_empty() {
@@ -465,8 +573,12 @@ impl<'c> Generator<'c> {
                     let aw = self.pick(&awards);
                     self.b.relate(id, award_received, aw);
                 }
-                self.numeric.birth_year.insert(id, self.rng.gen_range(1955..2005));
-                self.numeric.height_cm.insert(id, self.rng.gen_range(158.0..222.0));
+                self.numeric
+                    .birth_year
+                    .insert(id, self.rng.gen_range(1955..2005));
+                self.numeric
+                    .height_cm
+                    .insert(id, self.rng.gen_range(158.0..222.0));
                 athletes.push(id);
             }
         }
@@ -482,7 +594,13 @@ impl<'c> Generator<'c> {
                 name_counter += 1;
                 let country = self.pick(&countries);
                 let nat = self.b.graph().label(country).to_string();
-                let id = self.person(label, fine_ty, types.person, occupation, format!("{nat} {desc}"));
+                let id = self.person(
+                    label,
+                    fine_ty,
+                    types.person,
+                    occupation,
+                    format!("{nat} {desc}"),
+                );
                 self.b.relate(id, country_p, country);
                 if self.rng.gen_bool(0.7) {
                     let band = self.pick(&bands);
@@ -492,7 +610,9 @@ impl<'c> Generator<'c> {
                     let aw = self.pick(&awards);
                     self.b.relate(id, award_received, aw);
                 }
-                self.numeric.birth_year.insert(id, self.rng.gen_range(1940..2002));
+                self.numeric
+                    .birth_year
+                    .insert(id, self.rng.gen_range(1940..2002));
                 musicians.push(id);
             }
         }
@@ -513,9 +633,17 @@ impl<'c> Generator<'c> {
                 name_counter += 1;
                 let country = self.pick(&countries);
                 let nat = self.b.graph().label(country).to_string();
-                let id = self.person(label, fine_ty, types.person, occupation, format!("{nat} {desc}"));
+                let id = self.person(
+                    label,
+                    fine_ty,
+                    types.person,
+                    occupation,
+                    format!("{nat} {desc}"),
+                );
                 self.b.relate(id, country_p, country);
-                self.numeric.birth_year.insert(id, self.rng.gen_range(1930..2000));
+                self.numeric
+                    .birth_year
+                    .insert(id, self.rng.gen_range(1930..2000));
                 match desc {
                     "actor" => actors.push(id),
                     "film director" => directors.push(id),
@@ -563,8 +691,12 @@ impl<'c> Generator<'c> {
             }
             let g = self.pick(&genres);
             self.b.relate(id, genre_p, g);
-            self.numeric.release_year.insert(id, self.rng.gen_range(1965..2024));
-            self.numeric.rating.insert(id, self.rng.gen_range(3.0..10.0));
+            self.numeric
+                .release_year
+                .insert(id, self.rng.gen_range(1965..2024));
+            self.numeric
+                .rating
+                .insert(id, self.rng.gen_range(3.0..10.0));
         }
         let n_films = self.cfg.scaled(55);
         for i in 0..n_films {
@@ -584,13 +716,20 @@ impl<'c> Generator<'c> {
             self.b.relate(id, genre_p, g);
             let c = self.pick(&countries);
             self.b.relate(id, country_p, c);
-            self.numeric.release_year.insert(id, self.rng.gen_range(1950..2024));
+            self.numeric
+                .release_year
+                .insert(id, self.rng.gen_range(1950..2024));
             self.numeric.rating.insert(id, self.rng.gen_range(2.0..9.5));
         }
         let n_series = self.cfg.scaled(25);
         for i in 0..n_series {
             let label = names::work_name(i + 2000, "series", &mut self.rng);
-            let id = self.instance(label, NeSchema::Work, types.tv_series, "television series".into());
+            let id = self.instance(
+                label,
+                NeSchema::Work,
+                types.tv_series,
+                "television series".into(),
+            );
             if !directors.is_empty() {
                 let d = self.pick(&directors);
                 self.b.relate(id, director_p, d);
@@ -599,7 +738,9 @@ impl<'c> Generator<'c> {
                 let a = self.pick(&actors);
                 self.b.relate(id, cast_member, a);
             }
-            self.numeric.release_year.insert(id, self.rng.gen_range(1970..2024));
+            self.numeric
+                .release_year
+                .insert(id, self.rng.gen_range(1970..2024));
         }
         let n_books = self.cfg.scaled(35);
         for i in 0..n_books {
@@ -611,17 +752,26 @@ impl<'c> Generator<'c> {
             }
             let l = self.pick(&languages);
             self.b.relate(id, language_of_work, l);
-            self.numeric.release_year.insert(id, self.rng.gen_range(1850..2024));
+            self.numeric
+                .release_year
+                .insert(id, self.rng.gen_range(1850..2024));
         }
         let n_articles = self.cfg.scaled(20);
         for i in 0..n_articles {
             let label = names::article_title(i, &mut self.rng);
-            let id = self.instance(label, NeSchema::Work, types.scholarly_article, "scholarly article".into());
+            let id = self.instance(
+                label,
+                NeSchema::Work,
+                types.scholarly_article,
+                "scholarly article".into(),
+            );
             if !scientists.is_empty() {
                 let s = self.pick(&scientists);
                 self.b.relate(id, author_p, s);
             }
-            self.numeric.release_year.insert(id, self.rng.gen_range(1990..2024));
+            self.numeric
+                .release_year
+                .insert(id, self.rng.gen_range(1990..2024));
         }
 
         // ---- Biology -------------------------------------------------------
@@ -629,19 +779,30 @@ impl<'c> Generator<'c> {
         let mut genes = Vec::with_capacity(n_genes);
         for i in 0..n_genes {
             let label = names::gene_symbol(i);
-            let id = self.instance(label.clone(), NeSchema::Biology, types.gene, format!("human gene {label}"));
+            let id = self.instance(
+                label.clone(),
+                NeSchema::Biology,
+                types.gene,
+                format!("human gene {label}"),
+            );
             genes.push(id);
         }
         let n_proteins = self.cfg.scaled(30);
         for i in 0..n_proteins {
-            let fine = if i % 3 == 0 { types.enzyme } else { types.protein };
+            let fine = if i % 3 == 0 {
+                types.enzyme
+            } else {
+                types.protein
+            };
             let label = names::protein_name(i, &mut self.rng);
             let id = self.instance(label, NeSchema::Biology, fine, "protein".into());
             if !genes.is_empty() {
                 let g = genes[i % genes.len()];
                 self.b.relate(id, encoded_by, g);
             }
-            self.numeric.molecular_weight.insert(id, self.rng.gen_range(8.0..350.0));
+            self.numeric
+                .molecular_weight
+                .insert(id, self.rng.gen_range(8.0..350.0));
         }
 
         SyntheticWorld {
@@ -787,7 +948,10 @@ mod tests {
     fn athletes_link_to_teams_like_figure_5() {
         let w = SyntheticWorld::generate(&WorldConfig::tiny(5));
         // At least one athlete has a sports-team one-hop neighbor.
-        let team_pred = w.graph.predicate_id(crate::predicates::MEMBER_OF_SPORTS_TEAM).unwrap();
+        let team_pred = w
+            .graph
+            .predicate_id(crate::predicates::MEMBER_OF_SPORTS_TEAM)
+            .unwrap();
         let linked = w
             .instances_of(w.types.basketball_player)
             .iter()
@@ -805,7 +969,10 @@ mod tests {
         };
         let w = SyntheticWorld::generate(&cfg);
         let stats = KgStats::compute(&w.graph);
-        assert!(stats.untyped_instances > 0, "noise model should drop some instance-of edges");
+        assert!(
+            stats.untyped_instances > 0,
+            "noise model should drop some instance-of edges"
+        );
     }
 
     #[test]

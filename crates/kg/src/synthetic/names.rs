@@ -9,20 +9,63 @@ use rand::Rng;
 
 pub const FIRST_NAMES: &[&str] = &[
     "James", "Mary", "Robert", "Patricia", "John", "Jennifer", "Michael", "Linda", "David",
-    "Elena", "William", "Sofia", "Richard", "Amara", "Joseph", "Yuki", "Thomas", "Priya",
-    "Carlos", "Ingrid", "Mateo", "Aisha", "Henrik", "Chen", "Dmitri", "Fatima", "Kwame",
-    "Saoirse", "Rafael", "Mei", "Omar", "Astrid", "Luca", "Zara", "Viktor", "Noor", "Diego",
-    "Hana", "Emil", "Leila", "Marco", "Freya", "Ivan", "Carmen", "Tariq", "Signe", "Pavel",
-    "Rosa", "Andre", "Kiran",
+    "Elena", "William", "Sofia", "Richard", "Amara", "Joseph", "Yuki", "Thomas", "Priya", "Carlos",
+    "Ingrid", "Mateo", "Aisha", "Henrik", "Chen", "Dmitri", "Fatima", "Kwame", "Saoirse", "Rafael",
+    "Mei", "Omar", "Astrid", "Luca", "Zara", "Viktor", "Noor", "Diego", "Hana", "Emil", "Leila",
+    "Marco", "Freya", "Ivan", "Carmen", "Tariq", "Signe", "Pavel", "Rosa", "Andre", "Kiran",
 ];
 
 pub const SURNAMES: &[&str] = &[
-    "Smith", "Johnson", "Garcia", "Miller", "Davis", "Rodriguez", "Martinez", "Hernandez",
-    "Lopez", "Gonzalez", "Wilson", "Anderson", "Thomas", "Taylor", "Moore", "Jackson",
-    "Petrov", "Nakamura", "Okafor", "Lindqvist", "Haddad", "Kovacs", "Novak", "Silva",
-    "Costa", "Fischer", "Weber", "Rossi", "Ferrari", "Tanaka", "Suzuki", "Kimura", "Patel",
-    "Singh", "Kumar", "Ahmed", "Hassan", "Dubois", "Moreau", "Larsen", "Nielsen", "Berg",
-    "Holm", "Virtanen", "Korhonen", "Papadopoulos", "Dimitriou", "Yilmaz", "Kaya", "Steele",
+    "Smith",
+    "Johnson",
+    "Garcia",
+    "Miller",
+    "Davis",
+    "Rodriguez",
+    "Martinez",
+    "Hernandez",
+    "Lopez",
+    "Gonzalez",
+    "Wilson",
+    "Anderson",
+    "Thomas",
+    "Taylor",
+    "Moore",
+    "Jackson",
+    "Petrov",
+    "Nakamura",
+    "Okafor",
+    "Lindqvist",
+    "Haddad",
+    "Kovacs",
+    "Novak",
+    "Silva",
+    "Costa",
+    "Fischer",
+    "Weber",
+    "Rossi",
+    "Ferrari",
+    "Tanaka",
+    "Suzuki",
+    "Kimura",
+    "Patel",
+    "Singh",
+    "Kumar",
+    "Ahmed",
+    "Hassan",
+    "Dubois",
+    "Moreau",
+    "Larsen",
+    "Nielsen",
+    "Berg",
+    "Holm",
+    "Virtanen",
+    "Korhonen",
+    "Papadopoulos",
+    "Dimitriou",
+    "Yilmaz",
+    "Kaya",
+    "Steele",
 ];
 
 pub const SPORTS: &[&str] = &["basketball", "cricket", "association football", "tennis"];
@@ -52,13 +95,33 @@ pub const POSITIONS: &[&[(&str, &str)]] = &[
 ];
 
 pub const GENRES: &[&str] = &[
-    "rock", "jazz", "gothic metal", "pop", "folk", "electronic", "hip hop", "classical",
-    "blues", "drama", "comedy", "thriller", "documentary", "science fiction",
+    "rock",
+    "jazz",
+    "gothic metal",
+    "pop",
+    "folk",
+    "electronic",
+    "hip hop",
+    "classical",
+    "blues",
+    "drama",
+    "comedy",
+    "thriller",
+    "documentary",
+    "science fiction",
 ];
 
 pub const LANGUAGES: &[&str] = &[
-    "English", "Spanish", "Mandarin", "Hindi", "Arabic", "Portuguese", "Russian", "Japanese",
-    "German", "French",
+    "English",
+    "Spanish",
+    "Mandarin",
+    "Hindi",
+    "Arabic",
+    "Portuguese",
+    "Russian",
+    "Japanese",
+    "German",
+    "French",
 ];
 
 pub const AWARDS: &[&str] = &[
@@ -71,20 +134,36 @@ pub const AWARDS: &[&str] = &[
 ];
 
 pub const TEAM_SUFFIXES: &[&str] = &[
-    "Hawks", "Tigers", "Rovers", "United", "Wanderers", "Giants", "Royals", "Comets",
-    "Pioneers", "Mariners",
+    "Hawks",
+    "Tigers",
+    "Rovers",
+    "United",
+    "Wanderers",
+    "Giants",
+    "Royals",
+    "Comets",
+    "Pioneers",
+    "Mariners",
 ];
 
 pub const STADIUM_SUFFIXES: &[&str] = &["Arena", "Stadium", "Park", "Field", "Dome"];
 
 pub const PARTY_ADJECTIVES: &[&str] = &[
-    "Progressive", "Conservative", "Liberal", "National", "Democratic", "Republican", "Green",
-    "Labour", "Unity", "Reform",
+    "Progressive",
+    "Conservative",
+    "Liberal",
+    "National",
+    "Democratic",
+    "Republican",
+    "Green",
+    "Labour",
+    "Unity",
+    "Reform",
 ];
 
 const COUNTRY_PREFIX: &[&str] = &[
-    "Nor", "Vel", "Ash", "Kor", "Bel", "Dor", "Mar", "Tal", "Zan", "Est", "Gal", "Hal",
-    "Ild", "Jor", "Kal", "Lor", "Mon", "Ond",
+    "Nor", "Vel", "Ash", "Kor", "Bel", "Dor", "Mar", "Tal", "Zan", "Est", "Gal", "Hal", "Ild",
+    "Jor", "Kal", "Lor", "Mon", "Ond",
 ];
 const COUNTRY_SUFFIX: &[&str] = &["dovia", "land", "mark", "stan", "onia", "avia"];
 
@@ -97,8 +176,22 @@ const CITY_PARTS_B: &[&str] = &[
 ];
 
 const WORK_ADJ: &[&str] = &[
-    "Silent", "Crimson", "Endless", "Broken", "Golden", "Midnight", "Distant", "Hollow",
-    "Burning", "Frozen", "Electric", "Velvet", "Shattered", "Hidden", "Rust", "Iron",
+    "Silent",
+    "Crimson",
+    "Endless",
+    "Broken",
+    "Golden",
+    "Midnight",
+    "Distant",
+    "Hollow",
+    "Burning",
+    "Frozen",
+    "Electric",
+    "Velvet",
+    "Shattered",
+    "Hidden",
+    "Rust",
+    "Iron",
 ];
 const WORK_NOUN: &[&str] = &[
     "Horizon", "Echo", "Garden", "Winter", "Mirror", "Empire", "Voyage", "Harvest", "Signal",
@@ -106,8 +199,16 @@ const WORK_NOUN: &[&str] = &[
 ];
 
 const BAND_NOUN: &[&str] = &[
-    "Serpents", "Owls", "Prophets", "Machines", "Shadows", "Architects", "Wolves", "Saints",
-    "Harbingers", "Corsairs",
+    "Serpents",
+    "Owls",
+    "Prophets",
+    "Machines",
+    "Shadows",
+    "Architects",
+    "Wolves",
+    "Saints",
+    "Harbingers",
+    "Corsairs",
 ];
 
 const MOUNTAIN_NAMES: &[&str] = &[
@@ -119,7 +220,9 @@ const RIVER_NAMES: &[&str] = &[
     "Aldan", "Brine", "Corven", "Dusk", "Ebon", "Fenwick", "Glen", "Hazel", "Isen", "Juniper",
 ];
 
-const GENE_PREFIX: &[&str] = &["BRC", "TP", "MYC", "KRA", "EGF", "CDK", "SOX", "FOX", "HOX", "RAS"];
+const GENE_PREFIX: &[&str] = &[
+    "BRC", "TP", "MYC", "KRA", "EGF", "CDK", "SOX", "FOX", "HOX", "RAS",
+];
 
 const PROTEIN_GREEK: &[&str] = &[
     "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "kappa", "sigma", "omega", "theta",
@@ -197,7 +300,11 @@ pub fn river_name(i: usize, _rng: &mut StdRng) -> String {
 pub fn company_name(i: usize, rng: &mut StdRng) -> String {
     let a = WORK_ADJ[i % WORK_ADJ.len()];
     let b = BAND_NOUN[(i / WORK_ADJ.len()) % BAND_NOUN.len()];
-    let suffix = if rng.gen_bool(0.5) { "Industries" } else { "Group" };
+    let suffix = if rng.gen_bool(0.5) {
+        "Industries"
+    } else {
+        "Group"
+    };
     format!("{a} {b} {suffix}")
 }
 
@@ -330,7 +437,9 @@ mod tests {
     fn positions_align_with_sports() {
         assert_eq!(SPORTS.len(), POSITIONS.len());
         // The paper's own example: "PF" stands for Power Forward.
-        assert!(POSITIONS[0].iter().any(|&(f, a)| f == "Power forward" && a == "PF"));
+        assert!(POSITIONS[0]
+            .iter()
+            .any(|&(f, a)| f == "Power forward" && a == "PF"));
     }
 
     #[test]
@@ -340,6 +449,9 @@ mod tests {
         let mut dedup = titles.clone();
         dedup.sort();
         dedup.dedup();
-        assert!(dedup.len() >= 6, "titles should be mostly distinct: {titles:?}");
+        assert!(
+            dedup.len() >= 6,
+            "titles should be mostly distinct: {titles:?}"
+        );
     }
 }
