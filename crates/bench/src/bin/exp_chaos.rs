@@ -1,16 +1,16 @@
 //! Chaos experiment — KGLink accuracy/weighted-F1 as the KG retrieval
-//! backend degrades (not a paper table; exercises the resilience layer).
+//! backend degrades (not a paper table; exercises the degrade path).
 //!
 //! For each injected fault rate the full pipeline (fit *and* evaluate) runs
-//! against `ResilientBackend(FaultyBackend(DiskBackend))`. Columns whose
-//! retrieval ultimately fails degrade to the paper's no-linkage path
-//! (Table IV), so the expected curve interpolates between fault-free KGLink
-//! and the `KGLink w/o ct` ablation floor — it never falls below a model
-//! that had no KG to begin with, and a 100% outage must not panic.
+//! against `FaultyBackend(DiskBackend)`. A column with a failed retrieval
+//! degrades to the paper's no-linkage path (Table IV); nothing retries.
+//! So the expected curve interpolates between fault-free KGLink and the
+//! `KGLink w/o ct` ablation floor — it never falls below a model that had
+//! no KG to begin with, and a 100% outage must not panic.
 
 use kglink_bench::{print_markdown, run_kglink, run_kglink_on, ExpEnv, Which};
 use kglink_core::{DegradationStats, Preprocessor, RowFilter};
-use kglink_search::{FaultConfig, FaultyBackend, ResilienceConfig, ResilientBackend};
+use kglink_search::{FaultConfig, FaultyBackend};
 use kglink_table::Split;
 
 /// Tolerance, in weighted-F1 percentage points, for the endpoint checks.
@@ -38,30 +38,21 @@ fn main() {
             &*env.searcher,
             FaultConfig::with_fault_rate(env.seed ^ (0x70 + i as u64), rate),
         );
-        let resilient = ResilientBackend::new(&faulty, ResilienceConfig::default());
-        let resources = env.resources_with(&resilient);
+        let resources = env.resources_with(&faulty);
         let label = format!("chaos {rate:.2}");
         let (run, _, _) = run_kglink_on(&env, &resources, which, base.clone(), &label);
 
         // Degradation accounting: re-preprocess the test split through the
-        // same backend; the decorator's counters are cumulative over the
-        // whole run (fit + evaluate + this pass).
-        let pre = Preprocessor::new(&env.graph, &resilient, base.clone());
+        // same backend.
+        let pre = Preprocessor::new(&env.graph, &faulty, base.clone());
         let processed: Vec<_> = dataset
             .tables_in(Split::Test)
             .flat_map(|t| pre.process(t))
             .collect();
-        let stats = DegradationStats::from_processed(&processed).with_backend(&resilient.metrics());
+        let stats = DegradationStats::from_processed(&processed);
         eprintln!(
-            "[chaos] rate {rate:.2}: degraded {}/{} columns, {} failed cells, {} retries, {} trips, {} rejections, p50 {}us p99 {}us",
-            stats.degraded_columns,
-            stats.total_columns,
-            stats.failed_cells,
-            stats.retries,
-            stats.breaker_trips,
-            stats.breaker_rejections,
-            stats.retrieval_p50_us,
-            stats.retrieval_p99_us
+            "[chaos] rate {rate:.2}: degraded {}/{} columns, {} failed cells",
+            stats.degraded_columns, stats.total_columns, stats.failed_cells,
         );
         wf1_curve.push(run.summary.weighted_f1_pct());
         rows.push(vec![
@@ -69,17 +60,13 @@ fn main() {
             format!("{:.2}", run.summary.accuracy_pct()),
             format!("{:.2}", run.summary.weighted_f1_pct()),
             format!("{:.1}", 100.0 * stats.degraded_fraction()),
-            stats.retries.to_string(),
-            stats.breaker_trips.to_string(),
-            format!("{}/{}", stats.retrieval_p50_us, stats.retrieval_p99_us),
+            stats.failed_cells.to_string(),
         ]);
     }
     rows.push(vec![
         "w/o KG".into(),
         format!("{:.2}", floor_run.summary.accuracy_pct()),
         format!("{floor_wf1:.2}"),
-        "—".into(),
-        "—".into(),
         "—".into(),
         "—".into(),
     ]);
@@ -90,9 +77,7 @@ fn main() {
             "Accuracy",
             "Weighted F1",
             "Degraded cols %",
-            "Retries",
-            "Breaker trips",
-            "p50/p99 us",
+            "Failed cells",
         ],
         &rows,
     );

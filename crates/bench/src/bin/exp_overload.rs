@@ -1,39 +1,28 @@
 //! exp_overload: overload-protection chaos harness.
 //!
-//! Two parts, both deterministic:
-//!
-//! 1. **Open-loop load sweep (simulated queue).** A G/D/c queue
-//!    simulation in integer microseconds drives the *real*
-//!    `AimdLimit`/`BrownoutController` state machines with open-loop
-//!    arrivals (no client backpressure) at 0.4–2.0× the saturation rate,
-//!    adaptive vs static admission. The sweep asserts the tentpole
-//!    properties: adaptive goodput plateaus past saturation (≥90% of its
-//!    sweep peak at 2× while the static queue collapses), the admitted
-//!    p99 stays bounded through a spike, the ladder actually engages
-//!    during the spike, and the controller recovers to rung 0 after it.
-//!
-//! 2. **Retry-budget chaos.** The real `ResilientBackend` over a seeded
-//!    fault injector with a long outage, with and without a retry budget:
-//!    the budget must cap lifetime retries at `initial + ratio × queries`
-//!    and strictly reduce retry amplification.
+//! An open-loop load sweep over a simulated queue, deterministic: a G/D/c
+//! queue simulation in integer microseconds drives the *real*
+//! `AimdLimit`/`BrownoutController` state machines with open-loop arrivals
+//! (no client backpressure) at 0.4–2.0× the saturation rate, adaptive vs
+//! static admission. The sweep asserts the tentpole properties: adaptive
+//! goodput plateaus past saturation (≥90% of its sweep peak at 2× while
+//! the static queue collapses), the admitted p99 stays bounded through a
+//! spike, the ladder actually engages during the spike, and the
+//! controller recovers to rung 0 after it.
 //!
 //! That degraded rungs change cost, never labels, is `tests/serve.rs`'s
 //! to check (`pinned_no_linkage_rung_…`, `cold_cache_only_rung_…`).
 //! The sweep is exported to `results/overload.jsonl` through the
 //! observability layer's `JsonlSink`. `--smoke` shrinks the simulated
-//! horizon and the fault burst but keeps every assertion.
+//! horizon but keeps every assertion.
 
-use kglink_bench::{print_markdown, ExpEnv};
+use kglink_bench::print_markdown;
 use kglink_obs::{Histogram, JsonlSink, Tracer};
-use kglink_search::{
-    BreakerConfig, Deadline, FaultConfig, FaultyBackend, KgBackend, ResilienceConfig,
-    ResilientBackend, RetryBudgetConfig,
-};
 use kglink_serve::{AimdConfig, AimdLimit, BrownoutConfig, BrownoutController, DegradationRung};
 use std::collections::VecDeque;
 
 // ---------------------------------------------------------------------------
-// Part 1: the open-loop queue simulation.
+// The open-loop queue simulation.
 // ---------------------------------------------------------------------------
 
 /// Simulated service times per rung, µs. Degradation buys real capacity:
@@ -192,11 +181,10 @@ fn arrivals_at(rate_per_s: f64, from_us: u64, to_us: u64, into: &mut Vec<u64>) {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let env = ExpEnv::load();
     let tracer = Tracer::enabled();
 
     // -----------------------------------------------------------------
-    // Part 1: the load sweep.
+    // The load sweep.
     // -----------------------------------------------------------------
     let horizon_us: u64 = if smoke { 1_000_000 } else { 4_000_000 };
     let saturation = WORKERS as f64 * 1e6 / FULL_US as f64;
@@ -335,78 +323,6 @@ fn main() {
         adaptive_spike.final_rung,
         DegradationRung::Full,
         "the controller must recover to rung 0 after the spike"
-    );
-
-    // -----------------------------------------------------------------
-    // Part 2: retry budgets under a fault burst.
-    // -----------------------------------------------------------------
-    let queries = if smoke { 40u64 } else { 200 };
-    let run_burst = |retry_budget: Option<RetryBudgetConfig>| {
-        let faulty = FaultyBackend::new(
-            &*env.searcher,
-            // A long outage starting almost immediately: every call during
-            // the burst fails with a retryable error.
-            FaultConfig::healthy(env.seed ^ 0x51).with_outage(2, u64::MAX),
-        );
-        let resilient = ResilientBackend::new(
-            faulty,
-            ResilienceConfig {
-                retry_budget,
-                // Keep the breaker out of the way so the budget's effect
-                // is isolated and fully deterministic.
-                breaker: BreakerConfig {
-                    failure_threshold: 1.1,
-                    ..BreakerConfig::default()
-                },
-                ..ResilienceConfig::default()
-            },
-        );
-        for i in 0..queries {
-            let _ = resilient.search_entities(
-                if i % 2 == 0 { "peter" } else { "springfield" },
-                3,
-                Deadline::UNBOUNDED,
-            );
-        }
-        resilient.metrics()
-    };
-    let budget = RetryBudgetConfig {
-        ratio: 0.1,
-        cap: 5.0,
-        initial: 5.0,
-    };
-    let budgeted = run_burst(Some(budget.clone()));
-    let unbudgeted = run_burst(None);
-    let bound = budget.initial + budget.ratio * budgeted.queries as f64;
-    tracer.event_with(
-        "overload.retry_budget",
-        vec![
-            ("queries", budgeted.queries.to_string()),
-            ("budgeted_retries", budgeted.retries.to_string()),
-            ("unbudgeted_retries", unbudgeted.retries.to_string()),
-            ("denied", budgeted.retry_budget_denied.to_string()),
-            ("bound", format!("{bound:.1}")),
-        ],
-    );
-    println!(
-        "retry budget: {} retries over {} queries (bound {bound:.1}, denied {}); \
-         unbudgeted {} retries",
-        budgeted.retries, budgeted.queries, budgeted.retry_budget_denied, unbudgeted.retries
-    );
-    assert!(
-        (budgeted.retries as f64) <= bound,
-        "retry budget violated: {} retries exceed {bound:.1}",
-        budgeted.retries
-    );
-    assert!(
-        budgeted.retries < unbudgeted.retries,
-        "the budget must reduce retry amplification ({} vs {})",
-        budgeted.retries,
-        unbudgeted.retries
-    );
-    assert!(
-        budgeted.retry_budget_denied > 0,
-        "the burst must exercise denial"
     );
 
     // -----------------------------------------------------------------

@@ -18,9 +18,9 @@
 //!    A second pass over 5 000 ids' one-hop lists must be served by the
 //!    neighbourhood tier alone.
 //! 5. **Serving** — an `AnnotationService` runs end-to-end over
-//!    `Arc<DiskGraph>` + `ResilientBackend<DiskBackend>` (+ the service's
-//!    own `CachingBackend`), i.e. the production stack with only the
-//!    storage layer swapped, against the big world.
+//!    `Arc<DiskGraph>` + `Arc<DiskBackend>` (+ the service's own
+//!    `CachingBackend`), i.e. the production stack with only the storage
+//!    layer swapped, against the big world.
 //! 6. **Memory ceiling** — `VmHWM` must stay under a fixed budget that an
 //!    in-memory 10M-entity world could not meet.
 //!
@@ -34,7 +34,7 @@ use kglink_bench::{print_markdown, ExpEnv, Which};
 use kglink_datagen::{generate_big_world, BigWorldConfig};
 use kglink_kg::{EntityId, GraphAccess, SyntheticWorld, WorldConfig};
 use kglink_obs::Histogram;
-use kglink_search::{EntitySearcher, ResilienceConfig, ResilientBackend};
+use kglink_search::EntitySearcher;
 use kglink_serve::{AdmissionPolicy, AnnotationService, ServiceConfig, SharedBackend};
 use kglink_store::{
     write_graph, DiskBackend, DiskWorld, StoreError, WorldWriterConfig, MANIFEST_FILE,
@@ -329,14 +329,10 @@ fn main() {
 
     let disk_backend =
         Arc::new(DiskBackend::open_with_cache(&big_dir, 32 << 20).expect("service backend"));
-    let backend: SharedBackend = Arc::new(ResilientBackend::new(
-        Arc::clone(&disk_backend),
-        ResilienceConfig::default(),
-    ));
     let mut service = AnnotationService::new(
         Arc::new(model),
         Arc::clone(&disk.graph) as Arc<dyn GraphAccess>,
-        backend,
+        Arc::clone(&disk_backend) as SharedBackend,
         Arc::clone(&env.tokenizer),
         ServiceConfig {
             workers: 2,

@@ -220,7 +220,7 @@ impl ExpEnv {
     }
 
     /// KGLink resources view over an arbitrary retrieval backend (fault
-    /// injection, resilient decorators, …).
+    /// injection, …).
     pub fn resources_with<'a>(&'a self, backend: &'a (dyn KgBackend + 'a)) -> Resources<'a> {
         Resources::builder()
             .graph(&*self.graph)
@@ -362,7 +362,7 @@ pub fn run_kglink(
 }
 
 /// [`run_kglink`] against explicit resources — lets chaos experiments swap
-/// in a faulty or resilient retrieval backend for both fit and evaluate.
+/// in a faulty retrieval backend for both fit and evaluate.
 pub fn run_kglink_on(
     env: &ExpEnv,
     resources: &Resources<'_>,

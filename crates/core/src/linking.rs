@@ -1,10 +1,10 @@
 //! Part 1, Step 1: table cell mention linking (paper Eq. 1–2).
 //!
 //! Linking goes through the fallible [`KgBackend`] trait: a retrieval
-//! failure (timeout, transient fault, outage, open circuit breaker) is a
-//! first-class outcome recorded on the [`CellLink`], not a panic. Failed
-//! cells carry no candidates, which downstream turns into the paper's
-//! no-linkage path (Table IV).
+//! failure (timeout, transient fault, outage) is a first-class outcome
+//! recorded on the [`CellLink`], not a panic. Failed cells carry no
+//! candidates, which downstream turns into the paper's no-linkage path
+//! (Table IV).
 
 use kglink_kg::EntityId;
 use kglink_search::{Deadline, KgBackend};

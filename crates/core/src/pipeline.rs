@@ -16,7 +16,7 @@ use kglink_search::{Deadline, KgBackend};
 use kglink_table::{Dataset, EvalSummary, LabelId, LabelVocab, Split, Table};
 
 /// Everything external a KGLink instance needs: the KG, a retrieval backend
-/// over it (the disk backend, or any resilient/faulty decorator stack), the
+/// over it (the disk backend, or any decorator stack over it), the
 /// tokenizer, and (optionally) pre-trained MiniLM weights shared across the
 /// experiment grid.
 ///

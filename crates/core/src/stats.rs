@@ -1,8 +1,7 @@
 //! Linkage statistics (paper Table III) and retrieval degradation
-//! accounting for the resilience layer.
+//! accounting.
 
 use crate::preprocess::ProcessedTable;
-use kglink_search::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
 
 /// The linkage class of a column, per the paper's Table III taxonomy.
@@ -104,8 +103,7 @@ impl std::fmt::Display for LinkStatistics {
     }
 }
 
-/// How much of a preprocessing pass ran in degraded (no-KG) mode, plus the
-/// retrieval-layer counters when the backend exposes them.
+/// How much of a preprocessing pass ran in degraded (no-KG) mode.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct DegradationStats {
     /// Columns seen across all processed chunks.
@@ -114,16 +112,6 @@ pub struct DegradationStats {
     pub degraded_columns: usize,
     /// Cells whose retrieval was attempted but failed.
     pub failed_cells: usize,
-    /// Retry attempts made by the resilient decorator (0 without one).
-    pub retries: u64,
-    /// Circuit-breaker trips (0 without one).
-    pub breaker_trips: u64,
-    /// Queries rejected outright by an open breaker (0 without one).
-    pub breaker_rejections: u64,
-    /// p50 simulated latency of successful retrievals, microseconds.
-    pub retrieval_p50_us: u64,
-    /// p99 simulated latency of successful retrievals, microseconds.
-    pub retrieval_p99_us: u64,
 }
 
 impl DegradationStats {
@@ -136,16 +124,6 @@ impl DegradationStats {
             s.failed_cells += pt.failed_cells;
         }
         s
-    }
-
-    /// Merge in the retrieval-layer counters of a resilient backend.
-    pub fn with_backend(mut self, m: &MetricsSnapshot) -> Self {
-        self.retries = m.retries;
-        self.breaker_trips = m.breaker_trips;
-        self.breaker_rejections = m.breaker_rejections;
-        self.retrieval_p50_us = m.latency_p50_us();
-        self.retrieval_p99_us = m.latency_p99_us();
-        self
     }
 
     /// Fraction of columns that degraded, in [0, 1].
@@ -167,17 +145,7 @@ impl std::fmt::Display for DegradationStats {
             self.total_columns,
             100.0 * self.degraded_fraction()
         )?;
-        writeln!(f, "Failed cells:       {:>6}", self.failed_cells)?;
-        writeln!(
-            f,
-            "Retries:            {:>6}   breaker trips: {}   breaker rejections: {}",
-            self.retries, self.breaker_trips, self.breaker_rejections
-        )?;
-        write!(
-            f,
-            "Retrieval latency:  p50 {}us, p99 {}us (simulated)",
-            self.retrieval_p50_us, self.retrieval_p99_us
-        )
+        write!(f, "Failed cells:       {:>6}", self.failed_cells)
     }
 }
 
@@ -239,7 +207,7 @@ mod tests {
     #[test]
     fn degradation_stats_track_outages() {
         use kglink_datagen::{semtab_like, SemTabConfig};
-        use kglink_search::{FaultConfig, FaultyBackend, ResilienceConfig, ResilientBackend};
+        use kglink_search::{FaultConfig, FaultyBackend};
 
         let world = SyntheticWorld::generate(&WorldConfig::tiny(32));
         let bench = semtab_like(&world, &SemTabConfig::tiny(32));
@@ -260,11 +228,10 @@ mod tests {
         assert_eq!(s.failed_cells, 0);
         assert_eq!(s.degraded_fraction(), 0.0);
 
-        // Full outage behind the resilient decorator: everything linkable
-        // degrades and the decorator's counters surface.
+        // Full outage: everything linkable degrades, and every failed
+        // call is one failed cell.
         let faulty = FaultyBackend::new(&disk.backend, FaultConfig::with_fault_rate(5, 1.0));
-        let resilient = ResilientBackend::new(&faulty, ResilienceConfig::default());
-        let pre = Preprocessor::new(&disk.graph, &resilient, KgLinkConfig::fast_test());
+        let pre = Preprocessor::new(&disk.graph, &faulty, KgLinkConfig::fast_test());
         let dead: Vec<_> = bench
             .dataset
             .tables
@@ -272,16 +239,13 @@ mod tests {
             .take(4)
             .flat_map(|t| pre.process(t))
             .collect();
-        let s = DegradationStats::from_processed(&dead).with_backend(&resilient.metrics());
+        let s = DegradationStats::from_processed(&dead);
         assert!(s.degraded_columns > 0);
         assert!(s.failed_cells > 0);
-        assert!(
-            s.retries > 0,
-            "transient faults are retried before giving up"
-        );
+        assert_eq!(s.failed_cells as u64, faulty.calls(), "nothing retries");
         assert!(s.degraded_fraction() > 0.0);
         let text = s.to_string();
         assert!(text.contains("Degraded columns"));
-        assert!(text.contains("breaker trips"));
+        assert!(text.contains("Failed cells"));
     }
 }

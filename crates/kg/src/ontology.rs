@@ -63,13 +63,6 @@ impl<'g> TypeHierarchy<'g> {
         }
         None
     }
-
-    /// Most specific common ancestor(s) of two types, if any.
-    pub fn common_ancestors(&self, a: EntityId, b: EntityId) -> Vec<EntityId> {
-        let anc_a: BTreeSet<EntityId> = self.ancestors(a).into_iter().chain([a]).collect();
-        let anc_b: BTreeSet<EntityId> = self.ancestors(b).into_iter().chain([b]).collect();
-        anc_a.intersection(&anc_b).copied().collect()
-    }
 }
 
 #[cfg(test)]
@@ -124,16 +117,5 @@ mod tests {
         // Name is outside the hierarchy of Basketball player: the paper's gap.
         assert_eq!(h.granularity_gap(bballer, name), None);
         assert_eq!(h.granularity_gap(name, name), Some(0));
-    }
-
-    #[test]
-    fn common_ancestors_meet_at_person() {
-        let mut b = KgBuilder::new();
-        let person = b.add_type("Person", None);
-        let athlete = b.add_type("Athlete", Some(person));
-        let musician = b.add_type("Musician", Some(person));
-        let g = b.build();
-        let h = TypeHierarchy::new(&g);
-        assert_eq!(h.common_ancestors(athlete, musician), vec![person]);
     }
 }

@@ -188,18 +188,6 @@ impl Tensor {
         self.data.fill(0.0);
     }
 
-    /// Add a row vector (1×cols) to every row.
-    pub fn add_row_broadcast(&mut self, row: &Tensor) {
-        assert_eq!(row.rows, 1, "broadcast source must be a row vector");
-        assert_eq!(row.cols, self.cols, "broadcast width mismatch");
-        for r in 0..self.rows {
-            let dst = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            for (d, &s) in dst.iter_mut().zip(&row.data) {
-                *d += s;
-            }
-        }
-    }
-
     /// Sum of all rows as a 1×cols tensor.
     pub fn sum_rows(&self) -> Tensor {
         let mut out = Tensor::zeros(1, self.cols);
@@ -288,11 +276,8 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_and_sum_rows_are_adjoint() {
-        let mut a = Tensor::zeros(3, 2);
-        let row = t(1, 2, &[1.0, -2.0]);
-        a.add_row_broadcast(&row);
-        assert_eq!(a.row(2), &[1.0, -2.0]);
+    fn sum_rows_adds_every_row() {
+        let a = t(3, 2, &[1.0, -2.0, 1.0, -2.0, 1.0, -2.0]);
         let s = a.sum_rows();
         assert_eq!(s.data(), &[3.0, -6.0]);
     }

@@ -200,21 +200,6 @@ impl Histogram {
         out.merge_from(other);
         out
     }
-
-    /// `(bucket_lo, bucket_hi, count)` for every non-empty bucket, in
-    /// ascending value order — the JSONL export and breakdown tables
-    /// iterate this instead of the raw array.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let (lo, hi) = bounds_of(i);
-                (lo, hi, c)
-            })
-            .collect()
-    }
 }
 
 impl std::fmt::Debug for Histogram {
@@ -242,7 +227,6 @@ mod tests {
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
-        assert!(h.nonzero_buckets().is_empty());
     }
 
     #[test]

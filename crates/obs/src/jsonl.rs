@@ -173,7 +173,7 @@ mod tests {
         {
             let _s = t.span("annotate");
             t.incr("cache.hit", 2);
-            t.event_with("retrieval.retry", vec![("attempt", "1".to_string())]);
+            t.event_with("degrade.column", vec![("column", "1".to_string())]);
         }
         t.record_us("serve.queue_wait", 55);
         let mut sink = JsonlSink::new(Vec::new());
@@ -194,8 +194,8 @@ mod tests {
             );
         }
         assert!(text.contains("\"rec\":\"event\""));
-        assert!(text.contains("\"name\":\"retrieval.retry\""));
-        assert!(text.contains("\"fields\":{\"attempt\":\"1\"}"));
+        assert!(text.contains("\"name\":\"degrade.column\""));
+        assert!(text.contains("\"fields\":{\"column\":\"1\"}"));
         assert!(text.contains("\"rec\":\"counter\",\"name\":\"cache.hit\",\"value\":2"));
         assert!(text.contains("\"rec\":\"stage\",\"name\":\"serve.queue_wait\""));
     }

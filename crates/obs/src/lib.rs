@@ -38,9 +38,8 @@
 //! | `serve.queue_wait`  | serve worker: real queue wait per ticket     |
 //! | `serve.request`     | serve worker: service time per ticket        |
 //!
-//! Event names follow the same dotted style: `retrieval.retry`,
-//! `breaker.transition`, `breaker.reject`, `cache.hit`, `cache.miss`,
-//! `degrade.column`.
+//! Event names follow the same dotted style: `degrade.column`,
+//! `cache.hit`, `cache.miss`, `worker.panic`.
 
 #![deny(deprecated)]
 #![forbid(unsafe_code)]

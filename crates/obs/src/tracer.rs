@@ -34,7 +34,7 @@ pub enum EventKind {
     SpanStart,
     /// A span closed; `elapsed_us` is its measured wall time.
     SpanEnd { elapsed_us: u64 },
-    /// A point-in-time occurrence (retry, breaker transition, degrade…).
+    /// A point-in-time occurrence (degraded column, worker panic…).
     Instant,
     /// A counter increment; `value` is the counter's new total.
     Counter { value: u64 },
@@ -52,7 +52,7 @@ pub struct Event {
     pub span: u64,
     /// Parent span id of `span` (0 = root).
     pub parent: u64,
-    /// Dotted event/span name (`retrieval.retry`, `breaker.transition`…).
+    /// Dotted event/span name (`retrieval`, `degrade.column`…).
     pub name: &'static str,
     pub kind: EventKind,
     /// Free-form key/value payload.

@@ -6,15 +6,12 @@
 //! [`Deadline`] and returns either a [`SearchOutcome`] or a typed
 //! [`RetrievalError`].
 //!
-//! Two clocks meet at this trait, and each lives in one place. *Simulated*
-//! service time lives in [`resilience`](crate::resilience) only: the fault
-//! injector compares an injected latency with the deadline, and the
-//! resilient decorator advances a virtual clock by latencies, backoff and
-//! breaker cooldowns — nothing sleeps, so chaos tests stay fast and
-//! deterministic. [`SearchOutcome::latency_us`] carries that time; sources
-//! and cache hits report 0. *Real* time lives in the callers: `kglink-serve`
+//! One clock spends a deadline: the caller's budget. `kglink-serve`
 //! subtracts a request's measured queue wait from its [`Deadline`] before
-//! annotating, so a deadline is simply a microsecond budget.
+//! annotating, so a deadline is simply a microsecond budget. The fault
+//! injector in [`resilience`](crate::resilience) compares an injected
+//! latency with that budget instead of sleeping, so chaos tests stay fast
+//! and deterministic.
 
 use kglink_kg::EntityId;
 use std::fmt;
@@ -39,24 +36,13 @@ impl Deadline {
         self.budget_us
     }
 
-    /// The tighter of this deadline and `other_us`.
-    pub fn tighten(self, other_us: u64) -> Self {
-        Deadline {
-            budget_us: self.budget_us.min(other_us),
-        }
-    }
-
     pub fn is_unbounded(&self) -> bool {
         self.budget_us == u64::MAX
     }
 }
 
-/// Why a retrieval call failed. Everything except [`CircuitOpen`] and
-/// [`RetriesExhausted`] describes a single attempt; the resilient decorator
-/// wraps the final attempt's error in [`RetriesExhausted`] when it gives up.
-///
-/// [`CircuitOpen`]: RetrievalError::CircuitOpen
-/// [`RetriesExhausted`]: RetrievalError::RetriesExhausted
+/// Why a retrieval call failed. The pipeline handles every variant alike:
+/// it degrades the cell's column to the no-linkage path.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RetrievalError {
     /// The service time exceeded the caller's deadline.
@@ -65,25 +51,6 @@ pub enum RetrievalError {
     Transient,
     /// The backend is hard-down (outage window).
     Unavailable,
-    /// The circuit breaker is open; the call was not attempted.
-    CircuitOpen { cooldown_remaining_us: u64 },
-    /// All retry attempts failed; `last` is the final attempt's error.
-    RetriesExhausted {
-        attempts: u32,
-        last: Box<RetrievalError>,
-    },
-}
-
-impl RetrievalError {
-    /// Whether a retry could plausibly succeed.
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            RetrievalError::Timeout { .. }
-                | RetrievalError::Transient
-                | RetrievalError::Unavailable
-        )
-    }
 }
 
 impl fmt::Display for RetrievalError {
@@ -98,29 +65,17 @@ impl fmt::Display for RetrievalError {
             ),
             RetrievalError::Transient => write!(f, "transient retrieval fault"),
             RetrievalError::Unavailable => write!(f, "retrieval backend unavailable"),
-            RetrievalError::CircuitOpen {
-                cooldown_remaining_us,
-            } => write!(
-                f,
-                "circuit breaker open ({cooldown_remaining_us}us cooldown remaining)"
-            ),
-            RetrievalError::RetriesExhausted { attempts, last } => {
-                write!(f, "retries exhausted after {attempts} attempts: {last}")
-            }
         }
     }
 }
 
 impl std::error::Error for RetrievalError {}
 
-/// One successful retrieval: scored hits plus service-time accounting.
+/// One successful retrieval.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcome {
     /// Candidate entities with BM25 linking scores, best first.
     pub hits: Vec<(EntityId, f32)>,
-    /// Simulated service latency of the whole call (including any retries
-    /// and backoff when the call went through a resilient decorator).
-    pub latency_us: u64,
     /// True when the backend returned fewer hits than it had (partial
     /// results, e.g. a shard dropped out mid-query).
     pub truncated: bool,
@@ -130,9 +85,8 @@ pub struct SearchOutcome {
 ///
 /// Sources: [`EntitySearcher`](crate::EntitySearcher) (in-memory) and
 /// `kglink-store`'s `DiskBackend`. Decorators:
-/// [`CachingBackend`](crate::CachingBackend),
-/// [`ResilientBackend`](crate::resilience::ResilientBackend), the chaos
-/// injectors [`FaultyBackend`](crate::resilience::FaultyBackend) and
+/// [`CachingBackend`](crate::CachingBackend), the chaos injectors
+/// [`FaultyBackend`](crate::resilience::FaultyBackend) and
 /// [`PanickingBackend`](crate::resilience::PanickingBackend), the `&B` /
 /// `Arc<B>` delegates, and `kglink-serve`'s rung-keyed view. `kglink-core`
 /// consumes the trait object, so any stack threads through the pipeline.
@@ -220,46 +174,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn deadline_tighten_takes_minimum() {
-        let d = Deadline::from_us(500).tighten(200);
-        assert_eq!(d.budget_us(), 200);
-        let d = Deadline::UNBOUNDED.tighten(300);
-        assert_eq!(d.budget_us(), 300);
-        assert!(!d.is_unbounded());
+    fn unbounded_is_the_only_unbounded_deadline() {
         assert!(Deadline::UNBOUNDED.is_unbounded());
-    }
-
-    #[test]
-    fn retryability_classification() {
-        assert!(RetrievalError::Transient.is_retryable());
-        assert!(RetrievalError::Unavailable.is_retryable());
-        assert!(RetrievalError::Timeout {
-            needed_us: 10,
-            budget_us: 5
-        }
-        .is_retryable());
-        assert!(!RetrievalError::CircuitOpen {
-            cooldown_remaining_us: 1
-        }
-        .is_retryable());
-        assert!(!RetrievalError::RetriesExhausted {
-            attempts: 3,
-            last: Box::new(RetrievalError::Transient)
-        }
-        .is_retryable());
+        assert!(!Deadline::from_us(300).is_unbounded());
     }
 
     #[test]
     fn errors_display_their_context() {
-        let e = RetrievalError::RetriesExhausted {
-            attempts: 4,
-            last: Box::new(RetrievalError::Timeout {
-                needed_us: 9000,
-                budget_us: 5000,
-            }),
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("4 attempts"));
+        let msg = RetrievalError::Timeout {
+            needed_us: 9000,
+            budget_us: 5000,
+        }
+        .to_string();
         assert!(msg.contains("9000us"));
+        assert!(msg.contains("5000us"));
     }
 }

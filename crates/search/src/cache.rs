@@ -12,13 +12,9 @@
 //! analyzer both indexes apply ([`for_each_token`]), so two queries that
 //! normalize equal are guaranteed to produce identical BM25 results —
 //! a cache hit returns bit-for-bit what the miss path would have computed.
-//! Errors are never cached (a transient fault must not poison the key),
-//! and a cache hit consumes zero simulated service time.
-//!
-//! The decorator composes freely with the resilience layer: *over* a
-//! [`ResilientBackend`](crate::resilience::ResilientBackend) it shields
-//! the breaker from repeated mentions; *under* one it caches only what the
-//! inner backend actually served.
+//! Errors are never cached (a transient fault must not poison the key), so
+//! over a [`FaultyBackend`](crate::resilience::FaultyBackend) the cache
+//! holds only what the inner backend actually served.
 
 use crate::backend::{Deadline, KgBackend, RetrievalError, SearchOutcome};
 use crate::tokenize::for_each_token;
@@ -293,7 +289,7 @@ struct CachedEntry {
 /// A [`KgBackend`] decorator that memoizes successful retrievals in a
 /// sharded LRU keyed by `(normalized mention, top_k)`.
 ///
-/// * A hit returns the stored hit list with **zero** simulated latency.
+/// * A hit returns the stored hit list without calling the inner backend.
 /// * A miss delegates to the inner backend under the caller's deadline and
 ///   stores only successful outcomes — errors pass through uncached.
 /// * Shards are locked independently and never held across the inner call,
@@ -349,9 +345,9 @@ impl<B: KgBackend> CachingBackend<B> {
     /// without ever consulting the inner backend. This is the serving
     /// layer's brownout rung 1 — under overload it keeps serving whatever
     /// the cache already holds (bit-identical to the miss path that
-    /// populated it, zero simulated latency) and lets misses degrade to
-    /// the no-linkage path instead of spending backend capacity. Counts
-    /// as a normal hit or miss in [`stats`](Self::stats).
+    /// populated it) and lets misses degrade to the no-linkage path
+    /// instead of spending backend capacity. Counts as a normal hit or
+    /// miss in [`stats`](Self::stats).
     pub fn lookup_cached(&self, query: &str, top_k: usize) -> Option<SearchOutcome> {
         let key = (normalize_mention(query), top_k);
         self.lookup_in(self.shard_for(&key), &key)
@@ -371,7 +367,6 @@ impl<B: KgBackend> CachingBackend<B> {
             .get(key)
             .map(|entry| SearchOutcome {
                 hits: entry.hits.clone(),
-                latency_us: 0,
                 truncated: entry.truncated,
             });
         if found.is_some() {
@@ -492,7 +487,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_hit_returns_identical_candidates_with_zero_latency() {
+    fn cache_hit_returns_identical_candidates() {
         let s = searcher();
         let cached = CachingBackend::new(&s, CacheConfig::default());
         let direct = s.search_entities("Peter", 5, Deadline::UNBOUNDED).unwrap();
@@ -507,7 +502,6 @@ mod tests {
             hit.hits, direct.hits,
             "hit must be bit-identical to the miss path"
         );
-        assert_eq!(hit.latency_us, 0, "a cache hit is free in simulated time");
         let stats = cached.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(stats.entries, 1);
@@ -575,10 +569,9 @@ mod tests {
             .search_entities("Peter", 3, Deadline::UNBOUNDED)
             .expect("first call precedes the outage");
         let calls_after_warm = flaky.calls();
-        // Warm key: served from the cache, identical hits, zero latency.
+        // Warm key: served from the cache, identical hits.
         let hit = cached.lookup_cached("  PETER ", 3).expect("warm key");
         assert_eq!(hit.hits, warm.hits);
-        assert_eq!(hit.latency_us, 0);
         // Cold key: a miss, not a backend call — the outage is never seen.
         assert!(cached.lookup_cached("Anna", 3).is_none());
         assert_eq!(

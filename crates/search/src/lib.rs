@@ -16,10 +16,11 @@
 //!
 //! Production-scale retrieval is *fallible*: [`KgBackend`] is the
 //! deadline-aware trait the pipeline consumes, and [`resilience`] provides
-//! deterministic fault injection plus a retry/backoff/circuit-breaker
-//! decorator around any backend. [`cache`] adds a sharded-LRU memoization
-//! decorator ([`CachingBackend`]) that both the serving layer and
-//! training-time preprocessing stack over any of the above.
+//! deterministic fault injection around any backend. A failed retrieval
+//! degrades its column to the no-linkage path; nothing retries. [`cache`]
+//! adds a sharded-LRU memoization decorator ([`CachingBackend`]) that both
+//! the serving layer and training-time preprocessing stack over any of the
+//! above.
 
 #![deny(deprecated)]
 #![forbid(unsafe_code)]
@@ -52,9 +53,8 @@ pub use bm25::Bm25Params;
 pub use cache::{normalize_mention, CacheConfig, CacheStats, CachingBackend, Lru};
 pub use index::{DocId, InvertedIndex, SearchHit};
 pub use resilience::{
-    backoff_delay_us, breaker_state_name, BreakerConfig, BreakerState, CircuitBreaker, FaultConfig,
-    FaultyBackend, MetricsSnapshot, PanickingBackend, ResilienceConfig, ResilientBackend,
-    RetryBudget, RetryBudgetConfig,
+    FaultConfig, FaultyBackend, MetricsSnapshot, PanickingBackend, ResilienceConfig,
+    ResilientBackend,
 };
 pub use searcher::EntitySearcher;
 pub use tokenize::tokenize;

@@ -49,9 +49,9 @@ impl EntitySearcher {
     }
 }
 
-/// The in-process searcher is an infallible, zero-latency backend: the
-/// local BM25 lookup cannot time out or drop a shard. Fault behaviour is
-/// layered on by the wrappers in [`crate::resilience`].
+/// The in-process searcher is an infallible backend: the local BM25 lookup
+/// cannot time out or drop a shard. Fault behaviour is layered on by the
+/// wrappers in [`crate::resilience`].
 impl KgBackend for EntitySearcher {
     // kglink-lint: allow(deadline-drop) — the in-process BM25 lookup is
     // synchronous and zero-latency by construction; there is no wait for a
@@ -64,7 +64,6 @@ impl KgBackend for EntitySearcher {
     ) -> Result<SearchOutcome, RetrievalError> {
         Ok(SearchOutcome {
             hits: self.link_mention(query, top_k),
-            latency_us: 0,
             truncated: false,
         })
     }

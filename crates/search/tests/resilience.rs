@@ -1,11 +1,8 @@
-//! Property tests for the resilience layer: circuit-breaker discipline,
-//! retry bounds, backoff shape, and fault-injection transparency at rate 0.
+//! Property test for fault injection: at rate 0 the injector is
+//! transparent.
 
 use kglink_kg::{Entity, KgBuilder, KnowledgeGraph, NeSchema};
-use kglink_search::{
-    backoff_delay_us, BreakerConfig, CircuitBreaker, Deadline, EntitySearcher, FaultConfig,
-    FaultyBackend, KgBackend, ResilienceConfig, ResilientBackend, RetryBudget, RetryBudgetConfig,
-};
+use kglink_search::{Deadline, EntitySearcher, FaultConfig, FaultyBackend, KgBackend};
 use proptest::prelude::*;
 
 fn tiny_graph() -> KnowledgeGraph {
@@ -19,96 +16,6 @@ fn tiny_graph() -> KnowledgeGraph {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    // The breaker must never admit a call while Open and inside the
-    // cooldown, for *any* interleaving of outcomes and time steps.
-    #[test]
-    fn breaker_never_serves_from_open_before_cooldown(
-        events in proptest::collection::vec((0u64..30_000, 0u8..2), 1..80),
-        cooldown in 1u64..200_000,
-    ) {
-        let mut breaker = CircuitBreaker::new(BreakerConfig {
-            window: 8,
-            min_samples: 2,
-            failure_threshold: 0.5,
-            cooldown_us: cooldown,
-            halfopen_successes: 1,
-        });
-        let mut now = 0u64;
-        for (dt, ok) in events {
-            now += dt;
-            let open_until = breaker.open_until_us();
-            let admitted = breaker.allow(now);
-            if let Some(until) = open_until {
-                if now < until {
-                    prop_assert!(!admitted, "admitted at {} while open until {}", now, until);
-                } else {
-                    prop_assert!(admitted, "cooldown elapsed at {} but still rejected", now);
-                }
-            }
-            if admitted {
-                breaker.record(now, ok == 1);
-            }
-        }
-    }
-
-    // The decorator never hits the inner backend more than
-    // `1 + max_retries` times per query, at any fault rate.
-    #[test]
-    fn retry_count_bounded_by_config(
-        rate in 0.0f64..1.0,
-        max_retries in 0u32..5,
-        n_queries in 1usize..25,
-        seed in 0u64..1_000,
-    ) {
-        let graph = tiny_graph();
-        let searcher = EntitySearcher::build(&graph);
-        let faulty = FaultyBackend::new(&searcher, FaultConfig::with_fault_rate(seed, rate));
-        let resilient = ResilientBackend::new(
-            &faulty,
-            ResilienceConfig { max_retries, ..Default::default() },
-        );
-        for i in 0..n_queries {
-            let _ = resilient.search_entities(&format!("peter {i}"), 3, Deadline::UNBOUNDED);
-        }
-        prop_assert!(
-            faulty.calls() <= n_queries as u64 * (1 + max_retries) as u64,
-            "{} inner calls for {} queries with {} retries",
-            faulty.calls(), n_queries, max_retries
-        );
-        let m = resilient.metrics();
-        prop_assert!(m.retries <= m.queries * max_retries as u64);
-    }
-
-    // For any configuration and jitter draws, backoff delays are monotone
-    // non-decreasing over attempts and never exceed the cap.
-    #[test]
-    fn backoff_monotone_and_capped(
-        base in 1u64..5_000,
-        mult_pct in 100u32..400,
-        cap in 1u64..50_000,
-        jitter in 0.0f64..1.5,
-        draws in proptest::collection::vec(0.0f64..1.0, 2..12),
-    ) {
-        let config = ResilienceConfig {
-            backoff_base_us: base,
-            backoff_multiplier: f64::from(mult_pct) / 100.0,
-            backoff_cap_us: cap,
-            jitter,
-            ..Default::default()
-        };
-        let delays: Vec<u64> = draws
-            .iter()
-            .enumerate()
-            .map(|(attempt, &u)| backoff_delay_us(&config, attempt as u32, u))
-            .collect();
-        for w in delays.windows(2) {
-            prop_assert!(w[0] <= w[1], "backoff not monotone: {:?}", delays);
-        }
-        for &d in &delays {
-            prop_assert!(d <= cap, "delay {} exceeds cap {}", d, cap);
-        }
-    }
 
     // At fault rate 0 the injector is transparent: identical hits, never
     // truncated, never erroring.
@@ -127,40 +34,6 @@ proptest! {
             let via = via.unwrap();
             prop_assert_eq!(&via.hits, &direct.hits);
             prop_assert!(!via.truncated);
-        }
-    }
-
-    // The token bucket never exceeds its cap and never grants more
-    // lifetime retries than `initial + ratio * queries`, for arbitrary
-    // interleavings of queries and retry attempts.
-    #[test]
-    fn retry_budget_tokens_never_exceed_cap_or_lifetime_bound(
-        ops in proptest::collection::vec(0u8..2, 1..300),
-        ratio_pct in 0u32..300,
-        cap in 0u32..80,
-        initial_pct in 0u32..100,
-    ) {
-        let cap = f64::from(cap);
-        let config = RetryBudgetConfig {
-            ratio: f64::from(ratio_pct) / 100.0,
-            cap,
-            initial: cap * f64::from(initial_pct) / 100.0,
-        };
-        let mut budget = RetryBudget::new(config.clone());
-        let mut queries = 0u64;
-        for op in ops {
-            if op == 0 {
-                budget.on_query();
-                queries += 1;
-            } else {
-                budget.try_retry();
-            }
-            prop_assert!(budget.tokens() <= config.cap + 1e-9,
-                "tokens {} exceed cap {}", budget.tokens(), config.cap);
-            prop_assert!(budget.tokens() >= 0.0);
-            let lifetime_bound = config.initial + config.ratio * queries as f64;
-            prop_assert!(budget.granted() as f64 <= lifetime_bound + 1e-9,
-                "{} grants exceed bound {}", budget.granted(), lifetime_bound);
         }
     }
 }

@@ -6,9 +6,7 @@
 //! 1. **Service counters** — submitted / completed / rejected / shed /
 //!    expired, queue depth, in-flight, and end-to-end latency percentiles.
 //! 2. **Retrieval counters** — [`RetrievalCounts`] for the primary
-//!    annotations' full-retrieval lookups. Retries, breaker state and the
-//!    simulated service-latency ledger stay on the caller's
-//!    [`ResilientBackend::metrics`](kglink_search::ResilientBackend::metrics).
+//!    annotations' full-retrieval lookups.
 //! 3. **Cache counters** — [`CacheStats`] from the shared
 //!    [`CachingBackend`](kglink_search::CachingBackend), when enabled.
 //! 4. **Feature-memo counters** — [`FeatureMemoStats`] of the serving

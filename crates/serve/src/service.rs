@@ -11,7 +11,7 @@
 //!                  backpressure              CachingBackend (shared LRU)
 //!                 (Reject/Block/                     │
 //!                   ShedOldest)               user backend stack
-//!                                        (searcher / resilient / faulty)
+//!                                        (disk / searcher / faulty)
 //! ```
 //!
 //! Determinism: annotation is a pure function of (model, resources, table).
@@ -355,10 +355,10 @@ pub struct AnnotationService {
 
 impl AnnotationService {
     /// Spawn the worker pool. The `backend` is the caller's retrieval
-    /// stack (plain searcher, or `ResilientBackend`/`FaultyBackend`
-    /// decorators); when `config.cache` is set the service interposes a
-    /// shared [`CachingBackend`](kglink_search::CachingBackend) in front of
-    /// it. Every worker annotates through that one stack.
+    /// stack (a disk backend or searcher, optionally under `FaultyBackend`
+    /// or `PanickingBackend`); when `config.cache` is set the service
+    /// interposes a shared [`CachingBackend`](kglink_search::CachingBackend)
+    /// in front of it. Every worker annotates through that one stack.
     pub fn new(
         model: Arc<KgLink>,
         graph: Arc<dyn GraphAccess>,

@@ -12,8 +12,8 @@
 //!
 //! The trait facades make these drop-in replacements: an
 //! `Arc<DiskGraph>` goes wherever an in-memory graph went, and a
-//! `DiskBackend` composes under `ResilientBackend`/`CachingBackend`
-//! exactly like `EntitySearcher` does. On small worlds the results are
+//! `DiskBackend` composes under `CachingBackend` exactly like
+//! `EntitySearcher` does. On small worlds the results are
 //! bit-identical (the transparency proptests pin both seams); the only
 //! observable difference is that the world no longer has to fit in RAM.
 
@@ -336,12 +336,11 @@ pub struct BackendStats {
 
 /// The on-disk BM25 index as a retrieval backend.
 ///
-/// `search_entities` succeeds like `EntitySearcher` does (zero simulated
-/// latency, `truncated: false`); a [`StoreError`] degrades to an *empty,
+/// `search_entities` succeeds like `EntitySearcher` does
+/// (`truncated: false`); a [`StoreError`] degrades to an *empty,
 /// truncated* outcome plus an error count rather than a `RetrievalError`,
 /// because the trait's error vocabulary describes transient service
-/// faults, not durable data corruption — retrying a corrupt segment
-/// cannot help, so the breaker must not trip on it.
+/// faults, not durable data corruption.
 #[derive(Debug)]
 pub struct DiskBackend {
     seg: Bm25Segment,
@@ -429,14 +428,12 @@ impl KgBackend for DiskBackend {
         match self.try_search(query, top_k) {
             Ok(hits) => Ok(SearchOutcome {
                 hits,
-                latency_us: 0,
                 truncated: false,
             }),
             Err(_) => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 Ok(SearchOutcome {
                     hits: Vec::new(),
-                    latency_us: 0,
                     truncated: true,
                 })
             }

@@ -288,7 +288,7 @@ fn bm25_posting_bitflip_fails_typed_and_facade_degrades() {
     // Unknown terms never touch postings, so they still answer cleanly.
     assert!(backend.try_search("zzz", 5).unwrap().is_empty());
     // The KgBackend facade degrades to empty-truncated, not RetrievalError:
-    // corruption is durable, so the circuit breaker must not trip on it.
+    // corruption is durable, not a service fault.
     let out = backend
         .search_entities("peter", 5, Deadline::UNBOUNDED)
         .unwrap();

@@ -13,7 +13,7 @@ echo "== cargo fmt --check (formatted crates only) =="
 # The workspace is not rustfmt-clean yet. A crate joins this list in the
 # change that formats it, so the gate only ever grows.
 cargo fmt --check -p kglink-serve -p kglink-store -p kglink-core -p kglink-bench \
-    -p kglink -p kglink-search -p kglink-baselines
+    -p kglink -p kglink-search -p kglink-baselines -p kglink-obs -p kglink-nn -p kglink-kg
 
 echo "== cargo build --release =="
 cargo build --release
@@ -101,7 +101,7 @@ KGLINK_FAST=1 cargo run --release -q -p kglink-bench --bin exp_serve -- --smoke
 echo "== exp_obs smoke (stage tiling + zero-overhead tracer gate) =="
 KGLINK_FAST=1 cargo run --release -q -p kglink-bench --bin exp_obs -- --smoke
 
-echo "== exp_overload smoke (admission control, degradation ladder, retry budgets) =="
+echo "== exp_overload smoke (admission control, degradation ladder) =="
 KGLINK_FAST=1 cargo run --release -q -p kglink-bench --bin exp_overload -- --smoke
 
 echo "== exp_scale smoke (disk store: transparency, typed corruption, memory budget) =="

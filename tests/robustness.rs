@@ -7,7 +7,7 @@ use kglink::core::{KgLinkConfig, KgLinkError, Preprocessor};
 use kglink::datagen::{pretrain_corpus, semtab_like, SemTabConfig};
 use kglink::kg::{KnowledgeGraph, SyntheticWorld, WorldConfig};
 use kglink::nn::Tokenizer;
-use kglink::search::{FaultConfig, FaultyBackend, ResilienceConfig, ResilientBackend};
+use kglink::search::{FaultConfig, FaultyBackend};
 use kglink::store::DiskWorld;
 use kglink::table::{CellValue, LabelId, Table, TableId};
 
@@ -197,8 +197,8 @@ fn outage_mid_annotate_degrades_and_stays_deterministic() {
 
 #[test]
 fn flapping_backend_during_fit_completes_deterministically() {
-    // 30% of retrievals fail behind the resilient decorator for the whole
-    // of training; fit must complete and be bit-for-bit repeatable.
+    // 30% of retrievals fail for the whole of training; fit must complete
+    // and be bit-for-bit repeatable.
     let world = SyntheticWorld::generate(&WorldConfig::tiny(405));
     let bench = semtab_like(&world, &SemTabConfig::tiny(405));
     let disk = DiskWorld::from_graph(&world.graph).unwrap();
@@ -207,10 +207,9 @@ fn flapping_backend_during_fit_completes_deterministically() {
     let tokenizer = Tokenizer::new(vocab);
     let run = || {
         let flaky = FaultyBackend::new(&disk.backend, FaultConfig::with_fault_rate(405, 0.3));
-        let resilient = ResilientBackend::new(&flaky, ResilienceConfig::default());
         let resources = Resources::builder()
             .graph(&disk.graph)
-            .backend(&resilient)
+            .backend(&flaky)
             .tokenizer(&tokenizer)
             .build()
             .unwrap();
