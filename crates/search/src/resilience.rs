@@ -128,10 +128,6 @@ impl<B: KgBackend> FaultyBackend<B> {
     pub fn calls(&self) -> u64 {
         self.calls.load(Ordering::Relaxed)
     }
-
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
 }
 
 impl<B: KgBackend> KgBackend for FaultyBackend<B> {
