@@ -4,7 +4,7 @@
 //! queue simulation in integer microseconds drives the *real*
 //! `AimdLimit`/`BrownoutController` state machines with open-loop arrivals
 //! (no client backpressure) at 0.4–2.0× the saturation rate, adaptive vs
-//! static admission. The sweep asserts the tentpole properties: adaptive
+//! static admission. The sweep asserts the overload properties: adaptive
 //! goodput plateaus past saturation (≥90% of its sweep peak at 2× while
 //! the static queue collapses), the admitted p99 stays bounded through a
 //! spike, the ladder actually engages during the spike, and the
