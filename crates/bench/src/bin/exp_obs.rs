@@ -27,7 +27,7 @@
 //! for the CI gate.
 
 use kglink_bench::{print_markdown, run_kglink, ExpEnv, Which};
-use kglink_core::req;
+use kglink_core::{req, Resources};
 use kglink_obs::{EventKind, JsonlSink, Tracer};
 use kglink_serve::{ServiceConfig, SwapPlan};
 use kglink_table::Split;
@@ -60,7 +60,10 @@ fn main() {
 
     // Traced run over the same workload.
     let tracer = Tracer::enabled();
-    let resources = env.resources().with_tracer(&tracer);
+    let resources = Resources {
+        tracer: tracer.clone(),
+        ..env.resources()
+    };
     let t1 = Instant::now();
     for t in &tables {
         model.annotate_request(&resources, req(t));

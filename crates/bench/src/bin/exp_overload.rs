@@ -1,10 +1,10 @@
 //! exp_overload: overload-protection chaos harness.
 //!
-//! An open-loop load sweep over a simulated queue, deterministic: a G/D/c
-//! queue simulation in integer microseconds drives the *real*
-//! `AimdLimit`/`BrownoutController` state machines with open-loop arrivals
-//! (no client backpressure) at 0.4–2.0× the saturation rate, adaptive vs
-//! static admission. The sweep asserts the overload properties: adaptive
+//! An open-loop load sweep, deterministic: a G/D/c simulation in integer
+//! microseconds steps the service's own `OverloadControl` over the
+//! service's own `BoundedQueue` with open-loop arrivals (no client
+//! backpressure) at 0.4–2.0× the saturation rate, adaptive vs static
+//! admission. Only the clock and the service times are simulated. The sweep asserts the overload properties: adaptive
 //! goodput plateaus past saturation (≥90% of its sweep peak at 2× while
 //! the static queue collapses), the admitted p99 stays bounded through a
 //! spike, the ladder actually engages during the spike, and the
@@ -18,8 +18,11 @@
 
 use kglink_bench::print_markdown;
 use kglink_obs::{Histogram, JsonlSink, Tracer};
-use kglink_serve::{AimdConfig, AimdLimit, BrownoutConfig, BrownoutController, DegradationRung};
-use std::collections::VecDeque;
+use kglink_serve::queue::Next;
+use kglink_serve::{
+    AdmissionPolicy, AimdConfig, BoundedQueue, BrownoutConfig, DegradationRung, OverloadConfig,
+    OverloadControl,
+};
 
 // ---------------------------------------------------------------------------
 // The open-loop queue simulation.
@@ -34,27 +37,26 @@ const NO_LINKAGE_US: u64 = 100;
 /// A completion is *goodput* when its end-to-end latency meets this SLA.
 const SLA_US: u64 = 10_000;
 const WORKERS: usize = 4;
-/// Static queue sized for burst absorption — exactly the sizing that
-/// collapses goodput under sustained overload.
+/// Queue capacity, sized for burst absorption — exactly the sizing that
+/// collapses goodput under sustained overload when it is the only limit.
 const STATIC_CAPACITY: usize = 256;
 
-fn aimd_config() -> AimdConfig {
-    AimdConfig {
-        min_limit: 2,
-        max_limit: 64,
-        increase: 2,
-        decrease_factor: 0.5,
-        target_sojourn_us: 2_000,
-        window: 16,
-    }
-}
-
-fn brownout_config() -> BrownoutConfig {
-    BrownoutConfig {
-        enter_cache_only_us: 3_000,
-        enter_no_linkage_us: 8_000,
-        exit_us: 1_000,
-        hysteresis: 8,
+fn overload_config() -> OverloadConfig {
+    OverloadConfig {
+        aimd: AimdConfig {
+            min_limit: 2,
+            max_limit: 64,
+            increase: 2,
+            decrease_factor: 0.5,
+            target_sojourn_us: 2_000,
+            window: 16,
+        },
+        brownout: BrownoutConfig {
+            enter_cache_only_us: 3_000,
+            enter_no_linkage_us: 8_000,
+            exit_us: 1_000,
+            hysteresis: 8,
+        },
     }
 }
 
@@ -69,18 +71,18 @@ struct SimOut {
     goodput_per_s: f64,
 }
 
-/// FIFO G/D/c queue over `WORKERS` servers. `adaptive` drives the real
-/// controller state machines exactly as the serve crate's workers do:
-/// one sojourn observation per dequeue, limit resize + oldest-first trim
-/// when an AIMD window closes, rung selection per request.
+/// FIFO G/D/c queue over `WORKERS` servers. `adaptive` steps the
+/// controller as the serve crate's workers do: one sojourn observation per
+/// dequeue, the queue's limit set from each step and trimmed oldest-first
+/// when it fell, the request served at the step's rung. Rejected arrivals
+/// and trimmed requests both count as shed.
 fn run_sim(arrival_times: &[u64], horizon_us: u64, adaptive: bool) -> SimOut {
     let mut free: Vec<u64> = vec![0; WORKERS];
-    let mut queue: VecDeque<u64> = VecDeque::new();
-    let mut aimd = adaptive.then(|| AimdLimit::new(aimd_config()));
-    let mut brownout = adaptive.then(|| BrownoutController::new(brownout_config()));
-    let mut limit = aimd
-        .as_ref()
-        .map_or(STATIC_CAPACITY, |a| a.limit().min(STATIC_CAPACITY));
+    let queue: BoundedQueue<u64> = BoundedQueue::new(STATIC_CAPACITY);
+    let mut control = adaptive.then(|| OverloadControl::new(overload_config()));
+    if let Some(c) = &control {
+        queue.set_limit(c.limit());
+    }
     let mut out = SimOut {
         arrivals: arrival_times.len(),
         admitted: 0,
@@ -91,79 +93,46 @@ fn run_sim(arrival_times: &[u64], horizon_us: u64, adaptive: bool) -> SimOut {
         final_rung: DegradationRung::Full,
         goodput_per_s: 0.0,
     };
-    let drain = |now: u64,
-                 free: &mut Vec<u64>,
-                 queue: &mut VecDeque<u64>,
-                 limit: &mut usize,
-                 aimd: &mut Option<AimdLimit>,
-                 brownout: &mut Option<BrownoutController>,
-                 out: &mut SimOut| {
-        loop {
-            let idx = (0..free.len())
-                .min_by_key(|&i| free[i])
-                .expect("workers > 0");
-            if queue.is_empty() || free[idx] > now {
-                break;
+    let mut drain = |now: u64, out: &mut SimOut| loop {
+        let idx = (0..WORKERS).min_by_key(|&i| free[i]).expect("workers > 0");
+        if queue.is_empty() || free[idx] > now {
+            break;
+        }
+        let Some(Next::Item(arrival)) = queue.next() else {
+            unreachable!("a non-empty queue that carries no offers yields an item");
+        };
+        let start = free[idx].max(arrival);
+        let sojourn = start - arrival;
+        let rung = control.as_mut().map_or(DegradationRung::Full, |c| {
+            let step = c.observe(sojourn);
+            if let Some(limit) = step.limit {
+                queue.set_limit(limit);
+                out.shed += queue.trim_to_limit().len();
             }
-            let arrival = queue.pop_front().expect("checked non-empty");
-            let start = free[idx].max(arrival);
-            let sojourn = start - arrival;
-            if let Some(a) = aimd.as_mut() {
-                if a.observe(sojourn).is_some() {
-                    *limit = a.limit().min(STATIC_CAPACITY);
-                    while queue.len() > *limit {
-                        // Oldest-first trim, mirroring `trim_to_limit`.
-                        queue.pop_front();
-                        out.shed += 1;
-                    }
-                }
-            }
-            let rung = brownout
-                .as_mut()
-                .map_or(DegradationRung::Full, |b| b.observe(sojourn));
-            let service = match rung {
-                DegradationRung::Full => FULL_US,
-                DegradationRung::CacheOnly => CACHE_ONLY_US,
-                DegradationRung::NoLinkage => NO_LINKAGE_US,
-            };
-            free[idx] = start + service;
-            let latency = start + service - arrival;
-            out.latency.record(latency);
-            out.rung_served[rung.level() as usize] += 1;
-            if latency <= SLA_US {
-                out.ok += 1;
-            }
+            step.rung
+        });
+        let service = match rung {
+            DegradationRung::Full => FULL_US,
+            DegradationRung::CacheOnly => CACHE_ONLY_US,
+            DegradationRung::NoLinkage => NO_LINKAGE_US,
+        };
+        free[idx] = start + service;
+        let latency = start + service - arrival;
+        out.latency.record(latency);
+        out.rung_served[rung.level() as usize] += 1;
+        if latency <= SLA_US {
+            out.ok += 1;
         }
     };
     for &t in arrival_times {
-        drain(
-            t,
-            &mut free,
-            &mut queue,
-            &mut limit,
-            &mut aimd,
-            &mut brownout,
-            &mut out,
-        );
-        if queue.len() >= limit {
-            out.shed += 1;
-            continue;
+        drain(t, &mut out);
+        match queue.push(t, AdmissionPolicy::Reject) {
+            Ok(_) => out.admitted += 1,
+            Err(_) => out.shed += 1,
         }
-        queue.push_back(t);
-        out.admitted += 1;
     }
-    drain(
-        u64::MAX,
-        &mut free,
-        &mut queue,
-        &mut limit,
-        &mut aimd,
-        &mut brownout,
-        &mut out,
-    );
-    out.final_rung = brownout
-        .as_ref()
-        .map_or(DegradationRung::Full, |b| b.rung());
+    drain(u64::MAX, &mut out);
+    out.final_rung = control.map_or(DegradationRung::Full, |c| c.rung());
     out.goodput_per_s = out.ok as f64 / (horizon_us as f64 / 1e6);
     out
 }

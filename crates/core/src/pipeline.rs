@@ -40,17 +40,6 @@ impl<'a> Resources<'a> {
     pub fn builder() -> ResourcesBuilder<'a> {
         ResourcesBuilder::default()
     }
-
-    pub fn with_pretrained(mut self, blob: &'a [u8]) -> Self {
-        self.pretrained_encoder = Some(blob);
-        self
-    }
-
-    /// Attach a tracer to every pipeline call made through this bundle.
-    pub fn with_tracer(mut self, tracer: &Tracer) -> Self {
-        self.tracer = tracer.clone();
-        self
-    }
 }
 
 /// Validating builder for [`Resources`]: [`build`](Self::build) fails with
@@ -154,7 +143,7 @@ pub fn build_vocab<'a>(
 
 /// How much of the KG-linkage pipeline a request was served with.
 ///
-/// The serving layer's brownout controller walks this ladder under
+/// The serving layer's overload controller walks this ladder under
 /// overload: quality is shed one rung at a time before any request is
 /// shed. The paper's ablation (Table IV) shows the model still produces
 /// useful annotations with linkage disabled, which is what makes rung 2 a
@@ -209,9 +198,6 @@ pub struct AnnotateOutcome {
     pub degraded_columns: usize,
     /// Cells whose retrieval was attempted but failed.
     pub failed_cells: usize,
-    /// The degradation rung the request was served at (copied from the
-    /// [`AnnotateRequest`]; the pipeline itself does not select rungs).
-    pub rung: DegradationRung,
 }
 
 impl AnnotateOutcome {
@@ -235,7 +221,6 @@ pub struct AnnotateRequest<'r> {
     table: &'r Table,
     deadline: Deadline,
     tracer: Option<&'r Tracer>,
-    rung: DegradationRung,
     feature_memo: Option<&'r FeatureMemo>,
 }
 
@@ -251,7 +236,6 @@ impl<'r> AnnotateRequest<'r> {
             table,
             deadline: Deadline::UNBOUNDED,
             tracer: None,
-            rung: DegradationRung::Full,
             feature_memo: None,
         }
     }
@@ -267,15 +251,6 @@ impl<'r> AnnotateRequest<'r> {
     /// by the [`Resources`] bundle.
     pub fn trace(mut self, tracer: &'r Tracer) -> Self {
         self.tracer = Some(tracer);
-        self
-    }
-
-    /// Record the degradation rung this request is being served at. Purely
-    /// descriptive — the *caller* (e.g. the serving layer's brownout
-    /// controller) selects the rung by choosing the backend; this stamps
-    /// the choice onto the [`AnnotateOutcome`] for accounting.
-    pub fn rung(mut self, rung: DegradationRung) -> Self {
-        self.rung = rung;
         self
     }
 
@@ -476,7 +451,6 @@ impl KgLink {
             labels,
             degraded_columns,
             failed_cells,
-            rung: request.rung,
         }
     }
 

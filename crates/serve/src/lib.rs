@@ -24,12 +24,12 @@
 //!   correct output arity.
 //! * **Metrics** — [`ServiceMetrics`] folds queue, latency, cache and
 //!   [`RetrievalCounts`] into one snapshot; every time in it is wall-clock.
-//! * **Overload protection** — an optional [`OverloadConfig`] wires in an
-//!   AIMD admission controller ([`admission::AimdLimit`]) that resizes the
-//!   queue's dynamic limit from queue-sojourn congestion signals, and a
-//!   hysteretic [`brownout::BrownoutController`] that walks requests down
-//!   the three-rung degradation ladder (full retrieval → cache-only →
-//!   no linkage) instead of timing everything out.
+//! * **Overload protection** — an optional [`OverloadConfig`] turns on
+//!   one [`OverloadControl`]: each dequeue's queue sojourn resizes the
+//!   queue's admission limit (AIMD over a CoDel-style signal, trimming the
+//!   overflow when the limit falls) and picks the rung of the degradation
+//!   ladder (full retrieval → cache-only → no linkage) the request is
+//!   served at, instead of timing everything out.
 //!
 //! Annotation results are bit-identical across worker counts: each table's
 //! annotation is a pure function of (model, resources, table), and the
@@ -53,26 +53,22 @@
     )
 )]
 
-pub mod admission;
-pub mod brownout;
 pub mod error;
 mod fanout;
 pub mod lifecycle;
 pub mod metrics;
+pub mod overload;
 pub mod queue;
 mod retrieval;
 pub mod service;
 mod worker;
 
-pub use admission::{AimdConfig, AimdLimit, AimdVerdict};
-pub use brownout::{BrownoutConfig, BrownoutController};
 pub use error::ServiceError;
 pub use lifecycle::{ModelEpoch, SwapError, SwapPhase, SwapPlan, SwapReport, VersionStats};
 pub use metrics::{RetrievalCounts, ServiceMetrics};
+pub use overload::{AimdConfig, BrownoutConfig, OverloadConfig, OverloadControl};
 pub use queue::{AdmissionPolicy, BoundedQueue, PushError};
-pub use service::{
-    Annotation, AnnotationService, OverloadConfig, ServiceConfig, SharedBackend, Ticket,
-};
+pub use service::{Annotation, AnnotationService, ServiceConfig, SharedBackend, Ticket};
 
 // Re-exported for callers wiring up a service without importing the
 // core or search crates directly.

@@ -226,6 +226,19 @@ impl Lifecycle {
         entry.latency.record(total_us);
     }
 
+    /// Every completion's latency: the merge of the per-version histograms.
+    pub(crate) fn served_latency(&self) -> Histogram {
+        let map = self
+            .per_version
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let mut merged = Histogram::new();
+        for stats in map.values() {
+            merged.merge_from(&stats.latency);
+        }
+        merged
+    }
+
     /// Snapshot of per-version serving stats.
     pub(crate) fn version_stats(&self) -> BTreeMap<u64, VersionStats> {
         self.per_version

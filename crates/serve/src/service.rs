@@ -21,14 +21,13 @@
 //! independent of worker count and scheduling — the serve tests and
 //! `exp_serve` assert bit-identity between 1-worker and N-worker runs.
 
-use crate::admission::{AimdConfig, AimdLimit};
-use crate::brownout::{self, BrownoutConfig, BrownoutController};
 use crate::error::ServiceError;
 use crate::fanout::RequestQueue;
 use crate::lifecycle::{
     Lifecycle, ModelEpoch, ShadowState, SwapError, SwapPhase, SwapPlan, SwapReport, VersionStats,
 };
 use crate::metrics::ServiceMetrics;
+use crate::overload::{OverloadConfig, OverloadControl};
 use crate::queue::{AdmissionPolicy, PushError};
 use crate::retrieval::Retrieval;
 use crate::worker::{self, WorkerContext, WorkerExit};
@@ -36,39 +35,19 @@ use kglink_core::pipeline::req;
 use kglink_core::{DegradationRung, KgLink};
 use kglink_kg::GraphAccess;
 use kglink_nn::Tokenizer;
-use kglink_obs::{Histogram, Tracer};
+use kglink_obs::Tracer;
 use kglink_search::{CacheConfig, Deadline, KgBackend};
 use kglink_table::{LabelId, Table};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The retrieval stack handed to the service: any [`KgBackend`] decorator
 /// chain behind an `Arc` ([`KgBackend`] is `Send + Sync` by contract).
 pub type SharedBackend = Arc<dyn KgBackend>;
-
-/// Overload-protection wiring: an adaptive admission controller plus the
-/// graceful-degradation ladder. `None` (the default) preserves the static
-/// behavior: admission at full `queue_capacity`, every request served at
-/// rung 0.
-#[derive(Debug, Clone, Default)]
-pub struct OverloadConfig {
-    /// AIMD admission limit driven by queue-sojourn congestion detection.
-    pub aimd: AimdConfig,
-    /// Hysteretic rung selection for the degradation ladder.
-    pub brownout: BrownoutConfig,
-}
-
-/// Admission + brownout controller state, fed one observation per request
-/// by whichever worker dequeues it. One mutex guards both so the limit and
-/// the rung always move on the same signal.
-pub(crate) struct OverloadState {
-    pub aimd: AimdLimit,
-    pub brownout: BrownoutController,
-}
 
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
@@ -183,6 +162,16 @@ pub(crate) struct Request {
     pub reply: mpsc::Sender<Result<Annotation, ServiceError>>,
 }
 
+/// Resolve one shed request promptly with the typed error: the submitter
+/// unblocks *now* with [`ServiceError::Shed`], not at some later drop.
+/// Both eviction paths (`ShedOldest` admission and the workers' trims after
+/// an admission-limit cut) route through here, so each is counted once.
+pub(crate) fn resolve_shed(victim: Request, shed_counter: &AtomicU64, tracer: &Tracer) {
+    shed_counter.fetch_add(1, Ordering::Relaxed);
+    tracer.incr("serve.shed", 1);
+    let _ = victim.reply.send(Err(ServiceError::Shed));
+}
+
 /// Counters shared between the submit path, the workers, and `metrics()`.
 pub(crate) struct Shared {
     pub submitted: AtomicU64,
@@ -202,18 +191,18 @@ pub(crate) struct Shared {
     /// Set by the supervisor when every worker is dead and the restart
     /// budget is spent: the service can no longer make progress.
     pub failed: AtomicBool,
-    pub latency: Mutex<Histogram>,
     /// Current degradation-ladder level (0..=2); written by whichever
-    /// worker last consulted the brownout controller.
+    /// worker last stepped the overload controller.
     pub rung: AtomicUsize,
     /// Completions per rung, indexed by [`DegradationRung::level`].
     pub rung_served: [AtomicU64; 3],
-    /// Overload-controller state; `None` when overload protection is off.
-    pub overload: Option<Mutex<OverloadState>>,
+    /// The overload controller, stepped by whichever worker dequeues a
+    /// request; `None` when overload protection is off.
+    pub overload: Option<Mutex<OverloadControl>>,
 }
 
 impl Shared {
-    fn new(workers: usize, overload: Option<&OverloadConfig>) -> Self {
+    fn new(workers: usize, overload: Option<OverloadControl>) -> Self {
         Shared {
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -229,15 +218,9 @@ impl Shared {
             worker_restarts: AtomicU64::new(0),
             workers_alive: AtomicUsize::new(workers),
             failed: AtomicBool::new(false),
-            latency: Mutex::new(Histogram::new()),
             rung: AtomicUsize::new(0),
             rung_served: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
-            overload: overload.map(|o| {
-                Mutex::new(OverloadState {
-                    aimd: AimdLimit::new(o.aimd.clone()),
-                    brownout: BrownoutController::new(o.brownout.clone()),
-                })
-            }),
+            overload: overload.map(Mutex::new),
         }
     }
 }
@@ -372,17 +355,13 @@ impl AnnotationService {
             &config.tracer,
         ));
         let queue = Arc::new(RequestQueue::with_offers(config.queue_capacity));
-        let shared = Arc::new(Shared::new(config.workers, config.overload.as_ref()));
-        if let Some(overload) = &shared.overload {
+        let overload = config.overload.clone().map(OverloadControl::new);
+        if let Some(control) = &overload {
             // Start admission at the controller's optimistic initial limit
             // (clamped to the physical capacity by `set_limit`).
-            let initial = overload
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .aimd
-                .limit();
-            queue.set_limit(initial);
+            queue.set_limit(control.limit());
         }
+        let shared = Arc::new(Shared::new(config.workers, overload));
         let lifecycle = Arc::new(Lifecycle::new(
             ModelEpoch::new(config.initial_version, model),
             config.rollback_budget,
@@ -489,7 +468,7 @@ impl AnnotationService {
             }
             Ok(Some(victim)) => {
                 self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-                brownout::resolve_shed(victim, &self.shared.shed, &self.tracer);
+                resolve_shed(victim, &self.shared.shed, &self.tracer);
                 Ok(Ticket { id, rx })
             }
             Err(PushError::Rejected {
@@ -521,14 +500,7 @@ impl AnnotationService {
 
     /// Point-in-time service snapshot; see [`ServiceMetrics`].
     pub fn metrics(&self) -> ServiceMetrics {
-        let latency = self
-            .shared
-            .latency
-            .lock()
-            // The histogram is always internally consistent; recover from a
-            // panicked worker's poison rather than fail the metrics read.
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
+        let latency = self.lifecycle.served_latency();
         let epoch = self.lifecycle.current();
         ServiceMetrics {
             submitted: self.shared.submitted.load(Ordering::Relaxed),

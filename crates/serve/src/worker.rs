@@ -19,13 +19,12 @@
 //! [`KgLink::annotate_request`], which tightens every KG query it issues.
 //!
 //! Overload control also happens here: when the service is configured
-//! with an [`OverloadConfig`](crate::service::OverloadConfig), each
-//! dequeue feeds the request's queue sojourn into the shared
-//! [`AimdLimit`](crate::admission::AimdLimit) (which resizes the queue's
-//! dynamic admission limit, shedding the overflow promptly) and the
-//! [`BrownoutController`](crate::brownout::BrownoutController) (which
-//! picks the [`DegradationRung`] this request is served at: full
-//! retrieval, cache-only, or no linkage).
+//! with an [`OverloadConfig`](crate::OverloadConfig), each dequeue steps
+//! the shared [`OverloadControl`](crate::OverloadControl) with the
+//! request's queue sojourn and applies the step: a new admission limit
+//! goes to the queue, and when it fell the overflow is shed promptly; the
+//! step's [`DegradationRung`] (full retrieval, cache-only, or no linkage)
+//! is the one this request is served at.
 //!
 //! Forward pass: each annotation routes through
 //! [`KgLink::annotate_request`] with the annotating epoch's
@@ -49,13 +48,12 @@
 //!
 //! [`KgLink::annotate_request`]: kglink_core::KgLink::annotate_request
 
-use crate::brownout;
 use crate::error::ServiceError;
 use crate::fanout::{self, RequestQueue, SharedGraph};
 use crate::lifecycle::{Lifecycle, ModelEpoch, Serving, ShadowState};
 use crate::queue::Next;
 use crate::retrieval::Retrieval;
-use crate::service::{Annotation, Request, Shared};
+use crate::service::{resolve_shed, Annotation, Request, Shared};
 use kglink_core::pipeline::{req, AnnotateOutcome, Resources};
 use kglink_core::DegradationRung;
 use kglink_kg::GraphAccess;
@@ -167,37 +165,37 @@ pub(crate) fn run(ctx: WorkerContext) -> WorkerExit {
     WorkerExit::Drained
 }
 
-/// Feed one queue-sojourn observation to the overload controllers (when
-/// configured) and return the rung to serve this request at. When the
-/// admission controller closes a window, the queue's dynamic limit is
-/// resized and any overflow is shed promptly.
+/// Step the overload controller (when configured) with one queue sojourn
+/// and apply the step: set the queue's admission limit and, when it fell,
+/// shed the overflow promptly. Returns the rung to serve this request at.
 fn overload_control(ctx: &WorkerContext, sojourn_us: u64) -> DegradationRung {
     let Some(overload) = ctx.shared.overload.as_ref() else {
         return DegradationRung::Full;
     };
-    // Controller state is a pair of small pure state machines: always
-    // re-validatable, so recover from a panicked sibling's poison.
-    let mut state = overload.lock().unwrap_or_else(PoisonError::into_inner);
-    let verdict = state.aimd.observe(sojourn_us);
-    let limit = state.aimd.limit();
-    let rung = state.brownout.observe(sojourn_us);
-    drop(state);
-    if let Some(verdict) = verdict {
-        let previous = ctx.queue.set_limit(limit);
-        if limit != previous {
-            let trimmed = brownout::trim_queue_to_limit(&ctx.queue, &ctx.shared.shed, &ctx.tracer);
-            ctx.tracer.event_with(
-                "serve.admission_limit",
-                vec![
-                    ("verdict", format!("{verdict:?}")),
-                    ("limit", limit.to_string()),
-                    ("previous", previous.to_string()),
-                    ("trimmed", trimmed.to_string()),
-                ],
-            );
+    // The controller is a small pure state machine: always re-validatable,
+    // so recover from a panicked sibling's poison. Limits are only set
+    // under this lock, so `previous` is the limit this step replaces.
+    let mut control = overload.lock().unwrap_or_else(PoisonError::into_inner);
+    let step = control.observe(sojourn_us);
+    let previous = ctx.queue.limit();
+    let limit = step.limit.map_or(previous, |l| ctx.queue.set_limit(l));
+    drop(control);
+    if limit < previous {
+        let victims = ctx.queue.trim_to_limit();
+        let trimmed = victims.len();
+        for victim in victims {
+            resolve_shed(victim, &ctx.shared.shed, &ctx.tracer);
         }
+        ctx.tracer.event_with(
+            "serve.admission_limit",
+            vec![
+                ("limit", limit.to_string()),
+                ("previous", previous.to_string()),
+                ("trimmed", trimmed.to_string()),
+            ],
+        );
     }
-    let level = rung.level() as usize;
+    let level = step.rung.level() as usize;
     let previous_level = ctx.shared.rung.swap(level, Ordering::Relaxed);
     if previous_level != level {
         ctx.tracer.incr("serve.rung_change", 1);
@@ -210,11 +208,11 @@ fn overload_control(ctx: &WorkerContext, sojourn_us: u64) -> DegradationRung {
                         .name()
                         .to_string(),
                 ),
-                ("to", rung.name().to_string()),
+                ("to", step.rung.name().to_string()),
             ],
         );
     }
-    rung
+    step.rung
 }
 
 /// The serving path a request resolved to after deadline + overload
@@ -243,7 +241,6 @@ fn annotate_once(
 ) -> AnnotateOutcome {
     let spec = req(&request.table)
         .deadline(path.remaining)
-        .rung(path.rung)
         .feature_memo(&epoch.feature_memo);
     let backend = ctx.retrieval.shared_at(path.rung, counted, ctx);
     let graph = SharedGraph(ctx);
@@ -393,13 +390,6 @@ fn record_completion(ctx: &WorkerContext, annotation: &Annotation, total_us: u64
         .failed_cells
         .fetch_add(annotation.failed_cells as u64, Ordering::Relaxed);
     shared.rung_served[annotation.rung.level() as usize].fetch_add(1, Ordering::Relaxed);
-    shared
-        .latency
-        .lock()
-        // A histogram is always re-validatable: recover from a sibling's
-        // poison rather than cascade the panic.
-        .unwrap_or_else(PoisonError::into_inner)
-        .record(total_us);
     ctx.lifecycle
         .record_served(annotation.model_version, total_us);
 }

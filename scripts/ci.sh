@@ -102,7 +102,7 @@ echo "== exp_obs smoke (stage tiling + zero-overhead tracer gate) =="
 KGLINK_FAST=1 cargo run --release -q -p kglink-bench --bin exp_obs -- --smoke
 
 echo "== exp_overload smoke (admission control, degradation ladder) =="
-KGLINK_FAST=1 cargo run --release -q -p kglink-bench --bin exp_overload -- --smoke
+cargo run --release -q -p kglink-bench --bin exp_overload -- --smoke
 
 echo "== exp_scale smoke (disk store: transparency, typed corruption, memory budget) =="
 KGLINK_FAST=1 cargo run --release -q -p kglink-bench --bin exp_scale -- --smoke

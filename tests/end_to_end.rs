@@ -117,7 +117,10 @@ fn pretrained_encoder_transfers_into_kglink() {
     pre.train(&ids);
     let (mut enc, _) = pre.into_parts();
     let blob = save_params(&mut enc).to_vec();
-    let resources = f.resources().with_pretrained(&blob);
+    let resources = Resources {
+        pretrained_encoder: Some(&blob),
+        ..f.resources()
+    };
     let (model, _) = KgLink::fit(&resources, &f.semtab.dataset, KgLinkConfig::fast_test());
     let summary = model.evaluate(&resources, &f.semtab.dataset, Split::Test);
     assert!(summary.support > 0);

@@ -722,3 +722,99 @@ fn swap_rejects_label_mismatch_and_fails_closed_on_zero_budget() {
         .expect("fail-closed lifecycle keeps serving");
     assert_eq!(a.model_version, 0);
 }
+
+/// An admission-limit cut sheds what is queued beyond the new limit at
+/// once. With one worker and a zero sojourn target, every one-observation
+/// window that saw any wait halves the limit (8 → 4 → 2 → 1), and the
+/// requests queued past it resolve `Shed` instead of being served late.
+#[test]
+fn an_admission_limit_cut_sheds_the_queued_overflow() {
+    let fx = fixture();
+    let svc = service(
+        fx,
+        ServiceConfig {
+            workers: 1,
+            queue_capacity: 8,
+            admission: AdmissionPolicy::Reject,
+            overload: Some(OverloadConfig {
+                aimd: AimdConfig {
+                    min_limit: 1,
+                    max_limit: 8,
+                    increase: 1,
+                    decrease_factor: 0.5,
+                    target_sojourn_us: 0,
+                    window: 1,
+                },
+                brownout: BrownoutConfig {
+                    enter_cache_only_us: u64::MAX,
+                    enter_no_linkage_us: u64::MAX,
+                    ..BrownoutConfig::default()
+                },
+            }),
+            ..ServiceConfig::default()
+        },
+    );
+    let tickets = svc.submit_batch(fx.tables.iter().cloned());
+    assert_eq!(tickets.len(), 8);
+    let (mut completed, mut shed) = (0u64, 0u64);
+    for ticket in tickets.into_iter().flatten() {
+        match ticket.wait() {
+            Ok(_) => completed += 1,
+            Err(ServiceError::Shed) => shed += 1,
+            Err(other) => panic!("a ticket resolved {other:?}, not served or shed"),
+        }
+    }
+    let m = svc.metrics();
+    assert!(m.shed > 0, "the limit fell below the queue depth: {m}");
+    assert_eq!(shed, m.shed, "every shed request resolves `Shed`");
+    assert_eq!(completed, m.completed);
+    assert_eq!(m.shed + m.completed + m.rejected, 8);
+}
+
+/// Each completion's latency is recorded once, against the model version
+/// that served it: across a hot swap, the snapshot's quantiles are those
+/// of the merged per-version histograms, and the per-version counts sum
+/// to the completions.
+#[test]
+fn service_latency_is_the_merge_of_the_per_version_histograms() {
+    use kglink::obs::Histogram;
+    use kglink::serve::SwapPlan;
+
+    let fx = fixture();
+    let svc = service(
+        fx,
+        ServiceConfig {
+            workers: 2,
+            initial_version: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    let serve_all = |svc: &AnnotationService| {
+        for ticket in svc.submit_batch(fx.tables.iter().cloned()) {
+            ticket.expect("admitted").wait().expect("served");
+        }
+    };
+    serve_all(&svc);
+    let plan = SwapPlan {
+        shadow_min_requests: 0,
+        watch_min_requests: 0,
+        ..SwapPlan::default()
+    };
+    svc.swap_model(2, Arc::clone(&fx.model), &plan)
+        .expect("ungated swap promotes");
+    serve_all(&svc);
+
+    let stats = svc.version_stats();
+    assert_eq!(stats.keys().copied().collect::<Vec<_>>(), vec![1, 2]);
+    let mut merged = Histogram::new();
+    for version in stats.values() {
+        merged.merge_from(&version.latency);
+    }
+    let m = svc.metrics();
+    assert_eq!(
+        (m.latency_p50_us, m.latency_p99_us),
+        (merged.p50(), merged.p99())
+    );
+    assert_eq!(stats.values().map(|v| v.served).sum::<u64>(), m.completed);
+    assert_eq!(m.completed, 2 * fx.tables.len() as u64);
+}
