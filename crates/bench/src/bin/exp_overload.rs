@@ -4,11 +4,12 @@
 //! microseconds steps the service's own `OverloadControl` over the
 //! service's own `BoundedQueue` with open-loop arrivals (no client
 //! backpressure) at 0.4–2.0× the saturation rate, adaptive vs static
-//! admission. Only the clock and the service times are simulated. The sweep asserts the overload properties: adaptive
-//! goodput plateaus past saturation (≥90% of its sweep peak at 2× while
-//! the static queue collapses), the admitted p99 stays bounded through a
-//! spike, the ladder actually engages during the spike, and the
-//! controller recovers to rung 0 after it.
+//! admission. Only the clock and the service times are simulated. The
+//! sweep asserts the overload properties: adaptive goodput plateaus past
+//! saturation (≥90% of its sweep peak at 2× while the static queue
+//! collapses), the admitted p99 stays bounded through a spike, the ladder
+//! actually engages during the spike, and the controller recovers to rung
+//! 0 after it.
 //!
 //! That degraded rungs change cost, never labels, is `tests/serve.rs`'s
 //! to check (`pinned_no_linkage_rung_…`, `cold_cache_only_rung_…`).
