@@ -49,9 +49,30 @@ const FIRST: [&str; 24] = [
     "ulrike", "vera", "wanda", "yusuf",
 ];
 const SECOND: [&str; 24] = [
-    "berg", "castillo", "duarte", "eriksen", "fontaine", "garcia", "holm", "ivanov", "jensen",
-    "kowalski", "lindqvist", "moreau", "novak", "okafor", "petrov", "quirke", "rossi", "silva",
-    "tanaka", "ueda", "vargas", "weber", "yamada", "zhang",
+    "berg",
+    "castillo",
+    "duarte",
+    "eriksen",
+    "fontaine",
+    "garcia",
+    "holm",
+    "ivanov",
+    "jensen",
+    "kowalski",
+    "lindqvist",
+    "moreau",
+    "novak",
+    "okafor",
+    "petrov",
+    "quirke",
+    "rossi",
+    "silva",
+    "tanaka",
+    "ueda",
+    "vargas",
+    "weber",
+    "yamada",
+    "zhang",
 ];
 const SCHEMAS: [NeSchema; 8] = [
     NeSchema::Person,
@@ -173,7 +194,11 @@ pub fn generate_big_world(
     }
     let block = u64::from(cfg.block_entities);
     let insts = block - u64::from(cfg.types_per_block);
-    let n_blocks = cfg.n_entities.saturating_sub(u64::from(cfg.core_types)).div_ceil(block).max(1);
+    let n_blocks = cfg
+        .n_entities
+        .saturating_sub(u64::from(cfg.core_types))
+        .div_ceil(block)
+        .max(1);
     let total = n_blocks * block + u64::from(cfg.core_types);
     if total > u64::from(u32::MAX) {
         return Err(StoreError::Corrupt(format!(
@@ -261,8 +286,7 @@ pub fn generate_big_world(
             }
         }
         for (t, inc) in type_in.iter_mut().enumerate() {
-            let core = (b * u64::from(cfg.types_per_block) + t as u64)
-                % u64::from(cfg.core_types);
+            let core = (b * u64::from(cfg.types_per_block) + t as u64) % u64::from(cfg.core_types);
             let out = [Edge {
                 predicate: p279,
                 // Forward reference: core types are written last.
@@ -291,9 +315,7 @@ pub fn generate_big_world(
         w.add_entity(&e, &[], &inc)?;
     }
     let manifest = w.finish()?;
-    let skew_queries = (0..cfg.skew_terms)
-        .map(|f| format!("skewhub{f}"))
-        .collect();
+    let skew_queries = (0..cfg.skew_terms).map(|f| format!("skewhub{f}")).collect();
     Ok(BigWorld {
         manifest,
         mentions,
@@ -309,10 +331,7 @@ mod tests {
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "kglink-bigworld-{tag}-{}",
-            std::process::id()
-        ));
+        let d = std::env::temp_dir().join(format!("kglink-bigworld-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         d
     }
@@ -348,12 +367,20 @@ mod tests {
         assert!(world.graph.one_hop(id).contains(&EntityId(124)));
         // Sampled mentions actually retrieve entities.
         let hits = world.backend.try_search(&bw.mentions[0], 3).unwrap();
-        assert!(!hits.is_empty(), "mention {:?} found nothing", bw.mentions[0]);
+        assert!(
+            !hits.is_empty(),
+            "mention {:?} found nothing",
+            bw.mentions[0]
+        );
         // Skew hub terms retrieve, and the top hit is a hot carrier from
         // the front of the id space (tf 4 beats the padded cold tail).
         let hits = world.backend.try_search(&bw.skew_queries[0], 3).unwrap();
         assert!(!hits.is_empty(), "skew term found nothing");
-        assert!(hits[0].0 .0 < 128, "top skew hit {:?} is not a hot carrier", hits[0].0);
+        assert!(
+            hits[0].0 .0 < 128,
+            "top skew hit {:?} is not a hot carrier",
+            hits[0].0
+        );
         assert_eq!(world.graph.error_count(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -42,7 +42,12 @@ pub fn sample_instances(pool: &[EntityId], n: usize, rng: &mut StdRng) -> Vec<En
 }
 
 /// Surface form of an entity: usually the label, sometimes an alias.
-pub fn mention_of(graph: &KnowledgeGraph, e: EntityId, alias_prob: f64, rng: &mut StdRng) -> String {
+pub fn mention_of(
+    graph: &KnowledgeGraph,
+    e: EntityId,
+    alias_prob: f64,
+    rng: &mut StdRng,
+) -> String {
     let ent = graph.entity(e);
     if !ent.aliases.is_empty() && rng.gen_bool(alias_prob) {
         ent.aliases[rng.gen_range(0..ent.aliases.len())].clone()
@@ -55,8 +60,14 @@ pub fn mention_of(graph: &KnowledgeGraph, e: EntityId, alias_prob: f64, rng: &mu
 /// the paper's example of hard non-numeric columns).
 pub fn synth_address(rng: &mut StdRng) -> String {
     const STREETS: [&str; 8] = [
-        "Maple Street", "Oak Avenue", "Elm Drive", "Pine Road", "Birch Lane", "Cedar Court",
-        "Willow Way", "Aspen Boulevard",
+        "Maple Street",
+        "Oak Avenue",
+        "Elm Drive",
+        "Pine Road",
+        "Birch Lane",
+        "Cedar Court",
+        "Willow Way",
+        "Aspen Boulevard",
     ];
     let number = rng.gen_range(1..9999);
     let street = STREETS[rng.gen_range(0..STREETS.len())];
@@ -91,8 +102,11 @@ mod tests {
         let mut found = false;
         for &c in cities {
             if let Some(country) = related(&world.graph, c, kglink_kg::predicates::COUNTRY) {
-                let countries: HashSet<EntityId> =
-                    world.instances_of(world.types.country).iter().copied().collect();
+                let countries: HashSet<EntityId> = world
+                    .instances_of(world.types.country)
+                    .iter()
+                    .copied()
+                    .collect();
                 assert!(countries.contains(&country));
                 found = true;
                 break;

@@ -43,7 +43,10 @@ mod tests {
     fn corpus_covers_facts_and_types() {
         let world = SyntheticWorld::generate(&WorldConfig::tiny(4));
         let corpus = pretrain_corpus(&world, 1);
-        assert!(corpus.len() > world.graph.len(), "at least one sentence per entity on average");
+        assert!(
+            corpus.len() > world.graph.len(),
+            "at least one sentence per entity on average"
+        );
         assert!(corpus.iter().any(|s| s.contains(" is a ")));
         assert!(corpus.iter().any(|s| s.contains("instance of")));
     }

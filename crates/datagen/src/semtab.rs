@@ -298,7 +298,9 @@ pub fn semtab_like(world: &SyntheticWorld, config: &SemTabConfig) -> GeneratedBe
         let tmpl = usable[rng.gen_range(0..usable.len())];
         let sty = (tmpl.subject_type)(world);
         let pool = world.instances_of(sty);
-        let n_rows = rng.gen_range(config.min_rows..=config.max_rows).min(pool.len().max(1));
+        let n_rows = rng
+            .gen_range(config.min_rows..=config.max_rows)
+            .min(pool.len().max(1));
         let subjects = sample_instances(pool, n_rows, &mut rng);
         if subjects.is_empty() {
             continue;
@@ -328,19 +330,27 @@ pub fn semtab_like(world: &SyntheticWorld, config: &SemTabConfig) -> GeneratedBe
             let member_set = &members[&rty];
             let cells: Vec<CellValue> = subjects
                 .iter()
-                .map(|&s| {
-                    match related_of_type(world, s, rel.predicate, member_set) {
+                .map(
+                    |&s| match related_of_type(world, s, rel.predicate, member_set) {
                         Some(target) => {
-                            let m = mention_of(&world.graph, target, config.alias_mention_prob, &mut rng);
+                            let m = mention_of(
+                                &world.graph,
+                                target,
+                                config.alias_mention_prob,
+                                &mut rng,
+                            );
                             CellValue::Text(maybe_perturb(&m, config.cell_noise, &mut rng))
                         }
                         None => CellValue::Empty,
-                    }
-                })
+                    },
+                )
                 .collect();
             // Drop columns that are mostly empty — they would be unlabeled
             // noise rather than an annotatable column.
-            let non_empty = cells.iter().filter(|c| !matches!(c, CellValue::Empty)).count();
+            let non_empty = cells
+                .iter()
+                .filter(|c| !matches!(c, CellValue::Empty))
+                .count();
             if non_empty * 2 >= cells.len() {
                 columns.push(cells);
                 labels.push(vocab.intern(rel.label));
@@ -380,7 +390,10 @@ mod tests {
         let b = bench();
         for t in &b.dataset.tables {
             for c in 0..t.n_cols() {
-                assert!(!t.is_numeric_column(c), "SemTab-like must have no numeric columns");
+                assert!(
+                    !t.is_numeric_column(c),
+                    "SemTab-like must have no numeric columns"
+                );
             }
         }
     }

@@ -93,7 +93,10 @@ enum ColSpec {
     },
     /// A numeric fact of the subject; always-numeric column (optional,
     /// included with `numeric_col_prob`).
-    Numeric { kind: NumericKind, label: &'static str },
+    Numeric {
+        kind: NumericKind,
+        label: &'static str,
+    },
     /// Row index 1..n.
     Rank,
     /// Random score.
@@ -304,7 +307,12 @@ fn templates() -> Vec<Template> {
     ]
 }
 
-fn numeric_cell(world: &SyntheticWorld, subject: EntityId, kind: NumericKind, rng: &mut StdRng) -> CellValue {
+fn numeric_cell(
+    world: &SyntheticWorld,
+    subject: EntityId,
+    kind: NumericKind,
+    rng: &mut StdRng,
+) -> CellValue {
     let n = &world.numeric;
     let raw = match kind {
         NumericKind::BirthYear => n.birth_year.get(&subject).map(|&y| y as f64),
@@ -369,7 +377,9 @@ pub fn viznet_like(world: &SyntheticWorld, config: &VizNetConfig) -> GeneratedBe
         if pool.is_empty() {
             continue;
         }
-        let n_rows = rng.gen_range(config.min_rows..=config.max_rows).min(pool.len());
+        let n_rows = rng
+            .gen_range(config.min_rows..=config.max_rows)
+            .min(pool.len());
         let subjects = sample_instances(pool, n_rows, &mut rng);
 
         let mut columns: Vec<Vec<CellValue>> = Vec::new();
@@ -380,7 +390,8 @@ pub fn viznet_like(world: &SyntheticWorld, config: &VizNetConfig) -> GeneratedBe
                     let cells = subjects
                         .iter()
                         .map(|&s| {
-                            let m = mention_of(&world.graph, s, config.alias_mention_prob, &mut rng);
+                            let m =
+                                mention_of(&world.graph, s, config.alias_mention_prob, &mut rng);
                             CellValue::Text(maybe_perturb(&m, config.cell_noise, &mut rng))
                         })
                         .collect();
@@ -421,7 +432,10 @@ pub fn viznet_like(world: &SyntheticWorld, config: &VizNetConfig) -> GeneratedBe
                             }
                         })
                         .collect();
-                    let non_empty = cells.iter().filter(|c| !matches!(c, CellValue::Empty)).count();
+                    let non_empty = cells
+                        .iter()
+                        .filter(|c| !matches!(c, CellValue::Empty))
+                        .count();
                     if non_empty * 2 >= cells.len() {
                         columns.push(cells);
                         labels.push(vocab.intern(label));
@@ -539,7 +553,10 @@ mod tests {
     fn contains_unlinkable_column_kinds() {
         let b = bench();
         let has = |name: &str| b.dataset.labels.get(name).is_some();
-        assert!(has("address") || has("code"), "zero-linkage text columns exist");
+        assert!(
+            has("address") || has("code"),
+            "zero-linkage text columns exist"
+        );
         assert!(has("name"), "coarse name label exists");
     }
 
