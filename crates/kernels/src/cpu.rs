@@ -52,15 +52,47 @@ struct Feature {
 
 /// The features x86-64-v3 adds over baseline x86-64 and v2, in check order.
 const V3_FEATURES: [Feature; 8] = [
-    Feature { name: "avx", flag: "avx", compiled: cfg!(target_feature = "avx") },
-    Feature { name: "avx2", flag: "avx2", compiled: cfg!(target_feature = "avx2") },
-    Feature { name: "bmi1", flag: "bmi1", compiled: cfg!(target_feature = "bmi1") },
-    Feature { name: "bmi2", flag: "bmi2", compiled: cfg!(target_feature = "bmi2") },
-    Feature { name: "fma", flag: "fma", compiled: cfg!(target_feature = "fma") },
-    Feature { name: "f16c", flag: "f16c", compiled: cfg!(target_feature = "f16c") },
+    Feature {
+        name: "avx",
+        flag: "avx",
+        compiled: cfg!(target_feature = "avx"),
+    },
+    Feature {
+        name: "avx2",
+        flag: "avx2",
+        compiled: cfg!(target_feature = "avx2"),
+    },
+    Feature {
+        name: "bmi1",
+        flag: "bmi1",
+        compiled: cfg!(target_feature = "bmi1"),
+    },
+    Feature {
+        name: "bmi2",
+        flag: "bmi2",
+        compiled: cfg!(target_feature = "bmi2"),
+    },
+    Feature {
+        name: "fma",
+        flag: "fma",
+        compiled: cfg!(target_feature = "fma"),
+    },
+    Feature {
+        name: "f16c",
+        flag: "f16c",
+        compiled: cfg!(target_feature = "f16c"),
+    },
     // Linux reports LZCNT under its AMD name, "advanced bit manipulation".
-    Feature { name: "lzcnt", flag: "abm", compiled: cfg!(target_feature = "lzcnt") },
-    Feature { name: "movbe", flag: "movbe", compiled: cfg!(target_feature = "movbe") },
+    Feature {
+        name: "lzcnt",
+        flag: "abm",
+        compiled: cfg!(target_feature = "lzcnt"),
+    },
+    Feature {
+        name: "movbe",
+        flag: "movbe",
+        compiled: cfg!(target_feature = "movbe"),
+    },
 ];
 
 /// `Err` naming the first x86-64-v3 feature this build was compiled with
@@ -117,7 +149,10 @@ mod tests {
 
     /// Every v3 feature, as a build compiled with all of them sees it.
     fn all_compiled() -> [Feature; 8] {
-        V3_FEATURES.map(|f| Feature { compiled: true, ..f })
+        V3_FEATURES.map(|f| Feature {
+            compiled: true,
+            ..f
+        })
     }
 
     const HASWELL_FLAGS: &str = "fpu sse2 ssse3 fma movbe sse4_2 avx f16c abm bmi1 avx2 bmi2";
@@ -131,7 +166,10 @@ mod tests {
         let v3 = all_compiled();
         assert_eq!(first_missing(&v3, &cpuinfo(HASWELL_FLAGS)), None);
         // Sandy Bridge: AVX but nothing else of v3.
-        assert_eq!(first_missing(&v3, &cpuinfo("fpu sse2 ssse3 sse4_2 avx")), Some("avx2"));
+        assert_eq!(
+            first_missing(&v3, &cpuinfo("fpu sse2 ssse3 sse4_2 avx")),
+            Some("avx2")
+        );
         let no_movbe = HASWELL_FLAGS.replace(" movbe", "");
         assert_eq!(first_missing(&v3, &cpuinfo(&no_movbe)), Some("movbe"));
         // LZCNT is looked up under its cpuinfo name.
@@ -141,10 +179,16 @@ mod tests {
 
     #[test]
     fn features_not_compiled_in_and_unreadable_flags_pass() {
-        let baseline = V3_FEATURES.map(|f| Feature { compiled: false, ..f });
+        let baseline = V3_FEATURES.map(|f| Feature {
+            compiled: false,
+            ..f
+        });
         assert_eq!(first_missing(&baseline, &cpuinfo("fpu sse2")), None);
         assert_eq!(first_missing(&all_compiled(), ""), None);
-        assert_eq!(first_missing(&all_compiled(), "processor\t: 0\nFeatures\t: neon\n"), None);
+        assert_eq!(
+            first_missing(&all_compiled(), "processor\t: 0\nFeatures\t: neon\n"),
+            None
+        );
     }
 
     #[test]
@@ -156,7 +200,11 @@ mod tests {
             let text = std::fs::read_to_string("/proc/cpuinfo").expect("read /proc/cpuinfo");
             let flags = cpu_flags(&text).expect("a flags line");
             for f in V3_FEATURES.iter().filter(|f| f.compiled) {
-                assert!(flags.contains(&f.flag), "{} compiled in but not listed", f.name);
+                assert!(
+                    flags.contains(&f.flag),
+                    "{} compiled in but not listed",
+                    f.name
+                );
             }
         }
         let e = MissingCpuFeature { feature: "avx2" };

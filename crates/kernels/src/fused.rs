@@ -61,7 +61,10 @@ pub fn softmax_rows(x: &mut [f32], cols: usize) {
 /// `exp` pass is element-wise and vectorises; the row sum after it stays
 /// one sequential chain, ascending from 0.0.
 pub fn scaled_softmax_rows(x: &mut [f32], cols: usize, scale: f32) {
-    assert!(cols > 0 && x.len().is_multiple_of(cols), "scaled_softmax_rows shape");
+    assert!(
+        cols > 0 && x.len().is_multiple_of(cols),
+        "scaled_softmax_rows shape"
+    );
     for block in x.chunks_mut(GROUP * cols) {
         let max = fold_group(block, cols, f32::NEG_INFINITY, |_, m, v| {
             f32::max(m, v * scale)
@@ -106,7 +109,10 @@ pub fn log_softmax(x: &[f32]) -> Vec<f32> {
 /// by row, writing into `dp` in place.
 pub fn softmax_backward_rows(probs: &[f32], dp: &mut [f32], cols: usize) {
     assert_eq!(probs.len(), dp.len(), "softmax_backward_rows shape");
-    assert!(cols > 0 && dp.len().is_multiple_of(cols), "softmax_backward_rows cols");
+    assert!(
+        cols > 0 && dp.len().is_multiple_of(cols),
+        "softmax_backward_rows cols"
+    );
     for (p, g) in probs.chunks_exact(cols).zip(dp.chunks_exact_mut(cols)) {
         let dot: f32 = p.iter().zip(g.iter()).map(|(a, b)| a * b).sum();
         for (gi, &pi) in g.iter_mut().zip(p) {
@@ -157,14 +163,20 @@ pub fn layer_norm_rows_cached(
 ) {
     let d = gamma.len();
     assert_eq!(beta.len(), d, "layer_norm_rows_cached params");
-    assert!(d > 0 && x.len().is_multiple_of(d), "layer_norm_rows_cached shape");
+    assert!(
+        d > 0 && x.len().is_multiple_of(d),
+        "layer_norm_rows_cached shape"
+    );
     assert_eq!(x.len(), y.len());
     assert_eq!(x.len(), x_hat.len());
     let g = GROUP * d;
     for ((block, y), x_hat) in x.chunks(g).zip(y.chunks_mut(g)).zip(x_hat.chunks_mut(g)) {
         let (mean, istd) = ln_stats_group(block, d);
         inv_std.extend_from_slice(&istd[..block.len() / d]);
-        let rows = block.chunks_exact(d).zip(y.chunks_exact_mut(d)).zip(x_hat.chunks_exact_mut(d));
+        let rows = block
+            .chunks_exact(d)
+            .zip(y.chunks_exact_mut(d))
+            .zip(x_hat.chunks_exact_mut(d));
         for (k, ((row, yo), xh)) in rows.enumerate() {
             for c in 0..d {
                 let h = (row[c] - mean[k]) * istd[k];
@@ -289,9 +301,8 @@ mod tests {
             zp[i] += eps;
             let mut zm = z;
             zm[i] -= eps;
-            let f = |zz: &[f32]| -> f32 {
-                softmax(zz).iter().zip(&upstream).map(|(p, u)| p * u).sum()
-            };
+            let f =
+                |zz: &[f32]| -> f32 { softmax(zz).iter().zip(&upstream).map(|(p, u)| p * u).sum() };
             let num = (f(&zp) - f(&zm)) / (2.0 * eps);
             assert!(
                 (num - dp[i]).abs() < 1e-3,

@@ -523,8 +523,12 @@ mod tests {
             (3, 48, 17),
             (9, 5, 8),
         ] {
-            let a: Vec<f32> = (0..m * k).map(|i| ((i * 37 + 11) % 101) as f32 * 0.013 - 0.6).collect();
-            let b: Vec<f32> = (0..k * n).map(|i| ((i * 53 + 7) % 97) as f32 * 0.017 - 0.8).collect();
+            let a: Vec<f32> = (0..m * k)
+                .map(|i| ((i * 37 + 11) % 101) as f32 * 0.013 - 0.6)
+                .collect();
+            let b: Vec<f32> = (0..k * n)
+                .map(|i| ((i * 53 + 7) % 97) as f32 * 0.017 - 0.8)
+                .collect();
             for &(ta, tb) in &[
                 (Trans::No, Trans::No),
                 (Trans::Yes, Trans::No),
@@ -554,15 +558,30 @@ mod tests {
         let (rows, dh, stride, off) = (7usize, 6usize, 16usize, 4usize);
         let mut dense = vec![0.0f32; rows * dh];
         for r in 0..rows {
-            dense[r * dh..(r + 1) * dh].copy_from_slice(&full[r * stride + off..r * stride + off + dh]);
+            dense[r * dh..(r + 1) * dh]
+                .copy_from_slice(&full[r * stride + off..r * stride + off + dh]);
         }
         let strided = Mat::with_stride(&full[off..], rows, dh, stride);
         let densem = Mat::new(&dense, rows, dh);
         let mut s = Scratch::new();
         let mut out_a = vec![0.0f32; rows * rows];
         let mut out_b = vec![0.0f32; rows * rows];
-        gemm(strided, strided, Trans::No, Trans::Yes, &mut MatMut::new(&mut out_a, rows, rows), &mut s);
-        gemm(densem, densem, Trans::No, Trans::Yes, &mut MatMut::new(&mut out_b, rows, rows), &mut s);
+        gemm(
+            strided,
+            strided,
+            Trans::No,
+            Trans::Yes,
+            &mut MatMut::new(&mut out_a, rows, rows),
+            &mut s,
+        );
+        gemm(
+            densem,
+            densem,
+            Trans::No,
+            Trans::Yes,
+            &mut MatMut::new(&mut out_b, rows, rows),
+            &mut s,
+        );
         assert_eq!(out_a, out_b);
         // Strided output: write the product into a column band.
         let mut wide = vec![0.0f32; rows * stride];
@@ -594,10 +613,24 @@ mod tests {
         let bm = Mat::new(&b, 3, 2);
         let mut s = Scratch::new();
         let mut product = vec![0.0f32; 4];
-        gemm(am, bm, Trans::No, Trans::No, &mut MatMut::new(&mut product, 2, 2), &mut s);
+        gemm(
+            am,
+            bm,
+            Trans::No,
+            Trans::No,
+            &mut MatMut::new(&mut product, 2, 2),
+            &mut s,
+        );
         let prior = [0.25f32, -1.5, 3.125, 0.0625];
         let mut acc = prior;
-        gemm_acc(am, bm, Trans::No, Trans::No, &mut MatMut::new(&mut acc, 2, 2), &mut s);
+        gemm_acc(
+            am,
+            bm,
+            Trans::No,
+            Trans::No,
+            &mut MatMut::new(&mut acc, 2, 2),
+            &mut s,
+        );
         for i in 0..4 {
             assert_eq!(acc[i], prior[i] + product[i]);
         }
@@ -610,10 +643,24 @@ mod tests {
         let bm = Mat::new(&a, 0, 3);
         let mut s = Scratch::new();
         let mut out = [7.0f32; 6];
-        gemm(am, bm, Trans::No, Trans::No, &mut MatMut::new(&mut out, 2, 3), &mut s);
+        gemm(
+            am,
+            bm,
+            Trans::No,
+            Trans::No,
+            &mut MatMut::new(&mut out, 2, 3),
+            &mut s,
+        );
         assert_eq!(out, [0.0; 6]);
         let mut out2 = [7.0f32; 6];
-        gemm_acc(am, bm, Trans::No, Trans::No, &mut MatMut::new(&mut out2, 2, 3), &mut s);
+        gemm_acc(
+            am,
+            bm,
+            Trans::No,
+            Trans::No,
+            &mut MatMut::new(&mut out2, 2, 3),
+            &mut s,
+        );
         assert_eq!(out2, [7.0; 6]);
     }
 
@@ -643,11 +690,29 @@ mod tests {
         // TN packs both panels through scratch.
         let am = Mat::new(&a[..7 * 12], 7, 12);
         let bm = Mat::new(&b, 7, 9);
-        gemm(am, bm, Trans::Yes, Trans::No, &mut MatMut::new(&mut out, 12, 9), &mut s);
+        gemm(
+            am,
+            bm,
+            Trans::Yes,
+            Trans::No,
+            &mut MatMut::new(&mut out, 12, 9),
+            &mut s,
+        );
         let after_warmup = s.fresh_allocs();
         for _ in 0..5 {
-            gemm(am, bm, Trans::Yes, Trans::No, &mut MatMut::new(&mut out, 12, 9), &mut s);
+            gemm(
+                am,
+                bm,
+                Trans::Yes,
+                Trans::No,
+                &mut MatMut::new(&mut out, 12, 9),
+                &mut s,
+            );
         }
-        assert_eq!(s.fresh_allocs(), after_warmup, "steady state allocates nothing");
+        assert_eq!(
+            s.fresh_allocs(),
+            after_warmup,
+            "steady state allocates nothing"
+        );
     }
 }

@@ -29,9 +29,7 @@ impl Scratch {
     pub fn take(&mut self, len: usize) -> Vec<f32> {
         let mut best: Option<usize> = None;
         for (i, b) in self.pool.iter().enumerate() {
-            if b.capacity() >= len
-                && best.is_none_or(|j| b.capacity() < self.pool[j].capacity())
-            {
+            if b.capacity() >= len && best.is_none_or(|j| b.capacity() < self.pool[j].capacity()) {
                 best = Some(i);
             }
         }

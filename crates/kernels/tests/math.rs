@@ -27,7 +27,10 @@ fn exp_is_accurate_and_monotone_on_a_dense_grid() {
         let y = exp(x);
         let want = f64::from(x).exp();
         worst = worst.max(((f64::from(y) - want) / want).abs());
-        assert!(y >= prev, "exp({x}) = {y:e} fell below its left neighbour {prev:e}");
+        assert!(
+            y >= prev,
+            "exp({x}) = {y:e} fell below its left neighbour {prev:e}"
+        );
         prev = y;
     }
     assert!(worst <= EXP_MAX_REL_ERR, "max relative error {worst:e}");
@@ -38,7 +41,10 @@ fn exp_is_accurate_and_monotone_on_a_dense_grid() {
         let x = f32::from_bits(bits);
         let y = exp(x);
         let want = f64::from(x).exp();
-        assert!(((f64::from(y) - want) / want).abs() <= EXP_MAX_REL_ERR, "exp({x})");
+        assert!(
+            ((f64::from(y) - want) / want).abs() <= EXP_MAX_REL_ERR,
+            "exp({x})"
+        );
         assert!(y >= prev, "exp({x})");
         prev = y;
         bits -= 37;
@@ -127,7 +133,10 @@ fn row_kernels_equal_element_at_a_time_calls_bitwise() {
             let scale = 0.288_675_13f32;
             let mut want = x.clone();
             for row in want.chunks_exact_mut(cols) {
-                let max = row.iter().map(|&v| v * scale).fold(f32::NEG_INFINITY, f32::max);
+                let max = row
+                    .iter()
+                    .map(|&v| v * scale)
+                    .fold(f32::NEG_INFINITY, f32::max);
                 let mut sum = 0.0f32;
                 for v in row.iter_mut() {
                     *v = one(exp, *v * scale - max);
@@ -145,14 +154,22 @@ fn row_kernels_equal_element_at_a_time_calls_bitwise() {
             // The out-of-place helpers are the same function of a row.
             let mut in_place = x[..cols].to_vec();
             softmax_rows(&mut in_place, cols);
-            assert_eq!(bits(&softmax(&x[..cols])), bits(&in_place), "softmax cols {cols}");
+            assert_eq!(
+                bits(&softmax(&x[..cols])),
+                bits(&in_place),
+                "softmax cols {cols}"
+            );
             let max = x[..cols].iter().copied().fold(f32::NEG_INFINITY, f32::max);
             let mut sum = 0.0f32;
             for &v in &x[..cols] {
                 sum += one(exp, v - max);
             }
             let want: Vec<f32> = x[..cols].iter().map(|&v| v - (sum.ln() + max)).collect();
-            assert_eq!(bits(&log_softmax(&x[..cols])), bits(&want), "log_softmax cols {cols}");
+            assert_eq!(
+                bits(&log_softmax(&x[..cols])),
+                bits(&want),
+                "log_softmax cols {cols}"
+            );
         }
     }
 }

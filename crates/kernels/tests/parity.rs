@@ -9,8 +9,8 @@
 //! edge-kernel paths live.
 
 use kglink_kernels::{
-    add_bias_rows, bias_gelu_rows, gelu, gemm, gemm_acc, layer_norm_rows,
-    layer_norm_rows_cached, scaled_softmax_rows, softmax_rows, Mat, MatMut, Scratch, Trans,
+    add_bias_rows, bias_gelu_rows, gelu, gemm, gemm_acc, layer_norm_rows, layer_norm_rows_cached,
+    scaled_softmax_rows, softmax_rows, Mat, MatMut, Scratch, Trans,
 };
 use proptest::prelude::*;
 
@@ -32,15 +32,7 @@ fn fill(seed: u64, len: usize) -> Vec<f32> {
 /// from 0.0 — exactly the summation order the fast path guarantees — so
 /// the comparison below can demand bit equality, not tolerance.
 #[allow(clippy::too_many_arguments)]
-fn naive(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    n: usize,
-    k: usize,
-    ta: Trans,
-    tb: Trans,
-) -> Vec<f32> {
+fn naive(a: &[f32], b: &[f32], m: usize, n: usize, k: usize, ta: Trans, tb: Trans) -> Vec<f32> {
     let at = |i: usize, kk: usize| match ta {
         Trans::No => a[i * k + kk],
         Trans::Yes => a[kk * m + i],
