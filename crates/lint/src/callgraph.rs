@@ -271,11 +271,48 @@ impl Resolver {
 /// never resolved through the receiver-blind by-name fallback. `self.x()`
 /// calls to same-impl methods of these names still resolve via `by_ty`.
 const UBIQUITOUS_METHODS: &[&str] = &[
-    "clear", "clone", "collect", "compare_exchange", "contains", "drain", "entry", "expect",
-    "extend", "fetch_add", "fetch_sub", "flush", "get", "get_mut", "insert", "is_empty", "iter",
-    "join", "len", "load", "lock", "map", "max", "min", "next", "pop", "pop_back", "pop_front",
-    "push", "push_back", "push_front", "read", "recv", "remove", "replace", "send", "store",
-    "swap", "take", "unwrap", "wait", "write",
+    "clear",
+    "clone",
+    "collect",
+    "compare_exchange",
+    "contains",
+    "drain",
+    "entry",
+    "expect",
+    "extend",
+    "fetch_add",
+    "fetch_sub",
+    "flush",
+    "get",
+    "get_mut",
+    "insert",
+    "is_empty",
+    "iter",
+    "join",
+    "len",
+    "load",
+    "lock",
+    "map",
+    "max",
+    "min",
+    "next",
+    "pop",
+    "pop_back",
+    "pop_front",
+    "push",
+    "push_back",
+    "push_front",
+    "read",
+    "recv",
+    "remove",
+    "replace",
+    "send",
+    "store",
+    "swap",
+    "take",
+    "unwrap",
+    "wait",
+    "write",
 ];
 
 /// The type a parameter of type `ty` (space-joined tokens) names, past
@@ -423,8 +460,7 @@ fn helper() {}
         );
         let items = parse_items(&f);
         let titems = parse_items(&t);
-        let mut fns: Vec<(usize, FnItem)> =
-            items.fns.iter().map(|i| (0usize, i.clone())).collect();
+        let mut fns: Vec<(usize, FnItem)> = items.fns.iter().map(|i| (0usize, i.clone())).collect();
         fns.extend(titems.fns.iter().map(|i| (1usize, i.clone())));
         let files = vec![f, t];
         let r = Resolver::new(&fns, &files);

@@ -24,7 +24,10 @@ impl Finding {
 
     /// Human-readable one-liner: `path:line: [rule] message`.
     pub fn render(&self) -> String {
-        format!("{}:{}: [{}] {}", self.path, self.line, self.rule, self.message)
+        format!(
+            "{}:{}: [{}] {}",
+            self.path, self.line, self.rule, self.message
+        )
     }
 
     /// One JSON object (a JSONL record) — hand-rolled, std-only.

@@ -107,7 +107,10 @@ pub fn parse_fixture(real_path: &Path, text: String) -> Result<Fixture, String> 
 
     // Materialize sections as (path, start, end) half-open line ranges.
     if bounds.is_empty() {
-        return Err(format!("{}: missing `//@ file:` directive", real_path.display()));
+        return Err(format!(
+            "{}: missing `//@ file:` directive",
+            real_path.display()
+        ));
     }
     let mut sections: Vec<(String, usize, usize)> = Vec::new();
     for (bi, (start, p)) in bounds.iter().enumerate() {
@@ -332,7 +335,9 @@ fn g() {}
     #[test]
     fn rejects_missing_path_and_bad_directives() {
         assert!(parse_fixture(Path::new("a.rsfix"), "fn f() {}\n".into()).is_err());
-        assert!(parse_fixture(Path::new("a.rsfix"), "//@ file: x\n//@ expect: r\n".into()).is_err());
+        assert!(
+            parse_fixture(Path::new("a.rsfix"), "//@ file: x\n//@ expect: r\n".into()).is_err()
+        );
         assert!(parse_fixture(Path::new("a.rsfix"), "//@ file: x\n//@ bogus: y\n".into()).is_err());
         // An expect with no enclosing section is a directive error, not a
         // silent mis-binding.

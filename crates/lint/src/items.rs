@@ -72,9 +72,9 @@ pub struct FileItems {
 /// look-alike token shapes (`if (..)`, `match (..)`).
 pub const KEYWORDS: &[&str] = &[
     "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
-    "extern", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut",
-    "pub", "ref", "return", "self", "Self", "static", "struct", "super", "trait", "type",
-    "unsafe", "use", "where", "while", "yield",
+    "extern", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub",
+    "ref", "return", "self", "Self", "static", "struct", "super", "trait", "type", "unsafe", "use",
+    "where", "while", "yield",
 ];
 
 /// Per-code-token brace depth, computed once per file: `depth_of[i]` is the
@@ -243,10 +243,7 @@ fn parse_impl_header(f: &SourceFile, start: usize) -> (Option<String>, Option<us
                 // Type name is settled before the where clause.
                 after_for = false;
             }
-            _ if f.code_kind(i) == Some(TokKind::Ident)
-                && angle <= 0
-                && !KEYWORDS.contains(&t) =>
-            {
+            _ if f.code_kind(i) == Some(TokKind::Ident) && angle <= 0 && !KEYWORDS.contains(&t) => {
                 if first.is_none() {
                     first = Some(t.to_string());
                 }
@@ -341,7 +338,9 @@ fn parse_fn(
             "(" | "[" => depth += 1,
             ")" | "]" => depth -= 1,
             ";" if depth <= 0 => {
-                let item = make_fn(f, start, name, self_ty, module, params, has_self, ret_start, i, None);
+                let item = make_fn(
+                    f, start, name, self_ty, module, params, has_self, ret_start, i, None,
+                );
                 return (Some(item), i + 1);
             }
             "{" if depth <= 0 => break,
@@ -444,12 +443,7 @@ fn parse_params(f: &SourceFile, start: usize, end: usize) -> (Vec<Param>, bool) 
 }
 
 /// One `name: Ty` segment (or a `self` receiver, which sets `has_self`).
-fn parse_one_param(
-    f: &SourceFile,
-    start: usize,
-    end: usize,
-    has_self: &mut bool,
-) -> Option<Param> {
+fn parse_one_param(f: &SourceFile, start: usize, end: usize, has_self: &mut bool) -> Option<Param> {
     // Locate the top-level `:` (skipping `::`).
     let mut colon = None;
     let mut depth = 0i32;
@@ -638,8 +632,14 @@ use crate::queue::{BoundedQueue, AdmissionPolicy as Policy};
 use foo::bar as baz;
 ";
         let (_, items) = parse(src);
-        assert_eq!(items.aliases.get("BTreeMap").map(String::as_str), Some("BTreeMap"));
-        assert_eq!(items.aliases.get("Policy").map(String::as_str), Some("AdmissionPolicy"));
+        assert_eq!(
+            items.aliases.get("BTreeMap").map(String::as_str),
+            Some("BTreeMap")
+        );
+        assert_eq!(
+            items.aliases.get("Policy").map(String::as_str),
+            Some("AdmissionPolicy")
+        );
         assert_eq!(items.aliases.get("baz").map(String::as_str), Some("bar"));
     }
 

@@ -236,7 +236,7 @@ fn lex_char_or_lifetime(cur: &mut Cursor<'_>) -> TokKind {
         cur.bump(); // '\''
         cur.bump(); // '\\'
         cur.bump(); // escaped char
-        // Consume to the closing quote (handles '\u{1F600}').
+                    // Consume to the closing quote (handles '\u{1F600}').
         cur.bump_while(|c| c != '\'' && c != '\n');
         if cur.peek() == Some('\'') {
             cur.bump();
@@ -402,9 +402,15 @@ mod tests {
 let s = "panic!(\"no\")"; /* fs::write */ let r = r#"File::create"#;"##;
         let k = kinds(src);
         assert!(k.iter().any(|(_, t)| t == "let"));
-        assert!(!k.iter().any(|(kind, t)| *kind == TokKind::Ident && t == "unwrap"));
-        assert!(!k.iter().any(|(kind, t)| *kind == TokKind::Ident && t == "write"));
-        assert!(!k.iter().any(|(kind, t)| *kind == TokKind::Ident && t == "create"));
+        assert!(!k
+            .iter()
+            .any(|(kind, t)| *kind == TokKind::Ident && t == "unwrap"));
+        assert!(!k
+            .iter()
+            .any(|(kind, t)| *kind == TokKind::Ident && t == "write"));
+        assert!(!k
+            .iter()
+            .any(|(kind, t)| *kind == TokKind::Ident && t == "create"));
         round_trips(src);
     }
 

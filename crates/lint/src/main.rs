@@ -94,7 +94,10 @@ fn main() -> ExitCode {
     let root = match find_workspace_root(&cwd) {
         Some(r) => r,
         None => {
-            eprintln!("kglink-lint: no [workspace] Cargo.toml found above {}", cwd.display());
+            eprintln!(
+                "kglink-lint: no [workspace] Cargo.toml found above {}",
+                cwd.display()
+            );
             return ExitCode::from(2);
         }
     };
@@ -125,8 +128,16 @@ fn main() -> ExitCode {
         files.extend(workspace_files(&root));
     }
     for p in &opts.paths {
-        let abs = if p.is_absolute() { p.clone() } else { cwd.join(p) };
-        let found = if abs.is_dir() { workspace_files(&abs) } else { vec![abs] };
+        let abs = if p.is_absolute() {
+            p.clone()
+        } else {
+            cwd.join(p)
+        };
+        let found = if abs.is_dir() {
+            workspace_files(&abs)
+        } else {
+            vec![abs]
+        };
         if found.is_empty() {
             eprintln!("kglink-lint: no lintable files under {}", p.display());
         }

@@ -32,7 +32,13 @@ pub struct EpochHold;
 /// Functions that constitute a request boundary on the serve path. A
 /// queue take (`BoundedQueue::next`, or a `pop`) is matched by name: both
 /// names are std vocabulary the call graph never resolves by name.
-const BOUNDARY_FNS: &[&str] = &["pop", "next", "serve_request", "annotate_request", "annotate"];
+const BOUNDARY_FNS: &[&str] = &[
+    "pop",
+    "next",
+    "serve_request",
+    "annotate_request",
+    "annotate",
+];
 
 impl Rule for EpochHold {
     fn id(&self) -> &'static str {
@@ -239,7 +245,12 @@ fn hot_patch(epoch: &mut Arc<ModelEpoch>, x: &mut Arc<Vec<u8>>) {
     Arc::get_mut(x);
 }
 ";
-        let lines = |path| run(vec![(path, src)]).into_iter().map(|(_, l, _)| l).collect::<Vec<_>>();
+        let lines = |path| {
+            run(vec![(path, src)])
+                .into_iter()
+                .map(|(_, l, _)| l)
+                .collect::<Vec<_>>()
+        };
         assert_eq!(lines("crates/serve/src/worker.rs"), vec![2, 3]);
         // The registry and the core pipeline never hold an epoch.
         assert!(lines("crates/core/src/pipeline.rs").is_empty());

@@ -120,8 +120,7 @@ impl Rule for LockOrder {
                     for (acq, w) in &ws.props[callee].acquires {
                         for lk in &held {
                             if *acq == lk.name {
-                                if reentrant.insert((f.path.clone(), call.site.line, acq.clone()))
-                                {
+                                if reentrant.insert((f.path.clone(), call.site.line, acq.clone())) {
                                     out.push(Finding::new(
                                         self.id(),
                                         &f.path,
@@ -269,7 +268,11 @@ impl S {
 ";
         let hits = run(vec![("crates/serve/src/x.rs", src)]);
         assert_eq!(hits.len(), 2, "{hits:?}");
-        assert!(hits.iter().any(|(_, l, m)| *l == 4 && m.contains("via `g`")), "{hits:?}");
+        assert!(
+            hits.iter()
+                .any(|(_, l, m)| *l == 4 && m.contains("via `g`")),
+            "{hits:?}"
+        );
         assert!(hits.iter().any(|(_, l, _)| *l == 11));
     }
 

@@ -253,7 +253,9 @@ fn find_suppressions(f: &SourceFile) -> Vec<Suppression> {
         let Some(rest) = rest.strip_prefix('(') else {
             continue;
         };
-        let Some(close) = rest.find(')') else { continue };
+        let Some(close) = rest.find(')') else {
+            continue;
+        };
         let rules: Vec<String> = rest[..close]
             .split(',')
             .map(|r| r.trim().to_string())
@@ -361,6 +363,9 @@ fn g() {}
 ";
         let f = SourceFile::new("crates/x/src/lib.rs".into(), src.into());
         assert_eq!(f.suppressions.len(), 1);
-        assert_eq!(f.suppressions[0].rules, vec!["single-percentile".to_string()]);
+        assert_eq!(
+            f.suppressions[0].rules,
+            vec!["single-percentile".to_string()]
+        );
     }
 }

@@ -182,9 +182,9 @@ pub fn local_summary(
         .iter()
         .filter(|p| p.ty.contains("Deadline"))
         .map(|p| {
-            let used = owned.iter().any(|&(a, b)| {
-                (a..b.min(f.code.len())).any(|i| f.code_text(i) == p.name)
-            });
+            let used = owned
+                .iter()
+                .any(|&(a, b)| (a..b.min(f.code.len())).any(|i| f.code_text(i) == p.name));
             (p.name.clone(), used)
         })
         .collect();
@@ -242,15 +242,12 @@ fn scan_range(
             _ => None,
         };
         if let Some(what) = alloc {
-            s.alloc_sites.push(Site::new(file_ix, line, what.to_string()));
+            s.alloc_sites
+                .push(Site::new(file_ix, line, what.to_string()));
             continue;
         }
         // Direct lock acquisitions: `.lock()` / `.read()` / `.write()`.
-        if after_dot
-            && called
-            && ACQUIRE_METHODS.contains(&t)
-            && f.code_text(i + 2) == ")"
-        {
+        if after_dot && called && ACQUIRE_METHODS.contains(&t) && f.code_text(i + 2) == ")" {
             // Bare `.lock().unwrap()`: the guard is taken without the
             // `PoisonError::into_inner` recovery the audited locks use.
             let bypass = f.code_text(i + 4);
@@ -259,7 +256,8 @@ fn scan_range(
                 && f.code_text(i + 5) == "("
             {
                 let what = format!("`.{t}().{bypass}(...)`");
-                s.poison_sites.push(Site::new(file_ix, f.code_line(i + 4), what));
+                s.poison_sites
+                    .push(Site::new(file_ix, f.code_line(i + 4), what));
             }
             if let Some(recv) = crate::callgraph::receiver_path(f, i - 1) {
                 let name = qualify_lock(&recv, self_ty);
@@ -306,7 +304,8 @@ fn scan_range(
                 continue;
             }
             if BACKEND_METHODS.contains(&t) {
-                s.backend_calls.push(Site::new(file_ix, line, format!("`KgBackend::{t}`")));
+                s.backend_calls
+                    .push(Site::new(file_ix, line, format!("`KgBackend::{t}`")));
                 s.blocking.push(BlockingSite {
                     ix: i,
                     line,
@@ -370,7 +369,9 @@ pub fn hold_region(f: &SourceFile, ix: usize, depths: &[u32]) -> (Option<String>
         let close = matching_close(f, depths, stmt_end);
         let binding = (stmt_start..stmt_end)
             .find(|&i| {
-                f.code_text(i) == "=" && i > stmt_start && f.code_kind(i - 1) == Some(TokKind::Ident)
+                f.code_text(i) == "="
+                    && i > stmt_start
+                    && f.code_kind(i - 1) == Some(TokKind::Ident)
             })
             .map(|i| f.code_text(i - 1).to_string());
         return (binding, (ix, close));
@@ -435,7 +436,9 @@ pub fn wire_guard_returns(
     // `let g = self.lock_state();` — the caller now holds the callee's lock.
     for i in 0..fns.len() {
         let (file_ix, _) = fns[i];
-        let Some(f) = files.get(file_ix) else { continue };
+        let Some(f) = files.get(file_ix) else {
+            continue;
+        };
         let depths = brace_depths(f);
         let mut extra = Vec::new();
         for c in &calls[i] {
@@ -463,18 +466,19 @@ pub fn wire_guard_returns(
 /// Fold callee facts into callers until fixpoint. Every fact keeps its
 /// first witness (deterministic: fns and call sites are visited in source
 /// order, merges only fill empty slots).
-pub fn propagate(fns_len: usize, calls: &[Vec<ResolvedCall>], locals: &[LocalSummary]) -> Vec<Propagated> {
+pub fn propagate(
+    fns_len: usize,
+    calls: &[Vec<ResolvedCall>],
+    locals: &[LocalSummary],
+) -> Vec<Propagated> {
     let mut props: Vec<Propagated> = (0..fns_len)
         .map(|i| {
             let l = &locals[i];
             Propagated {
-                may_block: l
-                    .blocking
-                    .first()
-                    .map(|b| Witness {
-                        site: Site::new(usize::MAX, b.line, b.what.clone()),
-                        via: Vec::new(),
-                    }),
+                may_block: l.blocking.first().map(|b| Witness {
+                    site: Site::new(usize::MAX, b.line, b.what.clone()),
+                    via: Vec::new(),
+                }),
                 reaches_backend: l.backend_calls.first().map(own_witness),
                 acquires: l
                     .locks
@@ -484,7 +488,11 @@ pub fn propagate(fns_len: usize, calls: &[Vec<ResolvedCall>], locals: &[LocalSum
                         (
                             lk.name.clone(),
                             Witness {
-                                site: Site::new(usize::MAX, lk.line, format!("acquires `{}`", lk.name)),
+                                site: Site::new(
+                                    usize::MAX,
+                                    lk.line,
+                                    format!("acquires `{}`", lk.name),
+                                ),
                                 via: Vec::new(),
                             },
                         )
@@ -630,8 +638,14 @@ fn fwd(&self, q: &str, deadline: Deadline) { self.inner.search_entities(q, 5, de
 fn dropped(&self, q: &str, deadline: Deadline) { self.inner.search_entities(q, 5, Deadline::UNBOUNDED); }
 ";
         let (_, _, sums) = summarize(src);
-        assert_eq!(sums[0].deadline_params, vec![("deadline".to_string(), true)]);
-        assert_eq!(sums[1].deadline_params, vec![("deadline".to_string(), false)]);
+        assert_eq!(
+            sums[0].deadline_params,
+            vec![("deadline".to_string(), true)]
+        );
+        assert_eq!(
+            sums[1].deadline_params,
+            vec![("deadline".to_string(), false)]
+        );
         assert_eq!(sums[0].backend_calls.len(), 1);
     }
 
@@ -693,6 +707,11 @@ fn bottom() { std::thread::sleep(d); }
         let w = props[0].may_block.as_ref().expect("top reaches a sleep");
         assert_eq!(w.via, vec!["mid".to_string(), "bottom".to_string()]);
         assert_eq!(w.site.line, 3);
-        assert!(props[2].may_block.as_ref().expect("own site").via.is_empty());
+        assert!(props[2]
+            .may_block
+            .as_ref()
+            .expect("own site")
+            .via
+            .is_empty());
     }
 }

@@ -5,7 +5,9 @@
 use crate::callgraph::{extract_calls, ResolvedCall, Resolver};
 use crate::items::{brace_depths, parse_items, FnItem};
 use crate::source::SourceFile;
-use crate::summary::{local_summary, propagate, scan, wire_guard_returns, LocalSummary, Propagated};
+use crate::summary::{
+    local_summary, propagate, scan, wire_guard_returns, LocalSummary, Propagated,
+};
 use std::collections::BTreeMap;
 
 /// Workspace-wide analysis state. All `Vec`s indexed by *fn index* are
@@ -43,9 +45,8 @@ impl Workspace {
             fns.extend(items.fns.into_iter().map(|it| (file_ix, it)));
         }
         let depths: Vec<Vec<u32>> = files.iter().map(brace_depths).collect();
-        let owned: Vec<Vec<(usize, usize)>> = (0..fns.len())
-            .map(|i| owned_ranges(&fns, i))
-            .collect();
+        let owned: Vec<Vec<(usize, usize)>> =
+            (0..fns.len()).map(|i| owned_ranges(&fns, i)).collect();
         let resolver = Resolver::new(&fns, &files);
         let calls: Vec<Vec<ResolvedCall>> = fns
             .iter()
@@ -55,7 +56,8 @@ impl Workspace {
                 extract_calls(f, &owned[i])
                     .into_iter()
                     .map(|site| {
-                        let callees = resolver.resolve(&site, *file_ix, item, &fns, &aliases[*file_ix]);
+                        let callees =
+                            resolver.resolve(&site, *file_ix, item, &fns, &aliases[*file_ix]);
                         ResolvedCall { site, callees }
                     })
                     .collect()
@@ -65,7 +67,13 @@ impl Workspace {
             .iter()
             .enumerate()
             .map(|(i, (file_ix, item))| {
-                local_summary(&files[*file_ix], *file_ix, item, &owned[i], &depths[*file_ix])
+                local_summary(
+                    &files[*file_ix],
+                    *file_ix,
+                    item,
+                    &owned[i],
+                    &depths[*file_ix],
+                )
             })
             .collect();
         wire_guard_returns(&files, &fns, &calls, &mut locals);
@@ -109,7 +117,11 @@ impl Workspace {
     /// Every local summary with its file index — fns, then gaps — so a rule
     /// about sites covers each code token of a file exactly once.
     pub fn summaries(&self) -> impl Iterator<Item = (usize, &LocalSummary)> {
-        let own = self.fns.iter().zip(&self.locals).map(|((file_ix, _), l)| (*file_ix, l));
+        let own = self
+            .fns
+            .iter()
+            .zip(&self.locals)
+            .map(|((file_ix, _), l)| (*file_ix, l));
         own.chain(self.gaps.iter().enumerate())
     }
 }
@@ -126,7 +138,10 @@ fn owned_ranges(fns: &[(usize, FnItem)], i: usize) -> Vec<(usize, usize)> {
         .iter()
         .filter(|(fi, it)| fi == file_ix && it.decl_ix >= s && it.decl_ix < e)
         .map(|(_, it)| {
-            let end = it.body.map(|(_, close)| close + 1).unwrap_or(it.decl_ix + 2);
+            let end = it
+                .body
+                .map(|(_, close)| close + 1)
+                .unwrap_or(it.decl_ix + 2);
             (it.decl_ix, end.min(e))
         })
         .collect();

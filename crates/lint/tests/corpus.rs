@@ -58,7 +58,9 @@ fn corpus_exercises_suppressions() {
         .into_iter()
         .map(|path| {
             let text = fs::read_to_string(&path).expect("fixture readable");
-            parse_fixture(&path, text).expect("fixture parses").suppressed
+            parse_fixture(&path, text)
+                .expect("fixture parses")
+                .suppressed
         })
         .sum();
     assert!(total > 0, "no fixture exercises the suppression path");

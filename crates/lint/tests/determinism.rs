@@ -26,7 +26,11 @@ fn two_workspace_runs_are_byte_identical() {
     let root = find_workspace_root(&PathBuf::from(env!("CARGO_MANIFEST_DIR")))
         .expect("test runs inside the workspace");
     let files = workspace_files(&root);
-    assert!(files.len() > 50, "workspace walk found {} files", files.len());
+    assert!(
+        files.len() > 50,
+        "workspace walk found {} files",
+        files.len()
+    );
     let a = lint_files(&root, &files);
     let b = lint_files(&root, &files);
     assert_eq!(jsonl(&a), jsonl(&b), "lint.jsonl content must not vary");

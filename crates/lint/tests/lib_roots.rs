@@ -132,7 +132,12 @@ fn every_member_manifest_inherits_the_workspace_lints() {
     assert!(manifests.len() >= 15, "found only {manifests:?}");
     let missing: Vec<&String> = manifests
         .iter()
-        .filter(|rel| !inherits_workspace_lints(&fs::read_to_string(root.join(rel)).unwrap_or_default()))
+        .filter(|rel| {
+            !inherits_workspace_lints(&fs::read_to_string(root.join(rel)).unwrap_or_default())
+        })
         .collect();
-    assert!(missing.is_empty(), "manifests without `[lints] workspace = true`: {missing:?}");
+    assert!(
+        missing.is_empty(),
+        "manifests without `[lints] workspace = true`: {missing:?}"
+    );
 }
