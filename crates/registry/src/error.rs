@@ -131,7 +131,10 @@ impl fmt::Display for RegistryError {
                 artifact,
                 detail,
             } => write!(f, "version {version}: {artifact} malformed: {detail}"),
-            RegistryError::NonFiniteWeights { version, bad_values } => write!(
+            RegistryError::NonFiniteWeights {
+                version,
+                bad_values,
+            } => write!(
                 f,
                 "version {version}: weights contain {bad_values} non-finite value(s)"
             ),

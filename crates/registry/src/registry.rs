@@ -220,9 +220,7 @@ impl ModelRegistry {
                 artifact: Artifact::Weights,
                 detail: format!("model metadata: {e}"),
             })?;
-        if labels.len() as u64 != manifest.n_labels
-            || vocab_size as u64 != manifest.vocab_size
-        {
+        if labels.len() as u64 != manifest.n_labels || vocab_size as u64 != manifest.vocab_size {
             return Err(RegistryError::Malformed {
                 version,
                 artifact: Artifact::Weights,
@@ -253,7 +251,10 @@ impl ModelRegistry {
         }
         let bad_values = count_non_finite(&mut model);
         if bad_values > 0 {
-            return Err(RegistryError::NonFiniteWeights { version, bad_values });
+            return Err(RegistryError::NonFiniteWeights {
+                version,
+                bad_values,
+            });
         }
 
         Ok(LoadedModel {
@@ -292,7 +293,13 @@ impl ModelRegistry {
         }
         let safe: String = reason
             .chars()
-            .map(|c| if c.is_ascii_alphanumeric() || c == '-' { c } else { '-' })
+            .map(|c| {
+                if c.is_ascii_alphanumeric() || c == '-' {
+                    c
+                } else {
+                    '-'
+                }
+            })
             .collect();
         let qdir = self.root.join("quarantine");
         for attempt in 0..u32::MAX {

@@ -92,7 +92,8 @@ fn clean_publish_round_trips_bit_exactly() {
 #[test]
 fn truncated_manifest_is_typed_and_quarantinable() {
     let (reg, root) = fresh_registry("trunc-manifest");
-    reg.publish(&mut tiny_model(1), VOCAB, "m").expect("publish");
+    reg.publish(&mut tiny_model(1), VOCAB, "m")
+        .expect("publish");
     let path = manifest_path(&root, 1);
     let full = fs::read(&path).expect("read manifest");
     // Every proper prefix must fail with a typed error, never a panic.
@@ -102,8 +103,13 @@ fn truncated_manifest_is_typed_and_quarantinable() {
         assert!(
             matches!(
                 err,
-                RegistryError::Truncated { artifact: Artifact::Manifest, .. }
-                    | RegistryError::BadMagic { artifact: Artifact::Manifest, .. }
+                RegistryError::Truncated {
+                    artifact: Artifact::Manifest,
+                    ..
+                } | RegistryError::BadMagic {
+                    artifact: Artifact::Manifest,
+                    ..
+                }
             ),
             "cut at {cut}: unexpected error {err:?}"
         );
@@ -114,7 +120,11 @@ fn truncated_manifest_is_typed_and_quarantinable() {
         Err(e) => e,
     };
     assert!(err.is_corruption());
-    assert_eq!(reg.list(), Vec::<u64>::new(), "quarantined ⇒ not promotable");
+    assert_eq!(
+        reg.list(),
+        Vec::<u64>::new(),
+        "quarantined ⇒ not promotable"
+    );
     assert!(!manifest_path(&root, 1).exists());
     let _ = fs::remove_dir_all(&root);
 }
@@ -122,7 +132,8 @@ fn truncated_manifest_is_typed_and_quarantinable() {
 #[test]
 fn bit_flipped_weights_are_always_caught() {
     let (reg, root) = fresh_registry("bitflip");
-    reg.publish(&mut tiny_model(2), VOCAB, "m").expect("publish");
+    reg.publish(&mut tiny_model(2), VOCAB, "m")
+        .expect("publish");
     let path = weights_path(&root, 1);
     let clean = fs::read(&path).expect("read weights");
     // Stride-sample byte positions across the whole artifact (header,
@@ -147,18 +158,25 @@ fn bit_flipped_weights_are_always_caught() {
 #[test]
 fn truncated_weights_are_typed() {
     let (reg, root) = fresh_registry("trunc-weights");
-    reg.publish(&mut tiny_model(3), VOCAB, "m").expect("publish");
+    reg.publish(&mut tiny_model(3), VOCAB, "m")
+        .expect("publish");
     let path = weights_path(&root, 1);
     let full = fs::read(&path).expect("read weights");
     fs::write(&path, &full[..full.len() / 2]).expect("truncate");
     assert!(matches!(
         load_is_typed(&reg, 1),
-        RegistryError::Truncated { artifact: Artifact::Weights, .. }
+        RegistryError::Truncated {
+            artifact: Artifact::Weights,
+            ..
+        }
     ));
     fs::remove_file(&path).expect("remove weights");
     assert!(matches!(
         load_is_typed(&reg, 1),
-        RegistryError::Malformed { artifact: Artifact::Weights, .. }
+        RegistryError::Malformed {
+            artifact: Artifact::Weights,
+            ..
+        }
     ));
     let _ = fs::remove_dir_all(&root);
 }
@@ -166,15 +184,20 @@ fn truncated_weights_are_typed() {
 #[test]
 fn transplanted_manifest_is_rejected() {
     let (reg, root) = fresh_registry("transplant");
-    reg.publish(&mut tiny_model(4), VOCAB, "a").expect("publish v1");
-    reg.publish(&mut tiny_model(5), VOCAB, "b").expect("publish v2");
+    reg.publish(&mut tiny_model(4), VOCAB, "a")
+        .expect("publish v1");
+    reg.publish(&mut tiny_model(5), VOCAB, "b")
+        .expect("publish v2");
     // Copy v2's manifest over v1's: framing and CRC are valid, but the
     // manifest vouches for a different version's weights.
     let v2_manifest = fs::read(manifest_path(&root, 2)).expect("read v2 manifest");
     fs::write(manifest_path(&root, 1), &v2_manifest).expect("transplant");
     assert!(matches!(
         load_is_typed(&reg, 1),
-        RegistryError::Malformed { artifact: Artifact::Manifest, .. }
+        RegistryError::Malformed {
+            artifact: Artifact::Manifest,
+            ..
+        }
     ));
     // v2 itself is untouched.
     reg.load(2).expect("v2 still loads");
@@ -184,7 +207,8 @@ fn transplanted_manifest_is_rejected() {
 #[test]
 fn foreign_format_generation_is_typed() {
     let (reg, root) = fresh_registry("foreign");
-    reg.publish(&mut tiny_model(6), VOCAB, "m").expect("publish");
+    reg.publish(&mut tiny_model(6), VOCAB, "m")
+        .expect("publish");
     let path = manifest_path(&root, 1);
     let mut bytes = fs::read(&path).expect("read manifest");
     // The u32 after the 4-byte magic is the format generation.
@@ -214,7 +238,8 @@ fn nan_poisoned_weights_never_load() {
             first = false;
         }
     });
-    reg.publish(&mut poisoned, VOCAB, "poisoned").expect("publish succeeds");
+    reg.publish(&mut poisoned, VOCAB, "poisoned")
+        .expect("publish succeeds");
     match load_is_typed(&reg, 1) {
         RegistryError::NonFiniteWeights { bad_values, .. } => assert_eq!(bad_values, 1),
         other => panic!("expected NonFiniteWeights, got {other:?}"),
@@ -225,7 +250,8 @@ fn nan_poisoned_weights_never_load() {
 #[test]
 fn torn_publish_is_invisible_and_id_is_burned() {
     let (reg, root) = fresh_registry("torn");
-    reg.publish(&mut tiny_model(9), VOCAB, "m").expect("publish v1");
+    reg.publish(&mut tiny_model(9), VOCAB, "m")
+        .expect("publish v1");
     // Simulate a crash between the weights write and the manifest commit.
     fs::remove_file(manifest_path(&root, 1)).expect("tear the commit");
     assert_eq!(reg.list(), Vec::<u64>::new(), "uncommitted ⇒ invisible");
@@ -234,7 +260,9 @@ fn torn_publish_is_invisible_and_id_is_burned() {
         RegistryError::Missing { version: 1 }
     ));
     // The next publish must not resurrect the husk under the same id.
-    let p = reg.publish(&mut tiny_model(10), VOCAB, "m2").expect("publish again");
+    let p = reg
+        .publish(&mut tiny_model(10), VOCAB, "m2")
+        .expect("publish again");
     assert_eq!(p.version, 2, "torn version id is burned, not reused");
     assert_eq!(reg.list(), vec![2]);
     let _ = fs::remove_dir_all(&root);
@@ -244,7 +272,8 @@ fn torn_publish_is_invisible_and_id_is_burned() {
 fn gc_keeps_the_newest_versions() {
     let (reg, root) = fresh_registry("gc");
     for i in 0..5 {
-        reg.publish(&mut tiny_model(20 + i), VOCAB, "m").expect("publish");
+        reg.publish(&mut tiny_model(20 + i), VOCAB, "m")
+            .expect("publish");
     }
     let removed = reg.gc(2).expect("gc");
     assert_eq!(removed, vec![1, 2, 3]);
