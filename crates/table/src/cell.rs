@@ -135,13 +135,19 @@ fn detect_date(s: &str) -> Option<String> {
     let parts: Vec<&str> = s.split('-').collect();
     if parts.len() == 3
         && parts[0].len() == 4
-        && parts.iter().all(|p| !p.is_empty() && p.chars().all(|c| c.is_ascii_digit()))
+        && parts
+            .iter()
+            .all(|p| !p.is_empty() && p.chars().all(|c| c.is_ascii_digit()))
     {
         return Some(s.to_string());
     }
     // Slashed: 01/04/1990
     let parts: Vec<&str> = s.split('/').collect();
-    if parts.len() == 3 && parts.iter().all(|p| !p.is_empty() && p.chars().all(|c| c.is_ascii_digit())) {
+    if parts.len() == 3
+        && parts
+            .iter()
+            .all(|p| !p.is_empty() && p.chars().all(|c| c.is_ascii_digit()))
+    {
         let (d, m, y) = (parts[0], parts[1], parts[2]);
         if y.len() == 4 {
             return Some(format!("{y}-{m:0>2}-{d:0>2}"));
@@ -149,13 +155,26 @@ fn detect_date(s: &str) -> Option<String> {
     }
     // "April 1, 1990" / "Apr 1 1990"
     const MONTHS: [&str; 12] = [
-        "january", "february", "march", "april", "may", "june", "july", "august", "september",
-        "october", "november", "december",
+        "january",
+        "february",
+        "march",
+        "april",
+        "may",
+        "june",
+        "july",
+        "august",
+        "september",
+        "october",
+        "november",
+        "december",
     ];
     let words: Vec<&str> = s.split([' ', ',']).filter(|w| !w.is_empty()).collect();
     if words.len() == 3 {
         let month = words[0].to_lowercase();
-        if let Some(mi) = MONTHS.iter().position(|m| m.starts_with(&month) && month.len() >= 3) {
+        if let Some(mi) = MONTHS
+            .iter()
+            .position(|m| m.starts_with(&month) && month.len() >= 3)
+        {
             let day_ok = words[1].chars().all(|c| c.is_ascii_digit());
             let year_ok = words[2].len() == 4 && words[2].chars().all(|c| c.is_ascii_digit());
             if day_ok && year_ok {
@@ -179,24 +198,42 @@ mod tests {
 
     #[test]
     fn parses_plain_text() {
-        assert_eq!(CellValue::parse("Peter Steele"), CellValue::Text("Peter Steele".into()));
-        assert_eq!(CellValue::parse("  trimmed  "), CellValue::Text("trimmed".into()));
+        assert_eq!(
+            CellValue::parse("Peter Steele"),
+            CellValue::Text("Peter Steele".into())
+        );
+        assert_eq!(
+            CellValue::parse("  trimmed  "),
+            CellValue::Text("trimmed".into())
+        );
     }
 
     #[test]
     fn parses_numbers() {
         assert_eq!(CellValue::parse("42"), CellValue::Number(42.0));
         assert_eq!(CellValue::parse("-3.5"), CellValue::Number(-3.5));
-        assert_eq!(CellValue::parse("1,234,567"), CellValue::Number(1_234_567.0));
+        assert_eq!(
+            CellValue::parse("1,234,567"),
+            CellValue::Number(1_234_567.0)
+        );
         assert_eq!(CellValue::parse("$99.95"), CellValue::Number(99.95));
         assert_eq!(CellValue::parse("85%"), CellValue::Number(85.0));
     }
 
     #[test]
     fn parses_dates() {
-        assert_eq!(CellValue::parse("1990-04-01"), CellValue::Date("1990-04-01".into()));
-        assert_eq!(CellValue::parse("01/04/1990"), CellValue::Date("1990-04-01".into()));
-        assert_eq!(CellValue::parse("April 1, 1990"), CellValue::Date("1990-04-01".into()));
+        assert_eq!(
+            CellValue::parse("1990-04-01"),
+            CellValue::Date("1990-04-01".into())
+        );
+        assert_eq!(
+            CellValue::parse("01/04/1990"),
+            CellValue::Date("1990-04-01".into())
+        );
+        assert_eq!(
+            CellValue::parse("April 1, 1990"),
+            CellValue::Date("1990-04-01".into())
+        );
         // Bare plausible year is a date (the paper treats Year columns as numeric/date-like).
         assert_eq!(CellValue::parse("1990"), CellValue::Date("1990".into()));
         // Implausible "year" is a number.
@@ -221,7 +258,10 @@ mod tests {
     #[test]
     fn text_with_digits_is_still_text() {
         assert_eq!(CellValue::parse("BRC1"), CellValue::Text("BRC1".into()));
-        assert_eq!(CellValue::parse("Area 51 Base"), CellValue::Text("Area 51 Base".into()));
+        assert_eq!(
+            CellValue::parse("Area 51 Base"),
+            CellValue::Text("Area 51 Base".into())
+        );
     }
 
     #[test]

@@ -124,7 +124,10 @@ pub fn looks_like_header(records: &[Vec<String>]) -> bool {
     let mut any_head_reappears = false;
     for c in 0..n_cols {
         let head = first.get(c).map(String::as_str).unwrap_or("");
-        if matches!(CellValue::parse(head), CellValue::Number(_) | CellValue::Date(_)) {
+        if matches!(
+            CellValue::parse(head),
+            CellValue::Number(_) | CellValue::Date(_)
+        ) {
             return false; // numeric heads are data
         }
         let body_numeric = records[1..]

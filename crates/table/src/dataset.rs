@@ -8,7 +8,9 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// Identifier of a semantic type (column label) inside a dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+)]
 pub struct LabelId(pub u32);
 
 impl LabelId {
@@ -315,7 +317,11 @@ mod tests {
         d.subsample_train(0.5, 9);
         let train_after = d.table_indices(Split::Train).len();
         assert_eq!(train_after, ((train_before as f64) * 0.5).round() as usize);
-        assert_eq!(d.table_indices(Split::Test), test_before, "test set unchanged");
+        assert_eq!(
+            d.table_indices(Split::Test),
+            test_before,
+            "test set unchanged"
+        );
     }
 
     #[test]

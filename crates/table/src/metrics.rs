@@ -110,8 +110,16 @@ pub fn per_class_report(
         .into_iter()
         .map(|(c, [tp, fp, fn_, support])| {
             let (tp_c, fp_c, fn_c) = (tp as f64, fp as f64, fn_ as f64);
-            let precision = if tp_c + fp_c > 0.0 { tp_c / (tp_c + fp_c) } else { 0.0 };
-            let recall = if tp_c + fn_c > 0.0 { tp_c / (tp_c + fn_c) } else { 0.0 };
+            let precision = if tp_c + fp_c > 0.0 {
+                tp_c / (tp_c + fp_c)
+            } else {
+                0.0
+            };
+            let recall = if tp_c + fn_c > 0.0 {
+                tp_c / (tp_c + fn_c)
+            } else {
+                0.0
+            };
             let f1 = if precision + recall > 0.0 {
                 2.0 * precision * recall / (precision + recall)
             } else {
@@ -159,7 +167,11 @@ mod tests {
         // class1: tp=1 fp=1 fn=1 -> p=0.5  r=0.5  f1=0.5,  support 2
         // weighted = (0.75*4 + 0.5*2)/6 = 4/6 ≈ 0.6667
         let s = EvalSummary::compute(&l(&[0, 0, 0, 1, 1, 0]), &l(&[0, 0, 0, 0, 1, 1]));
-        assert!((s.weighted_f1 - 2.0 / 3.0).abs() < 1e-9, "{}", s.weighted_f1);
+        assert!(
+            (s.weighted_f1 - 2.0 / 3.0).abs() < 1e-9,
+            "{}",
+            s.weighted_f1
+        );
         assert!((s.accuracy - 4.0 / 6.0).abs() < 1e-9);
         assert!((s.macro_f1 - 0.625).abs() < 1e-9);
     }

@@ -214,9 +214,15 @@ mod tests {
     fn numeric_column_detection() {
         let t = sample();
         assert!(!t.is_numeric_column(0));
-        assert!(t.is_numeric_column(2), "empty cells do not break numeric-ness");
+        assert!(
+            t.is_numeric_column(2),
+            "empty cells do not break numeric-ness"
+        );
         let all_empty = Table::new(TableId(1), vec![], vec![cells(&["", ""])], vec![LabelId(0)]);
-        assert!(!all_empty.is_numeric_column(0), "all-empty column is not numeric");
+        assert!(
+            !all_empty.is_numeric_column(0),
+            "all-empty column is not numeric"
+        );
     }
 
     #[test]
