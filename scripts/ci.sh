@@ -9,11 +9,9 @@ cd "$(dirname "$0")/.."
 # and nothing may rewrite a tracked file (benchmark/Cargo.lock included).
 tree_at_entry="$(git status --porcelain)"
 
-echo "== cargo fmt --check (formatted crates only) =="
-# The workspace is not rustfmt-clean yet. A crate joins this list in the
-# change that formats it, so the gate only ever grows.
-cargo fmt --check -p kglink-serve -p kglink-store -p kglink-core -p kglink-bench \
-    -p kglink -p kglink-search -p kglink-baselines -p kglink-obs -p kglink-nn -p kglink-kg
+echo "== cargo fmt --all --check =="
+# Every workspace crate and local path dependency (third_party/stubs).
+cargo fmt --all --check
 
 echo "== cargo build --release =="
 cargo build --release
