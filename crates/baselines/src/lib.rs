@@ -13,7 +13,7 @@
 //! | [`doduo`]     | Doduo (SIGMOD'22)      | PLM over column-major serialization with per-column `[CLS]` |
 //! | [`hnn`]       | HNN (IJCAI'19)         | first-cell KG `type` attribute + shallow network |
 //! | [`reca`]      | RECA (VLDB'23)         | single-column PLM + most-similar *inter-table* column |
-//! | [`sudowoodo`] | Sudowoodo (ICDE'23)    | contrastive self-supervised column encoder + light head |
+//! | [`sudowoodo`] | Sudowoodo (ICDE'23)    | label-free contrastive column encoder + light head |
 //!
 //! All models implement [`CtaModel`], the harness-facing trait.
 

@@ -1,4 +1,4 @@
-//! Sudowoodo-like baseline: contrastive self-supervised column encoder.
+//! Sudowoodo-like baseline: a column encoder pre-trained contrastively, without labels.
 //!
 //! Sudowoodo (Wang et al., ICDE'23) learns column representations with
 //! SimCLR-style contrastive learning (two augmented views of the same

@@ -43,10 +43,10 @@ pub struct KgLinkConfig {
     pub row_filter: RowFilter,
     /// Maximum columns per table before splitting (paper: 8).
     pub max_columns: usize,
-    /// Per-query KG retrieval deadline in simulated microseconds
-    /// (`u64::MAX` = unbounded; only bites when the backend simulates
-    /// latency). Queries past the deadline fail and degrade their column to
-    /// the no-linkage path.
+    /// Per-query KG retrieval budget in microseconds, the caller's
+    /// [`Deadline`](kglink_search::Deadline) (`u64::MAX` = unbounded). A
+    /// query its backend cannot answer within it fails and degrades its
+    /// column to the no-linkage path.
     pub retrieval_deadline_us: u64,
 
     // ---- Part 2: serialization + model --------------------------------

@@ -182,7 +182,7 @@ impl<B: KgBackend> KgBackend for FaultyBackend<B> {
 /// where that injects *errors* the pipeline degrades in-band, this
 /// injects the failure mode that escapes the `Result` channel entirely, so
 /// serving layers can prove their panic isolation (completion-on-drop
-/// ticket guards, worker supervision, poisoned-lock recovery).
+/// ticket guards, workers that serve on, poisoned-lock recovery).
 ///
 /// Deterministic: the panic schedule depends only on the call index, so a
 /// fixed request sequence always panics at the same points.

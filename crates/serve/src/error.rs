@@ -15,20 +15,14 @@ pub enum ServiceError {
     /// [`Reject`](crate::queue::AdmissionPolicy::Reject): the request was
     /// turned away at the door instead of blocking the caller.
     Overloaded { queue_depth: usize, capacity: usize },
-    /// The request was admitted but later pushed out by a newer one under
-    /// the [`ShedOldest`](crate::queue::AdmissionPolicy::ShedOldest) policy.
+    /// The request was admitted but evicted from the queue when overload
+    /// control cut the admission limit below the queue depth.
     Shed,
     /// The service shut down before the request was processed.
     Closed,
-    /// The worker thread serving this request panicked. The panic was
-    /// isolated: the ticket's completion-on-drop guard delivered this
-    /// error instead of leaving the caller blocked forever, and the
-    /// supervisor respawns the worker (within its restart budget).
+    /// Annotating this request panicked. The panic was caught on the
+    /// worker, which delivered this error and serves on.
     WorkerPanicked,
-    /// Every worker died and the supervisor's restart budget is spent:
-    /// the service can no longer make progress, so queued and future
-    /// requests fail with this instead of hanging.
-    RestartBudgetExhausted { budget: usize },
     /// The underlying annotation pipeline failed.
     Pipeline(KgLinkError),
 }
@@ -43,15 +37,11 @@ impl fmt::Display for ServiceError {
                 f,
                 "service overloaded: queue at {queue_depth}/{capacity}, request rejected"
             ),
-            ServiceError::Shed => write!(f, "request shed by a newer arrival under backpressure"),
+            ServiceError::Shed => write!(f, "request shed when the admission limit fell"),
             ServiceError::Closed => write!(f, "service closed before the request completed"),
             ServiceError::WorkerPanicked => {
                 write!(f, "the worker serving this request panicked")
             }
-            ServiceError::RestartBudgetExhausted { budget } => write!(
-                f,
-                "all workers dead and the restart budget ({budget}) is exhausted"
-            ),
             ServiceError::Pipeline(e) => write!(f, "annotation failed: {e}"),
         }
     }

@@ -15,9 +15,8 @@
 //!   stack, so repeated mentions across tables and workers hit memory
 //!   instead of BM25.
 //! * **Backpressure** — [`AdmissionPolicy`] picks fail-fast
-//!   (`Reject` → [`ServiceError::Overloaded`]), producer throttling
-//!   (`Block`), or freshness-first eviction (`ShedOldest` →
-//!   [`ServiceError::Shed`]).
+//!   (`Reject` → [`ServiceError::Overloaded`]) or producer throttling
+//!   (`Block`).
 //! * **Deadline propagation** — a request's [`Deadline`] budget covers
 //!   queue wait plus retrieval; requests that expire while queued complete
 //!   through the pipeline's graceful no-linkage degradation path with the
@@ -26,10 +25,12 @@
 //!   [`RetrievalCounts`] into one snapshot; every time in it is wall-clock.
 //! * **Overload protection** — an optional [`OverloadConfig`] turns on
 //!   one [`OverloadControl`]: each dequeue's queue sojourn resizes the
-//!   queue's admission limit (AIMD over a CoDel-style signal, trimming the
-//!   overflow when the limit falls) and picks the rung of the degradation
-//!   ladder (full retrieval → cache-only → no linkage) the request is
-//!   served at, instead of timing everything out.
+//!   queue's admission limit (AIMD over a CoDel-style signal, shedding the
+//!   overflow with [`ServiceError::Shed`] when the limit falls) and picks
+//!   the rung of the degradation ladder (full retrieval → cache-only → no
+//!   linkage) the request is served at, instead of timing everything out.
+//! * **Panic isolation** — a panic while annotating a request fails that
+//!   ticket with [`ServiceError::WorkerPanicked`]; the worker serves on.
 //!
 //! Annotation results are bit-identical across worker counts: each table's
 //! annotation is a pure function of (model, resources, table), and the

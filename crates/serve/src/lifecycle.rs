@@ -31,9 +31,9 @@
 //! - **watch**: the divergence guard keeps sampling live traffic against
 //!   the *prior* epoch; a label-flip rate or p99 inflation past the gate
 //!   triggers an automatic rollback (`model.rollback` tracer event),
-//!   bounded by a rollback budget that fails closed like the PR-4
-//!   restart budget: once spent, further swaps are refused outright and
-//!   the service keeps serving the last-known-good epoch.
+//!   bounded by a rollback budget that fails closed: once spent, further
+//!   swaps are refused outright and the service keeps serving the
+//!   last-known-good epoch.
 //!
 //! [`AnnotationService::swap_model`]: crate::AnnotationService::swap_model
 
@@ -334,7 +334,7 @@ pub enum SwapError {
     RollbackBudgetExhausted { budget: usize },
     /// Another swap is mid-flight; one at a time.
     SwapInProgress,
-    /// The service itself is failed or shut down.
+    /// The service is shut down.
     ServiceUnavailable,
 }
 
@@ -352,7 +352,7 @@ impl fmt::Display for SwapError {
                 "rollback budget ({budget}) exhausted: model lifecycle failed closed"
             ),
             SwapError::SwapInProgress => write!(f, "another swap is in progress"),
-            SwapError::ServiceUnavailable => write!(f, "service is failed or shut down"),
+            SwapError::ServiceUnavailable => write!(f, "service is shut down"),
         }
     }
 }

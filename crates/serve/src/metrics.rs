@@ -42,7 +42,8 @@ pub struct ServiceMetrics {
     pub completed: u64,
     /// Requests refused at admission under `Reject`.
     pub rejected: u64,
-    /// Requests evicted from the queue under `ShedOldest`.
+    /// Queued requests evicted when the admission limit fell below the
+    /// queue depth; each resolved [`Shed`](crate::ServiceError::Shed).
     pub shed: u64,
     /// Completed requests whose deadline expired while queued; they were
     /// served through the degraded no-linkage path.
@@ -82,11 +83,6 @@ pub struct ServiceMetrics {
     /// Search and one-hop batch items an idle worker ran for another
     /// worker's request.
     pub help_items: u64,
-    /// Workers the supervisor respawned after a panic.
-    pub worker_restarts: u64,
-    /// Workers currently alive (spawned minus cleanly-exited minus dead
-    /// beyond the restart budget).
-    pub workers_alive: usize,
     /// Real microseconds since the service started.
     pub uptime_us: u64,
     /// Full-rung retrieval counters of the primary annotations.
@@ -125,8 +121,13 @@ impl fmt::Display for ServiceMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "service: submitted={} completed={} rejected={} shed={} expired={}",
-            self.submitted, self.completed, self.rejected, self.shed, self.expired
+            "service: submitted={} completed={} rejected={} shed={} expired={} panics={}",
+            self.submitted,
+            self.completed,
+            self.rejected,
+            self.shed,
+            self.expired,
+            self.worker_panics
         )?;
         writeln!(
             f,
@@ -151,11 +152,6 @@ impl fmt::Display for ServiceMetrics {
             f,
             "annotation: columns={} degraded={} failed_cells={}",
             self.annotated_columns, self.degraded_columns, self.failed_cells
-        )?;
-        writeln!(
-            f,
-            "supervision: panics={} restarts={} workers_alive={}",
-            self.worker_panics, self.worker_restarts, self.workers_alive
         )?;
         writeln!(
             f,

@@ -8,14 +8,12 @@
 //!   so the caller can retry elsewhere (fail-fast).
 //! * [`Block`](AdmissionPolicy::Block) — park the submitting thread until a
 //!   worker frees a slot (natural producer throttling).
-//! * [`ShedOldest`](AdmissionPolicy::ShedOldest) — admit the new request and
-//!   evict the oldest queued one, which is the request most likely to have
-//!   already blown its deadline (freshness-first).
 //!
 //! Consumers take one item per wake-up with [`BoundedQueue::next`]. The
-//! queue keeps no ledger of its own: the service counts submissions and
-//! sheds from what `push` and [`trim_to_limit`](BoundedQueue::trim_to_limit)
-//! return.
+//! queue keeps no ledger of its own: the service counts submissions from
+//! what `push` returns, and sheds from what
+//! [`trim_to_limit`](BoundedQueue::trim_to_limit) evicts after the
+//! admission limit falls.
 //!
 //! Idle help: a queue may also carry *offers* of type `H`, work a busy
 //! consumer shares with idle ones. While no item is queued,
@@ -44,8 +42,6 @@ pub enum AdmissionPolicy {
     Reject,
     /// Block the submitting thread until space frees up.
     Block,
-    /// Admit the new request; evict and return the oldest queued one.
-    ShedOldest,
 }
 
 /// Why a push did not enqueue the item.
@@ -136,7 +132,7 @@ impl<T, H: Clone> BoundedQueue<T, H> {
 
     /// Evict oldest-first until the depth is within the current limit,
     /// returning the victims (in eviction order) for the caller to fail
-    /// explicitly, exactly like a `ShedOldest` eviction.
+    /// explicitly.
     pub fn trim_to_limit(&self) -> Vec<T> {
         let limit = self.limit();
         let mut state = self.lock_state();
@@ -160,15 +156,12 @@ impl<T, H: Clone> BoundedQueue<T, H> {
         self.lock_state().closed
     }
 
-    /// Enqueue `item` under `policy`. `Ok(None)` means plainly enqueued;
-    /// `Ok(Some(victim))` means enqueued by shedding the returned oldest
-    /// item; `Err` means the item was not admitted.
-    pub fn push(&self, item: T, policy: AdmissionPolicy) -> Result<Option<T>, PushError> {
+    /// Enqueue `item` under `policy`; `Err` means it was not admitted.
+    pub fn push(&self, item: T, policy: AdmissionPolicy) -> Result<(), PushError> {
         let mut state = self.lock_state();
         if state.closed {
             return Err(PushError::Closed);
         }
-        let mut victim = None;
         let limit = self.limit();
         if state.items.len() >= limit {
             match policy {
@@ -191,13 +184,12 @@ impl<T, H: Clone> BoundedQueue<T, H> {
                         return Err(PushError::Closed);
                     }
                 }
-                AdmissionPolicy::ShedOldest => victim = state.items.pop_front(),
             }
         }
         state.items.push_back(item);
         drop(state);
         self.not_empty.notify_one();
-        Ok(victim)
+        Ok(())
     }
 
     /// Block until an item is queued or an offer is posted (or the queue
@@ -292,8 +284,8 @@ mod tests {
     #[test]
     fn reject_policy_returns_typed_overflow() {
         let q = BoundedQueue::new(2);
-        assert_eq!(q.push(1, AdmissionPolicy::Reject), Ok(None));
-        assert_eq!(q.push(2, AdmissionPolicy::Reject), Ok(None));
+        assert_eq!(q.push(1, AdmissionPolicy::Reject), Ok(()));
+        assert_eq!(q.push(2, AdmissionPolicy::Reject), Ok(()));
         assert_eq!(
             q.push(3, AdmissionPolicy::Reject),
             Err(PushError::Rejected {
@@ -302,16 +294,6 @@ mod tests {
             })
         );
         assert_eq!(q.depth(), 2);
-    }
-
-    #[test]
-    fn shed_oldest_evicts_in_fifo_order() {
-        let q = BoundedQueue::new(2);
-        assert_eq!(q.push(1, AdmissionPolicy::ShedOldest), Ok(None));
-        assert_eq!(q.push(2, AdmissionPolicy::ShedOldest), Ok(None));
-        assert_eq!(q.push(3, AdmissionPolicy::ShedOldest), Ok(Some(1)));
-        assert_eq!(q.push(4, AdmissionPolicy::ShedOldest), Ok(Some(2)));
-        assert_eq!(drain(&q), vec![3, 4]);
     }
 
     #[test]
@@ -371,7 +353,7 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(10));
         assert_eq!(q.depth(), 1, "producer is parked on the shrunk limit");
         q.set_limit(2);
-        assert_eq!(producer.join().unwrap(), Ok(None));
+        assert_eq!(producer.join().unwrap(), Ok(()));
         assert_eq!(q.depth(), 2);
     }
 
@@ -459,7 +441,7 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(10));
         // Producer is parked on the full queue; one pop must release it.
         assert_eq!(pop(&q), Some(1));
-        assert_eq!(producer.join().unwrap(), Ok(None));
+        assert_eq!(producer.join().unwrap(), Ok(()));
         assert_eq!(pop(&q), Some(2));
     }
 }

@@ -9,8 +9,8 @@
 //!  submit() ──►                                ──► worker N ─┘  channels
 //!                       │                            │
 //!                  backpressure              CachingBackend (shared LRU)
-//!                 (Reject/Block/                     │
-//!                   ShedOldest)               user backend stack
+//!                 (Reject/Block)                     │
+//!                                             user backend stack
 //!                                        (disk / searcher / faulty)
 //! ```
 //!
@@ -30,7 +30,7 @@ use crate::metrics::ServiceMetrics;
 use crate::overload::{OverloadConfig, OverloadControl};
 use crate::queue::{AdmissionPolicy, PushError};
 use crate::retrieval::Retrieval;
-use crate::worker::{self, WorkerContext, WorkerExit};
+use crate::worker::{self, WorkerContext};
 use kglink_core::pipeline::req;
 use kglink_core::{DegradationRung, KgLink};
 use kglink_kg::GraphAccess;
@@ -40,7 +40,7 @@ use kglink_search::{CacheConfig, Deadline, KgBackend};
 use kglink_table::{LabelId, Table};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -66,11 +66,6 @@ pub struct ServiceConfig {
     pub default_deadline: Deadline,
     /// Shared retrieval LRU configuration; `None` disables caching.
     pub cache: Option<CacheConfig>,
-    /// Total worker respawns the supervisor may perform over the service's
-    /// lifetime (pool-wide, not per worker). When every worker is dead and
-    /// the budget is spent, queued and future requests fail with
-    /// [`ServiceError::RestartBudgetExhausted`].
-    pub restart_budget: usize,
     /// Observability sink shared by the cache and every worker: queue-wait
     /// and per-request service spans, plus cache hit/miss counters, land
     /// here. Defaults to [`Tracer::disabled`] (zero overhead).
@@ -82,7 +77,7 @@ pub struct ServiceConfig {
     /// (typically its registry version; `0` = unversioned baseline).
     pub initial_version: u64,
     /// Automatic rollbacks the lifecycle may perform over the service's
-    /// lifetime. Like `restart_budget`, it fails closed: once spent,
+    /// lifetime. The budget fails closed: once spent,
     /// [`AnnotationService::swap_model`] refuses further candidates with
     /// [`SwapError::RollbackBudgetExhausted`] and the last-known-good
     /// epoch keeps serving.
@@ -99,7 +94,6 @@ impl Default for ServiceConfig {
             admission: AdmissionPolicy::Block,
             default_deadline: Deadline::UNBOUNDED,
             cache: Some(CacheConfig::default()),
-            restart_budget: 3,
             tracer: Tracer::disabled(),
             overload: None,
             initial_version: 0,
@@ -162,16 +156,6 @@ pub(crate) struct Request {
     pub reply: mpsc::Sender<Result<Annotation, ServiceError>>,
 }
 
-/// Resolve one shed request promptly with the typed error: the submitter
-/// unblocks *now* with [`ServiceError::Shed`], not at some later drop.
-/// Both eviction paths (`ShedOldest` admission and the workers' trims after
-/// an admission-limit cut) route through here, so each is counted once.
-pub(crate) fn resolve_shed(victim: Request, shed_counter: &AtomicU64, tracer: &Tracer) {
-    shed_counter.fetch_add(1, Ordering::Relaxed);
-    tracer.incr("serve.shed", 1);
-    let _ = victim.reply.send(Err(ServiceError::Shed));
-}
-
 /// Counters shared between the submit path, the workers, and `metrics()`.
 pub(crate) struct Shared {
     pub submitted: AtomicU64,
@@ -186,11 +170,6 @@ pub(crate) struct Shared {
     pub worker_panics: AtomicU64,
     /// Batch items run by a worker other than the request's owner.
     pub help_items: AtomicU64,
-    pub worker_restarts: AtomicU64,
-    pub workers_alive: AtomicUsize,
-    /// Set by the supervisor when every worker is dead and the restart
-    /// budget is spent: the service can no longer make progress.
-    pub failed: AtomicBool,
     /// Current degradation-ladder level (0..=2); written by whichever
     /// worker last stepped the overload controller.
     pub rung: AtomicUsize,
@@ -202,7 +181,7 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    fn new(workers: usize, overload: Option<OverloadControl>) -> Self {
+    fn new(overload: Option<OverloadControl>) -> Self {
         Shared {
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -215,103 +194,10 @@ impl Shared {
             in_flight: AtomicUsize::new(0),
             worker_panics: AtomicU64::new(0),
             help_items: AtomicU64::new(0),
-            worker_restarts: AtomicU64::new(0),
-            workers_alive: AtomicUsize::new(workers),
-            failed: AtomicBool::new(false),
             rung: AtomicUsize::new(0),
             rung_served: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
             overload: overload.map(Mutex::new),
         }
-    }
-}
-
-/// Spawn (or respawn) the worker at pool index `idx` from the supervisor's
-/// template context, so a respawned worker is indistinguishable from the
-/// original (same shared state).
-#[expect(
-    clippy::expect_used,
-    reason = "OS thread spawn fails only on process-level resource exhaustion at startup; there is no degraded mode to offer without a worker pool"
-)]
-fn spawn_worker(
-    pool: &WorkerContext,
-    idx: usize,
-    exit_tx: mpsc::Sender<(usize, WorkerExit)>,
-) -> JoinHandle<()> {
-    let ctx = WorkerContext {
-        idx,
-        ..pool.clone()
-    };
-    std::thread::Builder::new()
-        .name(format!("kglink-serve-{idx}"))
-        .spawn(move || {
-            // `worker::run` already isolates per-request panics; this
-            // outer net catches anything that unwinds out of the loop
-            // itself so the supervisor always learns how we died.
-            let exit =
-                catch_unwind(AssertUnwindSafe(|| worker::run(ctx))).unwrap_or(WorkerExit::Panicked);
-            let _ = exit_tx.send((idx, exit));
-        })
-        .expect("failed to spawn worker thread")
-}
-
-/// Supervision loop: join each exiting worker, respawn panicked ones while
-/// the pool-wide restart budget lasts, and declare the service failed when
-/// every worker is dead with the budget spent (failing all queued tickets
-/// with a typed error instead of stranding them).
-fn supervise(
-    pool: WorkerContext,
-    restart_budget: usize,
-    exit_tx: mpsc::Sender<(usize, WorkerExit)>,
-    exit_rx: mpsc::Receiver<(usize, WorkerExit)>,
-    mut handles: Vec<Option<JoinHandle<()>>>,
-) {
-    let mut alive = handles.len();
-    let mut restarts_used = 0usize;
-    while alive > 0 {
-        let Ok((idx, exit)) = exit_rx.recv() else {
-            break;
-        };
-        if let Some(handle) = handles[idx].take() {
-            let _ = handle.join();
-        }
-        match exit {
-            WorkerExit::Drained => alive -= 1,
-            WorkerExit::Panicked => {
-                if restarts_used < restart_budget && !pool.queue.is_closed() {
-                    restarts_used += 1;
-                    pool.shared.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                    pool.tracer.incr("worker.restart", 1);
-                    pool.tracer.event_with(
-                        "worker.restart",
-                        vec![
-                            ("worker", idx.to_string()),
-                            ("restarts_used", restarts_used.to_string()),
-                            ("budget", restart_budget.to_string()),
-                        ],
-                    );
-                    handles[idx] = Some(spawn_worker(&pool, idx, exit_tx.clone()));
-                } else {
-                    alive -= 1;
-                    // Publish the count before failing leftovers: a caller
-                    // unblocked by those failures must not read a stale
-                    // alive count.
-                    pool.shared.workers_alive.store(alive, Ordering::SeqCst);
-                    if alive == 0 && !pool.queue.is_closed() {
-                        pool.shared.failed.store(true, Ordering::SeqCst);
-                        pool.tracer.incr("worker.pool_failed", 1);
-                        for leftover in pool.queue.close() {
-                            let _ =
-                                leftover
-                                    .reply
-                                    .send(Err(ServiceError::RestartBudgetExhausted {
-                                        budget: restart_budget,
-                                    }));
-                        }
-                    }
-                }
-            }
-        }
-        pool.shared.workers_alive.store(alive, Ordering::SeqCst);
     }
 }
 
@@ -322,13 +208,11 @@ pub struct AnnotationService {
     retrieval: Arc<Retrieval>,
     admission: AdmissionPolicy,
     default_deadline: Deadline,
-    restart_budget: usize,
     rollback_budget: usize,
     tracer: Tracer,
     next_id: AtomicU64,
     started: Instant,
-    supervisor: Option<JoinHandle<()>>,
-    closed: bool,
+    workers: Vec<JoinHandle<()>>,
     lifecycle: Arc<Lifecycle>,
     // Retained for swap-time probe runs: the same graph/tokenizer the
     // workers annotate through.
@@ -342,6 +226,10 @@ impl AnnotationService {
     /// or `PanickingBackend`); when `config.cache` is set the service
     /// interposes a shared [`CachingBackend`](kglink_search::CachingBackend)
     /// in front of it. Every worker annotates through that one stack.
+    #[expect(
+        clippy::expect_used,
+        reason = "OS thread spawn fails only on process-level resource exhaustion at startup; there is no degraded mode to offer without a worker pool"
+    )]
     pub fn new(
         model: Arc<KgLink>,
         graph: Arc<dyn GraphAccess>,
@@ -355,59 +243,48 @@ impl AnnotationService {
             &config.tracer,
         ));
         let queue = Arc::new(RequestQueue::with_offers(config.queue_capacity));
-        let overload = config.overload.clone().map(OverloadControl::new);
+        // The controller's limit is the queue's limit, so it may not range
+        // past the capacity `set_limit` clamps to.
+        let overload = config.overload.clone().map(|mut overload| {
+            let aimd = &mut overload.aimd;
+            aimd.max_limit = aimd.max_limit.min(config.queue_capacity);
+            aimd.min_limit = aimd.min_limit.min(config.queue_capacity);
+            OverloadControl::new(overload)
+        });
         if let Some(control) = &overload {
-            // Start admission at the controller's optimistic initial limit
-            // (clamped to the physical capacity by `set_limit`).
+            // Start admission at the controller's optimistic initial limit.
             queue.set_limit(control.limit());
         }
-        let shared = Arc::new(Shared::new(config.workers, overload));
+        let shared = Arc::new(Shared::new(overload));
         let lifecycle = Arc::new(Lifecycle::new(
             ModelEpoch::new(config.initial_version, model),
             config.rollback_budget,
         ));
-        let pool = WorkerContext {
-            idx: 0,
-            lifecycle: Arc::clone(&lifecycle),
-            retrieval: Arc::clone(&retrieval),
-            graph: Arc::clone(&graph),
-            tokenizer: Arc::clone(&tokenizer),
-            queue: Arc::clone(&queue),
-            shared: Arc::clone(&shared),
-            tracer: config.tracer.clone(),
-        };
-        // Admission-only mode (`workers == 0`) needs no worker threads and
-        // therefore no supervisor either.
-        #[expect(
-            clippy::expect_used,
-            reason = "same startup-only resource-exhaustion case as the worker spawn above"
-        )]
-        let supervisor = if config.workers > 0 {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "worker-exit signal: at most one message per worker death, bounded by the restart budget plus the pool size; can never grow under load"
-            )]
-            let (exit_tx, exit_rx) = mpsc::channel();
-            let handles: Vec<Option<JoinHandle<()>>> = (0..config.workers)
-                .map(|idx| Some(spawn_worker(&pool, idx, exit_tx.clone())))
-                .collect();
-            let restart_budget = config.restart_budget;
-            Some(
+        // `workers == 0` is admission-only: nothing is spawned.
+        let workers = (0..config.workers)
+            .map(|idx| {
+                let ctx = WorkerContext {
+                    idx,
+                    lifecycle: Arc::clone(&lifecycle),
+                    retrieval: Arc::clone(&retrieval),
+                    graph: Arc::clone(&graph),
+                    tokenizer: Arc::clone(&tokenizer),
+                    queue: Arc::clone(&queue),
+                    shared: Arc::clone(&shared),
+                    tracer: config.tracer.clone(),
+                };
                 std::thread::Builder::new()
-                    .name("kglink-serve-supervisor".to_string())
-                    .spawn(move || supervise(pool, restart_budget, exit_tx, exit_rx, handles))
-                    .expect("failed to spawn supervisor thread"),
-            )
-        } else {
-            None
-        };
+                    .name(format!("kglink-serve-{idx}"))
+                    .spawn(move || worker::run(ctx))
+                    .expect("failed to spawn worker thread")
+            })
+            .collect();
         AnnotationService {
             queue,
             shared,
             retrieval,
             admission: config.admission,
             default_deadline: config.default_deadline,
-            restart_budget: config.restart_budget,
             rollback_budget: config.rollback_budget,
             tracer: config.tracer,
             next_id: AtomicU64::new(0),
@@ -416,8 +293,7 @@ impl AnnotationService {
                 reason = "wall-clock uptime for the metrics snapshot only; no annotation output reads it"
             )]
             started: Instant::now(),
-            supervisor,
-            closed: false,
+            workers,
             lifecycle,
             graph,
             tokenizer,
@@ -439,11 +315,6 @@ impl AnnotationService {
         table: Table,
         deadline: Deadline,
     ) -> Result<Ticket, ServiceError> {
-        if self.shared.failed.load(Ordering::SeqCst) {
-            return Err(ServiceError::RestartBudgetExhausted {
-                budget: self.restart_budget,
-            });
-        }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         #[expect(
             clippy::disallowed_methods,
@@ -462,13 +333,8 @@ impl AnnotationService {
             reply: tx,
         };
         match self.queue.push(request, self.admission) {
-            Ok(None) => {
+            Ok(()) => {
                 self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(Ticket { id, rx })
-            }
-            Ok(Some(victim)) => {
-                self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-                resolve_shed(victim, &self.shared.shed, &self.tracer);
                 Ok(Ticket { id, rx })
             }
             Err(PushError::Rejected {
@@ -523,8 +389,6 @@ impl AnnotationService {
             latency_p99_us: latency.p99(),
             worker_panics: self.shared.worker_panics.load(Ordering::Relaxed),
             help_items: self.shared.help_items.load(Ordering::Relaxed),
-            worker_restarts: self.shared.worker_restarts.load(Ordering::Relaxed),
-            workers_alive: self.shared.workers_alive.load(Ordering::SeqCst),
             uptime_us: self.started.elapsed().as_micros() as u64,
             retrieval: self.retrieval.counts(),
             cache: self.retrieval.cache_stats(),
@@ -561,7 +425,7 @@ impl AnnotationService {
         candidate: Arc<KgLink>,
         plan: &SwapPlan,
     ) -> Result<SwapReport, SwapError> {
-        if self.shared.failed.load(Ordering::SeqCst) || self.queue.is_closed() {
+        if self.queue.is_closed() {
             return Err(SwapError::ServiceUnavailable);
         }
         if self.lifecycle.exhausted.load(Ordering::SeqCst)
@@ -848,17 +712,13 @@ impl AnnotationService {
     }
 
     /// Drain and stop: close the queue, fail still-queued requests with
-    /// [`ServiceError::Closed`], and join the supervisor (which in turn
-    /// joins every worker). Idempotent; also runs on drop.
+    /// [`ServiceError::Closed`], and join the workers. Idempotent; also runs
+    /// on drop.
     pub fn shutdown(&mut self) {
-        if self.closed {
-            return;
-        }
-        self.closed = true;
         for leftover in self.queue.close() {
             let _ = leftover.reply.send(Err(ServiceError::Closed));
         }
-        if let Some(handle) = self.supervisor.take() {
+        for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }

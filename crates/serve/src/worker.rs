@@ -35,16 +35,11 @@
 //! thread-local, so each worker warms its own pool on the first request.
 //!
 //! Panic isolation: each request is annotated inside `catch_unwind`, with
-//! a completion-on-drop [`TicketGuard`] armed *before* any fallible work.
-//! Whatever path the worker takes out of a request — normal completion,
-//! panic in the pipeline, panic in the backend stack — the ticket is
-//! completed exactly once: either with the annotation, or with a typed
-//! [`ServiceError::WorkerPanicked`]. A blocked `wait()` can therefore
-//! never hang on a crashed worker. A worker holds only the request it is
-//! serving, so after a panic it exits with [`WorkerExit::Panicked`] and
-//! leaves the queue untouched; the supervisor decides whether to respawn
-//! it. A helped item's panic is caught on the helper, which serves on,
-//! and resumed on the owner, so it takes this same path exactly once.
+//! a completion-on-drop [`TicketGuard`] armed *before* any fallible work,
+//! so its ticket completes exactly once: with the annotation, or with a
+//! typed [`ServiceError::WorkerPanicked`]. The worker then takes the next
+//! request, as a helper does after a helped item's panic (that panic is
+//! resumed on the owner, so it fails its request here, once).
 //!
 //! [`KgLink::annotate_request`]: kglink_core::KgLink::annotate_request
 
@@ -53,7 +48,7 @@ use crate::fanout::{self, RequestQueue, SharedGraph};
 use crate::lifecycle::{Lifecycle, ModelEpoch, Serving, ShadowState};
 use crate::queue::Next;
 use crate::retrieval::Retrieval;
-use crate::service::{resolve_shed, Annotation, Request, Shared};
+use crate::service::{Annotation, Request, Shared};
 use kglink_core::pipeline::{req, AnnotateOutcome, Resources};
 use kglink_core::DegradationRung;
 use kglink_kg::GraphAccess;
@@ -66,7 +61,6 @@ use std::sync::{mpsc, Arc, PoisonError};
 use std::time::Instant;
 
 /// Everything one worker thread needs, bundled for the spawn closure.
-#[derive(Clone)]
 pub(crate) struct WorkerContext {
     pub idx: usize,
     /// The serving slot; the worker reads it once per request, so a
@@ -78,16 +72,6 @@ pub(crate) struct WorkerContext {
     pub queue: Arc<RequestQueue>,
     pub shared: Arc<Shared>,
     pub tracer: Tracer,
-}
-
-/// How a worker thread ended; the supervisor keys its respawn decision on
-/// this.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WorkerExit {
-    /// The queue closed and drained: clean shutdown.
-    Drained,
-    /// A request panicked; its ticket was failed with a typed error.
-    Panicked,
 }
 
 /// Completion-on-drop guard for one ticket. Armed before any fallible
@@ -119,7 +103,8 @@ impl Drop for TicketGuard {
     }
 }
 
-pub(crate) fn run(ctx: WorkerContext) -> WorkerExit {
+/// Serve requests until the queue is closed and drained.
+pub(crate) fn run(ctx: WorkerContext) {
     while let Some(next) = ctx.queue.next() {
         let request = match next {
             Next::Item(request) => request,
@@ -128,13 +113,14 @@ pub(crate) fn run(ctx: WorkerContext) -> WorkerExit {
                 continue;
             }
         };
-        // One slot read per request: the epoch and the comparison window
-        // were stored together, so a promote lands between requests and
-        // this request is served end-to-end by `serving.epoch`.
-        let serving = ctx.lifecycle.serving();
         ctx.shared.in_flight.fetch_add(1, Ordering::SeqCst);
         let guard = TicketGuard::arm(request.reply.clone());
         let outcome = catch_unwind(AssertUnwindSafe(|| {
+            // One slot read per request: the epoch and the comparison
+            // window were stored together, so a promote lands between
+            // requests and this request is served end-to-end by
+            // `serving.epoch`.
+            let serving = ctx.lifecycle.serving();
             let annotation = serve_request(&ctx, &request, &serving);
             let total_us = request.enqueued.elapsed().as_micros() as u64;
             record_completion(&ctx, &annotation, total_us);
@@ -155,14 +141,11 @@ pub(crate) fn run(ctx: WorkerContext) -> WorkerExit {
                 ctx.tracer
                     .event_with("worker.panic", vec![("worker", ctx.idx.to_string())]);
                 // Dropping the guard completes the panicked ticket with
-                // the typed error.
+                // the typed error; the worker serves on.
                 drop(guard);
-                return WorkerExit::Panicked;
             }
         }
     }
-    // Closed and drained.
-    WorkerExit::Drained
 }
 
 /// Step the overload controller (when configured) with one queue sojourn
@@ -184,7 +167,10 @@ fn overload_control(ctx: &WorkerContext, sojourn_us: u64) -> DegradationRung {
         let victims = ctx.queue.trim_to_limit();
         let trimmed = victims.len();
         for victim in victims {
-            resolve_shed(victim, &ctx.shared.shed, &ctx.tracer);
+            // Counted before it resolves, so its submitter sees the count.
+            ctx.shared.shed.fetch_add(1, Ordering::Relaxed);
+            ctx.tracer.incr("serve.shed", 1);
+            let _ = victim.reply.send(Err(ServiceError::Shed));
         }
         ctx.tracer.event_with(
             "serve.admission_limit",

@@ -1,7 +1,7 @@
 //! Crash-safety integration tests: kill-and-resume training must be
 //! bit-identical, divergence guards must contain injected NaNs, and the
 //! serving layer must survive a panicking backend with zero hung tickets,
-//! bounded restarts, and honest metrics.
+//! a worker that serves on, and honest metrics.
 
 use kglink::core::pipeline::{build_vocab, KgLink, Resources};
 use kglink::core::{FitOptions, GuardPolicy, KgLinkConfig};
@@ -11,9 +11,10 @@ use kglink::nn::checkpoint::save_train_state;
 use kglink::nn::layers::param::HasParams;
 use kglink::nn::Tokenizer;
 use kglink::obs::{EventKind, Tracer};
-use kglink::search::PanickingBackend;
+use kglink::search::{Deadline, PanickingBackend};
 use kglink::serve::{
-    AdmissionPolicy, AnnotationService, ServiceConfig, ServiceError, SharedBackend,
+    AdmissionPolicy, AimdConfig, AnnotationService, BrownoutConfig, OverloadConfig, ServiceConfig,
+    ServiceError, SharedBackend,
 };
 use kglink::store::{DiskBackend, DiskGraph, DiskWorld};
 use kglink::table::Table;
@@ -363,7 +364,6 @@ fn panicking_service(
 #[test]
 fn panicking_backend_leaves_zero_hung_tickets_and_bounded_restarts() {
     let fx = serve_fixture();
-    let budget = 32;
     let tracer = Tracer::enabled();
     let (mut svc, backend) = panicking_service(
         fx,
@@ -372,7 +372,6 @@ fn panicking_backend_leaves_zero_hung_tickets_and_bounded_restarts() {
             workers: 2,
             cache: None, // every retrieval reaches the panicking backend
             admission: AdmissionPolicy::Block,
-            restart_budget: budget,
             tracer: tracer.clone(),
             ..ServiceConfig::default()
         },
@@ -400,13 +399,12 @@ fn panicking_backend_leaves_zero_hung_tickets_and_bounded_restarts() {
         Err(ServiceError::WorkerPanicked) => panicked += 1,
         Err(other) => panic!("pool should still serve, got {other}"),
     }
-    // Quiesce before reconciling: shutdown joins the workers and the
-    // supervisor, so every panic/restart is fully accounted.
+    // Quiesce before reconciling: shutdown joins the workers, so every
+    // panic is fully accounted.
     svc.shutdown();
     let metrics = svc.metrics();
     assert_eq!(metrics.completed, ok);
     assert_eq!(metrics.worker_panics, panicked);
-    assert!(metrics.worker_restarts <= budget as u64);
     assert!(backend.panics() >= panicked);
     // Tracer events reconcile with the counters.
     assert_eq!(tracer.counter("worker.panic"), metrics.worker_panics);
@@ -414,88 +412,117 @@ fn panicking_backend_leaves_zero_hung_tickets_and_bounded_restarts() {
         instant_events(&tracer, "worker.panic") as u64,
         metrics.worker_panics
     );
-    assert_eq!(tracer.counter("worker.restart"), metrics.worker_restarts);
 }
 
+/// A lone worker whose every retrieval panics fails each of those
+/// requests typed and keeps serving: however many requests panic, the
+/// service never stops answering. An expired request is served at the
+/// no-linkage rung, which never calls the backend, so it completes.
 #[test]
-fn restart_budget_exhaustion_fails_queued_and_future_requests_typed() {
+fn supervisor_respawns_within_budget_and_keeps_serving() {
     let fx = serve_fixture();
-    let (svc, _backend) = panicking_service(
+    let (mut svc, _backend) = panicking_service(
         fx,
-        1, // every retrieval panics: the pool can never make progress
+        1, // every retrieval panics
         ServiceConfig {
             workers: 1,
             cache: None,
             admission: AdmissionPolicy::Block,
-            restart_budget: 0,
             ..ServiceConfig::default()
         },
     );
-    let tickets = svc.submit_batch(fx.tables.iter().take(4).cloned());
-    let mut outcomes = Vec::new();
+    let tickets = svc.submit_batch(fx.tables.iter().take(6).cloned());
     for ticket in tickets {
-        outcomes.push(ticket.expect("queue has room").wait());
+        assert_eq!(
+            ticket.expect("queue has room").wait(),
+            Err(ServiceError::WorkerPanicked)
+        );
     }
-    assert!(
-        outcomes.iter().all(|o| matches!(
-            o,
-            Err(ServiceError::WorkerPanicked) | Err(ServiceError::RestartBudgetExhausted { .. })
-        )),
-        "all tickets must fail typed, got {outcomes:?}"
-    );
-    assert!(
-        outcomes
-            .iter()
-            .any(|o| matches!(o, Err(ServiceError::RestartBudgetExhausted { budget: 0 }))),
-        "queued requests behind the dead pool must see the budget error"
-    );
-    // The failure latches: new submissions are refused with the same error.
-    let refused = svc.submit(fx.tables[0].clone());
-    assert!(matches!(
-        refused,
-        Err(ServiceError::RestartBudgetExhausted { budget: 0 })
-    ));
-    let metrics = svc.metrics();
-    assert_eq!(metrics.worker_panics, 1, "one panic spent the pool");
-    assert_eq!(metrics.worker_restarts, 0);
-    assert_eq!(metrics.workers_alive, 0);
-}
-
-#[test]
-fn supervisor_respawns_within_budget_and_keeps_serving() {
-    let fx = serve_fixture();
-    let tracer = Tracer::enabled();
-    let (mut svc, _backend) = panicking_service(
-        fx,
-        4,
-        ServiceConfig {
-            workers: 1, // every panic kills the whole pool until respawn
-            cache: None,
-            admission: AdmissionPolicy::Block,
-            restart_budget: 64,
-            tracer: tracer.clone(),
-            ..ServiceConfig::default()
-        },
-    );
-    let tickets = svc.submit_batch(fx.tables.iter().cloned());
-    let mut resolved = 0usize;
-    for ticket in tickets {
-        let _ = ticket.expect("queue has room").wait();
-        resolved += 1;
-    }
-    assert_eq!(resolved, fx.tables.len());
-    // Pre-shutdown the respawn path never decrements the alive count:
-    // the lone worker is always either running or being replaced.
-    assert_eq!(svc.metrics().workers_alive, 1, "respawned worker is alive");
-    // Quiesce before reconciling counters (a final respawn may still be
-    // in flight on the supervisor thread until shutdown joins it).
+    let table = &fx.tables[0];
+    let annotation = svc
+        .submit_with_deadline(table.clone(), Deadline::from_us(0))
+        .expect("the service still admits")
+        .wait()
+        .expect("the worker serves on after six panics");
+    assert!(annotation.expired);
+    assert_eq!(annotation.labels.len(), table.n_cols());
     svc.shutdown();
     let metrics = svc.metrics();
-    assert!(
-        metrics.worker_restarts >= 1,
-        "with one worker, surviving panics requires respawns"
+    assert_eq!(metrics.worker_panics, 6);
+    assert_eq!(metrics.completed, 1);
+}
+
+/// Panics, admission-limit trims, rejection and shutdown in one run: each
+/// ticket resolves to exactly one outcome, each outcome's tally matches
+/// its counter, and every admitted request is accounted for once. Every
+/// other table is submitted already expired, so it is served at the
+/// no-linkage rung, which never reaches the panicking backend.
+#[test]
+fn panics_trims_rejections_and_shutdown_resolve_every_ticket_once() {
+    let fx = serve_fixture();
+    let (mut svc, _backend) = panicking_service(
+        fx,
+        7,
+        ServiceConfig {
+            workers: 2,
+            cache: None,
+            admission: AdmissionPolicy::Reject,
+            queue_capacity: 8,
+            overload: Some(OverloadConfig {
+                aimd: AimdConfig {
+                    target_sojourn_us: 0,
+                    window: 1,
+                    ..AimdConfig::default()
+                },
+                brownout: BrownoutConfig {
+                    enter_cache_only_us: u64::MAX,
+                    enter_no_linkage_us: u64::MAX,
+                    ..BrownoutConfig::default()
+                },
+            }),
+            ..ServiceConfig::default()
+        },
     );
-    assert_eq!(tracer.counter("worker.restart"), metrics.worker_restarts);
+    let (mut ok, mut panicked, mut shed, mut closed, mut rejected) = (0u64, 0, 0, 0, 0);
+    let mut tally = |outcome| match outcome {
+        Ok(_) => ok += 1,
+        Err(ServiceError::WorkerPanicked) => panicked += 1,
+        Err(ServiceError::Shed) => shed += 1,
+        Err(ServiceError::Closed) => closed += 1,
+        Err(other) => panic!("a ticket resolved {other:?}"),
+    };
+    let mut unwaited = Vec::new();
+    for _round in 0..3 {
+        let mut tickets = Vec::new();
+        for (i, table) in fx.tables.iter().enumerate() {
+            let deadline = if i % 2 == 1 {
+                Deadline::from_us(0)
+            } else {
+                Deadline::UNBOUNDED
+            };
+            match svc.submit_with_deadline(table.clone(), deadline) {
+                Ok(ticket) => tickets.push(ticket),
+                Err(ServiceError::Overloaded { .. }) => rejected += 1,
+                Err(other) => panic!("a submit was refused with {other:?}"),
+            }
+        }
+        let rest = tickets.split_off(tickets.len() / 2);
+        for ticket in tickets {
+            tally(ticket.wait());
+        }
+        unwaited.extend(rest);
+    }
+    svc.shutdown();
+    for ticket in unwaited {
+        tally(ticket.wait());
+    }
+    let m = svc.metrics();
+    assert_eq!(
+        (ok, panicked, shed, rejected),
+        (m.completed, m.worker_panics, m.shed, m.rejected)
+    );
+    assert_eq!(m.submitted, m.completed + m.shed + m.worker_panics + closed);
+    assert_eq!(m.submitted + m.rejected, 3 * fx.tables.len() as u64);
 }
 
 #[test]

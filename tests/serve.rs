@@ -162,68 +162,6 @@ fn reject_policy_yields_typed_overload_error() {
 }
 
 #[test]
-fn shed_oldest_fails_the_oldest_ticket() {
-    let fx = fixture();
-    let svc = service(
-        fx,
-        ServiceConfig {
-            workers: 0,
-            queue_capacity: 1,
-            admission: AdmissionPolicy::ShedOldest,
-            ..ServiceConfig::default()
-        },
-    );
-    let oldest = svc.submit(fx.tables[0].clone()).expect("admitted");
-    let newest = svc
-        .submit(fx.tables[1].clone())
-        .expect("admitted by shedding");
-    assert_eq!(
-        oldest.wait(),
-        Err(ServiceError::Shed),
-        "the displaced request must learn it was shed"
-    );
-    let m = svc.metrics();
-    assert_eq!(m.shed, 1);
-    assert_eq!(m.submitted, 2);
-    assert_eq!(m.queue_depth, 1);
-    drop(svc);
-    assert_eq!(newest.wait(), Err(ServiceError::Closed));
-}
-
-#[test]
-fn shed_tickets_resolve_promptly_and_are_published_in_metrics() {
-    // Regression for eviction accounting: the shed victim's ticket must
-    // resolve with the typed error *immediately* at eviction time — not
-    // at service drop — and every eviction path must land in the same
-    // `shed` counter the metrics snapshot publishes.
-    let fx = fixture();
-    let svc = service(
-        fx,
-        ServiceConfig {
-            workers: 0,
-            queue_capacity: 2,
-            admission: AdmissionPolicy::ShedOldest,
-            ..ServiceConfig::default()
-        },
-    );
-    let first = svc.submit(fx.tables[0].clone()).expect("admitted");
-    let second = svc.submit(fx.tables[1].clone()).expect("admitted");
-    let _third = svc
-        .submit(fx.tables[2].clone())
-        .expect("admitted by shedding");
-    let _fourth = svc
-        .submit(fx.tables[3].clone())
-        .expect("admitted by shedding");
-    // Both victims are already resolved while the service is still alive.
-    assert_eq!(first.wait(), Err(ServiceError::Shed));
-    assert_eq!(second.wait(), Err(ServiceError::Shed));
-    let m = svc.metrics();
-    assert_eq!(m.shed, 2, "every eviction must be counted exactly once");
-    assert_eq!(m.submitted, 4);
-    assert_eq!(m.queue_depth, 2);
-}
-
-#[test]
 fn adaptive_admission_clamps_below_the_physical_capacity() {
     // With overload protection on, admission happens at the AIMD limit,
     // not at `queue_capacity`: min_limit == max_limit pins the limit so
@@ -727,48 +665,58 @@ fn swap_rejects_label_mismatch_and_fails_closed_on_zero_budget() {
 /// once. With one worker and a zero sojourn target, every one-observation
 /// window that saw any wait halves the limit (8 → 4 → 2 → 1), and the
 /// requests queued past it resolve `Shed` instead of being served late.
+/// The limit starts at the queue's capacity whatever `max_limit` says, so
+/// the first cut lands on the queue: by the second dequeue at the latest
+/// (it waited out the first request's service) the limit is 4, and at
+/// most the first request plus 4 queued behind it are served.
 #[test]
 fn an_admission_limit_cut_sheds_the_queued_overflow() {
     let fx = fixture();
-    let svc = service(
-        fx,
-        ServiceConfig {
-            workers: 1,
-            queue_capacity: 8,
-            admission: AdmissionPolicy::Reject,
-            overload: Some(OverloadConfig {
-                aimd: AimdConfig {
-                    min_limit: 1,
-                    max_limit: 8,
-                    increase: 1,
-                    decrease_factor: 0.5,
-                    target_sojourn_us: 0,
-                    window: 1,
-                },
-                brownout: BrownoutConfig {
-                    enter_cache_only_us: u64::MAX,
-                    enter_no_linkage_us: u64::MAX,
-                    ..BrownoutConfig::default()
-                },
-            }),
-            ..ServiceConfig::default()
-        },
-    );
-    let tickets = svc.submit_batch(fx.tables.iter().cloned());
-    assert_eq!(tickets.len(), 8);
-    let (mut completed, mut shed) = (0u64, 0u64);
-    for ticket in tickets.into_iter().flatten() {
-        match ticket.wait() {
-            Ok(_) => completed += 1,
-            Err(ServiceError::Shed) => shed += 1,
-            Err(other) => panic!("a ticket resolved {other:?}, not served or shed"),
+    for max_limit in [8, 64] {
+        let svc = service(
+            fx,
+            ServiceConfig {
+                workers: 1,
+                queue_capacity: 8,
+                admission: AdmissionPolicy::Reject,
+                overload: Some(OverloadConfig {
+                    aimd: AimdConfig {
+                        min_limit: 1,
+                        max_limit,
+                        increase: 1,
+                        decrease_factor: 0.5,
+                        target_sojourn_us: 0,
+                        window: 1,
+                    },
+                    brownout: BrownoutConfig {
+                        enter_cache_only_us: u64::MAX,
+                        enter_no_linkage_us: u64::MAX,
+                        ..BrownoutConfig::default()
+                    },
+                }),
+                ..ServiceConfig::default()
+            },
+        );
+        let tickets = svc.submit_batch(fx.tables.iter().cloned());
+        assert_eq!(tickets.len(), 8);
+        let (mut completed, mut shed) = (0u64, 0u64);
+        for ticket in tickets.into_iter().flatten() {
+            match ticket.wait() {
+                Ok(_) => completed += 1,
+                Err(ServiceError::Shed) => shed += 1,
+                Err(other) => panic!("a ticket resolved {other:?}, not served or shed"),
+            }
         }
+        let m = svc.metrics();
+        assert!(m.shed > 0, "the limit fell below the queue depth: {m}");
+        assert_eq!(shed, m.shed, "every shed request resolves `Shed`");
+        assert_eq!(completed, m.completed);
+        assert_eq!(m.shed + m.completed + m.rejected, 8);
+        assert!(
+            m.completed <= 5,
+            "max_limit {max_limit}: the first cut must reach the queue: {m}"
+        );
     }
-    let m = svc.metrics();
-    assert!(m.shed > 0, "the limit fell below the queue depth: {m}");
-    assert_eq!(shed, m.shed, "every shed request resolves `Shed`");
-    assert_eq!(completed, m.completed);
-    assert_eq!(m.shed + m.completed + m.rejected, 8);
 }
 
 /// Each completion's latency is recorded once, against the model version
