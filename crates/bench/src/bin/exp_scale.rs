@@ -15,8 +15,8 @@
 //!    throughput is the first headline number.
 //! 4. **Read path** — random entity lookups and mention queries through
 //!    the bounded block caches; p50/p99 latencies are the second headline.
-//!    A second pass over 5 000 ids' one-hop lists must be served by the
-//!    neighbourhood tier alone.
+//!    A second pass over 5 000 ids' one-hop lists and labels must be served
+//!    by the answer tier alone.
 //! 5. **Serving** — an `AnnotationService` runs end-to-end over
 //!    `Arc<DiskGraph>` + `Arc<DiskBackend>` (+ the service's own
 //!    `CachingBackend`), i.e. the production stack with only the storage
@@ -37,7 +37,7 @@ use kglink_obs::Histogram;
 use kglink_search::EntitySearcher;
 use kglink_serve::{AdmissionPolicy, AnnotationService, ServiceConfig, SharedBackend};
 use kglink_store::{
-    write_graph, DiskBackend, DiskWorld, StoreError, WorldWriterConfig, MANIFEST_FILE,
+    write_graph, AnswerKind, DiskBackend, DiskWorld, StoreError, WorldWriterConfig, MANIFEST_FILE,
 };
 use kglink_table::{CellValue, LabelId, Table, TableId};
 use std::collections::BTreeSet;
@@ -292,9 +292,9 @@ fn main() {
         bstats.skipped_blocks - blocks_before
     );
 
-    // Part 4c: 5 000 distinct ids' one-hop lists fit the graph's 8 MB
-    // neighbourhood tier many times over, so a second pass over them is
-    // answered by the tier alone — no tier miss, no block read.
+    // Part 4c: 5 000 distinct ids' one-hop lists and labels fit the
+    // graph's 8 MB answer tier many times over, so a second pass over them
+    // is answered by the tier alone — no tier miss, no block read.
     let n_hot = 5_000.min(total as usize);
     let mut hot = BTreeSet::new();
     let mut i = 0;
@@ -302,22 +302,31 @@ fn main() {
         hot.insert(EntityId((splitmix(seed ^ 0x40b, i) % total) as u32));
         i += 1;
     }
-    for &id in &hot {
-        disk.graph.try_one_hop(id).expect("one_hop");
-    }
-    let (tier, loads) = (disk.graph.hop_tier_stats(), disk.graph.cache_stats().misses);
-    for &id in &hot {
-        disk.graph.try_one_hop(id).expect("one_hop");
-    }
-    let tier_misses = disk.graph.hop_tier_stats().misses - tier.misses;
-    let block_loads = disk.graph.cache_stats().misses - loads;
-    assert!(
-        tier_misses == 0 && block_loads == 0,
-        "a second pass over {n_hot} one-hop lists missed the neighbourhood tier \
-         {tier_misses} times and ran the block loader {block_loads} times"
+    let read_hot = || {
+        for &id in &hot {
+            disk.graph.try_one_hop(id).expect("one_hop");
+            disk.graph.try_label(id).expect("label");
+        }
+    };
+    let kinds = [AnswerKind::OneHop, AnswerKind::Label];
+    read_hot();
+    let (tier, loads) = (
+        kinds.map(|k| disk.graph.hop_tier_kind_stats(k)),
+        disk.graph.cache_stats().misses,
     );
+    read_hot();
+    let block_loads = disk.graph.cache_stats().misses - loads;
+    for (kind, before) in kinds.into_iter().zip(tier) {
+        let after = disk.graph.hop_tier_kind_stats(kind);
+        let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
+        assert!(
+            hits == n_hot as u64 && misses == 0 && block_loads == 0,
+            "a second pass over {n_hot} ids' {kind:?} answers hit the answer tier {hits} \
+             times, missed it {misses} times and ran the block loader {block_loads} times"
+        );
+    }
     eprintln!(
-        "[scale] part 4c OK: second pass over {n_hot} one-hop lists served by the tier alone"
+        "[scale] part 4c OK: second pass over {n_hot} one-hop lists and labels served by the tier alone"
     );
 
     // Part 5: the production serving stack over the disk world. The model

@@ -1,5 +1,6 @@
 //! `hot-path-alloc`: steady-state inference allocates nothing — checked
-//! from the packed encoder forward down through every helper it reaches.
+//! from the packed encoder forward down through every helper it reaches —
+//! and neither does the graph's answer tier on a read.
 //!
 //! Inference runs `Encoder::forward_packed` → `block_rows` → `gemm_rows`
 //! (`crates/nn/src/encoder.rs`), and every buffer they need comes from a
@@ -16,11 +17,17 @@
 //! freely — a cold error branch that formats a message is the counting
 //! test's business, not this rule's.
 //!
-//! The one sanctioned site is `Scratch::take`'s pool miss: it happens
-//! during warm-up only and carries a justified
-//! `// kglink-lint: allow(hot-path-alloc)`. A root that no longer exists is
-//! itself a finding, so renaming one fails the gate instead of silently
-//! checking nothing.
+//! The store's answer tier (`crates/store/src/hoptier.rs`) is the second
+//! root: `AnswerTier::get` runs for nearly every label, schema and
+//! neighbourhood a hot table reads, and hands the caller's decoder words it
+//! borrows from the tier, so the tier's own code on that path — its probe,
+//! its copy-forward and its flip — allocates nothing either.
+//!
+//! The sanctioned sites are `Scratch::take`'s pool miss and a tier
+//! generation's first allocation: both happen during warm-up only and carry
+//! a justified `// kglink-lint: allow(hot-path-alloc)`. A root that no
+//! longer exists is itself a finding once its crate is linted, so renaming
+//! one fails the gate instead of silently checking nothing.
 //!
 //! [`Scratch`]: ../../../kernels/src/scratch.rs
 
@@ -35,11 +42,26 @@ pub struct HotPathAlloc;
 /// The file holding the packed inference forward.
 const ROOT_FILE: &str = "crates/nn/src/encoder.rs";
 
-/// The inference forward's fns in [`ROOT_FILE`]: where reachability starts.
-const ROOTS: &[&str] = &["forward_packed", "block_rows", "gemm_rows"];
+/// The file holding the store's answer tier.
+const TIER_FILE: &str = "crates/store/src/hoptier.rs";
 
-/// Crates whose fns are on the hot path once a root reaches them.
-const HELPER_SCOPE: &[&str] = &["crates/kernels/src/", "crates/nn/src/"];
+/// Where reachability starts: the inference forward's fns in
+/// [`ROOT_FILE`] and the tier's read in [`TIER_FILE`].
+const ROOTS: &[(&str, &str)] = &[
+    (ROOT_FILE, "forward_packed"),
+    (ROOT_FILE, "block_rows"),
+    (ROOT_FILE, "gemm_rows"),
+    (TIER_FILE, "get"),
+];
+
+/// Code whose fns are on a hot path once a root reaches them.
+const HELPER_SCOPE: &[&str] = &["crates/kernels/src/", "crates/nn/src/", TIER_FILE];
+
+/// The `crates/<name>/src/` directory holding `path`.
+fn crate_src(path: &str) -> &str {
+    path.find("/src/")
+        .map_or(path, |i| &path[..i + "/src/".len()])
+}
 
 impl Rule for HotPathAlloc {
     fn id(&self) -> &'static str {
@@ -47,18 +69,10 @@ impl Rule for HotPathAlloc {
     }
 
     fn describe(&self) -> &'static str {
-        "the packed inference forward, and every kernels/nn fn it reaches, allocate only through scratch arenas"
+        "the packed inference forward and every kernels/nn fn it reaches allocate only through scratch arenas; the answer tier's read allocates nothing"
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        // Only a run that lints the nn crate can hold the roots.
-        if !ws
-            .files
-            .iter()
-            .any(|f| f.path.starts_with("crates/nn/src/"))
-        {
-            return;
-        }
         let on_path = |i: usize| {
             let (file_ix, item) = &ws.fns[i];
             let f = &ws.files[*file_ix];
@@ -70,10 +84,14 @@ impl Rule for HotPathAlloc {
         // the call chain that first reached fn `i`, root name first.
         let mut chain: Vec<Option<Vec<String>>> = vec![None; ws.fns.len()];
         let mut queue = VecDeque::new();
-        for &root in ROOTS {
+        for &(file, root) in ROOTS {
+            // Only a run that lints a root's crate can hold the root.
+            if !ws.files.iter().any(|f| f.path.starts_with(crate_src(file))) {
+                continue;
+            }
             let found = (0..ws.fns.len()).find(|&i| {
                 let (file_ix, item) = &ws.fns[i];
-                ws.files[*file_ix].path == ROOT_FILE
+                ws.files[*file_ix].path == file
                     && item.name == root
                     && item.body.is_some()
                     && on_path(i)
@@ -81,11 +99,11 @@ impl Rule for HotPathAlloc {
             let Some(i) = found else {
                 out.push(Finding::new(
                     self.id(),
-                    ROOT_FILE,
+                    file,
                     0,
                     format!(
-                        "hot-path root `fn {root}` not found in {ROOT_FILE}: the rule would check \
-                         nothing; point `ROOTS` at the inference forward's new name"
+                        "hot-path root `fn {root}` not found in {file}: the rule would check \
+                         nothing; point `ROOTS` at its new name"
                     ),
                 ));
                 continue;
@@ -115,8 +133,8 @@ impl Rule for HotPathAlloc {
                     &f.path,
                     site.line,
                     format!(
-                        "{} on the inference hot path (`{}`): take the buffer from the \
-                         scratch arena or hoist it out of the call",
+                        "{} on a hot path (`{}`): take the buffer from the scratch arena \
+                         or hoist it out of the call",
                         site.what,
                         via.join(" → "),
                     ),
@@ -236,5 +254,38 @@ fn gemm_rows() {}
         assert_eq!(moved.len(), 3, "{moved:?}");
         // A run that does not lint the nn crate has no roots to look for.
         assert!(run(vec![("crates/kernels/src/gemm.rs", "fn gemm() {}\n")]).is_empty());
+        // One that lints the store crate looks for the tier's read.
+        let hits = run(vec![("crates/store/src/backend.rs", "fn get() {}\n")]);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!((hits[0].0.as_str(), hits[0].1), (TIER_FILE, 0));
+    }
+
+    #[test]
+    fn the_tier_read_and_what_it_reaches_in_the_tier_are_checked() {
+        let tier = "\
+impl AnswerTier {
+    pub(crate) fn get<A: Answer>(&self, id: EntityId) -> Option<A> {
+        let words = self.find(id);
+        self.promote(words);
+        Some(A::read(words))
+    }
+    fn find(&self, id: EntityId) -> &[u32] { &self.arena[..] }
+    fn promote(&mut self, words: &[u32]) { self.young = words.to_vec(); }
+    fn insert(&self, list: &[u32]) { let owned = list.to_vec(); }
+}
+impl Answer for String {
+    fn read(words: &[u32]) -> Self { String::from_utf8(words.to_vec()) }
+}
+";
+        // `promote` is reached; `insert` is not, and `A::read` resolves to
+        // no workspace fn (the decoder builds the caller's answer).
+        let got = lines(vec![
+            (TIER_FILE, tier),
+            (
+                "crates/store/src/backend.rs",
+                "fn get() { let v = Vec::new(); }\n",
+            ),
+        ]);
+        assert_eq!(got, vec![(TIER_FILE.to_string(), 8)]);
     }
 }

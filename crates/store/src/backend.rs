@@ -20,7 +20,7 @@
 use crate::blockcache::{BlockCache, BlockCacheStats};
 use crate::bm25seg::{Bm25Segment, QueryStats, BM25_FILE};
 use crate::error::StoreError;
-use crate::hoptier::HopTier;
+use crate::hoptier::{Answer, AnswerKind, AnswerTier, Label, OneHop, Predicates, Schema};
 use crate::manifest::Manifest;
 use crate::segment::{shard_file_name, EntityRecord, Segment};
 use kglink_kg::{Edge, Entity, EntityId, GraphAccess, NeSchema, PredicateId};
@@ -34,31 +34,29 @@ pub const DEFAULT_GRAPH_CACHE_BYTES: usize = 64 << 20;
 /// Default posting-cache budget for a [`DiskBackend`].
 pub const DEFAULT_BM25_CACHE_BYTES: usize = 64 << 20;
 
-/// The neighbourhood tier's share of a [`DiskGraph`]'s cache budget is
-/// `1 / HOP_TIER_SHARE`. A quarter: a generation of the tier holds a
-/// wanted list in ≈ 37 bytes (128 KiB over 3 584 lists), where a ≈ 3 KB
-/// adjacency block keeps it only with the 255 lists around it, while
-/// uniform record reads — which only blocks serve — lose a quarter of
-/// their reach, not half.
-const HOP_TIER_SHARE: usize = 4;
+/// The answer tier's share of a [`DiskGraph`]'s cache budget is
+/// `1 / TIER_SHARE`. A quarter: a generation of the tier holds a wanted
+/// answer in ≈ 37 bytes (128 KiB over 3 584 entries), where a block keeps
+/// it only with the 255 records around it, while reads no tier kind
+/// answers — which only blocks serve — lose a quarter of their reach.
+const TIER_SHARE: usize = 4;
 
 /// A sharded, disk-backed knowledge graph.
 ///
 /// Entity id `i` lives in shard `i / per_shard` at local offset
-/// `i % per_shard`; each lookup touches one cached block. Resident memory
-/// is the manifest, the per-shard block indexes, and two caches under one
-/// byte budget — independent of world size. `blocks` holds verified record
-/// and adjacency blocks; `hops` sits in front of it for
-/// [`DiskGraph::try_one_hop`] only and holds *results* — the candidate
-/// filter asks for the neighbourhood of every candidate of every cell, the
-/// same entities table after table, and even a 256-record adjacency block
-/// is the wrong unit to keep one ≈ 12-byte answer resident.
+/// `i % per_shard`. Resident memory is the manifest, the per-shard block
+/// indexes and two tiers under one byte budget, whatever the world size:
+/// `blocks` holds verified record and adjacency blocks, and `answers`, in
+/// front of it, the `Ok` answers of [`try_one_hop`](Self::try_one_hop),
+/// [`try_label`](Self::try_label), [`try_schema`](Self::try_schema) and
+/// [`try_one_hop_with_predicates`](Self::try_one_hop_with_predicates),
+/// one [`AnswerKind`] each.
 #[derive(Debug)]
 pub struct DiskGraph {
     manifest: Manifest,
     shards: Vec<Segment>,
     blocks: BlockCache,
-    hops: HopTier,
+    answers: AnswerTier,
     errors: AtomicU64,
 }
 
@@ -69,7 +67,7 @@ impl DiskGraph {
     }
 
     /// Open a world directory, bounding cached data to `cache_bytes`: a
-    /// quarter for one-hop results, the rest for blocks.
+    /// quarter for the answer tier, the rest for blocks.
     pub fn open_with_cache(dir: &Path, cache_bytes: usize) -> Result<Self, StoreError> {
         let manifest = Manifest::read(dir)?;
         let mut shards = Vec::with_capacity(manifest.n_shards as usize);
@@ -98,12 +96,12 @@ impl DiskGraph {
             }
             shards.push(seg);
         }
-        let hop_bytes = cache_bytes / HOP_TIER_SHARE;
+        let tier_bytes = cache_bytes / TIER_SHARE;
         Ok(DiskGraph {
             manifest,
             shards,
-            blocks: BlockCache::new(cache_bytes - hop_bytes, 8),
-            hops: HopTier::new(hop_bytes),
+            blocks: BlockCache::new(cache_bytes - tier_bytes, 8),
+            answers: AnswerTier::new(tier_bytes),
             errors: AtomicU64::new(0),
         })
     }
@@ -122,21 +120,42 @@ impl DiskGraph {
     /// either, `misses` reads that went to disk, evictions and resident
     /// bytes are summed (`resident_bytes <= cache_bytes`).
     pub fn cache_stats(&self) -> BlockCacheStats {
-        let (blocks, hops) = (self.blocks.stats(), self.hops.stats());
+        let (blocks, tier) = (self.blocks.stats(), self.answers.stats());
         BlockCacheStats {
-            hits: blocks.hits + hops.hits,
+            hits: blocks.hits + tier.hits,
             misses: blocks.misses,
-            evictions: blocks.evictions + hops.evictions,
-            resident_bytes: blocks.resident_bytes + hops.resident_bytes,
+            evictions: blocks.evictions + tier.evictions,
+            resident_bytes: blocks.resident_bytes + tier.resident_bytes,
         }
     }
 
-    /// Counters of the neighbourhood tier alone: `hits` and `misses` are
-    /// [`DiskGraph::try_one_hop`] calls it answered and did not, evictions
-    /// are lists dropped by generation flips, `resident_bytes` its
+    /// Counters of the answer tier alone, over every [`AnswerKind`]:
+    /// `hits` and `misses` are reads it answered and did not, evictions
+    /// are answers dropped by generation flips, `resident_bytes` its
     /// allocation.
     pub fn hop_tier_stats(&self) -> BlockCacheStats {
-        self.hops.stats()
+        self.answers.stats()
+    }
+
+    /// [`Self::hop_tier_stats`] of one kind; `resident_bytes` is what that
+    /// kind's live answers take of the allocation.
+    pub fn hop_tier_kind_stats(&self, kind: AnswerKind) -> BlockCacheStats {
+        self.answers.kind_stats(kind)
+    }
+
+    /// `id`'s answer of `A`'s kind from the tier, or `load`ed and kept
+    /// there if it is `Ok`.
+    fn answer<A: Answer>(
+        &self,
+        id: EntityId,
+        load: impl FnOnce() -> Result<A::Value, StoreError>,
+    ) -> Result<A::Value, StoreError> {
+        if let Some(value) = self.answers.get::<A>(id) {
+            return Ok(value);
+        }
+        let value = load()?;
+        self.answers.insert::<A>(id, &value);
+        Ok(value)
     }
 
     fn locate(&self, id: EntityId) -> Result<(&Segment, u32), StoreError> {
@@ -164,16 +183,20 @@ impl DiskGraph {
         seg.read_entity(local, &self.blocks)
     }
 
-    /// Label only.
+    /// Label only, through the answer tier.
     pub fn try_label(&self, id: EntityId) -> Result<String, StoreError> {
-        let (seg, local) = self.locate(id)?;
-        seg.read_label(local, &self.blocks)
+        self.answer::<Label>(id, || {
+            let (seg, local) = self.locate(id)?;
+            seg.read_label(local, &self.blocks)
+        })
     }
 
-    /// `(schema, is_type)` only.
+    /// `(schema, is_type)` only, through the answer tier.
     pub fn try_schema(&self, id: EntityId) -> Result<(NeSchema, bool), StoreError> {
-        let (seg, local) = self.locate(id)?;
-        seg.read_schema(local, &self.blocks)
+        self.answer::<Schema>(id, || {
+            let (seg, local) = self.locate(id)?;
+            seg.read_schema(local, &self.blocks)
+        })
     }
 
     /// Both edge lists of `id`, `visit(outgoing, edge)` in stored order.
@@ -183,26 +206,29 @@ impl DiskGraph {
     }
 
     /// One-hop neighborhood, as `KnowledgeGraph::one_hop` answers it
-    /// (either direction, deduplicated, sorted, self removed). Answers are
-    /// memoised per entity in the neighbourhood tier; a miss reads the
-    /// list the writer stored in the record's adjacency block. Only `Ok`
-    /// answers are kept, so a failing read fails — and is counted — every
-    /// time it is asked, and not lists above ⅛ of a tier shard, so one hub
-    /// cannot flush it.
+    /// (either direction, deduplicated, sorted, self removed), through the
+    /// answer tier; a miss reads the list the writer stored in the record's
+    /// adjacency block. Lists above ⅛ of a tier shard are not kept, so one
+    /// hub cannot flush it.
     pub fn try_one_hop(&self, id: EntityId) -> Result<Vec<EntityId>, StoreError> {
-        if let Some(hop) = self.hops.get(id) {
-            return Ok(hop);
-        }
-        let (seg, local) = self.locate(id)?;
-        let hop = seg.read_one_hop(local, &self.blocks)?;
-        self.hops.insert(id, &hop);
-        Ok(hop)
+        self.answer::<OneHop>(id, || {
+            let (seg, local) = self.locate(id)?;
+            seg.read_one_hop(local, &self.blocks)
+        })
     }
 
     /// One-hop neighborhood with predicates, replicating
     /// `KnowledgeGraph::one_hop_with_predicates` (outgoing then incoming,
-    /// self-loops dropped, sorted by predicate *name* then target, deduped).
+    /// self-loops dropped, sorted by predicate *name* then target, deduped),
+    /// through the answer tier.
     pub fn try_one_hop_with_predicates(
+        &self,
+        id: EntityId,
+    ) -> Result<Vec<(PredicateId, EntityId)>, StoreError> {
+        self.answer::<Predicates>(id, || self.read_one_hop_with_predicates(id))
+    }
+
+    fn read_one_hop_with_predicates(
         &self,
         id: EntityId,
     ) -> Result<Vec<(PredicateId, EntityId)>, StoreError> {

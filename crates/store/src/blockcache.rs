@@ -22,8 +22,12 @@
 //! first, so the race never yields wrong bytes. It is not cheap, though:
 //! both threads read, CRC and count a miss. When a cold table's one-hop
 //! batch runs on two workers, traced `cold_exact` runs measured the graph
-//! cache's hit rate falling from 0.796 to 0.710–0.731. One loader per
-//! missing block is ROADMAP item 15.
+//! cache's hit rate falling from 0.796 to 0.710–0.731. A single-flight
+//! variant was measured and not kept: one loader per missing block, the
+//! other threads waiting on a condvar, raised that hit rate from 0.796 to
+//! 0.831, the one-CPU rate, but `cold_exact`'s `table_p50_ms` median was
+//! 1.131 ms against 1.028 ms without it (2 wins in 8 pairs): a waiter
+//! sleeps about as long as the load it waits for takes.
 
 use crate::error::StoreError;
 use kglink_search::Lru;

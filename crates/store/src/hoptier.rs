@@ -1,53 +1,240 @@
-//! The neighbourhood tier: [`DiskGraph::try_one_hop`]'s answers, kept per
-//! entity id in flat arrays, in front of the adjacency blocks a miss reads.
+//! The answer tier: [`DiskGraph`]'s per-entity answers — one-hop lists,
+//! labels, schemas and predicate neighbourhoods — kept in flat arrays in
+//! front of the blocks a miss reads.
 //!
-//! A one-hop list is a few `u32` ids (3 on average in the benchmark's
-//! world), so any per-entry node, map slot or `Arc` would outweigh it. Each
-//! of the tier's eight shards instead holds two **generations**, young and
-//! old, and each generation is two allocations made once: an
-//! open-addressed index (entity id → arena extent, 12 B a slot, linear
-//! probing on [`IdHasher`]'s low bits) and one arena of ids holding every
-//! list back to back. `resident_bytes` is what those allocations hold, not
-//! an estimate per entry, and it never exceeds the budget.
+//! An answer is a few words (a one-hop list is 3 ids on average in the
+//! benchmark's world, a label ≈ 20 bytes, a schema one word), so any
+//! per-entry node, map slot or `Arc` would outweigh it. Each of the tier's
+//! eight shards instead holds two **generations**, young and old, and each
+//! generation is two allocations made once: an open-addressed index
+//! ((entity id, kind) → arena extent, 12 B a slot, linear probing on
+//! [`IdHasher`]'s low bits) and one arena of `u32` words holding every
+//! answer back to back. `resident_bytes` is what those allocations hold,
+//! not an estimate per entry, and it never exceeds the budget.
 //!
-//! A lookup tries the young generation, then the old one; a list found in
-//! the old generation is copied forward into the young one. An insert the
-//! young generation has no room for *flips*: the old generation is dropped
-//! wholesale (its allocations are cleared and reused), and the young one
-//! becomes old. There is no recency list and nothing is evicted one entry
-//! at a time — a list survives a flip if it was read or written since the
-//! previous one.
+//! Each [`AnswerKind`] has one [`Answer`] with one word form: a one-hop
+//! list is its ids; a label is its byte length, then its UTF-8 bytes four
+//! to a word; a schema is one word; a predicate neighbourhood is its
+//! `(predicate, target)` pairs, two words each, in the order the graph
+//! answers them. A read decodes straight from the words it borrows.
 //!
-//! [`DiskGraph::try_one_hop`]: crate::DiskGraph::try_one_hop
+//! A lookup tries the young generation, then the old one; an answer found
+//! in the old generation is copied forward into the young one. An insert
+//! the young generation has no room for *flips*: the old generation is
+//! dropped wholesale (its allocations are cleared and reused), and the
+//! young one becomes old. There is no recency list and nothing is evicted
+//! one entry at a time — an answer survives a flip if it was read or
+//! written since the previous one.
+//!
+//! [`DiskGraph`]: crate::DiskGraph
 
 use crate::blockcache::BlockCacheStats;
-use kglink_kg::{EntityId, IdHasher};
+use crate::segment::{schema_tag, SCHEMAS};
+use kglink_kg::{EntityId, IdHasher, NeSchema, PredicateId};
+use std::hash::Hasher;
+use std::ops::Range;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// An id's shard is the top `SHARD_BITS` of its hash.
+/// An id's shard is the top `SHARD_BITS` of its key's hash.
 const SHARD_BITS: u32 = 3;
 const SHARDS: usize = 1 << SHARD_BITS;
+const KINDS: usize = 4;
 
-/// One index entry: the list of `id` is `arena[start..start + len]`.
+/// What a tier entry answers. The kind is part of the key, so one id's
+/// answers of two kinds are two entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AnswerKind {
+    /// [`DiskGraph::try_one_hop`](crate::DiskGraph::try_one_hop).
+    OneHop,
+    /// [`DiskGraph::try_label`](crate::DiskGraph::try_label).
+    Label,
+    /// [`DiskGraph::try_schema`](crate::DiskGraph::try_schema).
+    Schema,
+    /// [`DiskGraph::try_one_hop_with_predicates`](crate::DiskGraph::try_one_hop_with_predicates).
+    Predicates,
+}
+
+impl AnswerKind {
+    /// Every kind.
+    pub const ALL: [AnswerKind; KINDS] = [
+        AnswerKind::OneHop,
+        AnswerKind::Label,
+        AnswerKind::Schema,
+        AnswerKind::Predicates,
+    ];
+}
+
+/// One kind of kept answer: its value type and that value's word form (see
+/// the module doc). The implementors are marker types, one a kind.
+pub(crate) trait Answer {
+    const KIND: AnswerKind;
+    type Value;
+    /// Words [`Self::write`] appends.
+    fn words(value: &Self::Value) -> usize;
+    fn write(value: &Self::Value, arena: &mut Vec<u32>);
+    /// The value whose [`Self::write`] appended `words`.
+    fn read(words: &[u32]) -> Self::Value;
+}
+
+/// [`AnswerKind::OneHop`]: the ids.
+pub(crate) struct OneHop;
+/// [`AnswerKind::Label`]: the byte length, then the bytes four to a word.
+pub(crate) struct Label;
+/// [`AnswerKind::Schema`]: the schema's tag, with `is_type` in bit 8.
+pub(crate) struct Schema;
+/// [`AnswerKind::Predicates`]: `(predicate, target)`, two words a pair.
+pub(crate) struct Predicates;
+
+impl Answer for OneHop {
+    const KIND: AnswerKind = AnswerKind::OneHop;
+    type Value = Vec<EntityId>;
+
+    fn words(value: &Self::Value) -> usize {
+        value.len()
+    }
+
+    fn write(value: &Self::Value, arena: &mut Vec<u32>) {
+        arena.extend(value.iter().map(|id| id.0));
+    }
+
+    fn read(words: &[u32]) -> Self::Value {
+        words.iter().copied().map(EntityId).collect()
+    }
+}
+
+impl Answer for Label {
+    const KIND: AnswerKind = AnswerKind::Label;
+    type Value = String;
+
+    fn words(value: &Self::Value) -> usize {
+        1 + value.len().div_ceil(4)
+    }
+
+    fn write(value: &Self::Value, arena: &mut Vec<u32>) {
+        arena.push(value.len() as u32);
+        arena.extend(value.as_bytes().chunks(4).map(|chunk| {
+            let mut word = [0; 4];
+            word[..chunk.len()].copy_from_slice(chunk);
+            u32::from_le_bytes(word)
+        }));
+    }
+
+    fn read(words: &[u32]) -> Self::Value {
+        let Some((&len, packed)) = words.split_first() else {
+            return String::new();
+        };
+        let mut bytes = Vec::with_capacity(len as usize);
+        bytes.extend(
+            packed
+                .iter()
+                .flat_map(|w| w.to_le_bytes())
+                .take(len as usize),
+        );
+        // The bytes are a `str`'s, so the lossy branch is never taken.
+        String::from_utf8(bytes)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+    }
+}
+
+impl Answer for Schema {
+    const KIND: AnswerKind = AnswerKind::Schema;
+    type Value = (NeSchema, bool);
+
+    fn words(_: &Self::Value) -> usize {
+        1
+    }
+
+    fn write(&(schema, is_type): &Self::Value, arena: &mut Vec<u32>) {
+        arena.push(u32::from(schema_tag(schema)) | u32::from(is_type) << 8);
+    }
+
+    fn read(words: &[u32]) -> Self::Value {
+        let word = words.first().copied().unwrap_or_default();
+        (SCHEMAS[(word & 7) as usize], word >> 8 == 1)
+    }
+}
+
+impl Answer for Predicates {
+    const KIND: AnswerKind = AnswerKind::Predicates;
+    type Value = Vec<(PredicateId, EntityId)>;
+
+    fn words(value: &Self::Value) -> usize {
+        2 * value.len()
+    }
+
+    fn write(value: &Self::Value, arena: &mut Vec<u32>) {
+        for &(p, target) in value {
+            arena.push(u32::from(p.0));
+            arena.push(target.0);
+        }
+    }
+
+    fn read(words: &[u32]) -> Self::Value {
+        words
+            .chunks_exact(2)
+            .map(|pt| (PredicateId(pt[0] as u16), EntityId(pt[1])))
+            .collect()
+    }
+}
+
+/// Where a slot's kind starts in its `tag`; the bits below are its length.
+const KIND_SHIFT: u32 = 30;
+const LEN_MASK: u32 = (1 << KIND_SHIFT) - 1;
+/// Longest answer a slot describes: below `LEN_MASK`, so no kept answer's
+/// tag is the all-ones of [`Slot::VACANT`].
+const MAX_WORDS: usize = LEN_MASK as usize - 1;
+
+/// One index entry: the answer of kind `tag >> KIND_SHIFT` for `id` is
+/// `arena[start..start + (tag & LEN_MASK)]`.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     id: u32,
     start: u32,
-    len: u32,
+    tag: u32,
 }
 
 const SLOT_BYTES: usize = std::mem::size_of::<Slot>();
-const ID_BYTES: usize = std::mem::size_of::<EntityId>();
+const WORD_BYTES: usize = std::mem::size_of::<u32>();
 
 impl Slot {
     const VACANT: Slot = Slot {
         id: 0,
         start: 0,
-        len: u32::MAX,
+        tag: u32::MAX,
     };
 
     fn is_vacant(self) -> bool {
-        self.len == u32::MAX
+        self.tag == u32::MAX
+    }
+
+    fn kind(self) -> usize {
+        (self.tag >> KIND_SHIFT) as usize
+    }
+
+    fn words(self) -> Range<usize> {
+        let start = self.start as usize;
+        start..start + (self.tag & LEN_MASK) as usize
+    }
+}
+
+/// An (entity, kind) key and its hash.
+#[derive(Debug, Clone, Copy)]
+struct Key {
+    id: u32,
+    kind: usize,
+    hash: u64,
+}
+
+impl Key {
+    fn new(id: EntityId, kind: AnswerKind) -> Self {
+        let mut h = IdHasher::default();
+        h.write_u32(id.0);
+        h.write_u32(kind as u32);
+        Key {
+            id: id.0,
+            kind: kind as usize,
+            hash: h.finish(),
+        }
     }
 }
 
@@ -55,36 +242,36 @@ impl Slot {
 #[derive(Debug, Clone, Copy)]
 struct Geometry {
     /// Index slots: a power of two, or 0 when the generation is too small
-    /// to hold any list.
+    /// to hold any answer.
     slots: usize,
-    /// Lists a generation holds: ⅞ of `slots`, so a probe always ends at a
-    /// vacant slot.
-    max_lists: usize,
-    /// Ids the arena holds.
-    arena_ids: usize,
+    /// Answers a generation holds: ⅞ of `slots`, so a probe always ends at
+    /// a vacant slot.
+    max_entries: usize,
+    /// Words the arena holds.
+    arena_words: usize,
 }
 
 impl Geometry {
     /// The index gets the largest power of two of slots that fits in ⅜ of
     /// `bytes`, the arena the rest: at the ⅞ load cap that leaves room for
-    /// lists averaging 5.7 ids, nearly twice the measured mean. 128 KiB
-    /// makes 4 096 slots (3 584 lists) and 20 480 ids. Offsets are `u32`,
-    /// so the arena stops at 2³² ids whatever the budget.
+    /// answers averaging 5.7 words. 128 KiB makes 4 096 slots (3 584
+    /// answers) and 20 480 words. Offsets are `u32`, so the arena stops at
+    /// 2³² words whatever the budget.
     fn for_bytes(bytes: usize) -> Self {
         let fit = bytes / 8 * 3 / SLOT_BYTES;
         let slots = if fit == 0 { 0 } else { 1 << fit.ilog2() };
-        let max_lists = slots * 7 / 8;
-        if max_lists == 0 {
+        let max_entries = slots * 7 / 8;
+        if max_entries == 0 {
             return Geometry {
                 slots: 0,
-                max_lists: 0,
-                arena_ids: 0,
+                max_entries: 0,
+                arena_words: 0,
             };
         }
         Geometry {
             slots,
-            max_lists,
-            arena_ids: ((bytes - slots * SLOT_BYTES) / ID_BYTES).min(u32::MAX as usize),
+            max_entries,
+            arena_words: ((bytes - slots * SLOT_BYTES) / WORD_BYTES).min(u32::MAX as usize),
         }
     }
 }
@@ -93,72 +280,88 @@ impl Geometry {
 struct Generation {
     /// Empty until the generation's first insert, then `slots` long.
     index: Vec<Slot>,
-    /// Allocated with the index, `arena_ids` of capacity; never grows.
-    arena: Vec<EntityId>,
+    /// Allocated with the index, `arena_words` of capacity; never grows.
+    arena: Vec<u32>,
     /// Occupied slots.
-    lists: usize,
-    /// Lists read from here and copied into the younger generation.
-    moved: usize,
+    entries: usize,
+    /// Occupied slots per kind.
+    per_kind: [usize; KINDS],
+    /// Answers per kind read from here and copied into the younger
+    /// generation.
+    moved: [usize; KINDS],
 }
 
 impl Generation {
-    /// Index of `id`'s slot, or of the vacant slot ending its probe.
-    fn probe(&self, id: EntityId, hash: u64) -> usize {
+    /// Index of `key`'s slot, or of the vacant slot ending its probe.
+    fn probe(&self, key: Key) -> usize {
         let mask = self.index.len() - 1;
-        let mut i = hash as usize & mask;
-        while !self.index[i].is_vacant() && self.index[i].id != id.0 {
+        let mut i = key.hash as usize & mask;
+        loop {
+            let slot = self.index[i];
+            if slot.is_vacant() || (slot.id == key.id && slot.kind() == key.kind) {
+                return i;
+            }
             i = (i + 1) & mask;
         }
-        i
     }
 
-    fn find(&self, id: EntityId, hash: u64) -> Option<&[EntityId]> {
+    /// The arena extent of `key`'s answer.
+    fn locate(&self, key: Key) -> Option<Range<usize>> {
         if self.index.is_empty() {
             return None;
         }
-        let slot = self.index[self.probe(id, hash)];
-        if slot.is_vacant() {
-            return None;
-        }
-        let start = slot.start as usize;
-        self.arena.get(start..start + slot.len as usize)
+        let slot = self.index[self.probe(key)];
+        let words = slot.words();
+        (!slot.is_vacant() && words.end <= self.arena.len()).then_some(words)
     }
 
-    fn has_room(&self, geo: &Geometry, len: usize) -> bool {
-        self.lists < geo.max_lists && self.arena.len() + len <= geo.arena_ids
+    fn has_room(&self, geo: &Geometry, words: usize) -> bool {
+        self.entries < geo.max_entries && self.arena.len() + words <= geo.arena_words
     }
 
-    /// Record `list` as `id`'s; the caller checked [`Self::has_room`]. A
-    /// list already here under `id` is superseded, its ids left dead in
-    /// the arena until the next clear.
-    fn put(&mut self, geo: &Geometry, id: EntityId, hash: u64, list: &[EntityId]) {
+    /// Make both allocations, if this is the generation's first entry.
+    fn ready(&mut self, geo: &Geometry) {
         if self.index.is_empty() {
+            // kglink-lint: allow(hot-path-alloc) — once per generation, at its
+            // first entry: the tier fills its budget while warming up and
+            // then reuses both allocations.
             self.index = vec![Slot::VACANT; geo.slots];
-            self.arena = Vec::with_capacity(geo.arena_ids);
+            // kglink-lint: allow(hot-path-alloc) — allocated with the index above.
+            self.arena = Vec::with_capacity(geo.arena_words);
         }
-        let i = self.probe(id, hash);
+    }
+
+    /// Point `key`'s slot at the words appended since `start`. An answer
+    /// already here under `key` is superseded, its words left dead in the
+    /// arena until the next restart.
+    fn link(&mut self, key: Key, start: usize) {
+        let i = self.probe(key);
         if self.index[i].is_vacant() {
-            self.lists += 1;
+            self.entries += 1;
+            self.per_kind[key.kind] += 1;
         }
         self.index[i] = Slot {
-            id: id.0,
-            start: self.arena.len() as u32,
-            len: list.len() as u32,
+            id: key.id,
+            start: start as u32,
+            tag: (key.kind as u32) << KIND_SHIFT | (self.arena.len() - start) as u32,
         };
-        self.arena.extend_from_slice(list);
     }
 
-    /// Drop every list, keeping both allocations.
-    fn clear(&mut self) {
+    /// Drop every answer, keeping both allocations and the words at `keep`,
+    /// which move to the front of the arena.
+    fn restart(&mut self, keep: Range<usize>) {
+        let len = keep.len();
         self.index.fill(Slot::VACANT);
-        self.arena.clear();
-        self.lists = 0;
-        self.moved = 0;
+        self.arena.copy_within(keep, 0);
+        self.arena.truncate(len);
+        self.entries = 0;
+        self.per_kind = [0; KINDS];
+        self.moved = [0; KINDS];
     }
 
     /// Bytes allocated (`Vec` allocates exactly the capacity asked for).
     fn bytes(&self) -> usize {
-        self.index.capacity() * SLOT_BYTES + self.arena.capacity() * ID_BYTES
+        self.index.capacity() * SLOT_BYTES + self.arena.capacity() * WORD_BYTES
     }
 }
 
@@ -166,46 +369,76 @@ impl Generation {
 struct Shard {
     young: Generation,
     old: Generation,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
+    hits: [u64; KINDS],
+    misses: [u64; KINDS],
+    evictions: [u64; KINDS],
 }
 
 impl Shard {
-    /// Put `list` in the young generation, flipping first if it has no
-    /// room. The caller checked that an empty generation holds it.
-    fn add(&mut self, geo: &Geometry, id: EntityId, hash: u64, list: &[EntityId]) {
-        if !self.young.has_room(geo, list.len()) {
-            self.evictions += (self.old.lists - self.old.moved) as u64;
-            std::mem::swap(&mut self.young, &mut self.old);
-            self.young.clear();
+    /// Drop the old generation's answers and make the young one old; the
+    /// new young generation is the old one's allocations, which the caller
+    /// restarts.
+    fn flip(&mut self) {
+        for (k, evicted) in self.evictions.iter_mut().enumerate() {
+            *evicted += (self.old.per_kind[k] - self.old.moved[k]) as u64;
         }
-        self.young.put(geo, id, hash, list);
+        std::mem::swap(&mut self.young, &mut self.old);
+    }
+
+    /// Put `answer` in the young generation, flipping first if it has no
+    /// room. The caller checked that an empty generation holds it.
+    fn add<A: Answer>(&mut self, geo: &Geometry, key: Key, value: &A::Value) {
+        if !self.young.has_room(geo, A::words(value)) {
+            self.flip();
+            self.young.restart(0..0);
+        }
+        self.young.ready(geo);
+        let start = self.young.arena.len();
+        A::write(value, &mut self.young.arena);
+        self.young.link(key, start);
+    }
+
+    /// Copy the old generation's answer at `at` forward into the young one.
+    /// When the young generation has no room, the flip keeps that answer
+    /// alone of the generation it drops.
+    fn promote(&mut self, geo: &Geometry, key: Key, at: Range<usize>) {
+        if self.young.has_room(geo, at.len()) {
+            self.young.ready(geo);
+            let start = self.young.arena.len();
+            self.young.arena.extend_from_slice(&self.old.arena[at]);
+            self.young.link(key, start);
+        } else {
+            self.flip();
+            self.young.restart(at);
+            self.young.link(key, 0);
+        }
     }
 }
 
-/// A byte-budgeted map from entity id to its one-hop list, in two
+/// A byte-budgeted map from (entity id, kind) to an answer, in two
 /// generations per shard (see the module doc).
 #[derive(Debug)]
-pub(crate) struct HopTier {
+pub(crate) struct AnswerTier {
     shards: Vec<Mutex<Shard>>,
     geometry: Geometry,
-    /// Longest list kept: ⅛ of a shard's bytes, so one hub cannot flush a
+    /// Longest answer kept: ⅛ of a shard's bytes, so one hub cannot flush a
     /// shard (always within a generation's arena).
-    max_list_ids: usize,
+    max_words: usize,
 }
 
-impl HopTier {
+impl AnswerTier {
     /// A tier of eight shards whose two generations each take half of a
     /// shard's `budget_bytes / 8`. A generation too small for a two-slot
     /// index holds nothing and allocates nothing.
     pub(crate) fn new(budget_bytes: usize) -> Self {
         let shard_budget = budget_bytes / SHARDS;
         let geometry = Geometry::for_bytes(shard_budget / 2);
-        HopTier {
+        AnswerTier {
             shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
             geometry,
-            max_list_ids: (shard_budget / 8 / ID_BYTES).min(geometry.arena_ids),
+            max_words: (shard_budget / 8 / WORD_BYTES)
+                .min(geometry.arena_words)
+                .min(MAX_WORDS),
         }
     }
 
@@ -215,48 +448,71 @@ impl HopTier {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The list last inserted for `id`, counted as a hit, or `None`,
-    /// counted as a miss. A list found in the old generation is copied
-    /// forward into the young one.
-    pub(crate) fn get(&self, id: EntityId) -> Option<Vec<EntityId>> {
-        let hash = IdHasher::hash_id(id);
-        let mut guard = self.shard(hash);
+    /// The answer last inserted for `id` of `A`'s kind, read from the words
+    /// it borrows and counted as a hit, or `None`, counted as a miss. An
+    /// answer found in the old generation is copied forward into the young
+    /// one.
+    pub(crate) fn get<A: Answer>(&self, id: EntityId) -> Option<A::Value> {
+        let key = Key::new(id, A::KIND);
+        let mut guard = self.shard(key.hash);
         let shard = &mut *guard;
-        if let Some(list) = shard.young.find(id, hash) {
-            shard.hits += 1;
-            return Some(list.to_vec());
+        if let Some(at) = shard.young.locate(key) {
+            shard.hits[key.kind] += 1;
+            return Some(A::read(&shard.young.arena[at]));
         }
-        let Some(list) = shard.old.find(id, hash).map(<[EntityId]>::to_vec) else {
-            shard.misses += 1;
+        let Some(at) = shard.old.locate(key) else {
+            shard.misses[key.kind] += 1;
             return None;
         };
-        shard.hits += 1;
-        shard.old.moved += 1;
-        shard.add(&self.geometry, id, hash, &list);
-        Some(list)
+        shard.hits[key.kind] += 1;
+        shard.old.moved[key.kind] += 1;
+        let answer = A::read(&shard.old.arena[at.start..at.end]);
+        shard.promote(&self.geometry, key, at);
+        Some(answer)
     }
 
-    /// Keep `list` as `id`'s answer. A list above ⅛ of a shard's bytes
-    /// is not kept and displaces nothing — nor does it retract an earlier
-    /// answer for `id`, which the one caller never changes.
-    pub(crate) fn insert(&self, id: EntityId, list: &[EntityId]) {
-        if self.geometry.max_lists == 0 || list.len() > self.max_list_ids {
+    /// Keep `value` as `id`'s answer of `A`'s kind. One above ⅛ of a
+    /// shard's bytes is not kept and displaces nothing — nor does it
+    /// retract an earlier answer, which the one caller never changes.
+    pub(crate) fn insert<A: Answer>(&self, id: EntityId, value: &A::Value) {
+        if self.geometry.max_entries == 0 || A::words(value) > self.max_words {
             return;
         }
-        let hash = IdHasher::hash_id(id);
-        self.shard(hash).add(&self.geometry, id, hash, list);
+        let key = Key::new(id, A::KIND);
+        self.shard(key.hash).add::<A>(&self.geometry, key, value);
     }
 
-    /// Current counters: `hits` and `misses` of [`Self::get`], lists
-    /// dropped by flips, and bytes allocated.
+    /// Counters over every kind: `hits` and `misses` of [`Self::get`],
+    /// answers dropped by flips, and bytes allocated.
     pub(crate) fn stats(&self) -> BlockCacheStats {
         let mut s = BlockCacheStats::default();
         for shard in &self.shards {
             let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            s.hits += shard.hits;
-            s.misses += shard.misses;
-            s.evictions += shard.evictions;
+            s.hits += shard.hits.iter().sum::<u64>();
+            s.misses += shard.misses.iter().sum::<u64>();
+            s.evictions += shard.evictions.iter().sum::<u64>();
             s.resident_bytes += shard.young.bytes() + shard.old.bytes();
+        }
+        s
+    }
+
+    /// Counters of one kind; `resident_bytes` is what its live entries
+    /// take of the allocations (a slot plus its words each).
+    pub(crate) fn kind_stats(&self, kind: AnswerKind) -> BlockCacheStats {
+        let k = kind as usize;
+        let mut s = BlockCacheStats::default();
+        for shard in &self.shards {
+            let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
+            s.hits += shard.hits[k];
+            s.misses += shard.misses[k];
+            s.evictions += shard.evictions[k];
+            for generation in [&shard.young, &shard.old] {
+                for &slot in &generation.index {
+                    if !slot.is_vacant() && slot.kind() == k {
+                        s.resident_bytes += SLOT_BYTES + slot.words().len() * WORD_BYTES;
+                    }
+                }
+            }
         }
         s
     }
@@ -272,11 +528,16 @@ mod tests {
         v.iter().copied().map(EntityId).collect()
     }
 
-    /// The first `n` ids at or above `from` that hash to shard 0.
+    fn hop(tier: &AnswerTier, id: EntityId) -> Option<Vec<EntityId>> {
+        tier.get::<OneHop>(id)
+    }
+
+    /// The first `n` ids at or above `from` whose one-hop key hashes to
+    /// shard 0.
     fn shard0_ids(from: u32, n: usize) -> Vec<EntityId> {
         (from..)
             .map(EntityId)
-            .filter(|&id| IdHasher::hash_id(id) >> (64 - SHARD_BITS) == 0)
+            .filter(|&id| Key::new(id, AnswerKind::OneHop).hash >> (64 - SHARD_BITS) == 0)
             .take(n)
             .collect()
     }
@@ -286,20 +547,20 @@ mod tests {
     #[test]
     fn a_full_budget_is_charged_exactly() {
         // The benchmark's 8 MiB graph cache gives this tier 2 MiB: eight
-        // shards × two generations × (4 096 slots + 20 480 ids).
-        let tier = HopTier::new(2 << 20);
+        // shards × two generations × (4 096 slots + 20 480 words).
+        let tier = AnswerTier::new(2 << 20);
         assert_eq!(
             (
                 tier.geometry.slots,
-                tier.geometry.max_lists,
-                tier.geometry.arena_ids,
-                tier.max_list_ids
+                tier.geometry.max_entries,
+                tier.geometry.arena_words,
+                tier.max_words
             ),
             (4096, 3584, 20480, 8192)
         );
         // Two flips in every shard allocate both generations.
         for i in 0..200_000u32 {
-            tier.insert(EntityId(i), &ids(&[i, i + 1, i + 2]));
+            tier.insert::<OneHop>(EntityId(i), &ids(&[i, i + 1, i + 2]));
         }
         assert_eq!(tier.stats().resident_bytes, 2 << 20);
     }
@@ -307,95 +568,222 @@ mod tests {
     #[test]
     fn a_generation_too_small_for_an_index_holds_and_charges_nothing() {
         // 256 B over 8 shards × 2 generations is 16 B a generation.
-        let tier = HopTier::new(256);
-        tier.insert(EntityId(1), &[]);
-        tier.insert(EntityId(2), &ids(&[3]));
-        assert_eq!(tier.get(EntityId(1)), None);
-        assert_eq!(tier.get(EntityId(2)), None);
+        let tier = AnswerTier::new(256);
+        tier.insert::<OneHop>(EntityId(1), &ids(&[]));
+        tier.insert::<OneHop>(EntityId(2), &ids(&[3]));
+        tier.insert::<Label>(EntityId(2), &"x".to_string());
+        assert_eq!(hop(&tier, EntityId(1)), None);
+        assert_eq!(hop(&tier, EntityId(2)), None);
+        assert_eq!(tier.get::<Label>(EntityId(2)), None);
         assert_eq!(tier.stats().resident_bytes, 0);
         // 2 KiB (the transparency tests' tiny tier) is 128 B a generation:
-        // a 4-slot index and a 20-id arena, 3 lists of up to 8 ids.
-        let tier = HopTier::new(2 << 10);
+        // a 4-slot index and a 20-word arena, 3 answers of up to 8 words.
+        let tier = AnswerTier::new(2 << 10);
         assert_eq!(
             (
                 tier.geometry.slots,
-                tier.geometry.max_lists,
-                tier.geometry.arena_ids,
-                tier.max_list_ids
+                tier.geometry.max_entries,
+                tier.geometry.arena_words,
+                tier.max_words
             ),
             (4, 3, 20, 8)
         );
     }
 
     #[test]
-    fn an_oversized_list_is_served_never_kept_and_displaces_nothing() {
-        // 1 KiB a shard: lists above 128 B (32 ids) are not kept.
-        let tier = HopTier::new(8 << 10);
-        let max = tier.max_list_ids;
+    fn every_kind_round_trips_bit_exactly() {
+        let tier = AnswerTier::new(2 << 20);
+        let labels = [
+            "",
+            "a",
+            "abc",
+            "abcd",
+            "abcde",
+            "Peter Steele",
+            "Zürich",
+            "東京都",
+            "🦀 crab",
+            "e\u{301}",
+        ];
+        for (i, label) in labels.iter().enumerate() {
+            let id = EntityId(i as u32);
+            tier.insert::<Label>(id, &label.to_string());
+            assert_eq!(tier.get::<Label>(id).as_deref(), Some(*label));
+        }
+        let mut id = 100;
+        for schema in SCHEMAS {
+            for is_type in [false, true] {
+                tier.insert::<Schema>(EntityId(id), &(schema, is_type));
+                assert_eq!(tier.get::<Schema>(EntityId(id)), Some((schema, is_type)));
+                id += 1;
+            }
+        }
+        for list in [vec![], ids(&[0]), ids(&[1, 5, u32::MAX])] {
+            tier.insert::<OneHop>(EntityId(id), &list);
+            assert_eq!(hop(&tier, EntityId(id)), Some(list));
+            id += 1;
+        }
+        let pairs = |v: &[(u16, u32)]| -> Vec<(PredicateId, EntityId)> {
+            v.iter()
+                .map(|&(p, t)| (PredicateId(p), EntityId(t)))
+                .collect()
+        };
+        for list in [
+            pairs(&[]),
+            pairs(&[(0, 0)]),
+            pairs(&[(u16::MAX, 3), (2, u32::MAX)]),
+        ] {
+            tier.insert::<Predicates>(EntityId(id), &list);
+            assert_eq!(tier.get::<Predicates>(EntityId(id)), Some(list));
+            id += 1;
+        }
+        assert_eq!(tier.stats().misses, 0);
+    }
+
+    #[test]
+    fn one_id_under_every_kind_is_four_entries() {
+        let tier = AnswerTier::new(8 << 10);
+        let id = EntityId(7);
+        // An empty one-hop list and an empty predicate list are both zero
+        // words, and a schema is one word like an empty label: only the
+        // kind tells them apart.
+        tier.insert::<OneHop>(id, &Vec::new());
+        assert_eq!(tier.get::<Predicates>(id), None);
+        tier.insert::<Predicates>(id, &Vec::new());
+        tier.insert::<Label>(id, &String::new());
+        assert_eq!(tier.get::<Schema>(id), None);
+        tier.insert::<Schema>(id, &(NeSchema::Place, true));
+        assert_eq!(hop(&tier, id), Some(vec![]));
+        assert_eq!(tier.get::<Predicates>(id), Some(vec![]));
+        assert_eq!(tier.get::<Label>(id), Some(String::new()));
+        assert_eq!(tier.get::<Schema>(id), Some((NeSchema::Place, true)));
+        for kind in AnswerKind::ALL {
+            let s = tier.kind_stats(kind);
+            assert!(
+                s.hits >= 1 && s.resident_bytes >= SLOT_BYTES,
+                "{kind:?}: {s:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_oversized_answer_is_served_never_kept_and_displaces_nothing() {
+        // 1 KiB a shard: answers above 128 B (32 words) are not kept.
+        let tier = AnswerTier::new(8 << 10);
+        let max = tier.max_words;
         assert_eq!(max, 32);
         let small = shard0_ids(0, 1)[0];
-        tier.insert(small, &ids(&[7]));
+        tier.insert::<OneHop>(small, &ids(&[7]));
         let before = tier.stats();
         let big = shard0_ids(small.0 + 1, 1)[0];
-        tier.insert(big, &vec![EntityId(9); max + 1]);
-        assert_eq!(tier.get(big), None);
-        tier.insert(big, &vec![EntityId(9); max]);
-        assert_eq!(tier.get(big).map(|l| l.len()), Some(max));
+        tier.insert::<OneHop>(big, &vec![EntityId(9); max + 1]);
+        assert_eq!(hop(&tier, big), None);
+        tier.insert::<OneHop>(big, &vec![EntityId(9); max]);
+        assert_eq!(hop(&tier, big).map(|l| l.len()), Some(max));
+        // A label of 4 × 31 bytes is 32 words with its length; one more
+        // byte makes 33.
+        tier.insert::<Label>(big, &"x".repeat(4 * 31 + 1));
+        assert_eq!(tier.get::<Label>(big), None);
+        tier.insert::<Label>(big, &"x".repeat(4 * 31));
+        assert_eq!(tier.get::<Label>(big).map(|l| l.len()), Some(4 * 31));
         let after = tier.stats();
         assert_eq!(after.evictions, before.evictions);
         assert!(after.resident_bytes <= 8 << 10);
-        assert_eq!(tier.get(small), Some(ids(&[7])));
+        assert_eq!(hop(&tier, small), Some(ids(&[7])));
     }
 
     #[test]
     fn a_flip_evicts_exactly_the_old_generation() {
-        let tier = HopTier::new(8 << 10);
-        let n = tier.geometry.max_lists;
+        let tier = AnswerTier::new(8 << 10);
+        let n = tier.geometry.max_entries;
         let all = shard0_ids(0, 2 * n + 1);
         let (first, rest) = all.split_at(n);
         let (second, last) = rest.split_at(n);
         for &id in first {
-            tier.insert(id, &[id]);
+            tier.insert::<OneHop>(id, &vec![id]);
         }
         assert_eq!(tier.stats().evictions, 0);
         // The first of `second` flips: `first` becomes old, nothing goes.
         for &id in second {
-            tier.insert(id, &[id]);
+            tier.insert::<OneHop>(id, &vec![id]);
         }
         assert_eq!(tier.stats().evictions, 0);
         // The next flip drops `first`, all of it and nothing else.
-        tier.insert(last[0], &[last[0]]);
+        tier.insert::<OneHop>(last[0], &vec![last[0]]);
         let s = tier.stats();
         assert_eq!(s.evictions, n as u64);
         for &id in first {
-            assert_eq!(tier.get(id), None, "{id} should be gone");
+            assert_eq!(hop(&tier, id), None, "{id} should be gone");
         }
         for &id in second.iter().chain(last) {
-            assert_eq!(tier.get(id), Some(vec![id]));
+            assert_eq!(hop(&tier, id), Some(vec![id]));
         }
     }
 
     #[test]
-    fn a_list_read_from_the_old_generation_survives_the_next_flip() {
-        let tier = HopTier::new(8 << 10);
-        let n = tier.geometry.max_lists;
+    fn a_flip_drops_every_kind_of_the_old_generation() {
+        let tier = AnswerTier::new(8 << 10);
+        let n = tier.geometry.max_entries;
+        // One entry of each kind, all in shard 0, fill the young generation
+        // with filler one-hop lists behind them.
+        let in_shard0 =
+            |kind| move |id: &EntityId| Key::new(*id, kind).hash >> (64 - SHARD_BITS) == 0;
+        let label = (0..)
+            .map(EntityId)
+            .find(in_shard0(AnswerKind::Label))
+            .unwrap();
+        let schema = (0..)
+            .map(EntityId)
+            .find(in_shard0(AnswerKind::Schema))
+            .unwrap();
+        let pairs = (0..)
+            .map(EntityId)
+            .find(in_shard0(AnswerKind::Predicates))
+            .unwrap();
+        let filler = shard0_ids(1000, 3 * n);
+        tier.insert::<Label>(label, &"Zürich".to_string());
+        tier.insert::<Schema>(schema, &(NeSchema::Work, false));
+        tier.insert::<Predicates>(pairs, &vec![(PredicateId(1), EntityId(2))]);
+        tier.insert::<OneHop>(filler[0], &vec![EntityId(1)]);
+        // Fill up the young generation, flip (all four become old), then
+        // fill and flip again: the old generation goes.
+        for &id in &filler[1..2 * n - 2] {
+            tier.insert::<OneHop>(id, &vec![id]);
+        }
+        assert_eq!(tier.get::<Label>(label), None);
+        assert_eq!(tier.get::<Schema>(schema), None);
+        assert_eq!(tier.get::<Predicates>(pairs), None);
+        assert_eq!(hop(&tier, filler[0]), None);
+        for kind in AnswerKind::ALL {
+            let s = tier.kind_stats(kind);
+            assert_eq!(
+                s.evictions,
+                1 + (kind == AnswerKind::OneHop) as u64 * (n as u64 - 4)
+            );
+        }
+    }
+
+    #[test]
+    fn an_answer_read_from_the_old_generation_survives_the_next_flip() {
+        let tier = AnswerTier::new(8 << 10);
+        let n = tier.geometry.max_entries;
         let all = shard0_ids(0, 2 * n);
         let (first, rest) = all.split_at(n);
         let (second, third) = rest.split_at(n / 2);
         // The first of `second` flips, so `first` is old.
         for &id in first.iter().chain(second) {
-            tier.insert(id, &[id]);
+            tier.insert::<OneHop>(id, &vec![id]);
         }
         // Reading one of `first` copies it forward.
         let kept = first[3];
-        assert_eq!(tier.get(kept), Some(vec![kept]));
+        assert_eq!(hop(&tier, kept), Some(vec![kept]));
         // `third` fills the young generation, and its last insert flips,
         // dropping `first`.
         for &id in third {
-            tier.insert(id, &[id]);
+            tier.insert::<OneHop>(id, &vec![id]);
         }
-        assert_eq!(tier.get(kept), Some(vec![kept]));
-        assert_eq!(tier.get(first[4]), None);
+        assert_eq!(hop(&tier, kept), Some(vec![kept]));
+        assert_eq!(hop(&tier, first[4]), None);
         assert_eq!(
             tier.stats().evictions,
             n as u64 - 1,
@@ -403,32 +791,94 @@ mod tests {
         );
     }
 
+    #[test]
+    fn an_old_answer_read_into_a_full_young_generation_is_kept_alone() {
+        let tier = AnswerTier::new(8 << 10);
+        let n = tier.geometry.max_entries;
+        let all = shard0_ids(0, 2 * n);
+        let (first, second) = all.split_at(n);
+        // `first` is old and `second` fills the young generation.
+        for &id in first.iter().chain(second) {
+            tier.insert::<OneHop>(id, &vec![id, EntityId(5)]);
+        }
+        let kept = first[2];
+        assert_eq!(hop(&tier, kept), Some(vec![kept, EntityId(5)]));
+        // That read flipped: `first` went but for `kept`, `second` is old.
+        assert_eq!(tier.stats().evictions, n as u64 - 1);
+        assert_eq!(hop(&tier, kept), Some(vec![kept, EntityId(5)]));
+        assert_eq!(hop(&tier, first[3]), None);
+        assert_eq!(hop(&tier, second[0]), Some(vec![second[0], EntityId(5)]));
+    }
+
+    /// One value of any kind, for the model the proptest checks against.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Value {
+        Hop(Vec<EntityId>),
+        Label(String),
+        Schema((NeSchema, bool)),
+        Pairs(Vec<(PredicateId, EntityId)>),
+    }
+
+    impl Value {
+        fn of(kind: u8, raw: &[u32]) -> Self {
+            const CHARS: [char; 4] = ['a', 'é', '東', '🦀'];
+            match kind {
+                0 => Value::Hop(ids(raw)),
+                1 => Value::Label(raw.iter().map(|&r| CHARS[r as usize % 4]).collect()),
+                2 => Value::Schema((SCHEMAS[raw.len() % 8], raw.len().is_multiple_of(3))),
+                _ => Value::Pairs(
+                    raw.iter()
+                        .map(|&r| (PredicateId(r as u16 % 7), EntityId(r)))
+                        .collect(),
+                ),
+            }
+        }
+
+        fn insert(&self, tier: &AnswerTier, id: EntityId) {
+            match self {
+                Value::Hop(v) => tier.insert::<OneHop>(id, v),
+                Value::Label(v) => tier.insert::<Label>(id, v),
+                Value::Schema(v) => tier.insert::<Schema>(id, v),
+                Value::Pairs(v) => tier.insert::<Predicates>(id, v),
+            }
+        }
+
+        fn get(kind: u8, tier: &AnswerTier, id: EntityId) -> Option<Self> {
+            match kind {
+                0 => tier.get::<OneHop>(id).map(Value::Hop),
+                1 => tier.get::<Label>(id).map(Value::Label),
+                2 => tier.get::<Schema>(id).map(Value::Schema),
+                _ => tier.get::<Predicates>(id).map(Value::Pairs),
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Random inserts and lookups against a map of the last list
-        /// inserted per id: a lookup returns exactly that list or `None`,
-        /// and the charge stays within the budget after every operation.
-        /// Lists stay within the smallest kept size (8 ids at 2 KiB); the
-        /// oversized case has its own test.
+        /// Random inserts and lookups of every kind against a map of the
+        /// last answer inserted per (id, kind): a lookup returns exactly
+        /// that answer or `None`, and the charge stays within the budget
+        /// after every operation. Answers stay within the smallest kept
+        /// size (8 words at 2 KiB); the oversized case has its own test.
         #[test]
         fn every_get_is_the_last_insert_or_none(
             budget in 0usize..BUDGETS.len(),
             ops in proptest::collection::vec(
-                (0u8..2, 0u32..300, proptest::collection::vec(0u32..1000, 0..9)),
+                (0u8..2, 0u8..4, 0u32..300, proptest::collection::vec(0u32..1000, 0..4)),
                 1..600,
             ),
         ) {
             let budget = BUDGETS[budget];
-            let tier = HopTier::new(budget);
-            let mut model: HashMap<u32, Vec<EntityId>> = HashMap::new();
-            for (op, id, list) in ops {
+            let tier = AnswerTier::new(budget);
+            let mut model: HashMap<(u32, u8), Value> = HashMap::new();
+            for (op, kind, id, raw) in ops {
                 if op == 0 {
-                    let list = ids(&list);
-                    tier.insert(EntityId(id), &list);
-                    model.insert(id, list);
-                } else if let Some(got) = tier.get(EntityId(id)) {
-                    prop_assert_eq!(Some(&got), model.get(&id));
+                    let value = Value::of(kind, &raw);
+                    value.insert(&tier, EntityId(id));
+                    model.insert((id, kind), value);
+                } else if let Some(got) = Value::get(kind, &tier, EntityId(id)) {
+                    prop_assert_eq!(Some(&got), model.get(&(id, kind)));
                 }
                 let s = tier.stats();
                 prop_assert!(s.resident_bytes <= budget, "{:?} over {}", s, budget);

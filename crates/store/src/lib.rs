@@ -11,7 +11,7 @@
 //!   followed by its records' one-hop lists in a CRC'd adjacency block, a
 //!   binary-searchable block index in the file tail. [`DiskGraph`]
 //!   implements [`kglink_kg::GraphAccess`] over them through a bounded
-//!   [`BlockCache`], with a tier of one-hop answers in front.
+//!   [`BlockCache`], with a tier of per-entity answers in front.
 //! - **BM25 segment** (`index.kgbm`, [`bm25seg`]): delta-varint
 //!   compressed postings with per-block max-score metadata for rank-safe
 //!   block-max top-k skipping, built in bounded memory via spill-and-merge
@@ -68,6 +68,7 @@ pub use backend::{
 pub use blockcache::{BlockCache, BlockCacheStats};
 pub use bm25seg::{Bm25SegBuilder, Bm25Segment, QueryStats, BM25_FILE, DEFAULT_SPILL_POSTINGS};
 pub use error::StoreError;
+pub use hoptier::AnswerKind;
 pub use manifest::{Bm25Stats, Manifest, MANIFEST_FILE};
 pub use segment::{shard_file_name, EntityRecord, Segment, SegmentWriter};
 pub use world::{write_graph, DiskWorld, WorldWriter, WorldWriterConfig};

@@ -85,7 +85,7 @@ pub fn shard_file_name(shard: u32) -> String {
     format!("entities-{shard:05}.kges")
 }
 
-fn schema_tag(s: NeSchema) -> u8 {
+pub(crate) fn schema_tag(s: NeSchema) -> u8 {
     match s {
         NeSchema::Person => 0,
         NeSchema::Date => 1,
@@ -98,18 +98,23 @@ fn schema_tag(s: NeSchema) -> u8 {
     }
 }
 
+/// Every schema at the index of its tag: the inverse of [`schema_tag`].
+pub(crate) const SCHEMAS: [NeSchema; 8] = [
+    NeSchema::Person,
+    NeSchema::Date,
+    NeSchema::Organization,
+    NeSchema::Place,
+    NeSchema::Work,
+    NeSchema::Biology,
+    NeSchema::Concept,
+    NeSchema::Other,
+];
+
 fn schema_from_tag(tag: u8) -> Result<NeSchema, StoreError> {
-    Ok(match tag {
-        0 => NeSchema::Person,
-        1 => NeSchema::Date,
-        2 => NeSchema::Organization,
-        3 => NeSchema::Place,
-        4 => NeSchema::Work,
-        5 => NeSchema::Biology,
-        6 => NeSchema::Concept,
-        7 => NeSchema::Other,
-        other => return Err(StoreError::Corrupt(format!("unknown schema tag {other}"))),
-    })
+    SCHEMAS
+        .get(usize::from(tag))
+        .copied()
+        .ok_or_else(|| StoreError::Corrupt(format!("unknown schema tag {tag}")))
 }
 
 /// One entity record decoded from a shard: the entity plus both adjacency

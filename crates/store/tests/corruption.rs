@@ -298,16 +298,12 @@ fn bm25_posting_bitflip_fails_typed_and_facade_degrades() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-#[test]
-fn neighbourhood_tier_remembers_answers_never_failures() {
-    // 600 musicians under one type: shard 0 holds ids 0..512 in two full
-    // 256-record blocks, shard 1 the rest. A 256-record adjacency block
-    // of one-id lists is 512 B, charged 656 B; with a 6 KiB budget no
-    // block fits a block-tier shard (576 B), so every block read goes to
-    // disk, while each 96-byte neighbourhood-tier generation holds a
-    // list.
+/// 600 musicians under one type: shard 0 holds ids 0..512 in two full
+/// 256-record blocks, shard 1 the rest. A record block is ≈ 7.7 KB, and a
+/// 256-record adjacency block of one-id lists is 512 B, charged 656 B.
+fn musicians_world(tag: &str) -> (PathBuf, kglink_kg::EntityId) {
     let dir = std::env::temp_dir().join(format!(
-        "kglink-store-corruption-hop-tier-{}",
+        "kglink-store-corruption-{tag}-{}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -324,17 +320,31 @@ fn neighbourhood_tier_remembers_answers_never_failures() {
         ..WorldWriterConfig::default()
     };
     write_graph(&dir, &b.build(), cfg).unwrap();
+    (dir, musician)
+}
+
+/// Damage shard 0's second block: its record block and its adjacency block.
+fn damage_second_block(dir: &std::path::Path) {
+    corrupt(&dir.join(shard_file_name(0)), |b| {
+        let (records, adjacency) = shard_layout(b).blocks[1].clone();
+        b[records.end - 10] ^= 0x40;
+        b[adjacency.end - 10] ^= 0x40;
+    });
+}
+
+#[test]
+fn neighbourhood_tier_remembers_answers_never_failures() {
+    // With a 6 KiB budget no block fits a block-tier shard (576 B), so
+    // every block read goes to disk, while each 96-byte answer-tier
+    // generation holds a list.
+    let (dir, musician) = musicians_world("hop-tier");
     let g = DiskGraph::open_with_cache(&dir, 6 << 10).unwrap();
     let id = kglink_kg::EntityId;
 
     // Memoise entity 300's neighbourhood, then damage the block it came
     // from, shard 0's second: its adjacency block and its record block.
     assert_eq!(g.try_one_hop(id(300)).unwrap(), vec![musician]);
-    corrupt(&dir.join(shard_file_name(0)), |b| {
-        let (records, adjacency) = shard_layout(b).blocks[1].clone();
-        b[records.end - 10] ^= 0x40;
-        b[adjacency.end - 10] ^= 0x40;
-    });
+    damage_second_block(&dir);
 
     // A neighbour in the damaged block fails typed on every attempt, each
     // attempt goes back to disk, and the facade counts every one.
@@ -366,5 +376,64 @@ fn neighbourhood_tier_remembers_answers_never_failures() {
     assert_eq!(g.try_one_hop(id(5)).unwrap(), vec![musician]);
     assert_eq!(g.try_one_hop(id(550)).unwrap(), vec![musician]);
     assert_eq!(g.error_count(), 3);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn answer_tier_remembers_labels_schemas_and_predicates_never_failures() {
+    // A 32 KiB budget: a 3 KiB block-tier shard holds no record block, so
+    // every record read goes to disk, and each 512-byte answer-tier
+    // generation holds 14 answers.
+    let (dir, musician) = musicians_world("answer-tier");
+    let g = DiskGraph::open_with_cache(&dir, 32 << 10).unwrap();
+    let id = kglink_kg::EntityId;
+
+    // Remember entity 300's answers of every kind, then damage the block
+    // they came from.
+    let label = g.try_label(id(300)).unwrap();
+    let schema = g.try_schema(id(300)).unwrap();
+    let pairs = g.try_one_hop_with_predicates(id(300)).unwrap();
+    assert_eq!(
+        (label.as_str(), schema, pairs.len()),
+        ("peter steele 299", (NeSchema::Person, false), 1)
+    );
+    damage_second_block(&dir);
+
+    // A neighbour in the damaged block fails typed on every attempt of
+    // every kind, each attempt goes back to disk, and the facade counts
+    // every one.
+    for attempt in 1..=3 {
+        let misses = g.cache_stats().misses;
+        assert!(matches!(
+            g.try_label(id(301)),
+            Err(StoreError::CrcMismatch { .. })
+        ));
+        assert!(matches!(
+            g.try_schema(id(301)),
+            Err(StoreError::CrcMismatch { .. })
+        ));
+        assert!(matches!(
+            g.try_one_hop_with_predicates(id(301)),
+            Err(StoreError::CrcMismatch { .. })
+        ));
+        assert_eq!(
+            g.cache_stats().misses,
+            misses + 3,
+            "attempt {attempt} re-read the block for each kind"
+        );
+        assert_eq!(g.label(id(301)), "");
+        assert_eq!(g.schema_of(id(301)), NeSchema::Other);
+        assert!(g.one_hop_with_predicates(id(301)).is_empty());
+        assert_eq!(g.error_count(), 3 * attempt);
+    }
+    // The answers remembered before the damage still answer, from memory.
+    let before = g.cache_stats();
+    assert_eq!(g.try_label(id(300)).unwrap(), label);
+    assert_eq!(g.try_schema(id(300)).unwrap(), schema);
+    assert_eq!(g.try_one_hop_with_predicates(id(300)).unwrap(), pairs);
+    assert_eq!(g.one_hop_with_predicates(id(300))[0].1, musician);
+    let after = g.cache_stats();
+    assert_eq!((after.hits, after.misses), (before.hits + 4, before.misses));
+    assert_eq!(g.error_count(), 9);
     std::fs::remove_dir_all(&dir).unwrap();
 }

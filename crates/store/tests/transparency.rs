@@ -12,7 +12,7 @@
 
 use kglink_kg::{Entity, EntityId, GraphAccess, KgBuilder, NeSchema};
 use kglink_search::EntitySearcher;
-use kglink_store::{write_graph, DiskGraph, DiskWorld, WorldWriterConfig};
+use kglink_store::{write_graph, AnswerKind, DiskGraph, DiskWorld, WorldWriterConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -261,17 +261,13 @@ fn cache_budget_holds_under_mixed_reads_with_a_hub() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The hot set the candidate filter re-reads fits the neighbourhood tier:
-/// 20 000 entities of three neighbours each, through an 8 MiB graph cache
-/// (a 2 MiB tier), are read twice, and the second pass runs the block
-/// loader zero times. Each record carries a 400-byte description, so the
-/// world (≈ 9 MB of blocks) outgrows the 6 MiB block tier and blocks alone
-/// cannot serve that pass.
-#[test]
-fn hot_set_that_fits_is_served_from_memory() {
+/// `n` entities of one type in a ring, each record carrying a 400-byte
+/// description: each entity's neighbours are its type and both ring sides.
+/// 20 000 of them make ≈ 9 MB of blocks, more than the 6 MiB block tier of
+/// an 8 MiB graph cache.
+fn ring_world(n: usize) -> (PathBuf, kglink_kg::KnowledgeGraph, Vec<EntityId>) {
     let mut b = KgBuilder::new();
     let ty = b.add_type("hot", None);
-    let n = 20_000usize;
     let ids: Vec<EntityId> = (0..n)
         .map(|i| {
             let e = Entity::new(format!("e{i}"), NeSchema::Other)
@@ -280,13 +276,23 @@ fn hot_set_that_fits_is_served_from_memory() {
         })
         .collect();
     let mut g = b.build();
-    // A ring: each entity's neighbours are its type and both ring sides.
     let pred = g.intern_predicate(EXTRA_PREDS[0]);
     for (i, &id) in ids.iter().enumerate() {
         g.add_edge(id, pred, ids[(i + 1) % n]);
     }
     let dir = casedir();
     write_graph(&dir, &g, WorldWriterConfig::default()).unwrap();
+    (dir, g, ids)
+}
+
+/// The hot set the candidate filter re-reads fits the answer tier: 20 000
+/// entities of three neighbours each, through an 8 MiB graph cache (a
+/// 2 MiB tier), are read twice, and the second pass runs the block loader
+/// zero times: blocks alone cannot serve it.
+#[test]
+fn hot_set_that_fits_is_served_from_memory() {
+    let n = 20_000usize;
+    let (dir, g, ids) = ring_world(n);
     let graph = DiskGraph::open_with_cache(&dir, 8 << 20).unwrap();
 
     for &id in &ids {
@@ -304,6 +310,49 @@ fn hot_set_that_fits_is_served_from_memory() {
     );
     let s = graph.hop_tier_stats();
     assert_eq!((s.hits - tier.hits, s.misses - tier.misses), (n as u64, 0));
+    assert!(graph.cache_stats().resident_bytes <= 8 << 20);
+    assert_eq!(graph.error_count(), 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The feature sequence and the schema filter re-read labels, schemas and
+/// predicate neighbourhoods of the same entities: 5 000 entities' answers
+/// of all four kinds (20 000 entries) fit the 2 MiB tier of an 8 MiB
+/// graph cache, and a second pass equals the in-memory graph and runs the
+/// block loader zero times.
+#[test]
+fn every_kind_of_a_hot_set_that_fits_is_served_from_memory() {
+    let n = 5_000usize;
+    let (dir, g, ids) = ring_world(n);
+    let graph = DiskGraph::open_with_cache(&dir, 8 << 20).unwrap();
+    let read_all = || {
+        for &id in &ids {
+            assert_eq!(graph.label(id), g.label(id));
+            assert_eq!(graph.schema_of(id), g.schema_of(id));
+            assert_eq!(graph.one_hop(id), g.one_hop(id));
+            assert_eq!(
+                graph.one_hop_with_predicates(id),
+                g.one_hop_with_predicates(id)
+            );
+        }
+    };
+    read_all();
+    let loads = graph.cache_stats().misses;
+    let kinds = AnswerKind::ALL.map(|k| graph.hop_tier_kind_stats(k));
+    read_all();
+    assert_eq!(
+        graph.cache_stats().misses,
+        loads,
+        "the second pass ran the block loader"
+    );
+    for (kind, first) in AnswerKind::ALL.into_iter().zip(kinds) {
+        let s = graph.hop_tier_kind_stats(kind);
+        assert_eq!(
+            (s.hits - first.hits, s.misses - first.misses, s.evictions),
+            (n as u64, 0, 0),
+            "{kind:?}"
+        );
+    }
     assert!(graph.cache_stats().resident_bytes <= 8 << 20);
     assert_eq!(graph.error_count(), 0);
     std::fs::remove_dir_all(&dir).unwrap();
