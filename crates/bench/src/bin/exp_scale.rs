@@ -37,7 +37,7 @@ use kglink_obs::Histogram;
 use kglink_search::EntitySearcher;
 use kglink_serve::{AdmissionPolicy, AnnotationService, ServiceConfig, SharedBackend};
 use kglink_store::{
-    write_graph, AnswerKind, DiskBackend, DiskWorld, StoreError, WorldWriterConfig, MANIFEST_FILE,
+    write_graph, DiskBackend, DiskWorld, StoreError, WorldWriterConfig, MANIFEST_FILE,
 };
 use kglink_table::{CellValue, LabelId, Table, TableId};
 use std::collections::BTreeSet;
@@ -308,23 +308,17 @@ fn main() {
             disk.graph.try_label(id).expect("label");
         }
     };
-    let kinds = [AnswerKind::OneHop, AnswerKind::Label];
     read_hot();
-    let (tier, loads) = (
-        kinds.map(|k| disk.graph.hop_tier_kind_stats(k)),
-        disk.graph.cache_stats().misses,
-    );
+    let (tier, loads) = (disk.graph.hop_tier_stats(), disk.graph.cache_stats().misses);
     read_hot();
+    let after = disk.graph.hop_tier_stats();
+    let (hits, misses) = (after.hits - tier.hits, after.misses - tier.misses);
     let block_loads = disk.graph.cache_stats().misses - loads;
-    for (kind, before) in kinds.into_iter().zip(tier) {
-        let after = disk.graph.hop_tier_kind_stats(kind);
-        let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
-        assert!(
-            hits == n_hot as u64 && misses == 0 && block_loads == 0,
-            "a second pass over {n_hot} ids' {kind:?} answers hit the answer tier {hits} \
-             times, missed it {misses} times and ran the block loader {block_loads} times"
-        );
-    }
+    assert!(
+        hits == 2 * n_hot as u64 && misses == 0 && block_loads == 0,
+        "a second pass over {n_hot} ids' one-hop lists and labels hit the answer tier \
+         {hits} times, missed it {misses} times and ran the block loader {block_loads} times"
+    );
     eprintln!(
         "[scale] part 4c OK: second pass over {n_hot} one-hop lists and labels served by the tier alone"
     );

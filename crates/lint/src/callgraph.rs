@@ -91,8 +91,9 @@ pub fn receiver_path(f: &SourceFile, dot: usize) -> Option<String> {
 pub fn extract_calls(f: &SourceFile, owned: &[(usize, usize)]) -> Vec<CallSite> {
     let mut out = Vec::new();
     for &(start, end) in owned {
-        for i in start..end.min(f.code.len()) {
-            if f.code_kind(i) != Some(TokKind::Ident) || f.code_text(i + 1) != "(" {
+        let end = end.min(f.code.len());
+        for i in start..end {
+            if f.code_kind(i) != Some(TokKind::Ident) || !opens_call(f, i + 1, end) {
                 continue;
             }
             let name = f.code_text(i);
@@ -136,6 +137,33 @@ pub fn extract_calls(f: &SourceFile, owned: &[(usize, usize)]) -> Vec<CallSite> 
         }
     }
     out
+}
+
+/// True when the tokens from `at` open a call's argument list: `(`, or a
+/// turbofish `::<..>` and then `(` (`add::<A>(..)`, `.sum::<u64>()`).
+fn opens_call(f: &SourceFile, at: usize, end: usize) -> bool {
+    if f.code_text(at) == "(" {
+        return true;
+    }
+    if (f.code_text(at), f.code_text(at + 1), f.code_text(at + 2)) != (":", ":", "<") {
+        return false;
+    }
+    let mut depth = 0usize;
+    for j in at + 2..end {
+        match f.code_text(j) {
+            "<" => depth += 1,
+            // The `>` of a `->` in `Fn(..) -> T` closes nothing.
+            ">" if f.code_text(j - 1) != "-" => {
+                depth -= 1;
+                if depth == 0 {
+                    return f.code_text(j + 1) == "(";
+                }
+            }
+            ";" | "{" | "}" => return false,
+            _ => {}
+        }
+    }
+    false
 }
 
 /// Name tables over the workspace fn list, for call resolution.
@@ -367,6 +395,17 @@ mod tests {
                 (CallKind::Bare, "helper".into(), None),
             ]
         );
+    }
+
+    #[test]
+    fn turbofish_calls_are_call_sites() {
+        let got = sites(
+            "fn f() { s.add::<A>(k); v.iter().sum::<u64>(); g::<Vec<fn() -> u8>>(); h::<T>; }\n",
+        );
+        let names: Vec<&str> = got.iter().map(|(_, n, _)| n.as_str()).collect();
+        assert_eq!(names, ["add", "iter", "sum", "g"]);
+        assert_eq!(got[0].0, CallKind::Method);
+        assert_eq!(got[3].0, CallKind::Bare);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `hot-path-alloc`: steady-state inference allocates nothing — checked
 //! from the packed encoder forward down through every helper it reaches —
-//! and neither does the graph's answer tier on a read.
+//! and neither does the graph's answer tier's own code on a read.
 //!
 //! Inference runs `Encoder::forward_packed` → `block_rows` → `gemm_rows`
 //! (`crates/nn/src/encoder.rs`), and every buffer they need comes from a
@@ -19,9 +19,12 @@
 //!
 //! The store's answer tier (`crates/store/src/hoptier.rs`) is the second
 //! root: `AnswerTier::get` runs for nearly every label, schema and
-//! neighbourhood a hot table reads, and hands the caller's decoder words it
-//! borrows from the tier, so the tier's own code on that path — its probe,
-//! its copy-forward and its flip — allocates nothing either.
+//! neighbourhood a hot table reads. What is checked there is the tier's
+//! own code on that path — its probe, its copy-forward and its flip —
+//! which writes only into the generations' preallocated arrays. The
+//! decoder that builds the caller's answer (`A::read`, a `Vec` or `String`
+//! on every hit) resolves to no workspace fn and is not checked: the
+//! answer is the caller's to own, as a block read's was before.
 //!
 //! The sanctioned sites are `Scratch::take`'s pool miss and a tier
 //! generation's first allocation: both happen during warm-up only and carry
@@ -69,7 +72,7 @@ impl Rule for HotPathAlloc {
     }
 
     fn describe(&self) -> &'static str {
-        "the packed inference forward and every kernels/nn fn it reaches allocate only through scratch arenas; the answer tier's read allocates nothing"
+        "the packed inference forward and every kernels/nn fn it reaches allocate only through scratch arenas; the answer tier's probe, copy-forward and flip allocate nothing (the decoder that builds the caller's answer is not checked)"
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
@@ -266,18 +269,19 @@ fn gemm_rows() {}
 impl AnswerTier {
     pub(crate) fn get<A: Answer>(&self, id: EntityId) -> Option<A> {
         let words = self.find(id);
-        self.promote(words);
+        self.keep::<A>(words);
         Some(A::read(words))
     }
     fn find(&self, id: EntityId) -> &[u32] { &self.arena[..] }
-    fn promote(&mut self, words: &[u32]) { self.young = words.to_vec(); }
+    fn keep<A: Answer>(&mut self, words: &[u32]) { self.young = words.to_vec(); }
     fn insert(&self, list: &[u32]) { let owned = list.to_vec(); }
 }
 impl Answer for String {
     fn read(words: &[u32]) -> Self { String::from_utf8(words.to_vec()) }
 }
 ";
-        // `promote` is reached; `insert` is not, and `A::read` resolves to
+        // `keep` is reached through its turbofish; `insert` is not, and
+        // `A::read` resolves to
         // no workspace fn (the decoder builds the caller's answer).
         let got = lines(vec![
             (TIER_FILE, tier),

@@ -20,7 +20,7 @@
 use crate::blockcache::{BlockCache, BlockCacheStats};
 use crate::bm25seg::{Bm25Segment, QueryStats, BM25_FILE};
 use crate::error::StoreError;
-use crate::hoptier::{Answer, AnswerKind, AnswerTier, Label, OneHop, Predicates, Schema};
+use crate::hoptier::{Answer, AnswerTier, Label, OneHop, Predicates, Schema};
 use crate::manifest::Manifest;
 use crate::segment::{shard_file_name, EntityRecord, Segment};
 use kglink_kg::{Edge, Entity, EntityId, GraphAccess, NeSchema, PredicateId};
@@ -50,7 +50,7 @@ const TIER_SHARE: usize = 4;
 /// front of it, the `Ok` answers of [`try_one_hop`](Self::try_one_hop),
 /// [`try_label`](Self::try_label), [`try_schema`](Self::try_schema) and
 /// [`try_one_hop_with_predicates`](Self::try_one_hop_with_predicates),
-/// one [`AnswerKind`] each.
+/// each keyed by (entity, kind).
 #[derive(Debug)]
 pub struct DiskGraph {
     manifest: Manifest,
@@ -129,18 +129,12 @@ impl DiskGraph {
         }
     }
 
-    /// Counters of the answer tier alone, over every [`AnswerKind`]:
-    /// `hits` and `misses` are reads it answered and did not, evictions
-    /// are answers dropped by generation flips, `resident_bytes` its
-    /// allocation.
+    /// Counters of the answer tier alone, summed over its four kinds
+    /// (one-hop lists, labels, schemas, predicate lists): `hits` and
+    /// `misses` are reads it answered and did not, evictions are answers
+    /// dropped by generation flips, `resident_bytes` its allocation.
     pub fn hop_tier_stats(&self) -> BlockCacheStats {
         self.answers.stats()
-    }
-
-    /// [`Self::hop_tier_stats`] of one kind; `resident_bytes` is what that
-    /// kind's live answers take of the allocation.
-    pub fn hop_tier_kind_stats(&self, kind: AnswerKind) -> BlockCacheStats {
-        self.answers.kind_stats(kind)
     }
 
     /// `id`'s answer of `A`'s kind from the tier, or `load`ed and kept

@@ -38,12 +38,11 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// An id's shard is the top `SHARD_BITS` of its key's hash.
 const SHARD_BITS: u32 = 3;
 const SHARDS: usize = 1 << SHARD_BITS;
-const KINDS: usize = 4;
 
 /// What a tier entry answers. The kind is part of the key, so one id's
 /// answers of two kinds are two entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnswerKind {
+pub(crate) enum AnswerKind {
     /// [`DiskGraph::try_one_hop`](crate::DiskGraph::try_one_hop).
     OneHop,
     /// [`DiskGraph::try_label`](crate::DiskGraph::try_label).
@@ -52,16 +51,6 @@ pub enum AnswerKind {
     Schema,
     /// [`DiskGraph::try_one_hop_with_predicates`](crate::DiskGraph::try_one_hop_with_predicates).
     Predicates,
-}
-
-impl AnswerKind {
-    /// Every kind.
-    pub const ALL: [AnswerKind; KINDS] = [
-        AnswerKind::OneHop,
-        AnswerKind::Label,
-        AnswerKind::Schema,
-        AnswerKind::Predicates,
-    ];
 }
 
 /// One kind of kept answer: its value type and that value's word form (see
@@ -284,11 +273,8 @@ struct Generation {
     arena: Vec<u32>,
     /// Occupied slots.
     entries: usize,
-    /// Occupied slots per kind.
-    per_kind: [usize; KINDS],
-    /// Answers per kind read from here and copied into the younger
-    /// generation.
-    moved: [usize; KINDS],
+    /// Answers read from here and copied into the younger generation.
+    moved: usize,
 }
 
 impl Generation {
@@ -333,12 +319,11 @@ impl Generation {
 
     /// Point `key`'s slot at the words appended since `start`. An answer
     /// already here under `key` is superseded, its words left dead in the
-    /// arena until the next restart.
+    /// arena until the next clear.
     fn link(&mut self, key: Key, start: usize) {
         let i = self.probe(key);
         if self.index[i].is_vacant() {
             self.entries += 1;
-            self.per_kind[key.kind] += 1;
         }
         self.index[i] = Slot {
             id: key.id,
@@ -347,16 +332,12 @@ impl Generation {
         };
     }
 
-    /// Drop every answer, keeping both allocations and the words at `keep`,
-    /// which move to the front of the arena.
-    fn restart(&mut self, keep: Range<usize>) {
-        let len = keep.len();
+    /// Drop every answer, keeping both allocations.
+    fn clear(&mut self) {
         self.index.fill(Slot::VACANT);
-        self.arena.copy_within(keep, 0);
-        self.arena.truncate(len);
+        self.arena.clear();
         self.entries = 0;
-        self.per_kind = [0; KINDS];
-        self.moved = [0; KINDS];
+        self.moved = 0;
     }
 
     /// Bytes allocated (`Vec` allocates exactly the capacity asked for).
@@ -369,49 +350,25 @@ impl Generation {
 struct Shard {
     young: Generation,
     old: Generation,
-    hits: [u64; KINDS],
-    misses: [u64; KINDS],
-    evictions: [u64; KINDS],
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
 impl Shard {
-    /// Drop the old generation's answers and make the young one old; the
-    /// new young generation is the old one's allocations, which the caller
-    /// restarts.
-    fn flip(&mut self) {
-        for (k, evicted) in self.evictions.iter_mut().enumerate() {
-            *evicted += (self.old.per_kind[k] - self.old.moved[k]) as u64;
-        }
-        std::mem::swap(&mut self.young, &mut self.old);
-    }
-
-    /// Put `answer` in the young generation, flipping first if it has no
-    /// room. The caller checked that an empty generation holds it.
-    fn add<A: Answer>(&mut self, geo: &Geometry, key: Key, value: &A::Value) {
+    /// Put `value` in the young generation, flipping first if it has no
+    /// room: the old generation's answers are dropped and the young one
+    /// becomes old. The caller checked that an empty generation holds it.
+    fn keep<A: Answer>(&mut self, geo: &Geometry, key: Key, value: &A::Value) {
         if !self.young.has_room(geo, A::words(value)) {
-            self.flip();
-            self.young.restart(0..0);
+            self.evictions += (self.old.entries - self.old.moved) as u64;
+            std::mem::swap(&mut self.young, &mut self.old);
+            self.young.clear();
         }
         self.young.ready(geo);
         let start = self.young.arena.len();
         A::write(value, &mut self.young.arena);
         self.young.link(key, start);
-    }
-
-    /// Copy the old generation's answer at `at` forward into the young one.
-    /// When the young generation has no room, the flip keeps that answer
-    /// alone of the generation it drops.
-    fn promote(&mut self, geo: &Geometry, key: Key, at: Range<usize>) {
-        if self.young.has_room(geo, at.len()) {
-            self.young.ready(geo);
-            let start = self.young.arena.len();
-            self.young.arena.extend_from_slice(&self.old.arena[at]);
-            self.young.link(key, start);
-        } else {
-            self.flip();
-            self.young.restart(at);
-            self.young.link(key, 0);
-        }
     }
 }
 
@@ -457,17 +414,17 @@ impl AnswerTier {
         let mut guard = self.shard(key.hash);
         let shard = &mut *guard;
         if let Some(at) = shard.young.locate(key) {
-            shard.hits[key.kind] += 1;
+            shard.hits += 1;
             return Some(A::read(&shard.young.arena[at]));
         }
         let Some(at) = shard.old.locate(key) else {
-            shard.misses[key.kind] += 1;
+            shard.misses += 1;
             return None;
         };
-        shard.hits[key.kind] += 1;
-        shard.old.moved[key.kind] += 1;
-        let answer = A::read(&shard.old.arena[at.start..at.end]);
-        shard.promote(&self.geometry, key, at);
+        shard.hits += 1;
+        shard.old.moved += 1;
+        let answer = A::read(&shard.old.arena[at]);
+        shard.keep::<A>(&self.geometry, key, &answer);
         Some(answer)
     }
 
@@ -479,7 +436,7 @@ impl AnswerTier {
             return;
         }
         let key = Key::new(id, A::KIND);
-        self.shard(key.hash).add::<A>(&self.geometry, key, value);
+        self.shard(key.hash).keep::<A>(&self.geometry, key, value);
     }
 
     /// Counters over every kind: `hits` and `misses` of [`Self::get`],
@@ -488,31 +445,10 @@ impl AnswerTier {
         let mut s = BlockCacheStats::default();
         for shard in &self.shards {
             let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            s.hits += shard.hits.iter().sum::<u64>();
-            s.misses += shard.misses.iter().sum::<u64>();
-            s.evictions += shard.evictions.iter().sum::<u64>();
+            s.hits += shard.hits;
+            s.misses += shard.misses;
+            s.evictions += shard.evictions;
             s.resident_bytes += shard.young.bytes() + shard.old.bytes();
-        }
-        s
-    }
-
-    /// Counters of one kind; `resident_bytes` is what its live entries
-    /// take of the allocations (a slot plus its words each).
-    pub(crate) fn kind_stats(&self, kind: AnswerKind) -> BlockCacheStats {
-        let k = kind as usize;
-        let mut s = BlockCacheStats::default();
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            s.hits += shard.hits[k];
-            s.misses += shard.misses[k];
-            s.evictions += shard.evictions[k];
-            for generation in [&shard.young, &shard.old] {
-                for &slot in &generation.index {
-                    if !slot.is_vacant() && slot.kind() == k {
-                        s.resident_bytes += SLOT_BYTES + slot.words().len() * WORD_BYTES;
-                    }
-                }
-            }
         }
         s
     }
@@ -657,17 +593,17 @@ mod tests {
         assert_eq!(tier.get::<Predicates>(id), Some(vec![]));
         assert_eq!(tier.get::<Label>(id), Some(String::new()));
         assert_eq!(tier.get::<Schema>(id), Some((NeSchema::Place, true)));
-        for kind in AnswerKind::ALL {
-            let s = tier.kind_stats(kind);
-            assert!(
-                s.hits >= 1 && s.resident_bytes >= SLOT_BYTES,
-                "{kind:?}: {s:?}"
-            );
-        }
+        let entries: usize = tier
+            .shards
+            .iter()
+            .map(|s| s.lock().unwrap().young.entries)
+            .sum();
+        assert_eq!(entries, 4);
+        assert_eq!((tier.stats().hits, tier.stats().misses), (4, 2));
     }
 
     #[test]
-    fn an_oversized_answer_is_served_never_kept_and_displaces_nothing() {
+    fn an_oversized_list_is_served_never_kept_and_displaces_nothing() {
         // 1 KiB a shard: answers above 128 B (32 words) are not kept.
         let tier = AnswerTier::new(8 << 10);
         let max = tier.max_words;
@@ -754,17 +690,48 @@ mod tests {
         assert_eq!(tier.get::<Schema>(schema), None);
         assert_eq!(tier.get::<Predicates>(pairs), None);
         assert_eq!(hop(&tier, filler[0]), None);
-        for kind in AnswerKind::ALL {
-            let s = tier.kind_stats(kind);
-            assert_eq!(
-                s.evictions,
-                1 + (kind == AnswerKind::OneHop) as u64 * (n as u64 - 4)
-            );
-        }
+        // The dropped generation held the three and `n - 3` one-hop lists.
+        assert_eq!(tier.stats().evictions, n as u64);
     }
 
     #[test]
-    fn an_answer_read_from_the_old_generation_survives_the_next_flip() {
+    fn a_full_arena_flips_before_the_entry_cap() {
+        // 8 KiB: a generation holds 14 answers in 80 words, and a label of
+        // 28 bytes is 8 words, so ten labels fill the arena.
+        let tier = AnswerTier::new(8 << 10);
+        assert_eq!(
+            (tier.geometry.max_entries, tier.geometry.arena_words),
+            (14, 80)
+        );
+        let label = |id: EntityId| format!("{:>28}", id.0);
+        let all: Vec<EntityId> = (0..)
+            .map(EntityId)
+            .filter(|&id| Key::new(id, AnswerKind::Label).hash >> (64 - SHARD_BITS) == 0)
+            .take(21)
+            .collect();
+        let (first, rest) = all.split_at(10);
+        let (second, last) = rest.split_at(10);
+        // The first of `second` flips with ten entries young: `first` is
+        // old, nothing goes.
+        for &id in first.iter().chain(second) {
+            tier.insert::<Label>(id, &label(id));
+        }
+        assert_eq!(tier.stats().evictions, 0);
+        // The 21st insert flips again and drops `first`, where an entry
+        // cap alone would flip first at the 15th and next at the 29th.
+        tier.insert::<Label>(last[0], &label(last[0]));
+        assert_eq!(tier.stats().evictions, 10);
+        for &id in first {
+            assert_eq!(tier.get::<Label>(id), None, "{id} should be gone");
+        }
+        for &id in second.iter().chain(last) {
+            assert_eq!(tier.get::<Label>(id), Some(label(id)));
+        }
+        assert!(tier.stats().resident_bytes <= 8 << 10);
+    }
+
+    #[test]
+    fn a_list_read_from_the_old_generation_survives_the_next_flip() {
         let tier = AnswerTier::new(8 << 10);
         let n = tier.geometry.max_entries;
         let all = shard0_ids(0, 2 * n);
@@ -820,14 +787,18 @@ mod tests {
     }
 
     impl Value {
+        /// A value of `kind` from up to 8 raw numbers, at most 8 words: a
+        /// one-hop list of up to 8 ids, a label of up to 7 characters
+        /// (≤ 28 bytes), a predicate list of up to 4 pairs.
         fn of(kind: u8, raw: &[u32]) -> Self {
             const CHARS: [char; 4] = ['a', 'é', '東', '🦀'];
             match kind {
                 0 => Value::Hop(ids(raw)),
-                1 => Value::Label(raw.iter().map(|&r| CHARS[r as usize % 4]).collect()),
+                1 => Value::Label(raw.iter().take(7).map(|&r| CHARS[r as usize % 4]).collect()),
                 2 => Value::Schema((SCHEMAS[raw.len() % 8], raw.len().is_multiple_of(3))),
                 _ => Value::Pairs(
                     raw.iter()
+                        .take(4)
                         .map(|&r| (PredicateId(r as u16 % 7), EntityId(r)))
                         .collect(),
                 ),
@@ -860,12 +831,14 @@ mod tests {
         /// last answer inserted per (id, kind): a lookup returns exactly
         /// that answer or `None`, and the charge stays within the budget
         /// after every operation. Answers stay within the smallest kept
-        /// size (8 words at 2 KiB); the oversized case has its own test.
+        /// size (8 words at 2 KiB, where three of them can fill the
+        /// 20-word arena before the 3-entry cap); the oversized case has
+        /// its own test.
         #[test]
         fn every_get_is_the_last_insert_or_none(
             budget in 0usize..BUDGETS.len(),
             ops in proptest::collection::vec(
-                (0u8..2, 0u8..4, 0u32..300, proptest::collection::vec(0u32..1000, 0..4)),
+                (0u8..2, 0u8..4, 0u32..300, proptest::collection::vec(0u32..1000, 0..9)),
                 1..600,
             ),
         ) {

@@ -68,7 +68,6 @@ pub use backend::{
 pub use blockcache::{BlockCache, BlockCacheStats};
 pub use bm25seg::{Bm25SegBuilder, Bm25Segment, QueryStats, BM25_FILE, DEFAULT_SPILL_POSTINGS};
 pub use error::StoreError;
-pub use hoptier::AnswerKind;
 pub use manifest::{Bm25Stats, Manifest, MANIFEST_FILE};
 pub use segment::{shard_file_name, EntityRecord, Segment, SegmentWriter};
 pub use world::{write_graph, DiskWorld, WorldWriter, WorldWriterConfig};

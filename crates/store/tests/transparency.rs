@@ -12,7 +12,7 @@
 
 use kglink_kg::{Entity, EntityId, GraphAccess, KgBuilder, NeSchema};
 use kglink_search::EntitySearcher;
-use kglink_store::{write_graph, AnswerKind, DiskGraph, DiskWorld, WorldWriterConfig};
+use kglink_store::{write_graph, DiskGraph, DiskWorld, WorldWriterConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -338,21 +338,19 @@ fn every_kind_of_a_hot_set_that_fits_is_served_from_memory() {
     };
     read_all();
     let loads = graph.cache_stats().misses;
-    let kinds = AnswerKind::ALL.map(|k| graph.hop_tier_kind_stats(k));
+    let first = graph.hop_tier_stats();
     read_all();
     assert_eq!(
         graph.cache_stats().misses,
         loads,
         "the second pass ran the block loader"
     );
-    for (kind, first) in AnswerKind::ALL.into_iter().zip(kinds) {
-        let s = graph.hop_tier_kind_stats(kind);
-        assert_eq!(
-            (s.hits - first.hits, s.misses - first.misses, s.evictions),
-            (n as u64, 0, 0),
-            "{kind:?}"
-        );
-    }
+    let s = graph.hop_tier_stats();
+    assert_eq!(
+        (s.hits - first.hits, s.misses - first.misses, s.evictions),
+        (4 * n as u64, 0, 0),
+        "the second pass reads each of four kinds once per entity"
+    );
     assert!(graph.cache_stats().resident_bytes <= 8 << 20);
     assert_eq!(graph.error_count(), 0);
     std::fs::remove_dir_all(&dir).unwrap();
