@@ -26,11 +26,11 @@
 //! on every hit) resolves to no workspace fn and is not checked: the
 //! answer is the caller's to own, as a block read's was before.
 //!
-//! The sanctioned sites are `Scratch::take`'s pool miss and a tier
-//! generation's first allocation: both happen during warm-up only and carry
-//! a justified `// kglink-lint: allow(hot-path-alloc)`. A root that no
-//! longer exists is itself a finding once its crate is linted, so renaming
-//! one fails the gate instead of silently checking nothing.
+//! The one sanctioned site is `Scratch::take`'s pool miss: it happens
+//! during warm-up only and carries a justified
+//! `// kglink-lint: allow(hot-path-alloc)`. A root that no longer exists is
+//! itself a finding once its crate is linted, so renaming one fails the
+//! gate instead of silently checking nothing.
 //!
 //! [`Scratch`]: ../../../kernels/src/scratch.rs
 

@@ -6,11 +6,15 @@
 //! benchmark's world, a label ≈ 20 bytes, a schema one word), so any
 //! per-entry node, map slot or `Arc` would outweigh it. Each of the tier's
 //! eight shards instead holds two **generations**, young and old, and each
-//! generation is two allocations made once: an open-addressed index
-//! ((entity id, kind) → arena extent, 12 B a slot, linear probing on
-//! [`IdHasher`]'s low bits) and one arena of `u32` words holding every
-//! answer back to back. `resident_bytes` is what those allocations hold,
-//! not an estimate per entry, and it never exceeds the budget.
+//! generation is two allocations: an open-addressed index ((entity id,
+//! kind) → arena extent, 12 B a slot, linear probing on [`IdHasher`]'s low
+//! bits) and one arena of `u32` words holding every answer back to back.
+//! `resident_bytes` is what those allocations hold, not an estimate per
+//! entry, and it never exceeds the budget. Both are allocated when the
+//! tier is created, at the graph's open, and written as answers arrive: a
+//! read never allocates in the tier, and a graph opened after another is
+//! dropped on the same thread gets that one's freed memory back from the
+//! allocator instead of adding to the process's footprint.
 //!
 //! Each [`AnswerKind`] has one [`Answer`] with one word form: a one-hop
 //! list is its ids; a label is its byte length, then its UTF-8 bytes four
@@ -265,11 +269,12 @@ impl Geometry {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Generation {
-    /// Empty until the generation's first insert, then `slots` long.
+    /// `slots` of capacity from the start; empty until the generation's
+    /// first entry, then `slots` long.
     index: Vec<Slot>,
-    /// Allocated with the index, `arena_words` of capacity; never grows.
+    /// `arena_words` of capacity from the start; never grows.
     arena: Vec<u32>,
     /// Occupied slots.
     entries: usize,
@@ -278,6 +283,16 @@ struct Generation {
 }
 
 impl Generation {
+    /// Both allocations, whole, with nothing written to them yet.
+    fn new(geo: &Geometry) -> Self {
+        Generation {
+            index: Vec::with_capacity(geo.slots),
+            arena: Vec::with_capacity(geo.arena_words),
+            entries: 0,
+            moved: 0,
+        }
+    }
+
     /// Index of `key`'s slot, or of the vacant slot ending its probe.
     fn probe(&self, key: Key) -> usize {
         let mask = self.index.len() - 1;
@@ -305,15 +320,11 @@ impl Generation {
         self.entries < geo.max_entries && self.arena.len() + words <= geo.arena_words
     }
 
-    /// Make both allocations, if this is the generation's first entry.
+    /// Lay out the index in its allocation, if this is the generation's
+    /// first entry.
     fn ready(&mut self, geo: &Geometry) {
         if self.index.is_empty() {
-            // kglink-lint: allow(hot-path-alloc) — once per generation, at its
-            // first entry: the tier fills its budget while warming up and
-            // then reuses both allocations.
-            self.index = vec![Slot::VACANT; geo.slots];
-            // kglink-lint: allow(hot-path-alloc) — allocated with the index above.
-            self.arena = Vec::with_capacity(geo.arena_words);
+            self.index.resize(geo.slots, Slot::VACANT);
         }
     }
 
@@ -346,7 +357,7 @@ impl Generation {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Shard {
     young: Generation,
     old: Generation,
@@ -356,6 +367,16 @@ struct Shard {
 }
 
 impl Shard {
+    fn new(geo: &Geometry) -> Self {
+        Shard {
+            young: Generation::new(geo),
+            old: Generation::new(geo),
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+        }
+    }
+
     /// Put `value` in the young generation, flipping first if it has no
     /// room: the old generation's answers are dropped and the young one
     /// becomes old. The caller checked that an empty generation holds it.
@@ -385,13 +406,15 @@ pub(crate) struct AnswerTier {
 
 impl AnswerTier {
     /// A tier of eight shards whose two generations each take half of a
-    /// shard's `budget_bytes / 8`. A generation too small for a two-slot
-    /// index holds nothing and allocates nothing.
+    /// shard's `budget_bytes / 8`, allocated here. A generation too small
+    /// for a two-slot index holds nothing and allocates nothing.
     pub(crate) fn new(budget_bytes: usize) -> Self {
         let shard_budget = budget_bytes / SHARDS;
         let geometry = Geometry::for_bytes(shard_budget / 2);
         AnswerTier {
-            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
+            shards: (0..SHARDS)
+                .map(|_| Mutex::new(Shard::new(&geometry)))
+                .collect(),
             geometry,
             max_words: (shard_budget / 8 / WORD_BYTES)
                 .min(geometry.arena_words)
@@ -494,7 +517,8 @@ mod tests {
             ),
             (4096, 3584, 20480, 8192)
         );
-        // Two flips in every shard allocate both generations.
+        // Both generations are allocated up front and never grow.
+        assert_eq!(tier.stats().resident_bytes, 2 << 20);
         for i in 0..200_000u32 {
             tier.insert::<OneHop>(EntityId(i), &ids(&[i, i + 1, i + 2]));
         }
