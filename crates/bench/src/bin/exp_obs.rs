@@ -214,7 +214,6 @@ fn main() {
         });
         let plan = SwapPlan {
             prepare_max_flip_rate: 1.0,
-            shadow_sample_every: 1,
             shadow_min_requests: 4,
             shadow_max_flip_rate: 1.0,
             watch_min_requests: 0,

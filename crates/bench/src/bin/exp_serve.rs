@@ -19,15 +19,15 @@
 //! searcher, demonstrating that training-time preprocessing reuses the
 //! same cache layer the service uses (and measuring its hit rate).
 //!
-//! The `help items` column is `ServiceMetrics::help_items`: search and
-//! one-hop batch items an idle worker ran for another worker's request.
+//! The `help items` column is `ServiceMetrics::help_items`: search items
+//! an idle worker ran for another worker's request.
 //!
 //! `--smoke` shrinks the workload and skips the scaling assertions (they
 //! need the full grid); it keeps the bit-identity, cache-hit and memo
 //! checks, over one and two workers.
 
 use kglink_bench::{print_markdown, ExpEnv, Which};
-use kglink_search::{CacheConfig, CachingBackend, Deadline};
+use kglink_search::{CacheConfig, CachingBackend};
 use kglink_serve::{AdmissionPolicy, ServiceConfig};
 use kglink_table::{LabelId, Split, Table};
 use std::sync::Arc;
@@ -115,7 +115,6 @@ fn main() {
                     workers,
                     queue_capacity: 64,
                     admission: AdmissionPolicy::Block,
-                    default_deadline: Deadline::UNBOUNDED,
                     cache: cache_on.then(CacheConfig::default),
                     ..ServiceConfig::default()
                 },

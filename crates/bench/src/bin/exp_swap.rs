@@ -37,7 +37,6 @@ use kglink_bench::{print_markdown, ExpEnv, Which};
 use kglink_core::{KgLink, KgLinkModel};
 use kglink_nn::layers::param::HasParams;
 use kglink_registry::{ModelRegistry, RegistryError};
-use kglink_search::Deadline;
 use kglink_serve::{
     AdmissionPolicy, Annotation, ServiceConfig, SwapError, SwapPhase, SwapPlan, SwapReport,
 };
@@ -128,7 +127,6 @@ fn main() {
             workers: if smoke { 2 } else { 4 },
             queue_capacity: 64,
             admission: AdmissionPolicy::Block,
-            default_deadline: Deadline::UNBOUNDED,
             cache: None,
             initial_version: 1,
             rollback_budget: 1,
@@ -143,13 +141,10 @@ fn main() {
         // A retrained generation legitimately differs from the baseline:
         // divergence gates are open for planned swaps, strict for guards.
         prepare_max_flip_rate: 1.0,
-        shadow_sample_every: 1,
         shadow_min_requests: min_shadow,
         shadow_max_flip_rate: 1.0,
-        watch_sample_every: 1,
         watch_min_requests: min_shadow,
         watch_max_flip_rate: 1.0,
-        watch_max_p99_inflation: 0.0,
         phase_timeout: Duration::from_secs(60),
     };
 

@@ -60,7 +60,7 @@ pub struct FilteredTable {
     pub row_order: Vec<usize>,
     /// Row linking scores (Eq. 5) of the kept rows.
     pub row_scores: Vec<f32>,
-    /// The batch's one-hop answers for every candidate `e` of the
+    /// The one-hop answers for every candidate `e` of the
     /// unfiltered table, back to back: with `i = hop_of[e]`, the list is
     /// `hop_ids[hop_starts[i]..hop_starts[i + 1]]`. Step 3 reads them through
     /// [`FilteredTable::one_hop`] instead of asking the graph again; two
@@ -94,23 +94,22 @@ pub fn prune_and_filter(
 ) -> FilteredTable {
     let n_rows = table.n_rows();
     let n_cols = table.n_cols();
-    // One graph read per distinct candidate of the chunk, asked as one
-    // batch in first-use order (row, column, rank); `hop_of` maps an id to
-    // its answer's index, and the rows below and Step 3 only borrow the
-    // answers. Both maps are probed by id, never iterated.
+    // One graph read per distinct candidate of the chunk, in first-use
+    // order (row, column, rank); `hop_of` maps an id to its answer's index,
+    // and the rows below and Step 3 only borrow the answers. Both maps are
+    // probed by id, never iterated.
     let mut hop_of: IdMap<usize> = IdMap::default();
-    let mut ids = Vec::new();
+    let mut hops: Vec<Vec<EntityId>> = Vec::new();
     for r in 0..n_rows {
         for c in 0..n_cols {
             for &(e, _) in &linked.cell(r, c).candidates {
                 hop_of.entry(e).or_insert_with(|| {
-                    ids.push(e);
-                    ids.len() - 1
+                    hops.push(graph.one_hop(e));
+                    hops.len() - 1
                 });
             }
         }
     }
-    let hops = graph.one_hop_batch(ids);
     let one_hop = |e: &EntityId| hops[hop_of[e]].as_slice();
 
     // Prune every cell row by row.

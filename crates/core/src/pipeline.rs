@@ -323,56 +323,13 @@ impl KgLink {
             let _preprocess = tracer.span("fit.preprocess");
             (process(Split::Train), process(Split::Validation))
         };
-        Self::fit_processed_with(
-            resources,
-            &train_pt,
-            &val_pt,
-            &dataset.labels,
-            config,
-            options,
-        )
-    }
-
-    /// Train from already-preprocessed tables (lets the experiment harness
-    /// share one Part-1 pass across models and ablations).
-    #[expect(
-        clippy::expect_used,
-        reason = "structural: every TrainError is checkpoint I/O, and default FitOptions do no checkpoint I/O"
-    )]
-    pub fn fit_processed(
-        resources: &Resources<'_>,
-        train_pt: &[ProcessedTable],
-        val_pt: &[ProcessedTable],
-        labels: &LabelVocab,
-        config: KgLinkConfig,
-    ) -> (Self, TrainReport) {
-        Self::fit_processed_with(
-            resources,
-            train_pt,
-            val_pt,
-            labels,
-            config,
-            &FitOptions::default(),
-        )
-        .expect("fit without checkpoint I/O cannot fail")
-    }
-
-    /// [`fit_processed`](Self::fit_processed) with crash-safety options.
-    pub fn fit_processed_with(
-        resources: &Resources<'_>,
-        train_pt: &[ProcessedTable],
-        val_pt: &[ProcessedTable],
-        labels: &LabelVocab,
-        config: KgLinkConfig,
-        options: &FitOptions,
-    ) -> Result<(Self, TrainReport), KgLinkError> {
         let tokenizer = resources.tokenizer;
-        let tracer = &resources.tracer;
+        let labels = &dataset.labels;
         let (train_prep, val_prep) = {
             let _prepare = tracer.span("fit.prepare");
             (
-                prepare_tables(train_pt, tokenizer, labels, &config, true),
-                prepare_tables(val_pt, tokenizer, labels, &config, false),
+                prepare_tables(&train_pt, tokenizer, labels, &config, true),
+                prepare_tables(&val_pt, tokenizer, labels, &config, false),
             )
         };
         let mut model = KgLinkModel::new(&config, tokenizer.vocab.len(), labels.len());
@@ -454,22 +411,6 @@ impl KgLink {
         }
     }
 
-    /// Evaluate on preprocessed tables.
-    pub fn evaluate_processed(
-        &self,
-        resources: &Resources<'_>,
-        tables: &[ProcessedTable],
-    ) -> EvalSummary {
-        let prep = prepare_tables(
-            tables,
-            resources.tokenizer,
-            &self.labels,
-            &self.config,
-            false,
-        );
-        train::evaluate(&self.model, &self.config, &prep)
-    }
-
     /// Evaluate on a dataset split (preprocessing included).
     pub fn evaluate(
         &self,
@@ -483,7 +424,14 @@ impl KgLink {
             .tables_in(split)
             .flat_map(|t| pre.process(t))
             .collect();
-        self.evaluate_processed(resources, &tables)
+        let prep = prepare_tables(
+            &tables,
+            resources.tokenizer,
+            &self.labels,
+            &self.config,
+            false,
+        );
+        train::evaluate(&self.model, &self.config, &prep)
     }
 
     /// Per-table predictions over preprocessed tables (for subset analyses

@@ -7,8 +7,9 @@
 //! - `self.helper(..)` resolves within the caller's `impl` type first, and
 //!   `s.take(..)` on a parameter `s: &mut Scratch` within `Scratch`.
 //! - `Type::assoc(..)` resolves to fns whose `impl` type matches `Type`
-//!   (through `use` renames), and to nothing when the workspace has no
-//!   `impl Type` (`Vec::with_capacity` is std's, not a same-name fn's).
+//!   (through `use` renames), and to nothing else: `Vec::with_capacity` is
+//!   std's, not a same-name fn's, even where the workspace implements a
+//!   trait for `Vec`.
 //! - `recv.method(..)` and bare `helper(..)` resolve by name, same-file
 //!   candidates preferred; a bare call to a parameter of the caller
 //!   (`load()` with `load: F`) resolves to nothing.
@@ -265,9 +266,7 @@ impl Resolver {
                     if let Some(c) = self.by_ty.get(&(q.to_string(), site.name.clone())) {
                         return c.clone();
                     }
-                    let ours = self.by_ty.range((q.to_string(), String::new())..).next();
-                    let ours = ours.is_some_and(|((ty, _), _)| ty == q);
-                    if q.starts_with(char::is_uppercase) && !ours {
+                    if q.starts_with(char::is_uppercase) {
                         return Vec::new();
                     }
                 }

@@ -1,10 +1,9 @@
-//! The default batch reads are the per-item loops: on random in-memory
-//! graphs, `KgBackend::search_batch` over the in-memory index answers every
-//! query exactly as `search_entities` does (same hits, same score bits, in
-//! query order), and `GraphAccess::one_hop_batch` answers every id exactly
-//! as `one_hop` does — directly, through `&dyn` and through `Arc`.
+//! The default batch read is the per-item loop: on random in-memory graphs,
+//! `KgBackend::search_batch` over the in-memory index answers every query
+//! exactly as `search_entities` does (same hits, same score bits, in query
+//! order) — directly, through `&dyn` and through `Arc`.
 
-use kglink_kg::{Entity, EntityId, GraphAccess, KgBuilder, NeSchema};
+use kglink_kg::{Entity, EntityId, KgBuilder, NeSchema};
 use kglink_search::{Deadline, EntitySearcher, KgBackend, RetrievalError, SearchOutcome};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -31,7 +30,6 @@ proptest! {
         labels in proptest::collection::vec(("[a-e]{1,4}", 0usize..3), 1..16),
         edges in proptest::collection::vec((0usize..16, 0usize..16), 0..20),
         queries in proptest::collection::vec("[a-e]{0,4}( [a-e]{1,3})?", 0..8),
-        picks in proptest::collection::vec(0usize..16, 0..10),
         top_k in 1usize..5,
     ) {
         let mut b = KgBuilder::new();
@@ -60,14 +58,6 @@ proptest! {
                 .map(key)
                 .collect();
             prop_assert_eq!(&got, &want);
-        }
-
-        let hop_ids: Vec<EntityId> = picks.iter().map(|&i| ids[i % ids.len()]).collect();
-        let want: Vec<Vec<EntityId>> = hop_ids.iter().map(|&id| g.one_hop(id)).collect();
-        let graph = Arc::new(g);
-        let graphs: [&dyn GraphAccess; 3] = [graph.as_ref(), &graph.as_ref(), &graph];
-        for graph in graphs {
-            prop_assert_eq!(graph.one_hop_batch(hop_ids.clone()), want.clone());
         }
     }
 }

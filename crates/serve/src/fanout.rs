@@ -1,12 +1,10 @@
-//! Idle workers share a busy worker's batched KG reads.
+//! Idle workers share a busy worker's search batches.
 //!
-//! The pipeline asks the KG for a table chunk in two batches: every entity
-//! mention's search ([`KgBackend::search_batch`]) and every distinct
-//! candidate's one-hop neighbourhood ([`GraphAccess::one_hop_batch`]). A
-//! worker annotates through [`Retrieval::shared_at`] and [`SharedGraph`],
-//! which turn each batch into one shared [`Job`]: the owned items, what a
-//! worker needs to run any of them, an atomic claim cursor and one result
-//! slot per index.
+//! The pipeline asks the KG for every entity mention of a table chunk as
+//! one batch ([`KgBackend::search_batch`]). A worker annotates through
+//! [`Retrieval::shared_at`], which turns a full-rung batch into one shared
+//! [`Job`]: the owned queries, what a worker needs to run any of them, an
+//! atomic claim cursor and one result slot per index.
 //!
 //! The owning worker posts the job on the request queue as an offer, but
 //! only while another worker is parked in [`BoundedQueue::next`]; with no
@@ -17,6 +15,10 @@
 //! queue as soon as a request is waiting or nothing is left to claim.
 //! Every item lands in its own slot by index, so the answers are the
 //! per-item loop's whoever ran them.
+//!
+//! Only searches are shared. A chunk's one-hop reads stay on the owner:
+//! they are cached graph reads, and a helper running them only loaded the
+//! same graph blocks on a second thread (DESIGN §8).
 //!
 //! A panic in a helped item is caught on the helper, which keeps serving;
 //! the payload is resumed on the owner's thread once the batch is done, so
@@ -29,7 +31,6 @@ use crate::queue::BoundedQueue;
 use crate::service::Request;
 use crate::worker::WorkerContext;
 use kglink_core::DegradationRung;
-use kglink_kg::{Entity, EntityId, GraphAccess, NeSchema, PredicateId};
 use kglink_search::{Deadline, KgBackend, RetrievalError, SearchOutcome};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -39,26 +40,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, Thread};
 
 /// A job posted on the request queue for idle workers.
-pub(crate) type Offer = Arc<dyn Help>;
+pub(crate) type Offer = Arc<Job>;
 
 /// The service's request queue; its idle consumers help with [`Offer`]s.
 pub(crate) type RequestQueue = BoundedQueue<Request, Offer>;
 
-/// A shared job as a helping worker sees it.
-pub(crate) trait Help: Send + Sync {
-    /// Claim and run items on the calling worker until a request is
-    /// queued, nothing is left to claim, or an item panics. Returns the
-    /// items run here and whether the job is done with helpers (the caller
-    /// then withdraws the offer).
-    fn help(&self, ctx: &WorkerContext) -> (u64, bool);
-}
-
-/// One batch's owned items, and how any worker runs one of them.
-pub(crate) trait Items: Send + Sync + 'static {
-    type Out: Send + 'static;
-    fn len(&self) -> usize;
-    fn run_item(&self, i: usize, ctx: &WorkerContext) -> Self::Out;
-}
+type Answer = Result<SearchOutcome, RetrievalError>;
 
 /// A full-rung search batch, with the `(counted, top_k, deadline)` a
 /// helper needs to rebuild the owner's `retrieval.at(Full, counted)` view.
@@ -69,33 +56,17 @@ pub(crate) struct Searches {
     pub deadline: Deadline,
 }
 
-impl Items for Searches {
-    type Out = Result<SearchOutcome, RetrievalError>;
-    fn len(&self) -> usize {
-        self.queries.len()
-    }
-    fn run_item(&self, i: usize, ctx: &WorkerContext) -> Self::Out {
+impl Searches {
+    fn run_item(&self, i: usize, ctx: &WorkerContext) -> Answer {
         ctx.retrieval
             .at(DegradationRung::Full, self.counted)
             .search_entities(&self.queries[i], self.top_k, self.deadline)
     }
 }
 
-/// A one-hop batch.
-struct Hops(Vec<EntityId>);
-
-impl Items for Hops {
-    type Out = Vec<EntityId>;
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn run_item(&self, i: usize, ctx: &WorkerContext) -> Self::Out {
-        ctx.graph.one_hop(self.0[i])
-    }
-}
-
-struct Job<I: Items> {
-    items: I,
+/// One shared search batch.
+pub(crate) struct Job {
+    searches: Searches,
     /// Next unclaimed index; a claim at or past the end fails.
     next: AtomicUsize,
     /// Helpers between announcing a claim and finishing its item. A helper
@@ -103,24 +74,30 @@ struct Job<I: Items> {
     /// has failed, zero here means no item is left running anywhere.
     helping: AtomicUsize,
     /// One answer slot per item, filled by whoever ran it.
-    answers: Mutex<Vec<Option<I::Out>>>,
+    answers: Mutex<Vec<Option<Answer>>>,
     /// The first helped item's panic payload, resumed on the owner.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
     owner: Thread,
 }
 
-impl<I: Items> Job<I> {
+impl Job {
+    fn len(&self) -> usize {
+        self.searches.queries.len()
+    }
+
     fn claim(&self) -> Option<usize> {
         let i = self.next.fetch_add(1, SeqCst);
-        (i < self.items.len()).then_some(i)
+        (i < self.len()).then_some(i)
     }
 
-    fn fill(&self, i: usize, out: I::Out) {
+    fn fill(&self, i: usize, out: Answer) {
         self.answers.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(out);
     }
-}
 
-impl<I: Items> Help for Job<I> {
+    /// Claim and run items on the idle worker `ctx` until a request is
+    /// queued, nothing is left to claim, or an item panics. Returns the
+    /// items run here and whether the job is done with helpers (the caller
+    /// then withdraws the offer).
     fn help(&self, ctx: &WorkerContext) -> (u64, bool) {
         let mut ran = 0;
         while ctx.queue.is_empty() {
@@ -129,7 +106,7 @@ impl<I: Items> Help for Job<I> {
             let mut panicked = false;
             if let Some(i) = claimed {
                 ran += 1;
-                match catch_unwind(AssertUnwindSafe(|| self.items.run_item(i, ctx))) {
+                match catch_unwind(AssertUnwindSafe(|| self.searches.run_item(i, ctx))) {
                     Ok(out) => self.fill(i, out),
                     Err(payload) => {
                         panicked = true;
@@ -163,29 +140,27 @@ pub(crate) fn help(ctx: &WorkerContext, offer: &Offer) {
 
 /// Closes the cursor and withdraws the offer on every way out of the
 /// owner's drain, an unwinding panic included, so helpers stop claiming.
-struct Posted<'a, I: Items> {
+struct Posted<'a> {
     queue: &'a RequestQueue,
-    job: &'a Arc<Job<I>>,
+    job: &'a Offer,
 }
 
-impl<I: Items> Drop for Posted<'_, I> {
+impl Drop for Posted<'_> {
     fn drop(&mut self) {
-        self.job.next.fetch_max(self.job.items.len(), SeqCst);
-        let mine: *const Job<I> = Arc::as_ptr(self.job);
-        self.queue
-            .withdraw(|offer| std::ptr::addr_eq(Arc::as_ptr(offer), mine));
+        self.job.next.fetch_max(self.job.len(), SeqCst);
+        self.queue.withdraw(|offer| Arc::ptr_eq(offer, self.job));
     }
 }
 
-/// Run `items` on the calling worker, sharing them with idle workers, and
-/// return the answers in item order.
-pub(crate) fn share<I: Items>(ctx: &WorkerContext, items: I) -> Vec<I::Out> {
-    let n = items.len();
+/// Run `searches` on the calling worker, sharing them with idle workers,
+/// and return the answers in query order.
+pub(crate) fn share(ctx: &WorkerContext, searches: Searches) -> Vec<Answer> {
+    let n = searches.queries.len();
     if n < 2 || ctx.queue.idle() == 0 {
-        return (0..n).map(|i| items.run_item(i, ctx)).collect();
+        return (0..n).map(|i| searches.run_item(i, ctx)).collect();
     }
     let job = Arc::new(Job {
-        items,
+        searches,
         next: AtomicUsize::new(0),
         helping: AtomicUsize::new(0),
         answers: Mutex::new((0..n).map(|_| None).collect()),
@@ -194,13 +169,13 @@ pub(crate) fn share<I: Items>(ctx: &WorkerContext, items: I) -> Vec<I::Out> {
     });
     // Posted or not (the idle worker may have just left), the owner
     // drains the job; a helper only ever takes items off its hands.
-    ctx.queue.offer(Arc::clone(&job) as Offer);
+    ctx.queue.offer(Arc::clone(&job));
     let posted = Posted {
         queue: &ctx.queue,
         job: &job,
     };
     while let Some(i) = job.claim() {
-        job.fill(i, job.items.run_item(i, ctx));
+        job.fill(i, job.searches.run_item(i, ctx));
     }
     drop(posted);
     while job.helping.load(SeqCst) > 0 {
@@ -223,42 +198,4 @@ pub(crate) fn share<I: Items>(ctx: &WorkerContext, items: I) -> Vec<I::Out> {
         .map(|answer| answer.expect("every claimed item is answered"))
         .collect();
     answers
-}
-
-/// The service's graph as an annotation on one worker reads it: every call
-/// goes straight to the graph, and a one-hop batch is shared with the
-/// pool's idle workers.
-pub(crate) struct SharedGraph<'a>(pub &'a WorkerContext);
-
-impl GraphAccess for SharedGraph<'_> {
-    fn entity_count(&self) -> usize {
-        self.0.graph.entity_count()
-    }
-    fn entity(&self, id: EntityId) -> Entity {
-        self.0.graph.entity(id)
-    }
-    fn label(&self, id: EntityId) -> String {
-        self.0.graph.label(id)
-    }
-    fn schema_of(&self, id: EntityId) -> NeSchema {
-        self.0.graph.schema_of(id)
-    }
-    fn predicate_name(&self, p: PredicateId) -> String {
-        self.0.graph.predicate_name(p)
-    }
-    fn one_hop(&self, id: EntityId) -> Vec<EntityId> {
-        self.0.graph.one_hop(id)
-    }
-    fn one_hop_batch(&self, ids: Vec<EntityId>) -> Vec<Vec<EntityId>> {
-        share(self.0, Hops(ids))
-    }
-    fn one_hop_with_predicates(&self, id: EntityId) -> Vec<(PredicateId, EntityId)> {
-        self.0.graph.one_hop_with_predicates(id)
-    }
-    fn types_of(&self, id: EntityId) -> Vec<EntityId> {
-        self.0.graph.types_of(id)
-    }
-    fn superclasses_of(&self, id: EntityId) -> Vec<EntityId> {
-        self.0.graph.superclasses_of(id)
-    }
 }

@@ -23,17 +23,17 @@
 //! - **prepare**: the candidate is self-checked on held-out probe tables
 //!   against the active epoch — wrong label space, panics, or a probe
 //!   flip rate above the gate reject it before it sees any traffic.
-//! - **shadow**: a sampled fraction of live traffic is *duplicated*
-//!   against the candidate inside the worker (no user-visible output);
-//!   label flips and per-version latency feed the verdict.
+//! - **shadow**: every live request is *duplicated* against the
+//!   candidate inside the worker (no user-visible output); label flips
+//!   and per-version latency feed the verdict.
 //! - **promote**: one store puts the candidate in the slot together with
 //!   the watch window over the prior epoch.
-//! - **watch**: the divergence guard keeps sampling live traffic against
-//!   the *prior* epoch; a label-flip rate or p99 inflation past the gate
-//!   triggers an automatic rollback (`model.rollback` tracer event),
-//!   bounded by a rollback budget that fails closed: once spent, further
-//!   swaps are refused outright and the service keeps serving the
-//!   last-known-good epoch.
+//! - **watch**: the divergence guard keeps duplicating live traffic
+//!   against the *prior* epoch; a label-flip rate past the gate triggers
+//!   an automatic rollback (`model.rollback` tracer event), bounded by a
+//!   rollback budget that fails closed: once spent, further swaps are
+//!   refused outright and the service keeps serving the last-known-good
+//!   epoch.
 //!
 //! [`AnnotationService::swap_model`]: crate::AnnotationService::swap_model
 
@@ -69,14 +69,12 @@ impl ModelEpoch {
     }
 }
 
-/// Live comparison window: while installed, workers duplicate a sampled
-/// fraction of traffic against `epoch` (the candidate during shadow, the
-/// prior epoch during watch) and record divergence + latency here.
+/// Live comparison window: while installed, workers duplicate every
+/// request against `epoch` (the candidate during shadow, the prior epoch
+/// during watch) and record divergence + latency here.
 pub(crate) struct ShadowState {
     /// The epoch requests are duplicated against.
     pub epoch: Arc<ModelEpoch>,
-    /// Duplicate every Nth request (by request id); `1` = every request.
-    pub sample_every: u64,
     /// Requests compared so far.
     pub compared: AtomicU64,
     /// Requests whose label vector differed (or whose duplicate panicked).
@@ -87,16 +85,14 @@ pub(crate) struct ShadowState {
     pub compared_columns: AtomicU64,
     /// Annotate-only latency of the duplicated (shadow) run.
     pub shadow_latency: Mutex<Histogram>,
-    /// Annotate-only latency of the primary run over the same window —
-    /// the baseline the watch phase's p99-inflation guard compares against.
+    /// Annotate-only latency of the primary run over the same window.
     pub primary_latency: Mutex<Histogram>,
 }
 
 impl ShadowState {
-    pub(crate) fn new(epoch: Arc<ModelEpoch>, sample_every: u64) -> Self {
+    pub(crate) fn new(epoch: Arc<ModelEpoch>) -> Self {
         ShadowState {
             epoch,
-            sample_every: sample_every.max(1),
             compared: AtomicU64::new(0),
             flips: AtomicU64::new(0),
             flipped_columns: AtomicU64::new(0),
@@ -259,25 +255,17 @@ pub struct SwapPlan {
     pub probe_tables: Vec<kglink_table::Table>,
     /// Max fraction of probe *columns* allowed to flip at prepare.
     pub prepare_max_flip_rate: f64,
-    /// Duplicate every Nth live request during shadow (1 = all).
-    pub shadow_sample_every: u64,
     /// Shadow completions required before the verdict; `0` skips the
     /// shadow phase entirely (promote directly after prepare).
     pub shadow_min_requests: u64,
     /// Max fraction of shadowed requests whose labels may differ.
     pub shadow_max_flip_rate: f64,
-    /// Duplicate every Nth live request during watch (1 = all).
-    pub watch_sample_every: u64,
     /// Watch comparisons required before the guard clears; `0` skips the
     /// watch phase (promote is final immediately).
     pub watch_min_requests: u64,
     /// Max fraction of watched requests whose labels may differ from the
     /// prior epoch before the divergence guard rolls back.
     pub watch_max_flip_rate: f64,
-    /// Rollback when the candidate's live annotate p99 exceeds the prior
-    /// epoch's shadow-window p99 by this factor. `0.0` disables the
-    /// latency guard.
-    pub watch_max_p99_inflation: f64,
     /// Max real time to wait for shadow/watch traffic before the phase is
     /// decided on whatever it has seen (a starved shadow rejects).
     pub phase_timeout: Duration,
@@ -288,13 +276,10 @@ impl Default for SwapPlan {
         SwapPlan {
             probe_tables: Vec::new(),
             prepare_max_flip_rate: 0.10,
-            shadow_sample_every: 2,
             shadow_min_requests: 16,
             shadow_max_flip_rate: 0.10,
-            watch_sample_every: 2,
             watch_min_requests: 16,
             watch_max_flip_rate: 0.10,
-            watch_max_p99_inflation: 0.0,
             phase_timeout: Duration::from_secs(10),
         }
     }
@@ -403,8 +388,8 @@ mod tests {
         let lifecycle = Lifecycle::new(ModelEpoch::new(1, Arc::clone(&model)), 0);
         let prior = lifecycle.current();
         let candidate = Arc::new(ModelEpoch::new(2, model));
-        let shadow = Arc::new(ShadowState::new(Arc::clone(&candidate), 1));
-        let watch = Arc::new(ShadowState::new(Arc::clone(&prior), 1));
+        let shadow = Arc::new(ShadowState::new(Arc::clone(&candidate)));
+        let watch = Arc::new(ShadowState::new(Arc::clone(&prior)));
         let done = AtomicBool::new(false);
         let windows_seen = AtomicU64::new(0);
         std::thread::scope(|s| {

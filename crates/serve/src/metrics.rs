@@ -64,7 +64,7 @@ pub struct ServiceMetrics {
     /// Requests currently being annotated by workers.
     pub in_flight: usize,
     /// Workers parked waiting for a request. An idle worker helps with a
-    /// busy one's batched KG reads.
+    /// busy one's search batches.
     pub idle_workers: usize,
     /// Columns annotated across all completed requests.
     pub annotated_columns: u64,
@@ -80,8 +80,7 @@ pub struct ServiceMetrics {
     /// typed [`WorkerPanicked`](crate::ServiceError::WorkerPanicked) reply,
     /// never a hung ticket.
     pub worker_panics: u64,
-    /// Search and one-hop batch items an idle worker ran for another
-    /// worker's request.
+    /// Search items an idle worker ran for another worker's request.
     pub help_items: u64,
     /// Real microseconds since the service started.
     pub uptime_us: u64,

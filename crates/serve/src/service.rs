@@ -61,9 +61,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// What to do with new requests when the queue is full.
     pub admission: AdmissionPolicy,
-    /// Deadline applied by [`AnnotationService::submit`] when the caller
-    /// does not pass one explicitly.
-    pub default_deadline: Deadline,
     /// Shared retrieval LRU configuration; `None` disables caching.
     pub cache: Option<CacheConfig>,
     /// Observability sink shared by the cache and every worker: queue-wait
@@ -92,7 +89,6 @@ impl Default for ServiceConfig {
                 .unwrap_or(1),
             queue_capacity: 64,
             admission: AdmissionPolicy::Block,
-            default_deadline: Deadline::UNBOUNDED,
             cache: Some(CacheConfig::default()),
             tracer: Tracer::disabled(),
             overload: None,
@@ -168,7 +164,7 @@ pub(crate) struct Shared {
     pub failed_cells: AtomicU64,
     pub in_flight: AtomicUsize,
     pub worker_panics: AtomicU64,
-    /// Batch items run by a worker other than the request's owner.
+    /// Search items run by a worker other than the request's owner.
     pub help_items: AtomicU64,
     /// Current degradation-ladder level (0..=2); written by whichever
     /// worker last stepped the overload controller.
@@ -207,7 +203,6 @@ pub struct AnnotationService {
     shared: Arc<Shared>,
     retrieval: Arc<Retrieval>,
     admission: AdmissionPolicy,
-    default_deadline: Deadline,
     rollback_budget: usize,
     tracer: Tracer,
     next_id: AtomicU64,
@@ -284,7 +279,6 @@ impl AnnotationService {
             shared,
             retrieval,
             admission: config.admission,
-            default_deadline: config.default_deadline,
             rollback_budget: config.rollback_budget,
             tracer: config.tracer,
             next_id: AtomicU64::new(0),
@@ -300,9 +294,9 @@ impl AnnotationService {
         }
     }
 
-    /// Submit one table under the configured default deadline.
+    /// Submit one table with no deadline.
     pub fn submit(&self, table: Table) -> Result<Ticket, ServiceError> {
-        self.submit_with_deadline(table, self.default_deadline)
+        self.submit_with_deadline(table, Deadline::UNBOUNDED)
     }
 
     /// Submit one table with an explicit per-request deadline. The budget
@@ -552,10 +546,7 @@ impl AnnotationService {
 
         // ---- shadow: duplicated live traffic, no user-visible output ----
         if plan.shadow_min_requests > 0 {
-            let st = Arc::new(ShadowState::new(
-                Arc::clone(&cand_epoch),
-                plan.shadow_sample_every,
-            ));
+            let st = Arc::new(ShadowState::new(Arc::clone(&cand_epoch)));
             self.lifecycle.set_window(Some(Arc::clone(&st)));
             self.await_comparisons(&st, plan.shadow_min_requests, plan.phase_timeout);
             self.lifecycle.set_window(None);
@@ -595,12 +586,8 @@ impl AnnotationService {
 
         // ---- promote: the candidate and the watch window over the prior
         // epoch land in one store, between requests ----
-        let watch = (plan.watch_min_requests > 0).then(|| {
-            Arc::new(ShadowState::new(
-                Arc::clone(&active),
-                plan.watch_sample_every,
-            ))
-        });
+        let watch =
+            (plan.watch_min_requests > 0).then(|| Arc::new(ShadowState::new(Arc::clone(&active))));
         #[expect(
             clippy::disallowed_methods,
             reason = "measures how long the epoch bump itself takes for the swap report; no annotation reads it"
@@ -628,29 +615,12 @@ impl AnnotationService {
             report.watch_compared = st.compared.load(Ordering::SeqCst);
             report.watch_flips = st.flips.load(Ordering::SeqCst);
             let flip_rate = st.flip_rate();
-            // During watch the *primary* is the freshly promoted candidate,
-            // so its live annotate p99 is compared against the prior
-            // epoch's p99 from the shadow window.
-            let live_p99 = st.primary_p99();
-            let baseline_p99 = report.shadow_baseline_p99_us;
-            let mut trip: Option<String> = None;
             if report.watch_compared > 0 && flip_rate > plan.watch_max_flip_rate {
-                trip = Some(format!(
+                let reason = format!(
                     "watch label-flip rate {flip_rate:.3} exceeds gate {:.3} \
                      ({} of {} requests)",
                     plan.watch_max_flip_rate, report.watch_flips, report.watch_compared
-                ));
-            } else if plan.watch_max_p99_inflation > 0.0
-                && baseline_p99 > 0
-                && live_p99 as f64 > baseline_p99 as f64 * plan.watch_max_p99_inflation
-            {
-                trip = Some(format!(
-                    "p99 inflation: live {live_p99}us exceeds {:.1}x \
-                     pre-swap baseline {baseline_p99}us",
-                    plan.watch_max_p99_inflation
-                ));
-            }
-            if let Some(reason) = trip {
+                );
                 self.lifecycle.install(prior, None);
                 self.lifecycle.rollbacks.fetch_add(1, Ordering::SeqCst);
                 let left = self

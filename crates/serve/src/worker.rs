@@ -3,12 +3,11 @@
 //!
 //! Every annotation reaches the KG through one view of the service's
 //! shared [`Retrieval`] stack, `retrieval.shared_at(rung, counted, ctx)`,
-//! and the graph through [`SharedGraph`]; the rung is the only thing that
-//! differs between full, cache-only and no-linkage service. Both views
-//! offer their search and one-hop batches to idle workers
-//! ([`crate::fanout`]): a worker parked in [`RequestQueue::next`] takes
-//! such an offer, runs items until a request is queued or none is left,
-//! and goes back to the queue.
+//! and reads the graph directly; the rung is the only thing that differs
+//! between full, cache-only and no-linkage service. The view offers its
+//! full-rung search batches to idle workers ([`crate::fanout`]): a worker
+//! parked in [`RequestQueue::next`] takes such an offer, runs searches
+//! until a request is queued or none is left, and goes back to the queue.
 //!
 //! Deadline handling happens here: a request's [`Deadline`] budget is
 //! measured against its *real* queue wait. A request that exhausted its
@@ -44,7 +43,7 @@
 //! [`KgLink::annotate_request`]: kglink_core::KgLink::annotate_request
 
 use crate::error::ServiceError;
-use crate::fanout::{self, RequestQueue, SharedGraph};
+use crate::fanout::{self, RequestQueue};
 use crate::lifecycle::{Lifecycle, ModelEpoch, Serving, ShadowState};
 use crate::queue::Next;
 use crate::retrieval::Retrieval;
@@ -229,13 +228,12 @@ fn annotate_once(
         .deadline(path.remaining)
         .feature_memo(&epoch.feature_memo);
     let backend = ctx.retrieval.shared_at(path.rung, counted, ctx);
-    let graph = SharedGraph(ctx);
     #[expect(
         clippy::expect_used,
         reason = "structural: the service constructor validated these exact resources; a builder error here is a bug in this crate, not a runtime condition"
     )]
     let resources = Resources::builder()
-        .graph(&graph)
+        .graph(&ctx.graph)
         .backend(&backend)
         .tokenizer(&ctx.tokenizer)
         .tracer(&ctx.tracer)
@@ -277,9 +275,7 @@ fn serve_request(ctx: &WorkerContext, request: &Request, serving: &Serving) -> A
     let primary_us = t0.elapsed().as_micros() as u64;
 
     if let Some(sh) = &serving.window {
-        if request.id.is_multiple_of(sh.sample_every) {
-            run_shadow(ctx, sh, request, path, &outcome, primary_us);
-        }
+        run_shadow(ctx, sh, request, path, &outcome, primary_us);
     }
 
     Annotation {
@@ -293,7 +289,7 @@ fn serve_request(ctx: &WorkerContext, request: &Request, serving: &Serving) -> A
     }
 }
 
-/// Duplicate one sampled request against the comparison epoch (the
+/// Duplicate one request against the comparison epoch (the
 /// candidate during the shadow phase, the prior epoch during watch).
 /// No user-visible output: only the [`ShadowState`] counters and latency
 /// histograms observe the duplicate, and a panicking comparison model is
@@ -309,7 +305,7 @@ fn run_shadow(
 ) {
     #[expect(
         clippy::disallowed_methods,
-        reason = "shadow annotate wall time for the p99-inflation guard; no annotation output reads it"
+        reason = "shadow annotate wall time for the swap report's latency histograms; no annotation output reads it"
     )]
     let t0 = Instant::now();
     let duplicate = catch_unwind(AssertUnwindSafe(|| {

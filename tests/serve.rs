@@ -500,9 +500,7 @@ fn hot_swap_is_atomic_and_bit_identical() {
         // Same weights under a new version id: zero flips, so the default
         // 10% divergence gates pass and the swap must promote.
         let plan = SwapPlan {
-            shadow_sample_every: 1,
             shadow_min_requests: 2,
-            watch_sample_every: 1,
             watch_min_requests: 2,
             phase_timeout: Duration::from_secs(30),
             ..SwapPlan::default()
